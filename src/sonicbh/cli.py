@@ -2,8 +2,9 @@
 
 Outputs are CSV (default) or JSON, written atomically, each carrying a
 manifest line with the config hash, seed where stochastic, and the package
-version.  Exit codes: 0 success, 2 config error, 3 numeric failure,
-4 regime violation.
+version.  Exit codes: 0 success, 2 config error (including an unreadable
+config file and a bad argument), 3 numeric failure, 4 regime violation;
+every failure prints one JSON record on stderr.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from .environment import EnvironmentSpec, effective_coupling
 from .errors import ConfigError, RegimeError, SonicBHError
 from .characteristics import entanglement_boundary
 from .langevin import estimate_correlation
-from .params import (DEFAULT_CONFIG_TEXT, derive, load_config, parse_kv_text)
+from .params import DEFAULT_CONFIG_TEXT, check_number, derive, read_config
 from .profiles import (LineProfile, RingProfile, hawking_temperature_line,
                        hawking_temperature_ring)
 
@@ -44,19 +45,15 @@ def _read_config_text(path: str | None) -> str:
 
 def _load_all(path: str | None):
     text = _read_config_text(path)
-    config = load_config(text)
-    kv = parse_kv_text(text)
+    config, values = read_config(text)
     derived = derive(config)
-    gamma = float(kv.get("gamma", 0.0))
-    coupling = float(kv["coupling_eff"]) if "coupling_eff" in kv else (
-        effective_coupling(gamma, config, derived) if gamma else 0.0)
-    env = EnvironmentSpec(coupling_eff=coupling,
-                          cutoff=float(kv.get("cutoff", 1.0 / derived.tau)),
-                          cutoff_shape=kv.get("cutoff_shape", "lorentzian"),
-                          bath_temperature=float(kv.get("bath_temperature", 0.0)))
-    line = LineProfile(a=float(kv.get("line_a", 1.0)),
-                       kappa=float(kv.get("line_kappa", 0.1)),
-                       tau=float(kv.get("line_tau", 1.0)))
+    gamma = values["gamma"]
+    cutoff = values["cutoff"] if values["cutoff"] is not None else 1.0 / derived.tau
+    env = EnvironmentSpec(coupling_eff=effective_coupling(gamma, config, derived),
+                          cutoff=cutoff, cutoff_shape=values["cutoff_shape"],
+                          bath_temperature=values["bath_temperature"])
+    line = LineProfile(a=values["line_a"], kappa=values["line_kappa"],
+                       tau=values["line_tau"])
     manifest = {"config_sha256": hashlib.sha256(text.encode()).hexdigest()[:16]}
     return config, derived, env, line, gamma, manifest
 
@@ -96,18 +93,32 @@ def write_table(path: str, columns, rows, manifest: dict, fmt: str):
         raise ConfigError(f"unknown output format {fmt!r}")
 
 
+class _Parser(argparse.ArgumentParser):
+    """Argument errors are refused like config errors: exit 2, JSON on stderr."""
+
+    def error(self, message):
+        raise ConfigError(message)
+
+
+def _number(domain: str):
+    """Argument type: a finite number inside domain, as for config values."""
+    def parse(raw: str) -> float:
+        try:
+            return check_number("value", raw, domain)
+        except ConfigError as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from None
+    return parse
+
+
 def _beta_arg(raw: str) -> float:
     if raw.strip().lower() in ("inf", "infinity"):
         return math.inf
-    value = float(raw)
-    if value <= 0:
-        raise argparse.ArgumentTypeError("beta must be positive or 'inf'")
-    return value
+    return _number("positive")(raw)
 
 
 def build_parser() -> argparse.ArgumentParser:
-    p = argparse.ArgumentParser(prog="sonicbh",
-                                description="sonic-horizon open-system toolkit")
+    p = _Parser(prog="sonicbh",
+                description="sonic-horizon open-system toolkit")
     p.add_argument("--config", help=f"config path (default: ${CONFIG_ENV_VAR} or built-in)")
     p.add_argument("--output", default=None, help="output file (default: <command>.csv/json)")
     p.add_argument("--format", choices=("csv", "json"), default="csv")
@@ -124,56 +135,56 @@ def build_parser() -> argparse.ArgumentParser:
     s = add_parser("hawking", help="Hawking temperatures of both geometries")
 
     s = add_parser("boundary", help="entanglement-wedge boundary x_pm(t)")
-    s.add_argument("--t-max", type=float, default=200.0)
+    s.add_argument("--t-max", type=_number("positive"), default=200.0)
     s.add_argument("--points", type=int, default=400)
 
     s = add_parser("diffusion", help="normal diffusion coefficient D(t)")
-    s.add_argument("--omega", type=float, required=True)
-    s.add_argument("--t-min", type=float, required=True)
-    s.add_argument("--t-max", type=float, required=True)
+    s.add_argument("--omega", type=_number("positive"), required=True)
+    s.add_argument("--t-min", type=_number("positive"), required=True)
+    s.add_argument("--t-max", type=_number("positive"), required=True)
     s.add_argument("--points", type=int, default=50)
     s.add_argument("--oracle", action="store_true", help="include the nested-quadrature column")
 
     s = add_parser("vcoef", help="mode weights V1/V2 over allowed frequencies")
-    s.add_argument("--epsilon", type=float, default=None)
+    s.add_argument("--epsilon", type=_number("finite"), default=None)
     s.add_argument("--max-modes", type=int, default=40)
 
     s = add_parser("tdec-sweep", help="decoherence-time band sweep")
     s.add_argument("--axis", choices=("gamma", "v_min", "temperature"), required=True)
-    s.add_argument("--from", dest="lo", type=float, required=True)
-    s.add_argument("--to", dest="hi", type=float, required=True)
+    s.add_argument("--from", dest="lo", type=_number("finite"), required=True)
+    s.add_argument("--to", dest="hi", type=_number("finite"), required=True)
     s.add_argument("--points", type=int, default=20)
     s.add_argument("--log", action="store_true", help="log-spaced axis")
-    s.add_argument("--gamma", type=float, default=None, help="override config gamma")
+    s.add_argument("--gamma", type=_number("finite"), default=None, help="override config gamma")
 
     s = add_parser("correlation", help="pair-correlation scan over x2")
-    s.add_argument("--t", type=float, required=True)
-    s.add_argument("--x1", type=float, required=True)
+    s.add_argument("--t", type=_number("finite"), required=True)
+    s.add_argument("--x1", type=_number("finite"), required=True)
     s.add_argument("--beta", type=_beta_arg, default=math.inf)
-    s.add_argument("--x2-min", type=float, default=None)
-    s.add_argument("--x2-max", type=float, default=None)
+    s.add_argument("--x2-min", type=_number("finite"), default=None)
+    s.add_argument("--x2-max", type=_number("finite"), default=None)
     s.add_argument("--points", type=int, default=64)
     s.add_argument("--method", choices=("closed_form", "mode_sum_oracle"),
                    default="closed_form")
 
     s = add_parser("er", help="per-mode open-system relative correction")
-    s.add_argument("--k", type=float, action="append", required=True)
-    s.add_argument("--t-min", type=float, required=True)
-    s.add_argument("--t-max", type=float, required=True)
+    s.add_argument("--k", type=_number("finite"), action="append", required=True)
+    s.add_argument("--t-min", type=_number("positive"), required=True)
+    s.add_argument("--t-max", type=_number("positive"), required=True)
     s.add_argument("--points", type=int, default=40)
-    s.add_argument("--lam", type=float, default=1e-7)
-    s.add_argument("--temperature", type=float, default=None,
+    s.add_argument("--lam", type=_number("finite"), default=1e-7)
+    s.add_argument("--temperature", type=_number("non-negative"), default=None,
                    help="default: 100 x line Hawking temperature")
 
     s = add_parser("langevin", help="Monte-Carlo correlation estimator")
-    s.add_argument("--t", type=float, required=True)
-    s.add_argument("--x1", type=float, required=True)
-    s.add_argument("--temperature", type=float, default=0.0)
+    s.add_argument("--t", type=_number("finite"), required=True)
+    s.add_argument("--x1", type=_number("finite"), required=True)
+    s.add_argument("--temperature", type=_number("non-negative"), default=0.0)
     s.add_argument("--realizations", type=int, default=2000)
     s.add_argument("--sites", type=int, default=512)
     s.add_argument("--seed", type=int, default=1234)
-    s.add_argument("--x2-min", type=float, default=None)
-    s.add_argument("--x2-max", type=float, default=None)
+    s.add_argument("--x2-min", type=_number("finite"), default=None)
+    s.add_argument("--x2-max", type=_number("finite"), default=None)
     s.add_argument("--points", type=int, default=48)
     s.add_argument("--transport", choices=("matched", "exact"), default="matched")
     return p
@@ -223,13 +234,8 @@ def _run(args) -> tuple[list, list, dict]:
             raise ConfigError("a positive gamma is required (config key or --gamma)")
         space = np.geomspace if args.log else np.linspace
         values = space(args.lo, args.hi, args.points)
-        axis_gamma = g
-        if args.axis == "gamma":
-            rows_, errs = sweep_decoherence("gamma", values, config, axis_gamma)
-        else:
-            rows_, errs = sweep_decoherence(args.axis, values, config, g,
-                                            temperature=env.bath_temperature
-                                            if args.axis != "temperature" else 0.0)
+        rows_, errs = sweep_decoherence(args.axis, values, config, g,
+                                        temperature=env.bath_temperature)
         if errs:
             manifest["point_errors"] = len(errs)
         rows = [[r.axis_value, r.t_d_min, r.t_d_max, r.omega_min, r.omega_max]
@@ -283,20 +289,20 @@ def _run(args) -> tuple[list, list, dict]:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         columns, rows, manifest = _run(args)
         out = args.output or f"{args.command}.{args.format}"
         write_table(out, columns, rows, manifest, args.format)
         print(out)
         return 0
-    except ConfigError as exc:
+    except (ConfigError, OSError) as exc:
         _emit_error(exc)
         return 2
     except RegimeError as exc:
         _emit_error(exc)
         return 4
-    except (SonicBHError, ValueError) as exc:
+    except (SonicBHError, ValueError, ArithmeticError) as exc:
         _emit_error(exc)
         return 3
 

@@ -17,13 +17,13 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .environment import EnvironmentSpec
 from .errors import QuadratureError, RegimeError, RegimeWarning
-from .params import TWO_PI, DerivedParams, PhysicalConfig
+from .params import TWO_PI, DerivedParams, PhysicalConfig, derive
 from .profiles import RingProfile, hawking_temperature_ring, null_coordinate_map
 from .specfun import (fourier_integral, integrate_adaptive, si,
                       stable_shi_chi_combo)
@@ -433,21 +433,23 @@ class SweepRow:
     omega_max: float
 
 
-def _band(config, derived, gamma, temperature, profile, epsilon, use_full_v):
-    """(t_d_min, t_d_max, omega_of_min, omega_of_max) over allowed u and v modes."""
-    best = (math.inf, None)
-    worst = (-math.inf, None)
-    for branch in ("u", "v"):
-        omegas = allowed_frequencies(profile, branch, epsilon)
-        for om in omegas:
-            vc = v_coefficients(profile, om, epsilon)
-            est = decoherence_time(config, derived, gamma, om, temperature, vc,
-                                   branch=branch, use_full_v=use_full_v)
-            if est.t_d < best[0]:
-                best = (est.t_d, om)
-            if est.t_d > worst[0]:
-                worst = (est.t_d, om)
-    return best[0], worst[0], best[1], worst[1]
+def _mode_table(profile, epsilon):
+    """(branch, omega, V1/V2) of every allowed u and v mode.
+
+    The weights depend on neither gamma nor T0, so one table serves every
+    point of a sweep that keeps the profile.
+    """
+    return [(branch, om, v_coefficients(profile, om, epsilon))
+            for branch in ("u", "v")
+            for om in allowed_frequencies(profile, branch, epsilon)]
+
+
+def _band(config, derived, gamma, temperature, modes, use_full_v):
+    """(t_d_min, t_d_max, omega_of_min, omega_of_max) over a mode table."""
+    t_d = [decoherence_time(config, derived, gamma, om, temperature, vc, branch=branch,
+                            use_full_v=use_full_v).t_d for branch, om, vc in modes]
+    lo, hi = int(np.argmin(t_d)), int(np.argmax(t_d))   # first of equal values
+    return t_d[lo], t_d[hi], modes[lo][1], modes[hi][1]
 
 
 def sweep_decoherence(axis: str, values, config: PhysicalConfig, gamma: float,
@@ -457,17 +459,13 @@ def sweep_decoherence(axis: str, values, config: PhysicalConfig, gamma: float,
 
     Returns (rows, errors): per-point failures are collected, not fatal.
     For each point the band (min, max) of t_D over the allowed mode
-    frequencies of both branches is reported.
+    frequencies of both branches is reported.  gamma and temperature are
+    the fixed values of the axes not swept.
     """
-    from dataclasses import replace as _replace
-
-    from .params import derive as _derive
-
     if axis not in ("gamma", "v_min", "temperature"):
         raise ValueError(f"unknown sweep axis {axis!r}")
     rows, errors = [], []
     base_profile = RingProfile.from_config(config)
-    base_derived = _derive(config)
     if axis == "temperature":
         t_h = hawking_temperature_ring(base_profile)
         too_hot = [v for v in values if v > 100.0 * t_h]
@@ -476,38 +474,23 @@ def sweep_decoherence(axis: str, values, config: PhysicalConfig, gamma: float,
                 f"temperature sweep beyond 100 T_H = {100 * t_h:.4g} refused "
                 "(low-temperature expansion invalid); offending values "
                 f"start at {min(too_hot):.4g}")
+    if axis != "v_min":
+        modes = _mode_table(base_profile, epsilon)
+        base_derived = derive(config)
 
-    if axis == "gamma":
-        # t_D scales exactly as gamma^-2 at T0 = 0; reuse one band.
-        lo, hi, om_lo, om_hi = _band(config, base_derived, 1.0, 0.0,
-                                     base_profile, epsilon, use_full_v)
-        for g in values:
-            try:
-                if g <= 0:
-                    raise ValueError("gamma must be positive")
-                if temperature == 0.0:
-                    rows.append(SweepRow(g, lo / g ** 2, hi / g ** 2, om_lo, om_hi))
-                else:
-                    b = _band(config, base_derived, g, temperature, base_profile,
-                              epsilon, use_full_v)
-                    rows.append(SweepRow(g, *b))
-            except Exception as exc:  # collected per point
-                errors.append((g, repr(exc)))
-        return rows, errors
-
-    for val in values:
+    for val in map(float, values):
         try:
-            if axis == "v_min":
+            if axis == "gamma":
+                b = _band(config, base_derived, val, temperature, modes, use_full_v)
+            elif axis == "temperature":
+                b = _band(config, base_derived, gamma, val, modes, use_full_v)
+            else:
                 if not val < config.mean_velocity:
                     raise RegimeError("v_min must stay below the revolution speed")
-                cfg = _replace(config, v_min=float(val))
-                prof = RingProfile.from_config(cfg)
-                der = _derive(cfg)
-                b = _band(cfg, der, gamma, temperature, prof, epsilon, use_full_v)
-            else:
-                b = _band(config, base_derived, gamma, float(val), base_profile,
-                          epsilon, use_full_v)
-            rows.append(SweepRow(float(val), *b))
-        except Exception as exc:
-            errors.append((float(val), repr(exc)))
+                cfg = replace(config, v_min=val)
+                b = _band(cfg, derive(cfg), gamma, temperature,
+                          _mode_table(RingProfile.from_config(cfg), epsilon), use_full_v)
+            rows.append(SweepRow(val, *b))
+        except Exception as exc:  # collected per point
+            errors.append((val, repr(exc)))
     return rows, errors

@@ -14,7 +14,6 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import ConfigError, QuadratureError
-from .params import parse_kv_text
 from .specfun import fourier_integral, integrate_adaptive
 
 CUTOFF_SHAPES = ("exponential", "lorentzian")
@@ -45,23 +44,6 @@ class EnvironmentSpec:
         if self.bath_temperature == 0.0:
             return math.inf
         return 1.0 / (k_boltzmann * self.bath_temperature)
-
-    @classmethod
-    def from_config_text(cls, text: str) -> "EnvironmentSpec":
-        kv = parse_kv_text(text)
-        try:
-            return cls(coupling_eff=float(kv["coupling_eff"]),
-                       cutoff=float(kv["cutoff"]),
-                       cutoff_shape=kv.get("cutoff_shape", "lorentzian"),
-                       bath_temperature=float(kv.get("bath_temperature", 0.0)))
-        except KeyError as exc:
-            raise ConfigError(f"missing environment key: {exc}") from exc
-
-    def to_config_text(self) -> str:
-        return (f"coupling_eff = {self.coupling_eff!r}\n"
-                f"cutoff = {self.cutoff!r}\n"
-                f"cutoff_shape = {self.cutoff_shape}\n"
-                f"bath_temperature = {self.bath_temperature!r}\n")
 
 
 def cutoff_factor(nu, spec: EnvironmentSpec):

@@ -6,29 +6,49 @@ explicitly so expressions with literal hbar**2 or k_B**2 factors evaluate
 as written.
 
 Configuration documents are flat key-value text, one ``key = value`` pair per
-line, ``#`` comments allowed.  Numbers may be decimal or scientific.
+line, ``#`` comments allowed.  Numbers may be decimal or scientific.  Every
+key the toolkit reads is listed once in CONFIG_KEYS, and read_config is the
+one place a document is parsed.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 from .errors import ConfigError
 
 TWO_PI = 2.0 * math.pi
 
-# Keys owned by this module.
-_PHYSICAL_KEYS = {
-    "n_ions", "period", "radius", "ion_mass", "ion_charge",
-    "v_min", "v_max", "gamma1", "gamma2", "theta_h", "hbar", "k_boltzmann",
+REQUIRED = object()
+
+# Every configuration key, once: key -> (type, default, domain).  REQUIRED
+# keys must be set; cutoff's None is the derived default 1/tau, filled in where
+# the bath is built.  Domains are checked before any cross-key invariant.
+CONFIG_KEYS = {
+    # ring flow -> PhysicalConfig
+    "n_ions": (int, REQUIRED, "positive"),
+    "period": (float, REQUIRED, "positive"),
+    "radius": (float, REQUIRED, "positive"),
+    "ion_mass": (float, REQUIRED, "positive"),
+    "ion_charge": (float, REQUIRED, "finite"),
+    "v_min": (float, REQUIRED, "finite"),
+    "v_max": (float, REQUIRED, "finite"),
+    "gamma1": (float, REQUIRED, "positive"),
+    "gamma2": (float, REQUIRED, "positive"),
+    "theta_h": (float, REQUIRED, "finite"),
+    "hbar": (float, 1.0, "positive"),
+    "k_boltzmann": (float, 1.0, "positive"),
+    # environment
+    "gamma": (float, 0.0, "non-negative"),
+    "cutoff": (float, None, "positive"),
+    "cutoff_shape": (str, "lorentzian", None),
+    "bath_temperature": (float, 0.0, "non-negative"),
+    # straight-channel profile
+    "line_a": (float, 1.0, "positive"),
+    "line_kappa": (float, 0.1, "positive"),
+    "line_tau": (float, 1.0, "positive"),
 }
-# Keys owned by other loaders (environment, line profile) that may share a document.
-_FOREIGN_KEYS = {
-    "gamma", "coupling_eff", "cutoff", "cutoff_shape", "bath_temperature",
-    "line_a", "line_kappa", "line_tau",
-}
-_OPTIONAL_DEFAULTS = {"hbar": 1.0, "k_boltzmann": 1.0}
 
 
 @dataclass(frozen=True)
@@ -74,9 +94,20 @@ class DerivedParams:
     kappa: float        # line-profile gradient delta_v / (2 a)
 
 
-def _positive(name, value):
-    if not (value > 0):
-        raise ConfigError(f"{name} must be positive, got {value!r}")
+def check_number(name: str, raw: str | float, domain: str = "finite") -> float:
+    """float(raw), refused with ConfigError unless finite and inside domain
+    ("finite", "positive" or "non-negative")."""
+    try:
+        value = float(raw)
+    except ValueError as exc:
+        raise ConfigError(f"{name}: not a number: {raw!r}") from exc
+    if not math.isfinite(value):
+        raise ConfigError(f"{name} must be finite, got {raw!r}")
+    if domain == "positive" and not value > 0:
+        raise ConfigError(f"{name} must be positive, got {raw!r}")
+    if domain == "non-negative" and value < 0:
+        raise ConfigError(f"{name} must be >= 0, got {raw!r}")
+    return value
 
 
 def _validate(cfg: PhysicalConfig):
@@ -84,7 +115,7 @@ def _validate(cfg: PhysicalConfig):
         raise ConfigError(f"n_ions must be at least 2, got {cfg.n_ions}")
     for name in ("period", "radius", "ion_mass", "gamma1", "gamma2",
                  "hbar", "k_boltzmann"):
-        _positive(name, getattr(cfg, name))
+        check_number(name, getattr(cfg, name), "positive")
     if cfg.ion_charge == 0:
         raise ConfigError("ion_charge must be nonzero")
     if cfg.v_min > cfg.v_max:
@@ -126,38 +157,34 @@ def parse_kv_text(text: str) -> dict[str, str]:
     return out
 
 
-def _as_float(key: str, raw: str) -> float:
-    try:
-        return float(raw)
-    except ValueError as exc:
-        raise ConfigError(f"{key}: not a number: {raw!r}") from exc
-
-
-def load_config(text: str) -> PhysicalConfig:
-    """Parse and validate a configuration document.
-
-    Unknown keys are rejected (typo safety); keys consumed by the
-    environment/line-profile loaders are tolerated.  Omitted hbar and
-    k_boltzmann default to 1.
-    """
+def read_config(text: str) -> tuple[PhysicalConfig, dict]:
+    """Parse a document once, checking every key against CONFIG_KEYS (unknown,
+    missing and out-of-domain keys are refused).  Returns the PhysicalConfig
+    and a map of the other keys, omitted ones at their default."""
     kv = parse_kv_text(text)
-    unknown = set(kv) - _PHYSICAL_KEYS - _FOREIGN_KEYS
+    unknown = set(kv) - set(CONFIG_KEYS)
     if unknown:
         raise ConfigError(f"unknown configuration keys: {sorted(unknown)}")
-    missing = _PHYSICAL_KEYS - set(kv) - set(_OPTIONAL_DEFAULTS)
+    missing = [key for key, (_k, default, _d) in CONFIG_KEYS.items()
+               if default is REQUIRED and key not in kv]
     if missing:
         raise ConfigError(f"missing required keys: {sorted(missing)}")
     values = {}
-    for key in _PHYSICAL_KEYS:
-        if key not in kv:
-            values[key] = _OPTIONAL_DEFAULTS[key]
+    for key, (kind, default, domain) in CONFIG_KEYS.items():
+        if key not in kv or kind is str:
+            values[key] = kv.get(key, default)
             continue
-        values[key] = _as_float(key, kv[key])
-    n_raw = values["n_ions"]
-    if n_raw != int(n_raw):
-        raise ConfigError(f"n_ions must be an integer, got {kv['n_ions']!r}")
-    values["n_ions"] = int(n_raw)
-    return PhysicalConfig(**values)
+        value = check_number(key, kv[key], domain)
+        if kind is int and value != int(value):
+            raise ConfigError(f"{key} must be an integer, got {kv[key]!r}")
+        values[key] = kind(value)
+    physical = {f.name: values.pop(f.name) for f in fields(PhysicalConfig)}
+    return PhysicalConfig(**physical), values
+
+
+def load_config(text: str) -> PhysicalConfig:
+    """Parse and validate a configuration document; the ring-flow part of read_config."""
+    return read_config(text)[0]
 
 
 def derive(config: PhysicalConfig, reference_velocity: float | None = None,
@@ -171,9 +198,8 @@ def derive(config: PhysicalConfig, reference_velocity: float | None = None,
     """
     if reference_velocity is None:
         reference_velocity = config.mean_velocity
-    if not (reference_velocity > 0):
-        raise ConfigError(f"reference_velocity must be positive, got {reference_velocity!r}")
-    _positive("transition_halfwidth", transition_halfwidth)
+    check_number("reference_velocity", reference_velocity, "positive")
+    check_number("transition_halfwidth", transition_halfwidth, "positive")
     delta = TWO_PI / config.n_ions
     rho = (config.ion_mass * config.radius ** 2 * config.n_ions
            / (reference_velocity * config.period))

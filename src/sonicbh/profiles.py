@@ -23,7 +23,7 @@ from scipy.interpolate import CubicSpline
 from scipy.optimize import brentq
 
 from .errors import ConfigError, RegionError, SingularIntegrandError
-from .params import TWO_PI, PhysicalConfig, parse_kv_text
+from .params import TWO_PI, PhysicalConfig
 from .specfun import log_cosh
 
 
@@ -70,19 +70,6 @@ class LineProfile:
                 "line profile extrema must average to the sound speed 1: "
                 f"got ({v_min}, {v_max})")
         return cls(a=a, kappa=(v_max - v_min) / (2.0 * a), tau=tau)
-
-    @classmethod
-    def from_config_text(cls, text: str) -> "LineProfile":
-        kv = parse_kv_text(text)
-        try:
-            return cls(a=float(kv["line_a"]), kappa=float(kv["line_kappa"]),
-                       tau=float(kv["line_tau"]))
-        except KeyError as exc:
-            raise ConfigError(f"missing line profile key: {exc}") from exc
-
-    def to_config_text(self) -> str:
-        return (f"line_a = {self.a!r}\nline_kappa = {self.kappa!r}\n"
-                f"line_tau = {self.tau!r}\n")
 
     @property
     def v_min(self) -> float:

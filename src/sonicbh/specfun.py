@@ -101,13 +101,24 @@ class QuadratureResult:
     evaluations: int
 
 
+def _finite_integrand(f: Callable[[float], float]) -> Callable[[float], float]:
+    """f, refusing a non-finite value before QUADPACK (whose Fourier routine
+    can crash the process on a NaN) sees it."""
+    def checked(x: float) -> float:
+        y = f(x)
+        if not math.isfinite(y):
+            raise QuadratureError(f"integrand is not finite at x = {x!r}: {y!r}")
+        return y
+    return checked
+
+
 def integrate_adaptive(f: Callable[[float], float], a: float, b: float,
                        tol: float = 1e-10, rel_tol: float = 0.0,
                        limit: int = 200, points=None) -> QuadratureResult:
     """Adaptive quadrature of f on [a, b] (endpoints may be infinite).
 
-    Raises QuadratureError carrying the partial result when the integrator
-    reports non-convergence.
+    Raises QuadratureError when the integrator reports non-convergence
+    (carrying the partial result) or f returns a non-finite value.
     """
     if not tol > 0:
         raise ValueError("tol must be positive")
@@ -116,7 +127,7 @@ def integrate_adaptive(f: Callable[[float], float], a: float, b: float,
         kwargs["points"] = points
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", integrate.IntegrationWarning)
-        out = integrate.quad(f, a, b, **kwargs)
+        out = integrate.quad(_finite_integrand(f), a, b, **kwargs)
     value, abserr, info = out[0], out[1], out[2]
     neval = int(info.get("neval", 0)) if isinstance(info, dict) else 0
     result = QuadratureResult(value=value, error_estimate=abserr, evaluations=max(neval, 1))
@@ -134,7 +145,8 @@ def fourier_integral(f: Callable[[float], float], a: float, omega: float,
     """int_a^inf f(k) cos(omega k) dk (or sin), for decaying f.
 
     Wraps the QUADPACK Fourier transform routine, which accelerates the
-    series of per-cycle contributions.  f must tend to zero.
+    series of per-cycle contributions.  f must tend to zero; a non-finite
+    value of f raises QuadratureError.
     """
     if kind not in ("cos", "sin"):
         raise ValueError(f"kind must be 'cos' or 'sin', got {kind!r}")
@@ -142,7 +154,7 @@ def fourier_integral(f: Callable[[float], float], a: float, omega: float,
         raise ValueError("fourier_integral needs omega > 0; fold signs into f")
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", integrate.IntegrationWarning)
-        out = integrate.quad(f, a, np.inf, weight=kind, wvar=omega,
+        out = integrate.quad(_finite_integrand(f), a, np.inf, weight=kind, wvar=omega,
                              epsabs=tol, limlst=300, limit=500, full_output=1)
     value, abserr = out[0], out[1]
     info = out[2] if len(out) > 2 and isinstance(out[2], dict) else {}

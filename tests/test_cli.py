@@ -6,7 +6,9 @@ import numpy as np
 import pytest
 
 from sonicbh.cli import main
-from sonicbh.params import DEFAULT_CONFIG_TEXT
+from sonicbh.decoherence import allowed_frequencies, decoherence_time, v_coefficients
+from sonicbh.params import DEFAULT_CONFIG_TEXT, derive, load_config, parse_kv_text
+from sonicbh.profiles import RingProfile
 
 
 def _run(tmp_path, *args, name="out.csv", fmt=None):
@@ -71,6 +73,36 @@ def test_tdec_sweep_gamma_scaling(tmp_path):
     hi = np.array([float(r[2]) for r in rows])
     assert np.allclose(lo * g ** 2, lo[0] * g[0] ** 2, rtol=1e-12)
     assert np.allclose(hi * g ** 2, hi[0] * g[0] ** 2, rtol=1e-12)
+
+
+def _config_file(tmp_path, **overrides):
+    kv = dict(parse_kv_text(DEFAULT_CONFIG_TEXT), **overrides)
+    path = tmp_path / "scenario.cfg"
+    path.write_text("".join(f"{k} = {v}\n" for k, v in kv.items()))
+    return path
+
+
+def test_tdec_sweep_gamma_keeps_bath_temperature(tmp_path):
+    # a 200-ion ring with the charge scaled by sqrt(1000/200) keeps the
+    # default flow and sound speed at a fifth of the modes
+    cfg_path = _config_file(tmp_path, n_ions=200, ion_charge=37.6246 * math.sqrt(5.0),
+                            bath_temperature=1.0)
+    code, out = _run(tmp_path, "--config", str(cfg_path), "tdec-sweep", "--axis", "gamma",
+                     "--from", "1e-7", "--to", "1e-6", "--points", "3", "--log")
+    assert code == 0
+    manifest, _, rows = _rows(out)
+    assert "point_errors" not in manifest
+    config = load_config(cfg_path.read_text())
+    profile, derived = RingProfile.from_config(config), derive(config)
+    modes = [(b, float(w)) for b in ("u", "v") for w in allowed_frequencies(profile, b)]
+    for row in rows:
+        g, t_lo, t_hi, om_lo, om_hi = map(float, row)
+        for t_d, om in ((t_lo, om_lo), (t_hi, om_hi)):
+            # the CSV keeps 12 digits; recover the exact allowed frequency
+            branch, exact = next(m for m in modes if m[1] == pytest.approx(om, rel=1e-10))
+            est = decoherence_time(config, derived, g, exact, 1.0,
+                                   v_coefficients(profile, exact), branch=branch)
+            assert t_d == pytest.approx(est.t_d, rel=1e-9)
 
 
 def test_diffusion_command_with_oracle(tmp_path):
@@ -153,3 +185,34 @@ def test_output_written_atomically(tmp_path):
     assert code == 0
     leftovers = [p for p in os.listdir(tmp_path) if p.startswith(".sonicbh-")]
     assert not leftovers
+
+
+@pytest.mark.parametrize("argv, config, code", [
+    (["hawking"], "missing", 2),
+    (["vcoef", "--max-modes", "5"], {"radius": "inf"}, 2),
+    (["correlation", "--t", "100", "--x1", "-4", "--points", "8"], {"line_kappa": "nan"}, 2),
+    (["diffusion", "--omega", "0", "--t-min", "0.01", "--t-max", "10"], None, 2),
+    (["diffusion", "--omega", "-0", "--t-min", "0.01", "--t-max", "10"], None, 2),
+    (["langevin", "--t", "30", "--x1", "-1.2", "--realizations", "50",
+      "--temperature", "nan"], None, 2),
+    (["tdec-sweep", "--axis", "temperature", "--from", "0.1", "--to", "1000",
+      "--points", "2"], None, 4),
+    (["hawking"], {"gamma": "-1e-6"}, 2),
+    (["hawking"], {"coupling_eff": "0.01"}, 2),
+], ids=["missing-config", "radius-inf", "line-kappa-nan", "omega-0", "omega-minus-0",
+        "langevin-temperature-nan", "temperature-beyond-100-th", "negative-gamma",
+        "coupling-eff-key"])
+def test_malformed_input_refused(tmp_path, capsys, argv, config, code):
+    """Refused with the documented exit code and one JSON record, no traceback."""
+    prefix = ["--output", str(tmp_path / "x.csv")]
+    if config == "missing":
+        prefix += ["--config", str(tmp_path / "missing.cfg")]
+    elif config is not None:
+        prefix += ["--config", str(_config_file(tmp_path, **config))]
+    assert main(prefix + argv) == code
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    lines = err.strip().splitlines()
+    assert len(lines) == 1
+    assert set(json.loads(lines[0])) == {"error", "message"}
+    assert not (tmp_path / "x.csv").exists()

@@ -1,9 +1,13 @@
 import math
+import os
+import subprocess
+import sys
 
 import mpmath as mp
 import numpy as np
 import pytest
 
+import sonicbh
 from sonicbh.characteristics import entanglement_boundary
 from sonicbh.correlations import (CorrelationGrid, build_correlation_grid,
                                   corr_closed_form, corr_homogeneous,
@@ -364,3 +368,25 @@ def test_mode_pde_residual_second_order(line):
     assert residuals[0] / residuals[1] == pytest.approx(4.0, rel=0.3)
     assert residuals[1] / residuals[2] == pytest.approx(4.0, rel=0.3)
     assert residuals[-1] < 1e-3
+
+
+def test_nan_beta_refused_before_quadpack():
+    # A NaN integrand can crash QUADPACK's Fourier routine outright, so the
+    # grid runs in a child process whose death fails the test, not the suite.
+    script = (
+        "import math\n"
+        "from sonicbh.correlations import build_correlation_grid\n"
+        "from sonicbh.errors import QuadratureError\n"
+        "from sonicbh.profiles import LineProfile\n"
+        "try:\n"
+        "    build_correlation_grid(-4.0, [1.5, 30.0], 100.0, math.nan,\n"
+        "                           LineProfile(a=1.0, kappa=0.1, tau=1.0))\n"
+        "except QuadratureError:\n"
+        "    print('refused')\n")
+    src = os.path.dirname(os.path.dirname(os.path.abspath(sonicbh.__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "refused"

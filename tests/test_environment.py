@@ -24,11 +24,6 @@ def test_spec_validation():
         EnvironmentSpec(coupling_eff=0.1, cutoff=1.0, cutoff_shape="gauss")
 
 
-def test_spec_serialization_round_trip(env_lorentzian):
-    text = env_lorentzian.to_config_text()
-    assert EnvironmentSpec.from_config_text(text) == env_lorentzian
-
-
 def test_spectral_density_vanishes_at_zero(env_lorentzian, env_exponential):
     assert spectral_density(0.0, env_lorentzian) == 0.0
     assert spectral_density(0.0, env_exponential) == 0.0

@@ -5,8 +5,9 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from sonicbh.errors import ConfigError
-from sonicbh.params import (DEFAULT_CONFIG_TEXT, PhysicalConfig, default_config,
-                            derive, load_config, parse_kv_text)
+from sonicbh.params import (CONFIG_KEYS, DEFAULT_CONFIG_TEXT, PhysicalConfig,
+                            default_config, derive, load_config, parse_kv_text,
+                            read_config)
 
 TWO_PI = 2 * math.pi
 
@@ -50,6 +51,24 @@ def test_segment_tiling_violations_named():
 def test_unknown_key_rejected():
     with pytest.raises(ConfigError, match="unknown"):
         load_config(_doc() + "\nv_typo = 3.0")
+
+
+def test_omitted_keys_take_registry_defaults():
+    _, values = read_config(_doc())
+    assert values == {"gamma": 0.0, "cutoff": None, "cutoff_shape": "lorentzian",
+                      "bath_temperature": 0.0, "line_a": 1.0, "line_kappa": 0.1,
+                      "line_tau": 1.0}
+
+
+NUMERIC_KEYS = sorted(key for key, (kind, _, _) in CONFIG_KEYS.items() if kind is not str)
+
+
+@given(st.sampled_from(NUMERIC_KEYS),
+       st.sampled_from(["nan", "NaN", "inf", "-inf", "Infinity", "-INF", "1e400"]))
+def test_non_finite_values_refused(key, raw):
+    kv = dict(parse_kv_text(DEFAULT_CONFIG_TEXT), **{key: raw})
+    with pytest.raises(ConfigError, match=key):
+        load_config("".join(f"{k} = {v}\n" for k, v in kv.items()))
 
 
 def test_parse_errors_carry_line_numbers():

@@ -111,11 +111,6 @@ def test_line_from_velocities_consistency():
         LineProfile.from_velocities(0.9, 1.3, 1.0, 1.0)
 
 
-def test_line_serialization_round_trip(line):
-    text = line.to_config_text()
-    assert LineProfile.from_config_text(text) == line
-
-
 @given(st.floats(min_value=-3.0, max_value=3.0), st.floats(min_value=0.0, max_value=50.0))
 def test_line_velocity_bounded(x, t):
     lp = LineProfile(a=1.0, kappa=0.1, tau=1.0)
