@@ -110,6 +110,20 @@ def _number(domain: str):
     return parse
 
 
+def _count(minimum: int, below: int | None = None):
+    """Argument type: an integer of at least minimum (and under below)."""
+    def parse(raw: str) -> int:
+        try:
+            value = int(raw)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"not an integer: {raw!r}") from None
+        if value < minimum or (below is not None and value >= below):
+            bounds = f">= {minimum}" + (f" and < {below}" if below is not None else "")
+            raise argparse.ArgumentTypeError(f"must be an integer {bounds}, got {value}")
+        return value
+    return parse
+
+
 def _beta_arg(raw: str) -> float:
     if raw.strip().lower() in ("inf", "infinity"):
         return math.inf
@@ -136,24 +150,24 @@ def build_parser() -> argparse.ArgumentParser:
 
     s = add_parser("boundary", help="entanglement-wedge boundary x_pm(t)")
     s.add_argument("--t-max", type=_number("positive"), default=200.0)
-    s.add_argument("--points", type=int, default=400)
+    s.add_argument("--points", type=_count(1), default=400)
 
     s = add_parser("diffusion", help="normal diffusion coefficient D(t)")
     s.add_argument("--omega", type=_number("positive"), required=True)
     s.add_argument("--t-min", type=_number("positive"), required=True)
     s.add_argument("--t-max", type=_number("positive"), required=True)
-    s.add_argument("--points", type=int, default=50)
+    s.add_argument("--points", type=_count(1), default=50)
     s.add_argument("--oracle", action="store_true", help="include the nested-quadrature column")
 
     s = add_parser("vcoef", help="mode weights V1/V2 over allowed frequencies")
     s.add_argument("--epsilon", type=_number("finite"), default=None)
-    s.add_argument("--max-modes", type=int, default=40)
+    s.add_argument("--max-modes", type=_count(1), default=40)
 
     s = add_parser("tdec-sweep", help="decoherence-time band sweep")
     s.add_argument("--axis", choices=("gamma", "v_min", "temperature"), required=True)
     s.add_argument("--from", dest="lo", type=_number("finite"), required=True)
     s.add_argument("--to", dest="hi", type=_number("finite"), required=True)
-    s.add_argument("--points", type=int, default=20)
+    s.add_argument("--points", type=_count(1), default=20)
     s.add_argument("--log", action="store_true", help="log-spaced axis")
     s.add_argument("--gamma", type=_number("finite"), default=None, help="override config gamma")
 
@@ -163,7 +177,8 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--beta", type=_beta_arg, default=math.inf)
     s.add_argument("--x2-min", type=_number("finite"), default=None)
     s.add_argument("--x2-max", type=_number("finite"), default=None)
-    s.add_argument("--points", type=int, default=64)
+    # detect_peak needs 16 samples
+    s.add_argument("--points", type=_count(16), default=64)
     s.add_argument("--method", choices=("closed_form", "mode_sum_oracle"),
                    default="closed_form")
 
@@ -171,7 +186,7 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--k", type=_number("finite"), action="append", required=True)
     s.add_argument("--t-min", type=_number("positive"), required=True)
     s.add_argument("--t-max", type=_number("positive"), required=True)
-    s.add_argument("--points", type=int, default=40)
+    s.add_argument("--points", type=_count(1), default=40)
     s.add_argument("--lam", type=_number("finite"), default=1e-7)
     s.add_argument("--temperature", type=_number("non-negative"), default=None,
                    help="default: 100 x line Hawking temperature")
@@ -180,12 +195,13 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--t", type=_number("finite"), required=True)
     s.add_argument("--x1", type=_number("finite"), required=True)
     s.add_argument("--temperature", type=_number("non-negative"), default=0.0)
-    s.add_argument("--realizations", type=int, default=2000)
-    s.add_argument("--sites", type=int, default=512)
-    s.add_argument("--seed", type=int, default=1234)
+    s.add_argument("--realizations", type=_count(2), default=2000)
+    # the sampler keeps sites // 2 - 1 modes
+    s.add_argument("--sites", type=_count(4), default=512)
+    s.add_argument("--seed", type=_count(0, 2 ** 64), default=1234)
     s.add_argument("--x2-min", type=_number("finite"), default=None)
     s.add_argument("--x2-max", type=_number("finite"), default=None)
-    s.add_argument("--points", type=int, default=48)
+    s.add_argument("--points", type=_count(1), default=48)
     s.add_argument("--transport", choices=("matched", "exact"), default="matched")
     return p
 

@@ -29,7 +29,7 @@ from .characteristics import (core_integrals, entanglement_boundary,
                               matched_x0, mode_function)
 from .errors import ExtrapolationError, RegimeWarning, RegionError
 from .profiles import LineProfile
-from .specfun import fourier_integral, integrate_adaptive, neville_to_zero
+from .specfun import fourier_integral, neville_to_zero, thermal_weight
 
 
 # --------------------------------------------------------------------------
@@ -37,29 +37,6 @@ from .specfun import fourier_integral, integrate_adaptive, neville_to_zero
 # --------------------------------------------------------------------------
 
 _EPS_LADDER = (0.08, 0.04, 0.02, 0.01, 0.005)
-
-
-def _coth_halfk(k: float, beta: float) -> float:
-    if math.isinf(beta):
-        return 1.0
-    x = 0.5 * beta * k
-    if x == 0.0:
-        return math.inf
-    return 1.0 / math.tanh(x) if x > 1e-8 else 1.0 / x + x / 3.0
-
-
-def _k_coth(k: float, beta: float) -> float:
-    """k * coth(beta k / 2) with its finite k -> 0 limit."""
-    if k <= 0.0:
-        return 0.0 if math.isinf(beta) else 2.0 / beta
-    return k * _coth_halfk(k, beta)
-
-
-def _k32_coth(k: float, beta: float) -> float:
-    """k^{3/2} coth(beta k / 2); vanishes like sqrt(k) at the origin."""
-    if k <= 0.0:
-        return 0.0
-    return k ** 1.5 * _coth_halfk(k, beta)
 
 
 def _regulated_fourier(f, scale: float, trig: str, eps: float,
@@ -84,6 +61,22 @@ def _extrapolate_eps(values, ladder) -> float:
     return est
 
 
+def _remove_regulator(f, separation: float, beta: float, trig: str,
+                      regulator: str) -> float:
+    """int_0^inf f(k) trig(k |separation|) dk, trig = cos or sin, by regulator removal.
+
+    The regulator widths are _EPS_LADDER in units of min(|separation|, beta);
+    the values are extrapolated to zero width in eps (exponential) or in
+    eps^2 (Gaussian, which is even in eps).
+    """
+    a = abs(separation)
+    ladder = [e * min(a, beta) for e in _EPS_LADDER]
+    vals = [_regulated_fourier(f, a, trig, e, regulator) for e in ladder]
+    if regulator == "gauss":
+        ladder = [e * e for e in ladder]
+    return _extrapolate_eps(vals, ladder)
+
+
 def thermal_momentum_integral(separation: float, beta: float,
                               regulator: str = "exp") -> float:
     """Regulated int_0^inf k coth(beta k/2) cos(k * separation) dk.
@@ -91,17 +84,10 @@ def thermal_momentum_integral(separation: float, beta: float,
     Distributional value; equals -(pi/beta)^2 csch^2(pi*separation/beta)
     (and -1/separation^2 at beta = inf).  Used by the mode-sum oracle.
     """
-    a = abs(separation)
-    if a == 0.0:
+    if separation == 0.0:
         raise ValueError("separation must be nonzero")
-    f = lambda k: _k_coth(k, beta)
-    ladder = [e * (a if math.isinf(beta) else min(a, beta)) for e in _EPS_LADDER]
-    # gaussian regulator is even in eps: extrapolate in eps^2
-    if regulator == "gauss":
-        vals = [_regulated_fourier(f, a, "cos", e, "gauss") for e in ladder]
-        return _extrapolate_eps(vals, [e * e for e in ladder])
-    vals = [_regulated_fourier(f, a, "cos", e, "exp") for e in ladder]
-    return _extrapolate_eps(vals, ladder)
+    return _remove_regulator(lambda k: thermal_weight(k, beta), separation, beta,
+                             "cos", regulator)
 
 
 # --------------------------------------------------------------------------
@@ -131,20 +117,9 @@ def corr_homogeneous(dx: float, t: float, beta: float,
     else:
         raise ValueError(f"unknown region {region!r}")
     delta = dx * s
-    a = abs(delta)
-    f = lambda k: _k32_coth(k, beta) / math.sqrt(2.0)
-    scale = min(a, beta) if math.isfinite(beta) else a
-    ladder = [e * scale for e in _EPS_LADDER]
-    if regulator == "gauss":
-        re = _extrapolate_eps([_regulated_fourier(f, a, "cos", e, "gauss") for e in ladder],
-                              [e * e for e in ladder])
-        im = _extrapolate_eps([_regulated_fourier(f, a, "sin", e, "gauss") for e in ladder],
-                              [e * e for e in ladder])
-    else:
-        re = _extrapolate_eps([_regulated_fourier(f, a, "cos", e, "exp") for e in ladder],
-                              ladder)
-        im = _extrapolate_eps([_regulated_fourier(f, a, "sin", e, "exp") for e in ladder],
-                              ladder)
+    f = lambda k: thermal_weight(k, beta, 1.5) / math.sqrt(2.0)
+    re = _remove_regulator(f, delta, beta, "cos", regulator)
+    im = _remove_regulator(f, delta, beta, "sin", regulator)
     # e^{-i k delta} with delta of either sign; conjugate under dx -> -dx
     val = complex(re, -im if delta > 0 else im)
     return s * val
@@ -312,17 +287,15 @@ def momentum_of_field(dphi_dt: float, dphi_dx: float, v: float) -> float:
     return dphi_dt + v * dphi_dx
 
 
-_GREEN_NORMALIZATION = 1.0 / (2.0 * math.pi)  # fixed by the flat-background limit
-
-
 def retarded_green(x: float, t: float, xp: float, tp: float,
-                   profile: LineProfile, eps_ladder=(0.2, 0.1, 0.05, 0.025)) -> float:
-    """Retarded Green function from the mode sum, i x commutator convention.
+                   profile: LineProfile) -> float:
+    """Retarded Green function of the mode sum, i x commutator convention.
 
     G = (1/2pi) int_0^inf dk/k [ sin(k D_L) - sin(k D_R) ] * step(t - t'),
     D_b the difference of traced initial positions in branch b; the relative
     sector sign and the 1/2pi are the i x commutator convention fixed by the
-    flat limit step(dt - |dx|)/2.  Each sector contributes sign(D_b)/4.
+    flat limit step(dt - |dx|)/2.  Each k integral is (pi/2) sign(D_b), so
+    G = step(t - t') (sign D_L - sign D_R)/4.
     """
     if t < tp:
         return 0.0
@@ -334,19 +307,7 @@ def retarded_green(x: float, t: float, xp: float, tp: float,
 
     d_l = x0_l(x, t) - x0_l(xp, tp)
     d_r = (x0_l(x, t) - 2.0 * ci.g(t)) - (x0_l(xp, tp) - 2.0 * ci.g(tp))
-    total = 0.0
-    for d, sector_sign in ((d_l, +1.0), (d_r, -1.0)):
-        if d == 0.0:
-            continue
-        vals = []
-        for e in eps_ladder:
-            k_hi = 60.0 / (e * abs(d))
-            res = integrate_adaptive(
-                lambda k: math.sin(k * d) / k * math.exp(-e * abs(d) * k),
-                0.0, k_hi, tol=1e-12, limit=400)
-            vals.append(res.value)
-        total += sector_sign * neville_to_zero(list(eps_ladder), vals)
-    return _GREEN_NORMALIZATION * total
+    return 0.25 * float(np.sign(d_l) - np.sign(d_r))
 
 
 @dataclass(frozen=True)
@@ -406,7 +367,7 @@ def open_correction_er(k: float, t: float, lam: float, temperature: float,
     a_sep = 2.0 * x1_val                      # peak: X2 = X1
     w1w2 = (x1_val / profile.a) ** 2
     beta = math.inf if temperature == 0.0 else 1.0 / temperature
-    p_c = k * _coth_halfk(k, beta) * math.cos(k * a_sep) * w1w2
+    p_c = thermal_weight(k, beta) * math.cos(k * a_sep) * w1w2
     if p_c == 0.0:
         raise RegimeError("closed per-mode correlator vanishes at this k")
     d_noise = lam ** 2 * temperature * w1w2 * (

@@ -21,12 +21,12 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .environment import EnvironmentSpec
+from .environment import EnvironmentSpec, cutoff_factor
 from .errors import QuadratureError, RegimeError, RegimeWarning
 from .params import TWO_PI, DerivedParams, PhysicalConfig, derive
 from .profiles import RingProfile, hawking_temperature_ring, null_coordinate_map
 from .specfun import (fourier_integral, integrate_adaptive, si,
-                      stable_shi_chi_combo)
+                      stable_shi_chi_combo, thermal_weight)
 
 # Criterion constant in (rho delta^2 / hbar) * accumulated diffusion == const.
 # Kept explicit so sensitivity to the order-unity convention can be probed.
@@ -113,19 +113,6 @@ def _inner_cos_cos(nu: float, omega: float, t: float, exact_threshold: float = 4
     return _inner_antiderivative(nu, omega, t)
 
 
-def _osc_quad_finite(f, a: float, b: float, freq: float, kind: str,
-                     tol: float = 1e-12) -> float:
-    """int_a^b f(nu) cos/sin(freq*nu) dnu, robust to many oscillations."""
-    if b <= a:
-        return 0.0
-    with warnings.catch_warnings():
-        from scipy import integrate as _si
-        warnings.simplefilter("ignore", _si.IntegrationWarning)
-        val, _ = _si.quad(f, a, b, weight=kind, wvar=freq, epsabs=tol,
-                          epsrel=0.0, limit=800, maxp1=200)
-    return val
-
-
 def diffusion_quadrature_oracle(t: float, omega: float, spec: EnvironmentSpec,
                                 tol: float = 1e-10) -> float:
     """Brute-force D(t): nested quadrature of the defining double integral.
@@ -141,10 +128,7 @@ def diffusion_quadrature_oracle(t: float, omega: float, spec: EnvironmentSpec,
         return 0.0
     lam, g2 = spec.cutoff, spec.coupling_eff ** 2
 
-    if spec.cutoff_shape == "lorentzian":
-        weight = lambda nu: nu / (1.0 + (nu / lam) ** 2)
-    else:
-        weight = lambda nu: nu * math.exp(-nu / lam)
+    weight = lambda nu: nu * cutoff_factor(nu, spec)
 
     nu_b = 2.0 * omega + 6.0 * lam + 10.0 / t
     if nu_b * t < 300.0:
@@ -164,8 +148,8 @@ def diffusion_quadrature_oracle(t: float, omega: float, spec: EnvironmentSpec,
                 1.0 / (nu + omega) + 1.0 / (nu - omega))
             f_cos = lambda nu: weight(nu) * half * (
                 1.0 / (nu + omega) - 1.0 / (nu - omega))
-            finite += _osc_quad_finite(f_sin, lo, hi, t, "sin", tol)
-            finite += _osc_quad_finite(f_cos, lo, hi, t, "cos", tol)
+            finite += fourier_integral(f_sin, lo, t, kind="sin", tol=tol, b=hi).value
+            finite += fourier_integral(f_cos, lo, t, kind="cos", tol=tol, b=hi).value
     # tail: substitute mu = nu -+ omega so each piece is a pure Fourier integral
     tail_plus = fourier_integral(lambda mu: weight(mu - omega) / (2.0 * mu),
                                  nu_b + omega, t, kind="sin").value
@@ -213,17 +197,11 @@ def diffusion_thermal_oracle(t: float, omega: float, beta: float,
     g2 = spec.coupling_eff ** 2
     nu_split = 0.0 if math.isinf(beta) else 2.0 / (beta * hbar)
 
-    def coth_weight(nu):
-        if math.isinf(beta):
-            return nu
-        x = beta * hbar * nu
-        return 2.0 / (beta * hbar) if x < 1e-8 else nu / math.tanh(0.5 * x)
-
     nu_b = 2.0 * omega + max(10.0 * nu_split, 4.0 * omega) + 10.0 / t
     pts = sorted({p for p in (nu_split, omega, omega - math.pi / t, omega + math.pi / t)
                   if 0.0 < p < nu_b})
     finite = integrate_adaptive(
-        lambda nu: coth_weight(nu) * _inner_cos_cos(nu, omega, t),
+        lambda nu: thermal_weight(nu, beta * hbar) * _inner_cos_cos(nu, omega, t),
         0.0, nu_b, tol=tol, points=pts, limit=800).value
     # beyond nu_b: coth == 1 to < 1e-10; inner integral decomposed as
     # (1/2)[sin((nu+om)t)/(nu+om) + sin((nu-om)t)/(nu-om)], mu = nu -+ omega:
@@ -268,10 +246,7 @@ def anomalous_time_domain_oracle(t: float, omega: float, spec: EnvironmentSpec,
     (where the full inner is regular) and split outside the ridge.
     """
     lam, g2 = spec.cutoff, spec.coupling_eff ** 2
-    if spec.cutoff_shape == "lorentzian":
-        weight = lambda nu: nu / (1.0 + (nu / lam) ** 2)
-    else:
-        weight = lambda nu: nu * math.exp(-nu / lam)
+    weight = lambda nu: nu * cutoff_factor(nu, spec)
 
     def inner(nu):
         plus = (1.0 - math.cos((omega + nu) * t)) / (omega + nu)
@@ -293,8 +268,8 @@ def anomalous_time_domain_oracle(t: float, omega: float, spec: EnvironmentSpec,
             1.0 / (nu + omega) - 1.0 / (nu - omega))
         f_sin = lambda nu: 0.5 * weight(nu) * sw * (
             1.0 / (nu + omega) + 1.0 / (nu - omega))
-        total += _osc_quad_finite(f_cos, lo, hi, t, "cos", tol)
-        total += _osc_quad_finite(f_sin, lo, hi, t, "sin", tol)
+        total += fourier_integral(f_cos, lo, t, kind="cos", tol=tol, b=hi).value
+        total += fourier_integral(f_sin, lo, t, kind="sin", tol=tol, b=hi).value
     # beyond nu_b the smooth part decays like lam^2 omega / nu^3
     total += integrate_adaptive(
         lambda nu: 0.5 * weight(nu) * (1.0 / (omega + nu) + 1.0 / (omega - nu)),

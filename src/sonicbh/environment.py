@@ -14,7 +14,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import ConfigError, QuadratureError
-from .specfun import fourier_integral, integrate_adaptive
+from .specfun import fourier_integral, integrate_adaptive, thermal_weight
 
 CUTOFF_SHAPES = ("exponential", "lorentzian")
 
@@ -46,37 +46,18 @@ class EnvironmentSpec:
         return 1.0 / (k_boltzmann * self.bath_temperature)
 
 
-def cutoff_factor(nu, spec: EnvironmentSpec):
-    nu = np.asarray(nu, dtype=float)
+def cutoff_factor(nu: float, spec: EnvironmentSpec) -> float:
+    """f(nu) = e^{-nu/cutoff} (exponential) or 1/(1 + (nu/cutoff)^2)."""
     if spec.cutoff_shape == "exponential":
-        out = np.exp(-nu / spec.cutoff)
-    else:
-        out = 1.0 / (1.0 + (nu / spec.cutoff) ** 2)
-    return out if out.ndim else float(out)
+        return math.exp(-nu / spec.cutoff)
+    return 1.0 / (1.0 + (nu / spec.cutoff) ** 2)
 
 
-def spectral_density(nu, spec: EnvironmentSpec):
+def spectral_density(nu: float, spec: EnvironmentSpec) -> float:
     """J(nu) = coupling_eff^2 * nu * f(nu), zero at nu = 0 for both shapes."""
-    nu_arr = np.asarray(nu, dtype=float)
-    if np.any(nu_arr < 0):
+    if nu < 0:
         raise ValueError("spectral_density defined for nu >= 0")
-    out = spec.coupling_eff ** 2 * nu_arr * cutoff_factor(nu_arr, spec)
-    return out if out.ndim else float(out)
-
-
-def _coth_half(x: float) -> float:
-    # coth(x/2), with the 2/x pole handled by the caller via limits
-    return 1.0 / math.tanh(0.5 * x)
-
-
-def _thermal_weight(nu: float, beta_hbar: float) -> float:
-    """nu * coth(beta*hbar*nu/2) with its finite nu -> 0 limit."""
-    if math.isinf(beta_hbar):
-        return nu
-    x = beta_hbar * nu
-    if x < 1e-8:
-        return 2.0 / beta_hbar + nu * x / 6.0
-    return nu * _coth_half(x)
+    return spec.coupling_eff ** 2 * nu * cutoff_factor(nu, spec)
 
 
 def noise_kernel(lag: float, spec: EnvironmentSpec, hbar: float = 1.0,
@@ -90,7 +71,7 @@ def noise_kernel(lag: float, spec: EnvironmentSpec, hbar: float = 1.0,
     gamma2 = spec.coupling_eff ** 2
 
     def smooth(nu):
-        return gamma2 * _thermal_weight(nu, beta_hbar) * cutoff_factor(nu, spec)
+        return gamma2 * thermal_weight(nu, beta_hbar) * cutoff_factor(nu, spec)
 
     lag = abs(lag)
     if lag == 0.0:

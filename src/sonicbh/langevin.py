@@ -28,6 +28,7 @@ from .characteristics import matched_dx0_dx, matched_x0, trace_characteristic
 from .correlations import CorrelationGrid
 from .errors import StabilityError
 from .profiles import LineProfile
+from .specfun import fourier_integral, thermal_weight
 
 
 @dataclass(frozen=True)
@@ -170,10 +171,7 @@ def _thermal_amplitudes(rng, k: np.ndarray, beta: float, length: float,
     probe separations, while capping the per-site variance at
     ~ 1/(4 pi uv_epsilon^2).
     """
-    if math.isinf(beta):
-        occ = np.ones_like(k)
-    else:
-        occ = 1.0 / np.tanh(0.5 * beta * k)
+    occ = np.array([thermal_weight(kk, beta) for kk in k]) / k
     var = occ / (2.0 * k * length) * np.exp(-(uv_epsilon * k) ** 2)
     sd = np.sqrt(0.5 * var)
     return (rng.standard_normal((n_real, len(k))) * sd
@@ -210,21 +208,14 @@ def expected_correlation_curve(x1: float, x2_values, t: float, temperature: floa
     e^{-(uv_epsilon k)^2} cos(k (x0_2 - x0_1)) dk.  Quantifies the scheme's
     regulator systematic against the unregulated closed form.
     """
-    from .specfun import fourier_integral
-
     x2_values = np.asarray(x2_values, dtype=float)
     pts = np.concatenate([[x1], x2_values])
     x0, w = left_sector_map(pts, t, profile, transport)
     beta = math.inf if temperature == 0.0 else 1.0 / temperature
+    spectral = lambda k: thermal_weight(k, beta) * math.exp(-(uv_epsilon * k) ** 2)
     out = np.empty(len(x2_values))
     for i, (x0_2, w2) in enumerate(zip(x0[1:], w[1:])):
         sep = abs(x0_2 - x0[0])
-        if math.isinf(beta):
-            spectral = lambda k: k * math.exp(-(uv_epsilon * k) ** 2)
-        else:
-            spectral = lambda k: (2.0 / beta if k <= 0 else
-                                  k / math.tanh(0.5 * beta * k)) * math.exp(
-                                      -(uv_epsilon * k) ** 2)
         val = fourier_integral(spectral, 0.0, sep, kind="cos").value
         out[i] = abs(w[0] * w2 * val) / (2.0 * math.pi)
     return out

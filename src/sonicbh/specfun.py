@@ -1,8 +1,10 @@
 """Special functions and quadrature primitives.
 
 Scalar, pure, reentrant.  The trigonometric/hyperbolic integrals are the
-building blocks of the exact diffusion coefficient; the quadrature helpers
-back every brute-force oracle in the package.
+building blocks of the exact diffusion coefficient; the thermal weight is
+shared by the bath kernels, the correlations and the Monte-Carlo sampler;
+the quadrature helpers back every brute-force oracle in the package and are
+its only entry to QUADPACK.
 """
 
 from __future__ import annotations
@@ -94,6 +96,21 @@ def stable_shi_chi_combo(a: float, b: float, x: float) -> float:
     return a * 0.5 * (e1s + eis) + b * 0.5 * (e1s - eis)
 
 
+def thermal_weight(k: float, beta: float, power: float = 1.0) -> float:
+    """k^power * coth(beta k / 2) for k >= 0, power 1 or 1.5.
+
+    k^power at beta = inf.  At k = 0 the finite limit, 2/beta for power 1
+    and 0 for power 1.5: QUADPACK's Fourier routine samples the origin.
+    """
+    if math.isinf(beta):
+        return k ** power
+    x = 0.5 * beta * k
+    if x == 0.0:
+        return 2.0 / beta if power == 1.0 else 0.0
+    coth = 1.0 / math.tanh(x) if x > 1e-8 else 1.0 / x + x / 3.0
+    return k ** power * coth
+
+
 @dataclass(frozen=True)
 class QuadratureResult:
     value: float
@@ -141,21 +158,27 @@ def integrate_adaptive(f: Callable[[float], float], a: float, b: float,
 
 
 def fourier_integral(f: Callable[[float], float], a: float, omega: float,
-                     kind: str = "cos", tol: float = 1e-11) -> QuadratureResult:
-    """int_a^inf f(k) cos(omega k) dk (or sin), for decaying f.
+                     kind: str = "cos", tol: float = 1e-11,
+                     b: float = np.inf) -> QuadratureResult:
+    """int_a^b f(k) cos(omega k) dk (or sin); b = inf needs a decaying f.
 
-    Wraps the QUADPACK Fourier transform routine, which accelerates the
-    series of per-cycle contributions.  f must tend to zero; a non-finite
-    value of f raises QuadratureError.
+    Wraps the QUADPACK Fourier transform routine (b = inf), which
+    accelerates the series of per-cycle contributions, or its
+    oscillatory-weight routine on a finite [a, b], which stays accurate over
+    many oscillations.  A non-finite value of f raises QuadratureError.
     """
     if kind not in ("cos", "sin"):
         raise ValueError(f"kind must be 'cos' or 'sin', got {kind!r}")
     if omega <= 0:
         raise ValueError("fourier_integral needs omega > 0; fold signs into f")
+    if math.isinf(b):
+        settings = dict(limlst=300, limit=500)
+    else:
+        settings = dict(epsrel=0.0, limit=800, maxp1=200)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", integrate.IntegrationWarning)
-        out = integrate.quad(_finite_integrand(f), a, np.inf, weight=kind, wvar=omega,
-                             epsabs=tol, limlst=300, limit=500, full_output=1)
+        out = integrate.quad(_finite_integrand(f), a, b, weight=kind, wvar=omega,
+                             epsabs=tol, full_output=1, **settings)
     value, abserr = out[0], out[1]
     info = out[2] if len(out) > 2 and isinstance(out[2], dict) else {}
     neval = int(info.get("neval", 0))

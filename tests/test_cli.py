@@ -190,7 +190,7 @@ def test_output_written_atomically(tmp_path):
 @pytest.mark.parametrize("argv, config, code", [
     (["hawking"], "missing", 2),
     (["vcoef", "--max-modes", "5"], {"radius": "inf"}, 2),
-    (["correlation", "--t", "100", "--x1", "-4", "--points", "8"], {"line_kappa": "nan"}, 2),
+    (["correlation", "--t", "100", "--x1", "-4", "--points", "16"], {"line_kappa": "nan"}, 2),
     (["diffusion", "--omega", "0", "--t-min", "0.01", "--t-max", "10"], None, 2),
     (["diffusion", "--omega", "-0", "--t-min", "0.01", "--t-max", "10"], None, 2),
     (["langevin", "--t", "30", "--x1", "-1.2", "--realizations", "50",
@@ -199,9 +199,29 @@ def test_output_written_atomically(tmp_path):
       "--points", "2"], None, 4),
     (["hawking"], {"gamma": "-1e-6"}, 2),
     (["hawking"], {"coupling_eff": "0.01"}, 2),
+    (["langevin", "--t", "30", "--x1", "-1.2", "--realizations", "50", "--sites", "0"], None, 2),
+    (["langevin", "--t", "30", "--x1", "-1.2", "--realizations", "1"], None, 2),
+    (["langevin", "--t", "30", "--x1", "-1.2", "--realizations", "50", "--seed", "-1"],
+     None, 2),
+    (["langevin", "--t", "30", "--x1", "-1.2", "--realizations", "50",
+      "--seed", str(2 ** 64)], None, 2),
+    (["vcoef", "--max-modes", "-3"], None, 2),
+    (["tdec-sweep", "--axis", "gamma", "--from", "1e-8", "--to", "1e-5", "--points", "0"],
+     None, 2),
+    (["boundary", "--points", "0"], None, 2),
+    (["boundary", "--points", "-1"], None, 2),
+    (["diffusion", "--omega", "2", "--t-min", "0.01", "--t-max", "10", "--points", "0"],
+     None, 2),
+    (["er", "--k", "0.05", "--t-min", "40", "--t-max", "100", "--points", "-2"], None, 2),
+    (["correlation", "--t", "100", "--x1", "-4", "--points", "0"], None, 2),
+    (["correlation", "--t", "100", "--x1", "-4", "--points", "15"], None, 2),
 ], ids=["missing-config", "radius-inf", "line-kappa-nan", "omega-0", "omega-minus-0",
         "langevin-temperature-nan", "temperature-beyond-100-th", "negative-gamma",
-        "coupling-eff-key"])
+        "coupling-eff-key", "langevin-sites-0", "langevin-realizations-1",
+        "langevin-seed-negative", "langevin-seed-2-64", "vcoef-max-modes-negative",
+        "tdec-sweep-points-0", "boundary-points-0", "boundary-points-negative",
+        "diffusion-points-0", "er-points-negative", "correlation-points-0",
+        "correlation-points-15"])
 def test_malformed_input_refused(tmp_path, capsys, argv, config, code):
     """Refused with the documented exit code and one JSON record, no traceback."""
     prefix = ["--output", str(tmp_path / "x.csv")]

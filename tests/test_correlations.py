@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import sonicbh
-from sonicbh.characteristics import entanglement_boundary
+from sonicbh.characteristics import core_integrals, entanglement_boundary
 from sonicbh.correlations import (CorrelationGrid, build_correlation_grid,
                                   corr_closed_form, corr_homogeneous,
                                   corr_mode_sum_oracle, detect_peak,
@@ -17,6 +17,7 @@ from sonicbh.correlations import (CorrelationGrid, build_correlation_grid,
                                   thermal_momentum_integral)
 from sonicbh.errors import RegimeWarning, RegionError
 from sonicbh.profiles import LineProfile
+from sonicbh.specfun import integrate_adaptive, neville_to_zero
 
 from conftest import LINE_T_HAWKING
 
@@ -288,6 +289,34 @@ def test_green_flat_support_and_amplitude():
         assert retarded_green(*args, FLAT) == pytest.approx(0.5, abs=2e-5)
     for args in outside:
         assert retarded_green(*args, FLAT) == pytest.approx(0.0, abs=2e-5)
+
+
+def _green_mode_sum_ladder(x, t, xp, tp, profile, eps_ladder=(0.2, 0.1, 0.05, 0.025)):
+    """Oracle: the mode sum (1/2pi) int dk/k [sin(k D_L) - sin(k D_R)] with
+    each k integral regulated by e^{-eps |D| k} and the regulator removed by
+    extrapolation over the ladder; for t >= t'."""
+    ci = core_integrals(profile)
+    x0_l = lambda x_, t_: (x_ * math.exp(-profile.kappa * profile.sigma_accumulated(t_))
+                           + ci.i(t_))
+    d_l = x0_l(x, t) - x0_l(xp, tp)
+    d_r = (x0_l(x, t) - 2.0 * ci.g(t)) - (x0_l(xp, tp) - 2.0 * ci.g(tp))
+    total = 0.0
+    for d, sector_sign in ((d_l, +1.0), (d_r, -1.0)):
+        if d == 0.0:
+            continue
+        vals = [integrate_adaptive(lambda k: math.sin(k * d) / k * math.exp(-e * abs(d) * k),
+                                   0.0, 60.0 / (e * abs(d)), tol=1e-12, limit=400).value
+                for e in eps_ladder]
+        total += sector_sign * neville_to_zero(list(eps_ladder), vals)
+    return total / (2.0 * math.pi)
+
+
+@pytest.mark.parametrize("args", [(0.3, 2.0, 0.0, 0.0), (-1.0, 3.0, 0.2, 0.5),
+                                  (2.5, 2.0, 0.0, 0.0), (0.5, 10.0, 3.0, 1.0),
+                                  (-3.0, 8.0, 1.5, 2.0), (4.0, 30.0, -2.0, 5.0)])
+def test_green_curved_against_mode_sum_ladder(line, args):
+    assert retarded_green(*args, line) == pytest.approx(
+        _green_mode_sum_ladder(*args, line), abs=2e-5)
 
 
 # --------------------------------------------------------------------------

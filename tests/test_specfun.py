@@ -1,4 +1,6 @@
+import ast
 import math
+from pathlib import Path
 
 import mpmath as mp
 import numpy as np
@@ -9,7 +11,8 @@ from scipy.special import shichi
 
 from sonicbh.errors import QuadratureError
 from sonicbh.specfun import (chi, fourier_integral, integrate_adaptive, log_cosh,
-                             neville_to_zero, shi, si, stable_shi_chi_combo)
+                             neville_to_zero, shi, si, stable_shi_chi_combo,
+                             thermal_weight)
 
 mp.mp.dps = 40
 
@@ -162,6 +165,61 @@ def test_fourier_tail_against_closed_form():
     assert res.value == pytest.approx(1.0 / (1.0 + w * w), rel=1e-10)
     res = fourier_integral(lambda k: math.exp(-k), 0.0, w, kind="sin")
     assert res.value == pytest.approx(w / (1.0 + w * w), rel=1e-10)
+
+
+def test_fourier_finite_range_against_closed_form():
+    # int_1^30 e^{-k} sin(w k) dk over ~43 oscillations, by antiderivative
+    w, a, b = 9.0, 1.0, 30.0
+    prim = lambda k: -math.exp(-k) * (math.sin(w * k) + w * math.cos(w * k)) / (1 + w * w)
+    res = fourier_integral(lambda k: math.exp(-k), a, w, kind="sin", tol=1e-13, b=b)
+    assert res.value == pytest.approx(prim(b) - prim(a), abs=1e-13)
+    with pytest.raises(QuadratureError):
+        fourier_integral(lambda k: math.nan, a, w, kind="cos", b=b)
+
+
+def test_quadpack_called_only_from_specfun():
+    """specfun is the one QUADPACK boundary: its wrappers refuse non-finite
+    integrands and report evaluation counts."""
+    src = Path(__file__).resolve().parents[1] / "src" / "sonicbh"
+    callers = []
+    for path in sorted(src.glob("*.py")):
+        if path.name == "specfun.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Call):
+                fn = node.func
+                name = fn.attr if isinstance(fn, ast.Attribute) else getattr(fn, "id", None)
+                if name == "quad":
+                    callers.append(f"{path.name}:{node.lineno}")
+    assert callers == []
+
+
+def test_thermal_weight_origin_limits():
+    assert thermal_weight(0.0, 2.5) == 2.0 / 2.5
+    assert thermal_weight(0.0, 2.5, 1.5) == 0.0
+    assert thermal_weight(0.0, math.inf) == 0.0
+
+
+def test_thermal_weight_zero_temperature():
+    for k in (1e-12, 0.3, 7.0, 1e4):
+        assert thermal_weight(k, math.inf) == k
+        assert thermal_weight(k, math.inf, 1.5) == k ** 1.5
+
+
+@pytest.mark.parametrize("k, beta", [(1e-9, 1.0), (4e-9, 5.0), (2e-12, 3.0), (1e-30, 1.0)])
+def test_thermal_weight_small_argument_series(k, beta):
+    # x = beta k / 2 <= 1e-8: the Laurent series of coth, against extended precision
+    for power in (1.0, 1.5):
+        exact = mp.mpf(k) ** power / mp.tanh(mp.mpf(beta) * k / 2)
+        assert thermal_weight(k, beta, power) == pytest.approx(float(exact), rel=1e-15)
+
+
+@pytest.mark.parametrize("k, beta", [(1e-3, 2.0), (0.3, 2.5), (1.0, 1.0), (4.0, 7.0),
+                                     (50.0, 0.1), (200.0, 3.0)])
+def test_thermal_weight_against_mpmath(k, beta):
+    for power in (1.0, 1.5):
+        exact = mp.mpf(k) ** power * mp.coth(mp.mpf(beta) * k / 2)
+        assert thermal_weight(k, beta, power) == pytest.approx(float(exact), rel=4e-16)
 
 
 def test_neville_extrapolation_quadratic():
