@@ -160,7 +160,7 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--oracle", action="store_true", help="include the nested-quadrature column")
 
     s = add_parser("vcoef", help="mode weights V1/V2 over allowed frequencies")
-    s.add_argument("--epsilon", type=_number("finite"), default=None)
+    s.add_argument("--epsilon", type=_number("positive"), default=None)
     s.add_argument("--max-modes", type=_count(1), default=40)
 
     s = add_parser("tdec-sweep", help="decoherence-time band sweep")
@@ -172,7 +172,7 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--gamma", type=_number("finite"), default=None, help="override config gamma")
 
     s = add_parser("correlation", help="pair-correlation scan over x2")
-    s.add_argument("--t", type=_number("finite"), required=True)
+    s.add_argument("--t", type=_number("non-negative"), required=True)
     s.add_argument("--x1", type=_number("finite"), required=True)
     s.add_argument("--beta", type=_beta_arg, default=math.inf)
     s.add_argument("--x2-min", type=_number("finite"), default=None)
@@ -192,7 +192,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="default: 100 x line Hawking temperature")
 
     s = add_parser("langevin", help="Monte-Carlo correlation estimator")
-    s.add_argument("--t", type=_number("finite"), required=True)
+    s.add_argument("--t", type=_number("non-negative"), required=True)
     s.add_argument("--x1", type=_number("finite"), required=True)
     s.add_argument("--temperature", type=_number("non-negative"), default=0.0)
     s.add_argument("--realizations", type=_count(2), default=2000)

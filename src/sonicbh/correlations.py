@@ -27,7 +27,7 @@ import numpy as np
 
 from .characteristics import (core_integrals, entanglement_boundary,
                               matched_x0, mode_function)
-from .errors import ExtrapolationError, RegimeWarning, RegionError
+from .errors import ExtrapolationError, RegimeError, RegimeWarning, RegionError
 from .profiles import LineProfile
 from .specfun import fourier_integral, neville_to_zero, thermal_weight
 
@@ -95,34 +95,22 @@ def thermal_momentum_integral(separation: float, beta: float,
 # --------------------------------------------------------------------------
 
 def corr_homogeneous(dx: float, t: float, beta: float,
-                     profile: LineProfile | None = None, region: str = "outer",
                      regulator: str = "exp") -> complex:
     """Two-point momentum correlation when both probes share one uniform region.
 
-    Spectral form int_0^inf dk/sqrt(2k) k^2 e^{-i k dx s - kappa F} coth(beta k/2)
-    with s = e^{-kappa F}; uniform regions have kappa -> 0, so s = 1 and the
-    value depends on positions only through dx.  The k^{3/2} measure is
-    UV-divergent as written and is defined by exponential-regulator removal
-    (Gaussian regulator available as a cross-check).  No pair peak: the
-    result is translation invariant.
+    Spectral form int_0^inf dk/sqrt(2k) k^2 e^{-i k dx} coth(beta k/2): in a
+    uniform region (kappa = 0) the value depends on positions only through
+    dx and not on t.  The k^{3/2} measure is UV-divergent as written and is
+    defined by exponential-regulator removal (Gaussian regulator available
+    as a cross-check).  No pair peak: the result is translation invariant.
     """
     if dx == 0.0:
         raise ValueError("coincident points are UV-singular; need dx != 0")
-    if region == "core":
-        if profile is None:
-            raise ValueError("core region needs the profile")
-        s = math.exp(-profile.kappa * profile.sigma_accumulated(t))
-    elif region in ("outer", "left", "right"):
-        s = 1.0
-    else:
-        raise ValueError(f"unknown region {region!r}")
-    delta = dx * s
     f = lambda k: thermal_weight(k, beta, 1.5) / math.sqrt(2.0)
-    re = _remove_regulator(f, delta, beta, "cos", regulator)
-    im = _remove_regulator(f, delta, beta, "sin", regulator)
-    # e^{-i k delta} with delta of either sign; conjugate under dx -> -dx
-    val = complex(re, -im if delta > 0 else im)
-    return s * val
+    re = _remove_regulator(f, dx, beta, "cos", regulator)
+    im = _remove_regulator(f, dx, beta, "sin", regulator)
+    # e^{-i k dx} with dx of either sign; conjugate under dx -> -dx
+    return complex(re, -im if dx > 0 else im)
 
 
 # --------------------------------------------------------------------------
@@ -175,26 +163,27 @@ def corr_closed_form(x1: float, x2: float, t: float, beta: float,
 
 
 def corr_mode_sum_oracle(x1: float, x2: float, t: float, beta: float,
-                         profile: LineProfile, fd_step: float = 1e-6) -> float:
+                         profile: LineProfile) -> float:
     """Independent rebuild of the matched correlation from mode functions.
 
     Momentum factors: (d/dt + v d/dx) of the mode phase equals d(x0)/dx along
-    left movers, evaluated here by central finite differences of the matched
-    map; thermal weight coth(beta k/2); k integral by regulated Fourier
-    quadrature with extrapolated regulator removal.  For probe pairs outside
-    the wedge the homogeneous spectral form is reproduced instead.
+    left movers, evaluated here by central finite differences (step 1e-6) of
+    the matched map; thermal weight coth(beta k/2); k integral by regulated
+    Fourier quadrature with extrapolated regulator removal.  For probe pairs
+    outside the wedge the homogeneous spectral form is reproduced instead.
     """
     xm, xp = entanglement_boundary(t, profile)
     a = profile.a
     matched_pair = (xm < x1 < -a) and (a < x2 < xp)
-    w = lambda x: (matched_x0(x + fd_step, t, profile)
-                   - matched_x0(x - fd_step, t, profile)) / (2.0 * fd_step)
+    h = 1e-6
+    w = lambda x: (matched_x0(x + h, t, profile)
+                   - matched_x0(x - h, t, profile)) / (2.0 * h)
     if matched_pair:
         sep = matched_x0(x2, t, profile) - matched_x0(x1, t, profile)
         return w(x1) * w(x2) * thermal_momentum_integral(sep, beta)
     # outside the wedge both probes must share a uniform region
     if x1 > xp and x2 > xp:
-        return abs(corr_homogeneous(x1 - x2, t, beta, profile, region="outer"))
+        return abs(corr_homogeneous(x1 - x2, t, beta))
     raise RegionError("mode-sum oracle: probe pair is neither matched "
                       "(inside/outside within the wedge) nor jointly uniform")
 
@@ -245,22 +234,21 @@ def build_correlation_grid(x1: float, x2_values, t: float, beta: float,
             vals.append(abs(evaluate(x1, x2, t, beta, profile)))
             regions.append("matched")
         else:
-            vals.append(abs(corr_homogeneous(x1 - x2, t, beta, profile, region="outer")))
+            vals.append(abs(corr_homogeneous(x1 - x2, t, beta)))
             regions.append("uniform")
     temp = 0.0 if math.isinf(beta) else 1.0 / beta
     return CorrelationGrid(t=t, x1=x1, x2=x2_values, values=np.array(vals),
                            method=method, temperature=temp, regions=regions)
 
 
-def detect_peak(grid: CorrelationGrid, threshold: float = 3.0,
-                exclusion_fraction: float = 0.15) -> PeakReport:
+def detect_peak(grid: CorrelationGrid) -> PeakReport:
     """Locate and qualify the pair peak on a correlation grid.
 
-    location = argmax |value|; background = median of samples outside a
-    centered exclusion window; contrast = height/background.  A peak is
+    location = argmax |value|; background = median of samples farther than
+    15% of the x2 span from it; contrast = height/background.  A peak is
     ``present`` when the maximum is a strict interior maximum and the
-    contrast exceeds the threshold (monotone tails have edge maxima and do
-    not count, however steep).
+    contrast exceeds 3 (monotone tails have edge maxima and do not count,
+    however steep).
     """
     n = len(grid.x2)
     if n < 16:
@@ -269,13 +257,13 @@ def detect_peak(grid: CorrelationGrid, threshold: float = 3.0,
     idx = int(np.argmax(vals))
     location, height = float(grid.x2[idx]), float(vals[idx])
     span = float(grid.x2[-1] - grid.x2[0])
-    window = exclusion_fraction * span
+    window = 0.15 * span
     off = np.abs(grid.x2 - location) > window
     background = float(np.median(vals[off])) if off.sum() >= 4 else float(np.median(vals))
     contrast = math.inf if background == 0.0 else height / background
     interior = 0 < idx < n - 1 and vals[idx] > vals[idx - 1] and vals[idx] > vals[idx + 1]
     return PeakReport(location=location, height=height, background=background,
-                      contrast=contrast, present=bool(interior and contrast > threshold))
+                      contrast=contrast, present=bool(interior and contrast > 3.0))
 
 
 # --------------------------------------------------------------------------
@@ -317,13 +305,11 @@ class OpenCorrection:
     t: float
     coupling: float
     temperature: float
-    reading: str
     notes: tuple = ()
 
 
 def open_correction_er(k: float, t: float, lam: float, temperature: float,
-                       profile: LineProfile, x1: float | None = None,
-                       reading: str = "symmetric") -> OpenCorrection:
+                       profile: LineProfile, x1: float | None = None) -> OpenCorrection:
     """Per-mode relative environment correction e_r at the pair-peak position.
 
     With the local ohmic kernels (dissipation -lam^2 d/ds delta, noise
@@ -337,13 +323,11 @@ def open_correction_er(k: float, t: float, lam: float, temperature: float,
     P_C(k) = k coth(beta k/2) cos(k A) w1 w2 is the closed-system per-mode
     integrand at separation A = X1 + X2 (the peak has X2 = X1).  Both
     cross-term readings (doubled second-leg vs symmetrized) coincide at this
-    approximation order; the flag is honored and recorded.  e_r = 0 exactly
-    at lam = 0.
+    approximation order.  e_r = 0 exactly at lam = 0; a mode whose P_C
+    vanishes is refused with RegimeError.
     """
     if k <= 0:
         raise ValueError("k must be positive (left-sector modes, small k)")
-    if reading not in ("symmetric", "doubled_leg2"):
-        raise ValueError(f"unknown reading {reading!r}")
     notes = []
     xm, xp = entanglement_boundary(t, profile)
     if x1 is None:
@@ -351,7 +335,7 @@ def open_correction_er(k: float, t: float, lam: float, temperature: float,
     if not (xm < x1 < -profile.a):
         raise RegionError(f"x1 = {x1:.6g} outside the wedge at t = {t:.6g}")
     if lam == 0.0:
-        return OpenCorrection(0.0, k, t, lam, temperature, reading, ())
+        return OpenCorrection(0.0, k, t, lam, temperature, ())
     if lam > 1e-3:
         notes.append("coupling not weak (lam > 1e-3)")
     t_h = abs(profile.v_max - profile.v_min) / (4.0 * math.pi * profile.a)
@@ -375,7 +359,7 @@ def open_correction_er(k: float, t: float, lam: float, temperature: float,
     d_diss = -lam ** 2 * t * p_c
     e_r = abs((d_noise + d_diss) / p_c)
     return OpenCorrection(e_r=e_r, k=k, t=t, coupling=lam, temperature=temperature,
-                          reading=reading, notes=tuple(notes))
+                          notes=tuple(notes))
 
 
 def mode_function_pde_residual(k: float, x: float, t: float,

@@ -28,18 +28,9 @@ from .profiles import RingProfile, hawking_temperature_ring, null_coordinate_map
 from .specfun import (fourier_integral, integrate_adaptive, si,
                       stable_shi_chi_combo, thermal_weight)
 
-# Criterion constant in (rho delta^2 / hbar) * accumulated diffusion == const.
-# Kept explicit so sensitivity to the order-unity convention can be probed.
+# Criterion constant in (rho delta^2 / hbar) * accumulated diffusion == const,
+# an order-unity convention; t_D scales linearly with it.
 DECOHERENCE_CRITERION = 1.0
-
-
-@dataclass(frozen=True)
-class DiffusionResult:
-    normal: float
-    anomalous: float
-    normal_integral: float
-    anomalous_integral: float
-    method: str  # exact | asymptotic | thermal_expansion | quadrature_oracle
 
 
 @dataclass(frozen=True)
@@ -97,14 +88,14 @@ def _inner_antiderivative(nu: float, omega: float, t: float) -> float:
     return 0.5 * (half_sum + math.sin((nu - omega) * t) / (nu - omega))
 
 
-def _inner_cos_cos(nu: float, omega: float, t: float, exact_threshold: float = 40.0) -> float:
+def _inner_cos_cos(nu: float, omega: float, t: float) -> float:
     """int_0^t cos(nu s) cos(omega s) ds.
 
-    Adaptive quadrature while the integrand carries few oscillations, the
-    elementary antiderivative beyond (both agree to machine precision on the
-    overlap; see the oracle tests).
+    Adaptive quadrature while the integrand carries few oscillations
+    ((nu + omega) t <= 40), the elementary antiderivative beyond (both agree
+    to machine precision on the overlap; see the oracle tests).
     """
-    if (nu + omega) * t <= exact_threshold:
+    if (nu + omega) * t <= 40.0:
         try:
             return integrate_adaptive(lambda s: math.cos(nu * s) * math.cos(omega * s),
                                       0.0, t, tol=1e-12).value
@@ -281,29 +272,6 @@ def anomalous_time_domain_oracle(t: float, omega: float, spec: EnvironmentSpec,
     return 0.5 * g2 * total
 
 
-def diffusion_result(t: float, omega: float, spec: EnvironmentSpec,
-                     tau: float, method: str = "exact", n_grid: int = 200) -> DiffusionResult:
-    """Bundle D, f and their accumulated integrals for one (t, omega)."""
-    if method == "exact":
-        d_val = diffusion_exact(t, omega, spec)
-        ts = np.linspace(0.0, t, n_grid)
-        dv = np.array([diffusion_exact(s, omega, spec) for s in ts])
-        d_int = float(np.trapezoid(dv, ts))
-    elif method == "asymptotic":
-        d_val = 0.25 * spec.coupling_eff ** 2 * omega * math.pi
-        d_int = d_val * t
-    elif method == "quadrature_oracle":
-        d_val = diffusion_quadrature_oracle(t, omega, spec)
-        d_int = float("nan")
-    else:
-        raise ValueError(f"unknown method {method!r}")
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", RegimeWarning)
-        f_val = anomalous_diffusion_asymptotic(omega, tau, spec)
-    return DiffusionResult(normal=d_val, anomalous=f_val, normal_integral=d_int,
-                           anomalous_integral=f_val * t, method=method)
-
-
 # --------------------------------------------------------------------------
 # spatial mode weights
 # --------------------------------------------------------------------------
@@ -362,8 +330,7 @@ def v_coefficients(profile: RingProfile, omega: float,
 
 def decoherence_time(config: PhysicalConfig, derived: DerivedParams, gamma: float,
                      omega: float, temperature: float, vcoef: VCoefficients,
-                     branch: str = "u", use_full_v: bool = False,
-                     criterion_constant: float = DECOHERENCE_CRITERION) -> DecoherenceEstimate:
+                     branch: str = "u", use_full_v: bool = False) -> DecoherenceEstimate:
     """Decoherence time of the mode at frequency omega.
 
         t_D(0)  = C * 2 hbar^2 / (gamma^2 dv delta^2 omega pi rho^2 V)
@@ -385,7 +352,7 @@ def decoherence_time(config: PhysicalConfig, derived: DerivedParams, gamma: floa
     if v_eff <= 0:
         raise RegimeError(f"non-positive mode weight V = {v_eff:.3g}")
     hbar, k_b = config.hbar, config.k_boltzmann
-    zero_t = (criterion_constant * 2.0 * hbar ** 2
+    zero_t = (DECOHERENCE_CRITERION * 2.0 * hbar ** 2
               / (gamma ** 2 * derived.delta_v * derived.delta ** 2
                  * omega * math.pi * derived.rho ** 2 * v_eff))
     thermal = -8.0 * (k_b * temperature) ** 2 / (omega ** 3 * math.pi * hbar ** 2)

@@ -45,9 +45,5 @@ class SingularIntegrandError(SonicBHError):
     """Integration path crosses a horizon without an exclusion width."""
 
 
-class StabilityError(SonicBHError):
-    """Lattice integration exceeded its stability bound."""
-
-
 class RegimeWarning(UserWarning):
     """Result produced outside its nominal validity regime."""

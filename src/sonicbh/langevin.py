@@ -1,145 +1,26 @@
-"""Stochastic lattice cross-check of the correlation structure.
+"""Monte-Carlo cross-check of the pair-correlation structure.
 
-A 1+1 field on a periodic lattice, driven (optionally) by white noise in the
-memoryless limit of the bath kernels.  Two layers:
-
-* ``step`` -- one update of the full first-order system
-      d(phi)/dt = Pi - v phi_x,   d(Pi)/dt = phi_xx - (v Pi)_x - lam^2 dphi/dt + xi,
-  split as a symplectic kick-drift-kick for the wave part plus an advection /
-  damping / noise stage.  Noise is drawn from a counter-based generator keyed
-  by (seed, realization, step), so trajectories are bit-reproducible and
-  realizations parallelize.
-
-* ``estimate_correlation`` -- the Monte-Carlo two-point estimator for the
-  left sector at zero coupling.  The left component rides d(x)/dt = v - 1 and
-  its momentum transports as Pi_L(x,t) = phi0'(x0(x)) dx0/dx, so one thermal
-  sample of the initial field evaluated on the (precomputed) characteristic
-  map gives one realization; the ensemble averages Pi_L(x1) Pi_L(x2).
+``estimate_correlation`` is the two-point estimator for the left sector at
+zero coupling.  The left component rides d(x)/dt = v - 1 and its momentum
+transports as Pi_L(x,t) = phi0'(x0(x)) dx0/dx, so one thermal sample of the
+initial field evaluated on the (precomputed) characteristic map gives one
+realization; the ensemble averages Pi_L(x1) Pi_L(x2).  Samples are drawn
+from a Philox counter-based generator keyed by the seed, so a run is
+bit-reproducible.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from .characteristics import matched_dx0_dx, matched_x0, trace_characteristic
 from .correlations import CorrelationGrid
-from .errors import StabilityError
 from .profiles import LineProfile
 from .specfun import fourier_integral, thermal_weight
 
-
-@dataclass(frozen=True)
-class LatticeState:
-    grid: np.ndarray       # uniform periodic positions, spacing h
-    field: np.ndarray
-    momentum: np.ndarray
-    time: float
-    seed: int
-    realization_id: int = 0
-    step_index: int = 0
-
-    @property
-    def spacing(self) -> float:
-        return float(self.grid[1] - self.grid[0])
-
-
-def make_lattice(n_sites: int, x_min: float, x_max: float, seed: int = 0,
-                 realization_id: int = 0) -> LatticeState:
-    grid = x_min + (x_max - x_min) * np.arange(n_sites) / n_sites
-    zeros = np.zeros(n_sites)
-    return LatticeState(grid=grid, field=zeros.copy(), momentum=zeros.copy(),
-                        time=0.0, seed=seed, realization_id=realization_id)
-
-
-def _rng_for(seed: int, realization_id: int, step_index: int) -> np.random.Generator:
-    bitgen = np.random.Philox(key=[np.uint64(seed), np.uint64(realization_id)],
-                              counter=[np.uint64(step_index), 0, 0, 0])
-    return np.random.Generator(bitgen)
-
-
-def _dx(arr: np.ndarray, h: float) -> np.ndarray:
-    return (np.roll(arr, -1) - np.roll(arr, 1)) / (2.0 * h)
-
-
-def _dxx(arr: np.ndarray, h: float) -> np.ndarray:
-    return (np.roll(arr, -1) - 2.0 * arr + np.roll(arr, 1)) / (h * h)
-
-
-def _dx_upwind(arr: np.ndarray, h: float, speed: np.ndarray) -> np.ndarray:
-    fwd = (np.roll(arr, -1) - arr) / h
-    bwd = (arr - np.roll(arr, 1)) / h
-    return np.where(speed > 0, bwd, fwd)
-
-
-def cfl_limit(state: LatticeState, profile, sound_speed: float = 1.0) -> float:
-    v = np.abs(np.asarray(profile.velocity(state.grid, state.time)))
-    return 0.5 * state.spacing / float(sound_speed + v.max())
-
-
-def step(state: LatticeState, dt: float, profile, env=None,
-         norm_bound: float = 1e6) -> LatticeState:
-    """Advance one time step.
-
-    dt must respect the advective CFL bound 0.5 h / max(c + |v|).  The wave
-    part (phi, Pi) is a kick-drift-kick; the advection of phi by v uses the
-    upwinded derivative; coupling (damping + noise) applies when env has a
-    nonzero effective coupling.  An env with a noise kernel injects white
-    noise of strength hbar N(0) per unit (x, t) cell.
-    """
-    h = state.spacing
-    limit = cfl_limit(state, profile)
-    if dt > limit * (1.0 + 1e-12):
-        raise ValueError(f"dt = {dt:.3g} violates the CFL bound {limit:.3g}")
-    phi, pi = state.field.copy(), state.momentum.copy()
-    t, half = state.time, 0.5 * dt
-
-    v0 = np.asarray(profile.velocity(state.grid, t), dtype=float)
-    # half kick: Pi += dt/2 (phi_xx - (v Pi)_x)
-    pi += half * (_dxx(phi, h) - _dx(v0 * pi, h))
-    # drift: phi += dt (Pi - v phi_x), advection upwinded, midpoint velocity
-    v_mid = np.asarray(profile.velocity(state.grid, t + half), dtype=float)
-    phi += dt * (pi - v_mid * _dx_upwind(phi, h, v_mid))
-    # half kick at the new time
-    v1 = np.asarray(profile.velocity(state.grid, t + dt), dtype=float)
-    pi += half * (_dxx(phi, h) - _dx(v1 * pi, h))
-
-    if env is not None and env.coupling_eff > 0.0:
-        lam2 = env.coupling_eff ** 2
-        dphi_dt = pi - v1 * _dx_upwind(phi, h, v1)
-        pi -= dt * lam2 * dphi_dt
-        from .environment import noise_kernel
-        strength = noise_kernel(0.0, env) if env.cutoff_shape == "exponential" \
-            else 0.5 * env.coupling_eff ** 2 * env.cutoff ** 2
-        rng = _rng_for(state.seed, state.realization_id, state.step_index)
-        xi = rng.standard_normal(len(phi)) * math.sqrt(strength / (h * dt))
-        pi += dt * xi
-
-    if not np.all(np.isfinite(phi)) or np.abs(phi).max() > norm_bound:
-        raise StabilityError(
-            f"field norm {np.abs(phi).max():.3g} exceeded bound at "
-            f"t = {t + dt:.6g} (step {state.step_index})")
-    return replace(state, field=phi, momentum=pi, time=t + dt,
-                   step_index=state.step_index + 1)
-
-
-def wave_energy(state: LatticeState) -> float:
-    """Static-background energy h * sum(Pi^2 + phi_x^2)/2 (v = 0 diagnostics).
-
-    The gradient uses the staggered forward difference, the quadratic form
-    conjugate to the three-point Laplacian driving the update, so the
-    symplectic wave stage conserves this energy up to bounded O(dt^2) ripple.
-    """
-    h = state.spacing
-    grad = (np.roll(state.field, -1) - state.field) / h
-    return float(0.5 * h * np.sum(state.momentum ** 2 + grad ** 2))
-
-
-# --------------------------------------------------------------------------
-# thermal ensembles and the correlation estimator
-# --------------------------------------------------------------------------
 
 @dataclass
 class Ensemble:
@@ -222,34 +103,29 @@ def expected_correlation_curve(x1: float, x2_values, t: float, temperature: floa
 
 
 def estimate_correlation(n_realizations: int, x1: float, x2_values, t: float,
-                         temperature: float, profile: LineProfile, env=None,
+                         temperature: float, profile: LineProfile,
                          seed: int = 1234, n_sites: int = 512,
-                         domain: tuple[float, float] | None = None,
-                         n_modes: int | None = None, uv_epsilon: float | None = None,
+                         uv_epsilon: float | None = None,
                          transport: str = "matched") -> CorrelationGrid:
     """Monte-Carlo <Pi_L(x1) Pi_L(x2)> at zero coupling.
 
     Thermal initial data at the given temperature is sampled mode-wise on a
-    periodic domain; the left sector is transported along the characteristic
-    map and differentiated per mode.  Statistical error bars ride along.
-    Only the closed-system estimator is provided here (env must be absent or
-    uncoupled); the open-system correction is a per-mode analytic object.
+    periodic domain padded around the traced initial positions, with
+    min(n_sites // 2 - 1, 255) modes; the left sector is transported along
+    the characteristic map and differentiated per mode.  Statistical error
+    bars ride along.  The estimator is closed-system only; the open-system
+    correction is a per-mode analytic object (``open_correction_er``).
     """
-    if env is not None and env.coupling_eff != 0.0:
-        raise ValueError("correlation estimator is a closed-system oracle; "
-                         "env.coupling_eff must be 0")
     if n_realizations < 2:
         raise ValueError("need at least 2 realizations")
     x2_values = np.asarray(x2_values, dtype=float)
     pts = np.concatenate([[x1], x2_values])
     x0, w = left_sector_map(pts, t, profile, transport)
-    if domain is None:
-        lo, hi = float(x0.min()), float(x0.max())
-        pad = 4.0 * max(hi - lo, profile.a)
-        domain = (lo - pad, hi + pad)
-    length = domain[1] - domain[0]
-    if n_modes is None:
-        n_modes = min(n_sites // 2 - 1, 255)
+    lo, hi = float(x0.min()), float(x0.max())
+    pad = 4.0 * max(hi - lo, profile.a)
+    lo, hi = lo - pad, hi + pad
+    length = hi - lo
+    n_modes = min(n_sites // 2 - 1, 255)
     if uv_epsilon is None:
         # small against the traced separations, wide enough to kill ringing
         sep_scale = max(np.abs(x0[1:] - x0[0]).min(), 1e-3 * profile.a)
@@ -257,12 +133,12 @@ def estimate_correlation(n_realizations: int, x1: float, x2_values, t: float,
     k = _mode_numbers(n_modes, length)
     beta = math.inf if temperature == 0.0 else 1.0 / temperature
 
-    rng = _rng_for(seed, 0, 0)
+    rng = np.random.Generator(np.random.Philox(key=[np.uint64(seed), np.uint64(0)]))
     mean = np.zeros(len(x2_values))
     second = np.zeros(len(x2_values))
     done = 0
     batch = max(1, min(n_realizations, int(4e7 // max(n_modes * len(pts), 1))))
-    phases = np.exp(1j * np.outer(k, x0 - domain[0]))       # (modes, points)
+    phases = np.exp(1j * np.outer(k, x0 - lo))              # (modes, points)
     deriv_matrix = (1j * k)[:, None] * phases
     while done < n_realizations:
         b = min(batch, n_realizations - done)

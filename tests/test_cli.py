@@ -215,13 +215,19 @@ def test_output_written_atomically(tmp_path):
     (["er", "--k", "0.05", "--t-min", "40", "--t-max", "100", "--points", "-2"], None, 2),
     (["correlation", "--t", "100", "--x1", "-4", "--points", "0"], None, 2),
     (["correlation", "--t", "100", "--x1", "-4", "--points", "15"], None, 2),
+    (["er", "--k", "0.05", "--t-min", "20000", "--t-max", "20000", "--points", "1"], None, 4),
+    (["vcoef", "--epsilon", "0", "--max-modes", "5"], None, 2),
+    (["vcoef", "--epsilon", "-0.01", "--max-modes", "5"], None, 2),
+    (["correlation", "--t", "-5", "--x1", "-4"], None, 2),
+    (["langevin", "--t", "-5", "--x1", "-1.2", "--realizations", "50"], None, 2),
 ], ids=["missing-config", "radius-inf", "line-kappa-nan", "omega-0", "omega-minus-0",
         "langevin-temperature-nan", "temperature-beyond-100-th", "negative-gamma",
         "coupling-eff-key", "langevin-sites-0", "langevin-realizations-1",
         "langevin-seed-negative", "langevin-seed-2-64", "vcoef-max-modes-negative",
         "tdec-sweep-points-0", "boundary-points-0", "boundary-points-negative",
         "diffusion-points-0", "er-points-negative", "correlation-points-0",
-        "correlation-points-15"])
+        "correlation-points-15", "er-vanishing-closed-correlator", "vcoef-epsilon-0",
+        "vcoef-epsilon-negative", "correlation-t-negative", "langevin-t-negative"])
 def test_malformed_input_refused(tmp_path, capsys, argv, config, code):
     """Refused with the documented exit code and one JSON record, no traceback."""
     prefix = ["--output", str(tmp_path / "x.csv")]

@@ -8,7 +8,7 @@ from sonicbh.decoherence import (allowed_frequencies,
                                  anomalous_diffusion_asymptotic,
                                  anomalous_time_domain_oracle,
                                  decoherence_time, diffusion_exact,
-                                 diffusion_quadrature_oracle, diffusion_result,
+                                 diffusion_quadrature_oracle,
                                  diffusion_thermal, diffusion_thermal_oracle,
                                  sweep_decoherence, v_coefficients)
 from sonicbh.environment import EnvironmentSpec
@@ -160,22 +160,6 @@ def test_anomalous_time_domain_oracle_log_scaling():
         results[(om, lam)] = (val, display)
     for val, display in results.values():
         assert val * display < 0  # opposite signs: documented discrepancy
-
-
-def test_diffusion_result_bundles(env_lorentzian):
-    r = diffusion_result(2.0, 1.5, env_lorentzian, tau=0.05)
-    assert r.method == "exact"
-    assert r.normal == pytest.approx(diffusion_exact(2.0, 1.5, env_lorentzian))
-    assert r.normal_integral > 0
-    r2 = diffusion_result(2.0, 1.5, env_lorentzian, tau=0.05, method="asymptotic")
-    assert r2.normal_integral == pytest.approx(r2.normal * 2.0)
-
-
-def test_asymptotic_integral_nondecreasing(env_lorentzian):
-    vals = [diffusion_result(t, 1.5, env_lorentzian, tau=0.05,
-                             method="asymptotic").normal_integral
-            for t in (1.0, 2.0, 5.0)]
-    assert vals[0] < vals[1] < vals[2]
 
 
 # --------------------------------------------------------------------------
