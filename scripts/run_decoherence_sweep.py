@@ -11,9 +11,7 @@ import numpy as np
 
 from sonicbh import default_config
 from sonicbh.cli import write_table
-from sonicbh.decoherence import sweep_decoherence
-
-COLUMNS = ["axis", "t_d_min", "t_d_max", "omega_min", "omega_max"]
+from sonicbh.decoherence import SweepRow, sweep_decoherence
 
 
 def main():
@@ -21,18 +19,14 @@ def main():
 
     gammas = np.geomspace(1e-8, 1e-5, 40)
     rows, errors = sweep_decoherence("gamma", gammas, config, 1.0)
-    write_table("gamma_sweep.csv", COLUMNS,
-                [[r.axis_value, r.t_d_min, r.t_d_max, r.omega_min, r.omega_max]
-                 for r in rows],
+    write_table("gamma_sweep.csv", SweepRow._fields, rows,
                 {"command": "script:gamma-sweep", "errors": len(errors)}, "csv")
     print(f"gamma_sweep.csv ({len(rows)} rows)")
 
     v_bar = config.mean_velocity
     vmins = np.linspace(0.78, 0.90, 13) * v_bar
     rows, errors = sweep_decoherence("v_min", vmins, config, 3e-8)
-    write_table("vmin_sweep.csv", COLUMNS,
-                [[r.axis_value, r.t_d_min, r.t_d_max, r.omega_min, r.omega_max]
-                 for r in rows],
+    write_table("vmin_sweep.csv", SweepRow._fields, rows,
                 {"command": "script:vmin-sweep", "errors": len(errors)}, "csv")
     print(f"vmin_sweep.csv ({len(rows)} rows)")
 

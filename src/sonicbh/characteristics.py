@@ -106,6 +106,13 @@ def left_characteristic(x0: float, t: float, profile: LineProfile) -> float:
     return pos(t)
 
 
+def core_left_x0(x: float, t: float, profile: LineProfile) -> float:
+    """Initial position x e^{-kappa F(t)} + I(t) of the transition-region left
+    mover at (x, t); the inverse of ``left_characteristic``."""
+    decay = math.exp(-profile.kappa * profile.sigma_accumulated(t))
+    return x * decay + core_integrals(profile).i(t)
+
+
 def right_characteristic(x0: float, t: float, profile: LineProfile) -> tuple[float, float]:
     """Transition-region right-mover (position, amplitude factor) at time t.
 
@@ -120,12 +127,12 @@ def right_characteristic(x0: float, t: float, profile: LineProfile) -> tuple[flo
     return pos(t), amp
 
 
-def _check_core_confinement(pos, t: float, profile: LineProfile, n: int = 256):
+def _check_core_confinement(pos, t: float, profile: LineProfile):
     if t < 0:
         raise ValueError("t must be >= 0")
     if t == 0:
         return
-    ts = np.linspace(0.0, t, n)
+    ts = np.linspace(0.0, t, 256)
     xs = np.array([pos(s) for s in ts])
     outside = np.abs(xs) > profile.a
     if not outside.any():
@@ -228,7 +235,7 @@ def matched_x0(x: float, t: float, profile: LineProfile) -> float:
     matching idealizes sigma as saturated, so this map intentionally differs
     from ``trace_characteristic`` at O(a) for late times.
     """
-    a, kappa = profile.a, profile.kappa
+    a = profile.a
     f = profile.sigma_accumulated(t)
     xp = entanglement_boundary(t, profile)[1]
     if x > xp:
@@ -236,8 +243,7 @@ def matched_x0(x: float, t: float, profile: LineProfile) -> float:
     if x > a:
         return a * math.exp((x + t - f * profile.v_max - a) / a)
     if x >= -a:
-        ci = core_integrals(profile)
-        return x * math.exp(-kappa * f) + ci.i(t)
+        return core_left_x0(x, t, profile)
     if x >= -xp:
         return -a * math.exp(-(x + t - f * profile.v_min - a) / a)
     return x + t - f * profile.v_min
@@ -255,8 +261,7 @@ def matched_dx0_dx(x: float, t: float, profile: LineProfile) -> float:
     return math.exp(-profile.kappa * f)
 
 
-def idealized_trace_x0(x: float, t: float, profile: LineProfile,
-                       rtol: float = 1e-12) -> float:
+def idealized_trace_x0(x: float, t: float, profile: LineProfile) -> float:
     """Backward trace under the saturated-collapse left-mover flow.
 
     The interior field is replaced by its sigma = 1 limit.  The matched
@@ -273,7 +278,7 @@ def idealized_trace_x0(x: float, t: float, profile: LineProfile,
         v = profile.sigma(s) * (profile.v_max if x_ > profile.a else profile.v_min)
         return [v - 1.0]
 
-    sol = solve_ivp(rhs, (t, 0.0), [x], method="RK45", rtol=rtol, atol=1e-13,
+    sol = solve_ivp(rhs, (t, 0.0), [x], method="RK45", rtol=1e-12, atol=1e-13,
                     events=_interface_events(profile.a))
     return float(sol.y[0, -1])
 
@@ -320,9 +325,8 @@ def mode_function(k: float, x: float, t: float, profile: LineProfile) -> complex
     """
     if k == 0:
         raise ValueError("k = 0 mode has singular normalization")
-    ci = core_integrals(profile)
-    x0_l = x * math.exp(-profile.kappa * profile.sigma_accumulated(t)) + ci.i(t)
-    phase = k * x0_l if k < 0 else k * (x0_l - 2.0 * ci.g(t))
+    x0_l = core_left_x0(x, t, profile)
+    phase = k * x0_l if k < 0 else k * (x0_l - 2.0 * core_integrals(profile).g(t))
     return complex(math.cos(phase), math.sin(phase)) / math.sqrt(2.0 * abs(k))
 
 
@@ -343,14 +347,13 @@ def characteristic_fan_rows(profile: LineProfile, branch: str, x0_values,
     return rows
 
 
-def direction_content_integral(k: float, t: float, profile: LineProfile,
-                               n: int = 20000) -> complex:
+def direction_content_integral(k: float, t: float, profile: LineProfile) -> complex:
     """1 - 2i|k| int_0^t e^{-2ik g(s) - kappa F(s)} ds by direct quadrature.
 
     Used to verify the telescoped phase e^{-2ikg(t)} in ``mode_function``.
     """
     ci = core_integrals(profile)
-    s = np.linspace(0.0, t, n)
+    s = np.linspace(0.0, t, 20000)
     decay = np.exp(-profile.kappa * np.array([sigma_accumulated(v, profile.tau) for v in s]))
     g_s = np.array([ci.g(v) for v in s])
     integrand = np.exp(-2j * k * g_s) * decay

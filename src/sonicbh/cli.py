@@ -21,8 +21,8 @@ import numpy as np
 
 from . import __version__
 from .correlations import build_correlation_grid, detect_peak, open_correction_er
-from .decoherence import (diffusion_exact, diffusion_quadrature_oracle,
-                          sweep_decoherence, v_coefficients, allowed_frequencies)
+from .decoherence import (SweepRow, allowed_frequencies, diffusion_exact,
+                          diffusion_quadrature_oracle, sweep_decoherence, v_coefficients)
 from .environment import EnvironmentSpec, effective_coupling
 from .errors import ConfigError, RegimeError, SonicBHError
 from .characteristics import entanglement_boundary
@@ -183,7 +183,7 @@ def build_parser() -> argparse.ArgumentParser:
                    default="closed_form")
 
     s = add_parser("er", help="per-mode open-system relative correction")
-    s.add_argument("--k", type=_number("finite"), action="append", required=True)
+    s.add_argument("--k", type=_number("positive"), action="append", required=True)
     s.add_argument("--t-min", type=_number("positive"), required=True)
     s.add_argument("--t-max", type=_number("positive"), required=True)
     s.add_argument("--points", type=_count(1), default=40)
@@ -250,13 +250,11 @@ def _run(args) -> tuple[list, list, dict]:
             raise ConfigError("a positive gamma is required (config key or --gamma)")
         space = np.geomspace if args.log else np.linspace
         values = space(args.lo, args.hi, args.points)
-        rows_, errs = sweep_decoherence(args.axis, values, config, g,
-                                        temperature=env.bath_temperature)
+        rows, errs = sweep_decoherence(args.axis, values, config, g,
+                                       temperature=env.bath_temperature)
         if errs:
             manifest["point_errors"] = len(errs)
-        rows = [[r.axis_value, r.t_d_min, r.t_d_max, r.omega_min, r.omega_max]
-                for r in rows_]
-        return ["axis", "t_d_min", "t_d_max", "omega_min", "omega_max"], rows, manifest
+        return SweepRow._fields, rows, manifest
 
     if args.command == "correlation":
         xm, xp = entanglement_boundary(args.t, line)

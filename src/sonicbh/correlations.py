@@ -25,10 +25,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .characteristics import (core_integrals, entanglement_boundary,
+from .characteristics import (core_integrals, core_left_x0, entanglement_boundary,
                               matched_x0, mode_function)
 from .errors import ExtrapolationError, RegimeError, RegimeWarning, RegionError
-from .profiles import LineProfile
+from .profiles import LineProfile, hawking_temperature_line
 from .specfun import fourier_integral, neville_to_zero, thermal_weight
 
 
@@ -288,23 +288,15 @@ def retarded_green(x: float, t: float, xp: float, tp: float,
     if t < tp:
         return 0.0
     ci = core_integrals(profile)
-
-    def x0_l(x_, t_):
-        return (x_ * math.exp(-profile.kappa * profile.sigma_accumulated(t_))
-                + ci.i(t_))
-
-    d_l = x0_l(x, t) - x0_l(xp, tp)
-    d_r = (x0_l(x, t) - 2.0 * ci.g(t)) - (x0_l(xp, tp) - 2.0 * ci.g(tp))
+    x0_l, xp0_l = core_left_x0(x, t, profile), core_left_x0(xp, tp, profile)
+    d_l = x0_l - xp0_l
+    d_r = (x0_l - 2.0 * ci.g(t)) - (xp0_l - 2.0 * ci.g(tp))
     return 0.25 * float(np.sign(d_l) - np.sign(d_r))
 
 
 @dataclass(frozen=True)
 class OpenCorrection:
     e_r: float
-    k: float
-    t: float
-    coupling: float
-    temperature: float
     notes: tuple = ()
 
 
@@ -335,10 +327,10 @@ def open_correction_er(k: float, t: float, lam: float, temperature: float,
     if not (xm < x1 < -profile.a):
         raise RegionError(f"x1 = {x1:.6g} outside the wedge at t = {t:.6g}")
     if lam == 0.0:
-        return OpenCorrection(0.0, k, t, lam, temperature, ())
+        return OpenCorrection(0.0)
     if lam > 1e-3:
         notes.append("coupling not weak (lam > 1e-3)")
-    t_h = abs(profile.v_max - profile.v_min) / (4.0 * math.pi * profile.a)
+    t_h = hawking_temperature_line(profile.v_max, profile.v_min, profile.a)
     if temperature < 10.0 * t_h:
         notes.append("temperature below the high-T kernel regime (~100 T_H)")
     if k * profile.a > 1.0:
@@ -358,8 +350,7 @@ def open_correction_er(k: float, t: float, lam: float, temperature: float,
         t / (2.0 * k ** 2) - math.sin(2.0 * k * t) / (4.0 * k ** 3))
     d_diss = -lam ** 2 * t * p_c
     e_r = abs((d_noise + d_diss) / p_c)
-    return OpenCorrection(e_r=e_r, k=k, t=t, coupling=lam, temperature=temperature,
-                          notes=tuple(notes))
+    return OpenCorrection(e_r=e_r, notes=tuple(notes))
 
 
 def mode_function_pde_residual(k: float, x: float, t: float,

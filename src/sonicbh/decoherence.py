@@ -18,6 +18,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, replace
+from typing import NamedTuple
 
 import numpy as np
 
@@ -31,6 +32,9 @@ from .specfun import (fourier_integral, integrate_adaptive, si,
 # Criterion constant in (rho delta^2 / hbar) * accumulated diffusion == const,
 # an order-unity convention; t_D scales linearly with it.
 DECOHERENCE_CRITERION = 1.0
+
+# Absolute tolerance of the D(t) quadrature oracles.
+_D_ORACLE_TOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -46,9 +50,6 @@ class VCoefficients:
 @dataclass(frozen=True)
 class DecoherenceEstimate:
     t_d: float
-    omega: float
-    gamma: float
-    temperature: float
     zero_t_term: float
     thermal_term: float  # <= 0
 
@@ -104,8 +105,7 @@ def _inner_cos_cos(nu: float, omega: float, t: float) -> float:
     return _inner_antiderivative(nu, omega, t)
 
 
-def diffusion_quadrature_oracle(t: float, omega: float, spec: EnvironmentSpec,
-                                tol: float = 1e-10) -> float:
+def diffusion_quadrature_oracle(t: float, omega: float, spec: EnvironmentSpec) -> float:
     """Brute-force D(t): nested quadrature of the defining double integral.
 
     The outer nu integral is taken plainly where the inner factor carries few
@@ -118,6 +118,7 @@ def diffusion_quadrature_oracle(t: float, omega: float, spec: EnvironmentSpec,
     if t == 0.0:
         return 0.0
     lam, g2 = spec.cutoff, spec.coupling_eff ** 2
+    tol = _D_ORACLE_TOL
 
     weight = lambda nu: nu * cutoff_factor(nu, spec)
 
@@ -149,13 +150,12 @@ def diffusion_quadrature_oracle(t: float, omega: float, spec: EnvironmentSpec,
     return 0.5 * g2 * (finite + tail_plus + tail_minus)
 
 
-def diffusion_thermal(t: float, omega: float, beta: float, spec: EnvironmentSpec,
-                      hbar: float = 1.0) -> float:
+def diffusion_thermal(t: float, omega: float, beta: float, spec: EnvironmentSpec) -> float:
     """Low-temperature two-term expansion of the cutoff-free D(t, beta):
 
-        2 g^-2 D = omega Si(omega t) + 2 sin(omega t)/(omega beta^2 hbar^2).
+        2 g^-2 D = omega Si(omega t) + 2 sin(omega t)/(omega beta^2)   (hbar = 1).
 
-    Valid for beta*hbar*omega >> 1 and omega*t >> 1; warns outside the
+    Valid for beta*omega >> 1 and omega*t >> 1; warns outside the
     thermal regime.  The display drops a beta-independent cos(omega t)/t
     boundary term that the honest cutoff-free quadrature (and the Lorentzian
     closed form at large cutoff) retains; compare thermal parts against the
@@ -164,20 +164,19 @@ def diffusion_thermal(t: float, omega: float, beta: float, spec: EnvironmentSpec
     """
     if beta <= 0:
         raise ValueError("beta must be positive")
-    if math.isfinite(beta) and beta * hbar * omega < 10.0:
+    if math.isfinite(beta) and beta * omega < 10.0:
         warnings.warn("thermal expansion outside its low-temperature regime "
-                      f"(beta*hbar*omega = {beta * hbar * omega:.3g} < 10)", RegimeWarning)
+                      f"(beta*omega = {beta * omega:.3g} < 10)", RegimeWarning)
     g2 = spec.coupling_eff ** 2
     correction = 0.0 if math.isinf(beta) else (
-        2.0 * math.sin(omega * t) / (omega * beta ** 2 * hbar ** 2))
+        2.0 * math.sin(omega * t) / (omega * beta ** 2))
     return 0.5 * g2 * (omega * si(omega * t) + correction)
 
 
 def diffusion_thermal_oracle(t: float, omega: float, beta: float,
-                             spec: EnvironmentSpec, hbar: float = 1.0,
-                             tol: float = 1e-10) -> float:
+                             spec: EnvironmentSpec) -> float:
     """Full-coth cutoff-free D(t, beta) by quadrature with the sharp split
-    at nu = 2/(beta*hbar).
+    at nu = 2/beta (hbar = 1).
 
     The nu -> inf part carries no cutoff; its non-decaying tail piece is
     Abel-summed in closed form (the same distributional sense the Si closed
@@ -186,14 +185,14 @@ def diffusion_thermal_oracle(t: float, omega: float, beta: float,
     if beta <= 0:
         raise ValueError("beta must be positive")
     g2 = spec.coupling_eff ** 2
-    nu_split = 0.0 if math.isinf(beta) else 2.0 / (beta * hbar)
+    nu_split = 0.0 if math.isinf(beta) else 2.0 / beta
 
     nu_b = 2.0 * omega + max(10.0 * nu_split, 4.0 * omega) + 10.0 / t
     pts = sorted({p for p in (nu_split, omega, omega - math.pi / t, omega + math.pi / t)
                   if 0.0 < p < nu_b})
     finite = integrate_adaptive(
-        lambda nu: thermal_weight(nu, beta * hbar) * _inner_cos_cos(nu, omega, t),
-        0.0, nu_b, tol=tol, points=pts, limit=800).value
+        lambda nu: thermal_weight(nu, beta) * _inner_cos_cos(nu, omega, t),
+        0.0, nu_b, tol=_D_ORACLE_TOL, points=pts, limit=800).value
     # beyond nu_b: coth == 1 to < 1e-10; inner integral decomposed as
     # (1/2)[sin((nu+om)t)/(nu+om) + sin((nu-om)t)/(nu-om)], mu = nu -+ omega:
     # integrand (mu -+ omega)/(2 mu) sin(mu t) = [1/2 -+ omega/(2 mu)] sin(mu t)
@@ -227,8 +226,7 @@ def anomalous_diffusion_asymptotic(omega: float, tau: float,
     return 0.5 * g2 * math.pi * omega * math.log(spec.cutoff / omega)
 
 
-def anomalous_time_domain_oracle(t: float, omega: float, spec: EnvironmentSpec,
-                                 tol: float = 1e-11) -> float:
+def anomalous_time_domain_oracle(t: float, omega: float, spec: EnvironmentSpec) -> float:
     """f(t) = int_0^t N(t, t-s) sin(omega s) ds by nested quadrature.
 
     inner(nu) = (1/2)[1/(omega+nu) + 1/(omega-nu)]
@@ -237,6 +235,7 @@ def anomalous_time_domain_oracle(t: float, omega: float, spec: EnvironmentSpec,
     (where the full inner is regular) and split outside the ridge.
     """
     lam, g2 = spec.cutoff, spec.coupling_eff ** 2
+    tol = 1e-11
     weight = lambda nu: nu * cutoff_factor(nu, spec)
 
     def inner(nu):
@@ -276,17 +275,17 @@ def anomalous_time_domain_oracle(t: float, omega: float, spec: EnvironmentSpec,
 # spatial mode weights
 # --------------------------------------------------------------------------
 
-def allowed_frequencies(profile: RingProfile, branch: str, epsilon: float | None = None,
-                        omega_max: float | None = None) -> np.ndarray:
-    """Periodicity-allowed mode frequencies 2*pi*n / |null circumference|."""
-    cfg = profile.config
+def allowed_frequencies(profile: RingProfile, branch: str,
+                        epsilon: float | None = None) -> np.ndarray:
+    """Periodicity-allowed mode frequencies 2*pi*n / |null circumference| up
+    to the ceiling N/T; the v branch excludes epsilon (default: one ion
+    spacing) around each horizon."""
+    derived = derive(profile.config)
     if epsilon is None:
-        epsilon = TWO_PI / cfg.n_ions
-    if omega_max is None:
-        omega_max = cfg.n_ions / cfg.period
+        epsilon = derived.delta
     nmap = null_coordinate_map(profile, branch, epsilon if branch == "v" else 0.0)
     base = TWO_PI / abs(nmap.total)
-    n_max = int(omega_max / base)
+    n_max = int(derived.omega_max / base)
     return base * np.arange(1, n_max + 1)
 
 
@@ -314,7 +313,7 @@ def v_coefficients(profile: RingProfile, omega: float,
     spacing).  At omega = 0 the values are exact by inspection.
     """
     if epsilon is None:
-        epsilon = TWO_PI / profile.config.n_ions
+        epsilon = derive(profile.config).delta
     map_u = null_coordinate_map(profile, "u", 0.0)
     map_v = null_coordinate_map(profile, "v", epsilon)
     if omega == 0.0:
@@ -330,25 +329,22 @@ def v_coefficients(profile: RingProfile, omega: float,
 
 def decoherence_time(config: PhysicalConfig, derived: DerivedParams, gamma: float,
                      omega: float, temperature: float, vcoef: VCoefficients,
-                     branch: str = "u", use_full_v: bool = False) -> DecoherenceEstimate:
+                     branch: str = "u") -> DecoherenceEstimate:
     """Decoherence time of the mode at frequency omega.
 
         t_D(0)  = C * 2 hbar^2 / (gamma^2 dv delta^2 omega pi rho^2 V)
         t_D(T0) = t_D(0) - 8 k_B^2 T0^2 / (omega^3 pi hbar^2)
 
-    V defaults to V1 of the requested branch; the full form
-    V1 + 2 log(1/(omega tau)) V2 is selected by use_full_v.  The thermal
-    correction is quadratic and independent of the mode weight.
+    V = V1 of the requested branch: the anomalous term 2 log(1/(omega tau)) V2
+    of the full weight stays under 10% of V1 at the allowed modes of the
+    bench ring (acceptance check C05).  The thermal correction is quadratic
+    and independent of the mode weight.
     """
     if gamma <= 0 or omega <= 0:
         raise ValueError("gamma and omega must be positive")
     if temperature < 0:
         raise ValueError("temperature must be >= 0")
-    v1 = vcoef.v1_u if branch == "u" else vcoef.v1_v
-    v2 = vcoef.v2_u if branch == "u" else vcoef.v2_v
-    v_eff = v1
-    if use_full_v:
-        v_eff = v1 + 2.0 * math.log(1.0 / (omega * derived.tau)) * v2
+    v_eff = vcoef.v1_u if branch == "u" else vcoef.v1_v
     if v_eff <= 0:
         raise RegimeError(f"non-positive mode weight V = {v_eff:.3g}")
     hbar, k_b = config.hbar, config.k_boltzmann
@@ -361,42 +357,40 @@ def decoherence_time(config: PhysicalConfig, derived: DerivedParams, gamma: floa
         raise RegimeError(
             f"thermal correction dominates (t_D = {t_d:.3g} <= 0): outside "
             "the low-temperature expansion's validity")
-    return DecoherenceEstimate(t_d=t_d, omega=omega, gamma=gamma,
-                               temperature=temperature, zero_t_term=zero_t,
-                               thermal_term=thermal)
+    return DecoherenceEstimate(t_d=t_d, zero_t_term=zero_t, thermal_term=thermal)
 
 
-@dataclass(frozen=True)
-class SweepRow:
-    axis_value: float
+class SweepRow(NamedTuple):
+    """One sweep point; the field names are the sweep table's columns."""
+
+    axis: float
     t_d_min: float
     t_d_max: float
     omega_min: float
     omega_max: float
 
 
-def _mode_table(profile, epsilon):
+def _mode_table(profile):
     """(branch, omega, V1/V2) of every allowed u and v mode.
 
     The weights depend on neither gamma nor T0, so one table serves every
     point of a sweep that keeps the profile.
     """
-    return [(branch, om, v_coefficients(profile, om, epsilon))
+    return [(branch, om, v_coefficients(profile, om))
             for branch in ("u", "v")
-            for om in allowed_frequencies(profile, branch, epsilon)]
+            for om in allowed_frequencies(profile, branch)]
 
 
-def _band(config, derived, gamma, temperature, modes, use_full_v):
+def _band(config, derived, gamma, temperature, modes):
     """(t_d_min, t_d_max, omega_of_min, omega_of_max) over a mode table."""
-    t_d = [decoherence_time(config, derived, gamma, om, temperature, vc, branch=branch,
-                            use_full_v=use_full_v).t_d for branch, om, vc in modes]
+    t_d = [decoherence_time(config, derived, gamma, om, temperature, vc, branch=branch).t_d
+           for branch, om, vc in modes]
     lo, hi = int(np.argmin(t_d)), int(np.argmax(t_d))   # first of equal values
     return t_d[lo], t_d[hi], modes[lo][1], modes[hi][1]
 
 
 def sweep_decoherence(axis: str, values, config: PhysicalConfig, gamma: float,
-                      temperature: float = 0.0, epsilon: float | None = None,
-                      use_full_v: bool = False):
+                      temperature: float = 0.0):
     """Sweep t_D along gamma, v_min, or temperature.
 
     Returns (rows, errors): per-point failures are collected, not fatal.
@@ -417,21 +411,21 @@ def sweep_decoherence(axis: str, values, config: PhysicalConfig, gamma: float,
                 "(low-temperature expansion invalid); offending values "
                 f"start at {min(too_hot):.4g}")
     if axis != "v_min":
-        modes = _mode_table(base_profile, epsilon)
+        modes = _mode_table(base_profile)
         base_derived = derive(config)
 
     for val in map(float, values):
         try:
             if axis == "gamma":
-                b = _band(config, base_derived, val, temperature, modes, use_full_v)
+                b = _band(config, base_derived, val, temperature, modes)
             elif axis == "temperature":
-                b = _band(config, base_derived, gamma, val, modes, use_full_v)
+                b = _band(config, base_derived, gamma, val, modes)
             else:
                 if not val < config.mean_velocity:
                     raise RegimeError("v_min must stay below the revolution speed")
                 cfg = replace(config, v_min=val)
                 b = _band(cfg, derive(cfg), gamma, temperature,
-                          _mode_table(RingProfile.from_config(cfg), epsilon), use_full_v)
+                          _mode_table(RingProfile.from_config(cfg)))
             rows.append(SweepRow(val, *b))
         except Exception as exc:  # collected per point
             errors.append((val, repr(exc)))

@@ -9,7 +9,7 @@ time-dependent coefficient only.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -17,6 +17,9 @@ from .errors import ConfigError, QuadratureError
 from .specfun import fourier_integral, integrate_adaptive, thermal_weight
 
 CUTOFF_SHAPES = ("exponential", "lorentzian")
+
+# Absolute tolerance of the kernel quadratures.
+_KERNEL_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -36,14 +39,11 @@ class EnvironmentSpec:
         if self.bath_temperature < 0:
             raise ConfigError("bath_temperature must be >= 0")
 
-    def with_temperature(self, t0: float) -> "EnvironmentSpec":
-        return replace(self, bath_temperature=t0)
-
-    def beta(self, k_boltzmann: float = 1.0) -> float:
-        """Inverse temperature 1/(k_B T0); +inf at T0 = 0."""
+    def beta(self) -> float:
+        """Inverse temperature 1/T0 (k_B = 1); +inf at T0 = 0."""
         if self.bath_temperature == 0.0:
             return math.inf
-        return 1.0 / (k_boltzmann * self.bath_temperature)
+        return 1.0 / self.bath_temperature
 
 
 def cutoff_factor(nu: float, spec: EnvironmentSpec) -> float:
@@ -60,18 +60,17 @@ def spectral_density(nu: float, spec: EnvironmentSpec) -> float:
     return spec.coupling_eff ** 2 * nu * cutoff_factor(nu, spec)
 
 
-def noise_kernel(lag: float, spec: EnvironmentSpec, hbar: float = 1.0,
-                 k_boltzmann: float = 1.0, tol: float = 1e-12) -> float:
-    """N(lag) = 1/2 int_0^inf J(nu) coth(beta hbar nu / 2) cos(nu lag) dnu.
+def noise_kernel(lag: float, spec: EnvironmentSpec) -> float:
+    """N(lag) = 1/2 int_0^inf J(nu) coth(beta nu / 2) cos(nu lag) dnu (hbar = 1).
 
     Even in the lag.  For the Lorentzian cutoff the zero-lag value is
     logarithmically divergent and refused.
     """
-    beta_hbar = spec.beta(k_boltzmann) * hbar
+    beta = spec.beta()
     gamma2 = spec.coupling_eff ** 2
 
     def smooth(nu):
-        return gamma2 * thermal_weight(nu, beta_hbar) * cutoff_factor(nu, spec)
+        return gamma2 * thermal_weight(nu, beta) * cutoff_factor(nu, spec)
 
     lag = abs(lag)
     if lag == 0.0:
@@ -79,18 +78,18 @@ def noise_kernel(lag: float, spec: EnvironmentSpec, hbar: float = 1.0,
             raise QuadratureError(
                 "noise kernel at zero lag diverges logarithmically for the "
                 "Lorentzian cutoff; use the exponential shape")
-        res = integrate_adaptive(smooth, 0.0, np.inf, tol=tol, rel_tol=1e-10)
+        res = integrate_adaptive(smooth, 0.0, np.inf, tol=_KERNEL_TOL, rel_tol=1e-10)
         return 0.5 * res.value
-    res = fourier_integral(smooth, 0.0, lag, kind="cos", tol=tol)
+    res = fourier_integral(smooth, 0.0, lag, kind="cos", tol=_KERNEL_TOL)
     return 0.5 * res.value
 
 
-def dissipation_kernel(lag: float, spec: EnvironmentSpec, tol: float = 1e-12) -> float:
+def dissipation_kernel(lag: float, spec: EnvironmentSpec) -> float:
     """D(lag) = int_0^inf J(nu) sin(nu lag) dnu for lag > 0, else 0 (causal)."""
     if lag <= 0.0:
         return 0.0
     f = lambda nu: spectral_density(nu, spec)
-    res = fourier_integral(f, 0.0, lag, kind="sin", tol=tol)
+    res = fourier_integral(f, 0.0, lag, kind="sin", tol=_KERNEL_TOL)
     return res.value
 
 

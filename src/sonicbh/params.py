@@ -83,15 +83,13 @@ class PhysicalConfig:
 
 @dataclass(frozen=True)
 class DerivedParams:
-    """Scales derived from a PhysicalConfig at a reference velocity."""
+    """Scales derived from a PhysicalConfig; the one definition of each."""
 
     delta: float        # mean ion separation 2*pi/N
-    rho: float          # conformal factor m R^2 N / (v_ref T)
+    rho: float          # conformal factor m R^2 N / (v_bar T), v_bar = 2*pi/T
     tau: float          # collapse time 0.05 T
     omega_max: float    # frequency ceiling N/T
     delta_v: float      # v_max - v_min
-    sigma_v: float      # v_max + v_min
-    kappa: float        # line-profile gradient delta_v / (2 a)
 
 
 def check_number(name: str, raw: str | float, domain: str = "finite") -> float:
@@ -121,7 +119,7 @@ def _validate(cfg: PhysicalConfig):
     if cfg.v_min > cfg.v_max:
         raise ConfigError("profile extrema inverted: "
                           f"v_min={cfg.v_min!r} > v_max={cfg.v_max!r}")
-    v_bar = TWO_PI / cfg.period
+    v_bar = cfg.mean_velocity
     if not (cfg.v_min < v_bar < cfg.v_max):
         raise ConfigError(
             "v_min/v_max must straddle the revolution speed 2*pi/period: "
@@ -187,30 +185,19 @@ def load_config(text: str) -> PhysicalConfig:
     return read_config(text)[0]
 
 
-def derive(config: PhysicalConfig, reference_velocity: float | None = None,
-           transition_halfwidth: float = 1.0) -> DerivedParams:
-    """Compute derived scales.
+def derive(config: PhysicalConfig) -> DerivedParams:
+    """Compute the derived scales.
 
-    reference_velocity defaults to the pre-collapse uniform speed 2*pi/T
-    (the conformal factor is position dependent; a single canonical value is
-    needed by the decoherence-time estimate).  transition_halfwidth is the
-    line-profile half-width `a` entering kappa = (v_max - v_min)/(2 a).
+    The conformal factor is position dependent; the decoherence-time estimate
+    takes it at the pre-collapse uniform speed 2*pi/T.
     """
-    if reference_velocity is None:
-        reference_velocity = config.mean_velocity
-    check_number("reference_velocity", reference_velocity, "positive")
-    check_number("transition_halfwidth", transition_halfwidth, "positive")
-    delta = TWO_PI / config.n_ions
-    rho = (config.ion_mass * config.radius ** 2 * config.n_ions
-           / (reference_velocity * config.period))
     return DerivedParams(
-        delta=delta,
-        rho=rho,
+        delta=TWO_PI / config.n_ions,
+        rho=(config.ion_mass * config.radius ** 2 * config.n_ions
+             / (config.mean_velocity * config.period)),
         tau=0.05 * config.period,
         omega_max=config.n_ions / config.period,
         delta_v=config.v_max - config.v_min,
-        sigma_v=config.v_max + config.v_min,
-        kappa=(config.v_max - config.v_min) / (2.0 * transition_halfwidth),
     )
 
 

@@ -22,8 +22,8 @@ from scipy.integrate import cumulative_trapezoid
 from scipy.interpolate import CubicSpline
 from scipy.optimize import brentq
 
-from .errors import ConfigError, RegionError, SingularIntegrandError
-from .params import TWO_PI, PhysicalConfig
+from .errors import ConfigError, RegimeError, RegionError, SingularIntegrandError
+from .params import TWO_PI, PhysicalConfig, derive
 from .specfun import log_cosh
 
 
@@ -108,11 +108,10 @@ class RingProfile:
     """
 
     config: PhysicalConfig
-    tau: float | None = None   # defaults to the collapse time 0.05*period
 
     @property
     def collapse_time(self) -> float:
-        return self.tau if self.tau is not None else 0.05 * self.config.period
+        return derive(self.config).tau
 
     def extrema(self, t: float | None) -> tuple[float, float]:
         """(v_min(t), v_max(t)); t=None selects the post-collapse profile."""
@@ -165,18 +164,24 @@ class RingProfile:
         return cls(config=config)
 
 
-def find_horizons(profile: RingProfile, t: float | None = None,
-                  n_scan: int = 4096) -> tuple[float, ...]:
-    """Angles where v = c, located by bisection to 1e-12."""
-    th = np.linspace(0.0, TWO_PI, n_scan, endpoint=False)
+# Horizons are bracketed on a uniform scan of the ring and bisected to
+# HORIZON_XTOL; an exclusion half-width at or below it cuts no closer to the
+# pole than the pole is known.
+_HORIZON_SCAN = 4096
+HORIZON_XTOL = 1e-12
+
+
+def find_horizons(profile: RingProfile, t: float | None = None) -> tuple[float, ...]:
+    """Angles where v = c, located by bisection to HORIZON_XTOL."""
+    th = np.linspace(0.0, TWO_PI, _HORIZON_SCAN, endpoint=False)
     gap = profile.velocity(th, t) - profile.sound_speed(th, t)
     f = lambda x: profile.velocity(x, t) - profile.sound_speed(x, t)
     roots = []
-    for i in range(n_scan - 1):
+    for i in range(_HORIZON_SCAN - 1):
         if gap[i] == 0.0:
             roots.append(th[i])
         elif gap[i] * gap[i + 1] < 0:
-            roots.append(brentq(f, th[i], th[i + 1], xtol=1e-12))
+            roots.append(brentq(f, th[i], th[i + 1], xtol=HORIZON_XTOL))
     return tuple(roots)
 
 
@@ -213,27 +218,33 @@ class NullCoordinateMap:
         return float(out[0]) if scalar else out
 
 
+_NULL_GRID = 8192
+
+
 @functools.lru_cache(maxsize=32)
 def _build_null_map(profile: RingProfile, branch: str, epsilon: float,
-                    t_key: float | None, n_grid: int) -> NullCoordinateMap:
+                    t_key: float | None) -> NullCoordinateMap:
     sign = +1.0 if branch == "u" else -1.0
     horizons = find_horizons(profile, t_key) if branch == "v" else ()
-    if branch == "v" and horizons and epsilon <= 0:
+    if horizons and epsilon <= HORIZON_XTOL:
         raise SingularIntegrandError(
             "x_v integrand is singular at horizon(s) "
-            f"{[round(h, 6) for h in horizons]}; supply an exclusion half-width")
-    # segment boundaries excluding (h - eps, h + eps)
-    cuts = [0.0]
-    for h in horizons:
-        cuts.extend([max(h - epsilon, 0.0), min(h + epsilon, TWO_PI)])
-    cuts.append(TWO_PI)
+            f"{[round(h, 6) for h in horizons]}; the exclusion half-width "
+            f"{epsilon!r} must exceed the horizon tolerance {HORIZON_XTOL!r}")
+    # segment boundaries excluding (h - eps, h + eps); out of order when a
+    # sliver leaves (0, 2*pi) or overlaps the next
+    cuts = [0.0, *(c for h in horizons for c in (h - epsilon, h + epsilon)), TWO_PI]
+    if any(hi < lo for lo, hi in zip(cuts, cuts[1:])):
+        raise RegimeError(
+            f"exclusion half-width {epsilon!r}: the horizon slivers around "
+            f"{[round(h, 6) for h in horizons]} leave (0, 2*pi) or overlap")
     segments = []
     base = 0.0
     for lo, hi in zip(cuts[0::2], cuts[1::2]):
         if hi <= lo:
             continue
         # graded grid: cluster points near the (possibly near-singular) ends
-        lin = np.linspace(lo, hi, n_grid)
+        lin = np.linspace(lo, hi, _NULL_GRID)
         tail = np.geomspace(max((hi - lo) * 1e-7, 1e-12), (hi - lo) / 2, 400)
         grid = np.unique(np.concatenate([lin, lo + tail, hi - tail]))
         integrand = 1.0 / (profile.sound_speed(grid, t_key)
@@ -246,15 +257,20 @@ def _build_null_map(profile: RingProfile, branch: str, epsilon: float,
 
 
 def null_coordinate_map(profile: RingProfile, branch: str, epsilon: float = 0.0,
-                        t: float | None = None, n_grid: int = 8192) -> NullCoordinateMap:
-    """Build (cached) the cumulative null coordinate for a ring profile."""
+                        t: float | None = None) -> NullCoordinateMap:
+    """Build (cached) the cumulative null coordinate for a ring profile.
+
+    On the v branch epsilon must exceed HORIZON_XTOL (else
+    SingularIntegrandError) and the slivers (h - epsilon, h + epsilon) must
+    fit inside (0, 2*pi) without overlap (else RegimeError).
+    """
     if branch not in ("u", "v"):
         raise ValueError(f"branch must be 'u' or 'v', got {branch!r}")
-    return _build_null_map(profile, branch, float(epsilon), t, n_grid)
+    return _build_null_map(profile, branch, float(epsilon), t)
 
 
 def null_coordinate(x: float, branch: str, profile: RingProfile,
-                    epsilon: float = 0.0, t: float | None = None) -> float:
+                    epsilon: float = 0.0) -> float:
     """Cumulative quadrature of 1/(c +- v) from 0 to x (branch u / v).
 
     Paths that stop short of the first horizon need no exclusion width; the
@@ -262,7 +278,7 @@ def null_coordinate(x: float, branch: str, profile: RingProfile,
     the value untouched.
     """
     if branch == "v" and epsilon <= 0:
-        horizons = find_horizons(profile, t)
+        horizons = find_horizons(profile)
         crossed = [h for h in horizons if h <= x]
         if crossed:
             raise SingularIntegrandError(
@@ -270,31 +286,30 @@ def null_coordinate(x: float, branch: str, profile: RingProfile,
                 "supply an exclusion half-width")
         if horizons:
             epsilon = 1e-9
-    return float(null_coordinate_map(profile, branch, epsilon, t)(x))
+    return float(null_coordinate_map(profile, branch, epsilon)(x))
 
 
 # --------------------------------------------------------------------------
 # Hawking temperatures
 # --------------------------------------------------------------------------
 
-def hawking_temperature_ring(profile: RingProfile, t: float | None = None,
-                             horizon_index: int = 0) -> float:
+def hawking_temperature_ring(profile: RingProfile, horizon_index: int = 0) -> float:
     """T_H = hbar/(4 pi v k_B) * d/dtheta (v^2 - c^2) at a horizon.
 
     Central differences with one Richardson step; the profile is piecewise
     linear so the derivative is clean once h is small against the ramp width.
     """
     cfg = profile.config
-    horizons = find_horizons(profile, t)
+    horizons = find_horizons(profile)
     if not horizons:
         raise RegionError("no horizon: v never crosses c on the ring")
     th_h = horizons[horizon_index]
-    gap2 = lambda x: (profile.velocity(x, t) ** 2 - profile.sound_speed(x, t) ** 2)
+    gap2 = lambda x: profile.velocity(x) ** 2 - profile.sound_speed(x) ** 2
     h = min(cfg.gamma1, cfg.gamma2) / 64.0
     d1 = (gap2(th_h + h) - gap2(th_h - h)) / (2 * h)
     d2 = (gap2(th_h + h / 2) - gap2(th_h - h / 2)) / h
     deriv = (4 * d2 - d1) / 3.0
-    v_h = profile.velocity(th_h, t)
+    v_h = profile.velocity(th_h)
     return cfg.hbar * deriv / (4.0 * math.pi * v_h * cfg.k_boltzmann)
 
 

@@ -220,6 +220,10 @@ def test_output_written_atomically(tmp_path):
     (["vcoef", "--epsilon", "-0.01", "--max-modes", "5"], None, 2),
     (["correlation", "--t", "-5", "--x1", "-4"], None, 2),
     (["langevin", "--t", "-5", "--x1", "-1.2", "--realizations", "50"], None, 2),
+    (["vcoef", "--epsilon", "10", "--max-modes", "5"], None, 4),
+    (["vcoef", "--epsilon", "1.5", "--max-modes", "5"], None, 4),
+    (["er", "--k", "0", "--t-min", "40", "--t-max", "100"], None, 2),
+    (["er", "--k", "-0.05", "--t-min", "40", "--t-max", "100"], None, 2),
 ], ids=["missing-config", "radius-inf", "line-kappa-nan", "omega-0", "omega-minus-0",
         "langevin-temperature-nan", "temperature-beyond-100-th", "negative-gamma",
         "coupling-eff-key", "langevin-sites-0", "langevin-realizations-1",
@@ -227,7 +231,9 @@ def test_output_written_atomically(tmp_path):
         "tdec-sweep-points-0", "boundary-points-0", "boundary-points-negative",
         "diffusion-points-0", "er-points-negative", "correlation-points-0",
         "correlation-points-15", "er-vanishing-closed-correlator", "vcoef-epsilon-0",
-        "vcoef-epsilon-negative", "correlation-t-negative", "langevin-t-negative"])
+        "vcoef-epsilon-negative", "correlation-t-negative", "langevin-t-negative",
+        "vcoef-epsilon-wider-than-ring", "vcoef-epsilon-slivers-leave-ring", "er-k-0",
+        "er-k-negative"])
 def test_malformed_input_refused(tmp_path, capsys, argv, config, code):
     """Refused with the documented exit code and one JSON record, no traceback."""
     prefix = ["--output", str(tmp_path / "x.csv")]
@@ -241,4 +247,18 @@ def test_malformed_input_refused(tmp_path, capsys, argv, config, code):
     lines = err.strip().splitlines()
     assert len(lines) == 1
     assert set(json.loads(lines[0])) == {"error", "message"}
+    assert not (tmp_path / "x.csv").exists()
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("epsilon", ["1e-300", "1e-14"])
+def test_vcoef_epsilon_below_horizon_tolerance_refused(tmp_path, capsys, epsilon):
+    """An exclusion half-width the horizon bisection cannot resolve is refused
+    before the integrand 1/(c - v) is evaluated: exit 3, no warning."""
+    argv = ["--output", str(tmp_path / "x.csv"), "vcoef", "--epsilon", epsilon,
+            "--max-modes", "5"]
+    assert main(argv) == 3
+    lines = capsys.readouterr().err.strip().splitlines()
+    assert len(lines) == 1
+    assert json.loads(lines[0])["error"] == "SingularIntegrandError"
     assert not (tmp_path / "x.csv").exists()

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import mpmath as mp
 import numpy as np
@@ -66,7 +67,7 @@ def test_noise_kernel_lorentzian_zero_lag_refused():
 
 
 def test_noise_kernel_thermal_monotone_at_zero_lag(env_exponential):
-    vals = [noise_kernel(0.0, env_exponential.with_temperature(t0))
+    vals = [noise_kernel(0.0, replace(env_exponential, bath_temperature=t0))
             for t0 in (0.0, 0.5, 1.0, 2.0)]
     assert all(a < b for a, b in zip(vals, vals[1:]))
 
