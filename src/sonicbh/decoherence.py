@@ -289,20 +289,23 @@ def allowed_frequencies(profile: RingProfile, branch: str,
     return base * np.arange(1, n_max + 1)
 
 
-_V_GRID = 1 << 15
-
-
-def _branch_v1_v2(nmap, omega: float) -> tuple[float, float]:
+def _branch_weights(nmap, omega: float) -> tuple[float, float]:
+    """V1 = (L + int cos 2 omega x dtheta)/2 and V2 = int sin 2 omega x dtheta / 2."""
     if omega == 0.0:
         return TWO_PI, 0.0
-    v1 = v2 = 0.0
-    for lo, hi, spline, _base in nmap._segments:
-        th = np.linspace(lo, hi, _V_GRID)
-        phase = omega * spline(th)
-        c, s = np.cos(phase), np.sin(phase)
-        v1 += float(np.trapezoid(c * c, th))
-        v2 += float(np.trapezoid(c * s, th))
-    return v1, v2
+    cos_part, sin_part = nmap.fourier(2.0 * omega)
+    return 0.5 * (nmap.length + cos_part), 0.5 * sin_part
+
+
+def _v_table(profile: RingProfile, omegas, epsilon: float | None = None) -> list[VCoefficients]:
+    """V1/V2 of both branches at each omega, one omega at a time over the
+    fixed quadrature nodes of the two null maps."""
+    if epsilon is None:
+        epsilon = derive(profile.config).delta
+    map_u = null_coordinate_map(profile, "u", 0.0)
+    map_v = null_coordinate_map(profile, "v", epsilon)
+    return [VCoefficients(*_branch_weights(map_u, om), *_branch_weights(map_v, om),
+                          om, epsilon) for om in omegas]
 
 
 def v_coefficients(profile: RingProfile, omega: float,
@@ -310,17 +313,10 @@ def v_coefficients(profile: RingProfile, omega: float,
     """V1 = int cos^2(omega x_b), V2 = int cos sin over the ring, b = u, v.
 
     The v branch uses the epsilon-excluded null coordinate (default: one ion
-    spacing).  At omega = 0 the values are exact by inspection.
+    spacing).  At omega = 0 the values are exact by inspection.  A row of a
+    sweep's mode table equals this call bit for bit.
     """
-    if epsilon is None:
-        epsilon = derive(profile.config).delta
-    map_u = null_coordinate_map(profile, "u", 0.0)
-    map_v = null_coordinate_map(profile, "v", epsilon)
-    if omega == 0.0:
-        return VCoefficients(TWO_PI, 0.0, TWO_PI, 0.0, 0.0, epsilon)
-    v1u, v2u = _branch_v1_v2(map_u, omega)
-    v1v, v2v = _branch_v1_v2(map_v, omega)
-    return VCoefficients(v1u, v2u, v1v, v2v, omega, epsilon)
+    return _v_table(profile, [omega], epsilon)[0]
 
 
 # --------------------------------------------------------------------------
@@ -376,9 +372,10 @@ def _mode_table(profile):
     The weights depend on neither gamma nor T0, so one table serves every
     point of a sweep that keeps the profile.
     """
-    return [(branch, om, v_coefficients(profile, om))
-            for branch in ("u", "v")
-            for om in allowed_frequencies(profile, branch)]
+    modes = [(branch, om) for branch in ("u", "v")
+             for om in allowed_frequencies(profile, branch)]
+    table = _v_table(profile, [om for _branch, om in modes])
+    return [(branch, om, vc) for (branch, om), vc in zip(modes, table)]
 
 
 def _band(config, derived, gamma, temperature, modes):

@@ -109,6 +109,11 @@ def test_c04_scaling_law_and_bounds():
 
 
 def test_c05_v_coefficient_regime():
+    """The anomalous weight 2 log(1/(omega tau)) V2 is negligible because V2
+    vanishes at allowed frequencies: with gamma1 = gamma2 the ring is mirror
+    symmetric, theta -> 2 pi - theta sends x_b to X_b - x_b, and 2 omega X_b
+    is a multiple of 4 pi, so the sine integral cancels (|V2| <= 1e-12 in
+    test_decoherence.py::test_v2_vanishes_by_mirror_symmetry)."""
     with criterion(5, "anomalous weight negligible; u and v mode weights agree within 20%"):
         config = default_config()
         ring = RingProfile.from_config(config)

@@ -224,6 +224,8 @@ def test_output_written_atomically(tmp_path):
     (["vcoef", "--epsilon", "1.5", "--max-modes", "5"], None, 4),
     (["er", "--k", "0", "--t-min", "40", "--t-max", "100"], None, 2),
     (["er", "--k", "-0.05", "--t-min", "40", "--t-max", "100"], None, 2),
+    (["hawking"], {"v_min": "-1.0"}, 4),
+    (["vcoef", "--max-modes", "3"], {"v_min": "-1.0"}, 4),
 ], ids=["missing-config", "radius-inf", "line-kappa-nan", "omega-0", "omega-minus-0",
         "langevin-temperature-nan", "temperature-beyond-100-th", "negative-gamma",
         "coupling-eff-key", "langevin-sites-0", "langevin-realizations-1",
@@ -233,7 +235,7 @@ def test_output_written_atomically(tmp_path):
         "correlation-points-15", "er-vanishing-closed-correlator", "vcoef-epsilon-0",
         "vcoef-epsilon-negative", "correlation-t-negative", "langevin-t-negative",
         "vcoef-epsilon-wider-than-ring", "vcoef-epsilon-slivers-leave-ring", "er-k-0",
-        "er-k-negative"])
+        "er-k-negative", "hawking-ring-flow-negative", "vcoef-ring-flow-negative"])
 def test_malformed_input_refused(tmp_path, capsys, argv, config, code):
     """Refused with the documented exit code and one JSON record, no traceback."""
     prefix = ["--output", str(tmp_path / "x.csv")]
@@ -253,8 +255,9 @@ def test_malformed_input_refused(tmp_path, capsys, argv, config, code):
 @pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("epsilon", ["1e-300", "1e-14"])
 def test_vcoef_epsilon_below_horizon_tolerance_refused(tmp_path, capsys, epsilon):
-    """An exclusion half-width the horizon bisection cannot resolve is refused
-    before the integrand 1/(c - v) is evaluated: exit 3, no warning."""
+    """An exclusion half-width below what double precision resolves at the
+    horizon is refused before the integrand 1/(c - v) is evaluated: exit 3,
+    no warning."""
     argv = ["--output", str(tmp_path / "x.csv"), "vcoef", "--epsilon", epsilon,
             "--max-modes", "5"]
     assert main(argv) == 3

@@ -4,7 +4,9 @@ import warnings
 import numpy as np
 import pytest
 
-from sonicbh.decoherence import (allowed_frequencies,
+from scipy.integrate import quad
+
+from sonicbh.decoherence import (_mode_table, allowed_frequencies,
                                  anomalous_diffusion_asymptotic,
                                  anomalous_time_domain_oracle,
                                  decoherence_time, diffusion_exact,
@@ -14,6 +16,7 @@ from sonicbh.decoherence import (allowed_frequencies,
 from sonicbh.environment import EnvironmentSpec
 from sonicbh.errors import RegimeError, RegimeWarning
 from sonicbh.params import TWO_PI
+from sonicbh.profiles import find_horizons, null_coordinate_map
 from sonicbh.specfun import si
 
 
@@ -211,6 +214,56 @@ def test_v_epsilon_sensitivity_documented(ring, config):
     # the u branch is epsilon-free; the v branch moves only gently
     assert a.v1_u == b.v1_u
     assert a.v1_v == pytest.approx(b.v1_v, rel=0.05)
+
+
+def _theta_quad(ring, config, branch, f):
+    """int f(x_b(theta)) dtheta by adaptive quadrature in theta over the kept
+    intervals, with the ramp ends as breakpoints."""
+    eps = TWO_PI / config.n_ions
+    nmap = null_coordinate_map(ring, branch, eps if branch == "v" else 0.0)
+    horizons = find_horizons(ring) if branch == "v" else ()
+    cuts = [0.0, *(h + s * eps for h in horizons for s in (-1, 1)), TWO_PI]
+    t_h, g1, g2 = config.theta_h, config.gamma1, config.gamma2
+    ends = (t_h - g1, t_h + g1, TWO_PI - t_h - g2, TWO_PI - t_h + g2)
+    total = 0.0
+    for lo, hi in zip(cuts[0::2], cuts[1::2]):
+        total += quad(lambda th: f(float(nmap(th))), lo, hi, epsabs=1e-13, epsrel=0.0,
+                      limit=20000, points=[e for e in ends if lo < e < hi])[0]
+    return total
+
+
+@pytest.mark.parametrize("branch", ["u", "v"])
+@pytest.mark.parametrize("which", ["first", "middle", "top"])
+def test_v_against_theta_quadrature(ring, config, branch, which):
+    # the Gauss-Legendre nodes in x against quad in theta over the closed-form map
+    omegas = allowed_frequencies(ring, branch)
+    om = float(omegas[{"first": 0, "middle": len(omegas) // 2, "top": -1}[which]])
+    vc = v_coefficients(ring, om)
+    v1, v2 = (vc.v1_u, vc.v2_u) if branch == "u" else (vc.v1_v, vc.v2_v)
+    assert v1 == pytest.approx(
+        _theta_quad(ring, config, branch, lambda x: math.cos(om * x) ** 2), abs=1e-9)
+    assert v2 == pytest.approx(
+        _theta_quad(ring, config, branch, lambda x: math.cos(om * x) * math.sin(om * x)),
+        abs=1e-9)
+
+
+@pytest.fixture(scope="module")
+def mode_table(ring):
+    return _mode_table(ring)
+
+
+def test_v2_vanishes_by_mirror_symmetry(config, mode_table):
+    # gamma1 = gamma2: theta -> 2 pi - theta sends x_b to X_b - x_b, and at an
+    # allowed omega 2 omega X_b is a multiple of 4 pi, so sin(2 omega x_b)
+    # integrates to zero
+    assert config.gamma1 == config.gamma2
+    for branch, _om, vc in mode_table:
+        assert abs(vc.v2_u if branch == "u" else vc.v2_v) <= 1e-12
+
+
+def test_v_coefficients_equal_mode_table_rows(ring, mode_table):
+    for _branch, om, vc in mode_table:
+        assert v_coefficients(ring, om) == vc
 
 
 # --------------------------------------------------------------------------

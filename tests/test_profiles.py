@@ -1,5 +1,6 @@
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 from hypothesis import given
@@ -183,19 +184,92 @@ def test_null_v_log_divergence_near_horizon(ring, config):
     assert inner == pytest.approx(outer, rel=0.35)
 
 
+def _mp_ring(config):
+    """v and c of the post-collapse ring in mpmath arithmetic, with its ramps."""
+    vmin, vmax, th_h, g1, g2 = map(mp.mpf, (config.v_min, config.v_max, config.theta_h,
+                                            config.gamma1, config.gamma2))
+    down = 2 * mp.pi - th_h
+    mid, half = (vmax + vmin) / 2, (vmax - vmin) / 2
+
+    def v(th):
+        if th <= th_h - g1 or th > down + g2:
+            return vmin
+        if th <= th_h + g1:
+            return mid + half * (th - th_h) / g1
+        if th <= down - g2:
+            return vmax
+        return mid - half * (th - down) / g2
+
+    k2 = (2 * mp.mpf(config.ion_charge) ** 2 * config.n_ions
+          / (mp.mpf(config.ion_mass) * mp.mpf(config.radius) ** 3 * mp.mpf(config.period)))
+    return v, lambda th: mp.sqrt(k2 / v(th)), [(th_h - g1, th_h + g1), (down - g2, down + g2)]
+
+
+def _mp_horizons(config):
+    v, c, ramps = _mp_ring(config)
+    return [mp.findroot(lambda th: v(th) - c(th), ramp, solver="anderson") for ramp in ramps]
+
+
+def _mp_null_total(config, branch, epsilon):
+    """x_b(2 pi): 30-digit quadrature of 1/(c +- v), slivers (h - eps, h + eps) cut out."""
+    with mp.workdps(30):
+        v, c, ramps = _mp_ring(config)
+        sign = 1 if branch == "u" else -1
+        horizons = _mp_horizons(config) if branch == "v" else []
+        eps = mp.mpf(epsilon)
+        cuts = [mp.mpf(0), *(h + s * eps for h in horizons for s in (-1, 1)), 2 * mp.pi]
+        # breakpoints at the ramp ends and graded towards each pole
+        points = {end for ramp in ramps for end in ramp}
+        points |= {h + s * eps * 2 ** j for h in horizons for s in (-1, 1) for j in range(40)}
+        total = mp.mpf(0)
+        for lo, hi in zip(cuts[0::2], cuts[1::2]):
+            knots = [lo, *sorted(p for p in points if lo < p < hi), hi]
+            total += mp.quad(lambda th: 1 / (c(th) + sign * v(th)), knots)
+        return float(total)
+
+
+def test_horizons_against_mpmath_roots(ring, config):
+    with mp.workdps(30):
+        exact = _mp_horizons(config)
+    assert find_horizons(ring) == pytest.approx([float(h) for h in exact], rel=1e-9)
+
+
+@pytest.mark.parametrize("branch, epsilon", [("u", 0.0), ("v", None), ("v", 1e-6)])
+def test_null_total_against_mpmath(ring, config, branch, epsilon):
+    if epsilon is None:
+        epsilon = TWO_PI / config.n_ions   # the default exclusion: one ion spacing
+    total = null_coordinate_map(ring, branch, epsilon).total
+    assert total == pytest.approx(_mp_null_total(config, branch, epsilon), rel=1e-9)
+
+
 # --------------------------------------------------------------------------
 # Hawking temperatures
 # --------------------------------------------------------------------------
 
+def _hawking_richardson(profile, theta, h):
+    """hbar/(4 pi v k_B) d(v^2 - c^2)/dtheta at theta: central differences with
+    one Richardson step, exact on a linear ramp up to rounding."""
+    cfg = profile.config
+    gap2 = lambda x: profile.velocity(x) ** 2 - profile.sound_speed(x) ** 2
+    d1 = (gap2(theta + h) - gap2(theta - h)) / (2 * h)
+    d2 = (gap2(theta + h / 2) - gap2(theta - h / 2)) / h
+    deriv = (4 * d2 - d1) / 3.0
+    return cfg.hbar * deriv / (4.0 * math.pi * profile.velocity(theta) * cfg.k_boltzmann)
+
+
 def test_ring_temperature_linear_slope(ring, config):
-    # on a linear ramp the derivative evaluation is exact: T_H = hbar s/(4 pi v_H k_B)
-    h0 = find_horizons(ring)[0]
-    gap2 = lambda x: ring.velocity(x, None) ** 2 - ring.sound_speed(x, None) ** 2
-    d = 1e-6
-    slope = (gap2(h0 + d) - gap2(h0 - d)) / (2 * d)
-    v_h = ring.velocity(h0, None)
-    expected = config.hbar * slope / (4 * math.pi * v_h * config.k_boltzmann)
-    assert hawking_temperature_ring(ring) == pytest.approx(expected, rel=1e-8)
+    # on a linear ramp the Richardson-extrapolated difference is exact up to
+    # rounding: the closed form 3 hbar v'/(4 pi k_B) against it at both horizons
+    h = min(config.gamma1, config.gamma2) / 64.0
+    for index, theta in enumerate(find_horizons(ring)):
+        expected = _hawking_richardson(ring, theta, h)
+        assert hawking_temperature_ring(ring, horizon_index=index) == pytest.approx(
+            expected, rel=1e-8)
+
+
+def test_ring_temperature_closed_form(ring):
+    # 3 hbar v'/(4 pi k_B) with v' = (v_max - v_min)/(2 gamma1): 0.5 on the bench ring
+    assert hawking_temperature_ring(ring) == pytest.approx(0.5, rel=1e-14, abs=0.0)
 
 
 def test_ring_temperatures_equal_magnitude(ring):
@@ -241,8 +315,7 @@ def test_line_equals_linearized_ring():
     class UnitSound:
         def __init__(self, kappa):
             self.kappa = kappa
-            self.config = type("C", (), {"hbar": 1.0, "k_boltzmann": 1.0,
-                                         "gamma1": 0.5, "gamma2": 0.5})()
+            self.config = type("C", (), {"hbar": 1.0, "k_boltzmann": 1.0})()
 
         def velocity(self, x, t=None):
             return 1.0 + self.kappa * (np.asarray(x, dtype=float) - 3.0)
@@ -251,9 +324,6 @@ def test_line_equals_linearized_ring():
             return np.ones_like(np.asarray(x, dtype=float))
 
     kappa, a = 0.1, 1.0
-    prof = UnitSound(kappa)
-    from sonicbh.profiles import hawking_temperature_ring as th_ring
-    # the generic horizon finder works on any velocity/sound_speed pair
-    t_ring = th_ring(prof)  # type: ignore[arg-type]
+    t_ring = _hawking_richardson(UnitSound(kappa), 3.0, 0.5 / 64.0)
     t_line = hawking_temperature_line(1.0 + kappa * a, 1.0 - kappa * a, a)
     assert t_ring == pytest.approx(t_line, rel=1e-6)
