@@ -30,7 +30,7 @@ from scipy.integrate import cumulative_simpson, solve_ivp
 from scipy.interpolate import CubicSpline
 from scipy.optimize import brentq
 
-from .errors import RegionError, RegionExitError
+from .errors import RegionExitError
 from .profiles import LineProfile, sigma_accumulated
 
 REGION_LEFT, REGION_CORE, REGION_RIGHT = "x<-a", "|x|<=a", "x>a"
@@ -111,20 +111,6 @@ def core_left_x0(x: float, t: float, profile: LineProfile) -> float:
     mover at (x, t); the inverse of ``left_characteristic``."""
     decay = math.exp(-profile.kappa * profile.sigma_accumulated(t))
     return x * decay + core_integrals(profile).i(t)
-
-
-def right_characteristic(x0: float, t: float, profile: LineProfile) -> tuple[float, float]:
-    """Transition-region right-mover (position, amplitude factor) at time t.
-
-    The amplitude obeys d(phi)/dt = -sigma kappa phi, i.e. a factor
-    e^{-kappa F(t)} while inside the region.
-    """
-    ci = core_integrals(profile)
-    pos = lambda s: math.exp(profile.kappa * profile.sigma_accumulated(s)) * (
-        x0 + 2.0 * ci.g(s) - ci.i(s))
-    _check_core_confinement(pos, t, profile)
-    amp = math.exp(-profile.kappa * profile.sigma_accumulated(t))
-    return pos(t), amp
 
 
 def _check_core_confinement(pos, t: float, profile: LineProfile):
@@ -261,28 +247,6 @@ def matched_dx0_dx(x: float, t: float, profile: LineProfile) -> float:
     return math.exp(-profile.kappa * f)
 
 
-def idealized_trace_x0(x: float, t: float, profile: LineProfile) -> float:
-    """Backward trace under the saturated-collapse left-mover flow.
-
-    The interior field is replaced by its sigma = 1 limit.  The matched
-    closed forms keep the exact collapse integral at the evaluation time but
-    idealize it at the interface-crossing time, so at late times they exceed
-    this trace by exactly e^{v_max tau ln2 / a} (right side; v_min on the
-    left) -- a documented bookkeeping offset of the analytic scheme, verified
-    quantitatively in the tests.
-    """
-    def rhs(s, y):
-        x_ = y[0]
-        if abs(x_) <= profile.a:
-            return [profile.kappa * x_]
-        v = profile.sigma(s) * (profile.v_max if x_ > profile.a else profile.v_min)
-        return [v - 1.0]
-
-    sol = solve_ivp(rhs, (t, 0.0), [x], method="RK45", rtol=1e-12, atol=1e-13,
-                    events=_interface_events(profile.a))
-    return float(sol.y[0, -1])
-
-
 # --------------------------------------------------------------------------
 # entanglement wedge
 # --------------------------------------------------------------------------
@@ -293,22 +257,6 @@ def entanglement_boundary(t: float, profile: LineProfile) -> tuple[float, float]
         raise ValueError("t must be >= 0")
     xp = profile.a * (1.0 + profile.kappa * profile.sigma_accumulated(t))
     return -xp, xp
-
-
-def entanglement_onset_time(x: float, profile: LineProfile) -> float:
-    """Time at which the wedge boundary reaches |x| (root of x_plus(t) = |x|)."""
-    ax = abs(x)
-    if ax <= profile.a:
-        raise RegionError(
-            "onset time is defined outside the transition region; "
-            "the boundary starts at +-a (onset is t = 0 inside)")
-    gap = lambda t: entanglement_boundary(t, profile)[1] - ax
-    hi = profile.tau
-    while gap(hi) < 0:
-        hi *= 2.0
-        if hi > 1e12 * profile.tau:
-            raise RuntimeError("wedge boundary failed to reach |x|")
-    return brentq(gap, 0.0, hi, xtol=1e-10 * profile.tau)
 
 
 # --------------------------------------------------------------------------
@@ -345,17 +293,3 @@ def characteristic_fan_rows(profile: LineProfile, branch: str, x0_values,
                                        rtol=1e-9, atol=1e-10)
             rows.append((float(t), x, _region_of(x, profile.a), branch))
     return rows
-
-
-def direction_content_integral(k: float, t: float, profile: LineProfile) -> complex:
-    """1 - 2i|k| int_0^t e^{-2ik g(s) - kappa F(s)} ds by direct quadrature.
-
-    Used to verify the telescoped phase e^{-2ikg(t)} in ``mode_function``.
-    """
-    ci = core_integrals(profile)
-    s = np.linspace(0.0, t, 20000)
-    decay = np.exp(-profile.kappa * np.array([sigma_accumulated(v, profile.tau) for v in s]))
-    g_s = np.array([ci.g(v) for v in s])
-    integrand = np.exp(-2j * k * g_s) * decay
-    val = np.trapezoid(integrand, s)
-    return 1.0 - 2j * abs(k) * val

@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .characteristics import (core_integrals, core_left_x0, entanglement_boundary,
-                              matched_x0, mode_function)
+                              matched_x0)
 from .errors import ExtrapolationError, RegimeError, RegimeWarning, RegionError
 from .profiles import LineProfile, hawking_temperature_line
 from .specfun import fourier_integral, neville_to_zero, thermal_weight
@@ -267,13 +267,8 @@ def detect_peak(grid: CorrelationGrid) -> PeakReport:
 
 
 # --------------------------------------------------------------------------
-# momentum, Green function, open-system correction
+# Green function, open-system correction
 # --------------------------------------------------------------------------
-
-def momentum_of_field(dphi_dt: float, dphi_dx: float, v: float) -> float:
-    """Canonical momentum Pi = d(phi)/dt + v * d(phi)/dx."""
-    return dphi_dt + v * dphi_dx
-
 
 def retarded_green(x: float, t: float, xp: float, tp: float,
                    profile: LineProfile) -> float:
@@ -351,27 +346,3 @@ def open_correction_er(k: float, t: float, lam: float, temperature: float,
     d_diss = -lam ** 2 * t * p_c
     e_r = abs((d_noise + d_diss) / p_c)
     return OpenCorrection(e_r=e_r, notes=tuple(notes))
-
-
-def mode_function_pde_residual(k: float, x: float, t: float,
-                               profile: LineProfile, h: float) -> float:
-    """|[(d_t + d_x v)(d_t + v d_x) - d_x^2] u_k| by nested central differences.
-
-    The operator is evaluated with the transition-region velocity law, on
-    whose modes ``mode_function`` is built; residual -> 0 at O(h^2).
-    """
-    def u(xx, tt):
-        return mode_function(k, xx, tt, profile)
-
-    def v(xx, tt):
-        return profile.sigma(tt) * (1.0 + profile.kappa * xx)
-
-    def w(xx, tt):  # (d_t + v d_x) u
-        du_dt = (u(xx, tt + h) - u(xx, tt - h)) / (2.0 * h)
-        du_dx = (u(xx + h, tt) - u(xx - h, tt)) / (2.0 * h)
-        return du_dt + v(xx, tt) * du_dx
-
-    dw_dt = (w(x, t + h) - w(x, t - h)) / (2.0 * h)
-    dvw_dx = (v(x + h, t) * w(x + h, t) - v(x - h, t) * w(x - h, t)) / (2.0 * h)
-    d2u_dx2 = (u(x + h, t) - 2.0 * u(x, t) + u(x - h, t)) / h ** 2
-    return abs(dw_dt + dvw_dx - d2u_dx2)

@@ -205,73 +205,6 @@ def diffusion_thermal_oracle(t: float, omega: float, beta: float,
 
 
 # --------------------------------------------------------------------------
-# anomalous diffusion coefficient
-# --------------------------------------------------------------------------
-
-def anomalous_diffusion_asymptotic(omega: float, tau: float,
-                                   spec: EnvironmentSpec) -> float:
-    """Long-time anomalous plateau (g^2/2) pi omega log(cutoff/omega).
-
-    Contract value used in the decoherence bookkeeping; the honest
-    time-domain quadrature differs in prefactor (see the oracle and the
-    notes) but the anomalous branch is negligible in the regime of interest.
-    Warns when omega*tau >= 1 (non-positive logarithm).
-    """
-    if omega <= 0:
-        raise ValueError("omega must be positive")
-    if omega * tau >= 1.0:
-        warnings.warn(f"omega*tau = {omega * tau:.3g} >= 1: anomalous log "
-                      "asymptote is non-positive here", RegimeWarning)
-    g2 = spec.coupling_eff ** 2
-    return 0.5 * g2 * math.pi * omega * math.log(spec.cutoff / omega)
-
-
-def anomalous_time_domain_oracle(t: float, omega: float, spec: EnvironmentSpec) -> float:
-    """f(t) = int_0^t N(t, t-s) sin(omega s) ds by nested quadrature.
-
-    inner(nu) = (1/2)[1/(omega+nu) + 1/(omega-nu)]
-              - (1/2)[cos((nu+omega)t)/(nu+omega) - cos((nu-omega)t)/(nu-omega)];
-    the smooth part is kept jointly with the oscillation near nu = omega
-    (where the full inner is regular) and split outside the ridge.
-    """
-    lam, g2 = spec.cutoff, spec.coupling_eff ** 2
-    tol = 1e-11
-    weight = lambda nu: nu * cutoff_factor(nu, spec)
-
-    def inner(nu):
-        plus = (1.0 - math.cos((omega + nu) * t)) / (omega + nu)
-        if abs(nu - omega) < 1e-13 * max(nu, omega):
-            return 0.5 * plus
-        return 0.5 * (plus + (1.0 - math.cos((omega - nu) * t)) / (omega - nu))
-
-    nu_b = 2.0 * omega + 6.0 * lam + 10.0 / t
-    ridge = min(20.0 * math.pi / t, 0.45 * omega)
-    total = integrate_adaptive(lambda nu: weight(nu) * inner(nu),
-                               omega - ridge, omega + ridge, tol=tol, limit=400).value
-    cw, sw = math.cos(omega * t), math.sin(omega * t)
-    for lo, hi in ((0.0, omega - ridge), (omega + ridge, nu_b)):
-        total += integrate_adaptive(
-            lambda nu: 0.5 * weight(nu) * (1.0 / (omega + nu) + 1.0 / (omega - nu)),
-            lo, hi, tol=tol, limit=400).value
-        # cos((nu +- omega)t) = cos(nu t) cos(omega t) -+ sin(nu t) sin(omega t)
-        f_cos = lambda nu: -0.5 * weight(nu) * cw * (
-            1.0 / (nu + omega) - 1.0 / (nu - omega))
-        f_sin = lambda nu: 0.5 * weight(nu) * sw * (
-            1.0 / (nu + omega) + 1.0 / (nu - omega))
-        total += fourier_integral(f_cos, lo, t, kind="cos", tol=tol, b=hi).value
-        total += fourier_integral(f_sin, lo, t, kind="sin", tol=tol, b=hi).value
-    # beyond nu_b the smooth part decays like lam^2 omega / nu^3
-    total += integrate_adaptive(
-        lambda nu: 0.5 * weight(nu) * (1.0 / (omega + nu) + 1.0 / (omega - nu)),
-        nu_b, np.inf, tol=tol).value
-    total -= fourier_integral(lambda mu: weight(mu - omega) / (2.0 * mu),
-                              nu_b + omega, t, kind="cos").value
-    total += fourier_integral(lambda mu: weight(mu + omega) / (2.0 * mu),
-                              nu_b - omega, t, kind="cos").value
-    return 0.5 * g2 * total
-
-
-# --------------------------------------------------------------------------
 # spatial mode weights
 # --------------------------------------------------------------------------
 
@@ -290,9 +223,10 @@ def allowed_frequencies(profile: RingProfile, branch: str,
 
 
 def _branch_weights(nmap, omega: float) -> tuple[float, float]:
-    """V1 = (L + int cos 2 omega x dtheta)/2 and V2 = int sin 2 omega x dtheta / 2."""
+    """V1 = (L + int cos 2 omega x dtheta)/2 and V2 = int sin 2 omega x dtheta / 2,
+    L the measure of the kept pieces; at omega = 0 their limits L and 0."""
     if omega == 0.0:
-        return TWO_PI, 0.0
+        return nmap.length, 0.0
     cos_part, sin_part = nmap.fourier(2.0 * omega)
     return 0.5 * (nmap.length + cos_part), 0.5 * sin_part
 
@@ -313,8 +247,9 @@ def v_coefficients(profile: RingProfile, omega: float,
     """V1 = int cos^2(omega x_b), V2 = int cos sin over the ring, b = u, v.
 
     The v branch uses the epsilon-excluded null coordinate (default: one ion
-    spacing).  At omega = 0 the values are exact by inspection.  A row of a
-    sweep's mode table equals this call bit for bit.
+    spacing).  At omega = 0 the values are their omega -> 0 limits: V2 = 0
+    and V1 the measure of the kept ring, 2 pi less the horizon slivers on the
+    v branch.  A row of a sweep's mode table equals this call bit for bit.
     """
     return _v_table(profile, [omega], epsilon)[0]
 

@@ -60,14 +60,6 @@ class LineProfile:
         if not (0 < self.kappa * self.a < 1):
             raise ConfigError("LineProfile needs 0 < kappa*a < 1 (subsonic far side)")
 
-    @classmethod
-    def from_velocities(cls, v_min: float, v_max: float, a: float, tau: float) -> "LineProfile":
-        if abs((v_min + v_max) / 2.0 - 1.0) > 1e-12:
-            raise ConfigError(
-                "line profile extrema must average to the sound speed 1: "
-                f"got ({v_min}, {v_max})")
-        return cls(a=a, kappa=(v_max - v_min) / (2.0 * a), tau=tau)
-
     @property
     def v_min(self) -> float:
         return 1.0 - self.kappa * self.a
@@ -205,11 +197,6 @@ def _horizon_segments(segments) -> list[_Segment]:
     return [s for s in segments if s.slope != 0.0 and s.lo < s.ref < s.hi]
 
 
-def find_horizons(profile: RingProfile) -> tuple[float, ...]:
-    """Angles where the post-collapse v = c, i.e. v^(3/2) = K: at most one on each ramp."""
-    return tuple(s.ref for s in _horizon_segments(_ring_segments(profile, None)[1]))
-
-
 # --------------------------------------------------------------------------
 # null coordinates
 # --------------------------------------------------------------------------
@@ -269,7 +256,7 @@ class NullCoordinateMap:
 
     branch: str
     epsilon: float
-    horizons: tuple[float, ...]
+    horizons: tuple[float, ...]   # v branch: angles where v = c, i.e. v^(3/2) = K
     total: float      # value at 2*pi
     length: float     # measure of the pieces: 2*pi less the slivers
     _pieces: _Pieces
@@ -364,26 +351,6 @@ def null_coordinate_map(profile: RingProfile, branch: str, epsilon: float = 0.0,
     if branch not in ("u", "v"):
         raise ValueError(f"branch must be 'u' or 'v', got {branch!r}")
     return _build_null_map(profile, branch, float(epsilon), t)
-
-
-def null_coordinate(x: float, branch: str, profile: RingProfile,
-                    epsilon: float = 0.0) -> float:
-    """Cumulative x_u or x_v from 0 to x (branch u / v).
-
-    Paths that stop short of the first horizon need no exclusion width; the
-    integrand is finite on [0, x] and an infinitesimal internal cut leaves
-    the value untouched.
-    """
-    if branch == "v" and epsilon <= 0:
-        horizons = find_horizons(profile)
-        crossed = [h for h in horizons if h <= x]
-        if crossed:
-            raise SingularIntegrandError(
-                f"path to x={x:.6g} crosses horizon at theta={crossed[0]:.6g}; "
-                "supply an exclusion half-width")
-        if horizons:
-            epsilon = 1e-9
-    return float(null_coordinate_map(profile, branch, epsilon)(x))
 
 
 # --------------------------------------------------------------------------

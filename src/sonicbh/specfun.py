@@ -27,21 +27,6 @@ def si(x: float) -> float:
     return float(special.sici(x)[0])
 
 
-def shi(x: float) -> float:
-    """Hyperbolic sine integral Shi(x) = int_0^x sinh(t)/t dt.  Odd."""
-    return float(special.shichi(x)[0])
-
-
-def chi(x: float) -> float:
-    """Hyperbolic cosine integral Chi(x) = gamma + ln x + int_0^x (cosh t - 1)/t dt.
-
-    Defined for x > 0 only (logarithmic singularity at the origin).
-    """
-    if not x > 0:
-        raise ValueError(f"chi requires x > 0, got {x!r}")
-    return float(special.shichi(x)[1])
-
-
 _ASYMPTOTIC_SWITCH = 50.0
 
 

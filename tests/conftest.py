@@ -9,6 +9,7 @@ settings.register_profile(
 settings.load_profile("suite")
 
 from sonicbh import default_config, derive
+from sonicbh.characteristics import mode_function
 from sonicbh.environment import EnvironmentSpec
 from sonicbh.profiles import LineProfile, RingProfile
 
@@ -45,3 +46,27 @@ def env_exponential():
 
 
 LINE_T_HAWKING = 0.2 / (4.0 * math.pi)
+
+
+def mode_function_pde_residual(k: float, x: float, t: float,
+                               profile: LineProfile, h: float) -> float:
+    """|[(d_t + d_x v)(d_t + v d_x) - d_x^2] u_k| by nested central differences.
+
+    The operator is evaluated with the transition-region velocity law, on
+    whose modes ``mode_function`` is built; residual -> 0 at O(h^2).
+    """
+    def u(xx, tt):
+        return mode_function(k, xx, tt, profile)
+
+    def v(xx, tt):
+        return profile.sigma(tt) * (1.0 + profile.kappa * xx)
+
+    def w(xx, tt):  # (d_t + v d_x) u
+        du_dt = (u(xx, tt + h) - u(xx, tt - h)) / (2.0 * h)
+        du_dx = (u(xx + h, tt) - u(xx - h, tt)) / (2.0 * h)
+        return du_dt + v(xx, tt) * du_dx
+
+    dw_dt = (w(x, t + h) - w(x, t - h)) / (2.0 * h)
+    dvw_dx = (v(x + h, t) * w(x + h, t) - v(x - h, t) * w(x - h, t)) / (2.0 * h)
+    d2u_dx2 = (u(x + h, t) - 2.0 * u(x, t) + u(x - h, t)) / h ** 2
+    return abs(dw_dt + dvw_dx - d2u_dx2)

@@ -18,7 +18,6 @@ from sonicbh.characteristics import (entanglement_boundary,
                                      trace_characteristic)
 from sonicbh.correlations import (build_correlation_grid, corr_closed_form,
                                   corr_mode_sum_oracle, detect_peak,
-                                  mode_function_pde_residual,
                                   open_correction_er)
 from sonicbh.decoherence import (allowed_frequencies, decoherence_time,
                                  diffusion_exact, diffusion_quadrature_oracle,
@@ -27,6 +26,8 @@ from sonicbh.environment import EnvironmentSpec
 from sonicbh.errors import RegimeWarning
 from sonicbh.langevin import estimate_correlation, expected_correlation_curve
 from sonicbh.profiles import LineProfile, RingProfile, hawking_temperature_ring
+
+from conftest import mode_function_pde_residual
 
 LINE = LineProfile(a=1.0, kappa=0.1, tau=1.0)
 LINE_T_H = 0.2 / (4.0 * math.pi)

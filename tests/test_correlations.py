@@ -12,14 +12,13 @@ from sonicbh.characteristics import core_integrals, entanglement_boundary
 from sonicbh.correlations import (CorrelationGrid, build_correlation_grid,
                                   corr_closed_form, corr_homogeneous,
                                   corr_mode_sum_oracle, detect_peak,
-                                  mode_function_pde_residual, momentum_of_field,
                                   open_correction_er, retarded_green,
                                   thermal_momentum_integral)
 from sonicbh.errors import RegimeError, RegimeWarning, RegionError
 from sonicbh.profiles import LineProfile
 from sonicbh.specfun import integrate_adaptive, neville_to_zero
 
-from conftest import LINE_T_HAWKING
+from conftest import LINE_T_HAWKING, mode_function_pde_residual
 
 mp.mp.dps = 30
 
@@ -29,20 +28,6 @@ T_LONG = 100.0
 # --------------------------------------------------------------------------
 # momentum
 # --------------------------------------------------------------------------
-
-def test_momentum_static_medium():
-    assert momentum_of_field(0.7, 123.0, 0.0) == 0.7
-
-
-def test_momentum_chain_rule():
-    # phi = f(x - t), v = 0: Pi = -f'
-    f = lambda u: math.sin(3 * u)
-    fp = lambda u: 3 * math.cos(3 * u)
-    x, t, h = 0.4, 0.9, 1e-6
-    dphi_dt = (f(x - (t + h)) - f(x - (t - h))) / (2 * h)
-    dphi_dx = (f(x + h - t) - f(x - h - t)) / (2 * h)
-    assert momentum_of_field(dphi_dt, dphi_dx, 0.0) == pytest.approx(-fp(x - t), abs=1e-8)
-
 
 @pytest.mark.parametrize("k", [-1.7, 1.7])
 def test_momentum_of_mode_against_analytic(line, k):
@@ -57,7 +42,7 @@ def test_momentum_of_mode_against_analytic(line, k):
     def pi_fd(h):
         du_dt = (mode_function(k, x, t + h, line) - mode_function(k, x, t - h, line)) / (2 * h)
         du_dx = (mode_function(k, x + h, t, line) - mode_function(k, x - h, t, line)) / (2 * h)
-        return momentum_of_field(du_dt, du_dx, v)
+        return du_dt + v * du_dx
 
     rich = (4.0 * pi_fd(5e-4) - pi_fd(1e-3)) / 3.0
     w = math.exp(-line.kappa * line.sigma_accumulated(t))

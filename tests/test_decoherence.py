@@ -7,16 +7,13 @@ import pytest
 from scipy.integrate import quad
 
 from sonicbh.decoherence import (_mode_table, allowed_frequencies,
-                                 anomalous_diffusion_asymptotic,
-                                 anomalous_time_domain_oracle,
                                  decoherence_time, diffusion_exact,
                                  diffusion_quadrature_oracle,
                                  diffusion_thermal, diffusion_thermal_oracle,
                                  sweep_decoherence, v_coefficients)
-from sonicbh.environment import EnvironmentSpec
 from sonicbh.errors import RegimeError, RegimeWarning
 from sonicbh.params import TWO_PI
-from sonicbh.profiles import find_horizons, null_coordinate_map
+from sonicbh.profiles import null_coordinate_map
 from sonicbh.specfun import si
 
 
@@ -120,59 +117,18 @@ def test_thermal_parts_match_at_low_temperature(env_lorentzian):
 
 
 # --------------------------------------------------------------------------
-# anomalous coefficient
-# --------------------------------------------------------------------------
-
-def test_anomalous_display_values(env_lorentzian):
-    g2 = env_lorentzian.coupling_eff ** 2
-    lam = env_lorentzian.cutoff
-    with pytest.warns(RegimeWarning):   # omega = cutoff sits on the regime edge
-        assert anomalous_diffusion_asymptotic(lam, 1.0 / lam, env_lorentzian) == pytest.approx(0.0, abs=1e-12)
-    om = 1.0
-    val = anomalous_diffusion_asymptotic(om, 1.0 / lam, env_lorentzian)
-    assert val == pytest.approx(0.5 * g2 * math.pi * om * math.log(lam / om), rel=1e-12)
-
-
-def test_anomalous_frequency_ratio(env_lorentzian):
-    om, lam = 0.5, env_lorentzian.cutoff
-    v_full = anomalous_diffusion_asymptotic(om, 1.0 / lam, env_lorentzian)
-    v_half = anomalous_diffusion_asymptotic(om / 2, 1.0 / lam, env_lorentzian)
-    expected = (om / 2) * math.log(2 * lam / om) / (om * math.log(lam / om))
-    assert v_half / v_full == pytest.approx(expected, rel=1e-12)
-
-
-def test_anomalous_warns_at_large_frequency(env_lorentzian):
-    with pytest.warns(RegimeWarning):
-        anomalous_diffusion_asymptotic(2.0 * env_lorentzian.cutoff,
-                                       1.0 / env_lorentzian.cutoff, env_lorentzian)
-
-
-def test_anomalous_time_domain_oracle_log_scaling():
-    # The honest long-time quadrature of int N sin follows
-    # -(L^2/(L^2+w^2)) (g^2/2) w ln(L/w); the display's +pi prefactor does
-    # not survive it.  Assert the measured law and document the mismatch.
-    results = {}
-    for om, lam in [(1.0, 100.0), (0.5, 20.0)]:
-        env = EnvironmentSpec(coupling_eff=1.0, cutoff=lam, cutoff_shape="lorentzian")
-        val = anomalous_time_domain_oracle(2000.0 / om, om, env)
-        analytic = -0.5 * om * lam ** 2 / (lam ** 2 + om ** 2) * math.log(lam / om)
-        assert val == pytest.approx(analytic, rel=1e-4)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", RegimeWarning)
-            display = anomalous_diffusion_asymptotic(om, 1.0 / lam, env)
-        results[(om, lam)] = (val, display)
-    for val, display in results.values():
-        assert val * display < 0  # opposite signs: documented discrepancy
-
-
-# --------------------------------------------------------------------------
 # mode weights
 # --------------------------------------------------------------------------
 
-def test_v_at_zero_frequency(ring):
+def test_v_at_zero_frequency(ring, derived):
+    # V1 = (L + int cos 2wx)/2 tends to the kept measure L: 2 pi on the u
+    # branch, 2 pi less the horizon slivers on the v branch
     vc = v_coefficients(ring, 0.0)
-    assert vc.v1_u == TWO_PI and vc.v2_u == 0.0
-    assert vc.v1_v == TWO_PI and vc.v2_v == 0.0
+    assert vc.v1_u == null_coordinate_map(ring, "u").length and vc.v2_u == 0.0
+    assert vc.v1_v == null_coordinate_map(ring, "v", derived.delta).length and vc.v2_v == 0.0
+    near = v_coefficients(ring, 1e-9)
+    assert vc.v1_u == pytest.approx(near.v1_u, rel=1e-8)
+    assert vc.v1_v == pytest.approx(near.v1_v, rel=1e-8)
 
 
 def test_v_constant_background_closed_form(ring, config):
@@ -221,8 +177,7 @@ def _theta_quad(ring, config, branch, f):
     intervals, with the ramp ends as breakpoints."""
     eps = TWO_PI / config.n_ions
     nmap = null_coordinate_map(ring, branch, eps if branch == "v" else 0.0)
-    horizons = find_horizons(ring) if branch == "v" else ()
-    cuts = [0.0, *(h + s * eps for h in horizons for s in (-1, 1)), TWO_PI]
+    cuts = [0.0, *(h + s * eps for h in nmap.horizons for s in (-1, 1)), TWO_PI]
     t_h, g1, g2 = config.theta_h, config.gamma1, config.gamma2
     ends = (t_h - g1, t_h + g1, TWO_PI - t_h - g2, TWO_PI - t_h + g2)
     total = 0.0

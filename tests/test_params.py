@@ -188,3 +188,160 @@ def test_every_default_is_set_by_some_call():
                    for n_pos, keywords, star, star_kw in sites.get(name, ())):
             unset.append(f"{where} {name}({param})")
     assert unset == []
+
+
+# Public names no command or script reaches, kept as oracles or oracle inputs.
+REACH_ALLOWLIST = {
+    # the finite-temperature D(t); wiring it into the CLI adds an option (ROADMAP item 4)
+    "decoherence.diffusion_thermal",
+    "decoherence.diffusion_thermal_oracle",
+    # the inputs of the e_r oracle (ROADMAP item 6)
+    "environment.noise_kernel",
+    "environment.dissipation_kernel",
+    "characteristics.mode_function",
+    "correlations.retarded_green",
+    # the forward closed form that matched_x0 and core_left_x0 invert
+    "characteristics.left_characteristic",
+    # the independent c(theta) of the Richardson T_H oracle and the 1/(c+v) quadrature
+    "profiles.RingProfile.sound_speed",
+}
+
+
+def _bindings(tree, package_module):
+    """What the imports of a module bind to in the package: name -> ("import",
+    module, name) or ("module", module), "__init__" standing for the package.
+    package_module: the tree is a module of the package (relative imports)."""
+    bound = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            if package_module and node.level == 1:
+                source = node.module or "__init__"
+            elif not package_module and (node.module or "").split(".")[0] == "sonicbh":
+                source = node.module.partition(".")[2] or "__init__"
+            else:
+                continue
+            for alias in node.names:
+                bound[alias.asname or alias.name] = ("import", source, alias.name)
+        elif isinstance(node, ast.Import) and not package_module:
+            for alias in node.names:
+                if alias.name.split(".")[0] == "sonicbh":
+                    bound[alias.asname or "sonicbh"] = (
+                        "module", alias.name.partition(".")[2] if alias.asname else "__init__")
+    return bound
+
+
+def _reached(root, allowlisted):
+    """(definitions, reached keys) of root/src/sonicbh.
+
+    A definition key is "module.name" or "module.Class.method".  The roots are
+    cli.main, the module-level code of the package, every file of scripts/
+    and perfbench/ (not perfbench/tests) and the allowlisted keys; a name
+    resolves through the imports, and an attribute of anything but a module
+    reaches every method of that name.  A reached class reaches its dunders.
+    """
+    definitions, scopes, trees = {}, {}, {}
+    for path in sorted((root / "src" / "sonicbh").glob("*.py")):
+        module = path.stem
+        trees[module] = ast.parse(path.read_text(), filename=str(path))
+        scopes[module] = _bindings(trees[module], package_module=True)
+        for node in trees[module].body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                key = f"{module}.{node.name}"
+                definitions[key] = (module, node)
+                scopes[module][node.name] = ("def", key)
+                if isinstance(node, ast.ClassDef):
+                    definitions.update({f"{key}.{item.name}": (module, item)
+                                        for item in node.body
+                                        if isinstance(item, ast.FunctionDef)})
+    methods = {}
+    for key in definitions:
+        if key.count(".") == 2:
+            methods.setdefault(key.rsplit(".", 1)[1], set()).add(key)
+
+    def lookup(scope, name):
+        entry = scope.get(name)
+        if entry is None and scope is scopes["__init__"] and name in scopes:
+            return ("module", name)
+        if entry is not None and entry[0] == "import":
+            return lookup(scopes.get(entry[1], {}), entry[2])
+        return entry
+
+    def resolve(expr, scope):
+        if isinstance(expr, ast.Name):
+            return lookup(scope, expr.id)
+        if isinstance(expr, ast.Attribute) and is_module(expr.value, scope):
+            return lookup(scopes[resolve(expr.value, scope)[1]], expr.attr)
+        return None
+
+    def is_module(expr, scope):
+        return (resolve(expr, scope) or (None,))[0] == "module"
+
+    def references(nodes, scope):
+        out = set()
+        for sub in (sub for node in nodes for sub in ast.walk(node)):
+            if not (isinstance(sub, (ast.Name, ast.Attribute))
+                    and isinstance(sub.ctx, ast.Load)):
+                continue
+            target = resolve(sub, scope)
+            if target is not None and target[0] == "def":
+                out.add(target[1])
+            elif isinstance(sub, ast.Attribute) and not is_module(sub.value, scope):
+                out |= methods.get(sub.attr, set())
+        return out
+
+    todo = {"cli.main", *allowlisted}
+    for module, tree in trees.items():
+        todo |= references([node for node in tree.body if not isinstance(
+            node, (ast.FunctionDef, ast.ClassDef, ast.Import, ast.ImportFrom))], scopes[module])
+    for folder in ("scripts", "perfbench"):
+        for path in sorted((root / folder).glob("*.py")):
+            tree = ast.parse(path.read_text(), filename=str(path))
+            todo |= references([tree], _bindings(tree, package_module=False))
+    reached = set()
+    while todo:
+        key = todo.pop()
+        if key in reached or key not in definitions:
+            continue
+        reached.add(key)
+        module, node = definitions[key]
+        if isinstance(node, ast.ClassDef):
+            body = [item for item in node.body if not isinstance(item, ast.FunctionDef)]
+            todo |= references(node.bases + node.decorator_list + body, scopes[module])
+            todo |= {f"{key}.{item.name}" for item in node.body
+                     if isinstance(item, ast.FunctionDef) and item.name.startswith("__")}
+        else:
+            todo |= references([node], scopes[module])
+    return definitions, reached
+
+
+def test_every_public_name_is_reached():
+    """A public function, class or method of src/sonicbh that no command,
+    script, benchmark file or allowlisted oracle reaches is test-only code:
+    delete it or move it into tests/.  An allowlist entry must name a
+    definition that only the allowlist keeps."""
+    root = Path(__file__).resolve().parents[1]
+    definitions, reached = _reached(root, REACH_ALLOWLIST)
+    _, reached_by_roots = _reached(root, ())
+    public = [key for key in definitions
+              if not any(part.startswith("_") for part in key.split(".")[1:])]
+    assert sorted(key for key in public if key not in reached) == []
+    assert sorted(key for key in REACH_ALLOWLIST
+                  if key not in definitions or key in reached_by_roots) == []
+
+
+def test_no_unused_imports():
+    """Every name a module of src/sonicbh imports is used there; the package's
+    __init__ imports only to re-export."""
+    unused = []
+    for path in sorted((Path(__file__).resolve().parents[1] / "src" / "sonicbh").glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text(), filename=str(path))
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.Import, ast.ImportFrom)) and getattr(
+                    node, "module", None) != "__future__":
+                unused += [f"{path.name}:{node.lineno} {alias.asname or alias.name}"
+                           for alias in node.names
+                           if (alias.asname or alias.name.split(".")[0]) not in used]
+    assert unused == []

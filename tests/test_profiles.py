@@ -6,11 +6,10 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from sonicbh.errors import ConfigError, RegionError, SingularIntegrandError
+from sonicbh.errors import RegionError, SingularIntegrandError
 from sonicbh.params import TWO_PI
-from sonicbh.profiles import (LineProfile, RingProfile, find_horizons,
-                              hawking_temperature_line, hawking_temperature_ring,
-                              null_coordinate, null_coordinate_map, sigma,
+from sonicbh.profiles import (LineProfile, RingProfile, hawking_temperature_line,
+                              hawking_temperature_ring, null_coordinate_map, sigma,
                               sigma_accumulated)
 
 
@@ -90,8 +89,8 @@ def test_ring_continuity_and_periodicity(ring):
     assert ring.velocity(1.0 + TWO_PI, 0.3) == pytest.approx(ring.velocity(1.0, 0.3), rel=1e-15)
 
 
-def test_ring_two_sonic_crossings(ring):
-    assert len(find_horizons(ring)) == 2
+def test_ring_two_sonic_crossings(ring, derived):
+    assert len(null_coordinate_map(ring, "v", derived.delta).horizons) == 2
 
 
 # --------------------------------------------------------------------------
@@ -103,13 +102,6 @@ def test_line_continuity_at_interfaces(line):
         s = line.sigma(t)
         assert line.velocity(line.a, t) == pytest.approx(s * line.v_max, rel=1e-14, abs=1e-300)
         assert line.velocity(-line.a, t) == pytest.approx(s * line.v_min, rel=1e-14, abs=1e-300)
-
-
-def test_line_from_velocities_consistency():
-    lp = LineProfile.from_velocities(0.9, 1.1, 1.0, 1.0)
-    assert lp.kappa == pytest.approx(0.1)
-    with pytest.raises(ConfigError):
-        LineProfile.from_velocities(0.9, 1.3, 1.0, 1.0)
 
 
 @given(st.floats(min_value=-3.0, max_value=3.0), st.floats(min_value=0.0, max_value=50.0))
@@ -155,19 +147,21 @@ def test_null_u_additivity(ring):
 
 def test_null_v_requires_exclusion(ring):
     with pytest.raises(SingularIntegrandError, match="horizon"):
-        null_coordinate(3.0, "v", ring, epsilon=0.0)
+        null_coordinate_map(ring, "v", 0.0)
 
 
-def test_null_v_before_first_horizon_fine(ring):
-    h0 = find_horizons(ring)[0]
-    val = null_coordinate(0.5 * h0, "v", ring, epsilon=0.0)
-    assert math.isfinite(val)
+def test_null_v_before_first_horizon_fine(ring, derived):
+    # short of the first sliver x_v is finite and free of the exclusion width
+    m1 = null_coordinate_map(ring, "v", derived.delta)
+    m2 = null_coordinate_map(ring, "v", 2 * derived.delta)
+    val = m1(0.5 * m1.horizons[0])
+    assert math.isfinite(val) and val == m2(0.5 * m1.horizons[0])
 
 
 def test_null_v_finite_with_exclusion_and_sensitivity(ring, config):
     eps = TWO_PI / config.n_ions
-    v1 = null_coordinate(3.0, "v", ring, epsilon=eps)
-    v2 = null_coordinate(3.0, "v", ring, epsilon=2 * eps)
+    v1 = null_coordinate_map(ring, "v", eps)(3.0)
+    v2 = null_coordinate_map(ring, "v", 2 * eps)(3.0)
     assert math.isfinite(v1) and math.isfinite(v2)
     # the logarithmic horizon divergence makes the value epsilon-dependent;
     # record the sensitivity scale rather than demanding agreement
@@ -175,9 +169,9 @@ def test_null_v_finite_with_exclusion_and_sensitivity(ring, config):
 
 
 def test_null_v_log_divergence_near_horizon(ring, config):
-    h0 = find_horizons(ring)[0]
     eps = TWO_PI / config.n_ions
     m = null_coordinate_map(ring, "v", eps)
+    h0 = m.horizons[0]
     inner = abs(m(h0 - 2 * eps) - m(h0 - 8 * eps))
     outer = abs(m(h0 - 32 * eps) - m(h0 - 128 * eps))
     # each factor-4 approach adds a comparable logarithmic increment
@@ -231,7 +225,8 @@ def _mp_null_total(config, branch, epsilon):
 def test_horizons_against_mpmath_roots(ring, config):
     with mp.workdps(30):
         exact = _mp_horizons(config)
-    assert find_horizons(ring) == pytest.approx([float(h) for h in exact], rel=1e-9)
+    horizons = null_coordinate_map(ring, "v", TWO_PI / config.n_ions).horizons
+    assert horizons == pytest.approx([float(h) for h in exact], rel=1e-9)
 
 
 @pytest.mark.parametrize("branch, epsilon", [("u", 0.0), ("v", None), ("v", 1e-6)])
@@ -261,7 +256,8 @@ def test_ring_temperature_linear_slope(ring, config):
     # on a linear ramp the Richardson-extrapolated difference is exact up to
     # rounding: the closed form 3 hbar v'/(4 pi k_B) against it at both horizons
     h = min(config.gamma1, config.gamma2) / 64.0
-    for index, theta in enumerate(find_horizons(ring)):
+    horizons = null_coordinate_map(ring, "v", TWO_PI / config.n_ions).horizons
+    for index, theta in enumerate(horizons):
         expected = _hawking_richardson(ring, theta, h)
         assert hawking_temperature_ring(ring, horizon_index=index) == pytest.approx(
             expected, rel=1e-8)
@@ -294,7 +290,7 @@ def test_no_horizon_is_an_error(config):
     cfg = replace(config, v_min=0.995 * config.mean_velocity,
                   v_max=1.005 * config.mean_velocity, ion_charge=100.0)
     prof = RingProfile.from_config(cfg)
-    assert not find_horizons(prof)
+    assert null_coordinate_map(prof, "v", TWO_PI / cfg.n_ions).horizons == ()
     with pytest.raises(RegionError):
         hawking_temperature_ring(prof)
 

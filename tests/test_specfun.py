@@ -10,9 +10,8 @@ from hypothesis import strategies as st
 from scipy.special import shichi
 
 from sonicbh.errors import QuadratureError
-from sonicbh.specfun import (chi, fourier_integral, integrate_adaptive, log_cosh,
-                             neville_to_zero, shi, si, stable_shi_chi_combo,
-                             thermal_weight)
+from sonicbh.specfun import (fourier_integral, integrate_adaptive, log_cosh,
+                             neville_to_zero, si, stable_shi_chi_combo, thermal_weight)
 
 mp.mp.dps = 40
 
@@ -39,47 +38,6 @@ def test_si_envelope(x):
 @given(st.floats(min_value=1e-3, max_value=300.0))
 def test_si_shi_odd(x):
     assert si(-x) == -si(x)
-    assert shi(-x) == -shi(x)
-
-
-def test_shi_at_zero():
-    assert shi(0.0) == 0.0
-
-
-def test_chi_domain_error():
-    with pytest.raises(ValueError):
-        chi(0.0)
-    with pytest.raises(ValueError):
-        chi(-1.0)
-
-
-def test_chi_small_argument_series():
-    x = 1e-6
-    assert abs(chi(x) - math.log(x) - np.euler_gamma) < 1e-10
-
-
-def _series_shi(x, terms=60):
-    # sum x^{2k+1} / ((2k+1)(2k+1)!) with factorially shrinking tail
-    total, term = 0.0, x
-    for k in range(terms):
-        n = 2 * k + 1
-        total += term / n
-        term *= x * x / ((n + 1) * (n + 2))
-    return total
-
-
-def _series_chi(x, terms=60):
-    total, term = 0.0, x * x / 2.0
-    for k in range(1, terms):
-        n = 2 * k
-        total += term / n
-        term *= x * x / ((n + 1) * (n + 2))
-    return np.euler_gamma + math.log(x) + total
-
-
-def test_shi_chi_against_series_oracle():
-    assert shi(2.0) == pytest.approx(_series_shi(2.0), rel=1e-13)
-    assert chi(2.0) == pytest.approx(_series_chi(2.0), rel=1e-13)
 
 
 def test_combo_zero_argument_convention():
