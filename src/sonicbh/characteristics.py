@@ -12,7 +12,7 @@ g(t) = int_0^t e^{-kappa F(s)} ds, carrying an amplitude e^{-kappa F}.
 Two evaluation modes coexist and must not be conflated:
 
 * ``trace_characteristic`` integrates the true piecewise dynamics backward
-  (adaptive Runge-Kutta with interface event location) -- the honest map;
+  (adaptive Runge-Kutta) -- the honest map;
 * ``matched_x0`` evaluates the long-time matched closed forms used by the
   analytic correlation formulas, whose interior segment idealizes the
   collapse as instantaneous.  At late times the two differ by O(a)
@@ -138,11 +138,7 @@ def _check_core_confinement(pos, t: float, profile: LineProfile):
 
 @dataclass(frozen=True)
 class CharacteristicMap:
-    branch: str                       # "left" | "right"
-    x: float
-    t: float
     x0: float
-    region_history: tuple             # ((region, entry_time), ...) entry times increasing
     amplitude_factor: float           # right movers: e^{-kappa * inner-time int sigma}
 
 
@@ -158,42 +154,25 @@ def _rhs(branch: str, profile: LineProfile):
     return rhs
 
 
-def _interface_events(a: float):
-    up = lambda t, y: y[0] - a
-    dn = lambda t, y: y[0] + a
-    up.terminal = dn.terminal = False
-    return [up, dn]
-
-
 def trace_characteristic(x: float, t: float, branch: str, profile: LineProfile,
                          rtol: float = 1e-12, atol: float = 1e-13) -> CharacteristicMap:
-    """Backward-trace (x, t) to its t = 0 initial position on the true flow.
-
-    Region history is recorded from t = 0 forward; interface crossings are
-    located by the integrator's event machinery on the dense output.
-    """
+    """Backward-trace (x, t) to its t = 0 initial position on the true flow,
+    with the right-mover amplitude e^{-kappa int sigma} accumulated over the
+    time spent in the transition region (1 for left movers)."""
     if branch not in ("left", "right"):
         raise ValueError(f"branch must be 'left' or 'right', got {branch!r}")
     if t < 0:
         raise ValueError("t must be >= 0")
     if t == 0:
-        return CharacteristicMap(branch, x, t, x, ((_region_of(x, profile.a), 0.0),), 1.0)
+        return CharacteristicMap(x, 1.0)
     sol = solve_ivp(_rhs(branch, profile), (t, 0.0), [x, 0.0],
-                    method="RK45", rtol=rtol, atol=atol,
-                    events=_interface_events(profile.a), dense_output=True)
+                    method="RK45", rtol=rtol, atol=atol)
     if not sol.success:
         raise RuntimeError(f"backward trace failed: {sol.message}")
     x0 = float(sol.y[0, -1])
     z_total = float(sol.y[1, 0] - sol.y[1, -1])  # int sigma*kappa over inner segments
-    crossings = sorted(float(te) for ev in sol.t_events for te in ev)
-    history = [(_region_of(x0, profile.a), 0.0)]
-    for j, tc in enumerate(crossings):
-        nxt = crossings[j + 1] if j + 1 < len(crossings) else t
-        region = _region_of(float(sol.sol(0.5 * (tc + nxt))[0]), profile.a)
-        if region != history[-1][0]:
-            history.append((region, tc))
     amp = math.exp(-z_total) if branch == "right" else 1.0
-    return CharacteristicMap(branch, x, t, x0, tuple(history), amp)
+    return CharacteristicMap(x0, amp)
 
 
 def forward_characteristic(x0: float, t: float, branch: str, profile: LineProfile,
@@ -227,12 +206,21 @@ def matched_x0(x: float, t: float, profile: LineProfile) -> float:
     if x > xp:
         return x + t - f * profile.v_max
     if x > a:
-        return a * math.exp((x + t - f * profile.v_max - a) / a)
+        return a * math.exp(matched_exponent(x, t, profile))
     if x >= -a:
         return core_left_x0(x, t, profile)
     if x >= -xp:
-        return -a * math.exp(-(x + t - f * profile.v_min - a) / a)
+        return -a * math.exp(matched_exponent(x, t, profile))
     return x + t - f * profile.v_min
+
+
+def matched_exponent(x: float, t: float, profile: LineProfile) -> float:
+    """ln(|x0|/a) of the interface-matched exponentials of ``matched_x0``:
+    (x + t - F v_max - a)/a outside (x > a), -(x + t - F v_min - a)/a inside."""
+    a, f = profile.a, profile.sigma_accumulated(t)
+    if x > a:
+        return (x + t - f * profile.v_max - a) / a
+    return -(x + t - f * profile.v_min - a) / a
 
 
 def matched_dx0_dx(x: float, t: float, profile: LineProfile) -> float:

@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .characteristics import (core_integrals, core_left_x0, entanglement_boundary,
-                              matched_x0)
+                              matched_exponent, matched_x0)
 from .errors import ExtrapolationError, RegimeError, RegimeWarning, RegionError
 from .profiles import LineProfile, hawking_temperature_line
 from .specfun import fourier_integral, neville_to_zero, thermal_weight
@@ -37,17 +37,6 @@ from .specfun import fourier_integral, neville_to_zero, thermal_weight
 # --------------------------------------------------------------------------
 
 _EPS_LADDER = (0.08, 0.04, 0.02, 0.01, 0.005)
-
-
-def _regulated_fourier(f, scale: float, trig: str, eps: float,
-                       regulator: str) -> float:
-    if regulator == "exp":
-        g = lambda k: f(k) * math.exp(-eps * k)
-    elif regulator == "gauss":
-        g = lambda k: f(k) * math.exp(-0.5 * (eps * k) ** 2)
-    else:
-        raise ValueError(f"unknown regulator {regulator!r}")
-    return fourier_integral(g, 0.0, scale, kind=trig).value
 
 
 def _extrapolate_eps(values, ladder) -> float:
@@ -61,24 +50,20 @@ def _extrapolate_eps(values, ladder) -> float:
     return est
 
 
-def _remove_regulator(f, separation: float, beta: float, trig: str,
-                      regulator: str) -> float:
+def _remove_regulator(f, separation: float, beta: float, trig: str) -> float:
     """int_0^inf f(k) trig(k |separation|) dk, trig = cos or sin, by regulator removal.
 
-    The regulator widths are _EPS_LADDER in units of min(|separation|, beta);
-    the values are extrapolated to zero width in eps (exponential) or in
-    eps^2 (Gaussian, which is even in eps).
+    The exponential regulator e^{-eps k} takes the widths _EPS_LADDER in
+    units of min(|separation|, beta); the values are extrapolated to eps = 0.
     """
     a = abs(separation)
     ladder = [e * min(a, beta) for e in _EPS_LADDER]
-    vals = [_regulated_fourier(f, a, trig, e, regulator) for e in ladder]
-    if regulator == "gauss":
-        ladder = [e * e for e in ladder]
+    vals = [fourier_integral(lambda k: f(k) * math.exp(-e * k), 0.0, a, kind=trig).value
+            for e in ladder]
     return _extrapolate_eps(vals, ladder)
 
 
-def thermal_momentum_integral(separation: float, beta: float,
-                              regulator: str = "exp") -> float:
+def thermal_momentum_integral(separation: float, beta: float) -> float:
     """Regulated int_0^inf k coth(beta k/2) cos(k * separation) dk.
 
     Distributional value; equals -(pi/beta)^2 csch^2(pi*separation/beta)
@@ -86,29 +71,27 @@ def thermal_momentum_integral(separation: float, beta: float,
     """
     if separation == 0.0:
         raise ValueError("separation must be nonzero")
-    return _remove_regulator(lambda k: thermal_weight(k, beta), separation, beta,
-                             "cos", regulator)
+    return _remove_regulator(lambda k: thermal_weight(k, beta), separation, beta, "cos")
 
 
 # --------------------------------------------------------------------------
 # homogeneous-region correlation
 # --------------------------------------------------------------------------
 
-def corr_homogeneous(dx: float, t: float, beta: float,
-                     regulator: str = "exp") -> complex:
+def corr_homogeneous(dx: float, t: float, beta: float) -> complex:
     """Two-point momentum correlation when both probes share one uniform region.
 
     Spectral form int_0^inf dk/sqrt(2k) k^2 e^{-i k dx} coth(beta k/2): in a
     uniform region (kappa = 0) the value depends on positions only through
     dx and not on t.  The k^{3/2} measure is UV-divergent as written and is
-    defined by exponential-regulator removal (Gaussian regulator available
-    as a cross-check).  No pair peak: the result is translation invariant.
+    defined by exponential-regulator removal.  No pair peak: the result is
+    translation invariant.
     """
     if dx == 0.0:
         raise ValueError("coincident points are UV-singular; need dx != 0")
     f = lambda k: thermal_weight(k, beta, 1.5) / math.sqrt(2.0)
-    re = _remove_regulator(f, dx, beta, "cos", regulator)
-    im = _remove_regulator(f, dx, beta, "sin", regulator)
+    re = _remove_regulator(f, dx, beta, "cos")
+    im = _remove_regulator(f, dx, beta, "sin")
     # e^{-i k dx} with dx of either sign; conjugate under dx -> -dx
     return complex(re, -im if dx > 0 else im)
 
@@ -120,14 +103,6 @@ def corr_homogeneous(dx: float, t: float, beta: float,
 def _log_csch(z: float) -> float:
     """ln csch(z) for z > 0, overflow-safe."""
     return -z + math.log(2.0) - math.log1p(-math.exp(-2.0 * z))
-
-
-def _matched_log_x(x: float, t: float, profile: LineProfile, side: str) -> float:
-    """ln(X/a) for the matched exponentials; side 'in' (x < -a) or 'out' (x > a)."""
-    a, f = profile.a, profile.sigma_accumulated(t)
-    if side == "out":
-        return (x + t - f * profile.v_max - a) / a
-    return -(x + t - f * profile.v_min - a) / a
 
 
 def corr_closed_form(x1: float, x2: float, t: float, beta: float,
@@ -150,8 +125,8 @@ def corr_closed_form(x1: float, x2: float, t: float, beta: float,
             "use corr_homogeneous")
     if beta <= 0:
         raise ValueError("beta must be positive (inf for zero temperature)")
-    ln_x1 = _matched_log_x(x1, t, profile, "in") + math.log(a)
-    ln_x2 = _matched_log_x(x2, t, profile, "out") + math.log(a)
+    ln_x1 = matched_exponent(x1, t, profile) + math.log(a)
+    ln_x2 = matched_exponent(x2, t, profile) + math.log(a)
     ln_pref = ln_x1 + ln_x2 - 2.0 * math.log(a)          # ln(X1 X2 / a^2)
     ln_sum = np.logaddexp(ln_x1, ln_x2)                  # ln(X1 + X2)
     if math.isinf(beta):
@@ -169,23 +144,20 @@ def corr_mode_sum_oracle(x1: float, x2: float, t: float, beta: float,
     Momentum factors: (d/dt + v d/dx) of the mode phase equals d(x0)/dx along
     left movers, evaluated here by central finite differences (step 1e-6) of
     the matched map; thermal weight coth(beta k/2); k integral by regulated
-    Fourier quadrature with extrapolated regulator removal.  For probe pairs
-    outside the wedge the homogeneous spectral form is reproduced instead.
+    Fourier quadrature with extrapolated regulator removal.  Like
+    ``corr_closed_form`` it takes matched pairs only: x1 in (x_minus, -a),
+    x2 in (a, x_plus).
     """
     xm, xp = entanglement_boundary(t, profile)
     a = profile.a
-    matched_pair = (xm < x1 < -a) and (a < x2 < xp)
+    if not ((xm < x1 < -a) and (a < x2 < xp)):
+        raise RegionError(f"mode-sum oracle: ({x1:.6g}, {x2:.6g}) is not a matched "
+                          "inside/outside pair within the wedge; use corr_homogeneous")
     h = 1e-6
     w = lambda x: (matched_x0(x + h, t, profile)
                    - matched_x0(x - h, t, profile)) / (2.0 * h)
-    if matched_pair:
-        sep = matched_x0(x2, t, profile) - matched_x0(x1, t, profile)
-        return w(x1) * w(x2) * thermal_momentum_integral(sep, beta)
-    # outside the wedge both probes must share a uniform region
-    if x1 > xp and x2 > xp:
-        return abs(corr_homogeneous(x1 - x2, t, beta))
-    raise RegionError("mode-sum oracle: probe pair is neither matched "
-                      "(inside/outside within the wedge) nor jointly uniform")
+    sep = matched_x0(x2, t, profile) - matched_x0(x1, t, profile)
+    return w(x1) * w(x2) * thermal_momentum_integral(sep, beta)
 
 
 # --------------------------------------------------------------------------
@@ -194,12 +166,8 @@ def corr_mode_sum_oracle(x1: float, x2: float, t: float, beta: float,
 
 @dataclass
 class CorrelationGrid:
-    t: float
-    x1: float
     x2: np.ndarray
     values: np.ndarray            # |correlation| per sample
-    method: str                   # closed_form | mode_sum_oracle | monte_carlo
-    temperature: float
     regions: list[str] = field(default_factory=list)
     stderr: np.ndarray | None = None
 
@@ -217,9 +185,10 @@ def build_correlation_grid(x1: float, x2_values, t: float, beta: float,
                            profile: LineProfile, method: str = "closed_form") -> CorrelationGrid:
     """Sample |<Pi_L(x1) Pi_L(x2)>| over outside probes x2 > a.
 
-    Region routing: matched closed form while both probes sit inside the
-    wedge, homogeneous spectral form otherwise (including every x2 when the
-    inside probe itself lies beyond x_minus).
+    Region routing: the matched ``method`` (closed form or mode-sum oracle)
+    while both probes sit inside the wedge, homogeneous spectral form
+    otherwise (including every x2 when the inside probe itself lies beyond
+    x_minus).
     """
     xm, xp = entanglement_boundary(t, profile)
     a = profile.a
@@ -236,9 +205,7 @@ def build_correlation_grid(x1: float, x2_values, t: float, beta: float,
         else:
             vals.append(abs(corr_homogeneous(x1 - x2, t, beta)))
             regions.append("uniform")
-    temp = 0.0 if math.isinf(beta) else 1.0 / beta
-    return CorrelationGrid(t=t, x1=x1, x2=x2_values, values=np.array(vals),
-                           method=method, temperature=temp, regions=regions)
+    return CorrelationGrid(x2=x2_values, values=np.array(vals), regions=regions)
 
 
 def detect_peak(grid: CorrelationGrid) -> PeakReport:
@@ -292,7 +259,6 @@ def retarded_green(x: float, t: float, xp: float, tp: float,
 @dataclass(frozen=True)
 class OpenCorrection:
     e_r: float
-    notes: tuple = ()
 
 
 def open_correction_er(k: float, t: float, lam: float, temperature: float,
@@ -315,7 +281,6 @@ def open_correction_er(k: float, t: float, lam: float, temperature: float,
     """
     if k <= 0:
         raise ValueError("k must be positive (left-sector modes, small k)")
-    notes = []
     xm, xp = entanglement_boundary(t, profile)
     if x1 is None:
         x1 = -0.5 * (profile.a + xp)   # mid-wedge inside probe
@@ -324,16 +289,14 @@ def open_correction_er(k: float, t: float, lam: float, temperature: float,
     if lam == 0.0:
         return OpenCorrection(0.0)
     if lam > 1e-3:
-        notes.append("coupling not weak (lam > 1e-3)")
+        warnings.warn("coupling not weak (lam > 1e-3)", RegimeWarning)
     t_h = hawking_temperature_line(profile.v_max, profile.v_min, profile.a)
     if temperature < 10.0 * t_h:
-        notes.append("temperature below the high-T kernel regime (~100 T_H)")
+        warnings.warn("temperature below the high-T kernel regime (~100 T_H)", RegimeWarning)
     if k * profile.a > 1.0:
-        notes.append("k outside the small-k window (k*a > 1)")
-    for msg in notes:
-        warnings.warn(msg, RegimeWarning)
+        warnings.warn("k outside the small-k window (k*a > 1)", RegimeWarning)
 
-    x1_ln = _matched_log_x(x1, t, profile, "in") + math.log(profile.a)
+    x1_ln = matched_exponent(x1, t, profile) + math.log(profile.a)
     x1_val = math.exp(x1_ln)
     a_sep = 2.0 * x1_val                      # peak: X2 = X1
     w1w2 = (x1_val / profile.a) ** 2
@@ -345,4 +308,4 @@ def open_correction_er(k: float, t: float, lam: float, temperature: float,
         t / (2.0 * k ** 2) - math.sin(2.0 * k * t) / (4.0 * k ** 3))
     d_diss = -lam ** 2 * t * p_c
     e_r = abs((d_noise + d_diss) / p_c)
-    return OpenCorrection(e_r=e_r, notes=tuple(notes))
+    return OpenCorrection(e_r=e_r)

@@ -16,6 +16,7 @@ separation rho*delta^2.
 from __future__ import annotations
 
 import math
+import sys
 import warnings
 from dataclasses import dataclass, replace
 from typing import NamedTuple
@@ -23,7 +24,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .environment import EnvironmentSpec, cutoff_factor
-from .errors import QuadratureError, RegimeError, RegimeWarning
+from .errors import RegimeError, RegimeWarning
 from .params import TWO_PI, DerivedParams, PhysicalConfig, derive
 from .profiles import RingProfile, hawking_temperature_ring, null_coordinate_map
 from .specfun import (fourier_integral, integrate_adaptive, si,
@@ -82,27 +83,12 @@ def diffusion_exact(t: float, omega: float, spec: EnvironmentSpec) -> float:
     return 0.5 * g2 * omega / (1.0 + (omega / lam) ** 2) * bracket
 
 
-def _inner_antiderivative(nu: float, omega: float, t: float) -> float:
+def _inner_cos_cos(nu: float, omega: float, t: float) -> float:
+    """int_0^t cos(nu s) cos(omega s) ds by its elementary antiderivative."""
     half_sum = math.sin((nu + omega) * t) / (nu + omega)
     if abs(nu - omega) < 1e-13 * max(nu, omega):
         return 0.5 * (half_sum + t)
     return 0.5 * (half_sum + math.sin((nu - omega) * t) / (nu - omega))
-
-
-def _inner_cos_cos(nu: float, omega: float, t: float) -> float:
-    """int_0^t cos(nu s) cos(omega s) ds.
-
-    Adaptive quadrature while the integrand carries few oscillations
-    ((nu + omega) t <= 40), the elementary antiderivative beyond (both agree
-    to machine precision on the overlap; see the oracle tests).
-    """
-    if (nu + omega) * t <= 40.0:
-        try:
-            return integrate_adaptive(lambda s: math.cos(nu * s) * math.cos(omega * s),
-                                      0.0, t, tol=1e-12).value
-        except QuadratureError:
-            pass
-    return _inner_antiderivative(nu, omega, t)
 
 
 def diffusion_quadrature_oracle(t: float, omega: float, spec: EnvironmentSpec) -> float:
@@ -279,9 +265,13 @@ def decoherence_time(config: PhysicalConfig, derived: DerivedParams, gamma: floa
     if v_eff <= 0:
         raise RegimeError(f"non-positive mode weight V = {v_eff:.3g}")
     hbar, k_b = config.hbar, config.k_boltzmann
-    zero_t = (DECOHERENCE_CRITERION * 2.0 * hbar ** 2
-              / (gamma ** 2 * derived.delta_v * derived.delta ** 2
-                 * omega * math.pi * derived.rho ** 2 * v_eff))
+    numerator = DECOHERENCE_CRITERION * 2.0 * hbar ** 2
+    denominator = (gamma ** 2 * derived.delta_v * derived.delta ** 2
+                   * omega * math.pi * derived.rho ** 2 * v_eff)
+    if not denominator > numerator / sys.float_info.max:
+        raise OverflowError("t_D(0) overflows: its denominator gamma^2 dv delta^2 "
+                            f"omega pi rho^2 V = {denominator:.3g} is too small")
+    zero_t = numerator / denominator
     thermal = -8.0 * (k_b * temperature) ** 2 / (omega ** 3 * math.pi * hbar ** 2)
     t_d = zero_t + thermal
     if t_d <= 0:

@@ -102,6 +102,7 @@ def expected_correlation_curve(x1: float, x2_values, t: float, temperature: floa
     return out
 
 
+@np.errstate(over="raise", invalid="raise")   # moments beyond the float range are refused
 def estimate_correlation(n_realizations: int, x1: float, x2_values, t: float,
                          temperature: float, profile: LineProfile,
                          seed: int = 1234, n_sites: int = 512,
@@ -153,6 +154,5 @@ def estimate_correlation(n_realizations: int, x1: float, x2_values, t: float,
     second /= n_realizations
     ens = Ensemble(realizations=n_realizations, mean=mean, second_moment=second,
                    seed=seed)
-    return CorrelationGrid(t=t, x1=x1, x2=x2_values, values=np.abs(mean),
-                           method="monte_carlo", temperature=temperature,
+    return CorrelationGrid(x2=x2_values, values=np.abs(mean),
                            regions=["mc"] * len(x2_values), stderr=ens.stderr)

@@ -19,8 +19,6 @@ from scipy import integrate, special
 
 from .errors import QuadratureError
 
-EULER_GAMMA = np.euler_gamma
-
 
 def si(x: float) -> float:
     """Sine integral Si(x) = int_0^x sin(t)/t dt.  Odd; tends to pi/2."""

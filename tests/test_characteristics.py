@@ -72,13 +72,6 @@ def test_right_amplitude_saturated_collapse():
 # exact tracing
 # --------------------------------------------------------------------------
 
-def test_trace_records_region_history(line):
-    tr = trace_characteristic(8.0, 100.0, "left", line)
-    regions = [r for r, _ in tr.region_history]
-    assert regions == ["|x|<=a", "x>a"]
-    assert all(t1 < t2 for (_, t1), (_, t2) in zip(tr.region_history, tr.region_history[1:]))
-
-
 def test_trace_amplitude_left_is_unity(line):
     assert trace_characteristic(3.0, 20.0, "left", line).amplitude_factor == 1.0
 

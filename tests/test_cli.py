@@ -62,6 +62,16 @@ def test_correlation_command_reproduces_long_time_curve(tmp_path):
     assert vals.max() == pytest.approx(0.25, rel=0.05)
 
 
+def test_tdec_sweep_underflowing_gamma_is_point_error(tmp_path, recwarn):
+    # gamma^2 underflows to 0: each point is refused, none written as t_D = inf
+    code, out = _run(tmp_path, "tdec-sweep", "--axis", "gamma",
+                     "--from", "1e-300", "--to", "1e-299", "--points", "2")
+    assert code == 0
+    manifest, _, rows = _rows(out)
+    assert "point_errors=2" in manifest and rows == []
+    assert not recwarn.list
+
+
 def test_tdec_sweep_gamma_scaling(tmp_path):
     code, out = _run(tmp_path, "tdec-sweep", "--axis", "gamma",
                      "--from", "1e-8", "--to", "1e-5", "--points", "7", "--log")
@@ -226,6 +236,8 @@ def test_output_written_atomically(tmp_path):
     (["er", "--k", "-0.05", "--t-min", "40", "--t-max", "100"], None, 2),
     (["hawking"], {"v_min": "-1.0"}, 4),
     (["vcoef", "--max-modes", "3"], {"v_min": "-1.0"}, 4),
+    (["langevin", "--t", "30", "--x1", "-1.2", "--realizations", "100",
+      "--temperature", "1e200"], None, 3),
 ], ids=["missing-config", "radius-inf", "line-kappa-nan", "omega-0", "omega-minus-0",
         "langevin-temperature-nan", "temperature-beyond-100-th", "negative-gamma",
         "coupling-eff-key", "langevin-sites-0", "langevin-realizations-1",
@@ -235,7 +247,8 @@ def test_output_written_atomically(tmp_path):
         "correlation-points-15", "er-vanishing-closed-correlator", "vcoef-epsilon-0",
         "vcoef-epsilon-negative", "correlation-t-negative", "langevin-t-negative",
         "vcoef-epsilon-wider-than-ring", "vcoef-epsilon-slivers-leave-ring", "er-k-0",
-        "er-k-negative", "hawking-ring-flow-negative", "vcoef-ring-flow-negative"])
+        "er-k-negative", "hawking-ring-flow-negative", "vcoef-ring-flow-negative",
+        "langevin-moments-overflow"])
 def test_malformed_input_refused(tmp_path, capsys, argv, config, code):
     """Refused with the documented exit code and one JSON record, no traceback."""
     prefix = ["--output", str(tmp_path / "x.csv")]

@@ -16,7 +16,8 @@ from sonicbh.correlations import (CorrelationGrid, build_correlation_grid,
                                   thermal_momentum_integral)
 from sonicbh.errors import RegimeError, RegimeWarning, RegionError
 from sonicbh.profiles import LineProfile
-from sonicbh.specfun import integrate_adaptive, neville_to_zero
+from sonicbh.specfun import (fourier_integral, integrate_adaptive, neville_to_zero,
+                             thermal_weight)
 
 from conftest import LINE_T_HAWKING, mode_function_pde_residual
 
@@ -66,9 +67,20 @@ def test_thermal_momentum_integral_against_csch(sep, beta):
     assert val == pytest.approx(expected, rel=1e-6)
 
 
+def _gauss_ladder(f, separation, beta, trig, eps_ladder=(0.08, 0.04, 0.02, 0.01, 0.005)):
+    """Oracle: int_0^inf f(k) trig(k |separation|) dk with the Gaussian regulator
+    e^{-(eps k)^2/2}, eps in units of min(|separation|, beta), removed by
+    extrapolation in eps^2 (the regulated value is even in eps)."""
+    a = abs(separation)
+    ladder = [e * min(a, beta) for e in eps_ladder]
+    vals = [fourier_integral(lambda k: f(k) * math.exp(-0.5 * (e * k) ** 2),
+                             0.0, a, kind=trig).value for e in ladder]
+    return neville_to_zero([e * e for e in ladder], vals)
+
+
 def test_thermal_momentum_integral_gauss_regulator_agrees():
-    a = thermal_momentum_integral(0.3, 2.5, regulator="exp")
-    b = thermal_momentum_integral(0.3, 2.5, regulator="gauss")
+    a = thermal_momentum_integral(0.3, 2.5)
+    b = _gauss_ladder(lambda k: thermal_weight(k, 2.5), 0.3, 2.5, "cos")
     assert a == pytest.approx(b, rel=1e-6)
 
 
@@ -91,8 +103,10 @@ def test_homogeneous_conjugation(line):
 
 
 def test_homogeneous_two_regulator_families_agree():
-    v_exp = corr_homogeneous(-16.0, T_LONG, 5.0, regulator="exp")
-    v_gau = corr_homogeneous(-16.0, T_LONG, 5.0, regulator="gauss")
+    v_exp = corr_homogeneous(-16.0, T_LONG, 5.0)
+    f = lambda k: thermal_weight(k, 5.0, 1.5) / math.sqrt(2.0)
+    # dx < 0: e^{-i k dx} has imaginary part +sin(k |dx|)
+    v_gau = complex(_gauss_ladder(f, -16.0, 5.0, "cos"), _gauss_ladder(f, -16.0, 5.0, "sin"))
     assert v_exp == pytest.approx(v_gau, rel=1e-6)
 
 
@@ -162,12 +176,12 @@ def test_closed_vs_mode_sum_finite_temperature(line):
         assert o == pytest.approx(c, rel=1e-4)
 
 
-def test_mode_sum_reduces_to_homogeneous_beyond_wedge(line):
+def test_mode_sum_refuses_pairs_beyond_wedge(line):
+    # matched pairs only, as the closed form: a grid routes the rest to corr_homogeneous
     xp = entanglement_boundary(T_LONG, line)[1]
-    x1, x2 = xp + 2.0, xp + 5.0
-    o = corr_mode_sum_oracle(x1, x2, T_LONG, 5.0, line)
-    h = abs(corr_homogeneous(x1 - x2, T_LONG, 5.0))
-    assert o == pytest.approx(h, rel=1e-10)
+    for x1, x2 in ((xp + 2.0, xp + 5.0), (-4.0, xp + 1.0), (-xp - 1.0, 4.0)):
+        with pytest.raises(RegionError, match="corr_homogeneous"):
+            corr_mode_sum_oracle(x1, x2, T_LONG, 5.0, line)
 
 
 def test_mode_sum_thermal_tail_is_negligible(line):
@@ -207,8 +221,7 @@ def test_detect_peak_needs_samples(line):
 
 
 def test_flat_grid_has_no_peak():
-    grid = CorrelationGrid(t=1.0, x1=0.0, x2=np.linspace(0, 1, 32),
-                           values=np.ones(32), method="closed_form", temperature=0.0)
+    grid = CorrelationGrid(x2=np.linspace(0, 1, 32), values=np.ones(32))
     assert not detect_peak(grid).present
 
 

@@ -120,30 +120,38 @@ def test_default_config_round_trips():
     assert "cutoff_shape" in parse_kv_text(DEFAULT_CONFIG_TEXT)
 
 
-def _call_sites():
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def _program_files(root):
+    """The .py files of src/, scripts/ and perfbench/, without perfbench/tests."""
+    return [path for folder in ("src", "scripts", "perfbench")
+            for path in sorted((root / folder).rglob("*.py"))
+            if "tests" not in path.relative_to(root).parts]
+
+
+def _call_sites(root):
     """name -> [(positional count, keyword names, has *args, has **kwargs)] for
-    every call in src/, scripts/, perfbench/ and tests/."""
-    root = Path(__file__).resolve().parents[1]
+    every call in the program files."""
     sites = {}
-    for folder in ("src", "scripts", "perfbench", "tests"):
-        for path in sorted((root / folder).rglob("*.py")):
-            for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
-                if not isinstance(node, ast.Call):
-                    continue
-                fn = node.func
-                name = fn.attr if isinstance(fn, ast.Attribute) else getattr(fn, "id", None)
-                keywords = {kw.arg for kw in node.keywords}
-                sites.setdefault(name, []).append((
-                    sum(not isinstance(a, ast.Starred) for a in node.args), keywords,
-                    any(isinstance(a, ast.Starred) for a in node.args), None in keywords))
+    for path in _program_files(root):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if not isinstance(node, ast.Call):
+                continue
+            fn = node.func
+            name = fn.attr if isinstance(fn, ast.Attribute) else getattr(fn, "id", None)
+            keywords = {kw.arg for kw in node.keywords}
+            sites.setdefault(name, []).append((
+                sum(not isinstance(a, ast.Starred) for a in node.args), keywords,
+                any(isinstance(a, ast.Starred) for a in node.args), None in keywords))
     return sites
 
 
-def _defaulted_parameters():
+def _defaulted_parameters(root):
     """(called name, parameter, position or None if keyword-only, where) for every
     defaulted parameter in src/sonicbh.  A dataclass field with a default is a
     defaulted parameter of the generated __init__, which the class name calls."""
-    src = Path(__file__).resolve().parents[1] / "src" / "sonicbh"
+    src = root / "src" / "sonicbh"
     out = []
 
     def visit(node, where, cls=None):
@@ -177,17 +185,66 @@ def _defaulted_parameters():
     return out
 
 
-def test_every_default_is_set_by_some_call():
-    """A defaulted parameter that no call in the package, the scripts, the
-    benchmark or the tests ever passes is a constant in disguise."""
-    sites = _call_sites()
-    unset = []
-    for name, param, position, where in _defaulted_parameters():
+# Defaulted parameters that only an oracle in tests/ sets.
+DEFAULT_ALLOWLIST = {
+    # C11 probes e_r at a fixed inside probe x1 = -4
+    "open_correction_er(x1)",
+    # the uniform pre-collapse ring oracle: x_u = x/(c + v) at t = 0
+    "null_coordinate_map(t)",
+    "sound_speed(t)",
+    # the Richardson T_H oracle checks both horizons
+    "hawking_temperature_ring(horizon_index)",
+}
+
+
+def _unset_defaults(root):
+    """{"name(param)": where} of every defaulted parameter that no call in the
+    program files passes."""
+    sites = _call_sites(root)
+    unset = {}
+    for name, param, position, where in _defaulted_parameters(root):
         if not any(param in keywords or star_kw
                    or (position is not None and (n_pos > position or star))
                    for n_pos, keywords, star, star_kw in sites.get(name, ())):
-            unset.append(f"{where} {name}({param})")
-    assert unset == []
+            unset[f"{name}({param})"] = where
+    return unset
+
+
+def test_every_default_is_set_by_some_call():
+    """A defaulted parameter that no call in the package, the scripts or the
+    benchmark passes is a constant in disguise: tests alone do not justify an
+    option.  An allowlist entry must name a parameter that only tests set."""
+    unset = _unset_defaults(ROOT)
+    assert sorted(f"{where} {key}" for key, where in unset.items()
+                  if key not in DEFAULT_ALLOWLIST) == []
+    assert sorted(DEFAULT_ALLOWLIST - set(unset)) == []
+
+
+def _unread_constants(root):
+    """module.NAME of every module-level UPPER_CASE constant of src/sonicbh that
+    no program file reads, as a name or as an attribute."""
+    reads = set()
+    for path in _program_files(root):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                reads.add(node.id)
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                reads.add(node.attr)
+    unread = []
+    for path in sorted((root / "src" / "sonicbh").glob("*.py")):
+        for node in ast.parse(path.read_text(), filename=str(path)).body:
+            targets = (node.targets if isinstance(node, ast.Assign)
+                       else [node.target] if isinstance(node, ast.AnnAssign) else [])
+            names = [n for t in targets for n in (t.elts if isinstance(t, ast.Tuple) else [t])]
+            unread += [f"{path.stem}.{n.id}" for n in names if isinstance(n, ast.Name)
+                       and n.id.lstrip("_").isupper() and n.id not in reads]
+    return unread
+
+
+def test_every_constant_is_read():
+    """A module-level UPPER_CASE constant of src/sonicbh that nothing in the
+    package, the scripts or the benchmark reads is dead: delete it."""
+    assert _unread_constants(ROOT) == []
 
 
 # Public names no command or script reaches, kept as oracles or oracle inputs.
@@ -319,9 +376,8 @@ def test_every_public_name_is_reached():
     script, benchmark file or allowlisted oracle reaches is test-only code:
     delete it or move it into tests/.  An allowlist entry must name a
     definition that only the allowlist keeps."""
-    root = Path(__file__).resolve().parents[1]
-    definitions, reached = _reached(root, REACH_ALLOWLIST)
-    _, reached_by_roots = _reached(root, ())
+    definitions, reached = _reached(ROOT, REACH_ALLOWLIST)
+    _, reached_by_roots = _reached(ROOT, ())
     public = [key for key in definitions
               if not any(part.startswith("_") for part in key.split(".")[1:])]
     assert sorted(key for key in public if key not in reached) == []
@@ -333,7 +389,7 @@ def test_no_unused_imports():
     """Every name a module of src/sonicbh imports is used there; the package's
     __init__ imports only to re-export."""
     unused = []
-    for path in sorted((Path(__file__).resolve().parents[1] / "src" / "sonicbh").glob("*.py")):
+    for path in sorted((ROOT / "src" / "sonicbh").glob("*.py")):
         if path.name == "__init__.py":
             continue
         tree = ast.parse(path.read_text(), filename=str(path))
