@@ -26,9 +26,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import cumulative_simpson, solve_ivp
-from scipy.interpolate import CubicSpline
-from scipy.optimize import brentq
 
 from .errors import RegionExitError
 from .profiles import LineProfile, sigma_accumulated
@@ -52,6 +49,8 @@ class _CoreIntegrals:
     """Splines for g(t) and I(t); analytic exponential tails beyond t_cut."""
 
     def __init__(self, profile: LineProfile):
+        from scipy.integrate import cumulative_simpson
+        from scipy.interpolate import CubicSpline
         kappa, tau = profile.kappa, profile.tau
         self.kappa, self.tau = kappa, tau
         self.t_cut = max(40.0 * tau, 60.0 / kappa)
@@ -125,6 +124,7 @@ def _check_core_confinement(pos, t: float, profile: LineProfile):
         return
     j = int(np.argmax(outside))
     lo = ts[j - 1] if j > 0 else 0.0
+    from scipy.optimize import brentq
     gap = lambda s: abs(pos(s)) - profile.a
     exit_time = brentq(gap, lo, ts[j], xtol=1e-12) if gap(lo) < 0 else lo
     raise RegionExitError(
@@ -165,6 +165,7 @@ def trace_characteristic(x: float, t: float, branch: str, profile: LineProfile,
         raise ValueError("t must be >= 0")
     if t == 0:
         return CharacteristicMap(x, 1.0)
+    from scipy.integrate import solve_ivp
     sol = solve_ivp(_rhs(branch, profile), (t, 0.0), [x, 0.0],
                     method="RK45", rtol=rtol, atol=atol)
     if not sol.success:
@@ -180,6 +181,7 @@ def forward_characteristic(x0: float, t: float, branch: str, profile: LineProfil
     """Evolve an initial position forward to time t on the true flow."""
     if t == 0:
         return x0
+    from scipy.integrate import solve_ivp
     sol = solve_ivp(_rhs(branch, profile), (0.0, t), [x0, 0.0],
                     method="RK45", rtol=rtol, atol=atol)
     if not sol.success:

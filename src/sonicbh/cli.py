@@ -258,6 +258,9 @@ def _run(args) -> tuple[list, list, dict]:
 
     if args.command == "correlation":
         xm, xp = entanglement_boundary(args.t, line)
+        if args.x2_min is None and xp <= line.a:
+            raise RegimeError(f"the entanglement wedge is empty at t = {args.t:g} "
+                              "(x_plus = a); give --x2-min or a later --t")
         lo = args.x2_min if args.x2_min is not None else line.a + 0.25 * (xp - line.a) / 10
         hi = args.x2_max if args.x2_max is not None else xp + 0.3 * (xp - line.a)
         x2 = np.linspace(lo, hi, args.points)

@@ -212,10 +212,11 @@ def detect_peak(grid: CorrelationGrid) -> PeakReport:
     """Locate and qualify the pair peak on a correlation grid.
 
     location = argmax |value|; background = median of samples farther than
-    15% of the x2 span from it; contrast = height/background.  A peak is
-    ``present`` when the maximum is a strict interior maximum and the
-    contrast exceeds 3 (monotone tails have edge maxima and do not count,
-    however steep).
+    15% of the x2 span from it; contrast = height/background, or over a
+    zero background inf for a positive height and 0 for an all-zero scan.
+    A peak is ``present`` when the maximum is a strict interior maximum and
+    the contrast exceeds 3 (monotone tails have edge maxima and do not
+    count, however steep).
     """
     n = len(grid.x2)
     if n < 16:
@@ -227,7 +228,10 @@ def detect_peak(grid: CorrelationGrid) -> PeakReport:
     window = 0.15 * span
     off = np.abs(grid.x2 - location) > window
     background = float(np.median(vals[off])) if off.sum() >= 4 else float(np.median(vals))
-    contrast = math.inf if background == 0.0 else height / background
+    if background != 0.0:
+        contrast = height / background
+    else:
+        contrast = math.inf if height > 0.0 else 0.0
     interior = 0 < idx < n - 1 and vals[idx] > vals[idx - 1] and vals[idx] > vals[idx + 1]
     return PeakReport(location=location, height=height, background=background,
                       contrast=contrast, present=bool(interior and contrast > 3.0))

@@ -27,7 +27,6 @@ class Ensemble:
     realizations: int
     mean: np.ndarray
     second_moment: np.ndarray
-    seed: int
 
     @property
     def stderr(self) -> np.ndarray:
@@ -152,7 +151,6 @@ def estimate_correlation(n_realizations: int, x1: float, x2_values, t: float,
         done += b
     mean /= n_realizations
     second /= n_realizations
-    ens = Ensemble(realizations=n_realizations, mean=mean, second_moment=second,
-                   seed=seed)
+    ens = Ensemble(realizations=n_realizations, mean=mean, second_moment=second)
     return CorrelationGrid(x2=x2_values, values=np.abs(mean),
                            regions=["mc"] * len(x2_values), stderr=ens.stderr)

@@ -4,7 +4,8 @@ Scalar, pure, reentrant.  The trigonometric/hyperbolic integrals are the
 building blocks of the exact diffusion coefficient; the thermal weight is
 shared by the bath kernels, the correlations and the Monte-Carlo sampler;
 the quadrature helpers back every brute-force oracle in the package and are
-its only entry to QUADPACK.
+its only entry to QUADPACK.  scipy is imported inside the functions that
+call it, so a command that never integrates does not pay for loading it.
 """
 
 from __future__ import annotations
@@ -15,13 +16,13 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy import integrate, special
 
 from .errors import QuadratureError
 
 
 def si(x: float) -> float:
     """Sine integral Si(x) = int_0^x sin(t)/t dt.  Odd; tends to pi/2."""
+    from scipy import special
     return float(special.sici(x)[0])
 
 
@@ -31,6 +32,7 @@ _ASYMPTOTIC_SWITCH = 50.0
 def _e1_scaled(x: float) -> float:
     """e^x E_1(x) for x > 0, stable for arbitrarily large x."""
     if x < _ASYMPTOTIC_SWITCH:
+        from scipy import special
         return float(np.exp(x) * special.exp1(x))
     # Divergent asymptotic series, truncated at its smallest term.
     total, term = 0.0, 1.0 / x
@@ -46,6 +48,7 @@ def _e1_scaled(x: float) -> float:
 def _ei_scaled(x: float) -> float:
     """e^{-x} Ei(x) for x > 0, stable for arbitrarily large x."""
     if x < _ASYMPTOTIC_SWITCH:
+        from scipy import special
         return float(np.exp(-x) * special.expi(x))
     total, term = 0.0, 1.0 / x
     for n in range(1, 40):
@@ -120,6 +123,7 @@ def integrate_adaptive(f: Callable[[float], float], a: float, b: float,
     Raises QuadratureError when the integrator reports non-convergence
     (carrying the partial result) or f returns a non-finite value.
     """
+    from scipy import integrate
     if not tol > 0:
         raise ValueError("tol must be positive")
     kwargs = dict(epsabs=tol, epsrel=rel_tol, limit=limit, full_output=1)
@@ -150,6 +154,7 @@ def fourier_integral(f: Callable[[float], float], a: float, omega: float,
     oscillatory-weight routine on a finite [a, b], which stays accurate over
     many oscillations.  A non-finite value of f raises QuadratureError.
     """
+    from scipy import integrate
     if kind not in ("cos", "sin"):
         raise ValueError(f"kind must be 'cos' or 'sin', got {kind!r}")
     if omega <= 0:

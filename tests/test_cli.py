@@ -1,10 +1,14 @@
 import json
 import math
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+import sonicbh
 from sonicbh.cli import main
 from sonicbh.decoherence import allowed_frequencies, decoherence_time, v_coefficients
 from sonicbh.params import DEFAULT_CONFIG_TEXT, derive, load_config, parse_kv_text
@@ -60,6 +64,15 @@ def test_correlation_command_reproduces_long_time_curve(tmp_path):
     assert "peak_present=true" in manifest
     vals = np.array([float(r[1]) for r in rows])
     assert vals.max() == pytest.approx(0.25, rel=0.05)
+
+
+def test_correlation_all_zero_scan_has_no_peak(tmp_path):
+    # at t = 1e300 the matched exponentials underflow: every sample is 0
+    code, out = _run(tmp_path, "correlation", "--t", "1e300", "--x1", "-4", "--points", "16")
+    assert code == 0
+    manifest, _, rows = _rows(out)
+    assert all(float(r[1]) == 0.0 for r in rows)
+    assert "peak_contrast=0 " in manifest and "peak_present=false" in manifest
 
 
 def test_tdec_sweep_underflowing_gamma_is_point_error(tmp_path, recwarn):
@@ -238,6 +251,7 @@ def test_output_written_atomically(tmp_path):
     (["vcoef", "--max-modes", "3"], {"v_min": "-1.0"}, 4),
     (["langevin", "--t", "30", "--x1", "-1.2", "--realizations", "100",
       "--temperature", "1e200"], None, 3),
+    (["correlation", "--t", "0", "--x1", "-4", "--points", "16"], None, 4),
 ], ids=["missing-config", "radius-inf", "line-kappa-nan", "omega-0", "omega-minus-0",
         "langevin-temperature-nan", "temperature-beyond-100-th", "negative-gamma",
         "coupling-eff-key", "langevin-sites-0", "langevin-realizations-1",
@@ -248,7 +262,7 @@ def test_output_written_atomically(tmp_path):
         "vcoef-epsilon-negative", "correlation-t-negative", "langevin-t-negative",
         "vcoef-epsilon-wider-than-ring", "vcoef-epsilon-slivers-leave-ring", "er-k-0",
         "er-k-negative", "hawking-ring-flow-negative", "vcoef-ring-flow-negative",
-        "langevin-moments-overflow"])
+        "langevin-moments-overflow", "correlation-t-0"])
 def test_malformed_input_refused(tmp_path, capsys, argv, config, code):
     """Refused with the documented exit code and one JSON record, no traceback."""
     prefix = ["--output", str(tmp_path / "x.csv")]
@@ -278,3 +292,147 @@ def test_vcoef_epsilon_below_horizon_tolerance_refused(tmp_path, capsys, epsilon
     assert len(lines) == 1
     assert json.loads(lines[0])["error"] == "SingularIntegrandError"
     assert not (tmp_path / "x.csv").exists()
+
+
+# ---------------------------------------------------------------------------
+# fresh interpreters: start-up cost and crash freedom
+# ---------------------------------------------------------------------------
+
+_SRC = os.path.dirname(os.path.dirname(os.path.abspath(sonicbh.__file__)))
+
+# Runs cli.main on its arguments (none: import only), then reports on stdout
+# whether scipy was loaded.
+_PROBE = """import sys
+from sonicbh.cli import main
+code = main(sys.argv[1:]) if len(sys.argv) > 1 else 0
+print("scipy" in sys.modules)
+sys.exit(code)
+"""
+
+
+def _fresh_interpreter(cwd, argv, script=("-c", _PROBE)):
+    """Run argv in a new interpreter, one at a time, with the package on its path."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (_SRC, os.environ.get("PYTHONPATH")) if p))
+    env.pop("SONICBH_CONFIG", None)
+    return subprocess.run([sys.executable, *script, *argv], cwd=cwd, env=env,
+                          capture_output=True, text=True, timeout=60)
+
+
+_SWEEP = {"gamma": ("1e-7", "1e-6"), "v_min": ("0.1", "0.3"), "temperature": ("0.1", "1")}
+
+
+@pytest.mark.parametrize("argv, config, code, scipy_loaded", [
+    ([], None, 0, False),
+    (["hawking"], None, 0, False),
+    (["vcoef", "--max-modes", "5"], None, 0, False),
+    *[(["tdec-sweep", "--axis", axis, "--from", lo, "--to", hi, "--points", "3"],
+       "ring200", 0, False) for axis, (lo, hi) in _SWEEP.items()],
+    (["boundary", "--points", "8"], None, 0, False),
+    (["er", "--k", "0.05", "--t-min", "40", "--t-max", "100", "--points", "2"],
+     None, 0, False),
+    (["langevin", "--t", "30", "--x1", "-1.2", "--realizations", "200", "--points", "8"],
+     None, 0, False),
+    (["correlation", "--t", "100", "--x1", "-4", "--beta", "nan"], None, 2, False),
+    (["hawking"], "missing", 2, False),
+    (["diffusion", "--omega", "2", "--t-min", "0.01", "--t-max", "10", "--points", "2",
+      "--oracle"], None, 0, True),
+    (["correlation", "--t", "100", "--x1", "-4", "--points", "16"], None, 0, True),
+], ids=["import", "hawking", "vcoef", "tdec-sweep-gamma", "tdec-sweep-v-min",
+        "tdec-sweep-temperature", "boundary", "er", "langevin-matched",
+        "argument-refusal", "config-refusal", "diffusion-oracle", "correlation"])
+def test_scipy_loaded_only_where_a_command_integrates(tmp_path, argv, config, code,
+                                                      scipy_loaded):
+    """Commands that only evaluate closed forms never import scipy (~0.6 s of
+    start-up); quadrature, splines and root finding import it when called."""
+    prefix = []
+    if argv:
+        prefix = ["--output", str(tmp_path / "x.csv")]
+        if config == "ring200":
+            prefix += ["--config", str(_config_file(
+                tmp_path, n_ions=200, ion_charge=37.6246 * math.sqrt(5.0)))]
+        elif config == "missing":
+            prefix += ["--config", str(tmp_path / "missing.cfg")]
+    proc = _fresh_interpreter(tmp_path, prefix + argv)
+    assert proc.returncode == code, proc.stderr
+    assert proc.stdout.splitlines()[-1] == str(scipy_loaded)
+
+
+# Each option pairs a strategy for its ordinary value with one for adversarial
+# values.  A run corrupts at most two options (or the config path), so most
+# runs get past argument parsing.  Counts stay small and go below each
+# option's minimum: no upper bound refuses a huge count, so it would run.
+_BAD_FLOATS = st.sampled_from(["nan", "inf", "-inf", "0", "-0", "-1", "-1e300"])
+
+
+def _float(ordinary, optional=False):
+    return st.sampled_from([None, ordinary] if optional else [ordinary]), _BAD_FLOATS
+
+
+def _count(ordinary, minimum):
+    return st.just(ordinary), st.sampled_from([minimum - 1, 0, -1]).map(str)
+
+
+def _choice(*values):
+    return st.sampled_from(values), st.sampled_from(values)
+
+
+_FLAG = _choice(None, "")
+
+_SUBCOMMANDS = {
+    "hawking": {},
+    "boundary": {"--t-max": _float("200"), "--points": _count("8", 1)},
+    "diffusion": {"--omega": _float("2"), "--t-min": _float("0.01"),
+                  "--t-max": _float("10"), "--points": _count("2", 1), "--oracle": _FLAG},
+    "vcoef": {"--epsilon": _float("0.01", optional=True), "--max-modes": _count("3", 1)},
+    "tdec-sweep": {"--axis": _choice("gamma", "v_min", "temperature"),
+                   "--from": _float("0.1"), "--to": _float("0.3"),
+                   "--points": _count("2", 1), "--log": _FLAG,
+                   "--gamma": _float("1e-6", optional=True)},
+    "correlation": {"--t": _float("100"), "--x1": _float("-4"),
+                    "--beta": _float("inf", optional=True),
+                    "--x2-min": _float("1.5", optional=True),
+                    "--x2-max": _float("30", optional=True), "--points": _count("16", 16),
+                    "--method": _choice("closed_form", "mode_sum_oracle")},
+    "er": {"--k": _float("0.05"), "--t-min": _float("40"), "--t-max": _float("100"),
+           "--points": _count("2", 1), "--lam": _float("1e-7", optional=True),
+           "--temperature": _float("0.5", optional=True)},
+    "langevin": {"--t": _float("30"), "--x1": _float("-1.2"),
+                 "--temperature": _float("0.5", optional=True),
+                 "--realizations": _count("50", 2), "--sites": _count("64", 4),
+                 "--seed": _count("7", 0), "--x2-min": _float("1.2", optional=True),
+                 "--x2-max": _float("6", optional=True), "--points": _count("4", 1),
+                 "--transport": _choice("matched", "exact")},
+}
+
+
+@st.composite
+def _invocations(draw):
+    """(missing_config, argv) for one subcommand run."""
+    command = draw(st.sampled_from(sorted(_SUBCOMMANDS)))
+    options = _SUBCOMMANDS[command]
+    bad = draw(st.sets(st.sampled_from(["--config", *options]), max_size=2))
+    argv = [command]
+    for option, (ordinary, adversarial) in options.items():
+        value = draw(adversarial if option in bad else ordinary)
+        if value is not None:
+            argv += [option] + ([value] if value else [])
+    return "--config" in bad, argv
+
+
+@settings(max_examples=40, deadline=None)
+@given(invocation=_invocations())
+def test_every_subcommand_exits_cleanly(tmp_path_factory, invocation):
+    """Each run ends in exit 0, 2, 3 or 4; a refusal prints one JSON record."""
+    missing_config, argv = invocation
+    work = tmp_path_factory.mktemp("fuzz")
+    prefix = ["--output", str(work / "x.csv")]
+    if missing_config:
+        prefix += ["--config", str(work / "missing.cfg")]
+    proc = _fresh_interpreter(work, prefix + argv, script=("-m", "sonicbh"))
+    assert "Traceback" not in proc.stderr
+    assert proc.returncode in (0, 2, 3, 4), proc.stderr
+    if proc.returncode:
+        lines = proc.stderr.strip().splitlines()
+        assert len(lines) == 1, proc.stderr
+        assert set(json.loads(lines[0])) == {"error", "message"}

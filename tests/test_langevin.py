@@ -59,5 +59,5 @@ def test_exact_transport_self_consistent(line):
 
 def test_ensemble_stderr_definition():
     ens = Ensemble(realizations=4, mean=np.array([1.0]),
-                   second_moment=np.array([2.0]), seed=0)
+                   second_moment=np.array([2.0]))
     assert ens.stderr[0] == pytest.approx(0.5)
