@@ -32,6 +32,9 @@ from .profiles import LineProfile, sigma_accumulated
 
 REGION_LEFT, REGION_CORE, REGION_RIGHT = "x<-a", "|x|<=a", "x>a"
 
+# RK45 tolerances of the exact traces
+_TRACE_RTOL, _TRACE_ATOL = 1e-12, 1e-13
+
 
 def _region_of(x: float, a: float) -> str:
     if x < -a:
@@ -155,7 +158,8 @@ def _rhs(branch: str, profile: LineProfile):
 
 
 def trace_characteristic(x: float, t: float, branch: str, profile: LineProfile,
-                         rtol: float = 1e-12, atol: float = 1e-13) -> CharacteristicMap:
+                         rtol: float = _TRACE_RTOL,
+                         atol: float = _TRACE_ATOL) -> CharacteristicMap:
     """Backward-trace (x, t) to its t = 0 initial position on the true flow,
     with the right-mover amplitude e^{-kappa int sigma} accumulated over the
     time spent in the transition region (1 for left movers)."""
@@ -176,17 +180,19 @@ def trace_characteristic(x: float, t: float, branch: str, profile: LineProfile,
     return CharacteristicMap(x0, amp)
 
 
-def forward_characteristic(x0: float, t: float, branch: str, profile: LineProfile,
-                           rtol: float = 1e-12, atol: float = 1e-13) -> float:
-    """Evolve an initial position forward to time t on the true flow."""
-    if t == 0:
-        return x0
+def forward_characteristic(x0: float, times, branch: str,
+                           profile: LineProfile) -> np.ndarray:
+    """Positions at the ascending times of the curve launched from x(0) = x0,
+    traced forward on the true flow in one integration."""
+    times = np.asarray(times, dtype=float)
+    if times[-1] == 0:
+        return np.full(times.shape, x0)
     from scipy.integrate import solve_ivp
-    sol = solve_ivp(_rhs(branch, profile), (0.0, t), [x0, 0.0],
-                    method="RK45", rtol=rtol, atol=atol)
+    sol = solve_ivp(_rhs(branch, profile), (0.0, times[-1]), [x0, 0.0],
+                    method="RK45", t_eval=times, rtol=_TRACE_RTOL, atol=_TRACE_ATOL)
     if not sol.success:
         raise RuntimeError(f"forward trace failed: {sol.message}")
-    return float(sol.y[0, -1])
+    return sol.y[0]
 
 
 # --------------------------------------------------------------------------
@@ -278,8 +284,7 @@ def characteristic_fan_rows(profile: LineProfile, branch: str, x0_values,
     rows = []
     ts = np.linspace(0.0, t_max, n_t)
     for x0 in x0_values:
-        for t in ts:
-            x = forward_characteristic(float(x0), float(t), branch, profile,
-                                       rtol=1e-9, atol=1e-10)
-            rows.append((float(t), x, _region_of(x, profile.a), branch))
+        xs = forward_characteristic(float(x0), ts, branch, profile)
+        rows += [(float(t), float(x), _region_of(x, profile.a), branch)
+                 for t, x in zip(ts, xs)]
     return rows

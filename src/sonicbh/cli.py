@@ -248,6 +248,9 @@ def _run(args) -> tuple[list, list, dict]:
         g = args.gamma if args.gamma is not None else gamma
         if g <= 0:
             raise ConfigError("a positive gamma is required (config key or --gamma)")
+        if args.log and min(args.lo, args.hi) <= 0:
+            raise ConfigError(f"--log needs a positive range, got --from {args.lo:g} "
+                              f"--to {args.hi:g}")
         space = np.geomspace if args.log else np.linspace
         values = space(args.lo, args.hi, args.points)
         rows, errs = sweep_decoherence(args.axis, values, config, g,
@@ -263,6 +266,9 @@ def _run(args) -> tuple[list, list, dict]:
                               "(x_plus = a); give --x2-min or a later --t")
         lo = args.x2_min if args.x2_min is not None else line.a + 0.25 * (xp - line.a) / 10
         hi = args.x2_max if args.x2_max is not None else xp + 0.3 * (xp - line.a)
+        if min(lo, hi) <= line.a:
+            raise ConfigError(f"the x2 window [{lo:g}, {hi:g}] must lie beyond "
+                              f"a = {line.a:g}")
         x2 = np.linspace(lo, hi, args.points)
         grid = build_correlation_grid(args.x1, x2, args.t, args.beta, line,
                                       method=args.method)

@@ -224,7 +224,7 @@ def detect_peak(grid: CorrelationGrid) -> PeakReport:
     vals = np.asarray(grid.values, dtype=float)
     idx = int(np.argmax(vals))
     location, height = float(grid.x2[idx]), float(vals[idx])
-    span = float(grid.x2[-1] - grid.x2[0])
+    span = abs(float(grid.x2[-1] - grid.x2[0]))
     window = 0.15 * span
     off = np.abs(grid.x2 - location) > window
     background = float(np.median(vals[off])) if off.sum() >= 4 else float(np.median(vals))

@@ -74,12 +74,8 @@ class LineProfile:
     def sigma_accumulated(self, t: float) -> float:
         return sigma_accumulated(t, self.tau)
 
-    def velocity(self, x, t: float):
-        s = self.sigma(t)
-        x = np.asarray(x, dtype=float)
-        core = 1.0 + self.kappa * np.clip(x, -self.a, self.a)
-        out = s * core
-        return out if out.ndim else float(out)
+    def velocity(self, x: float, t: float) -> float:
+        return self.sigma(t) * (1.0 + self.kappa * min(max(x, -self.a), self.a))
 
 
 # --------------------------------------------------------------------------

@@ -5,7 +5,8 @@ import pytest
 
 from scipy.integrate import solve_ivp
 
-from sonicbh.characteristics import (core_integrals, entanglement_boundary,
+from sonicbh.characteristics import (_region_of, characteristic_fan_rows, core_integrals,
+                                     entanglement_boundary,
                                      forward_characteristic, left_characteristic,
                                      matched_dx0_dx, matched_x0, mode_function,
                                      trace_characteristic)
@@ -92,7 +93,7 @@ def test_round_trip_random_points(line, branch):
             x = float(rng.uniform(lo, hi))
             t = float(rng.uniform(0.1, 25.0))
             tr = trace_characteristic(x, t, branch, line)
-            back = forward_characteristic(tr.x0, t, branch, line)
+            back = forward_characteristic(tr.x0, [t], branch, line)[-1]
             assert back == pytest.approx(x, rel=1e-8, abs=1e-8)
 
 
@@ -100,8 +101,22 @@ def test_characteristics_do_not_cross(line):
     # x0 -> x(t) strictly monotone on a 50-point grid of starting points
     x0s = np.linspace(-6.0, 6.0, 50)
     for t in (3.0, 17.0):
-        xs = [forward_characteristic(float(x0), t, "left", line) for x0 in x0s]
+        xs = [forward_characteristic(float(x0), [t], "left", line)[-1] for x0 in x0s]
         assert np.all(np.diff(xs) > 0)
+
+
+def test_fan_rows_trace_back_to_their_rays(line):
+    # the fan of scripts/run_correlation_scan.py: same profile, rays and times
+    rays, t_max, n_t = [-1.5, -1.0, -0.5, 0.72, 0.9, 1.0, 1.5], 40.0, 60
+    rows = characteristic_fan_rows(line, "left", rays, t_max=t_max, n_t=n_t)
+    assert len(rows) == len(rays) * n_t
+    ts = np.linspace(0.0, t_max, n_t)
+    for i, (t, x, region, branch) in enumerate(rows):
+        x0 = rays[i // n_t]
+        assert t == ts[i % n_t] and branch == "left"
+        assert region == _region_of(x, line.a)
+        back = trace_characteristic(x, t, "left", line, rtol=1e-13, atol=1e-14).x0
+        assert abs(back - x0) <= 1e-10, (x0, t, back - x0)
 
 
 # --------------------------------------------------------------------------

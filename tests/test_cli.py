@@ -252,6 +252,13 @@ def test_output_written_atomically(tmp_path):
     (["langevin", "--t", "30", "--x1", "-1.2", "--realizations", "100",
       "--temperature", "1e200"], None, 3),
     (["correlation", "--t", "0", "--x1", "-4", "--points", "16"], None, 4),
+    (["tdec-sweep", "--axis", "temperature", "--from", "0", "--to", "0.3", "--points", "2",
+      "--log"], None, 2),
+    (["tdec-sweep", "--axis", "temperature", "--from", "-1", "--to", "0.3", "--points", "2",
+      "--log"], None, 2),
+    (["correlation", "--t", "100", "--x1", "-4", "--x2-min", "-1"], None, 2),
+    (["correlation", "--t", "100", "--x1", "-4", "--x2-min", "1.5", "--x2-max", "-1"],
+     None, 2),
 ], ids=["missing-config", "radius-inf", "line-kappa-nan", "omega-0", "omega-minus-0",
         "langevin-temperature-nan", "temperature-beyond-100-th", "negative-gamma",
         "coupling-eff-key", "langevin-sites-0", "langevin-realizations-1",
@@ -262,7 +269,9 @@ def test_output_written_atomically(tmp_path):
         "vcoef-epsilon-negative", "correlation-t-negative", "langevin-t-negative",
         "vcoef-epsilon-wider-than-ring", "vcoef-epsilon-slivers-leave-ring", "er-k-0",
         "er-k-negative", "hawking-ring-flow-negative", "vcoef-ring-flow-negative",
-        "langevin-moments-overflow", "correlation-t-0"])
+        "langevin-moments-overflow", "correlation-t-0", "tdec-sweep-log-from-0",
+        "tdec-sweep-log-from-negative", "correlation-x2-min-inside",
+        "correlation-x2-max-inside"])
 def test_malformed_input_refused(tmp_path, capsys, argv, config, code):
     """Refused with the documented exit code and one JSON record, no traceback."""
     prefix = ["--output", str(tmp_path / "x.csv")]
@@ -423,7 +432,8 @@ def _invocations(draw):
 @settings(max_examples=40, deadline=None)
 @given(invocation=_invocations())
 def test_every_subcommand_exits_cleanly(tmp_path_factory, invocation):
-    """Each run ends in exit 0, 2, 3 or 4; a refusal prints one JSON record."""
+    """Each run ends in exit 0, 2, 3 or 4; a refusal prints one JSON record,
+    a success no warning."""
     missing_config, argv = invocation
     work = tmp_path_factory.mktemp("fuzz")
     prefix = ["--output", str(work / "x.csv")]
@@ -432,7 +442,9 @@ def test_every_subcommand_exits_cleanly(tmp_path_factory, invocation):
     proc = _fresh_interpreter(work, prefix + argv, script=("-m", "sonicbh"))
     assert "Traceback" not in proc.stderr
     assert proc.returncode in (0, 2, 3, 4), proc.stderr
-    if proc.returncode:
+    if proc.returncode == 0:
+        assert "Warning" not in proc.stderr, proc.stderr
+    else:
         lines = proc.stderr.strip().splitlines()
         assert len(lines) == 1, proc.stderr
         assert set(json.loads(lines[0])) == {"error", "message"}

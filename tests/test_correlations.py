@@ -242,6 +242,14 @@ def test_peak_height_weakly_dependent_on_probe_depth(line):
     assert h6 == pytest.approx(h4, rel=1e-2)
 
 
+def test_reversed_grid_gives_same_peak(line):
+    # the off-peak window is 15% of |span|: the sample order must not matter
+    x2 = np.linspace(1.5, 30.0, 64)
+    ascending = detect_peak(build_correlation_grid(-4.0, x2, T_LONG, math.inf, line))
+    reversed_ = detect_peak(build_correlation_grid(-4.0, x2[::-1], T_LONG, math.inf, line))
+    assert reversed_ == ascending
+
+
 def test_probe_beyond_wedge_has_no_peak(line):
     assert not detect_peak(_grid(line, -11.5, hi=14.0, n=64)).present
 

@@ -111,6 +111,15 @@ def test_line_velocity_bounded(x, t):
     assert 0.0 <= v <= lp.v_max + 1e-15
 
 
+@given(st.one_of(st.floats(), st.sampled_from([1.0, -1.0, 0.0, -0.0, math.nan])),
+       st.floats(min_value=0.0, max_value=50.0))
+def test_line_velocity_matches_array_clip(x, t):
+    # scalar min/max clamp == np.clip bit for bit, at +-a and for NaN too
+    lp = LineProfile(a=1.0, kappa=0.1, tau=1.0)
+    reference = np.float64(lp.sigma(t) * (1.0 + lp.kappa * np.clip(x, -lp.a, lp.a)))
+    assert np.float64(lp.velocity(x, t)).tobytes() == reference.tobytes()
+
+
 # --------------------------------------------------------------------------
 # null coordinates
 # --------------------------------------------------------------------------
