@@ -1,18 +1,26 @@
 """Characteristic curves of the collapsing channel flow and mode functions.
 
-Left movers ride dx/dt = v(x,t) - 1, right movers dx/dt = v(x,t) + 1.  In
-the transition region |x| <= a the left-mover curves have the closed form
+Left movers ride dx/dt = v(x,t) - 1, right movers dx/dt = v(x,t) + 1, with
+v = sigma(t) v_min for x < -a, sigma(t) (1 + kappa x) for |x| <= a and
+sigma(t) v_max for x > a.  Every piece is solvable in closed form.  With
+F(t) = int_0^t sigma,
 
-    x(t) = e^{kappa F(t)} ( x0 - I(t) ),     F(t) = int_0^t sigma,
-    I(t) = int_0^t (1 - sigma(s)) e^{-kappa F(s)} ds,
+    outside:  x(t) = x_i + v_c (F(t) - F(t_i)) -+ (t - t_i),
+    inside:   x(t) = e^{kappa F(t)} ( x0 - I(t) )             (left movers),
+              x(t) = e^{kappa F(t)} ( x0 + 2 g(t) - I(t) )    (right movers),
 
-and the right movers x(t) = e^{kappa F}(x0 + 2 g(t) - I(t)) with
-g(t) = int_0^t e^{-kappa F(s)} ds, carrying an amplitude e^{-kappa F}.
+    I(t) = int_0^t (1 - sigma(s)) e^{-kappa F(s)} ds,  g(t) = int_0^t e^{-kappa F(s)} ds,
+
+so a curve is a chain of legs joined where it crosses x = +-a.  A crossing
+time is the root of a gap that is monotone on either side of
+s* = tau atanh(1/v_max), the moment sigma v_max - 1 changes sign.  The map
+x -> x0 has the Jacobian dx0/dx = e^{-kappa int sigma} over the time the
+curve spends inside, which is also the right-mover amplitude.
 
 Two evaluation modes coexist and must not be conflated:
 
-* ``trace_characteristic`` integrates the true piecewise dynamics backward
-  (adaptive Runge-Kutta) -- the honest map;
+* ``trace_characteristic`` and ``forward_characteristic`` follow the true
+  piecewise dynamics -- the honest map;
 * ``matched_x0`` evaluates the long-time matched closed forms used by the
   analytic correlation formulas, whose interior segment idealizes the
   collapse as instantaneous.  At late times the two differ by O(a)
@@ -21,19 +29,20 @@ Two evaluation modes coexist and must not be conflated:
 
 from __future__ import annotations
 
+import bisect
 import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import RegionExitError
-from .profiles import LineProfile, sigma_accumulated
+from .profiles import LineProfile
+from .specfun import betainc_regularized
 
 REGION_LEFT, REGION_CORE, REGION_RIGHT = "x<-a", "|x|<=a", "x>a"
 
-# RK45 tolerances of the exact traces
-_TRACE_RTOL, _TRACE_ATOL = 1e-12, 1e-13
+# Gauss-Legendre nodes of the early-time core integrals
+_GAUSS_NODES = 24
 
 
 def _region_of(x: float, a: float) -> str:
@@ -45,46 +54,70 @@ def _region_of(x: float, a: float) -> str:
 
 
 # --------------------------------------------------------------------------
-# cached transition-region integrals
+# transition-region integrals in closed form
 # --------------------------------------------------------------------------
 
 class _CoreIntegrals:
-    """Splines for g(t) and I(t); analytic exponential tails beyond t_cut."""
+    """g(t) and I(t) of one profile.
+
+    With m = kappa tau and y = 1/(1 + e^{2t/tau}), e^{-kappa F} = cosh^{-m}(t/tau)
+    turns both into incomplete beta functions:
+
+        I(t) = tau 2^m B(m/2 + 1, m/2) [I_{1/2} - I_y](m/2 + 1, m/2),
+        g(t) = (tau/2) 2^m B(m/2, m/2) [I_{1/2} - I_y](m/2, m/2).
+
+    Below t = tau / max(1, sqrt(m)) the difference cancels, and a fixed
+    Gauss-Legendre rule in s on [0, t] takes over: there the integrands are
+    analytic and vary on the scale of the interval at most.
+    """
 
     def __init__(self, profile: LineProfile):
-        from scipy.integrate import cumulative_simpson
-        from scipy.interpolate import CubicSpline
-        kappa, tau = profile.kappa, profile.tau
-        self.kappa, self.tau = kappa, tau
-        self.t_cut = max(40.0 * tau, 60.0 / kappa)
-        # log-graded grid so queries resolve at any scale between 1e-14 t_cut
-        # and t_cut, regardless of how tau and 1/kappa compare
-        grid = np.unique(np.concatenate([
-            [0.0],
-            np.geomspace(self.t_cut * 1e-14, self.t_cut, 6000),
-            np.linspace(0.0, min(12.0 * tau, self.t_cut), 2000),
-        ]))
-        f_over = np.array([sigma_accumulated(t, tau) for t in grid])
-        decay = np.exp(-kappa * f_over)             # e^{-kappa F(t)}
-        sig = np.tanh(grid / tau)
-        g = cumulative_simpson(decay, x=grid, initial=0.0)
-        i_ = cumulative_simpson((1.0 - sig) * decay, x=grid, initial=0.0)
-        self._g = CubicSpline(grid, g)
-        self._i = CubicSpline(grid, i_)
-        self._g_cut = float(g[-1])
-        self._i_inf = float(i_[-1])   # integrand ~ e^{-(2/tau+kappa)t}: dead at t_cut
+        from numpy.polynomial.legendre import leggauss
+        tau, m = profile.tau, profile.kappa * profile.tau
+        self.tau, self.m = tau, m
+        self.t_gauss = tau / max(1.0, math.sqrt(m))
+        nodes, weights = leggauss(_GAUSS_NODES)
+        self._nodes, self._weights = 0.5 * (nodes + 1.0), 0.5 * weights
+        self.i_inf, self._i_tail = self._beta_tail(0.5 * m + 1.0, 0.5 * m, tau)
+        self.g_inf, self._g_tail = self._beta_tail(0.5 * m, 0.5 * m, 0.5 * tau)
+
+    def _beta_tail(self, p: float, q: float, factor: float):
+        """(value at t = inf, t -> factor 2^m B(p, q) I_y(p, q)): the scale
+        composed in the exponent so that a large m cannot overflow, the tail
+        accurate relative to itself however far out."""
+        log_beta = math.lgamma(p) + math.lgamma(q) - math.lgamma(p + q)
+        scale = factor * math.exp(self.m * math.log(2.0) + log_beta)
+
+        def tail(t: float) -> float:
+            u = 2.0 * t / self.tau
+            if u < 700.0:
+                e = math.exp(-u)
+                return scale * betainc_regularized(p, q, e / (1.0 + e))
+            # y underflows long before y^p does at small p; I_y = y^p / (p B) there
+            return scale * math.exp(-p * u - log_beta) / p
+
+        return scale * betainc_regularized(p, q, 0.5), tail
+
+    def _gauss(self, t: float, with_one_minus_sigma: bool) -> float:
+        u = (t / self.tau) * self._nodes
+        f = np.cosh(u) ** -self.m
+        if with_one_minus_sigma:
+            f = f * (1.0 - np.tanh(u))
+        return t * float(self._weights @ f)
 
     def g(self, t: float) -> float:
-        if t <= self.t_cut:
-            return float(self._g(t))
-        # beyond t_cut: e^{-kappa F(s)} = 2^{kappa tau} e^{-kappa s} to ~1e-26;
-        # composed in the exponent so extreme kappa*tau cannot overflow
-        k = self.kappa
-        head = math.exp(k * (self.tau * math.log(2.0) - self.t_cut))
-        return self._g_cut + head * (1.0 - math.exp(-k * (t - self.t_cut))) / k
+        return self._gauss(t, False) if t < self.t_gauss else self.g_inf - self._g_tail(t)
 
     def i(self, t: float) -> float:
-        return float(self._i(t)) if t <= self.t_cut else self._i_inf
+        return self._gauss(t, True) if t < self.t_gauss else self.i_inf - self._i_tail(t)
+
+    def g_tail(self, t: float) -> float:
+        """g(inf) - g(t)."""
+        return self.g_inf - self._gauss(t, False) if t < self.t_gauss else self._g_tail(t)
+
+    def i_tail(self, t: float) -> float:
+        """I(inf) - I(t)."""
+        return self.i_inf - self._gauss(t, True) if t < self.t_gauss else self._i_tail(t)
 
 
 @functools.lru_cache(maxsize=16)
@@ -92,107 +125,134 @@ def core_integrals(profile: LineProfile) -> _CoreIntegrals:
     return _CoreIntegrals(profile)
 
 
-# --------------------------------------------------------------------------
-# single-region closed forms
-# --------------------------------------------------------------------------
-
-def left_characteristic(x0: float, t: float, profile: LineProfile) -> float:
-    """Transition-region left-mover position at time t from x(0) = x0.
-
-    Valid while the trajectory stays in |x| <= a; leaving the region raises
-    RegionExitError carrying the exit time.
-    """
-    ci = core_integrals(profile)
-    pos = lambda s: math.exp(profile.kappa * profile.sigma_accumulated(s)) * (x0 - ci.i(s))
-    _check_core_confinement(pos, t, profile)
-    return pos(t)
-
-
 def core_left_x0(x: float, t: float, profile: LineProfile) -> float:
     """Initial position x e^{-kappa F(t)} + I(t) of the transition-region left
-    mover at (x, t); the inverse of ``left_characteristic``."""
+    mover at (x, t)."""
     decay = math.exp(-profile.kappa * profile.sigma_accumulated(t))
     return x * decay + core_integrals(profile).i(t)
 
 
-def _check_core_confinement(pos, t: float, profile: LineProfile):
-    if t < 0:
-        raise ValueError("t must be >= 0")
-    if t == 0:
-        return
-    ts = np.linspace(0.0, t, 256)
-    xs = np.array([pos(s) for s in ts])
-    outside = np.abs(xs) > profile.a
-    if not outside.any():
-        return
-    j = int(np.argmax(outside))
-    lo = ts[j - 1] if j > 0 else 0.0
-    from scipy.optimize import brentq
-    gap = lambda s: abs(pos(s)) - profile.a
-    exit_time = brentq(gap, lo, ts[j], xtol=1e-12) if gap(lo) < 0 else lo
-    raise RegionExitError(
-        f"characteristic leaves |x| <= a at t = {exit_time:.9g} < {t:.9g}",
-        exit_time=exit_time)
-
-
 # --------------------------------------------------------------------------
-# exact backward/forward tracing
+# exact backward/forward transport, leg by leg
 # --------------------------------------------------------------------------
 
 @dataclass(frozen=True)
 class CharacteristicMap:
     x0: float
-    amplitude_factor: float           # right movers: e^{-kappa * inner-time int sigma}
+    dx0_dx: float                     # e^{-kappa int sigma} inside; the right-mover amplitude
 
 
-def _rhs(branch: str, profile: LineProfile):
-    sgn = -1.0 if branch == "left" else +1.0
+def _bracketed_root(f, lo: float, hi: float) -> float:
+    """Root of f between lo and hi, where f(lo) <= 0 < f(hi), bisected down
+    to neighbouring floats."""
+    while True:
+        mid = 0.5 * (lo + hi)
+        if mid == lo or mid == hi:
+            return mid
+        if f(mid) > 0.0:
+            hi = mid
+        else:
+            lo = mid
 
-    def rhs(t, y):
-        x = y[0]
-        v = profile.velocity(x, t)
-        dz = profile.sigma(t) * profile.kappa if abs(x) <= profile.a else 0.0
-        return [v + sgn, dz]
 
-    return rhs
+class _Flow:
+    """The curves of one branch as legs (start time, region, position at start).
+
+    On an outer leg x(s) = x_i + v_c (F(s) - F(s_i)) + d (s - s_i), inside
+    x(s) e^{-kappa F(s)} - K(s) is conserved, with d = -1, K = -I for left
+    movers and d = +1, K = 2 g - I for right movers.  K is shifted by its
+    value at s = inf, so it comes from the tails of I and g: a late leg needs
+    K(s) - K(s_i) to the digits of e^{-kappa F}, which a difference of
+    saturated integrals would lose.
+    """
+
+    def __init__(self, branch: str, profile: LineProfile):
+        if branch not in ("left", "right"):
+            raise ValueError(f"branch must be 'left' or 'right', got {branch!r}")
+        self.profile, self.right = profile, branch == "right"
+        self.d = 1.0 if self.right else -1.0
+        self.ci = core_integrals(profile)
+        self.speed = {REGION_LEFT: profile.v_min, REGION_RIGHT: profile.v_max}
+        self.turn = profile.tau * math.atanh(1.0 / profile.v_max)
+        a = profile.a
+        # (interface, region beyond it) per region
+        self.exits = {REGION_LEFT: ((-a, REGION_CORE),), REGION_RIGHT: ((a, REGION_CORE),),
+                      REGION_CORE: ((-a, REGION_LEFT), (a, REGION_RIGHT))}
+
+    def _k(self, s: float) -> float:
+        k = self.ci.i_tail(s)
+        return k - 2.0 * self.ci.g_tail(s) if self.right else k
+
+    def position(self, leg: tuple[float, str, float], s: float) -> float:
+        start, region, x = leg
+        f, f_start = self.profile.sigma_accumulated(s), self.profile.sigma_accumulated(start)
+        if region == REGION_CORE:
+            kappa = self.profile.kappa
+            return (x * math.exp(kappa * (f - f_start))
+                    + math.exp(kappa * f) * (self._k(s) - self._k(start)))
+        return x + self.speed[region] * (f - f_start) + self.d * (s - start)
+
+    def _gap(self, leg: tuple[float, str, float], b: float):
+        """s -> x(s) - b on the leg, times e^{-kappa F(s)} inside, with the
+        sign that makes it positive beyond the interface b."""
+        start, region, x = leg
+        sign = math.copysign(1.0, b)
+        if region == REGION_CORE:
+            kappa, sigma_accumulated = self.profile.kappa, self.profile.sigma_accumulated
+            conserved = x * math.exp(-kappa * sigma_accumulated(start)) - self._k(start)
+            return lambda s: sign * (conserved + self._k(s)
+                                     - b * math.exp(-kappa * sigma_accumulated(s)))
+        return lambda s: sign * (b - self.position(leg, s))
+
+    def legs(self, x: float, s: float, end: float) -> list[tuple[float, str, float]]:
+        """Legs of the curve through (x, s), in travel order up to time end
+        (forward if end > s, backward if end < s)."""
+        x = float(x)
+        legs = [(s, _region_of(x, self.profile.a), x)]
+        for _ in range(2):               # a curve crosses the interfaces at most twice
+            start, region, _ = legs[-1]
+            # each gap is monotone on either side of the turning time
+            ends = [self.turn] if min(start, end) < self.turn < max(start, end) else []
+            pieces = list(zip([start] + ends, ends + [end]))
+            crossings = []
+            for b, beyond in self.exits[region]:
+                gap = self._gap(legs[-1], b)
+                for lo, hi in pieces:
+                    if gap(hi) > 0.0:
+                        crossings.append((abs(_bracketed_root(gap, lo, hi) - start), b, beyond))
+                        break
+            if not crossings:
+                break
+            lapse, b, beyond = min(crossings)
+            legs.append((start + math.copysign(lapse, end - start), beyond, b))
+        return legs
 
 
-def trace_characteristic(x: float, t: float, branch: str, profile: LineProfile,
-                         rtol: float = _TRACE_RTOL,
-                         atol: float = _TRACE_ATOL) -> CharacteristicMap:
+def trace_characteristic(x: float, t: float, branch: str,
+                         profile: LineProfile) -> CharacteristicMap:
     """Backward-trace (x, t) to its t = 0 initial position on the true flow,
-    with the right-mover amplitude e^{-kappa int sigma} accumulated over the
-    time spent in the transition region (1 for left movers)."""
-    if branch not in ("left", "right"):
-        raise ValueError(f"branch must be 'left' or 'right', got {branch!r}")
+    with dx0/dx = e^{-kappa int sigma} over the time spent in the transition
+    region (the right-mover amplitude)."""
     if t < 0:
         raise ValueError("t must be >= 0")
-    if t == 0:
-        return CharacteristicMap(x, 1.0)
-    from scipy.integrate import solve_ivp
-    sol = solve_ivp(_rhs(branch, profile), (t, 0.0), [x, 0.0],
-                    method="RK45", rtol=rtol, atol=atol)
-    if not sol.success:
-        raise RuntimeError(f"backward trace failed: {sol.message}")
-    x0 = float(sol.y[0, -1])
-    z_total = float(sol.y[1, 0] - sol.y[1, -1])  # int sigma*kappa over inner segments
-    amp = math.exp(-z_total) if branch == "right" else 1.0
-    return CharacteristicMap(x0, amp)
+    flow = _Flow(branch, profile)
+    legs = flow.legs(x, t, 0.0)
+    stops = [leg[0] for leg in legs[1:]] + [0.0]
+    inside = sum(profile.sigma_accumulated(start) - profile.sigma_accumulated(stop)
+                 for (start, region, _), stop in zip(legs, stops) if region == REGION_CORE)
+    return CharacteristicMap(flow.position(legs[-1], 0.0), math.exp(-profile.kappa * inside))
 
 
 def forward_characteristic(x0: float, times, branch: str,
                            profile: LineProfile) -> np.ndarray:
-    """Positions at the ascending times of the curve launched from x(0) = x0,
-    traced forward on the true flow in one integration."""
+    """Positions at the ascending times of the curve launched from x(0) = x0;
+    its interface crossings are found once, up to the last time."""
     times = np.asarray(times, dtype=float)
-    if times[-1] == 0:
-        return np.full(times.shape, x0)
-    from scipy.integrate import solve_ivp
-    sol = solve_ivp(_rhs(branch, profile), (0.0, times[-1]), [x0, 0.0],
-                    method="RK45", t_eval=times, rtol=_TRACE_RTOL, atol=_TRACE_ATOL)
-    if not sol.success:
-        raise RuntimeError(f"forward trace failed: {sol.message}")
-    return sol.y[0]
+    flow = _Flow(branch, profile)
+    legs = flow.legs(x0, 0.0, float(times[-1]))
+    starts = [leg[0] for leg in legs]
+    return np.array([flow.position(legs[bisect.bisect_right(starts, t) - 1], t)
+                     for t in times.tolist()])
 
 
 # --------------------------------------------------------------------------

@@ -21,14 +21,6 @@ class RegionError(SonicBHError):
     """Point lies outside the spatial region a closed form is valid in."""
 
 
-class RegionExitError(SonicBHError):
-    """A single-region characteristic left its region before the requested time."""
-
-    def __init__(self, message, exit_time):
-        super().__init__(message)
-        self.exit_time = exit_time
-
-
 class QuadratureError(SonicBHError):
     """Numerical integration did not converge.  Carries the partial result."""
 

@@ -63,19 +63,19 @@ def left_sector_map(x_points: np.ndarray, t: float, profile: LineProfile,
     """(x0, dx0/dx) of the left-mover characteristics at the observation points.
 
     transport = 'matched' uses the long-time matched scheme shared with the
-    analytic closed form; 'exact' backward-integrates the true flow (the two
-    differ by O(a) offsets at late times -- see the package notes).
+    analytic closed form; 'exact' traces each point back on the true flow,
+    with its own Jacobian e^{-kappa int sigma} over the time the curve spends
+    in the transition region (the two maps differ by O(a) offsets at late
+    times -- see the package notes).
     """
     if transport == "matched":
         x0 = np.array([matched_x0(x, t, profile) for x in x_points])
         w = np.array([matched_dx0_dx(x, t, profile) for x in x_points])
         return x0, w
     if transport == "exact":
-        x0 = np.array([trace_characteristic(x, t, "left", profile,
-                                            rtol=1e-10, atol=1e-11).x0
-                       for x in x_points])
-        w = np.gradient(x0, x_points)
-        return x0, w
+        traces = [trace_characteristic(x, t, "left", profile) for x in x_points]
+        return (np.array([tr.x0 for tr in traces]),
+                np.array([tr.dx0_dx for tr in traces]))
     raise ValueError(f"unknown transport {transport!r}")
 
 

@@ -191,6 +191,39 @@ def neville_to_zero(xs, ys) -> float:
     return P[0]
 
 
+def betainc_regularized(a: float, b: float, x: float) -> float:
+    """Regularized incomplete beta I_x(a, b) for a, b > 0 and 0 <= x <= 1.
+
+    The continued fraction of I_x, evaluated by the modified Lentz method,
+    converges fast for x < (a + 1)/(a + b + 2); beyond that the symmetry
+    I_x(a, b) = 1 - I_{1-x}(b, a) applies.
+    """
+    if x <= 0.0:
+        return 0.0
+    if x >= 1.0:
+        return 1.0
+    if x > (a + 1.0) / (a + b + 2.0):
+        return 1.0 - betainc_regularized(b, a, 1.0 - x)
+    tiny = 1e-300
+    c, d = 1.0, 1.0 - (a + b) * x / (a + 1.0)
+    d = 1.0 / (d if abs(d) > tiny else tiny)
+    frac = d
+    for m in range(1, 10_000):
+        # the terms d_{2m} and d_{2m+1} of the fraction
+        for num in (m * (b - m) * x / ((a + 2 * m - 1) * (a + 2 * m)),
+                    -(a + m) * (a + b + m) * x / ((a + 2 * m) * (a + 2 * m + 1))):
+            d = 1.0 + num * d
+            d = 1.0 / (d if abs(d) > tiny else tiny)
+            c = 1.0 + num / c
+            c = c if abs(c) > tiny else tiny
+            frac *= c * d
+        if abs(c * d - 1.0) < 1e-16:
+            break
+    log_front = (a * math.log(x) + b * math.log1p(-x)
+                 + math.lgamma(a + b) - math.lgamma(a) - math.lgamma(b))
+    return math.exp(log_front) * frac / a
+
+
 def log_cosh(u: float) -> float:
     """ln cosh(u), overflow-safe for any magnitude."""
     au = abs(u)

@@ -1,0 +1,78 @@
+"""Independent oracles of the line flow for the tests.
+
+An adaptive Runge-Kutta integration of the characteristic ODE, carrying
+kappa * int sigma over the time spent in |x| <= a as a second state, checks
+the closed-form legs of ``sonicbh.characteristics``; central differences of
+its x0 check their Jacobian.  ``left_characteristic`` is the single-region
+transition-region closed form with a sampled confinement check.
+"""
+
+from __future__ import annotations
+
+import math
+
+import numpy as np
+from scipy.integrate import solve_ivp
+from scipy.optimize import brentq
+
+from sonicbh.characteristics import core_integrals
+from sonicbh.profiles import LineProfile
+
+# RK45 tolerances of the oracle traces
+TRACE_RTOL, TRACE_ATOL = 1e-13, 1e-14
+
+
+def _rhs(branch: str, profile: LineProfile):
+    sgn = -1.0 if branch == "left" else +1.0
+
+    def rhs(t, y):
+        x = y[0]
+        v = profile.velocity(x, t)
+        dz = profile.sigma(t) * profile.kappa if abs(x) <= profile.a else 0.0
+        return [v + sgn, dz]
+
+    return rhs
+
+
+def rk45_trace(x: float, t: float, branch: str, profile: LineProfile) -> tuple[float, float]:
+    """(x0, e^{-kappa int sigma inside}) of (x, t), integrated backward to t = 0."""
+    if t == 0:
+        return x, 1.0
+    sol = solve_ivp(_rhs(branch, profile), (t, 0.0), [x, 0.0],
+                    method="RK45", rtol=TRACE_RTOL, atol=TRACE_ATOL)
+    assert sol.success, sol.message
+    return float(sol.y[0, -1]), math.exp(-float(sol.y[1, 0] - sol.y[1, -1]))
+
+
+def rk45_dx0_dx(x: float, t: float, branch: str, profile: LineProfile,
+                h: float = 1e-4) -> float:
+    """dx0/dx by central differences of the RK45 trace."""
+    return (rk45_trace(x + h, t, branch, profile)[0]
+            - rk45_trace(x - h, t, branch, profile)[0]) / (2.0 * h)
+
+
+class RegionExit(Exception):
+    """The transition-region curve left |x| <= a before the requested time."""
+
+    def __init__(self, exit_time):
+        super().__init__(f"characteristic leaves |x| <= a at t = {exit_time:.9g}")
+        self.exit_time = exit_time
+
+
+def left_characteristic(x0: float, t: float, profile: LineProfile) -> float:
+    """Transition-region left-mover position e^{kappa F(t)} (x0 - I(t)) at time t.
+
+    Valid while the curve stays in |x| <= a, which 256 samples on [0, t]
+    check; leaving the region raises RegionExit with the exit time.
+    """
+    ci = core_integrals(profile)
+    pos = lambda s: math.exp(profile.kappa * profile.sigma_accumulated(s)) * (x0 - ci.i(s))
+    if t > 0:
+        ts = np.linspace(0.0, t, 256)
+        outside = np.abs([pos(s) for s in ts]) > profile.a
+        if outside.any():
+            j = int(np.argmax(outside))
+            lo = ts[j - 1] if j > 0 else 0.0
+            gap = lambda s: abs(pos(s)) - profile.a
+            raise RegionExit(brentq(gap, lo, ts[j], xtol=1e-12) if gap(lo) < 0 else lo)
+    return pos(t)

@@ -1,17 +1,21 @@
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
-
 from scipy.integrate import solve_ivp
 
 from sonicbh.characteristics import (_region_of, characteristic_fan_rows, core_integrals,
                                      entanglement_boundary,
-                                     forward_characteristic, left_characteristic,
+                                     forward_characteristic,
                                      matched_dx0_dx, matched_x0, mode_function,
                                      trace_characteristic)
-from sonicbh.errors import RegionExitError
 from sonicbh.profiles import LineProfile, sigma_accumulated
+
+from flow_oracle import RegionExit, left_characteristic, rk45_dx0_dx, rk45_trace
+
+# the windows and times of C09
+C09_WINDOWS = {"x<-a": (-8.0, -1.05), "|x|<=a": (-0.95, 0.95), "x>a": (1.05, 8.0)}
 
 
 # --------------------------------------------------------------------------
@@ -42,30 +46,33 @@ def test_left_long_time_form(line):
 
 
 def test_left_region_exit_carries_time(line):
-    with pytest.raises(RegionExitError) as err:
+    # the sampled confinement check and the closed-form legs agree on the exit
+    with pytest.raises(RegionExit) as err:
         left_characteristic(0.99, 30.0, line)
     texit = err.value.exit_time
     assert 0.0 < texit < 30.0
     just_inside = left_characteristic(0.99, texit * (1.0 - 1e-9), line)
     assert abs(just_inside) == pytest.approx(line.a, abs=1e-6)
+    at_exit = forward_characteristic(0.99, [texit], "left", line)[-1]
+    assert abs(at_exit) == pytest.approx(line.a, abs=1e-9)
 
 
 def test_right_initial_condition(line):
     tr = trace_characteristic(-0.4, 0.0, "right", line)
-    assert tr.x0 == -0.4 and tr.amplitude_factor == 1.0
+    assert tr.x0 == -0.4 and tr.dx0_dx == 1.0
 
 
 def test_right_amplitude_kappa_zero_limit():
     # wide region so the fast right mover stays inside over the test window
     lp = LineProfile(a=50.0, kappa=1e-12, tau=1.0)
-    amp = trace_characteristic(3.0, 3.0, "right", lp).amplitude_factor
+    amp = trace_characteristic(3.0, 3.0, "right", lp).dx0_dx
     assert amp == pytest.approx(1.0, abs=1e-10)
 
 
 def test_right_amplitude_saturated_collapse():
     # sigma ~ 1 throughout: factor e^{-kappa t}; tiny tau saturates instantly
     lp = LineProfile(a=50.0, kappa=0.01, tau=1e-6)
-    amp = trace_characteristic(4.0, 2.0, "right", lp).amplitude_factor
+    amp = trace_characteristic(4.0, 2.0, "right", lp).dx0_dx
     assert amp == pytest.approx(math.exp(-0.01 * 2.0), rel=1e-5)
 
 
@@ -73,22 +80,82 @@ def test_right_amplitude_saturated_collapse():
 # exact tracing
 # --------------------------------------------------------------------------
 
-def test_trace_amplitude_left_is_unity(line):
-    assert trace_characteristic(3.0, 20.0, "left", line).amplitude_factor == 1.0
+def test_trace_left_jacobian_counts_inner_time_only(line):
+    # a curve that never enters |x| <= a is a rigid shift; one that stayed
+    # inside since t = 0 decays by the full e^{-kappa F(t)}
+    assert trace_characteristic(-9.0, 3.0, "left", line).dx0_dx == 1.0
+    tr = trace_characteristic(-0.2, 1.5, "left", line)
+    assert tr.dx0_dx == pytest.approx(math.exp(-line.kappa * line.sigma_accumulated(1.5)),
+                                      rel=1e-14)
 
 
 def test_trace_right_amplitude_accumulates_inner_time_only(line):
     # right movers cross the transition region quickly; the factor obeys
     # exp(-kappa int sigma) over the inner segment alone
     tr = trace_characteristic(6.0, 4.0, "right", line)
-    assert 0.0 < tr.amplitude_factor <= 1.0
+    assert 0.0 < tr.dx0_dx <= 1.0
+    assert tr.dx0_dx == pytest.approx(rk45_trace(6.0, 4.0, "right", line)[1], rel=1e-10)
+
+
+def _c09_points(n):
+    rng = np.random.default_rng(11)
+    for lo, hi in C09_WINDOWS.values():
+        yield from zip(rng.uniform(lo, hi, n), rng.uniform(0.1, 25.0, n))
+
+
+def _assert_matches_rk45_oracle(points, branch, profile):
+    for x, t in points:
+        x0, decay = rk45_trace(x, t, branch, profile)
+        tr = trace_characteristic(x, t, branch, profile)
+        assert abs(tr.x0 - x0) <= 1e-10 * max(abs(x0), 1.0), (x, t, tr.x0 - x0)
+        assert tr.dx0_dx == pytest.approx(decay, rel=1e-10)
+
+
+@pytest.mark.parametrize("branch", ["left", "right"])
+def test_trace_matches_rk45_oracle(line, branch):
+    # the closed-form legs against the adaptive integration of the ODE
+    _assert_matches_rk45_oracle(_c09_points(25), branch, line)
+
+
+@pytest.mark.parametrize("branch", ["left", "right"])
+def test_trace_keeps_digits_on_late_core_legs(branch):
+    # kappa t = 57: a core leg left at s ~ 20 sits where e^{-kappa F} ~ 1e-17,
+    # below the rounding of the saturated integrals themselves
+    lp = LineProfile(a=0.5, kappa=1.9, tau=0.2)
+    _assert_matches_rk45_oracle([(x, 30.0) for x in (-1.5, -0.6, -0.25, 0.15, 0.55, 1.5)],
+                                branch, lp)
+
+
+def test_left_jacobian_matches_central_differences(line):
+    # dx0/dx is the derivative of the map at the point, not a secant across
+    # the probes: the MC probes at t = 30 (x1 < -a, x2 in [1.1, 6]), then C09's
+    t = 30.0
+    points = [(x, t) for x in (-1.4, -1.2, -1.1, *np.linspace(1.1, 6.0, 8))]
+    for x, t in points + list(_c09_points(6)):
+        fd = rk45_dx0_dx(x, t, "left", line)
+        w = trace_characteristic(x, t, "left", line).dx0_dx
+        assert abs(w - fd) <= 1e-7 * fd, (x, t, w, fd)
+
+
+@pytest.mark.parametrize("kappa, tau", [(0.1, 1.0), (0.5, 3.0), (0.02, 0.5)])
+def test_core_integrals_against_quadrature(kappa, tau):
+    # I(t) and g(t) in closed form against mpmath quadrature of their integrands
+    lp = LineProfile(a=1.0, kappa=kappa, tau=tau)
+    ci = core_integrals(lp)
+    decay = lambda s: mp.cosh(s / tau) ** (-kappa * tau)
+    for t in (1e-8, 1e-4, 0.01, 0.3, tau * 0.999, tau, 1.5, 4.0, 20.0, 100.0, 300.0, 1e3):
+        cuts = [0] + [c for c in (tau, 10 * tau, 100 * tau) if c < t] + [t]
+        with mp.workdps(30):
+            g = mp.quad(decay, cuts)
+            i_ = mp.quad(lambda s: (1 - mp.tanh(s / tau)) * decay(s), cuts)
+        assert ci.g(t) == pytest.approx(float(g), rel=1e-12, abs=0), ("g", t)
+        assert ci.i(t) == pytest.approx(float(i_), rel=1e-12, abs=0), ("I", t)
 
 
 @pytest.mark.parametrize("branch", ["left", "right"])
 def test_round_trip_random_points(line, branch):
     rng = np.random.default_rng(20240808)
-    windows = {"x<-a": (-8.0, -1.05), "|x|<=a": (-0.95, 0.95), "x>a": (1.05, 8.0)}
-    for lo, hi in windows.values():
+    for lo, hi in C09_WINDOWS.values():
         for _ in range(12):  # acceptance runs the full 100/region sweep
             x = float(rng.uniform(lo, hi))
             t = float(rng.uniform(0.1, 25.0))
@@ -115,7 +182,7 @@ def test_fan_rows_trace_back_to_their_rays(line):
         x0 = rays[i // n_t]
         assert t == ts[i % n_t] and branch == "left"
         assert region == _region_of(x, line.a)
-        back = trace_characteristic(x, t, "left", line, rtol=1e-13, atol=1e-14).x0
+        back = rk45_trace(x, t, "left", line)[0]
         assert abs(back - x0) <= 1e-10, (x0, t, back - x0)
 
 

@@ -328,6 +328,18 @@ def _fresh_interpreter(cwd, argv, script=("-c", _PROBE)):
                           capture_output=True, text=True, timeout=60)
 
 
+@pytest.mark.parametrize("transport", ["matched", "exact"])
+def test_langevin_coincident_probes(tmp_path, transport):
+    # two probes at one point: each carries its own Jacobian, no secant between them
+    argv = ["--output", str(tmp_path / "x.csv"), "langevin", "--t", "30", "--x1", "-1.2",
+            "--x2-min", "5", "--x2-max", "5", "--points", "2", "--realizations", "200",
+            "--transport", transport]
+    proc = _fresh_interpreter(tmp_path, argv, script=("-m", "sonicbh"))
+    assert (proc.returncode, proc.stderr) == (0, "")
+    _, header, rows = _rows(tmp_path / "x.csv")
+    assert [r[0] for r in rows] == ["5", "5"] and rows[0] == rows[1]
+
+
 _SWEEP = {"gamma": ("1e-7", "1e-6"), "v_min": ("0.1", "0.3"), "temperature": ("0.1", "1")}
 
 
@@ -342,13 +354,15 @@ _SWEEP = {"gamma": ("1e-7", "1e-6"), "v_min": ("0.1", "0.3"), "temperature": ("0
      None, 0, False),
     (["langevin", "--t", "30", "--x1", "-1.2", "--realizations", "200", "--points", "8"],
      None, 0, False),
+    (["langevin", "--t", "30", "--x1", "-1.2", "--realizations", "200", "--points", "8",
+      "--transport", "exact"], None, 0, False),
     (["correlation", "--t", "100", "--x1", "-4", "--beta", "nan"], None, 2, False),
     (["hawking"], "missing", 2, False),
     (["diffusion", "--omega", "2", "--t-min", "0.01", "--t-max", "10", "--points", "2",
       "--oracle"], None, 0, True),
     (["correlation", "--t", "100", "--x1", "-4", "--points", "16"], None, 0, True),
 ], ids=["import", "hawking", "vcoef", "tdec-sweep-gamma", "tdec-sweep-v-min",
-        "tdec-sweep-temperature", "boundary", "er", "langevin-matched",
+        "tdec-sweep-temperature", "boundary", "er", "langevin-matched", "langevin-exact",
         "argument-refusal", "config-refusal", "diffusion-oracle", "correlation"])
 def test_scipy_loaded_only_where_a_command_integrates(tmp_path, argv, config, code,
                                                       scipy_loaded):

@@ -257,8 +257,6 @@ REACH_ALLOWLIST = {
     "environment.dissipation_kernel",
     "characteristics.mode_function",
     "correlations.retarded_green",
-    # the forward closed form that matched_x0 and core_left_x0 invert
-    "characteristics.left_characteristic",
     # the independent c(theta) of the Richardson T_H oracle and the 1/(c+v) quadrature
     "profiles.RingProfile.sound_speed",
 }
