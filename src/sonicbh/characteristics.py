@@ -1,4 +1,4 @@
-"""Characteristic curves of the collapsing channel flow and mode functions.
+"""Characteristic curves of the collapsing channel flow.
 
 Left movers ride dx/dt = v(x,t) - 1, right movers dx/dt = v(x,t) + 1, with
 v = sigma(t) v_min for x < -a, sigma(t) (1 + kappa x) for |x| <= a and
@@ -313,25 +313,6 @@ def entanglement_boundary(t: float, profile: LineProfile) -> tuple[float, float]
         raise ValueError("t must be >= 0")
     xp = profile.a * (1.0 + profile.kappa * profile.sigma_accumulated(t))
     return -xp, xp
-
-
-# --------------------------------------------------------------------------
-# mode functions
-# --------------------------------------------------------------------------
-
-def mode_function(k: float, x: float, t: float, profile: LineProfile) -> complex:
-    """Mode u_k(x, t) of the transition-region flow, unit-modulus phase / sqrt(2|k|).
-
-    k < 0 is a pure left mover with phase k * x0_L(x,t); k > 0 carries the
-    right-moving content.  The direction-content time integral telescopes --
-    its integrand is the exact differential of e^{-2ikg}/(-2ik) -- leaving
-    the right-mover phase k * (x0_L - 2 g(t)).
-    """
-    if k == 0:
-        raise ValueError("k = 0 mode has singular normalization")
-    x0_l = core_left_x0(x, t, profile)
-    phase = k * x0_l if k < 0 else k * (x0_l - 2.0 * core_integrals(profile).g(t))
-    return complex(math.cos(phase), math.sin(phase)) / math.sqrt(2.0 * abs(k))
 
 
 def characteristic_fan_rows(profile: LineProfile, branch: str, x0_values,

@@ -16,6 +16,7 @@ import math
 import os
 import sys
 import tempfile
+import warnings
 
 import numpy as np
 
@@ -285,13 +286,12 @@ def _run(args) -> tuple[list, list, dict]:
         temp = args.temperature if args.temperature is not None else 100.0 * t_h
         ts = np.linspace(args.t_min, args.t_max, args.points)
         rows = []
-        import warnings as _w
-        for k in args.k:
-            for t in ts:
-                with _w.catch_warnings():
-                    _w.simplefilter("ignore")
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            for k in args.k:
+                for t in ts:
                     res = open_correction_er(k, float(t), args.lam, temp, line)
-                rows.append([k, float(t), res.e_r])
+                    rows.append([k, float(t), res.e_r])
         return ["k", "t", "e_r"], rows, manifest
 
     if args.command == "langevin":

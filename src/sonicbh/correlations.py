@@ -25,8 +25,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .characteristics import (core_integrals, core_left_x0, entanglement_boundary,
-                              matched_exponent, matched_x0)
+from .characteristics import entanglement_boundary, matched_exponent, matched_x0
 from .errors import ExtrapolationError, RegimeError, RegimeWarning, RegionError
 from .profiles import LineProfile, hawking_temperature_line
 from .specfun import fourier_integral, neville_to_zero, thermal_weight
@@ -238,27 +237,8 @@ def detect_peak(grid: CorrelationGrid) -> PeakReport:
 
 
 # --------------------------------------------------------------------------
-# Green function, open-system correction
+# open-system correction
 # --------------------------------------------------------------------------
-
-def retarded_green(x: float, t: float, xp: float, tp: float,
-                   profile: LineProfile) -> float:
-    """Retarded Green function of the mode sum, i x commutator convention.
-
-    G = (1/2pi) int_0^inf dk/k [ sin(k D_L) - sin(k D_R) ] * step(t - t'),
-    D_b the difference of traced initial positions in branch b; the relative
-    sector sign and the 1/2pi are the i x commutator convention fixed by the
-    flat limit step(dt - |dx|)/2.  Each k integral is (pi/2) sign(D_b), so
-    G = step(t - t') (sign D_L - sign D_R)/4.
-    """
-    if t < tp:
-        return 0.0
-    ci = core_integrals(profile)
-    x0_l, xp0_l = core_left_x0(x, t, profile), core_left_x0(xp, tp, profile)
-    d_l = x0_l - xp0_l
-    d_r = (x0_l - 2.0 * ci.g(t)) - (xp0_l - 2.0 * ci.g(tp))
-    return 0.25 * float(np.sign(d_l) - np.sign(d_r))
-
 
 @dataclass(frozen=True)
 class OpenCorrection:

@@ -17,24 +17,22 @@ from __future__ import annotations
 
 import math
 import sys
-import warnings
 from dataclasses import dataclass, replace
 from typing import NamedTuple
 
 import numpy as np
 
 from .environment import EnvironmentSpec, cutoff_factor
-from .errors import RegimeError, RegimeWarning
+from .errors import RegimeError
 from .params import TWO_PI, DerivedParams, PhysicalConfig, derive
 from .profiles import RingProfile, hawking_temperature_ring, null_coordinate_map
-from .specfun import (fourier_integral, integrate_adaptive, si,
-                      stable_shi_chi_combo, thermal_weight)
+from .specfun import fourier_integral, integrate_adaptive, si, stable_shi_chi_combo
 
 # Criterion constant in (rho delta^2 / hbar) * accumulated diffusion == const,
 # an order-unity convention; t_D scales linearly with it.
 DECOHERENCE_CRITERION = 1.0
 
-# Absolute tolerance of the D(t) quadrature oracles.
+# Absolute tolerance of the D(t) quadrature oracle.
 _D_ORACLE_TOL = 1e-10
 
 
@@ -51,8 +49,6 @@ class VCoefficients:
 @dataclass(frozen=True)
 class DecoherenceEstimate:
     t_d: float
-    zero_t_term: float
-    thermal_term: float  # <= 0
 
 
 # --------------------------------------------------------------------------
@@ -68,10 +64,6 @@ def diffusion_exact(t: float, omega: float, spec: EnvironmentSpec) -> float:
     """
     if t < 0:
         raise ValueError("t must be >= 0")
-    if spec.cutoff_shape != "lorentzian":
-        raise RegimeError(
-            "the closed form is specific to the Lorentzian cutoff; "
-            "use diffusion_quadrature_oracle for other shapes")
     if spec.bath_temperature != 0.0:
         raise RegimeError("closed form derived at zero bath temperature")
     if t == 0.0:
@@ -134,60 +126,6 @@ def diffusion_quadrature_oracle(t: float, omega: float, spec: EnvironmentSpec) -
     tail_minus = fourier_integral(lambda mu: weight(mu + omega) / (2.0 * mu),
                                   nu_b - omega, t, kind="sin").value
     return 0.5 * g2 * (finite + tail_plus + tail_minus)
-
-
-def diffusion_thermal(t: float, omega: float, beta: float, spec: EnvironmentSpec) -> float:
-    """Low-temperature two-term expansion of the cutoff-free D(t, beta):
-
-        2 g^-2 D = omega Si(omega t) + 2 sin(omega t)/(omega beta^2)   (hbar = 1).
-
-    Valid for beta*omega >> 1 and omega*t >> 1; warns outside the
-    thermal regime.  The display drops a beta-independent cos(omega t)/t
-    boundary term that the honest cutoff-free quadrature (and the Lorentzian
-    closed form at large cutoff) retains; compare thermal parts against the
-    oracle, not absolute values, at moderate omega*t.  Vanishes at t = 0 for
-    every beta, so the coupling calibration is temperature-independent.
-    """
-    if beta <= 0:
-        raise ValueError("beta must be positive")
-    if math.isfinite(beta) and beta * omega < 10.0:
-        warnings.warn("thermal expansion outside its low-temperature regime "
-                      f"(beta*omega = {beta * omega:.3g} < 10)", RegimeWarning)
-    g2 = spec.coupling_eff ** 2
-    correction = 0.0 if math.isinf(beta) else (
-        2.0 * math.sin(omega * t) / (omega * beta ** 2))
-    return 0.5 * g2 * (omega * si(omega * t) + correction)
-
-
-def diffusion_thermal_oracle(t: float, omega: float, beta: float,
-                             spec: EnvironmentSpec) -> float:
-    """Full-coth cutoff-free D(t, beta) by quadrature with the sharp split
-    at nu = 2/beta (hbar = 1).
-
-    The nu -> inf part carries no cutoff; its non-decaying tail piece is
-    Abel-summed in closed form (the same distributional sense the Si closed
-    form carries), the decaying remainder by Fourier quadrature.
-    """
-    if beta <= 0:
-        raise ValueError("beta must be positive")
-    g2 = spec.coupling_eff ** 2
-    nu_split = 0.0 if math.isinf(beta) else 2.0 / beta
-
-    nu_b = 2.0 * omega + max(10.0 * nu_split, 4.0 * omega) + 10.0 / t
-    pts = sorted({p for p in (nu_split, omega, omega - math.pi / t, omega + math.pi / t)
-                  if 0.0 < p < nu_b})
-    finite = integrate_adaptive(
-        lambda nu: thermal_weight(nu, beta) * _inner_cos_cos(nu, omega, t),
-        0.0, nu_b, tol=_D_ORACLE_TOL, points=pts, limit=800).value
-    # beyond nu_b: coth == 1 to < 1e-10; inner integral decomposed as
-    # (1/2)[sin((nu+om)t)/(nu+om) + sin((nu-om)t)/(nu-om)], mu = nu -+ omega:
-    # integrand (mu -+ omega)/(2 mu) sin(mu t) = [1/2 -+ omega/(2 mu)] sin(mu t)
-    tail = 0.0
-    for mu0, sign in ((nu_b + omega, -1.0), (nu_b - omega, +1.0)):
-        tail += math.cos(mu0 * t) / (2.0 * t)          # Abel value of int 1/2 sin(mu t)
-        tail += sign * fourier_integral(lambda mu: omega / (2.0 * mu),
-                                        mu0, t, kind="sin").value
-    return 0.5 * g2 * (finite + tail)
 
 
 # --------------------------------------------------------------------------
@@ -271,14 +209,13 @@ def decoherence_time(config: PhysicalConfig, derived: DerivedParams, gamma: floa
     if not denominator > numerator / sys.float_info.max:
         raise OverflowError("t_D(0) overflows: its denominator gamma^2 dv delta^2 "
                             f"omega pi rho^2 V = {denominator:.3g} is too small")
-    zero_t = numerator / denominator
-    thermal = -8.0 * (k_b * temperature) ** 2 / (omega ** 3 * math.pi * hbar ** 2)
-    t_d = zero_t + thermal
+    t_d = (numerator / denominator
+           - 8.0 * (k_b * temperature) ** 2 / (omega ** 3 * math.pi * hbar ** 2))
     if t_d <= 0:
         raise RegimeError(
             f"thermal correction dominates (t_D = {t_d:.3g} <= 0): outside "
             "the low-temperature expansion's validity")
-    return DecoherenceEstimate(t_d=t_d, zero_t_term=zero_t, thermal_term=thermal)
+    return DecoherenceEstimate(t_d=t_d)
 
 
 class SweepRow(NamedTuple):

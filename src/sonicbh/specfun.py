@@ -2,10 +2,10 @@
 
 Scalar, pure, reentrant.  The trigonometric/hyperbolic integrals are the
 building blocks of the exact diffusion coefficient; the thermal weight is
-shared by the bath kernels, the correlations and the Monte-Carlo sampler;
-the quadrature helpers back every brute-force oracle in the package and are
-its only entry to QUADPACK.  scipy is imported inside the functions that
-call it, so a command that never integrates does not pay for loading it.
+shared by the correlations, the open-system correction and the Monte-Carlo
+sampler; the quadrature helpers back every brute-force oracle in the package
+and are its only entry to QUADPACK.  scipy is imported inside the functions
+that call it, so a command that never integrates does not pay for loading it.
 """
 
 from __future__ import annotations
@@ -29,20 +29,25 @@ def si(x: float) -> float:
 _ASYMPTOTIC_SWITCH = 50.0
 
 
+def _asymptotic_scaled(x: float, sign: float) -> float:
+    """sum_n sign^n n!/x^{n+1}, the divergent asymptotic series of e^x E_1(x)
+    (sign -1) and e^{-x} Ei(x) (sign +1), truncated at its smallest term."""
+    total, term = 0.0, 1.0 / x
+    for n in range(1, 40):
+        total += term
+        nxt = sign * term * n / x
+        if abs(nxt) >= abs(term):
+            break
+        term = nxt
+    return total
+
+
 def _e1_scaled(x: float) -> float:
     """e^x E_1(x) for x > 0, stable for arbitrarily large x."""
     if x < _ASYMPTOTIC_SWITCH:
         from scipy import special
         return float(np.exp(x) * special.exp1(x))
-    # Divergent asymptotic series, truncated at its smallest term.
-    total, term = 0.0, 1.0 / x
-    for n in range(1, 40):
-        total += term
-        nxt = -term * n / x
-        if abs(nxt) >= abs(term):
-            break
-        term = nxt
-    return total
+    return _asymptotic_scaled(x, -1.0)
 
 
 def _ei_scaled(x: float) -> float:
@@ -50,14 +55,7 @@ def _ei_scaled(x: float) -> float:
     if x < _ASYMPTOTIC_SWITCH:
         from scipy import special
         return float(np.exp(-x) * special.expi(x))
-    total, term = 0.0, 1.0 / x
-    for n in range(1, 40):
-        total += term
-        nxt = term * n / x
-        if abs(nxt) >= abs(term):
-            break
-        term = nxt
-    return total
+    return _asymptotic_scaled(x, 1.0)
 
 
 def stable_shi_chi_combo(a: float, b: float, x: float) -> float:
@@ -100,7 +98,6 @@ def thermal_weight(k: float, beta: float, power: float = 1.0) -> float:
 @dataclass(frozen=True)
 class QuadratureResult:
     value: float
-    error_estimate: float
     evaluations: int
 
 
@@ -116,9 +113,10 @@ def _finite_integrand(f: Callable[[float], float]) -> Callable[[float], float]:
 
 
 def integrate_adaptive(f: Callable[[float], float], a: float, b: float,
-                       tol: float = 1e-10, rel_tol: float = 0.0,
-                       limit: int = 200, points=None) -> QuadratureResult:
-    """Adaptive quadrature of f on [a, b] (endpoints may be infinite).
+                       tol: float = 1e-10, limit: int = 200,
+                       points=None) -> QuadratureResult:
+    """Adaptive quadrature of f on [a, b] (endpoints may be infinite) to the
+    absolute tolerance tol.
 
     Raises QuadratureError when the integrator reports non-convergence
     (carrying the partial result) or f returns a non-finite value.
@@ -126,7 +124,7 @@ def integrate_adaptive(f: Callable[[float], float], a: float, b: float,
     from scipy import integrate
     if not tol > 0:
         raise ValueError("tol must be positive")
-    kwargs = dict(epsabs=tol, epsrel=rel_tol, limit=limit, full_output=1)
+    kwargs = dict(epsabs=tol, epsrel=0.0, limit=limit, full_output=1)
     if points is not None and np.isfinite(a) and np.isfinite(b):
         kwargs["points"] = points
     with warnings.catch_warnings():
@@ -134,11 +132,11 @@ def integrate_adaptive(f: Callable[[float], float], a: float, b: float,
         out = integrate.quad(_finite_integrand(f), a, b, **kwargs)
     value, abserr, info = out[0], out[1], out[2]
     neval = int(info.get("neval", 0)) if isinstance(info, dict) else 0
-    result = QuadratureResult(value=value, error_estimate=abserr, evaluations=max(neval, 1))
+    result = QuadratureResult(value=value, evaluations=max(neval, 1))
     if len(out) > 3:  # message present => ier != 0
         # QUADPACK's roundoff flag often rides on an acceptable error bound;
         # fail only when the bound itself misses the requested tolerance.
-        if not np.isfinite(value) or abserr > 10.0 * max(tol, rel_tol * abs(value)):
+        if not np.isfinite(value) or abserr > 10.0 * tol:
             raise QuadratureError(f"quadrature did not converge: {out[3]}",
                                   partial=result)
     return result
@@ -170,7 +168,7 @@ def fourier_integral(f: Callable[[float], float], a: float, omega: float,
     value, abserr = out[0], out[1]
     info = out[2] if len(out) > 2 and isinstance(out[2], dict) else {}
     neval = int(info.get("neval", 0))
-    result = QuadratureResult(value=value, error_estimate=abserr, evaluations=max(neval, 1))
+    result = QuadratureResult(value=value, evaluations=max(neval, 1))
     # QUADPACK flags slow cycle convergence through a message; the returned
     # error bound stays honest, so only a genuinely useless bound is fatal.
     if len(out) > 3 and not np.isfinite(value):

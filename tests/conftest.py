@@ -9,7 +9,7 @@ settings.register_profile(
 settings.load_profile("suite")
 
 from sonicbh import default_config, derive
-from sonicbh.characteristics import mode_function
+from sonicbh.characteristics import core_integrals, core_left_x0
 from sonicbh.environment import EnvironmentSpec
 from sonicbh.profiles import LineProfile, RingProfile
 
@@ -40,12 +40,23 @@ def env_lorentzian():
     return EnvironmentSpec(coupling_eff=0.02, cutoff=20.0, cutoff_shape="lorentzian")
 
 
-@pytest.fixture(scope="session")
-def env_exponential():
-    return EnvironmentSpec(coupling_eff=1.3, cutoff=7.0, cutoff_shape="exponential")
-
-
 LINE_T_HAWKING = 0.2 / (4.0 * math.pi)
+
+
+def mode_function(k: float, x: float, t: float, profile: LineProfile) -> complex:
+    """Mode u_k(x, t) of the transition-region flow, unit-modulus phase / sqrt(2|k|),
+    assembled from the package's core_left_x0 and core_integrals(profile).g.
+
+    k < 0 is a pure left mover with phase k * x0_L(x,t); k > 0 carries the
+    right-moving content.  The direction-content time integral telescopes --
+    its integrand is the exact differential of e^{-2ikg}/(-2ik) -- leaving
+    the right-mover phase k * (x0_L - 2 g(t)).
+    """
+    if k == 0:
+        raise ValueError("k = 0 mode has singular normalization")
+    x0_l = core_left_x0(x, t, profile)
+    phase = k * x0_l if k < 0 else k * (x0_l - 2.0 * core_integrals(profile).g(t))
+    return complex(math.cos(phase), math.sin(phase)) / math.sqrt(2.0 * abs(k))
 
 
 def mode_function_pde_residual(k: float, x: float, t: float,

@@ -1,10 +1,11 @@
 """Independent oracles of the line flow for the tests.
 
-An adaptive Runge-Kutta integration of the characteristic ODE, carrying
-kappa * int sigma over the time spent in |x| <= a as a second state, checks
-the closed-form legs of ``sonicbh.characteristics``; central differences of
-its x0 check their Jacobian.  ``left_characteristic`` is the single-region
-transition-region closed form with a sampled confinement check.
+An adaptive Runge-Kutta integration of the characteristic ODE, leg by leg
+between the interfaces x = +-a and carrying kappa * int sigma over the time
+spent in |x| <= a as a second state, checks the closed-form legs of
+``sonicbh.characteristics``; central differences of its x0 check their
+Jacobian.  ``left_characteristic`` is the single-region transition-region
+closed form with a sampled confinement check.
 """
 
 from __future__ import annotations
@@ -22,26 +23,44 @@ from sonicbh.profiles import LineProfile
 TRACE_RTOL, TRACE_ATOL = 1e-13, 1e-14
 
 
-def _rhs(branch: str, profile: LineProfile):
+def _rhs(branch: str, profile: LineProfile, inside: bool):
     sgn = -1.0 if branch == "left" else +1.0
+    rate = profile.kappa if inside else 0.0
 
     def rhs(t, y):
-        x = y[0]
-        v = profile.velocity(x, t)
-        dz = profile.sigma(t) * profile.kappa if abs(x) <= profile.a else 0.0
-        return [v + sgn, dz]
+        return [profile.velocity(y[0], t) + sgn, rate * profile.sigma(t)]
 
     return rhs
 
 
+def _leaving(profile: LineProfile, inside: bool):
+    """Terminal event: the curve crosses |x| = a out of the leg's region."""
+    side = 1.0 if inside else -1.0
+
+    def event(t, y):
+        return side * (abs(y[0]) - profile.a)
+
+    event.terminal, event.direction = True, 1.0
+    return event
+
+
 def rk45_trace(x: float, t: float, branch: str, profile: LineProfile) -> tuple[float, float]:
-    """(x0, e^{-kappa int sigma inside}) of (x, t), integrated backward to t = 0."""
+    """(x0, e^{-kappa int sigma inside}) of (x, t), integrated backward to t = 0.
+
+    Leg by leg: each integration stops at an interface crossing and restarts
+    on the other side, so no step straddles the jump of the core rate.
+    """
     if t == 0:
         return x, 1.0
-    sol = solve_ivp(_rhs(branch, profile), (t, 0.0), [x, 0.0],
-                    method="RK45", rtol=TRACE_RTOL, atol=TRACE_ATOL)
-    assert sol.success, sol.message
-    return float(sol.y[0, -1]), math.exp(-float(sol.y[1, 0] - sol.y[1, -1]))
+    y, inside = [x, 0.0], abs(x) <= profile.a
+    for _ in range(4):  # three legs at most, plus an empty one from a start on x = +-a
+        sol = solve_ivp(_rhs(branch, profile, inside), (t, 0.0), y, method="RK45",
+                        rtol=TRACE_RTOL, atol=TRACE_ATOL, events=_leaving(profile, inside))
+        assert sol.success, sol.message
+        t, y, inside = float(sol.t[-1]), sol.y[:, -1], not inside
+        if t == 0.0:                 # y[1] ran down by kappa int sigma inside
+            return float(y[0]), math.exp(float(y[1]))
+    raise AssertionError(f"more interface crossings than a characteristic makes at {x!r}")
 
 
 def rk45_dx0_dx(x: float, t: float, branch: str, profile: LineProfile,

@@ -8,10 +8,10 @@ from scipy.integrate import solve_ivp
 from sonicbh.characteristics import (_region_of, characteristic_fan_rows, core_integrals,
                                      entanglement_boundary,
                                      forward_characteristic,
-                                     matched_dx0_dx, matched_x0, mode_function,
-                                     trace_characteristic)
+                                     matched_dx0_dx, matched_x0, trace_characteristic)
 from sonicbh.profiles import LineProfile, sigma_accumulated
 
+from conftest import mode_function
 from flow_oracle import RegionExit, left_characteristic, rk45_dx0_dx, rk45_trace
 
 # the windows and times of C09
@@ -113,8 +113,12 @@ def _assert_matches_rk45_oracle(points, branch, profile):
 
 @pytest.mark.parametrize("branch", ["left", "right"])
 def test_trace_matches_rk45_oracle(line, branch):
-    # the closed-form legs against the adaptive integration of the ODE
+    # the closed-form legs against the adaptive integration of the ODE, on
+    # C09's points and where a right mover leaves the core under a slow
+    # collapse (tau = 40, sigma ~ 1e-2): an RK45 step across x = -a would
+    # credit the core rate to time spent outside, ~3e-8 in e^{-kappa int sigma}
     _assert_matches_rk45_oracle(_c09_points(25), branch, line)
+    _assert_matches_rk45_oracle([(-0.5, 0.5)], branch, LineProfile(a=1.0, kappa=0.5, tau=40.0))
 
 
 @pytest.mark.parametrize("branch", ["left", "right"])

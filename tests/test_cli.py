@@ -259,6 +259,7 @@ def test_output_written_atomically(tmp_path):
     (["correlation", "--t", "100", "--x1", "-4", "--x2-min", "-1"], None, 2),
     (["correlation", "--t", "100", "--x1", "-4", "--x2-min", "1.5", "--x2-max", "-1"],
      None, 2),
+    (["hawking"], {"cutoff_shape": "exponential"}, 2),
 ], ids=["missing-config", "radius-inf", "line-kappa-nan", "omega-0", "omega-minus-0",
         "langevin-temperature-nan", "temperature-beyond-100-th", "negative-gamma",
         "coupling-eff-key", "langevin-sites-0", "langevin-realizations-1",
@@ -271,7 +272,7 @@ def test_output_written_atomically(tmp_path):
         "er-k-negative", "hawking-ring-flow-negative", "vcoef-ring-flow-negative",
         "langevin-moments-overflow", "correlation-t-0", "tdec-sweep-log-from-0",
         "tdec-sweep-log-from-negative", "correlation-x2-min-inside",
-        "correlation-x2-max-inside"])
+        "correlation-x2-max-inside", "cutoff-shape-exponential"])
 def test_malformed_input_refused(tmp_path, capsys, argv, config, code):
     """Refused with the documented exit code and one JSON record, no traceback."""
     prefix = ["--output", str(tmp_path / "x.csv")]

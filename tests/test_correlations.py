@@ -8,18 +8,15 @@ import numpy as np
 import pytest
 
 import sonicbh
-from sonicbh.characteristics import core_integrals, entanglement_boundary
+from sonicbh.characteristics import entanglement_boundary
 from sonicbh.correlations import (CorrelationGrid, build_correlation_grid,
                                   corr_closed_form, corr_homogeneous,
                                   corr_mode_sum_oracle, detect_peak,
-                                  open_correction_er, retarded_green,
-                                  thermal_momentum_integral)
+                                  open_correction_er, thermal_momentum_integral)
 from sonicbh.errors import RegimeError, RegimeWarning, RegionError
-from sonicbh.profiles import LineProfile
-from sonicbh.specfun import (fourier_integral, integrate_adaptive, neville_to_zero,
-                             thermal_weight)
+from sonicbh.specfun import fourier_integral, neville_to_zero, thermal_weight
 
-from conftest import LINE_T_HAWKING, mode_function_pde_residual
+from conftest import LINE_T_HAWKING, mode_function, mode_function_pde_residual
 
 mp.mp.dps = 30
 
@@ -36,7 +33,6 @@ def test_momentum_of_mode_against_analytic(line, k):
     # (d_t + v d_x) x0 = +- e^{-kappa F} (left/right phase), so
     # Pi u = sign(k)-resolved i k e^{-kappa F} u.  Richardson-refined finite
     # differences must land on that to 1e-8.
-    from sonicbh.characteristics import mode_function
     x, t = 0.3, 2.0
     v = line.sigma(t) * (1.0 + line.kappa * x)
 
@@ -270,59 +266,6 @@ def test_thermal_peak_dilution_ordering(line):
         beta = math.inf if mult == 0.0 else 1.0 / (mult * LINE_T_HAWKING)
         contrasts.append(detect_peak(_grid(line, -4.0, beta=beta)).contrast)
     assert contrasts[0] > contrasts[1] > contrasts[2]
-
-
-# --------------------------------------------------------------------------
-# retarded Green function
-# --------------------------------------------------------------------------
-
-FLAT = LineProfile(a=1.0, kappa=1e-7, tau=1e7)  # sigma ~ 0 over test times
-
-
-def test_green_vanishes_for_reversed_times(line):
-    assert retarded_green(0.0, 1.0, 0.0, 2.0, line) == 0.0
-
-
-def test_green_equal_time_commutator_vanishes(line):
-    assert retarded_green(0.5, 1.0, 0.5, 1.0, line) == 0.0
-    assert abs(retarded_green(0.5, 1.0, 0.9, 1.0, line)) < 1e-6
-
-
-def test_green_flat_support_and_amplitude():
-    inside = [(0.3, 2.0, 0.0, 0.0), (-1.0, 3.0, 0.2, 0.5), (0.0, 1.0, 0.5, 0.2)]
-    outside = [(2.5, 2.0, 0.0, 0.0), (-4.0, 2.0, 0.0, 0.0)]
-    for args in inside:
-        assert retarded_green(*args, FLAT) == pytest.approx(0.5, abs=2e-5)
-    for args in outside:
-        assert retarded_green(*args, FLAT) == pytest.approx(0.0, abs=2e-5)
-
-
-def _green_mode_sum_ladder(x, t, xp, tp, profile, eps_ladder=(0.2, 0.1, 0.05, 0.025)):
-    """Oracle: the mode sum (1/2pi) int dk/k [sin(k D_L) - sin(k D_R)] with
-    each k integral regulated by e^{-eps |D| k} and the regulator removed by
-    extrapolation over the ladder; for t >= t'."""
-    ci = core_integrals(profile)
-    x0_l = lambda x_, t_: (x_ * math.exp(-profile.kappa * profile.sigma_accumulated(t_))
-                           + ci.i(t_))
-    d_l = x0_l(x, t) - x0_l(xp, tp)
-    d_r = (x0_l(x, t) - 2.0 * ci.g(t)) - (x0_l(xp, tp) - 2.0 * ci.g(tp))
-    total = 0.0
-    for d, sector_sign in ((d_l, +1.0), (d_r, -1.0)):
-        if d == 0.0:
-            continue
-        vals = [integrate_adaptive(lambda k: math.sin(k * d) / k * math.exp(-e * abs(d) * k),
-                                   0.0, 60.0 / (e * abs(d)), tol=1e-12, limit=400).value
-                for e in eps_ladder]
-        total += sector_sign * neville_to_zero(list(eps_ladder), vals)
-    return total / (2.0 * math.pi)
-
-
-@pytest.mark.parametrize("args", [(0.3, 2.0, 0.0, 0.0), (-1.0, 3.0, 0.2, 0.5),
-                                  (2.5, 2.0, 0.0, 0.0), (0.5, 10.0, 3.0, 1.0),
-                                  (-3.0, 8.0, 1.5, 2.0), (4.0, 30.0, -2.0, 5.0)])
-def test_green_curved_against_mode_sum_ladder(line, args):
-    assert retarded_green(*args, line) == pytest.approx(
-        _green_mode_sum_ladder(*args, line), abs=2e-5)
 
 
 # --------------------------------------------------------------------------

@@ -1,5 +1,4 @@
 import math
-import warnings
 
 import numpy as np
 import pytest
@@ -9,12 +8,11 @@ from scipy.integrate import quad
 from sonicbh.decoherence import (_mode_table, allowed_frequencies,
                                  decoherence_time, diffusion_exact,
                                  diffusion_quadrature_oracle,
-                                 diffusion_thermal, diffusion_thermal_oracle,
                                  sweep_decoherence, v_coefficients)
-from sonicbh.errors import RegimeError, RegimeWarning
+from sonicbh.errors import RegimeError
 from sonicbh.params import TWO_PI
 from sonicbh.profiles import null_coordinate_map
-from sonicbh.specfun import integrate_adaptive, si
+from sonicbh.specfun import integrate_adaptive
 
 
 # --------------------------------------------------------------------------
@@ -25,28 +23,11 @@ def test_diffusion_exact_zero_time(env_lorentzian):
     assert diffusion_exact(0.0, 2.0, env_lorentzian) == 0.0
 
 
-def test_diffusion_exact_requires_lorentzian(env_exponential):
-    with pytest.raises(RegimeError, match="oracle"):
-        diffusion_exact(1.0, 2.0, env_exponential)
-
-
 def test_diffusion_exact_matches_oracle_spotchecks(env_lorentzian):
     for (t, om) in [(3.0, 2.0), (0.005, 0.4), (500.0, 2.0)]:
         de = diffusion_exact(t, om, env_lorentzian)
         do = diffusion_quadrature_oracle(t, om, env_lorentzian)
         assert de == pytest.approx(do, rel=1e-9)
-
-
-def test_diffusion_oracle_supports_exponential_cutoff(env_exponential):
-    # the oracle route covers shapes the closed form refuses; check against
-    # the time-domain kernel integral with the exponential-cutoff kernel in
-    # its elementary closed form N(s) = g^2 L^2 (1 - (Ls)^2)/(2 (1+(Ls)^2)^2)
-    g2, lam = env_exponential.coupling_eff ** 2, env_exponential.cutoff
-    kernel = lambda s: 0.5 * g2 * lam * lam * (1 - (lam * s) ** 2) / (1 + (lam * s) ** 2) ** 2
-    val = diffusion_quadrature_oracle(0.7, 1.5, env_exponential)
-    ref = integrate_adaptive(lambda s: kernel(s) * math.cos(1.5 * s), 0.0, 0.7,
-                             tol=1e-12).value
-    assert val == pytest.approx(ref, rel=1e-8)
 
 
 def test_diffusion_long_time_plateau(env_lorentzian):
@@ -64,56 +45,6 @@ def test_inner_antiderivative_equals_quadrature():
         quad = integrate_adaptive(lambda s: math.cos(nu * s) * math.cos(om * s),
                                   0.0, t, tol=1e-12).value
         assert _inner_cos_cos(nu, om, t) == pytest.approx(quad, abs=1e-11)
-
-
-# --------------------------------------------------------------------------
-# thermal diffusion
-# --------------------------------------------------------------------------
-
-def test_thermal_reduces_to_sine_integral_form(env_lorentzian):
-    g2 = env_lorentzian.coupling_eff ** 2
-    t, om = 5.0, 3.0
-    val = diffusion_thermal(t, om, math.inf, env_lorentzian)
-    assert val == pytest.approx(0.5 * g2 * om * si(om * t), rel=1e-12)
-
-
-def test_thermal_vanishes_at_zero_time(env_lorentzian):
-    for beta in (math.inf, 50.0, 20.0):
-        assert diffusion_thermal(0.0, 3.0, beta, env_lorentzian) == 0.0
-
-
-def test_thermal_warns_outside_regime(env_lorentzian):
-    with pytest.warns(RegimeWarning):
-        diffusion_thermal(1.0, 0.5, 2.0, env_lorentzian)
-
-
-def test_thermal_oracle_zero_temperature_boundary_term(env_lorentzian):
-    # the honest cutoff-free quadrature carries the cos(omega t)/t boundary
-    # piece the two-term display drops; pin both facts
-    g2 = env_lorentzian.coupling_eff ** 2
-    t, om = 5.0, 3.0
-    oracle = diffusion_thermal_oracle(t, om, math.inf, env_lorentzian)
-    honest = 0.5 * g2 * (om * si(om * t) + math.cos(om * t) / t)
-    assert oracle == pytest.approx(honest, rel=1e-10)
-
-
-def test_thermal_parts_match_at_low_temperature(env_lorentzian):
-    # [D(beta) - D(inf)]: the display coefficient 2 sin(wt)/(w b^2) comes from
-    # the sharp coth split; the exact Bose integral carries pi^2/3 instead of
-    # 2, so the measured ratio tends to pi^2/6.
-    t, om = 5.0, 3.0
-    base = diffusion_thermal_oracle(t, om, math.inf, env_lorentzian)
-    ratios = []
-    for bh in (40.0, 80.0, 160.0):
-        orc = diffusion_thermal_oracle(t, om, bh, env_lorentzian) - base
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", RegimeWarning)
-            exp = (diffusion_thermal(t, om, bh, env_lorentzian)
-                   - diffusion_thermal(t, om, math.inf, env_lorentzian))
-        ratios.append(orc / exp)
-    assert ratios[-1] == pytest.approx(math.pi ** 2 / 6.0, rel=0.02)
-    # convergence toward the exact ratio as beta grows
-    assert abs(ratios[2] - math.pi ** 2 / 6) < abs(ratios[0] - math.pi ** 2 / 6)
 
 
 # --------------------------------------------------------------------------
@@ -238,15 +169,23 @@ def test_t_d_gamma_quartering(config, derived, ring):
 
 
 def test_t_d_zero_temperature_breakdown(config, derived, ring):
-    est = decoherence_time(config, derived, 1e-7, 50.0, 0.0, _vc(ring, 50.0))
-    assert est.thermal_term == 0.0
-    assert est.t_d == est.zero_t_term
+    # t_D(0) alone: the closed zero-temperature expression
+    om, gamma, vc = 50.0, 1e-7, _vc(ring, 50.0)
+    expected = 2.0 * config.hbar ** 2 / (
+        gamma ** 2 * derived.delta_v * derived.delta ** 2 * om * math.pi
+        * derived.rho ** 2 * vc.v1_u)
+    assert decoherence_time(config, derived, gamma, om, 0.0, vc).t_d == pytest.approx(
+        expected, rel=1e-14)
 
 
 def test_t_d_thermal_term_negative(config, derived, ring):
-    est = decoherence_time(config, derived, 1e-7, 50.0, 2.0, _vc(ring, 50.0))
-    assert est.thermal_term < 0
-    assert est.t_d < est.zero_t_term
+    # t_D(T0) - t_D(0) = -8 k_B^2 T0^2 / (omega^3 pi hbar^2), independent of V
+    om, vc = 50.0, _vc(ring, 50.0)
+    cold = decoherence_time(config, derived, 1e-7, om, 0.0, vc).t_d
+    for t0 in (0.5, 2.0):
+        hot = decoherence_time(config, derived, 1e-7, om, t0, vc).t_d
+        expected = -8.0 * (config.k_boltzmann * t0) ** 2 / (om ** 3 * math.pi * config.hbar ** 2)
+        assert hot - cold == pytest.approx(expected, rel=1e-9)
 
 
 def test_t_d_homogeneity(config, derived, ring):

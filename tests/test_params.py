@@ -249,15 +249,11 @@ def test_every_constant_is_read():
 
 # Public names no command or script reaches, kept as oracles or oracle inputs.
 REACH_ALLOWLIST = {
-    # the finite-temperature D(t); wiring it into the CLI adds an option (ROADMAP item 4)
-    "decoherence.diffusion_thermal",
-    "decoherence.diffusion_thermal_oracle",
-    # the inputs of the e_r oracle (ROADMAP item 6)
-    "environment.noise_kernel",
-    "environment.dissipation_kernel",
-    "characteristics.mode_function",
-    "correlations.retarded_green",
-    # the independent c(theta) of the Richardson T_H oracle and the 1/(c+v) quadrature
+    # the independent c(theta) of the Richardson T_H oracle and the 1/(c+v)
+    # quadrature.  It keeps four methods: itself and, because an attribute
+    # call reaches every method of its name, RingProfile.velocity,
+    # LineProfile.velocity and LineProfile.sigma (with profiles.sigma behind
+    # it), the pointwise flow that the T_H, null-map and RK45 oracles evaluate
     "profiles.RingProfile.sound_speed",
 }
 
