@@ -13,12 +13,12 @@ from .errors import (ConfigError, QuadratureError, RegimeError, RegimeWarning,
 from .params import (DerivedParams, PhysicalConfig, default_config, derive,
                      load_config)
 from .profiles import (LineProfile, RingProfile, hawking_temperature_line,
-                       hawking_temperature_ring, sigma, sigma_accumulated)
+                       hawking_temperature_ring, sigma_accumulated)
 
 __all__ = [
     "ConfigError", "DerivedParams", "EnvironmentSpec", "LineProfile",
     "PhysicalConfig", "QuadratureError", "RegimeError", "RegimeWarning",
     "RegionError", "RingProfile", "SonicBHError", "default_config", "derive",
     "effective_coupling", "hawking_temperature_line", "hawking_temperature_ring",
-    "load_config", "sigma", "sigma_accumulated", "__version__",
+    "load_config", "sigma_accumulated", "__version__",
 ]

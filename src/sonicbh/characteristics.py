@@ -105,9 +105,6 @@ class _CoreIntegrals:
             f = f * (1.0 - np.tanh(u))
         return t * float(self._weights @ f)
 
-    def g(self, t: float) -> float:
-        return self._gauss(t, False) if t < self.t_gauss else self.g_inf - self._g_tail(t)
-
     def i(self, t: float) -> float:
         return self._gauss(t, True) if t < self.t_gauss else self.i_inf - self._i_tail(t)
 

@@ -55,8 +55,8 @@ CONFIG_KEYS = {
 class PhysicalConfig:
     """Ring-trap flow parameters.
 
-    v_min/v_max are the post-collapse profile extrema; at t = 0 the flow is
-    uniform at 2*pi/period and relaxes onto these over the collapse time.
+    v_min/v_max are the extrema of the post-collapse profile, the one ring
+    the package evaluates; they straddle the uniform pre-collapse 2*pi/period.
     """
 
     n_ions: int

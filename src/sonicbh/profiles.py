@@ -1,9 +1,9 @@
-"""Velocity profiles, collapse schedule, null coordinates, Hawking temperatures.
+"""Velocity profiles, null coordinates, Hawking temperatures.
 
 Two geometries appear throughout:
 
-* the circular ring flow (piecewise-linear in angle, Gaussian collapse
-  schedule, position-dependent sound speed from the local ion density), and
+* the circular ring flow after its collapse (piecewise-linear in angle,
+  position-dependent sound speed from the local ion density), and
 * the straight channel ("line") flow v(x,t) = sigma(t) * {v_min, 1+kappa*x,
   v_max} with sigma(t) = tanh(t/tau) and unit sound speed.
 
@@ -24,15 +24,8 @@ from .params import TWO_PI, PhysicalConfig, derive
 from .specfun import log_cosh
 
 
-def sigma(t: float, tau: float) -> float:
-    """Collapse schedule tanh(t/tau): 0 at t=0, saturating to 1."""
-    if t < 0:
-        raise ValueError("sigma is defined for t >= 0")
-    return math.tanh(t / tau)
-
-
 def sigma_accumulated(t: float, tau: float) -> float:
-    """int_0^t sigma(s) ds = tau * ln cosh(t/tau), overflow-safe."""
+    """int_0^t tanh(s/tau) ds = tau * ln cosh(t/tau), overflow-safe."""
     if t < 0:
         raise ValueError("sigma_accumulated is defined for t >= 0")
     return tau * log_cosh(t / tau)
@@ -68,14 +61,8 @@ class LineProfile:
     def v_max(self) -> float:
         return 1.0 + self.kappa * self.a
 
-    def sigma(self, t: float) -> float:
-        return sigma(t, self.tau)
-
     def sigma_accumulated(self, t: float) -> float:
         return sigma_accumulated(t, self.tau)
-
-    def velocity(self, x: float, t: float) -> float:
-        return self.sigma(t) * (1.0 + self.kappa * min(max(x, -self.a), self.a))
 
 
 # --------------------------------------------------------------------------
@@ -84,51 +71,20 @@ class LineProfile:
 
 @dataclass(frozen=True)
 class RingProfile:
-    """Piecewise-linear ring flow with the Gaussian collapse schedule.
+    """The ring flow after its collapse: piecewise linear in angle.
 
     The five segments (plateau at v_min, up-ramp at theta_h, plateau at
     v_max, down-ramp at 2*pi - theta_h, plateau at v_min) tile [0, 2*pi).
-    The extrema relax from the uniform 2*pi/T as
-    v_ext(t) = v_ext + (2*pi/T - v_ext) * exp(-t^2/tau^2).
     """
 
     config: PhysicalConfig
 
     @property
-    def collapse_time(self) -> float:
-        return derive(self.config).tau
-
-    def extrema(self, t: float | None) -> tuple[float, float]:
-        """(v_min(t), v_max(t)); t=None selects the post-collapse profile."""
-        cfg = self.config
-        if t is None:
-            return cfg.v_min, cfg.v_max
-        if t < 0:
-            raise ValueError("profile defined for t >= 0")
-        fade = math.exp(-((t / self.collapse_time) ** 2))
-        v_bar = cfg.mean_velocity
-        return (cfg.v_min + (v_bar - cfg.v_min) * fade,
-                cfg.v_max + (v_bar - cfg.v_max) * fade)
-
-    def velocity(self, theta, t: float | None = None):
-        lo, slope, ref, v_ref = map(np.array, zip(*(
-            (s.lo, s.slope, s.ref, s.v_ref) for s in _ring_segments(self, t)[1])))
-        th = np.mod(np.asarray(theta, dtype=float), TWO_PI)
-        j = np.searchsorted(lo, th, side="right") - 1
-        out = v_ref[j] + slope[j] * (th - ref[j])
-        return out if out.ndim else float(out)
-
-    @property
     def sound_constant(self) -> float:
-        """K in c = K v^(-1/2): K^2 = 2 Q^2 N / (m R^3 T)."""
+        """K in c = K v^(-1/2), local density n = N/(v T): K^2 = 2 Q^2 N / (m R^3 T)."""
         cfg = self.config
         return math.sqrt(2.0 * cfg.ion_charge ** 2 * cfg.n_ions
                          / (cfg.ion_mass * cfg.radius ** 3 * cfg.period))
-
-    def sound_speed(self, theta, t: float | None = None):
-        """c(theta) = sqrt(2 n Q^2 / (m R^3)) = K v^(-1/2), local density n = N/(v T)."""
-        out = self.sound_constant / np.sqrt(np.asarray(self.velocity(theta, t), dtype=float))
-        return out if out.ndim else float(out)
 
     @classmethod
     def from_config(cls, config: PhysicalConfig) -> "RingProfile":
@@ -155,18 +111,16 @@ class _Segment(NamedTuple):
     v_ref: float
 
 
-def _ring_segments(profile: RingProfile, t: float | None) -> tuple[float, tuple]:
-    """(v_h, the five segments of v at time t), the one definition of the
-    ring's shape.
+def _ring_segments(profile: RingProfile) -> tuple[float, tuple]:
+    """(v_h, the five segments of v), the one definition of the ring's shape.
 
     A ramp's ref is the angle where its line reaches v_h (the horizon when it
     lies inside the ramp), so v - v_h = slope * (theta - ref) is free of
-    cancellation near the pole.  A ramp of zero slope (the uniform flow at
-    t = 0) is a plateau.
+    cancellation near the pole.
     """
     cfg = profile.config
     v_h = profile.sound_constant ** (2.0 / 3.0)
-    v_lo, v_hi = profile.extrema(t)
+    v_lo, v_hi = cfg.v_min, cfg.v_max
     if not v_lo > 0:
         raise RegimeError("the ring flow must stay positive (c = K v^(-1/2)), "
                           f"got v_min = {v_lo!r}")
@@ -176,8 +130,6 @@ def _ring_segments(profile: RingProfile, t: float | None) -> tuple[float, tuple]
         return _Segment(lo, hi, 0.0, lo, v)
 
     def ramp(centre, half, slope):
-        if slope == 0.0:
-            return plateau(centre - half, centre + half, mid)
         return _Segment(centre - half, centre + half, slope, centre + (v_h - mid) / slope, v_h)
 
     up, down, rise = cfg.theta_h, TWO_PI - cfg.theta_h, v_hi - v_lo
@@ -190,7 +142,7 @@ def _ring_segments(profile: RingProfile, t: float | None) -> tuple[float, tuple]
 
 def _horizon_segments(segments) -> list[_Segment]:
     """The ramps whose line crosses v_h inside them, in angular order."""
-    return [s for s in segments if s.slope != 0.0 and s.lo < s.ref < s.hi]
+    return [s for s in segments if s.lo < s.ref < s.hi]
 
 
 # --------------------------------------------------------------------------
@@ -250,8 +202,6 @@ class NullCoordinateMap:
     contribute nothing (the cumulative value is carried across flat).
     """
 
-    branch: str
-    epsilon: float
     horizons: tuple[float, ...]   # v branch: angles where v = c, i.e. v^(3/2) = K
     total: float      # value at 2*pi
     length: float     # measure of the pieces: 2*pi less the slivers
@@ -279,10 +229,9 @@ class NullCoordinateMap:
 
 
 @functools.lru_cache(maxsize=32)
-def _build_null_map(profile: RingProfile, branch: str, epsilon: float,
-                    t_key: float | None) -> NullCoordinateMap:
+def _build_null_map(profile: RingProfile, branch: str, epsilon: float) -> NullCoordinateMap:
     sign = +1.0 if branch == "u" else -1.0
-    v_h, segments = _ring_segments(profile, t_key)
+    v_h, segments = _ring_segments(profile)
     horizons = (tuple(s.ref for s in _horizon_segments(segments))
                 if branch == "v" else ())
     if horizons and epsilon <= HORIZON_XTOL:
@@ -325,7 +274,7 @@ def _build_null_map(profile: RingProfile, branch: str, epsilon: float,
     # plateaus: int cos(k x) dtheta = [sin(k x)/k] / rate between the ends
     x_start = pieces.x_lo[flat]
     nmap = NullCoordinateMap(
-        branch=branch, epsilon=epsilon, horizons=horizons,
+        horizons=horizons,
         total=float(pieces.x_lo[-1] + span[-1]), length=float(np.sum(hi - lo)),
         _pieces=pieces, _nodes=np.concatenate(nodes), _weights=np.concatenate(weights),
         _ends=np.concatenate([x_start, x_start + span[flat]]),
@@ -336,8 +285,8 @@ def _build_null_map(profile: RingProfile, branch: str, epsilon: float,
     return nmap
 
 
-def null_coordinate_map(profile: RingProfile, branch: str, epsilon: float = 0.0,
-                        t: float | None = None) -> NullCoordinateMap:
+def null_coordinate_map(profile: RingProfile, branch: str,
+                        epsilon: float = 0.0) -> NullCoordinateMap:
     """Build (cached) the cumulative null coordinate for a ring profile.
 
     On the v branch epsilon must exceed HORIZON_XTOL (else
@@ -346,24 +295,24 @@ def null_coordinate_map(profile: RingProfile, branch: str, epsilon: float = 0.0,
     """
     if branch not in ("u", "v"):
         raise ValueError(f"branch must be 'u' or 'v', got {branch!r}")
-    return _build_null_map(profile, branch, float(epsilon), t)
+    return _build_null_map(profile, branch, float(epsilon))
 
 
 # --------------------------------------------------------------------------
 # Hawking temperatures
 # --------------------------------------------------------------------------
 
-def hawking_temperature_ring(profile: RingProfile, horizon_index: int = 0) -> float:
-    """T_H = hbar/(4 pi v k_B) * d/dtheta (v^2 - c^2) at a horizon.
+def hawking_temperature_ring(profile: RingProfile) -> float:
+    """T_H = hbar/(4 pi v k_B) * d/dtheta (v^2 - c^2) at the first horizon.
 
     With c^2 = K^2/v and v^3 = K^2 at the horizon this is 3 hbar v'/(4 pi k_B),
-    v' the ramp slope: positive at the first horizon, negative at the second.
+    v' the slope of the up-ramp.
     """
     cfg = profile.config
-    ramps = _horizon_segments(_ring_segments(profile, None)[1])
+    ramps = _horizon_segments(_ring_segments(profile)[1])
     if not ramps:
         raise RegionError("no horizon: v never crosses c on the ring")
-    return 3.0 * cfg.hbar * ramps[horizon_index].slope / (4.0 * math.pi * cfg.k_boltzmann)
+    return 3.0 * cfg.hbar * ramps[0].slope / (4.0 * math.pi * cfg.k_boltzmann)
 
 
 def hawking_temperature_line(v_max: float, v_min: float, a: float) -> float:

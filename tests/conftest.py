@@ -9,9 +9,11 @@ settings.register_profile(
 settings.load_profile("suite")
 
 from sonicbh import default_config, derive
-from sonicbh.characteristics import core_integrals, core_left_x0
+from sonicbh.characteristics import core_left_x0
 from sonicbh.environment import EnvironmentSpec
 from sonicbh.profiles import LineProfile, RingProfile
+
+from flow_oracle import core_g, line_velocity
 
 
 @pytest.fixture(scope="session")
@@ -45,7 +47,7 @@ LINE_T_HAWKING = 0.2 / (4.0 * math.pi)
 
 def mode_function(k: float, x: float, t: float, profile: LineProfile) -> complex:
     """Mode u_k(x, t) of the transition-region flow, unit-modulus phase / sqrt(2|k|),
-    assembled from the package's core_left_x0 and core_integrals(profile).g.
+    assembled from the package's core_left_x0 and the quadrature g(t) of core_g.
 
     k < 0 is a pure left mover with phase k * x0_L(x,t); k > 0 carries the
     right-moving content.  The direction-content time integral telescopes --
@@ -55,7 +57,7 @@ def mode_function(k: float, x: float, t: float, profile: LineProfile) -> complex
     if k == 0:
         raise ValueError("k = 0 mode has singular normalization")
     x0_l = core_left_x0(x, t, profile)
-    phase = k * x0_l if k < 0 else k * (x0_l - 2.0 * core_integrals(profile).g(t))
+    phase = k * x0_l if k < 0 else k * (x0_l - 2.0 * core_g(t, profile))
     return complex(math.cos(phase), math.sin(phase)) / math.sqrt(2.0 * abs(k))
 
 
@@ -63,14 +65,14 @@ def mode_function_pde_residual(k: float, x: float, t: float,
                                profile: LineProfile, h: float) -> float:
     """|[(d_t + d_x v)(d_t + v d_x) - d_x^2] u_k| by nested central differences.
 
-    The operator is evaluated with the transition-region velocity law, on
-    whose modes ``mode_function`` is built; residual -> 0 at O(h^2).
+    The operator is evaluated with the oracle's velocity law, in whose
+    transition region ``mode_function`` is built; residual -> 0 at O(h^2).
     """
     def u(xx, tt):
         return mode_function(k, xx, tt, profile)
 
     def v(xx, tt):
-        return profile.sigma(tt) * (1.0 + profile.kappa * xx)
+        return line_velocity(xx, tt, profile)
 
     def w(xx, tt):  # (d_t + v d_x) u
         du_dt = (u(xx, tt + h) - u(xx, tt - h)) / (2.0 * h)

@@ -1,11 +1,13 @@
 """Independent oracles of the line flow for the tests.
 
-An adaptive Runge-Kutta integration of the characteristic ODE, leg by leg
-between the interfaces x = +-a and carrying kappa * int sigma over the time
-spent in |x| <= a as a second state, checks the closed-form legs of
-``sonicbh.characteristics``; central differences of its x0 check their
-Jacobian.  ``left_characteristic`` is the single-region transition-region
-closed form with a sampled confinement check.
+The flow v(x, t) = tanh(t/tau) (1 + kappa clip(x, -a, a)) is evaluated here
+from the profile's parameters alone, and so is g(t) = int_0^t e^{-kappa F},
+by adaptive quadrature.  An adaptive Runge-Kutta integration of the
+characteristic ODE, leg by leg between the interfaces x = +-a and carrying
+kappa * int sigma over the time spent in |x| <= a as a second state, checks
+the closed-form legs of ``sonicbh.characteristics``; central differences of
+its x0 check their Jacobian.  ``left_characteristic`` is the single-region
+transition-region closed form with a sampled confinement check.
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy.integrate import solve_ivp
+from scipy.integrate import quad, solve_ivp
 from scipy.optimize import brentq
 
 from sonicbh.characteristics import core_integrals
@@ -23,12 +25,26 @@ from sonicbh.profiles import LineProfile
 TRACE_RTOL, TRACE_ATOL = 1e-13, 1e-14
 
 
+def line_velocity(x: float, t: float, profile: LineProfile) -> float:
+    """tanh(t/tau) (1 + kappa clip(x, -a, a))."""
+    return math.tanh(t / profile.tau) * (1.0 + profile.kappa * min(max(x, -profile.a), profile.a))
+
+
+def core_g(t: float, profile: LineProfile) -> float:
+    """g(t) = int_0^t cosh^{-kappa tau}(s/tau) ds by adaptive quadrature."""
+    tau, m = profile.tau, profile.kappa * profile.tau
+    # ln cosh u = u + log1p(e^{-2u}) - ln 2 keeps the integrand finite at any s
+    decay = lambda s: math.exp(-m * (s / tau + math.log1p(math.exp(-2.0 * s / tau))
+                                     - math.log(2.0)))
+    return quad(decay, 0.0, t, epsabs=0.0, epsrel=1e-13, limit=200)[0]
+
+
 def _rhs(branch: str, profile: LineProfile, inside: bool):
     sgn = -1.0 if branch == "left" else +1.0
     rate = profile.kappa if inside else 0.0
 
     def rhs(t, y):
-        return [profile.velocity(y[0], t) + sgn, rate * profile.sigma(t)]
+        return [line_velocity(y[0], t, profile) + sgn, rate * math.tanh(t / profile.tau)]
 
     return rhs
 

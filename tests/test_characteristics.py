@@ -3,7 +3,7 @@ import math
 import mpmath as mp
 import numpy as np
 import pytest
-from scipy.integrate import solve_ivp
+from scipy.integrate import cumulative_trapezoid, solve_ivp
 
 from sonicbh.characteristics import (_region_of, characteristic_fan_rows, core_integrals,
                                      entanglement_boundary,
@@ -12,7 +12,8 @@ from sonicbh.characteristics import (_region_of, characteristic_fan_rows, core_i
 from sonicbh.profiles import LineProfile, sigma_accumulated
 
 from conftest import mode_function
-from flow_oracle import RegionExit, left_characteristic, rk45_dx0_dx, rk45_trace
+from flow_oracle import (RegionExit, core_g, left_characteristic, line_velocity, rk45_dx0_dx,
+                         rk45_trace)
 
 # the windows and times of C09
 C09_WINDOWS = {"x<-a": (-8.0, -1.05), "|x|<=a": (-0.95, 0.95), "x>a": (1.05, 8.0)}
@@ -143,16 +144,23 @@ def test_left_jacobian_matches_central_differences(line):
 
 @pytest.mark.parametrize("kappa, tau", [(0.1, 1.0), (0.5, 3.0), (0.02, 0.5)])
 def test_core_integrals_against_quadrature(kappa, tau):
-    # I(t) and g(t) in closed form against mpmath quadrature of their integrands
+    # g(inf) - g(t), which the right-mover legs read, against the 40-digit
+    # incomplete beta (tau/2) 2^m B(m/2, m/2) I_y(m/2, m/2), y = 1/(1 + e^{2t/tau});
+    # mpmath quadrature of that tail is only good to ~5e-12 at t >= 300.
+    # I(t) against mpmath quadrature of its integrand.
     lp = LineProfile(a=1.0, kappa=kappa, tau=tau)
     ci = core_integrals(lp)
-    decay = lambda s: mp.cosh(s / tau) ** (-kappa * tau)
+    m = kappa * tau
+    decay = lambda s: mp.cosh(s / tau) ** (-m)
     for t in (1e-8, 1e-4, 0.01, 0.3, tau * 0.999, tau, 1.5, 4.0, 20.0, 100.0, 300.0, 1e3):
         cuts = [0] + [c for c in (tau, 10 * tau, 100 * tau) if c < t] + [t]
+        with mp.workdps(40):
+            p, y = mp.mpf(m) / 2, 1 / (1 + mp.exp(2 * mp.mpf(t) / tau))
+            g_tail = tau / 2 * 2 ** mp.mpf(m) * mp.beta(p, p) * mp.betainc(
+                p, p, 0, y, regularized=True)
         with mp.workdps(30):
-            g = mp.quad(decay, cuts)
             i_ = mp.quad(lambda s: (1 - mp.tanh(s / tau)) * decay(s), cuts)
-        assert ci.g(t) == pytest.approx(float(g), rel=1e-12, abs=0), ("g", t)
+        assert ci.g_tail(t) == pytest.approx(float(g_tail), rel=1e-12, abs=0), ("g_tail", t)
         assert ci.i(t) == pytest.approx(float(i_), rel=1e-12, abs=0), ("I", t)
 
 
@@ -208,7 +216,7 @@ def test_matched_solves_outer_transport(line):
     t, x, h = 60.0, 5.0, 1e-5
     dt_ = (matched_x0(x, t + h, line) - matched_x0(x, t - h, line)) / (2 * h)
     dx_ = (matched_x0(x + h, t, line) - matched_x0(x - h, t, line)) / (2 * h)
-    v = line.sigma(t) * line.v_max
+    v = line_velocity(x, t, line)
     assert dt_ + (v - 1.0) * dx_ == pytest.approx(0.0, abs=1e-6)
 
 
@@ -233,8 +241,7 @@ def idealized_trace_x0(x: float, t: float, profile: LineProfile) -> float:
         x_ = y[0]
         if abs(x_) <= profile.a:
             return [profile.kappa * x_]
-        v = profile.sigma(s) * (profile.v_max if x_ > profile.a else profile.v_min)
-        return [v - 1.0]
+        return [line_velocity(x_, s, profile) - 1.0]
 
     sol = solve_ivp(rhs, (t, 0.0), [x], method="RK45", rtol=1e-12, atol=1e-13)
     return float(sol.y[0, -1])
@@ -316,11 +323,11 @@ def test_mode_left_movers_phase_only(line):
 
 
 def direction_content_integral(k: float, t: float, profile: LineProfile) -> complex:
-    """1 - 2i|k| int_0^t e^{-2ik g(s) - kappa F(s)} ds by direct quadrature."""
-    ci = core_integrals(profile)
+    """1 - 2i|k| int_0^t e^{-2ik g(s) - kappa F(s)} ds by direct quadrature, with
+    g the cumulative trapezoid of the sampled e^{-kappa F}."""
     s = np.linspace(0.0, t, 20000)
     decay = np.exp(-profile.kappa * np.array([sigma_accumulated(v, profile.tau) for v in s]))
-    g_s = np.array([ci.g(v) for v in s])
+    g_s = cumulative_trapezoid(decay, s, initial=0.0)
     integrand = np.exp(-2j * k * g_s) * decay
     val = np.trapezoid(integrand, s)
     return 1.0 - 2j * abs(k) * val
@@ -328,9 +335,8 @@ def direction_content_integral(k: float, t: float, profile: LineProfile) -> comp
 
 def test_mode_direction_content_telescopes(line):
     # the right-mover time integral is an exact differential of e^{-2ikg}
-    ci = core_integrals(line)
     for (k, t) in [(1.3, 2.0), (2.0, 4.0), (0.4, 7.0)]:
-        g = ci.g(t)
+        g = core_g(t, line)
         telescoped = complex(math.cos(2 * k * g), -math.sin(2 * k * g))
         assert direction_content_integral(k, t, line) == pytest.approx(telescoped, abs=5e-6)
 

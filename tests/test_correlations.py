@@ -17,6 +17,7 @@ from sonicbh.errors import RegimeError, RegimeWarning, RegionError
 from sonicbh.specfun import fourier_integral, neville_to_zero, thermal_weight
 
 from conftest import LINE_T_HAWKING, mode_function, mode_function_pde_residual
+from flow_oracle import line_velocity
 
 mp.mp.dps = 30
 
@@ -34,7 +35,7 @@ def test_momentum_of_mode_against_analytic(line, k):
     # Pi u = sign(k)-resolved i k e^{-kappa F} u.  Richardson-refined finite
     # differences must land on that to 1e-8.
     x, t = 0.3, 2.0
-    v = line.sigma(t) * (1.0 + line.kappa * x)
+    v = line_velocity(x, t, line)
 
     def pi_fd(h):
         du_dt = (mode_function(k, x, t + h, line) - mode_function(k, x, t - h, line)) / (2 * h)

@@ -62,20 +62,6 @@ def test_v_at_zero_frequency(ring, derived):
     assert vc.v1_v == pytest.approx(near.v1_v, rel=1e-8)
 
 
-def test_v_constant_background_closed_form(ring, config):
-    # pre-collapse the ring is uniform: V1 = int cos^2(w x/(c+v)) has the
-    # elementary antiderivative pi + sin(2 w L)/4w * (c+v)
-    from sonicbh.profiles import null_coordinate_map
-    m = null_coordinate_map(ring, "u", t=0.0)
-    om = 7.0
-    speed = 1.0 / (m(TWO_PI) / TWO_PI)
-    phase = om / speed
-    expected_v1 = math.pi + math.sin(2 * phase * TWO_PI) / (4 * phase)
-    th = np.linspace(0, TWO_PI, 1 << 15)
-    v1 = float(np.trapezoid(np.cos(om * m(th)) ** 2, th))
-    assert v1 == pytest.approx(expected_v1, rel=1e-6)
-
-
 def test_v_bounds_over_allowed_range(ring):
     for branch in ("u", "v"):
         omegas = allowed_frequencies(ring, branch)[::9]

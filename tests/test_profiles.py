@@ -3,32 +3,18 @@ import math
 import mpmath as mp
 import numpy as np
 import pytest
-from hypothesis import given
-from hypothesis import strategies as st
 
 from sonicbh.errors import RegionError, SingularIntegrandError
 from sonicbh.params import TWO_PI
-from sonicbh.profiles import (LineProfile, RingProfile, hawking_temperature_line,
-                              hawking_temperature_ring, null_coordinate_map, sigma,
-                              sigma_accumulated)
+from sonicbh.profiles import (RingProfile, hawking_temperature_line, hawking_temperature_ring,
+                              null_coordinate_map, sigma_accumulated)
+
+from flow_oracle import line_velocity
 
 
 # --------------------------------------------------------------------------
 # collapse schedule
 # --------------------------------------------------------------------------
-
-def test_sigma_starts_at_zero():
-    assert sigma(0.0, 0.7) == 0.0
-
-
-def test_sigma_saturates():
-    assert abs(sigma(10.0 * 0.5, 0.5) - 1.0) < 1e-8
-
-
-def test_sigma_at_one_collapse_time():
-    # tanh(1) cross-checked against (e^2-1)/(e^2+1)
-    assert sigma(1.0, 1.0) == pytest.approx((math.e ** 2 - 1) / (math.e ** 2 + 1), rel=1e-15)
-
 
 def test_sigma_accumulated_zero():
     assert sigma_accumulated(0.0, 2.0) == 0.0
@@ -48,45 +34,84 @@ def test_sigma_accumulated_asymptote():
 def test_sigma_accumulated_matches_quadrature():
     from sonicbh.specfun import integrate_adaptive
     t, tau = 3.7, 0.8
-    num = integrate_adaptive(lambda s: sigma(s, tau), 0.0, t, tol=1e-12).value
+    num = integrate_adaptive(lambda s: math.tanh(s / tau), 0.0, t, tol=1e-12).value
     assert sigma_accumulated(t, tau) == pytest.approx(num, rel=1e-10)
 
 
 def test_sigma_accumulated_derivative_is_sigma():
-    # centered differences on a 100-point grid
+    # centered differences on a 100-point grid against sigma = tanh(t/tau)
     tau = 0.9
     ts = np.linspace(0.05, 8.0, 100)
     h = 1e-6
     for t in ts:
         d = (sigma_accumulated(t + h, tau) - sigma_accumulated(t - h, tau)) / (2 * h)
-        assert d == pytest.approx(sigma(t, tau), rel=1e-6)
+        assert d == pytest.approx(math.tanh(t / tau), rel=1e-6)
 
 
 # --------------------------------------------------------------------------
 # ring profile
 # --------------------------------------------------------------------------
 
-def test_ring_uniform_before_collapse(ring, config):
-    for th in (0.0, 1.0, 2.5, 5.0):
-        assert ring.velocity(th, 0.0) == pytest.approx(config.mean_velocity, rel=1e-15)
+def _ring_flow(config, num=float, sqrt=math.sqrt, pi=math.pi):
+    """v and c of the post-collapse ring, built from the config alone, with its
+    ramps: in floats, or in mpmath with num, sqrt, pi = mp.mpf, mp.sqrt, mp.pi."""
+    vmin, vmax, th_h, g1, g2 = map(num, (config.v_min, config.v_max, config.theta_h,
+                                         config.gamma1, config.gamma2))
+    down = 2 * pi - th_h
+    mid, half = (vmax + vmin) / 2, (vmax - vmin) / 2
+
+    def v(th):
+        if th <= th_h - g1 or th > down + g2:
+            return vmin
+        if th <= th_h + g1:
+            return mid + half * (th - th_h) / g1
+        if th <= down - g2:
+            return vmax
+        return mid - half * (th - down) / g2
+
+    k2 = (2 * num(config.ion_charge) ** 2 * config.n_ions
+          / (num(config.ion_mass) * num(config.radius) ** 3 * num(config.period)))
+    return v, lambda th: sqrt(k2 / v(th)), [(th_h - g1, th_h + g1), (down - g2, down + g2)]
+
+
+def _mp_ring(config):
+    return _ring_flow(config, mp.mpf, mp.sqrt, mp.pi)
+
+
+def _x_u_rate(config, theta):
+    """dx_u/dtheta = 1/(c + v) of the config's own flow at theta."""
+    v, c, _ = _ring_flow(config)
+    return 1.0 / (c(theta) + v(theta))
 
 
 def test_ring_plateau_after_collapse(ring, config):
-    theta_plateau = 0.5 * (config.theta_h + config.gamma1 + TWO_PI - config.theta_h - config.gamma2)
-    assert ring.velocity(theta_plateau, 50.0 * ring.collapse_time) == pytest.approx(config.v_max, rel=1e-12)
+    # x_u runs at the rate of v_max across the plateau between the ramps
+    lo, hi = config.theta_h + config.gamma1, TWO_PI - config.theta_h - config.gamma2
+    m = null_coordinate_map(ring, "u")
+    assert (m(hi) - m(lo)) / (hi - lo) == pytest.approx(_x_u_rate(config, 0.5 * (lo + hi)),
+                                                        rel=1e-12)
 
 
 def test_ring_midpoint_of_ramp(ring, config):
-    beta = 0.5 * (config.v_max + config.v_min)
-    assert ring.velocity(config.theta_h, 50.0 * ring.collapse_time) == pytest.approx(beta, rel=1e-12)
+    # at theta_h the ramp passes (v_min + v_max)/2: Richardson-refined central
+    # differences of x_u there give that speed's rate
+    m, th = null_coordinate_map(ring, "u"), config.theta_h
+    diff = lambda h: (m(th + h) - m(th - h)) / (2 * h)
+    rate = (4 * diff(1e-4) - diff(2e-4)) / 3
+    assert rate == pytest.approx(_x_u_rate(config, th), rel=1e-9)
 
 
-def test_ring_continuity_and_periodicity(ring):
-    th = np.linspace(0, TWO_PI, 20001)
-    v = ring.velocity(th, None)
-    assert np.all(np.abs(np.diff(v)) < 2e-3)  # piecewise linear, fine grid
-    assert ring.velocity(0.0, None) == pytest.approx(ring.velocity(TWO_PI - 1e-12, None), rel=1e-9)
-    assert ring.velocity(1.0 + TWO_PI, 0.3) == pytest.approx(ring.velocity(1.0, 0.3), rel=1e-15)
+def test_ring_continuity_and_periodicity(ring, config):
+    # the pieces of x_u join without a jump at every segment end, the map
+    # spans [0, 2 pi] from 0 to its total, and it runs at one rate on either
+    # side of theta = 0 = 2 pi
+    m = null_coordinate_map(ring, "u")
+    th_h, g1, g2 = config.theta_h, config.gamma1, config.gamma2
+    for end in (th_h - g1, th_h + g1, TWO_PI - th_h - g2, TWO_PI - th_h + g2):
+        assert abs(m(end + 1e-12) - m(end - 1e-12)) < 1e-11
+    assert m(0.0) == 0.0 and m(TWO_PI) == m.total
+    assert m(0.1) == pytest.approx(m.total - m(TWO_PI - 0.1), rel=1e-12)
+    assert np.all(np.abs(np.diff(m(np.linspace(0, TWO_PI, 20001)))) < 2e-3)
 
 
 def test_ring_two_sonic_crossings(ring, derived):
@@ -98,43 +123,25 @@ def test_ring_two_sonic_crossings(ring, derived):
 # --------------------------------------------------------------------------
 
 def test_line_continuity_at_interfaces(line):
+    # the outer speeds v_min, v_max of the package's legs continue the core
+    # law tanh(t/tau) (1 + kappa x) of the oracle flow at x = -+a
     for t in (0.0, 0.5, 3.0, 40.0):
-        s = line.sigma(t)
-        assert line.velocity(line.a, t) == pytest.approx(s * line.v_max, rel=1e-14, abs=1e-300)
-        assert line.velocity(-line.a, t) == pytest.approx(s * line.v_min, rel=1e-14, abs=1e-300)
-
-
-@given(st.floats(min_value=-3.0, max_value=3.0), st.floats(min_value=0.0, max_value=50.0))
-def test_line_velocity_bounded(x, t):
-    lp = LineProfile(a=1.0, kappa=0.1, tau=1.0)
-    v = lp.velocity(x, t)
-    assert 0.0 <= v <= lp.v_max + 1e-15
-
-
-@given(st.one_of(st.floats(), st.sampled_from([1.0, -1.0, 0.0, -0.0, math.nan])),
-       st.floats(min_value=0.0, max_value=50.0))
-def test_line_velocity_matches_array_clip(x, t):
-    # scalar min/max clamp == np.clip bit for bit, at +-a and for NaN too
-    lp = LineProfile(a=1.0, kappa=0.1, tau=1.0)
-    reference = np.float64(lp.sigma(t) * (1.0 + lp.kappa * np.clip(x, -lp.a, lp.a)))
-    assert np.float64(lp.velocity(x, t)).tobytes() == reference.tobytes()
+        s = math.tanh(t / line.tau)
+        assert line_velocity(line.a, t, line) == pytest.approx(s * line.v_max, rel=1e-14,
+                                                                abs=1e-300)
+        assert line_velocity(-line.a, t, line) == pytest.approx(s * line.v_min, rel=1e-14,
+                                                                 abs=1e-300)
 
 
 # --------------------------------------------------------------------------
 # null coordinates
 # --------------------------------------------------------------------------
 
-def test_null_coordinate_constant_background():
-    # constant c + v: x_u reduces to x / (c + v)
-    cfg_kwargs = dict(n_ions=1000, period=1.0, radius=1.0, ion_mass=11414.0,
-                      ion_charge=37.6246, gamma1=0.3, gamma2=0.3, theta_h=1.0)
-    from sonicbh.params import PhysicalConfig
-    cfg = PhysicalConfig(v_min=0.9 * TWO_PI, v_max=1.1 * TWO_PI, **cfg_kwargs)
-    prof = RingProfile.from_config(cfg)
-    # before collapse the profile is uniform
-    m = null_coordinate_map(prof, "u", t=0.0)
-    denom = prof.sound_speed(1.0, 0.0) + prof.velocity(1.0, 0.0)
-    assert m(3.0) == pytest.approx(3.0 / denom, rel=1e-8)
+def test_null_coordinate_constant_background(ring, config):
+    # constant c + v on the first plateau: x_u reduces to theta / (c + v)
+    theta = 0.5 * (config.theta_h - config.gamma1)
+    assert null_coordinate_map(ring, "u")(theta) == pytest.approx(
+        theta * _x_u_rate(config, theta), rel=1e-14)
 
 
 def test_null_u_strictly_increasing(ring):
@@ -144,13 +151,12 @@ def test_null_u_strictly_increasing(ring):
     assert np.all(np.diff(vals) > 0)
 
 
-def test_null_u_additivity(ring):
+def test_null_u_additivity(ring, config):
     # x_u(b) = x_u(m) + independent quadrature of 1/(c+v) from m to b
     from sonicbh.specfun import integrate_adaptive
+    v, c, _ = _ring_flow(config)
     m = null_coordinate_map(ring, "u")
-    seg = integrate_adaptive(
-        lambda x: 1.0 / (ring.sound_speed(x, None) + ring.velocity(x, None)),
-        1.5, 4.0, tol=1e-12).value
+    seg = integrate_adaptive(lambda x: 1.0 / (c(x) + v(x)), 1.5, 4.0, tol=1e-12).value
     assert m(4.0) == pytest.approx(m(1.5) + seg, rel=1e-8)
 
 
@@ -185,27 +191,6 @@ def test_null_v_log_divergence_near_horizon(ring, config):
     outer = abs(m(h0 - 32 * eps) - m(h0 - 128 * eps))
     # each factor-4 approach adds a comparable logarithmic increment
     assert inner == pytest.approx(outer, rel=0.35)
-
-
-def _mp_ring(config):
-    """v and c of the post-collapse ring in mpmath arithmetic, with its ramps."""
-    vmin, vmax, th_h, g1, g2 = map(mp.mpf, (config.v_min, config.v_max, config.theta_h,
-                                            config.gamma1, config.gamma2))
-    down = 2 * mp.pi - th_h
-    mid, half = (vmax + vmin) / 2, (vmax - vmin) / 2
-
-    def v(th):
-        if th <= th_h - g1 or th > down + g2:
-            return vmin
-        if th <= th_h + g1:
-            return mid + half * (th - th_h) / g1
-        if th <= down - g2:
-            return vmax
-        return mid - half * (th - down) / g2
-
-    k2 = (2 * mp.mpf(config.ion_charge) ** 2 * config.n_ions
-          / (mp.mpf(config.ion_mass) * mp.mpf(config.radius) ** 3 * mp.mpf(config.period)))
-    return v, lambda th: mp.sqrt(k2 / v(th)), [(th_h - g1, th_h + g1), (down - g2, down + g2)]
 
 
 def _mp_horizons(config):
@@ -250,26 +235,29 @@ def test_null_total_against_mpmath(ring, config, branch, epsilon):
 # Hawking temperatures
 # --------------------------------------------------------------------------
 
-def _hawking_richardson(profile, theta, h):
+def _hawking_richardson(v, c, theta, h, hbar, k_boltzmann):
     """hbar/(4 pi v k_B) d(v^2 - c^2)/dtheta at theta: central differences with
     one Richardson step, exact on a linear ramp up to rounding."""
-    cfg = profile.config
-    gap2 = lambda x: profile.velocity(x) ** 2 - profile.sound_speed(x) ** 2
+    gap2 = lambda x: v(x) ** 2 - c(x) ** 2
     d1 = (gap2(theta + h) - gap2(theta - h)) / (2 * h)
     d2 = (gap2(theta + h / 2) - gap2(theta - h / 2)) / h
     deriv = (4 * d2 - d1) / 3.0
-    return cfg.hbar * deriv / (4.0 * math.pi * profile.velocity(theta) * cfg.k_boltzmann)
+    return hbar * deriv / (4.0 * math.pi * v(theta) * k_boltzmann)
+
+
+def _ring_richardson(ring, config, horizon):
+    """The Richardson T_H of the config's own flow at the v-map's horizon."""
+    v, c, _ = _ring_flow(config)
+    theta = null_coordinate_map(ring, "v", TWO_PI / config.n_ions).horizons[horizon]
+    h = min(config.gamma1, config.gamma2) / 64.0
+    return _hawking_richardson(v, c, theta, h, config.hbar, config.k_boltzmann)
 
 
 def test_ring_temperature_linear_slope(ring, config):
     # on a linear ramp the Richardson-extrapolated difference is exact up to
-    # rounding: the closed form 3 hbar v'/(4 pi k_B) against it at both horizons
-    h = min(config.gamma1, config.gamma2) / 64.0
-    horizons = null_coordinate_map(ring, "v", TWO_PI / config.n_ions).horizons
-    for index, theta in enumerate(horizons):
-        expected = _hawking_richardson(ring, theta, h)
-        assert hawking_temperature_ring(ring, horizon_index=index) == pytest.approx(
-            expected, rel=1e-8)
+    # rounding: the closed form 3 hbar v'/(4 pi k_B) against it at the horizon
+    assert hawking_temperature_ring(ring) == pytest.approx(
+        _ring_richardson(ring, config, 0), rel=1e-8)
 
 
 def test_ring_temperature_closed_form(ring):
@@ -277,10 +265,11 @@ def test_ring_temperature_closed_form(ring):
     assert hawking_temperature_ring(ring) == pytest.approx(0.5, rel=1e-14, abs=0.0)
 
 
-def test_ring_temperatures_equal_magnitude(ring):
-    t0 = hawking_temperature_ring(ring, horizon_index=0)
-    t1 = hawking_temperature_ring(ring, horizon_index=1)
-    assert abs(t0) == pytest.approx(abs(t1), rel=1e-9)
+def test_ring_temperatures_equal_magnitude(ring, config):
+    # gamma1 = gamma2: the second horizon, which no command reports, has the
+    # reported temperature with the opposite sign
+    assert -_ring_richardson(ring, config, 1) == pytest.approx(
+        hawking_temperature_ring(ring), rel=1e-8)
 
 
 def test_ring_temperature_scales_with_slope(config):
@@ -315,20 +304,10 @@ def test_line_temperature_degenerate_and_scaling():
 
 
 def test_line_equals_linearized_ring():
-    # a ring-like profile with c = 1 and a linear ramp of gradient kappa
-    # around the sonic point reproduces the channel formula
-    class UnitSound:
-        def __init__(self, kappa):
-            self.kappa = kappa
-            self.config = type("C", (), {"hbar": 1.0, "k_boltzmann": 1.0})()
-
-        def velocity(self, x, t=None):
-            return 1.0 + self.kappa * (np.asarray(x, dtype=float) - 3.0)
-
-        def sound_speed(self, x, t=None):
-            return np.ones_like(np.asarray(x, dtype=float))
-
+    # a ring-like flow with c = 1 and a linear ramp of gradient kappa around
+    # the sonic point reproduces the channel formula
     kappa, a = 0.1, 1.0
-    t_ring = _hawking_richardson(UnitSound(kappa), 3.0, 0.5 / 64.0)
+    t_ring = _hawking_richardson(lambda x: 1.0 + kappa * (x - 3.0), lambda x: 1.0,
+                                 3.0, 0.5 / 64.0, 1.0, 1.0)
     t_line = hawking_temperature_line(1.0 + kappa * a, 1.0 - kappa * a, a)
     assert t_ring == pytest.approx(t_line, rel=1e-6)
