@@ -13,8 +13,9 @@ with X1 = |matched x0(x1)|, X2 = matched x0(x2); the beta -> inf limit is
 -(X1 X2 / a^2) / (X1 + X2)^2.  Every exponential is assembled in log space.
 The mode-sum oracle rebuilds the same object from matched mode functions:
 thermal weight coth(beta k / 2), momentum factors by finite differences of
-the traced-back initial position, k integral by regulated Fourier quadrature
-with regulator-removal extrapolation.
+the traced-back initial position.  Both thermal k integrals split
+coth(beta k / 2) = 1 + 2/(e^{beta k} - 1): the divergent vacuum part at its
+regulated limit in closed form, the Bose part by one Fourier quadrature.
 """
 
 from __future__ import annotations
@@ -28,69 +29,70 @@ import numpy as np
 from .characteristics import entanglement_boundary, matched_exponent, matched_x0
 from .errors import ExtrapolationError, RegimeError, RegimeWarning, RegionError
 from .profiles import LineProfile, hawking_temperature_line
-from .specfun import fourier_integral, neville_to_zero, thermal_weight
+from .specfun import fourier_integral, thermal_excess, thermal_weight
 
 
 # --------------------------------------------------------------------------
-# regulated spectral integrals
+# thermal k integrals: vacuum part in closed form, Bose part by quadrature
 # --------------------------------------------------------------------------
 
-_EPS_LADDER = (0.08, 0.04, 0.02, 0.01, 0.005)
+_MAX_SEPARATION = 4.0     # in units of beta
 
 
-def _extrapolate_eps(values, ladder) -> float:
-    est = neville_to_zero(ladder, values)
-    est_prev = neville_to_zero(ladder[:-1], values[:-1])
-    spread = abs(est - est_prev)
-    if not (math.isfinite(est) and spread <= 1e-3 * max(abs(est), 1e-300)):
-        raise ExtrapolationError(
-            f"regulator removal did not settle: last two extrapolants "
-            f"{est_prev!r}, {est!r}", partial=None)
-    return est
+def _bose_integral(f, separation: float, kind: str, scale: float) -> float:
+    """int_0^inf f(k) trig(k |separation|) dk for a decaying f, trig = ``kind``,
+    to the absolute tolerance 1e-11 * scale (``scale``: the result's size).
 
-
-def _remove_regulator(f, separation: float, beta: float, trig: str) -> float:
-    """int_0^inf f(k) trig(k |separation|) dk, trig = cos or sin, by regulator removal.
-
-    The exponential regulator e^{-eps k} takes the widths _EPS_LADDER in
-    units of min(|separation|, beta); the values are extrapolated to eps = 0.
+    QUADPACK's Fourier routine cycles are (2 floor(w) + 1) pi / w long, and a
+    feature under ~1% of the first is missed (the Bose bump, width ~1/beta,
+    once beta > ~100 at w >= 1).  In u = 2 k |separation| the first cycle is
+    one half period; what it misses is below 3e-7 of the result.
     """
-    a = abs(separation)
-    ladder = [e * min(a, beta) for e in _EPS_LADDER]
-    vals = [fourier_integral(lambda k: f(k) * math.exp(-e * k), 0.0, a, kind=trig).value
-            for e in ladder]
-    return _extrapolate_eps(vals, ladder)
+    h = 0.5 / abs(separation)          # k = h u
+    tol = max(1e-11 * scale / h, np.finfo(float).tiny)
+    return h * fourier_integral(lambda u: f(h * u), 0.0, 0.5, kind=kind, tol=tol).value
 
 
 def thermal_momentum_integral(separation: float, beta: float) -> float:
     """Regulated int_0^inf k coth(beta k/2) cos(k * separation) dk.
 
-    Distributional value; equals -(pi/beta)^2 csch^2(pi*separation/beta)
-    (and -1/separation^2 at beta = inf).  Used by the mode-sum oracle.
+    Distributional value -(pi/beta)^2 csch^2(pi*separation/beta), and
+    -1/separation^2 at beta = inf; used by the mode-sum oracle.  Vacuum part
+    -1/separation^2 plus the Bose part (``thermal_excess``), which the
+    quadrature resolves to ~4e-15 of the vacuum part.  Past |separation| =
+    4 beta they cancel to under 1e-8 of it: ExtrapolationError.
     """
     if separation == 0.0:
         raise ValueError("separation must be nonzero")
-    return _remove_regulator(lambda k: thermal_weight(k, beta), separation, beta, "cos")
+    if abs(separation) > _MAX_SEPARATION * beta:
+        raise ExtrapolationError(
+            f"|separation| = {abs(separation):.6g} is beyond {_MAX_SEPARATION:g} beta: "
+            "the Bose part cancels the vacuum part -1/separation^2 below the "
+            "quadrature's accuracy", partial=None)
+    vacuum = -separation ** -2
+    return vacuum + _bose_integral(lambda k: thermal_excess(k, beta), separation,
+                                   "cos", -vacuum)
 
-
-# --------------------------------------------------------------------------
-# homogeneous-region correlation
-# --------------------------------------------------------------------------
 
 def corr_homogeneous(dx: float, t: float, beta: float) -> complex:
     """Two-point momentum correlation when both probes share one uniform region.
 
     Spectral form int_0^inf dk/sqrt(2k) k^2 e^{-i k dx} coth(beta k/2): in a
     uniform region (kappa = 0) the value depends on positions only through
-    dx and not on t.  The k^{3/2} measure is UV-divergent as written and is
-    defined by exponential-regulator removal.  No pair peak: the result is
-    translation invariant.
+    dx and not on t.  No pair peak: the result is translation invariant.
+    The UV-divergent vacuum part has the regulated limit
+    Gamma(5/2) (i dx)^{-5/2} / sqrt(2): cos and sin parts -Gamma(5/2)/(2|dx|^{5/2}).
+    The Bose part, sqrt(k) thermal_excess / sqrt(2), is one quadrature per
+    component on the result's scale |dx|^{-3/2} / min(|dx|, beta).
     """
     if dx == 0.0:
         raise ValueError("coincident points are UV-singular; need dx != 0")
-    f = lambda k: thermal_weight(k, beta, 1.5) / math.sqrt(2.0)
-    re = _remove_regulator(f, dx, beta, "cos")
-    im = _remove_regulator(f, dx, beta, "sin")
+    a = abs(dx)
+    vacuum = -0.375 * math.sqrt(math.pi) * a ** -2.5        # Gamma(5/2) = 3 sqrt(pi)/4
+    f = lambda k: math.sqrt(k) * thermal_excess(k, beta) / math.sqrt(2.0)
+    scale = a ** -1.5 / min(a, beta)
+    re = vacuum + _bose_integral(f, a, "cos", scale)
+    im = vacuum + _bose_integral(f, a, "sin", scale)
     # e^{-i k dx} with dx of either sign; conjugate under dx -> -dx
     return complex(re, -im if dx > 0 else im)
 
@@ -142,8 +144,8 @@ def corr_mode_sum_oracle(x1: float, x2: float, t: float, beta: float,
 
     Momentum factors: (d/dt + v d/dx) of the mode phase equals d(x0)/dx along
     left movers, evaluated here by central finite differences (step 1e-6) of
-    the matched map; thermal weight coth(beta k/2); k integral by regulated
-    Fourier quadrature with extrapolated regulator removal.  Like
+    the matched map; thermal weight coth(beta k/2); k integral by
+    ``thermal_momentum_integral``.  Like
     ``corr_closed_form`` it takes matched pairs only: x1 in (x_minus, -a),
     x2 in (a, x_plus).
     """

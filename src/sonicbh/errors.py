@@ -30,7 +30,7 @@ class QuadratureError(SonicBHError):
 
 
 class ExtrapolationError(QuadratureError):
-    """Regulator-removal extrapolation failed to settle."""
+    """A thermal k integral's Bose part cancels its vacuum part below accuracy."""
 
 
 class SingularIntegrandError(SonicBHError):

@@ -80,19 +80,25 @@ def stable_shi_chi_combo(a: float, b: float, x: float) -> float:
     return a * 0.5 * (e1s + eis) + b * 0.5 * (e1s - eis)
 
 
-def thermal_weight(k: float, beta: float, power: float = 1.0) -> float:
-    """k^power * coth(beta k / 2) for k >= 0, power 1 or 1.5.
-
-    k^power at beta = inf.  At k = 0 the finite limit, 2/beta for power 1
-    and 0 for power 1.5: QUADPACK's Fourier routine samples the origin.
-    """
+def thermal_weight(k: float, beta: float) -> float:
+    """k coth(beta k / 2) for k >= 0; k at beta = inf.  At k = 0 the finite
+    limit 2/beta: QUADPACK's Fourier routine samples the origin."""
     if math.isinf(beta):
-        return k ** power
+        return k
     x = 0.5 * beta * k
     if x == 0.0:
-        return 2.0 / beta if power == 1.0 else 0.0
+        return 2.0 / beta
     coth = 1.0 / math.tanh(x) if x > 1e-8 else 1.0 / x + x / 3.0
-    return k ** power * coth
+    return k * coth
+
+
+def thermal_excess(k: float, beta: float) -> float:
+    """k coth(beta k / 2) - k = 2k / (e^{beta k} - 1) for k >= 0: exactly 0 at
+    beta = inf, the finite limit 2/beta at k = 0 or where beta k underflows."""
+    x = beta * k
+    if not x > 0.0:         # k = 0 (x = nan at beta = inf) or beta k underflows
+        return 2.0 / beta
+    return 2.0 * k * math.exp(-x) / -math.expm1(-x)
 
 
 @dataclass(frozen=True)
@@ -150,7 +156,8 @@ def fourier_integral(f: Callable[[float], float], a: float, omega: float,
     Wraps the QUADPACK Fourier transform routine (b = inf), which
     accelerates the series of per-cycle contributions, or its
     oscillatory-weight routine on a finite [a, b], which stays accurate over
-    many oscillations.  A non-finite value of f raises QuadratureError.
+    many oscillations.  A non-finite value of f, or a failed result, raises
+    QuadratureError.
     """
     from scipy import integrate
     if kind not in ("cos", "sin"):
@@ -169,24 +176,12 @@ def fourier_integral(f: Callable[[float], float], a: float, omega: float,
     info = out[2] if len(out) > 2 and isinstance(out[2], dict) else {}
     neval = int(info.get("neval", 0))
     result = QuadratureResult(value=value, evaluations=max(neval, 1))
-    # QUADPACK flags slow cycle convergence through a message; the returned
-    # error bound stays honest, so only a genuinely useless bound is fatal.
-    if len(out) > 3 and not np.isfinite(value):
+    # QUADPACK flags slow cycle convergence through a message; the error bound
+    # stays honest, so only a non-finite value or QAWF's overflow constant
+    # (returned when roundoff stops a cycle) is fatal.
+    if len(out) > 3 and not abs(value) < np.finfo(float).max:
         raise QuadratureError(f"Fourier quadrature failed: {out[3]}", partial=result)
     return result
-
-
-def neville_to_zero(xs, ys) -> float:
-    """Polynomial extrapolation of samples (x_i, y_i) to x = 0."""
-    xs = [float(x) for x in xs]
-    P = [float(y) for y in ys]
-    n = len(xs)
-    if n < 2:
-        raise ValueError("need at least two samples to extrapolate")
-    for j in range(1, n):
-        for i in range(n - j):
-            P[i] = (xs[i] * P[i + 1] - xs[i + j] * P[i]) / (xs[i] - xs[i + j])
-    return P[0]
 
 
 def betainc_regularized(a: float, b: float, x: float) -> float:

@@ -10,9 +10,10 @@ from hypothesis import given, settings, strategies as st
 
 import sonicbh
 from sonicbh.cli import main
+from sonicbh.correlations import corr_closed_form
 from sonicbh.decoherence import allowed_frequencies, decoherence_time, v_coefficients
 from sonicbh.params import DEFAULT_CONFIG_TEXT, derive, load_config, parse_kv_text
-from sonicbh.profiles import RingProfile
+from sonicbh.profiles import LineProfile, RingProfile
 
 
 def _run(tmp_path, *args, name="out.csv", fmt=None):
@@ -64,6 +65,24 @@ def test_correlation_command_reproduces_long_time_curve(tmp_path):
     assert "peak_present=true" in manifest
     vals = np.array([float(r[1]) for r in rows])
     assert vals.max() == pytest.approx(0.25, rel=0.05)
+
+
+@pytest.mark.parametrize("t, beta, points, n_matched", [("60", "0.5", "24", 18),
+                                                        ("100", "inf", "64", 49)])
+def test_mode_sum_oracle_scan_matches_closed_form(tmp_path, t, beta, points, n_matched):
+    # at t = 60 the matched separations X1 + X2 reach 3.7 beta, where the
+    # thermal k integral cancels its vacuum part to ~1e-9 of it; at t = 100
+    # they shrink to ~0.004
+    code, out = _run(tmp_path, "correlation", "--t", t, "--x1", "-4", "--beta", beta,
+                     "--method", "mode_sum_oracle", "--points", points)
+    assert code == 0
+    _, _, rows = _rows(out)
+    line = LineProfile(a=1.0, kappa=0.1, tau=1.0)      # the default config's line
+    matched = [(float(x2), float(v)) for x2, v, region in rows if region == "matched"]
+    assert len(matched) == n_matched
+    for x2, v in matched:
+        closed = corr_closed_form(-4.0, x2, float(t), float(beta), line)
+        assert v == pytest.approx(abs(closed), rel=1e-4)
 
 
 def test_correlation_all_zero_scan_has_no_peak(tmp_path):

@@ -13,11 +13,13 @@ from sonicbh.correlations import (CorrelationGrid, build_correlation_grid,
                                   corr_closed_form, corr_homogeneous,
                                   corr_mode_sum_oracle, detect_peak,
                                   open_correction_er, thermal_momentum_integral)
-from sonicbh.errors import RegimeError, RegimeWarning, RegionError
-from sonicbh.specfun import fourier_integral, neville_to_zero, thermal_weight
+from sonicbh import correlations
+from sonicbh.errors import ExtrapolationError, RegimeError, RegimeWarning, RegionError
+from sonicbh.specfun import thermal_weight
 
 from conftest import LINE_T_HAWKING, mode_function, mode_function_pde_residual
 from flow_oracle import line_velocity
+from regulator_ladder import exponential_ladder, gauss_ladder, neville_to_zero
 
 mp.mp.dps = 30
 
@@ -50,8 +52,31 @@ def test_momentum_of_mode_against_analytic(line, k):
 
 
 # --------------------------------------------------------------------------
-# regulated thermal integral
+# regulated thermal integrals
 # --------------------------------------------------------------------------
+
+def test_neville_extrapolation_quadratic():
+    xs = [0.4, 0.2, 0.1, 0.05]
+    ys = [7.0 + 3 * x - 2 * x * x for x in xs]
+    assert neville_to_zero(xs, ys) == pytest.approx(7.0, rel=1e-12)
+
+
+@pytest.mark.parametrize("beta", [5.0, math.inf])
+def test_one_quadrature_per_component(monkeypatch, beta):
+    # vacuum part in closed form, Bose part in one quadrature: no regulator ladder
+    calls, original = [], correlations.fourier_integral
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(correlations, "fourier_integral", counted)
+    corr_homogeneous(-16.0, T_LONG, beta)
+    assert len(calls) == 2
+    calls.clear()
+    thermal_momentum_integral(0.3, beta)
+    assert len(calls) == 1
+
 
 @pytest.mark.parametrize("sep,beta", [(0.0072, math.pi / 2), (0.11, math.pi / 2),
                                       (1.3, 2.0), (0.4, math.inf)])
@@ -64,21 +89,23 @@ def test_thermal_momentum_integral_against_csch(sep, beta):
     assert val == pytest.approx(expected, rel=1e-6)
 
 
-def _gauss_ladder(f, separation, beta, trig, eps_ladder=(0.08, 0.04, 0.02, 0.01, 0.005)):
-    """Oracle: int_0^inf f(k) trig(k |separation|) dk with the Gaussian regulator
-    e^{-(eps k)^2/2}, eps in units of min(|separation|, beta), removed by
-    extrapolation in eps^2 (the regulated value is even in eps)."""
-    a = abs(separation)
-    ladder = [e * min(a, beta) for e in eps_ladder]
-    vals = [fourier_integral(lambda k: f(k) * math.exp(-0.5 * (e * k) ** 2),
-                             0.0, a, kind=trig).value for e in ladder]
-    return neville_to_zero([e * e for e in ladder], vals)
+def test_thermal_momentum_integral_exponential_regulator_agrees():
+    a = thermal_momentum_integral(0.3, 2.5)
+    b = exponential_ladder(lambda k: thermal_weight(k, 2.5), 0.3, 2.5, "cos")
+    assert a == pytest.approx(b, rel=1e-6)
 
 
 def test_thermal_momentum_integral_gauss_regulator_agrees():
     a = thermal_momentum_integral(0.3, 2.5)
-    b = _gauss_ladder(lambda k: thermal_weight(k, 2.5), 0.3, 2.5, "cos")
+    b = gauss_ladder(lambda k: thermal_weight(k, 2.5), 0.3, 2.5, "cos")
     assert a == pytest.approx(b, rel=1e-6)
+
+
+def test_thermal_momentum_integral_refuses_cancellation():
+    # at 6 beta the result is 4e-14 of the vacuum part -1/s^2: below the
+    # quadrature's accuracy
+    with pytest.raises(ExtrapolationError, match="cancels the vacuum part"):
+        thermal_momentum_integral(6.0, 1.0)
 
 
 # --------------------------------------------------------------------------
@@ -100,32 +127,38 @@ def test_homogeneous_conjugation(line):
 
 
 def test_homogeneous_two_regulator_families_agree():
-    v_exp = corr_homogeneous(-16.0, T_LONG, 5.0)
-    f = lambda k: thermal_weight(k, 5.0, 1.5) / math.sqrt(2.0)
+    v = corr_homogeneous(-16.0, T_LONG, 5.0)
+    f = lambda k: math.sqrt(k) * thermal_weight(k, 5.0) / math.sqrt(2.0)
     # dx < 0: e^{-i k dx} has imaginary part +sin(k |dx|)
-    v_gau = complex(_gauss_ladder(f, -16.0, 5.0, "cos"), _gauss_ladder(f, -16.0, 5.0, "sin"))
-    assert v_exp == pytest.approx(v_gau, rel=1e-6)
+    for ladder in (exponential_ladder, gauss_ladder):
+        v_reg = complex(ladder(f, -16.0, 5.0, "cos"), ladder(f, -16.0, 5.0, "sin"))
+        assert v == pytest.approx(v_reg, rel=1e-6)
 
 
 def test_homogeneous_against_image_sum_oracle():
-    # independent extended-precision evaluation via the thermal image sum
+    # extended precision through the thermal image sum, coth = 1 + 2 sum e^{-n beta k}:
+    # Gamma(5/2)/sqrt(2) [(i d)^{-5/2} + 2 beta^{-5/2} zeta(5/2, 1 + i d/beta)]
     def exact(dx, beta):
-        d, b = mp.mpf(abs(dx)), mp.mpf(beta)
-        s = mp.gamma(mp.mpf("2.5")) * (
-            (1j * d) ** mp.mpf("-2.5")
-            + 2 * mp.nsum(lambda n: (n * b + 1j * d) ** mp.mpf("-2.5"), [1, mp.inf])
-        ) / mp.sqrt(2)
-        val = complex(s)
+        d = mp.mpf(abs(dx))
+        s = (1j * d) ** mp.mpf("-2.5")
+        if not math.isinf(beta):
+            b = mp.mpf(beta)
+            s += 2 * b ** mp.mpf("-2.5") * mp.zeta(mp.mpf("2.5"), 1 + 1j * d / b)
+        val = complex(mp.gamma(mp.mpf("2.5")) * s / mp.sqrt(2))
         return val if dx > 0 else val.conjugate()
 
-    for dx, beta in [(-16.0, 5.0), (6.0, 2.0)]:
-        assert corr_homogeneous(dx, T_LONG, beta) == pytest.approx(exact(dx, beta), rel=2e-5)
+    # (-500, 1000): a Bose bump much narrower than the first quadrature cycle
+    for dx, beta in [(-16.0, 5.0), (6.0, 2.0), (-30.0, 0.2), (-1.0, 1.05), (-25.0, 62.8),
+                     (9.0, math.inf), (-500.0, 1000.0)]:
+        assert corr_homogeneous(dx, T_LONG, beta) == pytest.approx(exact(dx, beta), rel=1e-10)
 
 
 def test_homogeneous_zero_temperature_power_law():
     v = corr_homogeneous(9.0, T_LONG, math.inf)
     expected_mod = math.gamma(2.5) / math.sqrt(2.0) / 9.0 ** 2.5
     assert abs(v) == pytest.approx(expected_mod, rel=1e-6)
+    # (i dx)^{-5/2} has phase -5 pi/4: equal real and imaginary parts
+    assert abs(abs(v.real) - abs(v.imag)) <= 1e-15 * abs(v)
 
 
 # --------------------------------------------------------------------------
@@ -179,16 +212,6 @@ def test_mode_sum_refuses_pairs_beyond_wedge(line):
     for x1, x2 in ((xp + 2.0, xp + 5.0), (-4.0, xp + 1.0), (-xp - 1.0, 4.0)):
         with pytest.raises(RegionError, match="corr_homogeneous"):
             corr_mode_sum_oracle(x1, x2, T_LONG, 5.0, line)
-
-
-def test_mode_sum_thermal_tail_is_negligible(line):
-    # coth(beta k/2) e^{-eps k} tail beyond the quadrature window: the
-    # integrand at the cutoff is under 1e-8 of the accumulated value
-    beta, sep = 2.0, 0.5
-    val = thermal_momentum_integral(sep, beta)
-    k_big = 60.0 / (0.005 * min(sep, beta))
-    tail = k_big / math.tanh(0.5 * beta * k_big) * math.exp(-0.005 * min(sep, beta) * k_big)
-    assert abs(tail) < 1e-8 * abs(val) * k_big  # crude envelope x window
 
 
 # --------------------------------------------------------------------------

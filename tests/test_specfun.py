@@ -11,7 +11,7 @@ from scipy.special import shichi
 
 from sonicbh.errors import QuadratureError
 from sonicbh.specfun import (betainc_regularized, fourier_integral, integrate_adaptive,
-                             log_cosh, neville_to_zero, si, stable_shi_chi_combo,
+                             log_cosh, si, stable_shi_chi_combo, thermal_excess,
                              thermal_weight)
 
 mp.mp.dps = 40
@@ -136,6 +136,13 @@ def test_fourier_finite_range_against_closed_form():
         fourier_integral(lambda k: math.nan, a, w, kind="cos", b=b)
 
 
+def test_fourier_overflow_constant_refused():
+    # tol 1e-11 on a ~330 integral over a first cycle of length pi/0.002:
+    # roundoff stops QAWF, which then returns its overflow constant 1.8e308
+    with pytest.raises(QuadratureError, match="Fourier quadrature failed"):
+        fourier_integral(lambda k: thermal_excess(k, 0.1), 0.0, 0.002, kind="cos")
+
+
 def test_quadpack_called_only_from_specfun():
     """specfun is the one QUADPACK boundary: its wrappers refuse non-finite
     integrands and report evaluation counts."""
@@ -155,36 +162,43 @@ def test_quadpack_called_only_from_specfun():
 
 def test_thermal_weight_origin_limits():
     assert thermal_weight(0.0, 2.5) == 2.0 / 2.5
-    assert thermal_weight(0.0, 2.5, 1.5) == 0.0
     assert thermal_weight(0.0, math.inf) == 0.0
 
 
 def test_thermal_weight_zero_temperature():
     for k in (1e-12, 0.3, 7.0, 1e4):
         assert thermal_weight(k, math.inf) == k
-        assert thermal_weight(k, math.inf, 1.5) == k ** 1.5
 
 
 @pytest.mark.parametrize("k, beta", [(1e-9, 1.0), (4e-9, 5.0), (2e-12, 3.0), (1e-30, 1.0)])
 def test_thermal_weight_small_argument_series(k, beta):
     # x = beta k / 2 <= 1e-8: the Laurent series of coth, against extended precision
-    for power in (1.0, 1.5):
-        exact = mp.mpf(k) ** power / mp.tanh(mp.mpf(beta) * k / 2)
-        assert thermal_weight(k, beta, power) == pytest.approx(float(exact), rel=1e-15)
+    exact = mp.mpf(k) / mp.tanh(mp.mpf(beta) * k / 2)
+    assert thermal_weight(k, beta) == pytest.approx(float(exact), rel=1e-15)
 
 
 @pytest.mark.parametrize("k, beta", [(1e-3, 2.0), (0.3, 2.5), (1.0, 1.0), (4.0, 7.0),
                                      (50.0, 0.1), (200.0, 3.0)])
 def test_thermal_weight_against_mpmath(k, beta):
-    for power in (1.0, 1.5):
-        exact = mp.mpf(k) ** power * mp.coth(mp.mpf(beta) * k / 2)
-        assert thermal_weight(k, beta, power) == pytest.approx(float(exact), rel=4e-16)
+    exact = mp.mpf(k) * mp.coth(mp.mpf(beta) * k / 2)
+    assert thermal_weight(k, beta) == pytest.approx(float(exact), rel=4e-16)
 
 
-def test_neville_extrapolation_quadratic():
-    xs = [0.4, 0.2, 0.1, 0.05]
-    ys = [7.0 + 3 * x - 2 * x * x for x in xs]
-    assert neville_to_zero(xs, ys) == pytest.approx(7.0, rel=1e-12)
+def test_thermal_excess_limits():
+    assert thermal_excess(0.0, 2.5) == 2.0 / 2.5
+    assert thermal_excess(1e-320, 1e-10) == 2.0 / 1e-10     # beta k underflows to 0
+    for k in (0.0, 1e-12, 0.3, 7.0, 1e4):
+        assert thermal_excess(k, math.inf) == 0.0
+    # beta k = 1e4: e^{-beta k} underflows, nothing overflows
+    assert thermal_excess(1e4, 1.0) == 0.0
+    assert thermal_excess(1.0, 1e4) == 0.0
+
+
+@pytest.mark.parametrize("k, beta", [(1e-30, 1.0), (1e-9, 1.0), (1e-3, 2.0), (0.3, 2.5),
+                                     (1.0, 1.0), (4.0, 7.0), (50.0, 0.1), (200.0, 3.0)])
+def test_thermal_excess_against_mpmath(k, beta):
+    exact = 2 * mp.mpf(k) / mp.expm1(mp.mpf(beta) * k)
+    assert thermal_excess(k, beta) == pytest.approx(float(exact), rel=1e-15)
 
 
 def test_log_cosh_overflow_safe():
