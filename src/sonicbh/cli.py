@@ -238,7 +238,7 @@ def _run(args) -> tuple[list, list, dict]:
 
     if args.command == "vcoef":
         ring = RingProfile.from_config(config)
-        omegas = allowed_frequencies(ring, "u", args.epsilon)[: args.max_modes]
+        omegas = allowed_frequencies(ring, "u")[: args.max_modes]
         rows = []
         for om in omegas:
             vc = v_coefficients(ring, float(om), args.epsilon)

@@ -176,8 +176,6 @@ class CorrelationGrid:
 @dataclass(frozen=True)
 class PeakReport:
     location: float
-    height: float
-    background: float
     contrast: float
     present: bool
 
@@ -212,12 +210,13 @@ def build_correlation_grid(x1: float, x2_values, t: float, beta: float,
 def detect_peak(grid: CorrelationGrid) -> PeakReport:
     """Locate and qualify the pair peak on a correlation grid.
 
-    location = argmax |value|; background = median of samples farther than
-    15% of the x2 span from it; contrast = height/background, or over a
+    location = argmax |value|; contrast = its height over the background,
+    the median of samples farther than 15% of the x2 span from it, or over a
     zero background inf for a positive height and 0 for an all-zero scan.
-    A peak is ``present`` when the maximum is a strict interior maximum and
-    the contrast exceeds 3 (monotone tails have edge maxima and do not
-    count, however steep).
+    A pair peak is ``present`` when the maximum is a strict interior maximum
+    at a matched row (both probes inside the wedge) and the contrast exceeds
+    3: monotone tails have edge maxima, and the jump to the uniform rows
+    past x_plus is no pair peak, however steep.
     """
     n = len(grid.x2)
     if n < 16:
@@ -234,8 +233,9 @@ def detect_peak(grid: CorrelationGrid) -> PeakReport:
     else:
         contrast = math.inf if height > 0.0 else 0.0
     interior = 0 < idx < n - 1 and vals[idx] > vals[idx - 1] and vals[idx] > vals[idx + 1]
-    return PeakReport(location=location, height=height, background=background,
-                      contrast=contrast, present=bool(interior and contrast > 3.0))
+    matched = grid.regions[idx] == "matched"
+    return PeakReport(location=location, contrast=contrast,
+                      present=bool(interior and matched and contrast > 3.0))
 
 
 # --------------------------------------------------------------------------

@@ -132,15 +132,12 @@ def diffusion_quadrature_oracle(t: float, omega: float, spec: EnvironmentSpec) -
 # spatial mode weights
 # --------------------------------------------------------------------------
 
-def allowed_frequencies(profile: RingProfile, branch: str,
-                        epsilon: float | None = None) -> np.ndarray:
+def allowed_frequencies(profile: RingProfile, branch: str) -> np.ndarray:
     """Periodicity-allowed mode frequencies 2*pi*n / |null circumference| up
-    to the ceiling N/T; the v branch excludes epsilon (default: one ion
-    spacing) around each horizon."""
+    to the ceiling N/T; the v branch excludes one ion spacing around each
+    horizon."""
     derived = derive(profile.config)
-    if epsilon is None:
-        epsilon = derived.delta
-    nmap = null_coordinate_map(profile, branch, epsilon if branch == "v" else 0.0)
+    nmap = null_coordinate_map(profile, branch, derived.delta if branch == "v" else 0.0)
     base = TWO_PI / abs(nmap.total)
     n_max = int(derived.omega_max / base)
     return base * np.arange(1, n_max + 1)
@@ -148,34 +145,27 @@ def allowed_frequencies(profile: RingProfile, branch: str,
 
 def _branch_weights(nmap, omega: float) -> tuple[float, float]:
     """V1 = (L + int cos 2 omega x dtheta)/2 and V2 = int sin 2 omega x dtheta / 2,
-    L the measure of the kept pieces; at omega = 0 their limits L and 0."""
-    if omega == 0.0:
-        return nmap.length, 0.0
+    L the measure of the kept pieces."""
     cos_part, sin_part = nmap.fourier(2.0 * omega)
     return 0.5 * (nmap.length + cos_part), 0.5 * sin_part
 
 
-def _v_table(profile: RingProfile, omegas, epsilon: float | None = None) -> list[VCoefficients]:
-    """V1/V2 of both branches at each omega, one omega at a time over the
-    fixed quadrature nodes of the two null maps."""
-    if epsilon is None:
-        epsilon = derive(profile.config).delta
-    map_u = null_coordinate_map(profile, "u", 0.0)
-    map_v = null_coordinate_map(profile, "v", epsilon)
-    return [VCoefficients(*_branch_weights(map_u, om), *_branch_weights(map_v, om),
-                          om, epsilon) for om in omegas]
-
-
 def v_coefficients(profile: RingProfile, omega: float,
                    epsilon: float | None = None) -> VCoefficients:
-    """V1 = int cos^2(omega x_b), V2 = int cos sin over the ring, b = u, v.
+    """V1 = int cos^2(omega x_b), V2 = int cos sin over the ring, b = u, v,
+    at omega > 0 (else ValueError), over the fixed quadrature nodes of the
+    two cached null maps.
 
     The v branch uses the epsilon-excluded null coordinate (default: one ion
-    spacing).  At omega = 0 the values are their omega -> 0 limits: V2 = 0
-    and V1 the measure of the kept ring, 2 pi less the horizon slivers on the
-    v branch.  A row of a sweep's mode table equals this call bit for bit.
+    spacing).  A sweep's mode table is built from these calls.
     """
-    return _v_table(profile, [omega], epsilon)[0]
+    if not omega > 0:
+        raise ValueError(f"omega must be positive, got {omega!r}")
+    if epsilon is None:
+        epsilon = derive(profile.config).delta
+    return VCoefficients(*_branch_weights(null_coordinate_map(profile, "u", 0.0), omega),
+                         *_branch_weights(null_coordinate_map(profile, "v", epsilon), omega),
+                         omega, epsilon)
 
 
 # --------------------------------------------------------------------------
@@ -234,10 +224,8 @@ def _mode_table(profile):
     The weights depend on neither gamma nor T0, so one table serves every
     point of a sweep that keeps the profile.
     """
-    modes = [(branch, om) for branch in ("u", "v")
-             for om in allowed_frequencies(profile, branch)]
-    table = _v_table(profile, [om for _branch, om in modes])
-    return [(branch, om, vc) for (branch, om), vc in zip(modes, table)]
+    return [(branch, om, v_coefficients(profile, om)) for branch in ("u", "v")
+            for om in allowed_frequencies(profile, branch)]
 
 
 def _band(config, derived, gamma, temperature, modes):

@@ -1,4 +1,4 @@
-"""Velocity profiles, null coordinates, Hawking temperatures.
+"""Velocity profiles, the ring's null-coordinate maps, Hawking temperatures.
 
 Two geometries appear throughout:
 
@@ -7,7 +7,9 @@ Two geometries appear throughout:
 * the straight channel ("line") flow v(x,t) = sigma(t) * {v_min, 1+kappa*x,
   v_max} with sigma(t) = tanh(t/tau) and unit sound speed.
 
-Profiles are frozen dataclasses; every evaluation is pure.
+Profiles are frozen dataclasses; every evaluation is pure.  A ring's null
+map holds only what the mode weights V1/V2 read of x_u or x_v: its total, the
+measure of its pieces and its Fourier integrals.
 """
 
 from __future__ import annotations
@@ -154,28 +156,6 @@ def _g(sign: float, d):
     return (1.0 + sign) + sign * np.expm1(1.5 * np.log1p(d))
 
 
-class _Pieces(NamedTuple):
-    """The linear pieces of v that a null map covers, as arrays over pieces."""
-
-    sign: float          # +1 for x_u, -1 for x_v
-    v_h: float
-    lo: np.ndarray
-    hi: np.ndarray
-    slope: np.ndarray
-    ref: np.ndarray
-    d_ref: np.ndarray    # (v - v_h)/v_h at ref
-    g_lo: np.ndarray     # _g at lo
-    rate: np.ndarray     # dx/dtheta on a plateau, 0 on a ramp
-    scale: np.ndarray    # 2 sign/(3 slope) on a ramp, 0 on a plateau
-    x_lo: np.ndarray     # x_b(lo)
-
-    def rise(self, j, theta):
-        """x_b(theta) - x_b(lo_j), theta clipped to piece j."""
-        th = np.clip(theta, self.lo[j], self.hi[j])
-        g = _g(self.sign, self.d_ref[j] + self.slope[j] * (th - self.ref[j]) / self.v_h)
-        return self.scale[j] * np.log(g / self.g_lo[j]) + self.rate[j] * (th - self.lo[j])
-
-
 # Quadrature of int f(x_b) dtheta on the ramps: 32-point Gauss-Legendre in x_b
 # with the weight dtheta/dx_b = c +- v, on panels over which the phase
 # 2 omega x_b of the highest allowed mode (the ceiling N/T) plus the log of the
@@ -193,7 +173,8 @@ def _gauss_legendre() -> tuple[np.ndarray, np.ndarray]:
 
 @dataclass(frozen=True, eq=False)
 class NullCoordinateMap:
-    """x_u or x_v over [0, 2*pi] in closed form, one linear piece of v at a time.
+    """What the mode weights read of x_u or x_v over [0, 2*pi]: its total, the
+    measure of its pieces and its Fourier integrals.
 
     With dx_b/dtheta = 1/(c +- v) = v^(1/2)/(K +- v^(3/2)), x_b is linear in
     theta on a plateau and (+-2/(3 s)) ln|K +- v^(3/2)| + const on a ramp of
@@ -202,20 +183,12 @@ class NullCoordinateMap:
     contribute nothing (the cumulative value is carried across flat).
     """
 
-    horizons: tuple[float, ...]   # v branch: angles where v = c, i.e. v^(3/2) = K
-    total: float      # value at 2*pi
+    total: float      # x_b(2*pi)
     length: float     # measure of the pieces: 2*pi less the slivers
-    _pieces: _Pieces
     _nodes: np.ndarray         # x_b at the ramp quadrature nodes
     _weights: np.ndarray       # quadrature weight times dtheta/dx_b there
     _ends: np.ndarray          # x_b at the plateau ends
     _end_weights: np.ndarray   # -+ dtheta/dx_b at the start / end of a plateau
-
-    def __call__(self, theta):
-        th = np.clip(np.asarray(theta, dtype=float), 0.0, TWO_PI)
-        j = np.maximum(np.searchsorted(self._pieces.lo, th, side="right") - 1, 0)
-        out = self._pieces.x_lo[j] + self._pieces.rise(j, th)
-        return float(out) if out.ndim == 0 else out
 
     def fourier(self, k: float) -> tuple[float, float]:
         """(int cos(k x_b) dtheta, int sin(k x_b) dtheta) over the pieces, k != 0:
@@ -232,8 +205,8 @@ class NullCoordinateMap:
 def _build_null_map(profile: RingProfile, branch: str, epsilon: float) -> NullCoordinateMap:
     sign = +1.0 if branch == "u" else -1.0
     v_h, segments = _ring_segments(profile)
-    horizons = (tuple(s.ref for s in _horizon_segments(segments))
-                if branch == "v" else ())
+    # v branch: the angles where v = c, i.e. v^(3/2) = K
+    horizons = [s.ref for s in _horizon_segments(segments)] if branch == "v" else []
     if horizons and epsilon <= HORIZON_XTOL:
         raise SingularIntegrandError(
             "x_v integrand is singular at horizon(s) "
@@ -250,15 +223,17 @@ def _build_null_map(profile: RingProfile, branch: str, epsilon: float) -> NullCo
         (max(lo, s.lo), min(hi, s.hi), s.slope, s.ref, s.v_ref)
         for lo, hi in zip(cuts[0::2], cuts[1::2]) for s in segments
         if min(hi, s.hi) > max(lo, s.lo))))
+    # per piece: _g at its ends, rate = dx/dtheta on a plateau (0 on a ramp),
+    # scale = 2 sign/(3 slope) on a ramp (0 on a plateau), x_b's rise across
+    # it (span) and x_b at its start (x_lo)
     d_ref = (v_ref - v_h) / v_h
     g_lo = _g(sign, d_ref + slope * (lo - ref) / v_h)
+    g_hi = _g(sign, d_ref + slope * (hi - ref) / v_h)
     flat = slope == 0.0
-    pieces = _Pieces(sign, v_h, lo, hi, slope, ref, d_ref, g_lo,
-                     np.where(flat, np.cbrt(sign * (g_lo - 1.0)) / (v_h * g_lo), 0.0),
-                     np.where(flat, 0.0, 2.0 * sign / (3.0 * np.where(flat, 1.0, slope))),
-                     np.zeros(len(lo)))
-    span = pieces.rise(np.arange(len(lo)), hi)
-    pieces = pieces._replace(x_lo=np.concatenate([[0.0], np.cumsum(span[:-1])]))
+    rate = np.where(flat, np.cbrt(sign * (g_lo - 1.0)) / (v_h * g_lo), 0.0)
+    scale = np.where(flat, 0.0, 2.0 * sign / (3.0 * np.where(flat, 1.0, slope)))
+    span = scale * np.log(g_hi / g_lo) + rate * (hi - lo)
+    x_lo = np.concatenate([[0.0], np.cumsum(span[:-1])])
     # ramps: nodes in x, where g = g_lo exp(3 sign s (x - x_lo)/2) and
     # dtheta/dx = v_h g / (sign (g - 1))^(1/3)
     k_max = 2.0 * derive(profile.config).omega_max
@@ -268,26 +243,25 @@ def _build_null_map(profile: RingProfile, branch: str, epsilon: float) -> NullCo
         n = max(1, math.ceil(abs(span[j]) * (k_max + 1.5 * abs(slope[j])) / _PANEL_PHASE))
         y = span[j] * (np.arange(n)[:, None] + 0.5 * (1.0 + gl_nodes)).ravel() / n
         g = g_lo[j] * np.exp(1.5 * sign * slope[j] * y)
-        nodes.append(pieces.x_lo[j] + y)
+        nodes.append(x_lo[j] + y)
         weights.append(0.5 * span[j] / n * np.tile(gl_weights, n)
                        * v_h * g / np.cbrt(sign * (g - 1.0)))
     # plateaus: int cos(k x) dtheta = [sin(k x)/k] / rate between the ends
-    x_start = pieces.x_lo[flat]
+    x_start = x_lo[flat]
     nmap = NullCoordinateMap(
-        horizons=horizons,
-        total=float(pieces.x_lo[-1] + span[-1]), length=float(np.sum(hi - lo)),
-        _pieces=pieces, _nodes=np.concatenate(nodes), _weights=np.concatenate(weights),
+        total=float(x_lo[-1] + span[-1]), length=float(np.sum(hi - lo)),
+        _nodes=np.concatenate(nodes), _weights=np.concatenate(weights),
         _ends=np.concatenate([x_start, x_start + span[flat]]),
-        _end_weights=np.concatenate([-1.0 / pieces.rate[flat], 1.0 / pieces.rate[flat]]))
-    # one map serves every caller through the cache (pieces[2:]: the arrays)
-    for a in (*pieces[2:], nmap._nodes, nmap._weights, nmap._ends, nmap._end_weights):
+        _end_weights=np.concatenate([-1.0 / rate[flat], 1.0 / rate[flat]]))
+    # one map serves every caller through the cache
+    for a in (nmap._nodes, nmap._weights, nmap._ends, nmap._end_weights):
         a.flags.writeable = False
     return nmap
 
 
 def null_coordinate_map(profile: RingProfile, branch: str,
                         epsilon: float = 0.0) -> NullCoordinateMap:
-    """Build (cached) the cumulative null coordinate for a ring profile.
+    """Build (cached) the null map of x_u or x_v for a ring profile.
 
     On the v branch epsilon must exceed HORIZON_XTOL (else
     SingularIntegrandError) and the slivers (h - epsilon, h + epsilon) must

@@ -94,6 +94,19 @@ def test_correlation_all_zero_scan_has_no_peak(tmp_path):
     assert "peak_contrast=0 " in manifest and "peak_present=false" in manifest
 
 
+@pytest.mark.parametrize("beta", ["0.05", "1e-300"])
+def test_hot_scan_jump_to_uniform_rows_is_no_pair_peak(tmp_path, beta):
+    # heat suppresses the matched rows, so the maximum is the first uniform row
+    # past x_plus: an interior maximum over a low background, but no pair peak
+    code, out = _run(tmp_path, "correlation", "--t", "100", "--x1", "-4",
+                     "--beta", beta, "--points", "16")
+    assert code == 0
+    manifest, _, rows = _rows(out)
+    top = max(rows, key=lambda r: float(r[1]))
+    assert top[2] == "uniform" and f"peak_location={float(top[0]):.12g}" in manifest
+    assert "peak_present=false" in manifest
+
+
 def test_tdec_sweep_underflowing_gamma_is_point_error(tmp_path, recwarn):
     # gamma^2 underflows to 0: each point is refused, none written as t_D = inf
     code, out = _run(tmp_path, "tdec-sweep", "--axis", "gamma",

@@ -11,8 +11,9 @@ from sonicbh.decoherence import (_mode_table, allowed_frequencies,
                                  sweep_decoherence, v_coefficients)
 from sonicbh.errors import RegimeError
 from sonicbh.params import TWO_PI
-from sonicbh.profiles import null_coordinate_map
 from sonicbh.specfun import integrate_adaptive
+
+from ring_oracle import ring_null_coordinate
 
 
 # --------------------------------------------------------------------------
@@ -51,15 +52,12 @@ def test_inner_antiderivative_equals_quadrature():
 # mode weights
 # --------------------------------------------------------------------------
 
-def test_v_at_zero_frequency(ring, derived):
-    # V1 = (L + int cos 2wx)/2 tends to the kept measure L: 2 pi on the u
-    # branch, 2 pi less the horizon slivers on the v branch
-    vc = v_coefficients(ring, 0.0)
-    assert vc.v1_u == null_coordinate_map(ring, "u").length and vc.v2_u == 0.0
-    assert vc.v1_v == null_coordinate_map(ring, "v", derived.delta).length and vc.v2_v == 0.0
-    near = v_coefficients(ring, 1e-9)
-    assert vc.v1_u == pytest.approx(near.v1_u, rel=1e-8)
-    assert vc.v1_v == pytest.approx(near.v1_v, rel=1e-8)
+def test_v_at_zero_frequency(ring):
+    # mode weights are defined at the allowed frequencies, all positive: zero,
+    # negative and NaN frequencies are refused
+    for omega in (0.0, -1.0, math.nan):
+        with pytest.raises(ValueError, match="omega must be positive"):
+            v_coefficients(ring, omega)
 
 
 def test_v_bounds_over_allowed_range(ring):
@@ -81,7 +79,7 @@ def test_allowed_frequencies_structure(ring, config):
 
 def test_v_epsilon_sensitivity_documented(ring, config):
     eps = TWO_PI / config.n_ions
-    om = float(allowed_frequencies(ring, "v", eps)[4])
+    om = float(allowed_frequencies(ring, "v")[4])
     a = v_coefficients(ring, om, eps)
     b = v_coefficients(ring, om, 2 * eps)
     # the u branch is epsilon-free; the v branch moves only gently
@@ -89,17 +87,17 @@ def test_v_epsilon_sensitivity_documented(ring, config):
     assert a.v1_v == pytest.approx(b.v1_v, rel=0.05)
 
 
-def _theta_quad(ring, config, branch, f):
-    """int f(x_b(theta)) dtheta by adaptive quadrature in theta over the kept
-    intervals, with the ramp ends as breakpoints."""
+def _theta_quad(config, branch, f):
+    """int f(x_b(theta)) dtheta by adaptive quadrature in theta of the oracle's
+    own null coordinate over its kept intervals, with the ramp ends as
+    breakpoints."""
     eps = TWO_PI / config.n_ions
-    nmap = null_coordinate_map(ring, branch, eps if branch == "v" else 0.0)
-    cuts = [0.0, *(h + s * eps for h in nmap.horizons for s in (-1, 1)), TWO_PI]
+    x_b, kept, _ = ring_null_coordinate(config, branch, eps if branch == "v" else 0.0)
     t_h, g1, g2 = config.theta_h, config.gamma1, config.gamma2
     ends = (t_h - g1, t_h + g1, TWO_PI - t_h - g2, TWO_PI - t_h + g2)
     total = 0.0
-    for lo, hi in zip(cuts[0::2], cuts[1::2]):
-        total += quad(lambda th: f(float(nmap(th))), lo, hi, epsabs=1e-13, epsrel=0.0,
+    for lo, hi in kept:
+        total += quad(lambda th: f(x_b(th)), lo, hi, epsabs=1e-13, epsrel=0.0,
                       limit=20000, points=[e for e in ends if lo < e < hi])[0]
     return total
 
@@ -107,16 +105,16 @@ def _theta_quad(ring, config, branch, f):
 @pytest.mark.parametrize("branch", ["u", "v"])
 @pytest.mark.parametrize("which", ["first", "middle", "top"])
 def test_v_against_theta_quadrature(ring, config, branch, which):
-    # the Gauss-Legendre nodes in x against quad in theta over the closed-form map
+    # the Gauss-Legendre nodes in x against quad in theta over the oracle's map
     omegas = allowed_frequencies(ring, branch)
     om = float(omegas[{"first": 0, "middle": len(omegas) // 2, "top": -1}[which]])
     vc = v_coefficients(ring, om)
     v1, v2 = (vc.v1_u, vc.v2_u) if branch == "u" else (vc.v1_v, vc.v2_v)
     assert v1 == pytest.approx(
-        _theta_quad(ring, config, branch, lambda x: math.cos(om * x) ** 2), abs=1e-9)
+        _theta_quad(config, branch, lambda x: math.cos(om * x) ** 2), abs=1e-12)
     assert v2 == pytest.approx(
-        _theta_quad(ring, config, branch, lambda x: math.cos(om * x) * math.sin(om * x)),
-        abs=1e-9)
+        _theta_quad(config, branch, lambda x: math.cos(om * x) * math.sin(om * x)),
+        abs=1e-12)
 
 
 @pytest.fixture(scope="module")
@@ -134,6 +132,7 @@ def test_v2_vanishes_by_mirror_symmetry(config, mode_table):
 
 
 def test_v_coefficients_equal_mode_table_rows(ring, mode_table):
+    # holds by construction: the table is built from v_coefficients
     for _branch, om, vc in mode_table:
         assert v_coefficients(ring, om) == vc
 

@@ -250,6 +250,10 @@ REACH_ALLOWLIST = {
 }
 
 
+# The dunders that building an instance of a reached class runs.
+CONSTRUCTOR_DUNDERS = ("__init__", "__post_init__")
+
+
 def _bindings(tree, package_module):
     """What the imports of a module bind to in the package: name -> ("import",
     module, name) or ("module", module), "__init__" standing for the package.
@@ -280,7 +284,9 @@ def _reached(root, allowlisted):
     cli.main, the module-level code of the package, every file of scripts/
     and perfbench/ (not perfbench/tests) and the allowlisted keys; a name
     resolves through the imports, and an attribute of anything but a module
-    reaches every method of that name.  A reached class reaches its dunders.
+    reaches every method of that name.  A reached class reaches its
+    CONSTRUCTOR_DUNDERS; any other dunder (__call__, __eq__, ...) is reached
+    only by name or through the allowlist.
     """
     definitions, scopes, trees = {}, {}, {}
     for path in sorted((root / "src" / "sonicbh").glob("*.py")):
@@ -351,7 +357,7 @@ def _reached(root, allowlisted):
             body = [item for item in node.body if not isinstance(item, ast.FunctionDef)]
             todo |= references(node.bases + node.decorator_list + body, scopes[module])
             todo |= {f"{key}.{item.name}" for item in node.body
-                     if isinstance(item, ast.FunctionDef) and item.name.startswith("__")}
+                     if isinstance(item, ast.FunctionDef) and item.name in CONSTRUCTOR_DUNDERS}
         else:
             todo |= references([node], scopes[module])
     return definitions, reached
