@@ -9,8 +9,10 @@ Closed form (matched long-time scheme, initial temperature 1/beta):
 
     <Pi_L Pi_L> = -(pi/beta)^2 * (X1 X2 / a^2) * csch^2( pi (X1 + X2) / beta )
 
-with X1 = |matched x0(x1)|, X2 = matched x0(x2); the beta -> inf limit is
--(X1 X2 / a^2) / (X1 + X2)^2.  Every exponential is assembled in log space.
+with X1 = |matched x0(x1)|, X2 = matched x0(x2).  It is evaluated as one
+expression for every beta: the beta -> inf value -(X1 X2 / a^2) / (X1 + X2)^2
+times the thermal factor (z csch z)^2, z = pi (X1 + X2) / beta, which is 1 at
+beta = inf.  Every exponential is assembled in log space.
 The mode-sum oracle rebuilds the same object from matched mode functions:
 thermal weight coth(beta k / 2), momentum factors by finite differences of
 the traced-back initial position.  Both thermal k integrals split
@@ -101,9 +103,14 @@ def corr_homogeneous(dx: float, t: float, beta: float) -> complex:
 # matched closed form
 # --------------------------------------------------------------------------
 
-def _log_csch(z: float) -> float:
-    """ln csch(z) for z > 0, overflow-safe."""
-    return -z + math.log(2.0) - math.log1p(-math.exp(-2.0 * z))
+def _log_z_csch(ln_z: float) -> float:
+    """ln(z csch z) of z = e^{ln_z} >= 0: -z^2/6 below z = 1e-8, else
+    ln 2z - z - ln(1 - e^{-2z}).  z is capped at e^700, where the value is
+    already far below the float range, so a huge z stays finite."""
+    z = math.exp(min(ln_z, 700.0))
+    if z < 1e-8:
+        return -z * z / 6.0
+    return math.log(2.0 * z) - z - math.log(-math.expm1(-2.0 * z))
 
 
 def corr_closed_form(x1: float, x2: float, t: float, beta: float,
@@ -111,8 +118,10 @@ def corr_closed_form(x1: float, x2: float, t: float, beta: float,
     """Matched-scheme <Pi_L(x1,t) Pi_L(x2,t)>, x1 inside, x2 outside.
 
     Requires x1 in (x_minus, -a) and x2 in (a, x_plus); outside the wedge the
-    matched exponentials do not apply (use corr_homogeneous).  beta = inf
-    selects the zero-temperature limit -(X1 X2/a^2)/(X1+X2)^2.
+    matched exponentials do not apply (use corr_homogeneous).  One expression
+    for every beta > 0: the zero-temperature value -(X1 X2/a^2)/(X1+X2)^2
+    times the thermal factor (z csch z)^2, z = pi (X1+X2)/beta, with ln z
+    taken in log space so that z = 0, a factor of 1, at beta = inf.
     """
     xm, xp = entanglement_boundary(t, profile)
     a = profile.a
@@ -130,12 +139,8 @@ def corr_closed_form(x1: float, x2: float, t: float, beta: float,
     ln_x2 = matched_exponent(x2, t, profile) + math.log(a)
     ln_pref = ln_x1 + ln_x2 - 2.0 * math.log(a)          # ln(X1 X2 / a^2)
     ln_sum = np.logaddexp(ln_x1, ln_x2)                  # ln(X1 + X2)
-    if math.isinf(beta):
-        return -math.exp(ln_pref - 2.0 * ln_sum)
-    z = math.pi * math.exp(ln_sum) / beta
-    if z < 1e-150:  # csch -> 1/z, avoid log1p underflow path
-        return -math.exp(ln_pref - 2.0 * ln_sum)
-    return -math.exp(ln_pref + 2.0 * (math.log(math.pi / beta) + _log_csch(z)))
+    ln_z = math.log(math.pi) + ln_sum - math.log(beta)
+    return -math.exp(ln_pref - 2.0 * ln_sum + 2.0 * _log_z_csch(ln_z))
 
 
 def corr_mode_sum_oracle(x1: float, x2: float, t: float, beta: float,

@@ -86,10 +86,11 @@ def _inner_cos_cos(nu: float, omega: float, t: float) -> float:
 def diffusion_quadrature_oracle(t: float, omega: float, spec: EnvironmentSpec) -> float:
     """Brute-force D(t): nested quadrature of the defining double integral.
 
-    The outer nu integral is taken plainly where the inner factor carries few
-    oscillations; otherwise it is split around the sin((nu-omega)t)/(nu-omega)
-    ridge at nu = omega and evaluated with oscillatory-weight quadrature on
-    the sides, plus an exact Fourier-tail treatment beyond nu_b.
+    The inner s integral is elementary; the outer nu integral is split around
+    the sin((nu-omega)t)/(nu-omega) ridge at nu = omega, taken adaptively on
+    the ridge and with oscillatory-weight quadrature on either side of it,
+    plus an exact Fourier-tail treatment beyond nu_b.  One regime serves
+    every t > 0.
     """
     if t < 0:
         raise ValueError("t must be >= 0")
@@ -101,25 +102,19 @@ def diffusion_quadrature_oracle(t: float, omega: float, spec: EnvironmentSpec) -
     weight = lambda nu: nu * cutoff_factor(nu, spec)
 
     nu_b = 2.0 * omega + 6.0 * lam + 10.0 / t
-    if nu_b * t < 300.0:
-        pts = sorted({omega, max(omega - math.pi / t, 0.0), omega + math.pi / t,
-                      min(lam, nu_b * 0.9)})
-        finite = integrate_adaptive(lambda nu: weight(nu) * _inner_cos_cos(nu, omega, t),
-                                    0.0, nu_b, tol=tol, points=pts, limit=800).value
-    else:
-        half = 0.5 * math.sin(omega * t)
-        ridge = min(20.0 * math.pi / t, 0.45 * omega)
-        finite = integrate_adaptive(
-            lambda nu: weight(nu) * _inner_cos_cos(nu, omega, t),
-            omega - ridge, omega + ridge, tol=tol, limit=400).value
-        for lo, hi in ((0.0, omega - ridge), (omega + ridge, nu_b)):
-            # sin((nu+-omega)t) expanded about the nu-oscillation e^{i nu t}
-            f_sin = lambda nu: weight(nu) * 0.5 * math.cos(omega * t) * (
-                1.0 / (nu + omega) + 1.0 / (nu - omega))
-            f_cos = lambda nu: weight(nu) * half * (
-                1.0 / (nu + omega) - 1.0 / (nu - omega))
-            finite += fourier_integral(f_sin, lo, t, kind="sin", tol=tol, b=hi).value
-            finite += fourier_integral(f_cos, lo, t, kind="cos", tol=tol, b=hi).value
+    half = 0.5 * math.sin(omega * t)
+    ridge = min(20.0 * math.pi / t, 0.45 * omega)
+    finite = integrate_adaptive(
+        lambda nu: weight(nu) * _inner_cos_cos(nu, omega, t),
+        omega - ridge, omega + ridge, tol=tol, limit=400).value
+    for lo, hi in ((0.0, omega - ridge), (omega + ridge, nu_b)):
+        # sin((nu+-omega)t) expanded about the nu-oscillation e^{i nu t}
+        f_sin = lambda nu: weight(nu) * 0.5 * math.cos(omega * t) * (
+            1.0 / (nu + omega) + 1.0 / (nu - omega))
+        f_cos = lambda nu: weight(nu) * half * (
+            1.0 / (nu + omega) - 1.0 / (nu - omega))
+        finite += fourier_integral(f_sin, lo, t, kind="sin", tol=tol, b=hi).value
+        finite += fourier_integral(f_cos, lo, t, kind="cos", tol=tol, b=hi).value
     # tail: substitute mu = nu -+ omega so each piece is a pure Fourier integral
     tail_plus = fourier_integral(lambda mu: weight(mu - omega) / (2.0 * mu),
                                  nu_b + omega, t, kind="sin").value

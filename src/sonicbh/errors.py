@@ -1,7 +1,9 @@
 """Exception hierarchy shared across the package.
 
 The CLI maps these onto process exit codes: ConfigError -> 2,
-numeric failures (QuadratureError and friends) -> 3, RegimeError -> 4.
+numeric failures (QuadratureError and friends) -> 3, RegimeError -> 4
+(RegionError too: a point outside a formula's region, or a ring with no
+sonic horizon, is a regime violation).
 """
 
 
@@ -17,7 +19,7 @@ class RegimeError(SonicBHError):
     """Request outside the validity regime of a formula (refused, not extrapolated)."""
 
 
-class RegionError(SonicBHError):
+class RegionError(RegimeError):
     """Point lies outside the spatial region a closed form is valid in."""
 
 

@@ -11,6 +11,7 @@ that call it, so a command that never integrates does not pay for loading it.
 from __future__ import annotations
 
 import math
+import sys
 import warnings
 from dataclasses import dataclass
 from typing import Callable
@@ -59,7 +60,8 @@ def _ei_scaled(x: float) -> float:
 
 
 def stable_shi_chi_combo(a: float, b: float, x: float) -> float:
-    """Cancellation-safe a*(Shi cosh - Chi sinh)(x) + b*(Shi sinh - Chi cosh)(x).
+    """Cancellation-safe a*(Shi cosh - Chi sinh)(x) + b*(Shi sinh - Chi cosh)(x)
+    for x > 0 (else ValueError).
 
     The naive products grow like e^{2x} while the combinations stay O(1/x);
     both are rewritten through scaled exponential integrals,
@@ -68,36 +70,29 @@ def stable_shi_chi_combo(a: float, b: float, x: float) -> float:
         Shi sinh - Chi cosh = (e^x E1(x) - e^{-x} Ei(x)) / 2,
 
     which stay finite and accurate far beyond the overflow point of
-    cosh/sinh.  At x = 0 the b-combination alone diverges logarithmically;
-    the value 0 returned there is the limit along the physical usage, where
-    b carries a factor sin(omega*t) vanishing together with x.
+    cosh/sinh.  At x = 0 the b-combination diverges logarithmically, so the
+    origin is the caller's limit to take, not a value of this function.
     """
-    if x < 0:
-        raise ValueError(f"stable_shi_chi_combo requires x >= 0, got {x!r}")
-    if x == 0.0:
-        return 0.0
+    if not x > 0:
+        raise ValueError(f"stable_shi_chi_combo requires x > 0, got {x!r}")
     e1s, eis = _e1_scaled(x), _ei_scaled(x)
     return a * 0.5 * (e1s + eis) + b * 0.5 * (e1s - eis)
 
 
 def thermal_weight(k: float, beta: float) -> float:
-    """k coth(beta k / 2) for k >= 0; k at beta = inf.  At k = 0 the finite
-    limit 2/beta: QUADPACK's Fourier routine samples the origin."""
-    if math.isinf(beta):
-        return k
-    x = 0.5 * beta * k
-    if x == 0.0:
-        return 2.0 / beta
-    coth = 1.0 / math.tanh(x) if x > 1e-8 else 1.0 / x + x / 3.0
-    return k * coth
+    """k coth(beta k / 2) for k >= 0: k plus its Bose part ``thermal_excess``,
+    so k at beta = inf and the finite limit 2/beta at k = 0 (QUADPACK's
+    Fourier routine samples the origin)."""
+    return k + thermal_excess(k, beta)
 
 
 def thermal_excess(k: float, beta: float) -> float:
     """k coth(beta k / 2) - k = 2k / (e^{beta k} - 1) for k >= 0: exactly 0 at
-    beta = inf, the finite limit 2/beta at k = 0 or where beta k underflows."""
+    beta = inf.  Where beta k is 0, subnormal or nan (k = 0 at beta = inf) it
+    carries too few bits to divide by, and the value is the limit 2/beta - k."""
     x = beta * k
-    if not x > 0.0:         # k = 0 (x = nan at beta = inf) or beta k underflows
-        return 2.0 / beta
+    if not x >= sys.float_info.min:
+        return 2.0 / beta - k
     return 2.0 * k * math.exp(-x) / -math.expm1(-x)
 
 
@@ -119,10 +114,10 @@ def _finite_integrand(f: Callable[[float], float]) -> Callable[[float], float]:
 
 
 def integrate_adaptive(f: Callable[[float], float], a: float, b: float,
-                       tol: float = 1e-10, limit: int = 200,
-                       points=None) -> QuadratureResult:
+                       tol: float = 1e-10, limit: int = 200) -> QuadratureResult:
     """Adaptive quadrature of f on [a, b] (endpoints may be infinite) to the
-    absolute tolerance tol.
+    absolute tolerance tol.  It takes no breakpoints: a caller whose integrand
+    has a feature inside [a, b] splits the interval there itself.
 
     Raises QuadratureError when the integrator reports non-convergence
     (carrying the partial result) or f returns a non-finite value.
@@ -130,12 +125,10 @@ def integrate_adaptive(f: Callable[[float], float], a: float, b: float,
     from scipy import integrate
     if not tol > 0:
         raise ValueError("tol must be positive")
-    kwargs = dict(epsabs=tol, epsrel=0.0, limit=limit, full_output=1)
-    if points is not None and np.isfinite(a) and np.isfinite(b):
-        kwargs["points"] = points
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", integrate.IntegrationWarning)
-        out = integrate.quad(_finite_integrand(f), a, b, **kwargs)
+        out = integrate.quad(_finite_integrand(f), a, b, epsabs=tol, epsrel=0.0,
+                             limit=limit, full_output=1)
     value, abserr, info = out[0], out[1], out[2]
     neval = int(info.get("neval", 0)) if isinstance(info, dict) else 0
     result = QuadratureResult(value=value, evaluations=max(neval, 1))

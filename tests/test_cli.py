@@ -107,6 +107,18 @@ def test_hot_scan_jump_to_uniform_rows_is_no_pair_peak(tmp_path, beta):
     assert "peak_present=false" in manifest
 
 
+@pytest.mark.parametrize("t, beta", [("800", "5"), ("100", "1e20")])
+def test_correlation_scan_at_vanishing_thermal_argument(tmp_path, t, beta):
+    # z = pi (X1 + X2)/beta far below 1e-17: the thermal factor is 1, no domain error
+    code, out = _run(tmp_path, "correlation", "--t", t, "--x1", "-4", "--beta", beta,
+                     "--points", "32")
+    assert code == 0
+    _, _, rows = _rows(out)
+    assert len(rows) == 32
+    assert all(math.isfinite(float(r[1])) for r in rows)
+    assert any(r[2] == "matched" for r in rows)
+
+
 def test_tdec_sweep_underflowing_gamma_is_point_error(tmp_path, recwarn):
     # gamma^2 underflows to 0: each point is refused, none written as t_D = inf
     code, out = _run(tmp_path, "tdec-sweep", "--axis", "gamma",
@@ -292,6 +304,9 @@ def test_output_written_atomically(tmp_path):
     (["correlation", "--t", "100", "--x1", "-4", "--x2-min", "1.5", "--x2-max", "-1"],
      None, 2),
     (["hawking"], {"cutoff_shape": "exponential"}, 2),
+    (["hawking"], {"ion_charge": "30.0"}, 4),
+    (["tdec-sweep", "--axis", "temperature", "--from", "0.1", "--to", "1", "--points", "2"],
+     {"ion_charge": "30.0"}, 4),
 ], ids=["missing-config", "radius-inf", "line-kappa-nan", "omega-0", "omega-minus-0",
         "langevin-temperature-nan", "temperature-beyond-100-th", "negative-gamma",
         "coupling-eff-key", "langevin-sites-0", "langevin-realizations-1",
@@ -304,7 +319,8 @@ def test_output_written_atomically(tmp_path):
         "er-k-negative", "hawking-ring-flow-negative", "vcoef-ring-flow-negative",
         "langevin-moments-overflow", "correlation-t-0", "tdec-sweep-log-from-0",
         "tdec-sweep-log-from-negative", "correlation-x2-min-inside",
-        "correlation-x2-max-inside", "cutoff-shape-exponential"])
+        "correlation-x2-max-inside", "cutoff-shape-exponential", "hawking-no-horizon",
+        "tdec-sweep-no-horizon"])
 def test_malformed_input_refused(tmp_path, capsys, argv, config, code):
     """Refused with the documented exit code and one JSON record, no traceback."""
     prefix = ["--output", str(tmp_path / "x.csv")]

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import sonicbh
-from sonicbh.characteristics import entanglement_boundary
+from sonicbh.characteristics import entanglement_boundary, matched_exponent
 from sonicbh.correlations import (CorrelationGrid, build_correlation_grid,
                                   corr_closed_form, corr_homogeneous,
                                   corr_mode_sum_oracle, detect_peak,
@@ -189,6 +189,41 @@ def test_closed_form_is_overflow_safe(line):
     # t = 100 tau drives exponents ~ 200; log-space assembly must survive
     val = corr_closed_form(-4.0, 6.0, T_LONG, math.inf, line)
     assert math.isfinite(val) and val < 0
+
+
+CLOSED_FORM_BETAS = [0.05, 0.5, 5.0, 62.8, 1e3, 1e8, 1e12, 1e16, 1e40, 1e140, 1e200,
+                     math.inf]
+
+
+@pytest.mark.parametrize("t", [40.0, 100.0, 300.0, 800.0, 2000.0])
+def test_closed_form_against_mpmath_csch(line, t):
+    # z = pi (X1 + X2)/beta spans 0 (beta = inf), values far below 1e-17, where
+    # ln(1 - e^{-2z}) rounds to ln 0, and values whose csch^2 underflows
+    xm, xp = entanglement_boundary(t, line)
+    a = line.a
+    x1s = [-a + f * (xm + a) for f in (0.05, 0.25, 0.5, 0.75, 0.95)]
+    x2s = [a + f * (xp - a) for f in (0.02, 0.1, 0.3, 0.5, 0.7, 0.9, 0.98)]
+    with mp.workdps(50):
+        for x1 in x1s:
+            for x2 in x2s:
+                big_x1 = a * mp.exp(matched_exponent(x1, t, line))
+                big_x2 = a * mp.exp(matched_exponent(x2, t, line))
+                cold = -(big_x1 * big_x2 / a ** 2) / (big_x1 + big_x2) ** 2
+                for beta in CLOSED_FORM_BETAS:
+                    exact = cold
+                    if not math.isinf(beta):
+                        z = mp.pi * (big_x1 + big_x2) / beta
+                        exact = cold * (z * mp.csch(z)) ** 2
+                    val = corr_closed_form(x1, x2, t, beta, line)
+                    assert val == pytest.approx(float(exact), rel=1e-12), (x1, x2, beta)
+
+
+@pytest.mark.parametrize("t, beta", [(300.0, 1000.0), (800.0, 5.0)])
+def test_closed_vs_mode_sum_at_long_times(line, t, beta):
+    for x1, x2 in PAIR_GRID[::3]:
+        c = corr_closed_form(x1, x2, t, beta, line)
+        o = corr_mode_sum_oracle(x1, x2, t, beta, line)
+        assert o == pytest.approx(c, rel=1e-4)
 
 
 @pytest.mark.parametrize("x1,x2", PAIR_GRID)

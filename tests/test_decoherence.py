@@ -9,6 +9,7 @@ from sonicbh.decoherence import (_mode_table, allowed_frequencies,
                                  decoherence_time, diffusion_exact,
                                  diffusion_quadrature_oracle,
                                  sweep_decoherence, v_coefficients)
+from sonicbh.environment import EnvironmentSpec
 from sonicbh.errors import RegimeError
 from sonicbh.params import TWO_PI
 from sonicbh.specfun import integrate_adaptive
@@ -29,6 +30,19 @@ def test_diffusion_exact_matches_oracle_spotchecks(env_lorentzian):
         de = diffusion_exact(t, om, env_lorentzian)
         do = diffusion_quadrature_oracle(t, om, env_lorentzian)
         assert de == pytest.approx(do, rel=1e-9)
+
+
+@pytest.mark.parametrize("cutoff", [2.0, 20.0])
+@pytest.mark.parametrize("omega", [0.4, 2.0])
+def test_oracle_against_exact_at_short_and_long_times(cutoff, omega):
+    # the split around the ridge nu = omega serves short times too, where the
+    # inner factor carries few oscillations (nu_b t from 13 to 880)
+    spec = EnvironmentSpec(coupling_eff=0.02, cutoff=cutoff)
+    t_switch = 290.0 / (2.0 * omega + 6.0 * cutoff)        # nu_b t = 300
+    for t in (0.01 * t_switch, 0.5 * t_switch, 0.99 * t_switch, 1.01 * t_switch,
+              3.0 * t_switch):
+        assert diffusion_quadrature_oracle(t, omega, spec) == pytest.approx(
+            diffusion_exact(t, omega, spec), rel=1e-10)
 
 
 def test_diffusion_long_time_plateau(env_lorentzian):

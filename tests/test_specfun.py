@@ -41,8 +41,11 @@ def test_si_shi_odd(x):
     assert si(-x) == -si(x)
 
 
-def test_combo_zero_argument_convention():
-    assert stable_shi_chi_combo(3.7, -1.2, 0.0) == 0.0
+@pytest.mark.parametrize("x", [0.0, -1.0, math.nan])
+def test_combo_refuses_non_positive_argument(x):
+    # the b-combination diverges at x = 0; D(0) = 0 is diffusion_exact's own guard
+    with pytest.raises(ValueError, match="x > 0"):
+        stable_shi_chi_combo(3.7, -1.2, x)
 
 
 def test_combo_matches_naive_at_moderate_argument():
@@ -56,9 +59,10 @@ def test_combo_against_exact_naive_form(x):
     # The float64 naive products cancel catastrophically beyond x ~ 8, so the
     # reference "naive" value is the same formula in 40-digit arithmetic.
     a, b = 0.8, -1.7
-    xm = mp.mpf(x)
-    naive = (a * (mp.shi(xm) * mp.cosh(xm) - mp.chi(xm) * mp.sinh(xm))
-             + b * (mp.shi(xm) * mp.sinh(xm) - mp.chi(xm) * mp.cosh(xm)))
+    with mp.workdps(40):
+        xm = mp.mpf(x)
+        naive = (a * (mp.shi(xm) * mp.cosh(xm) - mp.chi(xm) * mp.sinh(xm))
+                 + b * (mp.shi(xm) * mp.sinh(xm) - mp.chi(xm) * mp.cosh(xm)))
     assert stable_shi_chi_combo(a, b, x) == pytest.approx(float(naive), rel=1e-9)
 
 
@@ -172,7 +176,7 @@ def test_thermal_weight_zero_temperature():
 
 @pytest.mark.parametrize("k, beta", [(1e-9, 1.0), (4e-9, 5.0), (2e-12, 3.0), (1e-30, 1.0)])
 def test_thermal_weight_small_argument_series(k, beta):
-    # x = beta k / 2 <= 1e-8: the Laurent series of coth, against extended precision
+    # x = beta k / 2 <= 1e-8: k plus the Bose part, against extended precision
     exact = mp.mpf(k) / mp.tanh(mp.mpf(beta) * k / 2)
     assert thermal_weight(k, beta) == pytest.approx(float(exact), rel=1e-15)
 
@@ -194,8 +198,10 @@ def test_thermal_excess_limits():
     assert thermal_excess(1.0, 1e4) == 0.0
 
 
+# (2.9e-24, 1e-300): beta k is subnormal, too few bits to divide by
 @pytest.mark.parametrize("k, beta", [(1e-30, 1.0), (1e-9, 1.0), (1e-3, 2.0), (0.3, 2.5),
-                                     (1.0, 1.0), (4.0, 7.0), (50.0, 0.1), (200.0, 3.0)])
+                                     (1.0, 1.0), (4.0, 7.0), (50.0, 0.1), (200.0, 3.0),
+                                     (2.9081439777683373e-24, 1e-300)])
 def test_thermal_excess_against_mpmath(k, beta):
     exact = 2 * mp.mpf(k) / mp.expm1(mp.mpf(beta) * k)
     assert thermal_excess(k, beta) == pytest.approx(float(exact), rel=1e-15)
