@@ -11,6 +11,10 @@ it.  Spatial mode weights V1/V2 are quadratures of cos^2 / cos*sin of the
 null coordinate over the ring, and the decoherence time follows from the
 accumulated diffusion reaching order unity on the smallest trajectory
 separation rho*delta^2.
+
+A sweep reads one weight per mode, V1 of the mode's own branch: its mode
+table takes that alone, from the cosine integral of the mode's own null map,
+and each point's band is one array expression over the whole table.
 """
 
 from __future__ import annotations
@@ -23,7 +27,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .environment import EnvironmentSpec, cutoff_factor
-from .errors import RegimeError
+from .errors import RegimeError, SonicBHError
 from .params import TWO_PI, DerivedParams, PhysicalConfig, derive
 from .profiles import RingProfile, hawking_temperature_ring, null_coordinate_map
 from .specfun import fourier_integral, integrate_adaptive, si, stable_shi_chi_combo
@@ -138,11 +142,14 @@ def allowed_frequencies(profile: RingProfile, branch: str) -> np.ndarray:
     return base * np.arange(1, n_max + 1)
 
 
+def _v1(nmap, omega: float) -> float:
+    """V1 = (L + int cos 2 omega x dtheta)/2, L the measure of the kept pieces."""
+    return 0.5 * (nmap.length + nmap.cos_integral(2.0 * omega))
+
+
 def _branch_weights(nmap, omega: float) -> tuple[float, float]:
-    """V1 = (L + int cos 2 omega x dtheta)/2 and V2 = int sin 2 omega x dtheta / 2,
-    L the measure of the kept pieces."""
-    cos_part, sin_part = nmap.fourier(2.0 * omega)
-    return 0.5 * (nmap.length + cos_part), 0.5 * sin_part
+    """(V1, V2), V2 = int sin 2 omega x dtheta / 2."""
+    return _v1(nmap, omega), 0.5 * nmap.sin_integral(2.0 * omega)
 
 
 def v_coefficients(profile: RingProfile, omega: float,
@@ -152,7 +159,7 @@ def v_coefficients(profile: RingProfile, omega: float,
     two cached null maps.
 
     The v branch uses the epsilon-excluded null coordinate (default: one ion
-    spacing).  A sweep's mode table is built from these calls.
+    spacing).
     """
     if not omega > 0:
         raise ValueError(f"omega must be positive, got {omega!r}")
@@ -167,6 +174,42 @@ def v_coefficients(profile: RingProfile, omega: float,
 # decoherence time
 # --------------------------------------------------------------------------
 
+def _t_d(config, derived, gamma, temperature, omega, omega_cubed, v):
+    """t_D of the modes at frequencies omega (cubes omega_cubed) of weights v,
+    arrays in table order, as one array expression.
+
+    The first offending mode in table order raises, its checks in the order
+    V <= 0, t_D(0) overflow, t_D <= 0.
+    """
+    if gamma <= 0 or np.any(omega <= 0):
+        raise ValueError("gamma and omega must be positive")
+    if temperature < 0:
+        raise ValueError("temperature must be >= 0")
+    hbar, k_b = config.hbar, config.k_boltzmann
+    numerator = DECOHERENCE_CRITERION * 2.0 * hbar ** 2
+    # an offending mode may divide by zero or overflow here; it is refused
+    # below, before anything reads its t_D
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        denominator = (gamma ** 2 * derived.delta_v * derived.delta ** 2
+                       * omega * math.pi * derived.rho ** 2 * v)
+        t_d = (numerator / denominator
+               - 8.0 * (k_b * temperature) ** 2 / (omega_cubed * math.pi * hbar ** 2))
+    weightless = v <= 0
+    overflows = ~(denominator > numerator / sys.float_info.max)
+    bad = np.flatnonzero(weightless | overflows | (t_d <= 0))
+    if bad.size:
+        i = bad[0]
+        if weightless[i]:
+            raise RegimeError(f"non-positive mode weight V = {v[i]:.3g}")
+        if overflows[i]:
+            raise OverflowError("t_D(0) overflows: its denominator gamma^2 dv delta^2 "
+                                f"omega pi rho^2 V = {denominator[i]:.3g} is too small")
+        raise RegimeError(
+            f"thermal correction dominates (t_D = {t_d[i]:.3g} <= 0): outside "
+            "the low-temperature expansion's validity")
+    return t_d
+
+
 def decoherence_time(config: PhysicalConfig, derived: DerivedParams, gamma: float,
                      omega: float, temperature: float, vcoef: VCoefficients,
                      branch: str = "u") -> DecoherenceEstimate:
@@ -178,29 +221,13 @@ def decoherence_time(config: PhysicalConfig, derived: DerivedParams, gamma: floa
     V = V1 of the requested branch: the anomalous term 2 log(1/(omega tau)) V2
     of the full weight stays under 10% of V1 at the allowed modes of the
     bench ring (acceptance check C05).  The thermal correction is quadratic
-    and independent of the mode weight.
+    and independent of the mode weight.  This is the one-mode case of the
+    sweep's band, through the same expression, so the two agree bit for bit.
     """
-    if gamma <= 0 or omega <= 0:
-        raise ValueError("gamma and omega must be positive")
-    if temperature < 0:
-        raise ValueError("temperature must be >= 0")
-    v_eff = vcoef.v1_u if branch == "u" else vcoef.v1_v
-    if v_eff <= 0:
-        raise RegimeError(f"non-positive mode weight V = {v_eff:.3g}")
-    hbar, k_b = config.hbar, config.k_boltzmann
-    numerator = DECOHERENCE_CRITERION * 2.0 * hbar ** 2
-    denominator = (gamma ** 2 * derived.delta_v * derived.delta ** 2
-                   * omega * math.pi * derived.rho ** 2 * v_eff)
-    if not denominator > numerator / sys.float_info.max:
-        raise OverflowError("t_D(0) overflows: its denominator gamma^2 dv delta^2 "
-                            f"omega pi rho^2 V = {denominator:.3g} is too small")
-    t_d = (numerator / denominator
-           - 8.0 * (k_b * temperature) ** 2 / (omega ** 3 * math.pi * hbar ** 2))
-    if t_d <= 0:
-        raise RegimeError(
-            f"thermal correction dominates (t_D = {t_d:.3g} <= 0): outside "
-            "the low-temperature expansion's validity")
-    return DecoherenceEstimate(t_d=t_d)
+    v = vcoef.v1_u if branch == "u" else vcoef.v1_v
+    t_d = _t_d(config, derived, gamma, temperature, np.array([omega], dtype=float),
+               np.array([omega ** 3], dtype=float), np.array([v], dtype=float))
+    return DecoherenceEstimate(t_d=float(t_d[0]))
 
 
 class SweepRow(NamedTuple):
@@ -214,21 +241,32 @@ class SweepRow(NamedTuple):
 
 
 def _mode_table(profile):
-    """(branch, omega, V1/V2) of every allowed u and v mode.
+    """(omega, omega^3, V1) arrays over every allowed u mode, then every
+    allowed v mode.
 
-    The weights depend on neither gamma nor T0, so one table serves every
-    point of a sweep that keeps the profile.
+    V1 is what t_D reads of a mode: it is taken on the mode's own null map
+    alone (epsilon = delta on v), one 1-D cosine integral per mode, with no
+    V2 and no weight of the other branch.  omega^3 is the power of each
+    mode's scalar, as decoherence_time takes it.  The table depends on
+    neither gamma nor T0, so one serves every point of a sweep that keeps the
+    profile.
     """
-    return [(branch, om, v_coefficients(profile, om)) for branch in ("u", "v")
-            for om in allowed_frequencies(profile, branch)]
+    delta = derive(profile.config).delta
+    omega, v1 = [], []
+    for branch, epsilon in (("u", 0.0), ("v", delta)):
+        nmap = null_coordinate_map(profile, branch, epsilon)
+        for om in allowed_frequencies(profile, branch):
+            omega.append(om)
+            v1.append(_v1(nmap, om))
+    return np.array(omega), np.array([om ** 3 for om in omega]), np.array(v1)
 
 
 def _band(config, derived, gamma, temperature, modes):
     """(t_d_min, t_d_max, omega_of_min, omega_of_max) over a mode table."""
-    t_d = [decoherence_time(config, derived, gamma, om, temperature, vc, branch=branch).t_d
-           for branch, om, vc in modes]
+    omega = modes[0]
+    t_d = _t_d(config, derived, gamma, temperature, *modes)
     lo, hi = int(np.argmin(t_d)), int(np.argmax(t_d))   # first of equal values
-    return t_d[lo], t_d[hi], modes[lo][1], modes[hi][1]
+    return t_d[lo], t_d[hi], omega[lo], omega[hi]
 
 
 def sweep_decoherence(axis: str, values, config: PhysicalConfig, gamma: float,
@@ -269,6 +307,6 @@ def sweep_decoherence(axis: str, values, config: PhysicalConfig, gamma: float,
                 b = _band(cfg, derive(cfg), gamma, temperature,
                           _mode_table(RingProfile.from_config(cfg)))
             rows.append(SweepRow(val, *b))
-        except Exception as exc:  # collected per point
+        except (SonicBHError, ValueError, ArithmeticError) as exc:  # collected per point
             errors.append((val, repr(exc)))
     return rows, errors

@@ -9,7 +9,7 @@ Two geometries appear throughout:
 
 Profiles are frozen dataclasses; every evaluation is pure.  A ring's null
 map holds only what the mode weights V1/V2 read of x_u or x_v: its total, the
-measure of its pieces and its Fourier integrals.
+measure of its pieces and its cosine and sine integrals.
 """
 
 from __future__ import annotations
@@ -174,7 +174,8 @@ def _gauss_legendre() -> tuple[np.ndarray, np.ndarray]:
 @dataclass(frozen=True, eq=False)
 class NullCoordinateMap:
     """What the mode weights read of x_u or x_v over [0, 2*pi]: its total, the
-    measure of its pieces and its Fourier integrals.
+    measure of its pieces and its cosine and sine integrals, taken apart so
+    that V1, which reads only the cosine one, pays for no sine.
 
     With dx_b/dtheta = 1/(c +- v) = v^(1/2)/(K +- v^(3/2)), x_b is linear in
     theta on a plateau and (+-2/(3 s)) ln|K +- v^(3/2)| + const on a ramp of
@@ -190,15 +191,16 @@ class NullCoordinateMap:
     _ends: np.ndarray          # x_b at the plateau ends
     _end_weights: np.ndarray   # -+ dtheta/dx_b at the start / end of a plateau
 
-    def fourier(self, k: float) -> tuple[float, float]:
-        """(int cos(k x_b) dtheta, int sin(k x_b) dtheta) over the pieces, k != 0:
-        ramps by the fixed quadrature nodes, plateaus exactly."""
-        phase, ends = k * self._nodes, k * self._ends
-        cos_part = (np.sum(np.cos(phase) * self._weights)
-                    + np.sum(np.sin(ends) * self._end_weights) / k)
-        sin_part = (np.sum(np.sin(phase) * self._weights)
-                    - np.sum(np.cos(ends) * self._end_weights) / k)
-        return float(cos_part), float(sin_part)
+    def cos_integral(self, k: float) -> float:
+        """int cos(k x_b) dtheta over the pieces, k != 0: ramps by the fixed
+        quadrature nodes, plateaus exactly."""
+        return float(np.sum(np.cos(k * self._nodes) * self._weights)
+                     + np.sum(np.sin(k * self._ends) * self._end_weights) / k)
+
+    def sin_integral(self, k: float) -> float:
+        """int sin(k x_b) dtheta over the pieces, k != 0, as cos_integral."""
+        return float(np.sum(np.sin(k * self._nodes) * self._weights)
+                     - np.sum(np.cos(k * self._ends) * self._end_weights) / k)
 
 
 @functools.lru_cache(maxsize=32)

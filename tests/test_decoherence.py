@@ -1,17 +1,19 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from scipy.integrate import quad
 
-from sonicbh.decoherence import (_mode_table, allowed_frequencies,
-                                 decoherence_time, diffusion_exact,
+from sonicbh.decoherence import (DECOHERENCE_CRITERION, _mode_table, _t_d,
+                                 allowed_frequencies, decoherence_time, diffusion_exact,
                                  diffusion_quadrature_oracle,
                                  sweep_decoherence, v_coefficients)
 from sonicbh.environment import EnvironmentSpec
 from sonicbh.errors import RegimeError
-from sonicbh.params import TWO_PI
+from sonicbh.params import TWO_PI, derive
+from sonicbh.profiles import NullCoordinateMap, RingProfile, null_coordinate_map
 from sonicbh.specfun import integrate_adaptive
 
 from ring_oracle import ring_null_coordinate
@@ -131,24 +133,32 @@ def test_v_against_theta_quadrature(ring, config, branch, which):
         abs=1e-12)
 
 
-@pytest.fixture(scope="module")
-def mode_table(ring):
-    return _mode_table(ring)
+def _reference_modes(profile):
+    """(branch, omega) of every allowed u mode, then every allowed v mode."""
+    return [(branch, om) for branch in ("u", "v")
+            for om in allowed_frequencies(profile, branch)]
 
 
-def test_v2_vanishes_by_mirror_symmetry(config, mode_table):
+def test_v2_vanishes_by_mirror_symmetry(config, ring):
     # gamma1 = gamma2: theta -> 2 pi - theta sends x_b to X_b - x_b, and at an
     # allowed omega 2 omega X_b is a multiple of 4 pi, so sin(2 omega x_b)
     # integrates to zero
     assert config.gamma1 == config.gamma2
-    for branch, _om, vc in mode_table:
+    for branch, om in _reference_modes(ring):
+        vc = v_coefficients(ring, om)
         assert abs(vc.v2_u if branch == "u" else vc.v2_v) <= 1e-12
 
 
-def test_v_coefficients_equal_mode_table_rows(ring, mode_table):
-    # holds by construction: the table is built from v_coefficients
-    for _branch, om, vc in mode_table:
-        assert v_coefficients(ring, om) == vc
+def test_v_coefficients_equal_mode_table_rows(ring):
+    # the table takes V1 of each mode's own branch alone; it must be that
+    # branch's V1 of v_coefficients bit for bit
+    omega, omega_cubed, v1 = _mode_table(ring)
+    modes = _reference_modes(ring)
+    assert len(omega) == len(omega_cubed) == len(v1) == len(modes)
+    for (branch, om), t_om, t_cube, t_v1 in zip(modes, omega, omega_cubed, v1):
+        vc = v_coefficients(ring, om)
+        assert t_om == om and t_cube == om ** 3
+        assert t_v1 == (vc.v1_u if branch == "u" else vc.v1_v)
 
 
 # --------------------------------------------------------------------------
@@ -188,7 +198,6 @@ def test_t_d_thermal_term_negative(config, derived, ring):
 
 
 def test_t_d_homogeneity(config, derived, ring):
-    from dataclasses import replace
     om, vc = 50.0, _vc(ring, 50.0)
     base = decoherence_time(config, derived, 1e-7, om, 0.0, vc).t_d
     cfg2 = replace(config, hbar=2.0 * config.hbar)
@@ -221,6 +230,137 @@ def test_sweep_temperature_refuses_beyond_validity(config):
 def test_sweep_collects_point_errors(config):
     rows, errors = sweep_decoherence("gamma", [1e-7, -1.0, 1e-6], config, 1e-7)
     assert len(rows) == 2 and len(errors) == 1
+    assert errors[0][0] == -1.0 and errors[0][1].startswith("ValueError(")
+
+
+def test_sweep_propagates_programming_errors(config, monkeypatch):
+    # only the failures the CLI maps to exit codes become point errors; a bug
+    # in the band surfaces
+    import sonicbh.decoherence as decoherence
+
+    def broken(*args):
+        raise TypeError("broken band")
+
+    monkeypatch.setattr(decoherence, "_t_d", broken)
+    with pytest.raises(TypeError, match="broken band"):
+        sweep_decoherence("gamma", [1e-7, 1e-6], config, 1e-7)
+
+
+def _ring_with(config, n_ions):
+    """The config with n_ions ions and the same flow (charge scaled by
+    sqrt(N0/N), so the sound speed stays)."""
+    return replace(config, n_ions=n_ions,
+                   ion_charge=config.ion_charge * math.sqrt(config.n_ions / n_ions))
+
+
+def _scalar_t_d(config, derived, gamma, omega, temperature, v):
+    """t_D of one mode in scalar arithmetic, in the program's order of operations."""
+    hbar = config.hbar
+    return (DECOHERENCE_CRITERION * 2.0 * hbar ** 2
+            / (gamma ** 2 * derived.delta_v * derived.delta ** 2 * omega * math.pi
+               * derived.rho ** 2 * v)
+            - 8.0 * (config.k_boltzmann * temperature) ** 2
+            / (omega ** 3 * math.pi * hbar ** 2))
+
+
+def _reference_band(config, gamma, temperature):
+    """The band from one decoherence_time call per allowed mode, each with
+    the full v_coefficients of its frequency: (min, max, omega_min, omega_max),
+    the first of equal values."""
+    profile, derived = RingProfile.from_config(config), derive(config)
+    t_d = [(decoherence_time(config, derived, gamma, om, temperature,
+                             v_coefficients(profile, om), branch).t_d, om)
+           for branch, om in _reference_modes(profile)]
+    lo = min(t_d, key=lambda pair: pair[0])
+    hi = max(t_d, key=lambda pair: pair[0])
+    return lo[0], hi[0], lo[1], hi[1]
+
+
+@pytest.mark.parametrize("n_ions", [1000, 200])
+@pytest.mark.parametrize("axis, values", [
+    ("gamma", [1e-8, 3e-7, 1e-5]),
+    ("temperature", [0.0, 0.5, 5.0]),
+    ("v_min", [4.8, 5.0, 5.3]),
+])
+def test_sweep_band_equals_per_mode_reference(config, n_ions, axis, values):
+    cfg = _ring_with(config, n_ions)
+    gamma, temperature = 1e-6, 0.3
+    rows, errors = sweep_decoherence(axis, values, cfg, gamma, temperature)
+    assert not errors and [r.axis for r in rows] == values
+    for row in rows:
+        point_cfg, g, t0 = cfg, gamma, temperature
+        if axis == "gamma":
+            g = row.axis
+        elif axis == "temperature":
+            t0 = row.axis
+        else:
+            point_cfg = replace(cfg, v_min=row.axis)
+        assert tuple(row[1:]) == _reference_band(point_cfg, g, t0)
+
+
+@pytest.mark.parametrize("temperature", [0.0, 5.5])
+def test_band_t_d_equals_scalar_formula_per_mode(config, derived, ring, temperature):
+    # every mode of the band, not only its edges; at T0 = 5.5 (11 T_H) and
+    # gamma = 1e-5 the thermal term takes up to 98% of t_D(0), which magnifies
+    # any change in the order of operations of either term
+    gamma = 1e-5
+    modes = _mode_table(ring)
+    t_d = _t_d(config, derived, gamma, temperature, *modes)
+    for (branch, om), band_t_d in zip(_reference_modes(ring), t_d):
+        vc = v_coefficients(ring, om)
+        scalar = _scalar_t_d(config, derived, gamma, om, temperature,
+                             vc.v1_u if branch == "u" else vc.v1_v)
+        assert band_t_d == scalar
+        assert decoherence_time(config, derived, gamma, om, temperature, vc,
+                                branch).t_d == scalar
+
+
+def test_sweep_records_partial_thermal_breakdown(config, ring, derived):
+    # at gamma = 1e-5 and T0 = 10 (20 T_H) the thermal term outgrows t_D(0)
+    # on the lowest modes only: the point is refused, not banded over the rest
+    gamma, hot = 1e-5, 10.0
+    outcomes = []
+    for branch, om in _reference_modes(ring):
+        try:
+            decoherence_time(config, derived, gamma, om, hot, v_coefficients(ring, om), branch)
+            outcomes.append(True)
+        except RegimeError:
+            outcomes.append(False)
+    assert any(outcomes) and not all(outcomes)
+    rows, errors = sweep_decoherence("temperature", [1.0, hot], config, gamma)
+    assert [r.axis for r in rows] == [1.0]
+    assert len(errors) == 1 and errors[0][0] == hot
+    assert errors[0][1].startswith("RegimeError(")
+    assert "thermal correction dominates" in errors[0][1]
+
+
+def test_gamma_sweep_reads_only_each_modes_own_cosine_integral(config, ring, derived,
+                                                               monkeypatch):
+    # the band reads V1 of each mode's own branch: one cosine integral per
+    # allowed mode on that branch's map, no sine integral, nothing on the
+    # other branch's map
+    calls = {"cos": [], "sin": []}
+    cos_integral, sin_integral = NullCoordinateMap.cos_integral, NullCoordinateMap.sin_integral
+
+    def counted_cos(nmap, k):
+        calls["cos"].append((nmap, k))
+        return cos_integral(nmap, k)
+
+    def counted_sin(nmap, k):
+        calls["sin"].append((nmap, k))
+        return sin_integral(nmap, k)
+
+    monkeypatch.setattr(NullCoordinateMap, "cos_integral", counted_cos)
+    monkeypatch.setattr(NullCoordinateMap, "sin_integral", counted_sin)
+    rows, errors = sweep_decoherence("gamma", [1e-8, 1e-7, 1e-6, 1e-5], config, 1.0)
+    assert len(rows) == 4 and not errors
+    assert calls["sin"] == []
+    maps = {"u": null_coordinate_map(ring, "u", 0.0),
+            "v": null_coordinate_map(ring, "v", derived.delta)}
+    expected = [(maps[branch], 2.0 * om) for branch, om in _reference_modes(ring)]
+    assert len(calls["cos"]) == len(expected)
+    for (nmap, k), (own_map, own_k) in zip(calls["cos"], expected):
+        assert nmap is own_map and k == own_k
 
 
 def test_sweep_v_min_smooth(config):
