@@ -197,8 +197,8 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--x1", type=_number("finite"), required=True)
     s.add_argument("--temperature", type=_number("non-negative"), default=0.0)
     s.add_argument("--realizations", type=_count(2), default=2000)
-    # the sampler keeps sites // 2 - 1 modes
-    s.add_argument("--sites", type=_count(4), default=512)
+    # the sampler keeps min(sites // 2 - 1, 255) modes: more than 512 sites change nothing
+    s.add_argument("--sites", type=_count(4, 513), default=512)
     s.add_argument("--seed", type=_count(0, 2 ** 64), default=1234)
     s.add_argument("--x2-min", type=_number("finite"), default=None)
     s.add_argument("--x2-max", type=_number("finite"), default=None)

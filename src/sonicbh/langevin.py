@@ -38,9 +38,10 @@ def _mode_numbers(n_modes: int, length: float) -> np.ndarray:
     return 2.0 * math.pi * np.arange(1, n_modes + 1) / length
 
 
-def _thermal_amplitudes(rng, k: np.ndarray, beta: float, length: float,
-                        n_real: int, uv_epsilon: float) -> np.ndarray:
-    """Complex mode amplitudes c_k (k > 0) with <|c_k|^2> = coth(beta k/2)/(2 k L).
+def _thermal_sd(k: np.ndarray, beta: float, length: float,
+                uv_epsilon: float) -> np.ndarray:
+    """Per-mode standard deviation of Re c_k and of Im c_k, for complex mode
+    amplitudes c_k (k > 0) with <|c_k|^2> = coth(beta k/2)/(2 k L).
 
     A Gaussian spectral envelope e^{-(uv_epsilon k)^2 / 2} regulates the
     momentum two-point function, whose k integral exists only in the
@@ -53,9 +54,7 @@ def _thermal_amplitudes(rng, k: np.ndarray, beta: float, length: float,
     """
     occ = np.array([thermal_weight(kk, beta) for kk in k]) / k
     var = occ / (2.0 * k * length) * np.exp(-(uv_epsilon * k) ** 2)
-    sd = np.sqrt(0.5 * var)
-    return (rng.standard_normal((n_real, len(k))) * sd
-            + 1j * rng.standard_normal((n_real, len(k))) * sd)
+    return np.sqrt(0.5 * var)
 
 
 def left_sector_map(x_points: np.ndarray, t: float, profile: LineProfile,
@@ -115,6 +114,13 @@ def estimate_correlation(n_realizations: int, x1: float, x2_values, t: float,
     the characteristic map and differentiated per mode.  Statistical error
     bars ride along.  The estimator is closed-system only; the open-system
     correction is a per-mode analytic object (``open_correction_er``).
+
+    Realizations are drawn in batches of 4e7 // (modes * points) into one
+    real buffer of 2 * batch * modes standard normals: within a batch, the
+    real parts of every amplitude first, then the imaginary parts.  The
+    batch rule and that order decide which normal feeds which realization,
+    so both are part of the seeded stream: changing either re-deals the
+    output of every seed.
     """
     if n_realizations < 2:
         raise ValueError("need at least 2 realizations")
@@ -133,18 +139,26 @@ def estimate_correlation(n_realizations: int, x1: float, x2_values, t: float,
     k = _mode_numbers(n_modes, length)
     beta = math.inf if temperature == 0.0 else 1.0 / temperature
 
+    # with c_k = sd_k (a_k + i b_k), a_k and b_k standard normals,
+    # Pi_L = 2 Re(sum_k c_k i k e^{ik(x0 - lo)}) w = a . to_re + b . to_im
+    phase = np.outer(k, x0 - lo)                             # (modes, points)
+    scale = (2.0 * k * _thermal_sd(k, beta, length, uv_epsilon))[:, None] * w[None, :]
+    to_re = -scale * np.sin(phase)
+    to_im = -scale * np.cos(phase)
+
     rng = np.random.Generator(np.random.Philox(key=[np.uint64(seed), np.uint64(0)]))
     mean = np.zeros(len(x2_values))
     second = np.zeros(len(x2_values))
     done = 0
     batch = max(1, min(n_realizations, int(4e7 // max(n_modes * len(pts), 1))))
-    phases = np.exp(1j * np.outer(k, x0 - lo))              # (modes, points)
-    deriv_matrix = (1j * k)[:, None] * phases
+    buf = np.empty(2 * batch * n_modes)
     while done < n_realizations:
         b = min(batch, n_realizations - done)
-        c = _thermal_amplitudes(rng, k, beta, length, b, uv_epsilon)  # (b, modes)
-        dphi = 2.0 * np.real(c @ deriv_matrix)              # (b, points)
-        pi_l = dphi * w[None, :]
+        # flat slice: z[:, :b] of a (2, batch, modes) buffer is not contiguous
+        z = buf[:2 * b * n_modes].reshape(2, b, n_modes)
+        rng.standard_normal(out=z)                           # all a_k, then all b_k
+        pi_l = z[0] @ to_re
+        pi_l += z[1] @ to_im                                 # (b, points)
         prod = pi_l[:, 0:1] * pi_l[:, 1:]
         mean += prod.sum(axis=0)
         second += (prod ** 2).sum(axis=0)

@@ -267,6 +267,8 @@ def test_output_written_atomically(tmp_path):
     (["hawking"], {"gamma": "-1e-6"}, 2),
     (["hawking"], {"coupling_eff": "0.01"}, 2),
     (["langevin", "--t", "30", "--x1", "-1.2", "--realizations", "50", "--sites", "0"], None, 2),
+    (["langevin", "--t", "30", "--x1", "-1.2", "--realizations", "50", "--sites", "513"],
+     None, 2),
     (["langevin", "--t", "30", "--x1", "-1.2", "--realizations", "1"], None, 2),
     (["langevin", "--t", "30", "--x1", "-1.2", "--realizations", "50", "--seed", "-1"],
      None, 2),
@@ -309,7 +311,8 @@ def test_output_written_atomically(tmp_path):
      {"ion_charge": "30.0"}, 4),
 ], ids=["missing-config", "radius-inf", "line-kappa-nan", "omega-0", "omega-minus-0",
         "langevin-temperature-nan", "temperature-beyond-100-th", "negative-gamma",
-        "coupling-eff-key", "langevin-sites-0", "langevin-realizations-1",
+        "coupling-eff-key", "langevin-sites-0", "langevin-sites-513",
+        "langevin-realizations-1",
         "langevin-seed-negative", "langevin-seed-2-64", "vcoef-max-modes-negative",
         "tdec-sweep-points-0", "boundary-points-0", "boundary-points-negative",
         "diffusion-points-0", "er-points-negative", "correlation-points-0",
@@ -405,6 +408,8 @@ _SWEEP = {"gamma": ("1e-7", "1e-6"), "v_min": ("0.1", "0.3"), "temperature": ("0
      None, 0, False),
     (["langevin", "--t", "30", "--x1", "-1.2", "--realizations", "200", "--points", "8",
       "--transport", "exact"], None, 0, False),
+    (["langevin", "--t", "30", "--x1", "-1.2", "--realizations", "200", "--points", "8",
+      "--temperature", "0.15"], None, 0, False),
     (["correlation", "--t", "100", "--x1", "-4", "--beta", "nan"], None, 2, False),
     (["hawking"], "missing", 2, False),
     (["diffusion", "--omega", "2", "--t-min", "0.01", "--t-max", "10", "--points", "2",
@@ -412,6 +417,7 @@ _SWEEP = {"gamma": ("1e-7", "1e-6"), "v_min": ("0.1", "0.3"), "temperature": ("0
     (["correlation", "--t", "100", "--x1", "-4", "--points", "16"], None, 0, True),
 ], ids=["import", "hawking", "vcoef", "tdec-sweep-gamma", "tdec-sweep-v-min",
         "tdec-sweep-temperature", "boundary", "er", "langevin-matched", "langevin-exact",
+        "langevin-thermal",
         "argument-refusal", "config-refusal", "diffusion-oracle", "correlation"])
 def test_scipy_loaded_only_where_a_command_integrates(tmp_path, argv, config, code,
                                                       scipy_loaded):

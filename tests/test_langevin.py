@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -31,6 +32,65 @@ def test_estimator_seed_reproducible(line):
     a = estimate_correlation(500, REDUCED_X1, REDUCED_X2, REDUCED_T, 0.0, line, seed=3)
     b = estimate_correlation(500, REDUCED_X1, REDUCED_X2, REDUCED_T, 0.0, line, seed=3)
     assert np.array_equal(a.values, b.values)
+
+
+# Seed 11, 6000 realizations on REDUCED_X2: three batches of
+# 4e7 // (255 modes * 65 points) = 2413.  Values and stderr at x2 indices
+# 0, 9, ..., 63, keyed by (temperature / LINE_T_HAWKING, transport).
+PINNED_STREAM = {
+    (0.0, "matched"): (
+        [0.05581903095735795, 0.053220983154670665, 0.04136904013150153,
+         0.05204714430453102, 0.011905198006861805, 0.0421548707015999,
+         0.012867076455272896, 0.012685574071709315],
+        [0.003623378434723452, 0.007042265337131875, 0.014669051755020581,
+         0.02902784562318926, 0.06082046834601374, 0.030408702987811564,
+         0.030552674406536116, 0.03145951010595581]),
+    (60.0, "matched"): (
+        [0.046560734015463644, 0.037210337716473106, 0.017061562904798728,
+         0.037832555155062515, 0.013177139087722575, 0.04424663761848794,
+         0.021370881215086332, 0.022295125262397988],
+        [0.003747404747143269, 0.00732812837033392, 0.015318329299883795,
+         0.0301323006851321, 0.06302870985485766, 0.031826889888773593,
+         0.03191024870216828, 0.03275216398950038]),
+    (0.0, "exact"): (
+        [0.07256583270199335, 0.05568084329391748, 0.024974738467567443,
+         0.0025944097797672492, 0.18201161239309108, 0.03242171833262838,
+         0.03356819982622694, 0.11307261147360606],
+        [0.003965363168639296, 0.007998431556548894, 0.01597033296153312,
+         0.032644455737683965, 0.06781229317795566, 0.06652897171275592,
+         0.06630956238538349, 0.06774533575662019]),
+}
+
+
+@pytest.mark.parametrize("t_over_th, transport", list(PINNED_STREAM),
+                         ids=["matched-cold", "matched-hot", "exact-cold"])
+def test_estimator_seeded_stream_pinned(line, t_over_th, transport):
+    """The batch rule and the draw order within a batch (all real parts, then
+    all imaginary parts) decide which normal feeds which realization; a seed
+    keeps its output to 1e-12 of each column's largest value."""
+    mc = estimate_correlation(6000, REDUCED_X1, REDUCED_X2, REDUCED_T,
+                              t_over_th * LINE_T_HAWKING, line, seed=11,
+                              transport=transport)
+    values, stderr = PINNED_STREAM[t_over_th, transport]
+    for got, pinned in ((mc.values, values), (mc.stderr, stderr)):
+        scale = np.abs(got).max()
+        assert np.abs(got[::9] - pinned).max() <= 1e-12 * scale
+
+
+def test_estimator_peak_memory_near_its_draw_buffer(line):
+    """The sampler holds one real buffer of 2 * batch * modes normals and
+    batch-by-points temporaries: its traced peak stays under twice the buffer."""
+    x2 = np.linspace(1.1, 6.0, 48)
+    n_modes = 255
+    batch = int(4e7 // (n_modes * (len(x2) + 1)))
+    draw_buffer = 2 * batch * n_modes * 8
+    tracemalloc.start()
+    try:
+        estimate_correlation(10_000, REDUCED_X1, x2, REDUCED_T, 0.0, line, seed=5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * draw_buffer
 
 
 def test_estimator_variance_halves(line):
