@@ -1,21 +1,20 @@
 """Characteristic curves of the collapsing channel flow.
 
-Left movers ride dx/dt = v(x,t) - 1, right movers dx/dt = v(x,t) + 1, with
-v = sigma(t) v_min for x < -a, sigma(t) (1 + kappa x) for |x| <= a and
-sigma(t) v_max for x > a.  Every piece is solvable in closed form.  With
-F(t) = int_0^t sigma,
+Left movers, the curves every observable of the package reads, ride
+dx/dt = v(x,t) - 1 with v = sigma(t) v_min for x < -a, sigma(t) (1 + kappa x)
+for |x| <= a and sigma(t) v_max for x > a.  Every piece is solvable in closed
+form.  With F(t) = int_0^t sigma,
 
-    outside:  x(t) = x_i + v_c (F(t) - F(t_i)) -+ (t - t_i),
-    inside:   x(t) = e^{kappa F(t)} ( x0 - I(t) )             (left movers),
-              x(t) = e^{kappa F(t)} ( x0 + 2 g(t) - I(t) )    (right movers),
+    outside:  x(t) = x_i + v_c (F(t) - F(t_i)) - (t - t_i),
+    inside:   x(t) = e^{kappa F(t)} ( x0 - I(t) ),
 
-    I(t) = int_0^t (1 - sigma(s)) e^{-kappa F(s)} ds,  g(t) = int_0^t e^{-kappa F(s)} ds,
+    I(t) = int_0^t (1 - sigma(s)) e^{-kappa F(s)} ds,
 
 so a curve is a chain of legs joined where it crosses x = +-a.  A crossing
 time is the root of a gap that is monotone on either side of
 s* = tau atanh(1/v_max), the moment sigma v_max - 1 changes sign.  The map
 x -> x0 has the Jacobian dx0/dx = e^{-kappa int sigma} over the time the
-curve spends inside, which is also the right-mover amplitude.
+curve spends inside.
 
 Two evaluation modes coexist and must not be conflated:
 
@@ -58,17 +57,16 @@ def _region_of(x: float, a: float) -> str:
 # --------------------------------------------------------------------------
 
 class _CoreIntegrals:
-    """g(t) and I(t) of one profile.
+    """I(t) of one profile.
 
     With m = kappa tau and y = 1/(1 + e^{2t/tau}), e^{-kappa F} = cosh^{-m}(t/tau)
-    turns both into incomplete beta functions:
+    turns it into a difference of incomplete beta functions:
 
-        I(t) = tau 2^m B(m/2 + 1, m/2) [I_{1/2} - I_y](m/2 + 1, m/2),
-        g(t) = (tau/2) 2^m B(m/2, m/2) [I_{1/2} - I_y](m/2, m/2).
+        I(t) = tau 2^m B(m/2 + 1, m/2) [I_{1/2} - I_y](m/2 + 1, m/2).
 
     Below t = tau / max(1, sqrt(m)) the difference cancels, and a fixed
-    Gauss-Legendre rule in s on [0, t] takes over: there the integrands are
-    analytic and vary on the scale of the interval at most.
+    Gauss-Legendre rule in s on [0, t] takes over: there the integrand is
+    analytic and varies on the scale of the interval at most.
     """
 
     def __init__(self, profile: LineProfile):
@@ -78,43 +76,32 @@ class _CoreIntegrals:
         self.t_gauss = tau / max(1.0, math.sqrt(m))
         nodes, weights = leggauss(_GAUSS_NODES)
         self._nodes, self._weights = 0.5 * (nodes + 1.0), 0.5 * weights
-        self.i_inf, self._i_tail = self._beta_tail(0.5 * m + 1.0, 0.5 * m, tau)
-        self.g_inf, self._g_tail = self._beta_tail(0.5 * m, 0.5 * m, 0.5 * tau)
+        p, q = 0.5 * m + 1.0, 0.5 * m
+        self._p, self._q = p, q
+        self._log_beta = math.lgamma(p) + math.lgamma(q) - math.lgamma(p + q)
+        # tau 2^m B(p, q), composed in the exponent so that a large m cannot overflow
+        self._scale = tau * math.exp(m * math.log(2.0) + self._log_beta)
+        self.i_inf = self._scale * betainc_regularized(p, q, 0.5)
 
-    def _beta_tail(self, p: float, q: float, factor: float):
-        """(value at t = inf, t -> factor 2^m B(p, q) I_y(p, q)): the scale
-        composed in the exponent so that a large m cannot overflow, the tail
-        accurate relative to itself however far out."""
-        log_beta = math.lgamma(p) + math.lgamma(q) - math.lgamma(p + q)
-        scale = factor * math.exp(self.m * math.log(2.0) + log_beta)
+    def _i_tail(self, t: float) -> float:
+        """tau 2^m B(p, q) I_y(p, q), accurate relative to itself however far out."""
+        u = 2.0 * t / self.tau
+        if u < 700.0:
+            e = math.exp(-u)
+            return self._scale * betainc_regularized(self._p, self._q, e / (1.0 + e))
+        # y nears underflow; I_y = y^p / (p B) there, composed in one exponent
+        return self._scale * math.exp(-self._p * u - self._log_beta) / self._p
 
-        def tail(t: float) -> float:
-            u = 2.0 * t / self.tau
-            if u < 700.0:
-                e = math.exp(-u)
-                return scale * betainc_regularized(p, q, e / (1.0 + e))
-            # y underflows long before y^p does at small p; I_y = y^p / (p B) there
-            return scale * math.exp(-p * u - log_beta) / p
-
-        return scale * betainc_regularized(p, q, 0.5), tail
-
-    def _gauss(self, t: float, with_one_minus_sigma: bool) -> float:
+    def _gauss(self, t: float) -> float:
         u = (t / self.tau) * self._nodes
-        f = np.cosh(u) ** -self.m
-        if with_one_minus_sigma:
-            f = f * (1.0 - np.tanh(u))
-        return t * float(self._weights @ f)
+        return t * float(self._weights @ (np.cosh(u) ** -self.m * (1.0 - np.tanh(u))))
 
     def i(self, t: float) -> float:
-        return self._gauss(t, True) if t < self.t_gauss else self.i_inf - self._i_tail(t)
-
-    def g_tail(self, t: float) -> float:
-        """g(inf) - g(t)."""
-        return self.g_inf - self._gauss(t, False) if t < self.t_gauss else self._g_tail(t)
+        return self._gauss(t) if t < self.t_gauss else self.i_inf - self._i_tail(t)
 
     def i_tail(self, t: float) -> float:
         """I(inf) - I(t)."""
-        return self.i_inf - self._gauss(t, True) if t < self.t_gauss else self._i_tail(t)
+        return self.i_inf - self._gauss(t) if t < self.t_gauss else self._i_tail(t)
 
 
 @functools.lru_cache(maxsize=16)
@@ -136,7 +123,7 @@ def core_left_x0(x: float, t: float, profile: LineProfile) -> float:
 @dataclass(frozen=True)
 class CharacteristicMap:
     x0: float
-    dx0_dx: float                     # e^{-kappa int sigma} inside; the right-mover amplitude
+    dx0_dx: float                     # e^{-kappa int sigma} over the time spent inside
 
 
 def _bracketed_root(f, lo: float, hi: float) -> float:
@@ -153,32 +140,23 @@ def _bracketed_root(f, lo: float, hi: float) -> float:
 
 
 class _Flow:
-    """The curves of one branch as legs (start time, region, position at start).
+    """The left movers as legs (start time, region, position at start).
 
-    On an outer leg x(s) = x_i + v_c (F(s) - F(s_i)) + d (s - s_i), inside
-    x(s) e^{-kappa F(s)} - K(s) is conserved, with d = -1, K = -I for left
-    movers and d = +1, K = 2 g - I for right movers.  K is shifted by its
-    value at s = inf, so it comes from the tails of I and g: a late leg needs
-    K(s) - K(s_i) to the digits of e^{-kappa F}, which a difference of
-    saturated integrals would lose.
+    On an outer leg x(s) = x_i + v_c (F(s) - F(s_i)) - (s - s_i), inside
+    x(s) e^{-kappa F(s)} - K(s) is conserved, with K = I(inf) - I(s): the tail
+    of I, because a late leg needs K(s) - K(s_i) to the digits of
+    e^{-kappa F}, which a difference of saturated integrals would lose.
     """
 
-    def __init__(self, branch: str, profile: LineProfile):
-        if branch not in ("left", "right"):
-            raise ValueError(f"branch must be 'left' or 'right', got {branch!r}")
-        self.profile, self.right = profile, branch == "right"
-        self.d = 1.0 if self.right else -1.0
-        self.ci = core_integrals(profile)
+    def __init__(self, profile: LineProfile):
+        self.profile = profile
+        self._k = core_integrals(profile).i_tail
         self.speed = {REGION_LEFT: profile.v_min, REGION_RIGHT: profile.v_max}
         self.turn = profile.tau * math.atanh(1.0 / profile.v_max)
         a = profile.a
         # (interface, region beyond it) per region
         self.exits = {REGION_LEFT: ((-a, REGION_CORE),), REGION_RIGHT: ((a, REGION_CORE),),
                       REGION_CORE: ((-a, REGION_LEFT), (a, REGION_RIGHT))}
-
-    def _k(self, s: float) -> float:
-        k = self.ci.i_tail(s)
-        return k - 2.0 * self.ci.g_tail(s) if self.right else k
 
     def position(self, leg: tuple[float, str, float], s: float) -> float:
         start, region, x = leg
@@ -187,7 +165,7 @@ class _Flow:
             kappa = self.profile.kappa
             return (x * math.exp(kappa * (f - f_start))
                     + math.exp(kappa * f) * (self._k(s) - self._k(start)))
-        return x + self.speed[region] * (f - f_start) + self.d * (s - start)
+        return x + self.speed[region] * (f - f_start) - (s - start)
 
     def _gap(self, leg: tuple[float, str, float], b: float):
         """s -> x(s) - b on the leg, times e^{-kappa F(s)} inside, with the
@@ -225,14 +203,13 @@ class _Flow:
         return legs
 
 
-def trace_characteristic(x: float, t: float, branch: str,
-                         profile: LineProfile) -> CharacteristicMap:
-    """Backward-trace (x, t) to its t = 0 initial position on the true flow,
-    with dx0/dx = e^{-kappa int sigma} over the time spent in the transition
-    region (the right-mover amplitude)."""
+def trace_characteristic(x: float, t: float, profile: LineProfile) -> CharacteristicMap:
+    """Backward-trace the left mover through (x, t) to its t = 0 initial
+    position on the true flow, with dx0/dx = e^{-kappa int sigma} over the
+    time spent in the transition region."""
     if t < 0:
         raise ValueError("t must be >= 0")
-    flow = _Flow(branch, profile)
+    flow = _Flow(profile)
     legs = flow.legs(x, t, 0.0)
     stops = [leg[0] for leg in legs[1:]] + [0.0]
     inside = sum(profile.sigma_accumulated(start) - profile.sigma_accumulated(stop)
@@ -240,12 +217,11 @@ def trace_characteristic(x: float, t: float, branch: str,
     return CharacteristicMap(flow.position(legs[-1], 0.0), math.exp(-profile.kappa * inside))
 
 
-def forward_characteristic(x0: float, times, branch: str,
-                           profile: LineProfile) -> np.ndarray:
-    """Positions at the ascending times of the curve launched from x(0) = x0;
-    its interface crossings are found once, up to the last time."""
+def forward_characteristic(x0: float, times, profile: LineProfile) -> np.ndarray:
+    """Positions at the ascending times of the left mover launched from
+    x(0) = x0; its interface crossings are found once, up to the last time."""
     times = np.asarray(times, dtype=float)
-    flow = _Flow(branch, profile)
+    flow = _Flow(profile)
     legs = flow.legs(x0, 0.0, float(times[-1]))
     starts = [leg[0] for leg in legs]
     return np.array([flow.position(legs[bisect.bisect_right(starts, t) - 1], t)
@@ -312,9 +288,8 @@ def entanglement_boundary(t: float, profile: LineProfile) -> tuple[float, float]
     return -xp, xp
 
 
-def characteristic_fan_rows(profile: LineProfile, branch: str, x0_values,
-                            t_max: float, n_t: int = 100):
-    """Rows (t, x, region, branch) tracing a fan of characteristics forward.
+def characteristic_fan_rows(profile: LineProfile, x0_values, t_max: float, n_t: int = 100):
+    """Rows (t, x, region) tracing a fan of left movers forward.
 
     Plot-ready view of the collapse geometry: the wedge interfaces are the
     members launched from x0 = +-a.
@@ -322,7 +297,6 @@ def characteristic_fan_rows(profile: LineProfile, branch: str, x0_values,
     rows = []
     ts = np.linspace(0.0, t_max, n_t)
     for x0 in x0_values:
-        xs = forward_characteristic(float(x0), ts, branch, profile)
-        rows += [(float(t), float(x), _region_of(x, profile.a), branch)
-                 for t, x in zip(ts, xs)]
+        xs = forward_characteristic(float(x0), ts, profile)
+        rows += [(float(t), float(x), _region_of(x, profile.a)) for t, x in zip(ts, xs)]
     return rows

@@ -170,7 +170,6 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--to", dest="hi", type=_number("finite"), required=True)
     s.add_argument("--points", type=_count(1), default=20)
     s.add_argument("--log", action="store_true", help="log-spaced axis")
-    s.add_argument("--gamma", type=_number("finite"), default=None, help="override config gamma")
 
     s = add_parser("correlation", help="pair-correlation scan over x2")
     s.add_argument("--t", type=_number("non-negative"), required=True)
@@ -246,15 +245,14 @@ def _run(args) -> tuple[list, list, dict]:
         return ["omega", "v1_u", "v2_u", "v1_v", "v2_v", "epsilon"], rows, manifest
 
     if args.command == "tdec-sweep":
-        g = args.gamma if args.gamma is not None else gamma
-        if g <= 0:
-            raise ConfigError("a positive gamma is required (config key or --gamma)")
+        if args.axis != "gamma" and gamma <= 0:
+            raise ConfigError(f"a {args.axis} sweep needs a positive config gamma")
         if args.log and min(args.lo, args.hi) <= 0:
             raise ConfigError(f"--log needs a positive range, got --from {args.lo:g} "
                               f"--to {args.hi:g}")
         space = np.geomspace if args.log else np.linspace
         values = space(args.lo, args.hi, args.points)
-        rows, errs = sweep_decoherence(args.axis, values, config, g,
+        rows, errs = sweep_decoherence(args.axis, values, config, gamma,
                                        temperature=env.bath_temperature)
         if errs:
             manifest["point_errors"] = len(errs)

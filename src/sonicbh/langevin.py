@@ -72,7 +72,7 @@ def left_sector_map(x_points: np.ndarray, t: float, profile: LineProfile,
         w = np.array([matched_dx0_dx(x, t, profile) for x in x_points])
         return x0, w
     if transport == "exact":
-        traces = [trace_characteristic(x, t, "left", profile) for x in x_points]
+        traces = [trace_characteristic(x, t, profile) for x in x_points]
         return (np.array([tr.x0 for tr in traces]),
                 np.array([tr.dx0_dx for tr in traces]))
     raise ValueError(f"unknown transport {transport!r}")

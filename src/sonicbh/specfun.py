@@ -31,15 +31,14 @@ _ASYMPTOTIC_SWITCH = 50.0
 
 
 def _asymptotic_scaled(x: float, sign: float) -> float:
-    """sum_n sign^n n!/x^{n+1}, the divergent asymptotic series of e^x E_1(x)
-    (sign -1) and e^{-x} Ei(x) (sign +1), truncated at its smallest term."""
+    """sum_{n=0}^{38} sign^n n!/x^{n+1}: the first 39 terms of the divergent
+    asymptotic series of e^x E_1(x) (sign -1) and e^{-x} Ei(x) (sign +1).  Its
+    callers pass x >= _ASYMPTOTIC_SWITCH, where every term is smaller than the
+    one before (n/x < 1)."""
     total, term = 0.0, 1.0 / x
     for n in range(1, 40):
         total += term
-        nxt = sign * term * n / x
-        if abs(nxt) >= abs(term):
-            break
-        term = nxt
+        term = sign * term * n / x
     return total
 
 

@@ -186,15 +186,14 @@ def test_c09_characteristics_round_trip_and_residual():
     with criterion(9, "round trip closes to 1e-8 (100 points/region); residual O(h^2)"):
         rng = np.random.default_rng(11)
         windows = {"x<-a": (-8.0, -1.05), "|x|<=a": (-0.95, 0.95), "x>a": (1.05, 8.0)}
-        for branch in ("left", "right"):
-            for lo, hi in windows.values():
-                xs = rng.uniform(lo, hi, 100)
-                ts = rng.uniform(0.1, 25.0, 100)
-                for x, t in zip(xs, ts):
-                    tr = trace_characteristic(float(x), float(t), branch, LINE)
-                    back = forward_characteristic(tr.x0, [float(t)], branch, LINE)[-1]
-                    err = abs(back - x) / max(abs(x), 1.0)
-                    assert err < 1e-8, f"{branch} ({x:.3f},{t:.3f}): {err:.2e}"
+        for lo, hi in windows.values():
+            xs = rng.uniform(lo, hi, 100)
+            ts = rng.uniform(0.1, 25.0, 100)
+            for x, t in zip(xs, ts):
+                tr = trace_characteristic(float(x), float(t), LINE)
+                back = forward_characteristic(tr.x0, [float(t)], LINE)[-1]
+                err = abs(back - x) / max(abs(x), 1.0)
+                assert err < 1e-8, f"({x:.3f},{t:.3f}): {err:.2e}"
         residuals = [mode_function_pde_residual(1.7, 0.3, 2.0, LINE, h)
                      for h in (0.02, 0.01, 0.005)]
         assert residuals[0] / residuals[1] == pytest.approx(4.0, rel=0.3)

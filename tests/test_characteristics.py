@@ -54,27 +54,8 @@ def test_left_region_exit_carries_time(line):
     assert 0.0 < texit < 30.0
     just_inside = left_characteristic(0.99, texit * (1.0 - 1e-9), line)
     assert abs(just_inside) == pytest.approx(line.a, abs=1e-6)
-    at_exit = forward_characteristic(0.99, [texit], "left", line)[-1]
+    at_exit = forward_characteristic(0.99, [texit], line)[-1]
     assert abs(at_exit) == pytest.approx(line.a, abs=1e-9)
-
-
-def test_right_initial_condition(line):
-    tr = trace_characteristic(-0.4, 0.0, "right", line)
-    assert tr.x0 == -0.4 and tr.dx0_dx == 1.0
-
-
-def test_right_amplitude_kappa_zero_limit():
-    # wide region so the fast right mover stays inside over the test window
-    lp = LineProfile(a=50.0, kappa=1e-12, tau=1.0)
-    amp = trace_characteristic(3.0, 3.0, "right", lp).dx0_dx
-    assert amp == pytest.approx(1.0, abs=1e-10)
-
-
-def test_right_amplitude_saturated_collapse():
-    # sigma ~ 1 throughout: factor e^{-kappa t}; tiny tau saturates instantly
-    lp = LineProfile(a=50.0, kappa=0.01, tau=1e-6)
-    amp = trace_characteristic(4.0, 2.0, "right", lp).dx0_dx
-    assert amp == pytest.approx(math.exp(-0.01 * 2.0), rel=1e-5)
 
 
 # --------------------------------------------------------------------------
@@ -84,18 +65,10 @@ def test_right_amplitude_saturated_collapse():
 def test_trace_left_jacobian_counts_inner_time_only(line):
     # a curve that never enters |x| <= a is a rigid shift; one that stayed
     # inside since t = 0 decays by the full e^{-kappa F(t)}
-    assert trace_characteristic(-9.0, 3.0, "left", line).dx0_dx == 1.0
-    tr = trace_characteristic(-0.2, 1.5, "left", line)
+    assert trace_characteristic(-9.0, 3.0, line).dx0_dx == 1.0
+    tr = trace_characteristic(-0.2, 1.5, line)
     assert tr.dx0_dx == pytest.approx(math.exp(-line.kappa * line.sigma_accumulated(1.5)),
                                       rel=1e-14)
-
-
-def test_trace_right_amplitude_accumulates_inner_time_only(line):
-    # right movers cross the transition region quickly; the factor obeys
-    # exp(-kappa int sigma) over the inner segment alone
-    tr = trace_characteristic(6.0, 4.0, "right", line)
-    assert 0.0 < tr.dx0_dx <= 1.0
-    assert tr.dx0_dx == pytest.approx(rk45_trace(6.0, 4.0, "right", line)[1], rel=1e-10)
 
 
 def _c09_points(n):
@@ -107,22 +80,22 @@ def _c09_points(n):
 def _assert_matches_rk45_oracle(points, branch, profile):
     for x, t in points:
         x0, decay = rk45_trace(x, t, branch, profile)
-        tr = trace_characteristic(x, t, branch, profile)
+        tr = trace_characteristic(x, t, profile)
         assert abs(tr.x0 - x0) <= 1e-10 * max(abs(x0), 1.0), (x, t, tr.x0 - x0)
         assert tr.dx0_dx == pytest.approx(decay, rel=1e-10)
 
 
-@pytest.mark.parametrize("branch", ["left", "right"])
+# the oracle's branch: the package traces left movers only
+@pytest.mark.parametrize("branch", ["left"])
 def test_trace_matches_rk45_oracle(line, branch):
     # the closed-form legs against the adaptive integration of the ODE, on
-    # C09's points and where a right mover leaves the core under a slow
-    # collapse (tau = 40, sigma ~ 1e-2): an RK45 step across x = -a would
-    # credit the core rate to time spent outside, ~3e-8 in e^{-kappa int sigma}
+    # C09's points and at a core point under a slow collapse (tau = 40,
+    # sigma ~ 1e-2)
     _assert_matches_rk45_oracle(_c09_points(25), branch, line)
     _assert_matches_rk45_oracle([(-0.5, 0.5)], branch, LineProfile(a=1.0, kappa=0.5, tau=40.0))
 
 
-@pytest.mark.parametrize("branch", ["left", "right"])
+@pytest.mark.parametrize("branch", ["left"])
 def test_trace_keeps_digits_on_late_core_legs(branch):
     # kappa t = 57: a core leg left at s ~ 20 sits where e^{-kappa F} ~ 1e-17,
     # below the rounding of the saturated integrals themselves
@@ -138,61 +111,77 @@ def test_left_jacobian_matches_central_differences(line):
     points = [(x, t) for x in (-1.4, -1.2, -1.1, *np.linspace(1.1, 6.0, 8))]
     for x, t in points + list(_c09_points(6)):
         fd = rk45_dx0_dx(x, t, "left", line)
-        w = trace_characteristic(x, t, "left", line).dx0_dx
+        w = trace_characteristic(x, t, line).dx0_dx
         assert abs(w - fd) <= 1e-7 * fd, (x, t, w, fd)
+
+
+def _mp_i_tail(m, tau, t):
+    """I(inf) - I(t) as the 40-digit incomplete beta
+    tau 2^m B(m/2 + 1, m/2) I_y(m/2 + 1, m/2), y = 1/(1 + e^{2t/tau})."""
+    with mp.workdps(40):
+        p, y = mp.mpf(m) / 2, 1 / (1 + mp.exp(2 * mp.mpf(t) / tau))
+        return float(tau * 2 ** mp.mpf(m) * mp.beta(p + 1, p)
+                     * mp.betainc(p + 1, p, 0, y, regularized=True))
 
 
 @pytest.mark.parametrize("kappa, tau", [(0.1, 1.0), (0.5, 3.0), (0.02, 0.5)])
 def test_core_integrals_against_quadrature(kappa, tau):
-    # g(inf) - g(t), which the right-mover legs read, against the 40-digit
-    # incomplete beta (tau/2) 2^m B(m/2, m/2) I_y(m/2, m/2), y = 1/(1 + e^{2t/tau});
-    # mpmath quadrature of that tail is only good to ~5e-12 at t >= 300.
-    # I(t) against mpmath quadrature of its integrand.
+    # I(inf) - I(t), which the core legs read, against its incomplete beta
+    # (mpmath quadrature of that tail is only good to ~5e-12 at t >= 300);
+    # I(t) against mpmath quadrature of its integrand
     lp = LineProfile(a=1.0, kappa=kappa, tau=tau)
     ci = core_integrals(lp)
     m = kappa * tau
     decay = lambda s: mp.cosh(s / tau) ** (-m)
     for t in (1e-8, 1e-4, 0.01, 0.3, tau * 0.999, tau, 1.5, 4.0, 20.0, 100.0, 300.0, 1e3):
         cuts = [0] + [c for c in (tau, 10 * tau, 100 * tau) if c < t] + [t]
-        with mp.workdps(40):
-            p, y = mp.mpf(m) / 2, 1 / (1 + mp.exp(2 * mp.mpf(t) / tau))
-            g_tail = tau / 2 * 2 ** mp.mpf(m) * mp.beta(p, p) * mp.betainc(
-                p, p, 0, y, regularized=True)
         with mp.workdps(30):
             i_ = mp.quad(lambda s: (1 - mp.tanh(s / tau)) * decay(s), cuts)
-        assert ci.g_tail(t) == pytest.approx(float(g_tail), rel=1e-12, abs=0), ("g_tail", t)
+        assert ci.i_tail(t) == pytest.approx(_mp_i_tail(m, tau, t), rel=1e-12, abs=0), (
+            "I tail", t)
         assert ci.i(t) == pytest.approx(float(i_), rel=1e-12, abs=0), ("I", t)
 
 
-@pytest.mark.parametrize("branch", ["left", "right"])
+def test_core_integral_tail_past_its_beta_switch():
+    # from u = 2t/tau = 700 on, the tail is y^p / (p B) in one exponent; at
+    # m = 0.01 it is still a normal float there: 2.0e-307 at u = 702, 2.7e-308 at 704
+    kappa, tau = 0.02, 0.5
+    ci = core_integrals(LineProfile(a=1.0, kappa=kappa, tau=tau))
+    for t in (351.0 * tau, 352.0 * tau):
+        assert ci.i_tail(t) == pytest.approx(_mp_i_tail(kappa * tau, tau, t), rel=1e-12,
+                                             abs=0), t
+
+
+# the package traces left movers only
+@pytest.mark.parametrize("branch", ["left"])
 def test_round_trip_random_points(line, branch):
     rng = np.random.default_rng(20240808)
     for lo, hi in C09_WINDOWS.values():
         for _ in range(12):  # acceptance runs the full 100/region sweep
             x = float(rng.uniform(lo, hi))
             t = float(rng.uniform(0.1, 25.0))
-            tr = trace_characteristic(x, t, branch, line)
-            back = forward_characteristic(tr.x0, [t], branch, line)[-1]
-            assert back == pytest.approx(x, rel=1e-8, abs=1e-8)
+            tr = trace_characteristic(x, t, line)
+            back = forward_characteristic(tr.x0, [t], line)[-1]
+            assert back == pytest.approx(x, rel=1e-8, abs=1e-8), (branch, x, t)
 
 
 def test_characteristics_do_not_cross(line):
     # x0 -> x(t) strictly monotone on a 50-point grid of starting points
     x0s = np.linspace(-6.0, 6.0, 50)
     for t in (3.0, 17.0):
-        xs = [forward_characteristic(float(x0), [t], "left", line)[-1] for x0 in x0s]
+        xs = [forward_characteristic(float(x0), [t], line)[-1] for x0 in x0s]
         assert np.all(np.diff(xs) > 0)
 
 
 def test_fan_rows_trace_back_to_their_rays(line):
     # the fan of scripts/run_correlation_scan.py: same profile, rays and times
     rays, t_max, n_t = [-1.5, -1.0, -0.5, 0.72, 0.9, 1.0, 1.5], 40.0, 60
-    rows = characteristic_fan_rows(line, "left", rays, t_max=t_max, n_t=n_t)
+    rows = characteristic_fan_rows(line, rays, t_max=t_max, n_t=n_t)
     assert len(rows) == len(rays) * n_t
     ts = np.linspace(0.0, t_max, n_t)
-    for i, (t, x, region, branch) in enumerate(rows):
+    for i, (t, x, region) in enumerate(rows):
         x0 = rays[i // n_t]
-        assert t == ts[i % n_t] and branch == "left"
+        assert t == ts[i % n_t]
         assert region == _region_of(x, line.a)
         back = rk45_trace(x, t, "left", line)[0]
         assert abs(back - x0) <= 1e-10, (x0, t, back - x0)
@@ -265,7 +254,7 @@ def test_matched_differs_from_true_trace_at_order_one(line):
     # int (1 - sigma) e^{-kappa F} ~ 0.67 a.  Guard the measured gap so any
     # silent change of scheme is caught.
     t = 100.0
-    true_x0 = trace_characteristic(8.0, t, "left", line).x0
+    true_x0 = trace_characteristic(8.0, t, line).x0
     assert true_x0 == pytest.approx(0.7301, abs=2e-3)       # frozen from the tracer
     assert matched_x0(8.0, t, line) == pytest.approx(0.1067, abs=2e-3)
 

@@ -149,6 +149,25 @@ def _config_file(tmp_path, **overrides):
     return path
 
 
+def test_tdec_sweep_gamma_axis_needs_no_config_gamma(tmp_path, capsys):
+    # the gamma axis sets gamma at every point: a config without the key
+    # sweeps to the default config's rows, and no flag stands in for the key
+    kv = parse_kv_text(DEFAULT_CONFIG_TEXT)
+    del kv["gamma"]
+    cfg_path = tmp_path / "no_gamma.cfg"
+    cfg_path.write_text("".join(f"{k} = {v}\n" for k, v in kv.items()))
+    sweep = ["tdec-sweep", "--axis", "gamma", "--from", "1e-7", "--to", "1e-6",
+             "--points", "3", "--log"]
+    code, out = _run(tmp_path, "--config", str(cfg_path), *sweep, name="no_gamma.csv")
+    assert code == 0
+    code_default, out_default = _run(tmp_path, *sweep, name="default.csv")
+    assert code_default == 0
+    _, header, rows = _rows(out)
+    assert (header, rows) == _rows(out_default)[1:] and len(rows) == 3
+    assert main(["--output", str(tmp_path / "x.csv"), *sweep, "--gamma", "1"]) == 2
+    assert json.loads(capsys.readouterr().err)["error"] == "ConfigError"
+
+
 def test_tdec_sweep_gamma_keeps_bath_temperature(tmp_path):
     # a 200-ion ring with the charge scaled by sqrt(1000/200) keeps the
     # default flow and sound speed at a fifth of the modes
@@ -465,8 +484,7 @@ _SUBCOMMANDS = {
     "vcoef": {"--epsilon": _float("0.01", optional=True), "--max-modes": _count("3", 1)},
     "tdec-sweep": {"--axis": _choice("gamma", "v_min", "temperature"),
                    "--from": _float("0.1"), "--to": _float("0.3"),
-                   "--points": _count("2", 1), "--log": _FLAG,
-                   "--gamma": _float("1e-6", optional=True)},
+                   "--points": _count("2", 1), "--log": _FLAG},
     "correlation": {"--t": _float("100"), "--x1": _float("-4"),
                     "--beta": _float("inf", optional=True),
                     "--x2-min": _float("1.5", optional=True),

@@ -131,26 +131,21 @@ def _program_files(root):
 
 
 def _call_sites(root):
-    """name -> [(positional count, keyword names, has *args, has **kwargs)] for
-    every call in the program files."""
+    """name -> [ast.Call] of every call in the program files."""
     sites = {}
     for path in _program_files(root):
         for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
-            if not isinstance(node, ast.Call):
-                continue
-            fn = node.func
-            name = fn.attr if isinstance(fn, ast.Attribute) else getattr(fn, "id", None)
-            keywords = {kw.arg for kw in node.keywords}
-            sites.setdefault(name, []).append((
-                sum(not isinstance(a, ast.Starred) for a in node.args), keywords,
-                any(isinstance(a, ast.Starred) for a in node.args), None in keywords))
+            if isinstance(node, ast.Call):
+                fn = node.func
+                name = fn.attr if isinstance(fn, ast.Attribute) else getattr(fn, "id", None)
+                sites.setdefault(name, []).append(node)
     return sites
 
 
-def _defaulted_parameters(root):
-    """(called name, parameter, position or None if keyword-only, where) for every
-    defaulted parameter in src/sonicbh.  A dataclass field with a default is a
-    defaulted parameter of the generated __init__, which the class name calls."""
+def _parameters(root):
+    """(called name, parameter, position or None if keyword-only, defaulted,
+    where) for every parameter in src/sonicbh.  A dataclass field is a
+    parameter of the generated __init__, which the class name calls."""
     src = root / "src" / "sonicbh"
     out = []
 
@@ -161,8 +156,8 @@ def _defaulted_parameters(root):
                 if any(d.startswith(("dataclass", "dataclasses.dataclass")) for d in decorators):
                     fields = [s for s in child.body if isinstance(s, ast.AnnAssign)]
                     for i, f in enumerate(fields):
-                        if f.value is not None:
-                            out.append((child.name, f.target.id, i, f"{where}:{f.lineno}"))
+                        out.append((child.name, f.target.id, i, f.value is not None,
+                                    f"{where}:{f.lineno}"))
                 visit(child, where, cls=child.name)
             elif isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 args = child.args
@@ -171,11 +166,12 @@ def _defaulted_parameters(root):
                 bound = 1 if cls is not None and not static else 0
                 name = cls if child.name == "__init__" else child.name
                 first = len(positional) - len(args.defaults)
-                for i in range(first, len(positional)):
-                    out.append((name, positional[i].arg, i - bound, f"{where}:{child.lineno}"))
+                for i in range(bound, len(positional)):
+                    out.append((name, positional[i].arg, i - bound, i >= first,
+                                f"{where}:{child.lineno}"))
                 for arg, default in zip(args.kwonlyargs, args.kw_defaults):
-                    if default is not None:
-                        out.append((name, arg.arg, None, f"{where}:{child.lineno}"))
+                    out.append((name, arg.arg, None, default is not None,
+                                f"{where}:{child.lineno}"))
                 visit(child, where)
             else:
                 visit(child, where, cls)
@@ -183,6 +179,20 @@ def _defaulted_parameters(root):
     for path in sorted(src.glob("*.py")):
         visit(ast.parse(path.read_text(), filename=str(path)), path.name)
     return out
+
+
+def _passed(call, param, position):
+    """What a call passes to a parameter: its expression, None if the call
+    leaves it out, or the call itself when a * or ** argument may carry it."""
+    for kw in call.keywords:
+        if kw.arg == param:
+            return kw.value
+    starred = any(isinstance(a, ast.Starred) for a in call.args)
+    if position is not None and not starred and position < len(call.args):
+        return call.args[position]
+    if starred or any(kw.arg is None for kw in call.keywords):
+        return call
+    return None
 
 
 # Defaulted parameters that only an oracle in tests/ sets.
@@ -196,13 +206,10 @@ def _unset_defaults(root):
     """{"name(param)": where} of every defaulted parameter that no call in the
     program files passes."""
     sites = _call_sites(root)
-    unset = {}
-    for name, param, position, where in _defaulted_parameters(root):
-        if not any(param in keywords or star_kw
-                   or (position is not None and (n_pos > position or star))
-                   for n_pos, keywords, star, star_kw in sites.get(name, ())):
-            unset[f"{name}({param})"] = where
-    return unset
+    return {f"{name}({param})": where
+            for name, param, position, defaulted, where in _parameters(root)
+            if defaulted and all(_passed(call, param, position) is None
+                                 for call in sites.get(name, ()))}
 
 
 def test_every_default_is_set_by_some_call():
@@ -213,6 +220,28 @@ def test_every_default_is_set_by_some_call():
     assert sorted(f"{where} {key}" for key, where in unset.items()
                   if key not in DEFAULT_ALLOWLIST) == []
     assert sorted(DEFAULT_ALLOWLIST - set(unset)) == []
+
+
+def _fixed_modes(root):
+    """{"name(param)": where} of every parameter that all program calls pass
+    one and the same string literal."""
+    sites = _call_sites(root)
+    fixed = {}
+    for name, param, position, _, where in _parameters(root):
+        passed = [_passed(call, param, position) for call in sites.get(name, ())]
+        # a left-out argument (None) or an expression is never a string literal
+        values = {p.value if isinstance(p, ast.Constant) else p for p in passed}
+        if len(values) == 1 and isinstance(next(iter(values)), str):
+            fixed[f"{name}({param})"] = where
+    return fixed
+
+
+def test_every_mode_argument_varies():
+    """A parameter that every call in the package, the scripts and the
+    benchmark passes the same string literal selects one path, and its other
+    paths are taken by no caller: delete them and the parameter.  Numeric
+    literals are sizes, not path selectors, and are left alone."""
+    assert sorted(f"{where} {key}" for key, where in _fixed_modes(ROOT).items()) == []
 
 
 def _unread_constants(root):
