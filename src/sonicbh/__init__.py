@@ -12,13 +12,10 @@ from .errors import (ConfigError, QuadratureError, RegimeError, RegimeWarning,
                      RegionError, SonicBHError)
 from .params import (DerivedParams, PhysicalConfig, default_config, derive,
                      load_config)
-from .profiles import (LineProfile, RingProfile, hawking_temperature_line,
-                       hawking_temperature_ring, sigma_accumulated)
 
 __all__ = [
-    "ConfigError", "DerivedParams", "EnvironmentSpec", "LineProfile",
-    "PhysicalConfig", "QuadratureError", "RegimeError", "RegimeWarning",
-    "RegionError", "RingProfile", "SonicBHError", "default_config", "derive",
-    "effective_coupling", "hawking_temperature_line", "hawking_temperature_ring",
-    "load_config", "sigma_accumulated", "__version__",
+    "ConfigError", "DerivedParams", "EnvironmentSpec", "PhysicalConfig",
+    "QuadratureError", "RegimeError", "RegimeWarning", "RegionError",
+    "SonicBHError", "default_config", "derive", "effective_coupling",
+    "load_config", "__version__",
 ]

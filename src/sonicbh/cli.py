@@ -5,6 +5,12 @@ manifest line with the config hash, seed where stochastic, and the package
 version.  Exit codes: 0 success, 2 config error (including an unreadable
 config file and a bad argument), 3 numeric failure, 4 regime violation;
 every failure prints one JSON record on stderr.
+
+Only the standard library and the light modules (errors, params,
+environment) load at import.  The config is checked before numpy loads, and
+each command imports the numeric modules it calls, so a refused argument or
+config exits before numpy is imported and no command loads a module it does
+not call.
 """
 
 from __future__ import annotations
@@ -18,19 +24,10 @@ import sys
 import tempfile
 import warnings
 
-import numpy as np
-
 from . import __version__
-from .correlations import build_correlation_grid, detect_peak, open_correction_er
-from .decoherence import (SweepRow, allowed_frequencies, diffusion_exact,
-                          diffusion_quadrature_oracle, sweep_decoherence, v_coefficients)
 from .environment import EnvironmentSpec, effective_coupling
 from .errors import ConfigError, RegimeError, SonicBHError
-from .characteristics import entanglement_boundary
-from .langevin import estimate_correlation
 from .params import DEFAULT_CONFIG_TEXT, check_number, derive, read_config
-from .profiles import (LineProfile, RingProfile, hawking_temperature_line,
-                       hawking_temperature_ring)
 
 CONFIG_ENV_VAR = "SONICBH_CONFIG"
 
@@ -53,6 +50,7 @@ def _load_all(path: str | None):
     env = EnvironmentSpec(coupling_eff=effective_coupling(gamma, config, derived),
                           cutoff=cutoff, cutoff_shape=values["cutoff_shape"],
                           bath_temperature=values["bath_temperature"])
+    from .profiles import LineProfile
     line = LineProfile(a=values["line_a"], kappa=values["line_kappa"],
                        tau=values["line_tau"])
     manifest = {"config_sha256": hashlib.sha256(text.encode()).hexdigest()[:16]}
@@ -66,15 +64,19 @@ def _fmt(x) -> str:
 
 
 def _write_atomic(path: str, payload: str):
+    """Write through a temporary file beside path; a failure names path."""
     directory = os.path.dirname(os.path.abspath(path)) or "."
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".sonicbh-")
+    tmp = None
     try:
+        fd, tmp = tempfile.mkstemp(dir=directory, prefix=".sonicbh-")
         with os.fdopen(fd, "w", encoding="utf-8", newline="\n") as fh:
             fh.write(payload)
         os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
+    except BaseException as exc:
+        if tmp is not None and os.path.exists(tmp):
             os.unlink(tmp)
+        if isinstance(exc, OSError):
+            raise OSError(exc.errno, exc.strerror, path) from None
         raise
 
 
@@ -211,12 +213,15 @@ def _run(args) -> tuple[list, list, dict]:
     manifest["command"] = args.command
 
     if args.command == "hawking":
+        from .profiles import RingProfile, hawking_temperature_line, hawking_temperature_ring
         ring = RingProfile.from_config(config)
         rows = [["ring", hawking_temperature_ring(ring)],
                 ["line", hawking_temperature_line(line.v_max, line.v_min, line.a)]]
         return ["geometry", "t_hawking"], rows, manifest
 
     if args.command == "boundary":
+        import numpy as np
+        from .characteristics import entanglement_boundary
         ts = np.linspace(0.0, args.t_max, args.points)
         rows = []
         for t in ts:
@@ -225,6 +230,8 @@ def _run(args) -> tuple[list, list, dict]:
         return ["t", "x_minus", "x_plus"], rows, manifest
 
     if args.command == "diffusion":
+        import numpy as np
+        from .decoherence import diffusion_exact, diffusion_quadrature_oracle
         ts = np.geomspace(args.t_min, args.t_max, args.points)
         cols = ["t", "d_exact"] + (["d_oracle"] if args.oracle else [])
         rows = []
@@ -236,6 +243,8 @@ def _run(args) -> tuple[list, list, dict]:
         return cols, rows, manifest
 
     if args.command == "vcoef":
+        from .decoherence import allowed_frequencies, v_coefficients
+        from .profiles import RingProfile
         ring = RingProfile.from_config(config)
         omegas = allowed_frequencies(ring, "u")[: args.max_modes]
         rows = []
@@ -250,6 +259,8 @@ def _run(args) -> tuple[list, list, dict]:
         if args.log and min(args.lo, args.hi) <= 0:
             raise ConfigError(f"--log needs a positive range, got --from {args.lo:g} "
                               f"--to {args.hi:g}")
+        import numpy as np
+        from .decoherence import SweepRow, sweep_decoherence
         space = np.geomspace if args.log else np.linspace
         values = space(args.lo, args.hi, args.points)
         rows, errs = sweep_decoherence(args.axis, values, config, gamma,
@@ -259,6 +270,9 @@ def _run(args) -> tuple[list, list, dict]:
         return SweepRow._fields, rows, manifest
 
     if args.command == "correlation":
+        import numpy as np
+        from .characteristics import entanglement_boundary
+        from .correlations import build_correlation_grid, detect_peak
         xm, xp = entanglement_boundary(args.t, line)
         if args.x2_min is None and xp <= line.a:
             raise RegimeError(f"the entanglement wedge is empty at t = {args.t:g} "
@@ -280,6 +294,9 @@ def _run(args) -> tuple[list, list, dict]:
         return ["x2", "abs_corr", "region"], rows, manifest
 
     if args.command == "er":
+        import numpy as np
+        from .correlations import open_correction_er
+        from .profiles import hawking_temperature_line
         t_h = hawking_temperature_line(line.v_max, line.v_min, line.a)
         temp = args.temperature if args.temperature is not None else 100.0 * t_h
         ts = np.linspace(args.t_min, args.t_max, args.points)
@@ -293,6 +310,9 @@ def _run(args) -> tuple[list, list, dict]:
         return ["k", "t", "e_r"], rows, manifest
 
     if args.command == "langevin":
+        import numpy as np
+        from .characteristics import entanglement_boundary
+        from .langevin import estimate_correlation
         xm, xp = entanglement_boundary(args.t, line)
         lo = args.x2_min if args.x2_min is not None else line.a * 1.2
         hi = args.x2_max if args.x2_max is not None else xp * 1.2

@@ -273,6 +273,24 @@ def test_output_written_atomically(tmp_path):
     assert not leftovers
 
 
+@pytest.mark.parametrize("where", ["missing-directory", "directory"])
+def test_unwritable_output_refusal_names_the_requested_path(tmp_path, capsys, where):
+    """The refusal names the --output path, not the temporary file beside it,
+    and leaves no temporary file behind."""
+    out = tmp_path / "missing" / "x.json" if where == "missing-directory" else tmp_path
+    assert main(["--output", str(out), "--format", "json", "hawking"]) == 2
+    lines = capsys.readouterr().err.strip().splitlines()
+    assert len(lines) == 1
+    record = json.loads(lines[0])
+    assert set(record) == {"error", "message"}
+    assert repr(str(out)) in record["message"] and ".sonicbh-" not in record["message"]
+    assert not [p for p in os.listdir(tmp_path) if p.startswith(".sonicbh-")]
+
+
+def test_every_exported_name_exists():
+    assert [name for name in sonicbh.__all__ if not hasattr(sonicbh, name)] == []
+
+
 @pytest.mark.parametrize("argv, config, code", [
     (["hawking"], "missing", 2),
     (["vcoef", "--max-modes", "5"], {"radius": "inf"}, 2),
@@ -380,12 +398,17 @@ def test_vcoef_epsilon_below_horizon_tolerance_refused(tmp_path, capsys, epsilon
 
 _SRC = os.path.dirname(os.path.dirname(os.path.abspath(sonicbh.__file__)))
 
-# Runs cli.main on its arguments (none: import only), then reports on stdout
-# whether scipy was loaded.
-_PROBE = """import sys
+# Runs cli.main on its arguments (none: import only), then reports on the
+# last line of stdout, as JSON, whether scipy was loaded and which of numpy
+# and the package's modules were.
+_PROBE = """import json, sys
 from sonicbh.cli import main
-code = main(sys.argv[1:]) if len(sys.argv) > 1 else 0
-print("scipy" in sys.modules)
+try:
+    code = main(sys.argv[1:]) if len(sys.argv) > 1 else 0
+except SystemExit as exc:
+    code = exc.code
+print(json.dumps({"scipy": "scipy" in sys.modules, "modules": sorted(
+    m for m in sys.modules if m == "numpy" or m.startswith("sonicbh."))}))
 sys.exit(code)
 """
 
@@ -414,34 +437,47 @@ def test_langevin_coincident_probes(tmp_path, transport):
 _SWEEP = {"gamma": ("1e-7", "1e-6"), "v_min": ("0.1", "0.3"), "temperature": ("0.1", "1")}
 
 
-@pytest.mark.parametrize("argv, config, code, scipy_loaded", [
-    ([], None, 0, False),
-    (["hawking"], None, 0, False),
-    (["vcoef", "--max-modes", "5"], None, 0, False),
+# What a command must not load: numpy before it has accepted its input, and
+# the package's numeric modules it does not call.
+_NO_NUMPY = ("numpy",)
+_LINE_MODULES = ("sonicbh.characteristics", "sonicbh.correlations", "sonicbh.langevin")
+_RING_AND_MC_MODULES = ("sonicbh.decoherence", "sonicbh.langevin")
+
+
+@pytest.mark.parametrize("argv, config, code, scipy_loaded, not_loaded", [
+    ([], None, 0, False, _NO_NUMPY),
+    (["--help"], None, 0, False, _NO_NUMPY),
+    (["hawking"], None, 0, False, _LINE_MODULES),
+    (["vcoef", "--max-modes", "5"], None, 0, False, _LINE_MODULES),
     *[(["tdec-sweep", "--axis", axis, "--from", lo, "--to", hi, "--points", "3"],
-       "ring200", 0, False) for axis, (lo, hi) in _SWEEP.items()],
-    (["boundary", "--points", "8"], None, 0, False),
+       "ring200", 0, False, _LINE_MODULES) for axis, (lo, hi) in _SWEEP.items()],
+    (["boundary", "--points", "8"], None, 0, False,
+     ("sonicbh.correlations", *_RING_AND_MC_MODULES)),
     (["er", "--k", "0.05", "--t-min", "40", "--t-max", "100", "--points", "2"],
-     None, 0, False),
+     None, 0, False, _RING_AND_MC_MODULES),
     (["langevin", "--t", "30", "--x1", "-1.2", "--realizations", "200", "--points", "8"],
-     None, 0, False),
+     None, 0, False, ("sonicbh.decoherence",)),
     (["langevin", "--t", "30", "--x1", "-1.2", "--realizations", "200", "--points", "8",
-      "--transport", "exact"], None, 0, False),
+      "--transport", "exact"], None, 0, False, ("sonicbh.decoherence",)),
     (["langevin", "--t", "30", "--x1", "-1.2", "--realizations", "200", "--points", "8",
-      "--temperature", "0.15"], None, 0, False),
-    (["correlation", "--t", "100", "--x1", "-4", "--beta", "nan"], None, 2, False),
-    (["hawking"], "missing", 2, False),
+      "--temperature", "0.15"], None, 0, False, ("sonicbh.decoherence",)),
+    (["correlation", "--t", "100", "--x1", "-4", "--beta", "nan"], None, 2, False,
+     _NO_NUMPY),
+    (["hawking"], "missing", 2, False, _NO_NUMPY),
     (["diffusion", "--omega", "2", "--t-min", "0.01", "--t-max", "10", "--points", "2",
-      "--oracle"], None, 0, True),
-    (["correlation", "--t", "100", "--x1", "-4", "--points", "16"], None, 0, True),
-], ids=["import", "hawking", "vcoef", "tdec-sweep-gamma", "tdec-sweep-v-min",
+      "--oracle"], None, 0, True, _LINE_MODULES),
+    (["correlation", "--t", "100", "--x1", "-4", "--points", "16"], None, 0, True,
+     _RING_AND_MC_MODULES),
+], ids=["import", "help", "hawking", "vcoef", "tdec-sweep-gamma", "tdec-sweep-v-min",
         "tdec-sweep-temperature", "boundary", "er", "langevin-matched", "langevin-exact",
         "langevin-thermal",
         "argument-refusal", "config-refusal", "diffusion-oracle", "correlation"])
 def test_scipy_loaded_only_where_a_command_integrates(tmp_path, argv, config, code,
-                                                      scipy_loaded):
+                                                      scipy_loaded, not_loaded):
     """Commands that only evaluate closed forms never import scipy (~0.6 s of
-    start-up); quadrature, splines and root finding import it when called."""
+    start-up); quadrature, splines and root finding import it when called.
+    Importing the CLI loads no numpy, and neither does a refused argument or
+    config; a command that runs loads only the numeric modules it calls."""
     prefix = []
     if argv:
         prefix = ["--output", str(tmp_path / "x.csv")]
@@ -452,7 +488,9 @@ def test_scipy_loaded_only_where_a_command_integrates(tmp_path, argv, config, co
             prefix += ["--config", str(tmp_path / "missing.cfg")]
     proc = _fresh_interpreter(tmp_path, prefix + argv)
     assert proc.returncode == code, proc.stderr
-    assert proc.stdout.splitlines()[-1] == str(scipy_loaded)
+    loaded = json.loads(proc.stdout.splitlines()[-1])
+    assert loaded["scipy"] == scipy_loaded
+    assert sorted(set(not_loaded) & set(loaded["modules"])) == []
 
 
 # Each option pairs a strategy for its ordinary value with one for adversarial
