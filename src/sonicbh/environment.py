@@ -11,27 +11,16 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import ConfigError
-
-CUTOFF_SHAPES = ("lorentzian",)
-
 
 @dataclass(frozen=True)
 class EnvironmentSpec:
+    """The bath.  Its config keys are checked in ``params.read_config``, and
+    coupling_eff = gamma times a positive factor is >= 0 with gamma."""
+
     coupling_eff: float                 # dimensionless effective coupling
     cutoff: float                       # frequency scale of f(nu)
     cutoff_shape: str = "lorentzian"
     bath_temperature: float = 0.0
-
-    def __post_init__(self):
-        if self.coupling_eff < 0:
-            raise ConfigError("coupling_eff must be >= 0")
-        if not self.cutoff > 0:
-            raise ConfigError("cutoff must be positive")
-        if self.cutoff_shape not in CUTOFF_SHAPES:
-            raise ConfigError(f"cutoff_shape must be one of {CUTOFF_SHAPES}")
-        if self.bath_temperature < 0:
-            raise ConfigError("bath_temperature must be >= 0")
 
 
 def cutoff_factor(nu: float, spec: EnvironmentSpec) -> float:

@@ -115,12 +115,13 @@ def estimate_correlation(n_realizations: int, x1: float, x2_values, t: float,
     bars ride along.  The estimator is closed-system only; the open-system
     correction is a per-mode analytic object (``open_correction_er``).
 
-    Realizations are drawn in batches of 4e7 // (modes * points) into one
-    real buffer of 2 * batch * modes standard normals: within a batch, the
-    real parts of every amplitude first, then the imaginary parts.  The
-    batch rule and that order decide which normal feeds which realization,
-    so both are part of the seeded stream: changing either re-deals the
-    output of every seed.
+    Realizations are drawn in batches of 4e7 // (modes * max(points + 1, 49)),
+    points being the number of x2 values, into one real buffer of
+    2 * batch * modes standard normals (at most ~13 MB, whatever the number
+    of points): within a batch, the real parts of every amplitude first, then
+    the imaginary parts.  The batch rule and that order decide which normal
+    feeds which realization, so both are part of the seeded stream: changing
+    either re-deals the output of every seed.
     """
     if n_realizations < 2:
         raise ValueError("need at least 2 realizations")
@@ -150,7 +151,7 @@ def estimate_correlation(n_realizations: int, x1: float, x2_values, t: float,
     mean = np.zeros(len(x2_values))
     second = np.zeros(len(x2_values))
     done = 0
-    batch = max(1, min(n_realizations, int(4e7 // max(n_modes * len(pts), 1))))
+    batch = max(1, min(n_realizations, int(4e7 // (n_modes * max(len(pts), 49)))))
     buf = np.empty(2 * batch * n_modes)
     while done < n_realizations:
         b = min(batch, n_realizations - done)

@@ -24,7 +24,9 @@ REQUIRED = object()
 
 # Every configuration key, once: key -> (type, default, domain).  REQUIRED
 # keys must be set; cutoff's None is the derived default 1/tau, filled in where
-# the bath is built.  Domains are checked before any cross-key invariant.
+# the bath is built.  A number's domain names a check_number domain, a
+# string's is the tuple of its accepted values.  Domains are checked before
+# any cross-key invariant.
 CONFIG_KEYS = {
     # ring flow -> PhysicalConfig
     "n_ions": (int, REQUIRED, "positive"),
@@ -42,7 +44,7 @@ CONFIG_KEYS = {
     # environment
     "gamma": (float, 0.0, "non-negative"),
     "cutoff": (float, None, "positive"),
-    "cutoff_shape": (str, "lorentzian", None),
+    "cutoff_shape": (str, "lorentzian", ("lorentzian",)),
     "bath_temperature": (float, 0.0, "non-negative"),
     # straight-channel profile
     "line_a": (float, 1.0, "positive"),
@@ -169,13 +171,21 @@ def read_config(text: str) -> tuple[PhysicalConfig, dict]:
         raise ConfigError(f"missing required keys: {sorted(missing)}")
     values = {}
     for key, (kind, default, domain) in CONFIG_KEYS.items():
-        if key not in kv or kind is str:
-            values[key] = kv.get(key, default)
-            continue
-        value = check_number(key, kv[key], domain)
-        if kind is int and value != int(value):
-            raise ConfigError(f"{key} must be an integer, got {kv[key]!r}")
-        values[key] = kind(value)
+        if key not in kv:
+            values[key] = default
+        elif kind is str:
+            if kv[key] not in domain:
+                raise ConfigError(f"{key} must be one of {domain}, got {kv[key]!r}")
+            values[key] = kv[key]
+        else:
+            value = check_number(key, kv[key], domain)
+            if kind is int and value != int(value):
+                raise ConfigError(f"{key} must be an integer, got {kv[key]!r}")
+            values[key] = kind(value)
+    # continuity pins the line's far-side speeds to 1 -+ kappa a: both subsonic
+    if not 0 < values["line_kappa"] * values["line_a"] < 1:
+        raise ConfigError("line_kappa * line_a must lie in (0, 1) (subsonic far side), "
+                          f"got {values['line_kappa'] * values['line_a']!r}")
     physical = {f.name: values.pop(f.name) for f in fields(PhysicalConfig)}
     return PhysicalConfig(**physical), values
 

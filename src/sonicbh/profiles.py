@@ -21,7 +21,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import ConfigError, RegimeError, RegionError, SingularIntegrandError
+from .errors import RegimeError, RegionError, SingularIntegrandError
 from .params import TWO_PI, PhysicalConfig, derive
 from .specfun import log_cosh
 
@@ -42,18 +42,13 @@ class LineProfile:
     """v(x,t) = sigma(t) * (v_min | 1 + kappa x | v_max), continuous at x = +-a.
 
     Continuity pins v_min = 1 - kappa*a and v_max = 1 + kappa*a; the sound
-    speed is 1 in these units.
+    speed is 1 in these units.  a, tau > 0 and 0 < kappa*a < 1 are checked
+    where a config is read (``params.read_config``).
     """
 
     a: float
     kappa: float
     tau: float
-
-    def __post_init__(self):
-        if not (self.a > 0 and self.tau > 0):
-            raise ConfigError("LineProfile needs a > 0 and tau > 0")
-        if not (0 < self.kappa * self.a < 1):
-            raise ConfigError("LineProfile needs 0 < kappa*a < 1 (subsonic far side)")
 
     @property
     def v_min(self) -> float:

@@ -4,30 +4,86 @@ Scalar, pure, reentrant.  The trigonometric/hyperbolic integrals are the
 building blocks of the exact diffusion coefficient; the thermal weight is
 shared by the correlations, the open-system correction and the Monte-Carlo
 sampler; the quadrature helpers back every brute-force oracle in the package
-and are its only entry to QUADPACK.  scipy is imported inside the functions
-that call it, so a command that never integrates does not pay for loading it.
+and are its only entry to QUADPACK.  Si, E1 and Ei are the package's own
+series and continued fractions, so this module needs only the standard
+library.  The quadrature helpers call QUADPACK's routines in scipy's compiled
+extension directly, the ones ``scipy.integrate.quad`` dispatches to with the
+same arguments; the extension loads on the first quadrature (~15 ms) without
+the ``scipy.integrate`` package (~0.5 s), so a command that never integrates
+loads no scipy at all.
 """
 
 from __future__ import annotations
 
+import functools
+import importlib.machinery
+import importlib.util
 import math
+import os
 import sys
-import warnings
 from dataclasses import dataclass
 from typing import Callable
 
-import numpy as np
-
 from .errors import QuadratureError
+
+_EULER_GAMMA = 0.5772156649015329
+_EPS = sys.float_info.epsilon
+_TINY = 1e-300       # the modified Lentz method's stand-in for a zero denominator
+
+
+def _power_sum(y: float) -> float:
+    """sum_{k>=1} y^k / (k k!), to the last term that still changes it
+    (|y| < 40 here): E1(x) = -gamma - ln x - S(-x), Ei(x) = gamma + ln x + S(x)."""
+    total, term = 0.0, 1.0
+    for k in range(1, 200):
+        term *= y / k
+        if total + term / k == total:
+            break
+        total += term / k
+    return total
+
+
+def _e1_fraction(z: float | complex) -> float | complex:
+    """e^z E_1(z) by the modified-Lentz continued fraction
+    1/(z+1 - 1/(z+3 - 4/(z+5 - ...))), real or complex z; it converges fast
+    for Re z > 1 (E1) and for |Im z| > 4 (Si)."""
+    b = z + 1.0
+    c, d = 1.0 / _TINY, 1.0 / b
+    h = d
+    for i in range(1, 1000):
+        a = -float(i * i)
+        b += 2.0
+        d = 1.0 / (a * d + b)
+        c = b + a / c
+        h *= c * d
+        if abs(c * d - 1.0) < _EPS:
+            break
+    return h
 
 
 def si(x: float) -> float:
-    """Sine integral Si(x) = int_0^x sin(t)/t dt.  Odd; tends to pi/2."""
-    from scipy import special
-    return float(special.sici(x)[0])
+    """Sine integral Si(x) = int_0^x sin(t)/t dt.  Odd; tends to pi/2.
+
+    Its power series up to |x| = 4, beyond that pi/2 + Im E1(i|x|) through
+    the continued fraction; the sign of x is applied last, so Si is exactly odd.
+    """
+    ax = abs(x)
+    if ax <= 4.0:
+        total = term = ax
+        for k in range(1, 40):
+            term *= -ax * ax / ((2 * k) * (2 * k + 1))
+            if total + term / (2 * k + 1) == total:
+                break
+            total += term / (2 * k + 1)
+    elif ax == math.inf:
+        total = 0.5 * math.pi
+    else:
+        e1 = complex(math.cos(ax), -math.sin(ax)) * _e1_fraction(complex(0.0, ax))
+        total = 0.5 * math.pi + e1.imag
+    return math.copysign(total, x)
 
 
-_ASYMPTOTIC_SWITCH = 50.0
+_ASYMPTOTIC_SWITCH = 40.0
 
 
 def _asymptotic_scaled(x: float, sign: float) -> float:
@@ -43,18 +99,21 @@ def _asymptotic_scaled(x: float, sign: float) -> float:
 
 
 def _e1_scaled(x: float) -> float:
-    """e^x E_1(x) for x > 0, stable for arbitrarily large x."""
+    """e^x E_1(x) for x > 0, stable for arbitrarily large x (0 at x = inf):
+    its power series up to x = 1, then the continued fraction, then the
+    asymptotic sum."""
+    if x <= 1.0:
+        return math.exp(x) * (-_EULER_GAMMA - math.log(x) - _power_sum(-x))
     if x < _ASYMPTOTIC_SWITCH:
-        from scipy import special
-        return float(np.exp(x) * special.exp1(x))
+        return _e1_fraction(x)
     return _asymptotic_scaled(x, -1.0)
 
 
 def _ei_scaled(x: float) -> float:
-    """e^{-x} Ei(x) for x > 0, stable for arbitrarily large x."""
+    """e^{-x} Ei(x) for x > 0, stable for arbitrarily large x: its
+    all-positive power series, then the asymptotic sum."""
     if x < _ASYMPTOTIC_SWITCH:
-        from scipy import special
-        return float(np.exp(-x) * special.expi(x))
+        return math.exp(-x) * (_EULER_GAMMA + math.log(x) + _power_sum(x))
     return _asymptotic_scaled(x, 1.0)
 
 
@@ -112,67 +171,99 @@ def _finite_integrand(f: Callable[[float], float]) -> Callable[[float], float]:
     return checked
 
 
+@functools.cache
+def _quadpack():
+    """scipy's compiled QUADPACK extension, imported without the
+    scipy.integrate package (which also loads scipy's ODE, optimize, sparse
+    and special modules).  It is registered under its own name, so a
+    scipy.integrate imported before it is reused here and one imported after
+    it reuses it: there is one copy of the routines in a process."""
+    name = "scipy.integrate._quadpack"
+    if name not in sys.modules:
+        scipy_dir = importlib.util.find_spec("scipy").submodule_search_locations[0]
+        spec = importlib.machinery.PathFinder.find_spec(
+            name, [os.path.join(scipy_dir, "integrate")])
+        module = importlib.util.module_from_spec(spec)
+        sys.modules[name] = module
+        spec.loader.exec_module(module)
+    return sys.modules[name]
+
+
+def _result(a: float, b: float, out) -> tuple[QuadratureResult, float, int]:
+    """(result, error bound, QUADPACK's ier) of a routine's full output on
+    [min(a, b), max(a, b)], negated when b < a, as scipy.integrate.quad
+    orients an interval."""
+    value, abserr, info, ier = out
+    value = -value if b < a else value
+    return QuadratureResult(value=value, evaluations=max(info["neval"], 1)), abserr, ier
+
+
 def integrate_adaptive(f: Callable[[float], float], a: float, b: float,
                        tol: float = 1e-10, limit: int = 200) -> QuadratureResult:
     """Adaptive quadrature of f on [a, b] (endpoints may be infinite) to the
-    absolute tolerance tol.  It takes no breakpoints: a caller whose integrand
-    has a feature inside [a, b] splits the interval there itself.
+    absolute tolerance tol: QUADPACK's QAGS, or QAGI on an infinite range.
+    It takes no breakpoints: a caller whose integrand has a feature inside
+    [a, b] splits the interval there itself.
 
     Raises QuadratureError when the integrator reports non-convergence
     (carrying the partial result) or f returns a non-finite value.
     """
-    from scipy import integrate
-    if not tol > 0:
-        raise ValueError("tol must be positive")
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", integrate.IntegrationWarning)
-        out = integrate.quad(_finite_integrand(f), a, b, epsabs=tol, epsrel=0.0,
-                             limit=limit, full_output=1)
-    value, abserr, info = out[0], out[1], out[2]
-    neval = int(info.get("neval", 0)) if isinstance(info, dict) else 0
-    result = QuadratureResult(value=value, evaluations=max(neval, 1))
-    if len(out) > 3:  # message present => ier != 0
-        # QUADPACK's roundoff flag often rides on an acceptable error bound;
-        # fail only when the bound itself misses the requested tolerance.
-        if not np.isfinite(value) or abserr > 10.0 * tol:
-            raise QuadratureError(f"quadrature did not converge: {out[3]}",
-                                  partial=result)
+    if not (tol > 0 and limit >= 1):
+        raise ValueError(f"need tol > 0 and limit >= 1, got tol={tol!r}, limit={limit!r}")
+    if a == b:
+        return QuadratureResult(value=0.0, evaluations=1)
+    g, lo, hi, qp = _finite_integrand(f), min(a, b), max(a, b), _quadpack()
+    # QAGI takes the finite end and the infinite side: 1 above, -1 below, 2 both
+    if hi != math.inf and lo != -math.inf:
+        out = qp._qagse(g, lo, hi, (), 1, tol, 0.0, limit)
+    elif lo != -math.inf:
+        out = qp._qagie(g, lo, 1, (), 1, tol, 0.0, limit)
+    elif hi != math.inf:
+        out = qp._qagie(g, hi, -1, (), 1, tol, 0.0, limit)
+    else:
+        out = qp._qagie(g, 0.0, 2, (), 1, tol, 0.0, limit)
+    result, abserr, ier = _result(a, b, out)
+    # QUADPACK's roundoff flag (ier != 0) often rides on an acceptable error
+    # bound; fail only when the bound itself misses the requested tolerance.
+    if ier != 0 and (not math.isfinite(result.value) or abserr > 10.0 * tol):
+        raise QuadratureError(f"quadrature did not converge (QUADPACK ier = {ier}, "
+                              f"error bound {abserr:.3g})", partial=result)
     return result
 
 
 def fourier_integral(f: Callable[[float], float], a: float, omega: float,
                      kind: str = "cos", tol: float = 1e-11,
-                     b: float = np.inf) -> QuadratureResult:
-    """int_a^b f(k) cos(omega k) dk (or sin); b = inf needs a decaying f.
+                     b: float = math.inf) -> QuadratureResult:
+    """int_a^b f(k) cos(omega k) dk (or sin) for a finite a; b = inf needs a
+    decaying f.
 
-    Wraps the QUADPACK Fourier transform routine (b = inf), which
-    accelerates the series of per-cycle contributions, or its
-    oscillatory-weight routine on a finite [a, b], which stays accurate over
-    many oscillations.  A non-finite value of f, or a failed result, raises
-    QuadratureError.
+    QUADPACK's Fourier transform routine QAWF (b = inf), which accelerates
+    the series of per-cycle contributions, or its oscillatory-weight routine
+    QAWO on a finite [a, b], which stays accurate over many oscillations.  A
+    non-finite value of f, or a failed result, raises QuadratureError.
     """
-    from scipy import integrate
     if kind not in ("cos", "sin"):
         raise ValueError(f"kind must be 'cos' or 'sin', got {kind!r}")
     if omega <= 0:
         raise ValueError("fourier_integral needs omega > 0; fold signs into f")
-    if math.isinf(b):
-        settings = dict(limlst=300, limit=500)
-    else:
-        settings = dict(epsrel=0.0, limit=800, maxp1=200)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", integrate.IntegrationWarning)
-        out = integrate.quad(_finite_integrand(f), a, b, weight=kind, wvar=omega,
-                             epsabs=tol, full_output=1, **settings)
-    value, abserr = out[0], out[1]
-    info = out[2] if len(out) > 2 and isinstance(out[2], dict) else {}
-    neval = int(info.get("neval", 0))
-    result = QuadratureResult(value=value, evaluations=max(neval, 1))
-    # QUADPACK flags slow cycle convergence through a message; the error bound
-    # stays honest, so only a non-finite value or QAWF's overflow constant
-    # (returned when roundoff stops a cycle) is fatal.
-    if len(out) > 3 and not abs(value) < np.finfo(float).max:
-        raise QuadratureError(f"Fourier quadrature failed: {out[3]}", partial=result)
+    if not tol > 0:       # QUADPACK would return 0 with ier = 6
+        raise ValueError(f"tol must be positive, got {tol!r}")
+    if not math.isfinite(a):
+        raise ValueError(f"fourier_integral needs a finite a, got {a!r}")
+    if a == b:
+        return QuadratureResult(value=0.0, evaluations=1)
+    g, weight, qp = _finite_integrand(f), 1 if kind == "cos" else 2, _quadpack()
+    if b == math.inf:     # limlst 300 cycles, limit 500, maxp1 50 (quad's default)
+        out = qp._qawfe(g, a, omega, weight, (), 1, tol, 300, 500, 50)
+    else:                 # epsrel 0, limit 800, maxp1 200, moments computed afresh
+        out = qp._qawoe(g, min(a, b), max(a, b), omega, weight, (), 1, tol, 0.0, 800, 200, 1)
+    result, _, ier = _result(a, b, out)
+    # QUADPACK flags slow cycle convergence (ier != 0); the error bound stays
+    # honest, so only a non-finite value or QAWF's overflow constant (returned
+    # when roundoff stops a cycle) is fatal.
+    if ier != 0 and not abs(result.value) < sys.float_info.max:
+        raise QuadratureError(f"Fourier quadrature failed (QUADPACK ier = {ier})",
+                              partial=result)
     return result
 
 
@@ -189,18 +280,17 @@ def betainc_regularized(a: float, b: float, x: float) -> float:
         return 1.0
     if x > (a + 1.0) / (a + b + 2.0):
         return 1.0 - betainc_regularized(b, a, 1.0 - x)
-    tiny = 1e-300
     c, d = 1.0, 1.0 - (a + b) * x / (a + 1.0)
-    d = 1.0 / (d if abs(d) > tiny else tiny)
+    d = 1.0 / (d if abs(d) > _TINY else _TINY)
     frac = d
     for m in range(1, 10_000):
         # the terms d_{2m} and d_{2m+1} of the fraction
         for num in (m * (b - m) * x / ((a + 2 * m - 1) * (a + 2 * m)),
                     -(a + m) * (a + b + m) * x / ((a + 2 * m) * (a + 2 * m + 1))):
             d = 1.0 + num * d
-            d = 1.0 / (d if abs(d) > tiny else tiny)
+            d = 1.0 / (d if abs(d) > _TINY else _TINY)
             c = 1.0 + num / c
-            c = c if abs(c) > tiny else tiny
+            c = c if abs(c) > _TINY else _TINY
             frac *= c * d
         if abs(c * d - 1.0) < 1e-16:
             break

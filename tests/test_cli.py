@@ -399,18 +399,24 @@ def test_vcoef_epsilon_below_horizon_tolerance_refused(tmp_path, capsys, epsilon
 _SRC = os.path.dirname(os.path.dirname(os.path.abspath(sonicbh.__file__)))
 
 # Runs cli.main on its arguments (none: import only), then reports on the
-# last line of stdout, as JSON, whether scipy was loaded and which of numpy
-# and the package's modules were.
+# last line of stdout, as JSON, which scipy modules were loaded and which of
+# numpy and the package's modules were.
+_SCIPY_MODULES = 'sorted(m for m in sys.modules if m.split(".")[0] == "scipy")'
 _PROBE = """import json, sys
 from sonicbh.cli import main
 try:
     code = main(sys.argv[1:]) if len(sys.argv) > 1 else 0
 except SystemExit as exc:
     code = exc.code
-print(json.dumps({"scipy": "scipy" in sys.modules, "modules": sorted(
+print(json.dumps({"scipy": %s, "modules": sorted(
     m for m in sys.modules if m == "numpy" or m.startswith("sonicbh."))}))
 sys.exit(code)
-"""
+""" % _SCIPY_MODULES
+# Runs a study script as __main__, then reports its scipy modules likewise.
+_SCRIPT_PROBE = """import json, runpy, sys
+runpy.run_path(sys.argv[1], run_name="__main__")
+print(json.dumps(%s))
+""" % _SCIPY_MODULES
 
 
 def _fresh_interpreter(cwd, argv, script=("-c", _PROBE)):
@@ -442,15 +448,29 @@ _SWEEP = {"gamma": ("1e-7", "1e-6"), "v_min": ("0.1", "0.3"), "temperature": ("0
 _NO_NUMPY = ("numpy",)
 _LINE_MODULES = ("sonicbh.characteristics", "sonicbh.correlations", "sonicbh.langevin")
 _RING_AND_MC_MODULES = ("sonicbh.decoherence", "sonicbh.langevin")
+_RING200 = {"n_ions": 200, "ion_charge": 37.6246 * math.sqrt(5.0)}
+
+# What scipy it may load: nothing, or where it integrates QUADPACK's compiled
+# extension (with the scipy top level and the callback helper its first call
+# imports), never the scipy.integrate package or scipy.special.
+_QUADPACK = "scipy.integrate._quadpack"
 
 
-@pytest.mark.parametrize("argv, config, code, scipy_loaded, not_loaded", [
+def _assert_scipy_footprint(scipy_modules, integrates):
+    if integrates:
+        assert _QUADPACK in scipy_modules
+        assert {"scipy.integrate", "scipy.special"} & set(scipy_modules) == set()
+    else:
+        assert scipy_modules == []
+
+
+@pytest.mark.parametrize("argv, config, code, integrates, not_loaded", [
     ([], None, 0, False, _NO_NUMPY),
     (["--help"], None, 0, False, _NO_NUMPY),
     (["hawking"], None, 0, False, _LINE_MODULES),
     (["vcoef", "--max-modes", "5"], None, 0, False, _LINE_MODULES),
     *[(["tdec-sweep", "--axis", axis, "--from", lo, "--to", hi, "--points", "3"],
-       "ring200", 0, False, _LINE_MODULES) for axis, (lo, hi) in _SWEEP.items()],
+       _RING200, 0, False, _LINE_MODULES) for axis, (lo, hi) in _SWEEP.items()],
     (["boundary", "--points", "8"], None, 0, False,
      ("sonicbh.correlations", *_RING_AND_MC_MODULES)),
     (["er", "--k", "0.05", "--t-min", "40", "--t-max", "100", "--points", "2"],
@@ -464,6 +484,9 @@ _RING_AND_MC_MODULES = ("sonicbh.decoherence", "sonicbh.langevin")
     (["correlation", "--t", "100", "--x1", "-4", "--beta", "nan"], None, 2, False,
      _NO_NUMPY),
     (["hawking"], "missing", 2, False, _NO_NUMPY),
+    (["hawking"], {"line_kappa": "5.0"}, 2, False, _NO_NUMPY),
+    (["diffusion", "--omega", "2", "--t-min", "0.01", "--t-max", "10", "--points", "2"],
+     None, 0, False, _LINE_MODULES),
     (["diffusion", "--omega", "2", "--t-min", "0.01", "--t-max", "10", "--points", "2",
       "--oracle"], None, 0, True, _LINE_MODULES),
     (["correlation", "--t", "100", "--x1", "-4", "--points", "16"], None, 0, True,
@@ -471,26 +494,37 @@ _RING_AND_MC_MODULES = ("sonicbh.decoherence", "sonicbh.langevin")
 ], ids=["import", "help", "hawking", "vcoef", "tdec-sweep-gamma", "tdec-sweep-v-min",
         "tdec-sweep-temperature", "boundary", "er", "langevin-matched", "langevin-exact",
         "langevin-thermal",
-        "argument-refusal", "config-refusal", "diffusion-oracle", "correlation"])
+        "argument-refusal", "config-refusal", "line-slope-refusal", "diffusion",
+        "diffusion-oracle", "correlation"])
 def test_scipy_loaded_only_where_a_command_integrates(tmp_path, argv, config, code,
-                                                      scipy_loaded, not_loaded):
-    """Commands that only evaluate closed forms never import scipy (~0.6 s of
-    start-up); quadrature, splines and root finding import it when called.
+                                                      integrates, not_loaded):
+    """Commands that only evaluate closed forms never import scipy; one that
+    integrates loads QUADPACK's compiled extension (~15 ms) and no other
+    scipy module: neither the scipy.integrate package nor scipy.special.
     Importing the CLI loads no numpy, and neither does a refused argument or
     config; a command that runs loads only the numeric modules it calls."""
     prefix = []
     if argv:
         prefix = ["--output", str(tmp_path / "x.csv")]
-        if config == "ring200":
-            prefix += ["--config", str(_config_file(
-                tmp_path, n_ions=200, ion_charge=37.6246 * math.sqrt(5.0)))]
-        elif config == "missing":
+        if config == "missing":
             prefix += ["--config", str(tmp_path / "missing.cfg")]
+        elif config is not None:
+            prefix += ["--config", str(_config_file(tmp_path, **config))]
     proc = _fresh_interpreter(tmp_path, prefix + argv)
     assert proc.returncode == code, proc.stderr
     loaded = json.loads(proc.stdout.splitlines()[-1])
-    assert loaded["scipy"] == scipy_loaded
+    _assert_scipy_footprint(loaded["scipy"], integrates)
     assert sorted(set(not_loaded) & set(loaded["modules"])) == []
+
+
+@pytest.mark.parametrize("script", ["run_correlation_scan.py", "run_langevin_check.py"])
+def test_study_scripts_load_only_quadpacks_extension(tmp_path, script):
+    """Both study scripts that integrate load QUADPACK's extension, and
+    neither the scipy.integrate package nor scipy.special."""
+    path = os.path.join(os.path.dirname(_SRC), "scripts", script)
+    proc = _fresh_interpreter(tmp_path, [path], script=("-c", _SCRIPT_PROBE))
+    assert proc.returncode == 0, proc.stderr
+    _assert_scipy_footprint(json.loads(proc.stdout.splitlines()[-1]), True)
 
 
 # Each option pairs a strategy for its ordinary value with one for adversarial

@@ -5,18 +5,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from sonicbh import default_config, derive
-from sonicbh.environment import EnvironmentSpec, effective_coupling
-from sonicbh.errors import ConfigError
-
-
-def test_spec_validation():
-    with pytest.raises(ConfigError):
-        EnvironmentSpec(coupling_eff=-1.0, cutoff=1.0)
-    with pytest.raises(ConfigError):
-        EnvironmentSpec(coupling_eff=0.1, cutoff=0.0)
-    for shape in ("gauss", "exponential"):
-        with pytest.raises(ConfigError, match="cutoff_shape"):
-            EnvironmentSpec(coupling_eff=0.1, cutoff=1.0, cutoff_shape=shape)
+from sonicbh.environment import effective_coupling
 
 
 def test_effective_coupling_linear():

@@ -79,18 +79,21 @@ def test_estimator_seeded_stream_pinned(line, t_over_th, transport):
 
 def test_estimator_peak_memory_near_its_draw_buffer(line):
     """The sampler holds one real buffer of 2 * batch * modes normals and
-    batch-by-points temporaries: its traced peak stays under twice the buffer."""
-    x2 = np.linspace(1.1, 6.0, 48)
+    batch-by-points temporaries: its traced peak stays under twice the buffer,
+    which the default 48-point scan's batch bounds at every number of points."""
     n_modes = 255
-    batch = int(4e7 // (n_modes * (len(x2) + 1)))
+    batch = int(4e7 // (n_modes * 49))
     draw_buffer = 2 * batch * n_modes * 8
-    tracemalloc.start()
-    try:
-        estimate_correlation(10_000, REDUCED_X1, x2, REDUCED_T, 0.0, line, seed=5)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 2 * draw_buffer
+    assert draw_buffer < 13.1e6
+    for points in (48, 1, 2):
+        x2 = np.linspace(1.1, 6.0, points)
+        tracemalloc.start()
+        try:
+            estimate_correlation(10_000, REDUCED_X1, x2, REDUCED_T, 0.0, line, seed=5)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * draw_buffer, points
 
 
 def test_estimator_variance_halves(line):

@@ -62,6 +62,37 @@ def test_omitted_keys_take_registry_defaults():
                       "line_tau": 1.0}
 
 
+def test_bath_and_line_keys_refused_in_params():
+    """The bath's and the line's keys are refused where the document is read,
+    before anything is built from them: a negative coupling, a cutoff at 0,
+    a cutoff shape other than the Lorentzian, a supersonic far side (or a
+    slope that underflows to none)."""
+    slope = r"line_kappa \* line_a"
+    for overrides, match in [({"gamma": "-1e-6"}, "gamma"), ({"cutoff": "0"}, "cutoff"),
+                             ({"bath_temperature": "-0.1"}, "bath_temperature"),
+                             ({"cutoff_shape": "gauss"}, "cutoff_shape"),
+                             ({"cutoff_shape": "exponential"}, "cutoff_shape"),
+                             ({"line_kappa": "5.0"}, slope), ({"line_a": "10.0"}, slope),
+                             ({"line_kappa": "1e-200", "line_a": "1e-200"}, slope)]:
+        kv = dict(parse_kv_text(DEFAULT_CONFIG_TEXT), **overrides)
+        with pytest.raises(ConfigError, match=match):
+            read_config("".join(f"{k} = {v}\n" for k, v in kv.items()))
+
+
+def test_config_errors_raised_only_in_params_and_cli():
+    """A config key is refused where the document is read (params) and an
+    argument where it is parsed (cli); no numeric module raises ConfigError,
+    so a refused config never waits on numpy."""
+    raisers = set()
+    for path in sorted((ROOT / "src" / "sonicbh").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Raise) and node.exc is not None:
+                exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+                if getattr(exc, "id", None) == "ConfigError":
+                    raisers.add(path.name)
+    assert raisers == {"params.py", "cli.py"}
+
+
 NUMERIC_KEYS = sorted(key for key, (kind, _, _) in CONFIG_KEYS.items() if kind is not str)
 
 

@@ -9,10 +9,11 @@ from hypothesis import given
 from hypothesis import strategies as st
 from scipy.special import shichi
 
+from sonicbh import specfun
 from sonicbh.errors import QuadratureError
-from sonicbh.specfun import (betainc_regularized, fourier_integral, integrate_adaptive,
-                             log_cosh, si, stable_shi_chi_combo, thermal_excess,
-                             thermal_weight)
+from sonicbh.specfun import (_e1_scaled, _ei_scaled, betainc_regularized, fourier_integral,
+                             integrate_adaptive, log_cosh, si, stable_shi_chi_combo,
+                             thermal_excess, thermal_weight)
 
 mp.mp.dps = 40
 
@@ -39,6 +40,41 @@ def test_si_envelope(x):
 @given(st.floats(min_value=1e-3, max_value=300.0))
 def test_si_shi_odd(x):
     assert si(-x) == -si(x)
+
+
+# 400 log-spaced points in [1e-8, 1e3] and both float neighbours of every
+# switch: E1 series | continued fraction at 1, Si series | fraction at 4, E1
+# and Ei series or fraction | asymptotic sum at 40.
+_SWITCHES = (1.0, 4.0, 40.0)
+_SPECIAL_GRID = sorted(np.geomspace(1e-8, 1e3, 400).tolist()
+                       + [float(np.nextafter(s, d)) for s in _SWITCHES for d in (0.0, 1e3)]
+                       + list(_SWITCHES))
+
+
+@pytest.mark.parametrize("name", ["e1", "ei", "si"])
+def test_special_functions_against_mpmath(name):
+    """e^x E1, e^-x Ei and Si within 1e-14 relative of 40-digit mpmath.  Ei's
+    root x0 = 0.3725 (no grid point within 0.008 of it), where no float
+    evaluation has a relative bound, is held to its absolute error instead."""
+    f, exact = {"e1": (_e1_scaled, lambda x: mp.e ** x * mp.e1(x)),
+                "ei": (_ei_scaled, lambda x: mp.e ** -x * mp.ei(x)),
+                "si": (si, mp.si)}[name]
+    worst = max(float(abs(f(x) / exact(mp.mpf(x)) - 1)) for x in _SPECIAL_GRID)
+    assert worst <= 1e-14
+    if name == "ei":
+        x0 = float(mp.findroot(mp.ei, 0.37))
+        for x in (float(np.nextafter(x0, 0.0)), x0, float(np.nextafter(x0, 1.0))):
+            assert abs(f(x) - float(exact(mp.mpf(x)))) <= 2e-16
+
+
+def test_special_functions_at_their_limits():
+    # e^x E1(x) ~ 1/x: 0 at x = inf, as the asymptotic sum gives it; Si(inf)
+    # is pi/2 exactly, and nan stays nan
+    assert _e1_scaled(math.inf) == 0.0 and _ei_scaled(math.inf) == 0.0
+    assert _e1_scaled(1e300) == 1e-300
+    assert si(1e300) == pytest.approx(math.pi / 2, abs=1e-15)
+    assert si(math.inf) == math.pi / 2 and si(-math.inf) == -math.pi / 2
+    assert math.isnan(si(math.nan)) and math.isnan(_e1_scaled(math.nan))
 
 
 @pytest.mark.parametrize("x", [0.0, -1.0, math.nan])
@@ -147,21 +183,117 @@ def test_fourier_overflow_constant_refused():
         fourier_integral(lambda k: thermal_excess(k, 0.1), 0.0, 0.002, kind="cos")
 
 
+# The integrands the direct QUADPACK route is pinned on beyond KNOWN_INTEGRALS:
+# a (-inf, b] range, a reversed range and an empty one.
+_MORE_INTEGRALS = [
+    (lambda x: math.exp(x), -np.inf, 0.0, 1.0),
+    (lambda x: x * x, 2.0, 0.0, -8.0 / 3.0),
+    (lambda x: x * x, 1.5, 1.5, 0.0),
+]
+
+
+@pytest.fixture
+def quadpack_calls(monkeypatch):
+    """Every call into QUADPACK's extension, whichever route makes it: the
+    routine, its arguments after the integrand, and its raw value, error
+    bound, evaluation count and ier."""
+    module, calls = specfun._quadpack(), []
+    for name in ("_qagse", "_qagie", "_qawoe", "_qawfe"):
+        def spy(f, *args, routine=getattr(module, name), name=name):
+            out = routine(f, *args)
+            calls.append((name, args, out[0], out[1], out[2]["neval"], out[3]))
+            return out
+        monkeypatch.setattr(module, name, spy)
+    return calls
+
+
+def _both_routes(calls, direct, *quad_args, **quad_kwargs):
+    """(value, evaluations, QUADPACK calls) of a specfun quadrature (its
+    partial result where it refuses one) and of scipy.integrate.quad on the
+    same integral."""
+    from scipy import integrate
+    try:
+        result = direct()
+    except QuadratureError as err:
+        result = err.partial
+    ours = (result.value, result.evaluations, calls[:])
+    calls.clear()
+    out = integrate.quad(*quad_args, full_output=1, **quad_kwargs)
+    return ours, (out[0], max(out[2]["neval"], 1), calls[:])
+
+
+@pytest.mark.parametrize("f,a,b,expected", KNOWN_INTEGRALS + _MORE_INTEGRALS)
+def test_adaptive_route_matches_quad_bit_for_bit(quadpack_calls, f, a, b, expected):
+    """integrate_adaptive calls the QUADPACK routine quad dispatches to, with
+    quad's arguments: the value, error bound and evaluation count are quad's,
+    bit for bit.  A scipy release that changes its extension fails here."""
+    ours, theirs = _both_routes(quadpack_calls, lambda: integrate_adaptive(f, a, b, tol=1e-10),
+                                f, a, b, epsabs=1e-10, epsrel=0.0, limit=200)
+    assert ours == theirs
+    assert len(ours[2]) == (a != b)
+    assert ours[0] == pytest.approx(expected, abs=2e-9, rel=1e-9)
+
+
+_FOURIER_CASES = [   # (f, a, omega, kind, tol, b)
+    (lambda k: math.exp(-k), 0.0, 3.0, "cos", 1e-11, np.inf),
+    (lambda k: math.exp(-k), 0.0, 3.0, "sin", 1e-11, np.inf),
+    (lambda k: math.exp(-k), 1.0, 9.0, "sin", 1e-13, 30.0),
+    (lambda k: math.exp(-k), 30.0, 9.0, "cos", 1e-13, 1.0),
+    # QAWF's overflow constant: fourier_integral refuses it with this partial
+    (lambda k: thermal_excess(k, 0.1), 0.0, 0.002, "cos", 1e-11, np.inf),
+]
+
+
+@pytest.mark.parametrize("f,a,omega,kind,tol,b", _FOURIER_CASES)
+def test_fourier_route_matches_quad_bit_for_bit(quadpack_calls, f, a, omega, kind, tol, b):
+    """fourier_integral likewise: QAWF on [a, inf), QAWO on a finite range."""
+    settings = (dict(limlst=300, limit=500) if b == np.inf
+                else dict(epsrel=0.0, limit=800, maxp1=200))
+    ours, theirs = _both_routes(
+        quadpack_calls, lambda: fourier_integral(f, a, omega, kind=kind, tol=tol, b=b),
+        f, a, b, weight=kind, wvar=omega, epsabs=tol, **settings)
+    assert ours == theirs and len(ours[2]) == 1
+
+
+def test_direct_route_failures_match_quad(quadpack_calls):
+    # a nonintegrable singularity: quad's message case, refused with its partial
+    ours, theirs = _both_routes(
+        quadpack_calls, lambda: integrate_adaptive(lambda x: 1.0 / x, 0.0, 1.0, tol=1e-10),
+        lambda x: 1.0 / x, 0.0, 1.0, epsabs=1e-10, epsrel=0.0, limit=200)
+    assert ours == theirs and ours[2][0][-1] != 0
+    # a NaN integrand never reaches QUADPACK, on either route
+    for call in (lambda: integrate_adaptive(lambda x: math.nan, 0.0, 1.0),
+                 lambda: fourier_integral(lambda k: math.nan, 0.0, 1.0),
+                 lambda: fourier_integral(lambda k: math.nan, 0.0, 1.0, b=2.0)):
+        with pytest.raises(QuadratureError, match="not finite"):
+            call()
+    # quad refused a zero tolerance; QUADPACK alone would return 0 (ier = 6)
+    with pytest.raises(ValueError, match="tol"):
+        fourier_integral(lambda k: math.exp(-k), 0.0, 3.0, tol=0.0)
+    with pytest.raises(ValueError, match="tol"):
+        integrate_adaptive(lambda x: x, 0.0, 1.0, tol=0.0)
+
+
 def test_quadpack_called_only_from_specfun():
     """specfun is the one QUADPACK boundary: its wrappers refuse non-finite
-    integrands and report evaluation counts."""
-    src = Path(__file__).resolve().parents[1] / "src" / "sonicbh"
-    callers = []
-    for path in sorted(src.glob("*.py")):
-        if path.name == "specfun.py":
-            continue
+    integrands and report evaluation counts.  No program file imports scipy
+    or calls a QUADPACK routine but specfun, and nothing calls quad."""
+    root = Path(__file__).resolve().parents[1]
+    routines = {"quad", "_qagse", "_qagie", "_qawoe", "_qawfe"}
+    found = []
+    for path in sorted([*(root / "src" / "sonicbh").glob("*.py"),
+                        *(root / "scripts").glob("*.py")]):
         for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
             if isinstance(node, ast.Call):
                 fn = node.func
                 name = fn.attr if isinstance(fn, ast.Attribute) else getattr(fn, "id", None)
-                if name == "quad":
-                    callers.append(f"{path.name}:{node.lineno}")
-    assert callers == []
+                if name == "quad" or (name in routines and path.name != "specfun.py"):
+                    found.append(f"{path.name}:{node.lineno} calls {name}")
+            modules = ([alias.name for alias in node.names] if isinstance(node, ast.Import)
+                       else [node.module or ""] if isinstance(node, ast.ImportFrom) else [])
+            found += [f"{path.name}:{node.lineno} imports {m}" for m in modules
+                      if m.split(".")[0] == "scipy"]
+    assert found == []
 
 
 def test_thermal_weight_origin_limits():
