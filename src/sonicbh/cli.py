@@ -48,13 +48,12 @@ def _load_all(path: str | None):
     gamma = values["gamma"]
     cutoff = values["cutoff"] if values["cutoff"] is not None else 1.0 / derived.tau
     env = EnvironmentSpec(coupling_eff=effective_coupling(gamma, config, derived),
-                          cutoff=cutoff, cutoff_shape=values["cutoff_shape"],
-                          bath_temperature=values["bath_temperature"])
+                          cutoff=cutoff, bath_temperature=values["bath_temperature"])
     from .profiles import LineProfile
     line = LineProfile(a=values["line_a"], kappa=values["line_kappa"],
                        tau=values["line_tau"])
     manifest = {"config_sha256": hashlib.sha256(text.encode()).hexdigest()[:16]}
-    return config, derived, env, line, gamma, manifest
+    return config, env, line, gamma, manifest
 
 
 def _fmt(x) -> str:
@@ -209,7 +208,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _run(args) -> tuple[list, list, dict]:
-    config, derived, env, line, gamma, manifest = _load_all(args.config)
+    config, env, line, gamma, manifest = _load_all(args.config)
     manifest["command"] = args.command
 
     if args.command == "hawking":
@@ -305,8 +304,8 @@ def _run(args) -> tuple[list, list, dict]:
             warnings.simplefilter("ignore")
             for k in args.k:
                 for t in ts:
-                    res = open_correction_er(k, float(t), args.lam, temp, line)
-                    rows.append([k, float(t), res.e_r])
+                    rows.append([k, float(t),
+                                 open_correction_er(k, float(t), args.lam, temp, line)])
         return ["k", "t", "e_r"], rows, manifest
 
     if args.command == "langevin":
@@ -317,13 +316,13 @@ def _run(args) -> tuple[list, list, dict]:
         lo = args.x2_min if args.x2_min is not None else line.a * 1.2
         hi = args.x2_max if args.x2_max is not None else xp * 1.2
         x2 = np.linspace(lo, hi, args.points)
-        grid = estimate_correlation(args.realizations, args.x1, x2, args.t,
-                                    args.temperature, line, seed=args.seed,
-                                    n_sites=args.sites, transport=args.transport)
+        mc = estimate_correlation(args.realizations, args.x1, x2, args.t,
+                                  args.temperature, line, seed=args.seed,
+                                  n_sites=args.sites, transport=args.transport)
         manifest.update(seed=args.seed, realizations=args.realizations,
                         transport=args.transport)
         rows = [[float(x), float(v), float(s)] for x, v, s in
-                zip(grid.x2, grid.values, grid.stderr)]
+                zip(x2, mc.values, mc.stderr)]
         return ["x2", "abs_corr", "stderr"], rows, manifest
 
     raise ConfigError(f"unknown command {args.command!r}")

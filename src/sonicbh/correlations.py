@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -174,8 +174,7 @@ def corr_mode_sum_oracle(x1: float, x2: float, t: float, beta: float,
 class CorrelationGrid:
     x2: np.ndarray
     values: np.ndarray            # |correlation| per sample
-    regions: list[str] = field(default_factory=list)
-    stderr: np.ndarray | None = None
+    regions: list[str]            # "matched" or "uniform" per sample
 
 
 @dataclass(frozen=True)
@@ -247,13 +246,8 @@ def detect_peak(grid: CorrelationGrid) -> PeakReport:
 # open-system correction
 # --------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class OpenCorrection:
-    e_r: float
-
-
 def open_correction_er(k: float, t: float, lam: float, temperature: float,
-                       profile: LineProfile, x1: float | None = None) -> OpenCorrection:
+                       profile: LineProfile, x1: float | None = None) -> float:
     """Per-mode relative environment correction e_r at the pair-peak position.
 
     With the local ohmic kernels (dissipation -lam^2 d/ds delta, noise
@@ -278,7 +272,7 @@ def open_correction_er(k: float, t: float, lam: float, temperature: float,
     if not (xm < x1 < -profile.a):
         raise RegionError(f"x1 = {x1:.6g} outside the wedge at t = {t:.6g}")
     if lam == 0.0:
-        return OpenCorrection(0.0)
+        return 0.0
     if lam > 1e-3:
         warnings.warn("coupling not weak (lam > 1e-3)", RegimeWarning)
     t_h = hawking_temperature_line(profile.v_max, profile.v_min, profile.a)
@@ -298,5 +292,4 @@ def open_correction_er(k: float, t: float, lam: float, temperature: float,
     d_noise = lam ** 2 * temperature * w1w2 * (
         t / (2.0 * k ** 2) - math.sin(2.0 * k * t) / (4.0 * k ** 3))
     d_diss = -lam ** 2 * t * p_c
-    e_r = abs((d_noise + d_diss) / p_c)
-    return OpenCorrection(e_r=e_r)
+    return abs((d_noise + d_diss) / p_c)

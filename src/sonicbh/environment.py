@@ -15,11 +15,11 @@ from dataclasses import dataclass
 @dataclass(frozen=True)
 class EnvironmentSpec:
     """The bath.  Its config keys are checked in ``params.read_config``, and
-    coupling_eff = gamma times a positive factor is >= 0 with gamma."""
+    coupling_eff = gamma times a positive factor is >= 0 with gamma.  The
+    cutoff is Lorentzian, the one shape the ``cutoff_shape`` key accepts."""
 
     coupling_eff: float                 # dimensionless effective coupling
     cutoff: float                       # frequency scale of f(nu)
-    cutoff_shape: str = "lorentzian"
     bath_temperature: float = 0.0
 
 

@@ -12,26 +12,21 @@ bit-reproducible.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from .characteristics import matched_dx0_dx, matched_x0, trace_characteristic
-from .correlations import CorrelationGrid
 from .profiles import LineProfile
 from .specfun import fourier_integral, thermal_weight
 
 
-@dataclass
-class Ensemble:
-    realizations: int
-    mean: np.ndarray
-    second_moment: np.ndarray
+class Ensemble(NamedTuple):
+    """The estimator's result, one entry per x2: |<Pi_L(x1) Pi_L(x2)>| and
+    its standard error sqrt((<p^2> - <p>^2) / N) over the N realizations."""
 
-    @property
-    def stderr(self) -> np.ndarray:
-        var = np.maximum(self.second_moment - self.mean ** 2, 0.0)
-        return np.sqrt(var / self.realizations)
+    values: np.ndarray
+    stderr: np.ndarray
 
 
 def _mode_numbers(n_modes: int, length: float) -> np.ndarray:
@@ -105,7 +100,7 @@ def estimate_correlation(n_realizations: int, x1: float, x2_values, t: float,
                          temperature: float, profile: LineProfile,
                          seed: int = 1234, n_sites: int = 512,
                          uv_epsilon: float | None = None,
-                         transport: str = "matched") -> CorrelationGrid:
+                         transport: str = "matched") -> Ensemble:
     """Monte-Carlo <Pi_L(x1) Pi_L(x2)> at zero coupling.
 
     Thermal initial data at the given temperature is sampled mode-wise on a
@@ -166,6 +161,5 @@ def estimate_correlation(n_realizations: int, x1: float, x2_values, t: float,
         done += b
     mean /= n_realizations
     second /= n_realizations
-    ens = Ensemble(realizations=n_realizations, mean=mean, second_moment=second)
-    return CorrelationGrid(x2=x2_values, values=np.abs(mean),
-                           regions=["mc"] * len(x2_values), stderr=ens.stderr)
+    var = np.maximum(second - mean ** 2, 0.0)
+    return Ensemble(values=np.abs(mean), stderr=np.sqrt(var / n_realizations))

@@ -199,29 +199,23 @@ def _result(a: float, b: float, out) -> tuple[QuadratureResult, float, int]:
 
 
 def integrate_adaptive(f: Callable[[float], float], a: float, b: float,
-                       tol: float = 1e-10, limit: int = 200) -> QuadratureResult:
-    """Adaptive quadrature of f on [a, b] (endpoints may be infinite) to the
-    absolute tolerance tol: QUADPACK's QAGS, or QAGI on an infinite range.
-    It takes no breakpoints: a caller whose integrand has a feature inside
-    [a, b] splits the interval there itself.
+                       tol: float = 1e-10) -> QuadratureResult:
+    """Adaptive quadrature of f on the finite range [a, b] to the absolute
+    tolerance tol: QUADPACK's QAGS with up to 400 subintervals.  It takes no
+    breakpoints: a caller whose integrand has a feature inside [a, b] splits
+    the interval there itself.
 
-    Raises QuadratureError when the integrator reports non-convergence
-    (carrying the partial result) or f returns a non-finite value.
+    Raises ValueError on an infinite limit, and QuadratureError when the
+    integrator reports non-convergence (carrying the partial result) or f
+    returns a non-finite value.
     """
-    if not (tol > 0 and limit >= 1):
-        raise ValueError(f"need tol > 0 and limit >= 1, got tol={tol!r}, limit={limit!r}")
+    if not tol > 0:       # QUADPACK would return 0 with ier = 6
+        raise ValueError(f"tol must be positive, got {tol!r}")
+    if not (math.isfinite(a) and math.isfinite(b)):
+        raise ValueError(f"integrate_adaptive needs a finite range, got [{a!r}, {b!r}]")
     if a == b:
         return QuadratureResult(value=0.0, evaluations=1)
-    g, lo, hi, qp = _finite_integrand(f), min(a, b), max(a, b), _quadpack()
-    # QAGI takes the finite end and the infinite side: 1 above, -1 below, 2 both
-    if hi != math.inf and lo != -math.inf:
-        out = qp._qagse(g, lo, hi, (), 1, tol, 0.0, limit)
-    elif lo != -math.inf:
-        out = qp._qagie(g, lo, 1, (), 1, tol, 0.0, limit)
-    elif hi != math.inf:
-        out = qp._qagie(g, hi, -1, (), 1, tol, 0.0, limit)
-    else:
-        out = qp._qagie(g, 0.0, 2, (), 1, tol, 0.0, limit)
+    out = _quadpack()._qagse(_finite_integrand(f), min(a, b), max(a, b), (), 1, tol, 0.0, 400)
     result, abserr, ier = _result(a, b, out)
     # QUADPACK's roundoff flag (ier != 0) often rides on an acceptable error
     # bound; fail only when the bound itself misses the requested tolerance.

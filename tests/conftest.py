@@ -39,7 +39,7 @@ def line():
 
 @pytest.fixture(scope="session")
 def env_lorentzian():
-    return EnvironmentSpec(coupling_eff=0.02, cutoff=20.0, cutoff_shape="lorentzian")
+    return EnvironmentSpec(coupling_eff=0.02, cutoff=20.0)
 
 
 LINE_T_HAWKING = 0.2 / (4.0 * math.pi)

@@ -50,8 +50,7 @@ def test_c01_exact_vs_oracle_diffusion():
         worst = 0.0
         for lam in (2.0, 20.0):
             for om in (0.4, 3.0):
-                env = EnvironmentSpec(coupling_eff=0.02, cutoff=lam,
-                                      cutoff_shape="lorentzian")
+                env = EnvironmentSpec(coupling_eff=0.02, cutoff=lam)
                 for t in np.geomspace(1e-2 / lam, 1e3 / om, 5):
                     exact = diffusion_exact(float(t), om, env)
                     oracle = diffusion_quadrature_oracle(float(t), om, env)
@@ -65,8 +64,7 @@ def test_c02_asymptotic_plateau():
     with criterion(2, "|D/(g^2 w pi/4) - 1| < 2% for wt > 200, w < cutoff/100"):
         for ratio in (1.0 / 200.0, 1.0 / 150.0):
             om = 0.5
-            env = EnvironmentSpec(coupling_eff=0.02, cutoff=om / ratio,
-                                  cutoff_shape="lorentzian")
+            env = EnvironmentSpec(coupling_eff=0.02, cutoff=om / ratio)
             plateau = env.coupling_eff ** 2 * om * math.pi / 4.0
             for om_t in (201.0, 350.0, 700.0, 1500.0):
                 d = diffusion_exact(om_t / om, om, env)
@@ -250,16 +248,16 @@ def test_c10_langevin_cross_validation():
 def test_c11_open_correction_behavior():
     with criterion(11, "e_r: zero at lam=0; growth after transient; non-increasing in k"):
         t_hot = 100.0 * LINE_T_H
-        assert open_correction_er(0.05, 60.0, 0.0, t_hot, LINE).e_r == 0.0
+        assert open_correction_er(0.05, 60.0, 0.0, t_hot, LINE) == 0.0
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", RegimeWarning)
             ts = np.linspace(35.0, 100.0, 27)
             ers = np.array([open_correction_er(0.05, float(u), 1e-7, t_hot, LINE,
-                                               x1=-4.0).e_r for u in ts])
+                                               x1=-4.0) for u in ts])
             rel_drops = np.diff(ers) / ers[:-1]
             assert rel_drops.min() > -1e-3       # flat spots at 2kt = 2 pi n only
             assert ers[-1] > 2.0 * ers[0]        # net growth across the window
             ks = (0.02, 0.05, 0.1, 0.2)
-            ervals = [open_correction_er(k, 80.0, 1e-7, t_hot, LINE, x1=-4.0).e_r
+            ervals = [open_correction_er(k, 80.0, 1e-7, t_hot, LINE, x1=-4.0)
                       for k in ks]
             assert all(a >= b for a, b in zip(ervals, ervals[1:]))

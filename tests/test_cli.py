@@ -201,6 +201,21 @@ def test_diffusion_command_with_oracle(tmp_path):
         assert float(r[1]) == pytest.approx(float(r[2]), rel=1e-8)
 
 
+@pytest.mark.parametrize("omega, t", [("2", "1e15"), ("0.5", "1e9"), ("2", "1e16")])
+def test_diffusion_oracle_refuses_past_its_range(tmp_path, capsys, omega, t):
+    """Past nu_b t = 3e6 the oracle misses the closed form (40x at t = 1e15,
+    5e-6 at t = 1e9) or divides by zero (t = 1e16): a numeric refusal,
+    exit 3, naming t and omega; no output is written."""
+    out = tmp_path / "x.csv"
+    argv = ["--output", str(out), "diffusion", "--omega", omega, "--t-min", t,
+            "--t-max", t, "--points", "1", "--oracle"]
+    assert main(argv) == 3
+    record = json.loads(capsys.readouterr().err)
+    assert record["error"] == "QuadratureError"
+    assert f"t = {float(t):.6g}, omega = {float(omega):.6g}" in record["message"]
+    assert not out.exists()
+
+
 def test_er_command(tmp_path):
     code, out = _run(tmp_path, "er", "--k", "0.05", "--t-min", "40",
                      "--t-max", "100", "--points", "10")
@@ -334,6 +349,8 @@ def test_every_exported_name_exists():
     (["vcoef", "--max-modes", "3"], {"v_min": "-1.0"}, 4),
     (["langevin", "--t", "30", "--x1", "-1.2", "--realizations", "100",
       "--temperature", "1e200"], None, 3),
+    (["diffusion", "--omega", "2", "--t-min", "1e306", "--t-max", "1e308", "--points", "4"],
+     None, 3),
     (["correlation", "--t", "0", "--x1", "-4", "--points", "16"], None, 4),
     (["tdec-sweep", "--axis", "temperature", "--from", "0", "--to", "0.3", "--points", "2",
       "--log"], None, 2),
@@ -357,7 +374,7 @@ def test_every_exported_name_exists():
         "vcoef-epsilon-negative", "correlation-t-negative", "langevin-t-negative",
         "vcoef-epsilon-wider-than-ring", "vcoef-epsilon-slivers-leave-ring", "er-k-0",
         "er-k-negative", "hawking-ring-flow-negative", "vcoef-ring-flow-negative",
-        "langevin-moments-overflow", "correlation-t-0", "tdec-sweep-log-from-0",
+        "langevin-moments-overflow", "diffusion-omega-t-overflows", "correlation-t-0", "tdec-sweep-log-from-0",
         "tdec-sweep-log-from-negative", "correlation-x2-min-inside",
         "correlation-x2-max-inside", "cutoff-shape-exponential", "hawking-no-horizon",
         "tdec-sweep-no-horizon"])
@@ -448,6 +465,7 @@ _SWEEP = {"gamma": ("1e-7", "1e-6"), "v_min": ("0.1", "0.3"), "temperature": ("0
 _NO_NUMPY = ("numpy",)
 _LINE_MODULES = ("sonicbh.characteristics", "sonicbh.correlations", "sonicbh.langevin")
 _RING_AND_MC_MODULES = ("sonicbh.decoherence", "sonicbh.langevin")
+_RING_AND_CORRELATION_MODULES = ("sonicbh.decoherence", "sonicbh.correlations")
 _RING200 = {"n_ions": 200, "ion_charge": 37.6246 * math.sqrt(5.0)}
 
 # What scipy it may load: nothing, or where it integrates QUADPACK's compiled
@@ -476,11 +494,11 @@ def _assert_scipy_footprint(scipy_modules, integrates):
     (["er", "--k", "0.05", "--t-min", "40", "--t-max", "100", "--points", "2"],
      None, 0, False, _RING_AND_MC_MODULES),
     (["langevin", "--t", "30", "--x1", "-1.2", "--realizations", "200", "--points", "8"],
-     None, 0, False, ("sonicbh.decoherence",)),
+     None, 0, False, _RING_AND_CORRELATION_MODULES),
     (["langevin", "--t", "30", "--x1", "-1.2", "--realizations", "200", "--points", "8",
-      "--transport", "exact"], None, 0, False, ("sonicbh.decoherence",)),
+      "--transport", "exact"], None, 0, False, _RING_AND_CORRELATION_MODULES),
     (["langevin", "--t", "30", "--x1", "-1.2", "--realizations", "200", "--points", "8",
-      "--temperature", "0.15"], None, 0, False, ("sonicbh.decoherence",)),
+      "--temperature", "0.15"], None, 0, False, _RING_AND_CORRELATION_MODULES),
     (["correlation", "--t", "100", "--x1", "-4", "--beta", "nan"], None, 2, False,
      _NO_NUMPY),
     (["hawking"], "missing", 2, False, _NO_NUMPY),

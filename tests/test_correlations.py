@@ -336,7 +336,7 @@ T_HOT = 100.0 * LINE_T_HAWKING
 
 
 def test_er_vanishes_at_zero_coupling(line):
-    assert open_correction_er(0.05, 60.0, 0.0, T_HOT, line).e_r == 0.0
+    assert open_correction_er(0.05, 60.0, 0.0, T_HOT, line) == 0.0
 
 
 def test_er_monotone_growth_after_transient(line):
@@ -346,7 +346,7 @@ def test_er_monotone_growth_after_transient(line):
     import warnings
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RegimeWarning)
-        ers = np.array([open_correction_er(0.05, float(t), 1e-7, T_HOT, line, x1=-4.0).e_r
+        ers = np.array([open_correction_er(0.05, float(t), 1e-7, T_HOT, line, x1=-4.0)
                         for t in ts])
     # growth with flat spots at 2kt = 2 pi n; allow only sub-1e-3 dips there
     rel_drops = np.diff(ers) / ers[:-1]
@@ -358,7 +358,7 @@ def test_er_nonincreasing_in_k(line):
     import warnings
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RegimeWarning)
-        ers = [open_correction_er(k, 80.0, 1e-7, T_HOT, line, x1=-4.0).e_r
+        ers = [open_correction_er(k, 80.0, 1e-7, T_HOT, line, x1=-4.0)
                for k in (0.02, 0.05, 0.1, 0.2)]
     assert all(a >= b for a, b in zip(ers, ers[1:]))
 
@@ -367,8 +367,8 @@ def test_er_quadratic_in_coupling(line):
     import warnings
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RegimeWarning)
-        e1 = open_correction_er(0.05, 80.0, 1e-7, T_HOT, line, x1=-4.0).e_r
-        e2 = open_correction_er(0.05, 80.0, 2e-7, T_HOT, line, x1=-4.0).e_r
+        e1 = open_correction_er(0.05, 80.0, 1e-7, T_HOT, line, x1=-4.0)
+        e2 = open_correction_er(0.05, 80.0, 2e-7, T_HOT, line, x1=-4.0)
     assert e2 == pytest.approx(4.0 * e1, rel=1e-12)
 
 
@@ -377,7 +377,7 @@ def test_er_regression_baseline(line):
     import warnings
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RegimeWarning)
-        e = open_correction_er(0.05, 80.0, 1e-7, T_HOT, line, x1=-4.0).e_r
+        e = open_correction_er(0.05, 80.0, 1e-7, T_HOT, line, x1=-4.0)
     assert e == pytest.approx(6.93009e-11, rel=1e-3)
 
 

@@ -11,7 +11,7 @@ from sonicbh.decoherence import (DECOHERENCE_CRITERION, _mode_table, _t_d,
                                  diffusion_quadrature_oracle,
                                  sweep_decoherence, v_coefficients)
 from sonicbh.environment import EnvironmentSpec
-from sonicbh.errors import RegimeError
+from sonicbh.errors import QuadratureError, RegimeError
 from sonicbh.params import TWO_PI, derive
 from sonicbh.profiles import NullCoordinateMap, RingProfile, null_coordinate_map
 from sonicbh.specfun import integrate_adaptive
@@ -45,6 +45,24 @@ def test_oracle_against_exact_at_short_and_long_times(cutoff, omega):
               3.0 * t_switch):
         assert diffusion_quadrature_oracle(t, omega, spec) == pytest.approx(
             diffusion_exact(t, omega, spec), rel=1e-10)
+
+
+@pytest.mark.parametrize("cutoff", [2.0, 20.0])
+@pytest.mark.parametrize("omega", [0.5, 2.0, 4.0])
+def test_oracle_holds_up_to_its_range_and_refuses_past_it(cutoff, omega):
+    # at nu_b t = 3e6 the oracle still holds C01's 1e-6; a step past it is refused
+    spec = EnvironmentSpec(coupling_eff=0.02, cutoff=cutoff)
+    t_edge = (3e6 - 10.0) / (2.0 * omega + 6.0 * cutoff)
+    assert diffusion_quadrature_oracle(t_edge, omega, spec) == pytest.approx(
+        diffusion_exact(t_edge, omega, spec), rel=1e-6)
+    with pytest.raises(QuadratureError, match="oracle refused"):
+        diffusion_quadrature_oracle(1.01 * t_edge, omega, spec)
+
+
+def test_diffusion_exact_refuses_overflowing_phase(env_lorentzian):
+    assert math.isfinite(diffusion_exact(1e306, 2.0, env_lorentzian))
+    with pytest.raises(OverflowError, match="omega\\*t = inf"):
+        diffusion_exact(1e308, 2.0, env_lorentzian)
 
 
 def test_diffusion_long_time_plateau(env_lorentzian):
@@ -373,3 +391,14 @@ def test_sweep_v_min_smooth(config):
     slopes = np.sign(np.diff(t_min))
     changes = int(np.sum(np.abs(np.diff(slopes)) > 0))
     assert changes <= 1
+
+
+def test_sweep_v_min_past_revolution_speed_is_point_error(config):
+    # the straddle rule lives in the config alone: a v_min at or above 2 pi/T
+    # fails its point with ConfigError, and the sweep goes on
+    v_bar = config.mean_velocity
+    values = [0.85 * v_bar, v_bar, 1.05 * v_bar]
+    rows, errors = sweep_decoherence("v_min", values, config, 1e-7)
+    assert [r.axis for r in rows] == values[:1]
+    assert [val for val, _ in errors] == values[1:]
+    assert all(msg.startswith("ConfigError(") and "straddle" in msg for _, msg in errors)

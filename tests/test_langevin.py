@@ -5,8 +5,8 @@ import numpy as np
 import pytest
 from scipy.special import dawsn
 
-from sonicbh.correlations import detect_peak
-from sonicbh.langevin import Ensemble, estimate_correlation, expected_correlation_curve
+from sonicbh.correlations import CorrelationGrid, detect_peak
+from sonicbh.langevin import estimate_correlation, expected_correlation_curve
 
 from conftest import LINE_T_HAWKING
 from flow_oracle import rk45_dx0_dx, rk45_trace
@@ -108,7 +108,9 @@ def test_estimator_thermal_dilution(line):
                                 line, seed=42, uv_epsilon=0.15)
     hot = estimate_correlation(8000, REDUCED_X1, REDUCED_X2, REDUCED_T,
                                60.0 * LINE_T_HAWKING, line, seed=42, uv_epsilon=0.15)
-    assert detect_peak(cold).contrast > detect_peak(hot).contrast
+    contrast = lambda mc: detect_peak(CorrelationGrid(REDUCED_X2, mc.values,
+                                                      ["mc"] * len(REDUCED_X2))).contrast
+    assert contrast(cold) > contrast(hot)
 
 
 def test_exact_transport_self_consistent(line):
@@ -150,7 +152,19 @@ def test_exact_transport_against_independent_expectation(line):
     assert np.percentile(np.abs(resid), 90) < 3.5
 
 
-def test_ensemble_stderr_definition():
-    ens = Ensemble(realizations=4, mean=np.array([1.0]),
-                   second_moment=np.array([2.0]))
-    assert ens.stderr[0] == pytest.approx(0.5)
+def test_ensemble_stderr_definition(line, monkeypatch):
+    """stderr is sqrt((<p^2> - <p>^2) / N) over the N products p: with two
+    realizations, the first drawn all zero, it is the value over sqrt(2)
+    (a 1/(N - 1) variance would give the value itself)."""
+    class FirstRealizationZero:
+        def __init__(self, bit_generator):
+            self.rng = np.random.default_rng(3)
+
+        def standard_normal(self, out):          # out: (2, realizations, modes)
+            out[...] = self.rng.standard_normal(out.shape)
+            out[:, 0] = 0.0
+
+    monkeypatch.setattr(np.random, "Generator", FirstRealizationZero)
+    mc = estimate_correlation(2, REDUCED_X1, REDUCED_X2, REDUCED_T, 0.0, line)
+    assert np.all(mc.values > 0)
+    assert mc.stderr == pytest.approx(mc.values / math.sqrt(2.0), rel=1e-12)

@@ -302,6 +302,67 @@ def test_every_constant_is_read():
     assert _unread_constants(ROOT) == []
 
 
+def _unread_fields(root):
+    """module.Class.field of every dataclass or NamedTuple field of
+    src/sonicbh that no program file reads as an attribute.  A NamedTuple
+    whose ``_fields`` a program file reads is written out whole, row by row,
+    and is exempt."""
+    reads, whole_rows = set(), set()
+    for path in _program_files(root):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                reads.add(node.attr)
+                if node.attr == "_fields" and isinstance(node.value, ast.Name):
+                    whole_rows.add(node.value.id)
+    unread = []
+    for path in sorted((root / "src" / "sonicbh").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if not isinstance(node, ast.ClassDef):
+                continue
+            dataclass = any(ast.unparse(d).startswith(("dataclass", "dataclasses.dataclass"))
+                            for d in node.decorator_list)
+            named_tuple = any(ast.unparse(b).endswith("NamedTuple") for b in node.bases)
+            if not dataclass and not (named_tuple and node.name not in whole_rows):
+                continue
+            unread += [f"{path.stem}.{node.name}.{item.target.id}" for item in node.body
+                       if isinstance(item, ast.AnnAssign) and item.target.id not in reads]
+    return unread
+
+
+def test_every_field_is_read():
+    """A result or spec field that nothing in the package, the scripts or the
+    benchmark reads is carried for tests alone: delete it."""
+    assert _unread_fields(ROOT) == []
+
+
+# The observable layers.  Each builds on the primitives below it (specfun,
+# params, environment, profiles, characteristics) and on no other
+# observable, so that a check of one never runs through another; the CLI
+# alone composes them.
+OBSERVABLES = ("decoherence", "correlations", "langevin")
+
+
+def _layer_violations(root):
+    """"importer -> observable" for every import of an observable module of
+    src/sonicbh by another observable, or by any module but the CLI."""
+    found = []
+    for path in sorted((root / "src" / "sonicbh").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if not (isinstance(node, ast.ImportFrom) and node.level == 1):
+                continue
+            targets = [node.module] if node.module else [a.name for a in node.names]
+            found += [f"{path.stem} -> {target}" for target in targets
+                      if target in OBSERVABLES and target != path.stem
+                      and path.stem != "cli"]
+    return found
+
+
+def test_observables_import_only_lower_layers():
+    """The Monte-Carlo estimator checks the analytic correlations without
+    borrowing from them, and no observable imports another."""
+    assert _layer_violations(ROOT) == []
+
+
 # Definitions that no command, script or benchmark file reaches through the
 # code, yet something outside the package calls.
 REACH_ALLOWLIST = {
