@@ -21,7 +21,7 @@ T_LONG = 100.0
 
 
 def main():
-    t_h = hawking_temperature_line(PROFILE.v_max, PROFILE.v_min, PROFILE.a)
+    t_h = hawking_temperature_line(PROFILE)
     x2 = np.linspace(1.5, 30.0, 160)
     rows = []
     for mult in (0.0, 20.0, 60.0):

@@ -288,6 +288,13 @@ def entanglement_boundary(t: float, profile: LineProfile) -> tuple[float, float]
     return -xp, xp
 
 
+def matched_pair(x1: float, x2: float, t: float, profile: LineProfile) -> bool:
+    """Whether (x1, x2) is a matched inside/outside pair at t, the pairs the
+    matched closed forms take: x_minus < x1 < -a and a < x2 < x_plus."""
+    xm, xp = entanglement_boundary(t, profile)
+    return xm < x1 < -profile.a and profile.a < x2 < xp
+
+
 def characteristic_fan_rows(profile: LineProfile, x0_values, t_max: float, n_t: int = 100):
     """Rows (t, x, region) tracing a fan of left movers forward.
 

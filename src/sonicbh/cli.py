@@ -215,7 +215,7 @@ def _run(args) -> tuple[list, list, dict]:
         from .profiles import RingProfile, hawking_temperature_line, hawking_temperature_ring
         ring = RingProfile.from_config(config)
         rows = [["ring", hawking_temperature_ring(ring)],
-                ["line", hawking_temperature_line(line.v_max, line.v_min, line.a)]]
+                ["line", hawking_temperature_line(line)]]
         return ["geometry", "t_hawking"], rows, manifest
 
     if args.command == "boundary":
@@ -296,8 +296,8 @@ def _run(args) -> tuple[list, list, dict]:
         import numpy as np
         from .correlations import open_correction_er
         from .profiles import hawking_temperature_line
-        t_h = hawking_temperature_line(line.v_max, line.v_min, line.a)
-        temp = args.temperature if args.temperature is not None else 100.0 * t_h
+        temp = (args.temperature if args.temperature is not None
+                else 100.0 * hawking_temperature_line(line))
         ts = np.linspace(args.t_min, args.t_max, args.points)
         rows = []
         with warnings.catch_warnings():

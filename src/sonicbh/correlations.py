@@ -28,8 +28,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .characteristics import entanglement_boundary, matched_exponent, matched_x0
-from .errors import ExtrapolationError, RegimeError, RegimeWarning, RegionError
+from .characteristics import entanglement_boundary, matched_exponent, matched_pair, matched_x0
+from .errors import ExtrapolationError, RegimeWarning, RegionError
 from .profiles import LineProfile, hawking_temperature_line
 from .specfun import fourier_integral, thermal_excess, thermal_weight
 
@@ -113,28 +113,26 @@ def _log_z_csch(ln_z: float) -> float:
     return math.log(2.0 * z) - z - math.log(-math.expm1(-2.0 * z))
 
 
+def _require_matched_pair(x1: float, x2: float, t: float, profile: LineProfile):
+    if not matched_pair(x1, x2, t, profile):
+        raise RegionError(f"({x1:.6g}, {x2:.6g}) is not a matched inside/outside pair "
+                          f"within the wedge at t = {t:.6g}; use corr_homogeneous")
+
+
 def corr_closed_form(x1: float, x2: float, t: float, beta: float,
                      profile: LineProfile) -> float:
     """Matched-scheme <Pi_L(x1,t) Pi_L(x2,t)>, x1 inside, x2 outside.
 
-    Requires x1 in (x_minus, -a) and x2 in (a, x_plus); outside the wedge the
+    Requires a matched pair (``matched_pair``); outside the wedge the
     matched exponentials do not apply (use corr_homogeneous).  One expression
     for every beta > 0: the zero-temperature value -(X1 X2/a^2)/(X1+X2)^2
     times the thermal factor (z csch z)^2, z = pi (X1+X2)/beta, with ln z
     taken in log space so that z = 0, a factor of 1, at beta = inf.
     """
-    xm, xp = entanglement_boundary(t, profile)
-    a = profile.a
-    if not (xm < x1 < -a):
-        raise RegionError(
-            f"x1 = {x1:.6g} outside the inside-probe window ({xm:.6g}, {-a:.6g}); "
-            "use corr_homogeneous")
-    if not (a < x2 < xp):
-        raise RegionError(
-            f"x2 = {x2:.6g} outside the outside-probe window ({a:.6g}, {xp:.6g}); "
-            "use corr_homogeneous")
+    _require_matched_pair(x1, x2, t, profile)
     if beta <= 0:
         raise ValueError("beta must be positive (inf for zero temperature)")
+    a = profile.a
     ln_x1 = matched_exponent(x1, t, profile) + math.log(a)
     ln_x2 = matched_exponent(x2, t, profile) + math.log(a)
     ln_pref = ln_x1 + ln_x2 - 2.0 * math.log(a)          # ln(X1 X2 / a^2)
@@ -151,14 +149,9 @@ def corr_mode_sum_oracle(x1: float, x2: float, t: float, beta: float,
     left movers, evaluated here by central finite differences (step 1e-6) of
     the matched map; thermal weight coth(beta k/2); k integral by
     ``thermal_momentum_integral``.  Like
-    ``corr_closed_form`` it takes matched pairs only: x1 in (x_minus, -a),
-    x2 in (a, x_plus).
+    ``corr_closed_form`` it takes matched pairs only.
     """
-    xm, xp = entanglement_boundary(t, profile)
-    a = profile.a
-    if not ((xm < x1 < -a) and (a < x2 < xp)):
-        raise RegionError(f"mode-sum oracle: ({x1:.6g}, {x2:.6g}) is not a matched "
-                          "inside/outside pair within the wedge; use corr_homogeneous")
+    _require_matched_pair(x1, x2, t, profile)
     h = 1e-6
     w = lambda x: (matched_x0(x + h, t, profile)
                    - matched_x0(x - h, t, profile)) / (2.0 * h)
@@ -189,20 +182,17 @@ def build_correlation_grid(x1: float, x2_values, t: float, beta: float,
     """Sample |<Pi_L(x1) Pi_L(x2)>| over outside probes x2 > a.
 
     Region routing: the matched ``method`` (closed form or mode-sum oracle)
-    while both probes sit inside the wedge, homogeneous spectral form
+    for a matched pair (``matched_pair``), homogeneous spectral form
     otherwise (including every x2 when the inside probe itself lies beyond
     x_minus).
     """
-    xm, xp = entanglement_boundary(t, profile)
-    a = profile.a
     x2_values = np.asarray(x2_values, dtype=float)
-    if np.any(x2_values <= a):
+    if np.any(x2_values <= profile.a):
         raise ValueError("outside probes must satisfy x2 > a")
     evaluate = corr_closed_form if method == "closed_form" else corr_mode_sum_oracle
-    x1_in_wedge = xm < x1 < -a
     vals, regions = [], []
     for x2 in x2_values:
-        if x1_in_wedge and a < x2 < xp:
+        if matched_pair(x1, x2, t, profile):
             vals.append(abs(evaluate(x1, x2, t, beta, profile)))
             regions.append("matched")
         else:
@@ -259,10 +249,15 @@ def open_correction_er(k: float, t: float, lam: float, temperature: float,
               with the flat per-mode response sin(k s)/k.
 
     P_C(k) = k coth(beta k/2) cos(k A) w1 w2 is the closed-system per-mode
-    integrand at separation A = X1 + X2 (the peak has X2 = X1).  Both
-    cross-term readings (doubled second-leg vs symmetrized) coincide at this
-    approximation order.  e_r = 0 exactly at lam = 0; a mode whose P_C
-    vanishes is refused with RegimeError.
+    integrand at separation A = X1 + X2 = 2 X1 (the peak has X2 = X1, X1 =
+    |matched x0(x1)|).  Both cross-term readings (doubled second-leg vs
+    symmetrized) coincide at this approximation order.  In e_r = |(noise +
+    dissipation) / P_C| the mode weights w1 w2 = (X1/a)^2 cancel, and since
+    they underflow at late t, e_r is evaluated without them:
+
+      e_r = lam^2 |T0 [t/(2k^2) - sin(2kt)/(4k^3)] / (k coth(beta k/2) cos(2k X1)) - t|,
+
+    0 exactly at lam = 0.
     """
     if k <= 0:
         raise ValueError("k must be positive (left-sector modes, small k)")
@@ -275,21 +270,12 @@ def open_correction_er(k: float, t: float, lam: float, temperature: float,
         return 0.0
     if lam > 1e-3:
         warnings.warn("coupling not weak (lam > 1e-3)", RegimeWarning)
-    t_h = hawking_temperature_line(profile.v_max, profile.v_min, profile.a)
-    if temperature < 10.0 * t_h:
+    if temperature < 10.0 * hawking_temperature_line(profile):
         warnings.warn("temperature below the high-T kernel regime (~100 T_H)", RegimeWarning)
     if k * profile.a > 1.0:
         warnings.warn("k outside the small-k window (k*a > 1)", RegimeWarning)
 
-    x1_ln = matched_exponent(x1, t, profile) + math.log(profile.a)
-    x1_val = math.exp(x1_ln)
-    a_sep = 2.0 * x1_val                      # peak: X2 = X1
-    w1w2 = (x1_val / profile.a) ** 2
+    x1_peak = abs(matched_x0(x1, t, profile))
     beta = math.inf if temperature == 0.0 else 1.0 / temperature
-    p_c = thermal_weight(k, beta) * math.cos(k * a_sep) * w1w2
-    if p_c == 0.0:
-        raise RegimeError("closed per-mode correlator vanishes at this k")
-    d_noise = lam ** 2 * temperature * w1w2 * (
-        t / (2.0 * k ** 2) - math.sin(2.0 * k * t) / (4.0 * k ** 3))
-    d_diss = -lam ** 2 * t * p_c
-    return abs((d_noise + d_diss) / p_c)
+    noise = temperature * (t / (2.0 * k ** 2) - math.sin(2.0 * k * t) / (4.0 * k ** 3))
+    return lam ** 2 * abs(noise / (thermal_weight(k, beta) * math.cos(2.0 * k * x1_peak)) - t)

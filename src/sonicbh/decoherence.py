@@ -43,6 +43,8 @@ _D_ORACLE_TOL = 1e-10
 # over omega in [0.03, 200] and cutoffs in [0.5, 2000] it holds 1e-6 against
 # the closed form up to here, and misses it from nu_b t = 8e6 on.
 _D_ORACLE_MAX_SPAN = 3e6
+# Smallest omega the D(t) oracle takes, the low end of the range verified above.
+_D_ORACLE_MIN_OMEGA = 0.03
 
 
 @dataclass(frozen=True)
@@ -102,12 +104,17 @@ def diffusion_quadrature_oracle(t: float, omega: float, spec: EnvironmentSpec) -
     the sin((nu-omega)t)/(nu-omega) ridge at nu = omega, taken adaptively on
     the ridge and with oscillatory-weight quadrature on either side of it,
     plus an exact Fourier-tail treatment beyond nu_b.  One regime serves
-    every t > 0 up to nu_b t = _D_ORACLE_MAX_SPAN; beyond it QuadratureError.
+    every t > 0 up to nu_b t = _D_ORACLE_MAX_SPAN and every omega from
+    _D_ORACLE_MIN_OMEGA up; outside them QuadratureError.
     """
     if t < 0:
         raise ValueError("t must be >= 0")
     if t == 0.0:
         return 0.0
+    if not omega >= _D_ORACLE_MIN_OMEGA:
+        raise QuadratureError(
+            f"D(t) oracle refused at t = {t:.6g}, omega = {omega:.6g}: omega is below "
+            f"{_D_ORACLE_MIN_OMEGA:g}, the low end of the range where it holds 1e-6")
     omega_t = omega * t
     lam, g2 = spec.cutoff, spec.coupling_eff ** 2
     tol = _D_ORACLE_TOL

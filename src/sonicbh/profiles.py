@@ -286,8 +286,6 @@ def hawking_temperature_ring(profile: RingProfile) -> float:
     return 3.0 * cfg.hbar * ramps[0].slope / (4.0 * math.pi * cfg.k_boltzmann)
 
 
-def hawking_temperature_line(v_max: float, v_min: float, a: float) -> float:
+def hawking_temperature_line(profile: LineProfile) -> float:
     """T_H = |v_max - v_min| / (4 pi a) for the channel profile (c = hbar = k_B = 1)."""
-    if not a > 0:
-        raise ValueError("a must be positive")
-    return abs(v_max - v_min) / (4.0 * math.pi * a)
+    return abs(profile.v_max - profile.v_min) / (4.0 * math.pi * profile.a)

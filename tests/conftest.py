@@ -1,5 +1,6 @@
 import math
 
+import mpmath as mp
 import pytest
 from hypothesis import HealthCheck, settings
 
@@ -83,3 +84,22 @@ def mode_function_pde_residual(k: float, x: float, t: float,
     dvw_dx = (v(x + h, t) * w(x + h, t) - v(x - h, t) * w(x - h, t)) / (2.0 * h)
     d2u_dx2 = (u(x + h, t) - 2.0 * u(x, t) + u(x - h, t)) / h ** 2
     return abs(dw_dt + dvw_dx - d2u_dx2)
+
+
+def er_mpmath(k: float, t: float, lam: float, temperature: float,
+              profile: LineProfile, x1: float) -> float:
+    """e_r in 50-digit arithmetic from its defining ratio (noise + dissipation)
+    / P_C, mode weights w1 w2 = (X1/a)^2 kept, so nothing underflows: X1 from
+    the matched inside exponential a e^{-(x1 + t - F v_min - a)/a}, F = tau ln
+    cosh(t/tau), at the pair peak X2 = X1."""
+    with mp.workdps(50):
+        k, t, lam, t0, x1 = (mp.mpf(v) for v in (k, t, lam, temperature, x1))
+        a, kappa, tau = (mp.mpf(v) for v in (profile.a, profile.kappa, profile.tau))
+        f = tau * mp.log(mp.cosh(t / tau))
+        x1_peak = a * mp.exp(-(x1 + t - f * (1 - kappa * a) - a) / a)
+        w1w2 = (x1_peak / a) ** 2
+        thermal = k if t0 == 0 else k * mp.coth(k / (2 * t0))
+        p_c = thermal * mp.cos(2 * k * x1_peak) * w1w2
+        d_noise = lam ** 2 * t0 * w1w2 * (t / (2 * k ** 2) - mp.sin(2 * k * t) / (4 * k ** 3))
+        d_diss = -lam ** 2 * t * p_c
+        return float(abs((d_noise + d_diss) / p_c))

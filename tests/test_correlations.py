@@ -14,10 +14,10 @@ from sonicbh.correlations import (CorrelationGrid, build_correlation_grid,
                                   corr_mode_sum_oracle, detect_peak,
                                   open_correction_er, thermal_momentum_integral)
 from sonicbh import correlations
-from sonicbh.errors import ExtrapolationError, RegimeError, RegimeWarning, RegionError
+from sonicbh.errors import ExtrapolationError, RegimeWarning, RegionError
 from sonicbh.specfun import thermal_weight
 
-from conftest import LINE_T_HAWKING, mode_function, mode_function_pde_residual
+from conftest import LINE_T_HAWKING, er_mpmath, mode_function, mode_function_pde_residual
 from flow_oracle import line_velocity
 from regulator_ladder import exponential_ladder, gauss_ladder, neville_to_zero
 
@@ -386,10 +386,19 @@ def test_er_probe_outside_wedge_rejected(line):
         open_correction_er(0.05, 10.0, 1e-7, T_HOT, line, x1=-8.0)
 
 
-def test_er_vanishing_closed_correlator_refused(line):
-    # w1 w2 underflows to 0 for a probe at the inner interface at late times
-    with pytest.raises(RegimeError, match="vanishes"):
-        open_correction_er(0.05, 5000.0, 1e-4, 2.0, line, x1=-1.0000001)
+@pytest.mark.filterwarnings("ignore::sonicbh.errors.RegimeWarning")
+@pytest.mark.parametrize("temperature", [0.0, T_HOT, 2.0])
+@pytest.mark.parametrize("x1", [None, -1.0000001])
+@pytest.mark.parametrize("k", [0.05, 0.2])
+def test_er_against_mpmath(line, k, x1, temperature):
+    # the mode weights w1 w2 = (X1/a)^2 underflow to 0 past t ~ 3740 (inner-
+    # interface probe) and t ~ 7480 (default mid-wedge probe), X1 itself past
+    # t ~ 7460 and 14930; e_r, in which they cancel, holds to 1e-12 throughout
+    for t in (100.0, 1000.0, 5000.0, 7100.0, 7400.0, 8000.0, 20000.0):
+        probe = x1 if x1 is not None else -0.5 * (line.a + entanglement_boundary(t, line)[1])
+        got = open_correction_er(k, t, 1e-7, temperature, line, x1=x1)
+        assert got == pytest.approx(er_mpmath(k, t, 1e-7, temperature, line, probe),
+                                    rel=1e-12), t
 
 
 # --------------------------------------------------------------------------

@@ -59,6 +59,17 @@ def test_oracle_holds_up_to_its_range_and_refuses_past_it(cutoff, omega):
         diffusion_quadrature_oracle(1.01 * t_edge, omega, spec)
 
 
+def test_oracle_refuses_below_its_omega_floor():
+    # verified from omega = 0.03 up; at omega = 0.001 it missed the closed form
+    # by 3.7e-6 (cutoff 2, t = 144558.77), inside its nu_b t range
+    spec = EnvironmentSpec(coupling_eff=0.02, cutoff=2.0)
+    assert diffusion_quadrature_oracle(1000.0, 0.03, spec) == pytest.approx(
+        diffusion_exact(1000.0, 0.03, spec), rel=1e-6)
+    for omega, t in ((0.0299, 1000.0), (0.001, 144558.77)):
+        with pytest.raises(QuadratureError, match="below 0.03"):
+            diffusion_quadrature_oracle(t, omega, spec)
+
+
 def test_diffusion_exact_refuses_overflowing_phase(env_lorentzian):
     assert math.isfinite(diffusion_exact(1e306, 2.0, env_lorentzian))
     with pytest.raises(OverflowError, match="omega\\*t = inf"):

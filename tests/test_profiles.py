@@ -6,8 +6,8 @@ import pytest
 
 from sonicbh.errors import RegionError, SingularIntegrandError
 from sonicbh.params import TWO_PI
-from sonicbh.profiles import (RingProfile, hawking_temperature_line, hawking_temperature_ring,
-                              null_coordinate_map, sigma_accumulated)
+from sonicbh.profiles import (LineProfile, RingProfile, hawking_temperature_line,
+                              hawking_temperature_ring, null_coordinate_map, sigma_accumulated)
 
 from flow_oracle import line_velocity
 from ring_oracle import ring_flow, ring_null_coordinate
@@ -262,13 +262,15 @@ def test_no_horizon_is_an_error(config):
 
 
 def test_line_temperature_value():
-    assert hawking_temperature_line(1.1, 0.9, 1.0) == pytest.approx(0.2 / (4 * math.pi), rel=1e-15)
+    line = LineProfile(a=1.0, kappa=0.1, tau=1.0)  # v_max, v_min = 1.1, 0.9
+    assert hawking_temperature_line(line) == pytest.approx(0.2 / (4 * math.pi), rel=1e-15)
 
 
 def test_line_temperature_degenerate_and_scaling():
-    assert hawking_temperature_line(1.0, 1.0, 1.0) == 0.0
-    assert hawking_temperature_line(1.1, 0.9, 2.0) == pytest.approx(
-        0.5 * hawking_temperature_line(1.1, 0.9, 1.0))
+    assert hawking_temperature_line(LineProfile(a=1.0, kappa=0.0, tau=1.0)) == 0.0
+    # the same speeds 1.1, 0.9 over a channel twice as wide
+    assert hawking_temperature_line(LineProfile(a=2.0, kappa=0.05, tau=1.0)) == pytest.approx(
+        0.5 * hawking_temperature_line(LineProfile(a=1.0, kappa=0.1, tau=1.0)))
 
 
 def test_line_equals_linearized_ring():
@@ -277,5 +279,5 @@ def test_line_equals_linearized_ring():
     kappa, a = 0.1, 1.0
     t_ring = _hawking_richardson(lambda x: 1.0 + kappa * (x - 3.0), lambda x: 1.0,
                                  3.0, 0.5 / 64.0, 1.0, 1.0)
-    t_line = hawking_temperature_line(1.0 + kappa * a, 1.0 - kappa * a, a)
+    t_line = hawking_temperature_line(LineProfile(a=a, kappa=kappa, tau=1.0))
     assert t_ring == pytest.approx(t_line, rel=1e-6)
