@@ -48,8 +48,8 @@ def main():
 
     fan = characteristic_fan_rows(PROFILE, [-1.5, -1.0, -0.5, 0.72, 0.9, 1.0, 1.5],
                                   t_max=40.0, n_t=60)
-    write_table("wedge_fan.csv", ["t", "x", "region", "branch"],
-                [[*r, "left"] for r in fan], {"command": "script:wedge-fan"}, "csv")
+    write_table("wedge_fan.csv", ["t", "x", "region"], fan,
+                {"command": "script:wedge-fan"}, "csv")
     print("wedge_fan.csv")
 
 

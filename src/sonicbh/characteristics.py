@@ -24,6 +24,8 @@ Two evaluation modes coexist and must not be conflated:
   analytic correlation formulas, whose interior segment idealizes the
   collapse as instantaneous.  At late times the two differ by O(a)
   constants; see the region notes in ``matched_x0``.
+
+Both return a ``CharacteristicMap``: x0 and its Jacobian dx0/dx.
 """
 
 from __future__ import annotations
@@ -122,8 +124,11 @@ def core_left_x0(x: float, t: float, profile: LineProfile) -> float:
 
 @dataclass(frozen=True)
 class CharacteristicMap:
+    """Where the left mover through (x, t) started, and dx0/dx there; what
+    both ``trace_characteristic`` and ``matched_x0`` return."""
+
     x0: float
-    dx0_dx: float                     # e^{-kappa int sigma} over the time spent inside
+    dx0_dx: float
 
 
 def _bracketed_root(f, lo: float, hi: float) -> float:
@@ -232,27 +237,26 @@ def forward_characteristic(x0: float, times, profile: LineProfile) -> np.ndarray
 # matched long-time closed forms (analytic-correlation scheme)
 # --------------------------------------------------------------------------
 
-def matched_x0(x: float, t: float, profile: LineProfile) -> float:
-    """Left-mover initial position in the matched long-time scheme.
+def matched_x0(x: float, t: float, profile: LineProfile) -> CharacteristicMap:
+    """Left-mover initial position and dx0/dx in the matched long-time scheme.
 
-    Outside the wedge boundaries x_pm(t) the flat-region transport is exact;
-    between |a| and the boundary the interface-matched exponentials apply;
-    in the core the transition-region closed form is exact.  The interior
-    matching idealizes sigma as saturated, so this map intentionally differs
-    from ``trace_characteristic`` at O(a) for late times.
+    Beyond the wedge boundaries |x| > x_plus(t) the flat-region transport is
+    exact, with dx0/dx = 1; for a < |x| <= x_plus the interface-matched
+    exponentials x0 = +-a e^{matched_exponent} apply, with dx0/dx = |x0|/a; in
+    the core |x| <= a the transition-region closed form is exact, with
+    dx0/dx = e^{-kappa F(t)}.  The interior matching idealizes sigma as
+    saturated, so this map intentionally differs from
+    ``trace_characteristic`` at O(a) for late times.
     """
     a = profile.a
     f = profile.sigma_accumulated(t)
     xp = entanglement_boundary(t, profile)[1]
-    if x > xp:
-        return x + t - f * profile.v_max
-    if x > a:
-        return a * math.exp(matched_exponent(x, t, profile))
-    if x >= -a:
-        return core_left_x0(x, t, profile)
-    if x >= -xp:
-        return -a * math.exp(matched_exponent(x, t, profile))
-    return x + t - f * profile.v_min
+    if abs(x) > xp:
+        return CharacteristicMap(x + t - f * (profile.v_max if x > 0 else profile.v_min), 1.0)
+    if abs(x) > a:
+        x0 = math.copysign(a, x) * math.exp(matched_exponent(x, t, profile))
+        return CharacteristicMap(x0, abs(x0) / a)
+    return CharacteristicMap(core_left_x0(x, t, profile), math.exp(-profile.kappa * f))
 
 
 def matched_exponent(x: float, t: float, profile: LineProfile) -> float:
@@ -262,18 +266,6 @@ def matched_exponent(x: float, t: float, profile: LineProfile) -> float:
     if x > a:
         return (x + t - f * profile.v_max - a) / a
     return -(x + t - f * profile.v_min - a) / a
-
-
-def matched_dx0_dx(x: float, t: float, profile: LineProfile) -> float:
-    """d(matched_x0)/dx, region-wise analytic."""
-    a = profile.a
-    f = profile.sigma_accumulated(t)
-    xp = entanglement_boundary(t, profile)[1]
-    if abs(x) > xp:
-        return 1.0
-    if x > a or x < -a:
-        return abs(matched_x0(x, t, profile)) / a
-    return math.exp(-profile.kappa * f)
 
 
 # --------------------------------------------------------------------------
@@ -295,7 +287,7 @@ def matched_pair(x1: float, x2: float, t: float, profile: LineProfile) -> bool:
     return xm < x1 < -profile.a and profile.a < x2 < xp
 
 
-def characteristic_fan_rows(profile: LineProfile, x0_values, t_max: float, n_t: int = 100):
+def characteristic_fan_rows(profile: LineProfile, x0_values, t_max: float, n_t: int):
     """Rows (t, x, region) tracing a fan of left movers forward.
 
     Plot-ready view of the collapse geometry: the wedge interfaces are the

@@ -197,8 +197,6 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--x1", type=_number("finite"), required=True)
     s.add_argument("--temperature", type=_number("non-negative"), default=0.0)
     s.add_argument("--realizations", type=_count(2), default=2000)
-    # the sampler keeps min(sites // 2 - 1, 255) modes: more than 512 sites change nothing
-    s.add_argument("--sites", type=_count(4, 513), default=512)
     s.add_argument("--seed", type=_count(0, 2 ** 64), default=1234)
     s.add_argument("--x2-min", type=_number("finite"), default=None)
     s.add_argument("--x2-max", type=_number("finite"), default=None)
@@ -318,7 +316,7 @@ def _run(args) -> tuple[list, list, dict]:
         x2 = np.linspace(lo, hi, args.points)
         mc = estimate_correlation(args.realizations, args.x1, x2, args.t,
                                   args.temperature, line, seed=args.seed,
-                                  n_sites=args.sites, transport=args.transport)
+                                  transport=args.transport)
         manifest.update(seed=args.seed, realizations=args.realizations,
                         transport=args.transport)
         rows = [[float(x), float(v), float(s)] for x, v, s in

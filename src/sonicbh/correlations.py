@@ -147,15 +147,15 @@ def corr_mode_sum_oracle(x1: float, x2: float, t: float, beta: float,
 
     Momentum factors: (d/dt + v d/dx) of the mode phase equals d(x0)/dx along
     left movers, evaluated here by central finite differences (step 1e-6) of
-    the matched map; thermal weight coth(beta k/2); k integral by
-    ``thermal_momentum_integral``.  Like
+    the matched map's x0, not read from its Jacobian; thermal weight
+    coth(beta k/2); k integral by ``thermal_momentum_integral``.  Like
     ``corr_closed_form`` it takes matched pairs only.
     """
     _require_matched_pair(x1, x2, t, profile)
     h = 1e-6
-    w = lambda x: (matched_x0(x + h, t, profile)
-                   - matched_x0(x - h, t, profile)) / (2.0 * h)
-    sep = matched_x0(x2, t, profile) - matched_x0(x1, t, profile)
+    x0 = lambda x: matched_x0(x, t, profile).x0
+    w = lambda x: (x0(x + h) - x0(x - h)) / (2.0 * h)
+    sep = x0(x2) - x0(x1)
     return w(x1) * w(x2) * thermal_momentum_integral(sep, beta)
 
 
@@ -257,7 +257,8 @@ def open_correction_er(k: float, t: float, lam: float, temperature: float,
 
       e_r = lam^2 |T0 [t/(2k^2) - sin(2kt)/(4k^3)] / (k coth(beta k/2) cos(2k X1)) - t|,
 
-    0 exactly at lam = 0.
+    0 exactly at lam = 0.  A term beyond the float range (a power of k, or
+    lam^2) is refused with an OverflowError naming k, lam, t and the term.
     """
     if k <= 0:
         raise ValueError("k must be positive (left-sector modes, small k)")
@@ -275,7 +276,20 @@ def open_correction_er(k: float, t: float, lam: float, temperature: float,
     if k * profile.a > 1.0:
         warnings.warn("k outside the small-k window (k*a > 1)", RegimeWarning)
 
-    x1_peak = abs(matched_x0(x1, t, profile))
+    def in_float_range(term: str, compute) -> float:
+        try:
+            value = compute()
+        except (OverflowError, ZeroDivisionError):   # a power of k or lam left the range
+            value = math.inf
+        if not math.isfinite(value):
+            raise OverflowError(f"e_r at k = {k:.6g}, lam = {lam:.6g}, t = {t:.6g}: "
+                                f"{term} leaves the float range")
+        return value
+
+    x1_peak = abs(matched_x0(x1, t, profile).x0)
     beta = math.inf if temperature == 0.0 else 1.0 / temperature
-    noise = temperature * (t / (2.0 * k ** 2) - math.sin(2.0 * k * t) / (4.0 * k ** 3))
-    return lam ** 2 * abs(noise / (thermal_weight(k, beta) * math.cos(2.0 * k * x1_peak)) - t)
+    noise = in_float_range(
+        "the noise term T0 (t/(2k^2) - sin(2kt)/(4k^3))",
+        lambda: temperature * (t / (2.0 * k ** 2) - math.sin(2.0 * k * t) / (4.0 * k ** 3)))
+    ratio = abs(noise / (thermal_weight(k, beta) * math.cos(2.0 * k * x1_peak)) - t)
+    return in_float_range("lam^2 |noise / P_C - t|", lambda: lam ** 2 * ratio)

@@ -32,8 +32,7 @@ def effective_coupling(gamma: float, config, derived) -> float:
     """Map the force-noise fraction gamma onto the bath coupling.
 
     coupling_eff = gamma * sqrt(2 rho / hbar) * (v_max - v_min), the closure
-    that identifies the cutoff time with the collapse time.
+    that identifies the cutoff time with the collapse time; gamma >= 0 is
+    checked where the config is read.
     """
-    if gamma < 0:
-        raise ValueError("gamma must be >= 0")
     return gamma * math.sqrt(2.0 * derived.rho / config.hbar) * derived.delta_v

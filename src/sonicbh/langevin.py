@@ -16,9 +16,12 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .characteristics import matched_dx0_dx, matched_x0, trace_characteristic
+from .characteristics import matched_x0, trace_characteristic
 from .profiles import LineProfile
 from .specfun import fourier_integral, thermal_weight
+
+# Fourier modes of the sampled initial field
+N_MODES = 255
 
 
 class Ensemble(NamedTuple):
@@ -27,10 +30,6 @@ class Ensemble(NamedTuple):
 
     values: np.ndarray
     stderr: np.ndarray
-
-
-def _mode_numbers(n_modes: int, length: float) -> np.ndarray:
-    return 2.0 * math.pi * np.arange(1, n_modes + 1) / length
 
 
 def _thermal_sd(k: np.ndarray, beta: float, length: float,
@@ -56,21 +55,18 @@ def left_sector_map(x_points: np.ndarray, t: float, profile: LineProfile,
                     transport: str = "matched") -> tuple[np.ndarray, np.ndarray]:
     """(x0, dx0/dx) of the left-mover characteristics at the observation points.
 
-    transport = 'matched' uses the long-time matched scheme shared with the
-    analytic closed form; 'exact' traces each point back on the true flow,
-    with its own Jacobian e^{-kappa int sigma} over the time the curve spends
-    in the transition region (the two maps differ by O(a) offsets at late
-    times -- see the package notes).
+    transport = 'matched' takes the long-time matched scheme shared with the
+    analytic closed form (``matched_x0``); 'exact' traces each point back on
+    the true flow (``trace_characteristic``), with its Jacobian
+    e^{-kappa int sigma} over the time the curve spends in the transition
+    region.  The two maps differ by O(a) offsets at late times -- see the
+    package notes.
     """
-    if transport == "matched":
-        x0 = np.array([matched_x0(x, t, profile) for x in x_points])
-        w = np.array([matched_dx0_dx(x, t, profile) for x in x_points])
-        return x0, w
-    if transport == "exact":
-        traces = [trace_characteristic(x, t, profile) for x in x_points]
-        return (np.array([tr.x0 for tr in traces]),
-                np.array([tr.dx0_dx for tr in traces]))
-    raise ValueError(f"unknown transport {transport!r}")
+    transport_map = {"matched": matched_x0, "exact": trace_characteristic}.get(transport)
+    if transport_map is None:
+        raise ValueError(f"unknown transport {transport!r}")
+    maps = [transport_map(x, t, profile) for x in x_points]
+    return np.array([m.x0 for m in maps]), np.array([m.dx0_dx for m in maps])
 
 
 def expected_correlation_curve(x1: float, x2_values, t: float, temperature: float,
@@ -98,14 +94,13 @@ def expected_correlation_curve(x1: float, x2_values, t: float, temperature: floa
 @np.errstate(over="raise", invalid="raise")   # moments beyond the float range are refused
 def estimate_correlation(n_realizations: int, x1: float, x2_values, t: float,
                          temperature: float, profile: LineProfile,
-                         seed: int = 1234, n_sites: int = 512,
-                         uv_epsilon: float | None = None,
+                         seed: int = 1234, uv_epsilon: float | None = None,
                          transport: str = "matched") -> Ensemble:
     """Monte-Carlo <Pi_L(x1) Pi_L(x2)> at zero coupling.
 
     Thermal initial data at the given temperature is sampled mode-wise on a
-    periodic domain padded around the traced initial positions, with
-    min(n_sites // 2 - 1, 255) modes; the left sector is transported along
+    periodic domain padded around the traced initial positions, with the
+    module's fixed N_MODES = 255 modes; the left sector is transported along
     the characteristic map and differentiated per mode.  Statistical error
     bars ride along.  The estimator is closed-system only; the open-system
     correction is a per-mode analytic object (``open_correction_er``).
@@ -127,12 +122,11 @@ def estimate_correlation(n_realizations: int, x1: float, x2_values, t: float,
     pad = 4.0 * max(hi - lo, profile.a)
     lo, hi = lo - pad, hi + pad
     length = hi - lo
-    n_modes = min(n_sites // 2 - 1, 255)
     if uv_epsilon is None:
         # small against the traced separations, wide enough to kill ringing
         sep_scale = max(np.abs(x0[1:] - x0[0]).min(), 1e-3 * profile.a)
         uv_epsilon = 0.25 * sep_scale
-    k = _mode_numbers(n_modes, length)
+    k = 2.0 * math.pi * np.arange(1, N_MODES + 1) / length
     beta = math.inf if temperature == 0.0 else 1.0 / temperature
 
     # with c_k = sd_k (a_k + i b_k), a_k and b_k standard normals,
@@ -146,12 +140,12 @@ def estimate_correlation(n_realizations: int, x1: float, x2_values, t: float,
     mean = np.zeros(len(x2_values))
     second = np.zeros(len(x2_values))
     done = 0
-    batch = max(1, min(n_realizations, int(4e7 // (n_modes * max(len(pts), 49)))))
-    buf = np.empty(2 * batch * n_modes)
+    batch = max(1, min(n_realizations, int(4e7 // (N_MODES * max(len(pts), 49)))))
+    buf = np.empty(2 * batch * N_MODES)
     while done < n_realizations:
         b = min(batch, n_realizations - done)
         # flat slice: z[:, :b] of a (2, batch, modes) buffer is not contiguous
-        z = buf[:2 * b * n_modes].reshape(2, b, n_modes)
+        z = buf[:2 * b * N_MODES].reshape(2, b, N_MODES)
         rng.standard_normal(out=z)                           # all a_k, then all b_k
         pi_l = z[0] @ to_re
         pi_l += z[1] @ to_im                                 # (b, points)

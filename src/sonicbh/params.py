@@ -59,6 +59,8 @@ class PhysicalConfig:
 
     v_min/v_max are the extrema of the post-collapse profile, the one ring
     the package evaluates; they straddle the uniform pre-collapse 2*pi/period.
+    read_config checks and defaults each key (CONFIG_KEYS); construction
+    checks n_ions >= 2, ion_charge != 0 and the cross-key invariants.
     """
 
     n_ions: int
@@ -71,8 +73,8 @@ class PhysicalConfig:
     gamma1: float
     gamma2: float
     theta_h: float
-    hbar: float = 1.0
-    k_boltzmann: float = 1.0
+    hbar: float
+    k_boltzmann: float
 
     def __post_init__(self):
         _validate(self)
@@ -113,9 +115,6 @@ def check_number(name: str, raw: str | float, domain: str = "finite") -> float:
 def _validate(cfg: PhysicalConfig):
     if cfg.n_ions < 2:
         raise ConfigError(f"n_ions must be at least 2, got {cfg.n_ions}")
-    for name in ("period", "radius", "ion_mass", "gamma1", "gamma2",
-                 "hbar", "k_boltzmann"):
-        check_number(name, getattr(cfg, name), "positive")
     if cfg.ion_charge == 0:
         raise ConfigError("ion_charge must be nonzero")
     if cfg.v_min > cfg.v_max:

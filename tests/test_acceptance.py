@@ -233,7 +233,7 @@ def test_c10_langevin_cross_validation():
         systematic = abs(loc_scheme - loc_closed)
         # single desk-scale run at the realization cap
         mc = estimate_correlation(10_000, x1, x2, t, 0.0, LINE, seed=7000,
-                                  uv_epsilon=eps, n_sites=512)
+                                  uv_epsilon=eps)
         loc_mc, sigma = qfit_loc(mc.values, mc.stderr)
         combined = 3.0 * sigma + systematic + h
         elapsed = time.time() - start

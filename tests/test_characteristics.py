@@ -6,9 +6,9 @@ import pytest
 from scipy.integrate import cumulative_trapezoid, solve_ivp
 
 from sonicbh.characteristics import (_region_of, characteristic_fan_rows, core_integrals,
-                                     entanglement_boundary,
-                                     forward_characteristic,
-                                     matched_dx0_dx, matched_x0, trace_characteristic)
+                                     core_left_x0, entanglement_boundary,
+                                     forward_characteristic, matched_exponent,
+                                     matched_x0, trace_characteristic)
 from sonicbh.profiles import LineProfile, sigma_accumulated
 
 from conftest import mode_function
@@ -193,18 +193,18 @@ def test_fan_rows_trace_back_to_their_rays(line):
 
 def test_matched_interface_start(line):
     # x0 = a is the interface characteristic: the matched exit relation gives
-    # zero crossing time, i.e. matched_x0(x_plus-, t) -> a * 2^{tau/a}
+    # zero crossing time, i.e. matched_x0(x_plus-, t).x0 -> a * 2^{tau/a}
     t = 100.0
     xp = entanglement_boundary(t, line)[1]
-    assert matched_x0(xp * (1 - 1e-12), t, line) == pytest.approx(
+    assert matched_x0(xp * (1 - 1e-12), t, line).x0 == pytest.approx(
         line.a * 2.0 ** (line.tau / line.a), rel=1e-6)
 
 
 def test_matched_solves_outer_transport(line):
     # (d_t + (sigma v_max - 1) d_x) x0 = 0 in the matched outer segment
     t, x, h = 60.0, 5.0, 1e-5
-    dt_ = (matched_x0(x, t + h, line) - matched_x0(x, t - h, line)) / (2 * h)
-    dx_ = (matched_x0(x + h, t, line) - matched_x0(x - h, t, line)) / (2 * h)
+    dt_ = (matched_x0(x, t + h, line).x0 - matched_x0(x, t - h, line).x0) / (2 * h)
+    dx_ = (matched_x0(x + h, t, line).x0 - matched_x0(x - h, t, line).x0) / (2 * h)
     v = line_velocity(x, t, line)
     assert dt_ + (v - 1.0) * dx_ == pytest.approx(0.0, abs=1e-6)
 
@@ -214,7 +214,7 @@ def test_matched_inner_display_is_exact(line):
     x0 = 0.85
     t = 1.7
     x = left_characteristic(x0, t, line)
-    assert matched_x0(x, t, line) == pytest.approx(x0, rel=1e-9)
+    assert matched_x0(x, t, line).x0 == pytest.approx(x0, rel=1e-9)
 
 
 def idealized_trace_x0(x: float, t: float, profile: LineProfile) -> float:
@@ -244,7 +244,7 @@ def test_matched_vs_saturated_trace_offset(line):
     t = 100.0
     expected = math.exp(line.v_max * line.tau * math.log(2.0) / line.a)
     for x in (5.0, 8.0, 10.0):
-        ratio = matched_x0(x, t, line) / idealized_trace_x0(x, t, line)
+        ratio = matched_x0(x, t, line).x0 / idealized_trace_x0(x, t, line)
         assert ratio == pytest.approx(expected, rel=1e-4)
 
 
@@ -256,15 +256,37 @@ def test_matched_differs_from_true_trace_at_order_one(line):
     t = 100.0
     true_x0 = trace_characteristic(8.0, t, line).x0
     assert true_x0 == pytest.approx(0.7301, abs=2e-3)       # frozen from the tracer
-    assert matched_x0(8.0, t, line) == pytest.approx(0.1067, abs=2e-3)
+    assert matched_x0(8.0, t, line).x0 == pytest.approx(0.1067, abs=2e-3)
 
 
 def test_matched_dx0_dx_consistent_with_fd(line):
     t = 40.0
     for x in (-3.0, -0.2, 0.6, 2.5, 9.0):
         h = 1e-6
-        fd = (matched_x0(x + h, t, line) - matched_x0(x - h, t, line)) / (2 * h)
-        assert matched_dx0_dx(x, t, line) == pytest.approx(fd, rel=1e-6)
+        fd = (matched_x0(x + h, t, line).x0 - matched_x0(x - h, t, line).x0) / (2 * h)
+        assert matched_x0(x, t, line).dx0_dx == pytest.approx(fd, rel=1e-6)
+
+
+def test_matched_map_regions(line):
+    # core for |x| <= a, matched exponentials for a < |x| <= x_plus, flat
+    # beyond; x = +-a and x = +-x_plus belong to the region inside them
+    t = 40.0
+    a, xp = line.a, entanglement_boundary(t, line)[1]
+    f = sigma_accumulated(t, line.tau)
+    for side, v in ((1.0, line.v_max), (-1.0, line.v_min)):
+        for x in (0.0, side * 0.5 * a, side * a):
+            core = matched_x0(x, t, line)
+            assert core.x0 == pytest.approx(core_left_x0(x, t, line), rel=1e-14)
+            assert core.dx0_dx == pytest.approx(math.exp(-line.kappa * f), rel=1e-14)
+        for x in (side * math.nextafter(a, math.inf), side * 0.5 * (a + xp), side * xp):
+            matched = matched_x0(x, t, line)
+            x0 = side * a * math.exp(matched_exponent(x, t, line))
+            assert matched.x0 == pytest.approx(x0, rel=1e-14)
+            assert matched.dx0_dx == pytest.approx(abs(x0) / a, rel=1e-14)
+        for x in (side * math.nextafter(xp, math.inf), side * 2.0 * xp):
+            flat = matched_x0(x, t, line)
+            assert flat.x0 == pytest.approx(x + t - f * v, rel=1e-14)
+            assert flat.dx0_dx == 1.0
 
 
 # --------------------------------------------------------------------------

@@ -1,6 +1,9 @@
+import argparse
 import json
 import math
 import os
+import re
+import shlex
 import subprocess
 import sys
 
@@ -10,7 +13,7 @@ from hypothesis import given, settings, strategies as st
 
 import sonicbh
 from sonicbh.characteristics import entanglement_boundary
-from sonicbh.cli import main
+from sonicbh.cli import build_parser, main
 from sonicbh.correlations import corr_closed_form
 from sonicbh.decoherence import (SweepRow, allowed_frequencies, decoherence_time,
                                  v_coefficients)
@@ -329,6 +332,17 @@ def test_every_exported_name_exists():
     assert [name for name in sonicbh.__all__ if not hasattr(sonicbh, name)] == []
 
 
+# Messages pinned per test id: --sites is gone (the estimator's mode count is
+# fixed), and er names k, lam, t and the term that leaves the float range.
+_REFUSAL_MESSAGES = {
+    "langevin-sites-0": "unrecognized arguments: --sites",
+    "langevin-sites-513": "unrecognized arguments: --sites",
+    "er-k-cubed-underflows": r"^e_r at k = 1e-160, lam = 1e-07, t = 40: the noise term ",
+    "er-k-squared-overflows": r"^e_r at k = 1e\+300, lam = 1e-07, t = 40: the noise term ",
+    "er-lam-squared-overflows": r"^e_r at k = 0\.05, lam = 1e\+200, t = 40: lam\^2 ",
+}
+
+
 @pytest.mark.parametrize("argv, config, code", [
     (["hawking"], "missing", 2),
     (["vcoef", "--max-modes", "5"], {"radius": "inf"}, 2),
@@ -385,6 +399,9 @@ def test_every_exported_name_exists():
     (["hawking"], {"ion_charge": "30.0"}, 4),
     (["tdec-sweep", "--axis", "temperature", "--from", "0.1", "--to", "1", "--points", "2"],
      {"ion_charge": "30.0"}, 4),
+    (["er", "--k", "1e-160", "--t-min", "40", "--t-max", "100"], None, 3),
+    (["er", "--k", "1e300", "--t-min", "40", "--t-max", "100"], None, 3),
+    (["er", "--k", "0.05", "--t-min", "40", "--t-max", "100", "--lam", "1e200"], None, 3),
 ], ids=["missing-config", "radius-inf", "line-kappa-nan", "omega-0", "omega-minus-0",
         "langevin-temperature-nan", "temperature-beyond-100-th", "negative-gamma",
         "coupling-eff-key", "langevin-sites-0", "langevin-sites-513",
@@ -399,9 +416,11 @@ def test_every_exported_name_exists():
         "langevin-moments-overflow", "diffusion-omega-t-overflows", "correlation-t-0", "tdec-sweep-log-from-0",
         "tdec-sweep-log-from-negative", "correlation-x2-min-inside",
         "correlation-x2-max-inside", "cutoff-shape-exponential", "hawking-no-horizon",
-        "tdec-sweep-no-horizon"])
-def test_malformed_input_refused(tmp_path, capsys, argv, config, code):
-    """Refused with the documented exit code and one JSON record, no traceback."""
+        "tdec-sweep-no-horizon", "er-k-cubed-underflows", "er-k-squared-overflows",
+        "er-lam-squared-overflows"])
+def test_malformed_input_refused(request, tmp_path, capsys, argv, config, code):
+    """Refused with the documented exit code and one JSON record, no traceback;
+    where _REFUSAL_MESSAGES holds a pattern, the message matches it."""
     prefix = ["--output", str(tmp_path / "x.csv")]
     if config == "missing":
         prefix += ["--config", str(tmp_path / "missing.cfg")]
@@ -412,7 +431,9 @@ def test_malformed_input_refused(tmp_path, capsys, argv, config, code):
     assert "Traceback" not in err
     lines = err.strip().splitlines()
     assert len(lines) == 1
-    assert set(json.loads(lines[0])) == {"error", "message"}
+    record = json.loads(lines[0])
+    assert set(record) == {"error", "message"}
+    assert re.search(_REFUSAL_MESSAGES.get(request.node.callspec.id, ""), record["message"])
     assert not (tmp_path / "x.csv").exists()
 
 
@@ -465,6 +486,31 @@ def _fresh_interpreter(cwd, argv, script=("-c", _PROBE)):
     env.pop("SONICBH_CONFIG", None)
     return subprocess.run([sys.executable, *script, *argv], cwd=cwd, env=env,
                           capture_output=True, text=True, timeout=60)
+
+
+def _readme_examples() -> list[list[str]]:
+    """The arguments of each ``sonicbh ...`` line in README's sh blocks."""
+    with open(os.path.join(os.path.dirname(_SRC), "README.md"), encoding="utf-8") as fh:
+        blocks = [part.split("```", 1)[0] for part in fh.read().split("```sh\n")[1:]]
+    return [shlex.split(line, comments=True)[1:] for block in blocks
+            for line in block.splitlines() if line.startswith("sonicbh ")]
+
+
+_README_EXAMPLES = _readme_examples()
+
+
+def test_readme_shows_every_subcommand():
+    commands = next(action.choices for action in build_parser()._actions
+                    if isinstance(action, argparse._SubParsersAction))
+    assert sorted(argv[0] for argv in _README_EXAMPLES) == sorted(commands)
+
+
+@pytest.mark.parametrize("argv", _README_EXAMPLES, ids=lambda argv: argv[0])
+def test_readme_example_runs(tmp_path, argv):
+    # as typed in the README: default config and output file, exit 0, no stderr
+    proc = _fresh_interpreter(tmp_path, argv, script=("-m", "sonicbh"))
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert (tmp_path / proc.stdout.strip()).read_text().startswith("# manifest:")
 
 
 @pytest.mark.parametrize("transport", ["matched", "exact"])
@@ -621,7 +667,7 @@ _SUBCOMMANDS = {
            "--temperature": _float("0.5", optional=True)},
     "langevin": {"--t": _float("30"), "--x1": _float("-1.2"),
                  "--temperature": _float("0.5", optional=True),
-                 "--realizations": _count("50", 2), "--sites": _count("64", 4),
+                 "--realizations": _count("50", 2),
                  "--seed": _count("7", 0), "--x2-min": _float("1.2", optional=True),
                  "--x2-max": _float("6", optional=True), "--points": _count("4", 1),
                  "--transport": _choice("matched", "exact")},

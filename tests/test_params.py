@@ -79,6 +79,16 @@ def test_bath_and_line_keys_refused_in_params():
             read_config("".join(f"{k} = {v}\n" for k, v in kv.items()))
 
 
+@pytest.mark.parametrize("key", sorted(key for key, (_k, _d, domain) in CONFIG_KEYS.items()
+                                      if domain == "positive"))
+@pytest.mark.parametrize("raw", ["0", "-1"])
+def test_positive_keys_refused_where_read(key, raw):
+    # read_config is the one check of a key's own domain; PhysicalConfig,
+    # LineProfile and EnvironmentSpec do not repeat it
+    with pytest.raises(ConfigError, match=f"^{key} must be positive"):
+        read_config(_doc(**{key: raw}))
+
+
 def test_config_errors_raised_only_in_params_and_cli():
     """A config key is refused where the document is read (params) and an
     argument where it is parsed (cli); no numeric module raises ConfigError,
@@ -140,7 +150,7 @@ def test_derive_is_deterministic():
 def test_delta_times_n_recovers_two_pi(n):
     cfg = PhysicalConfig(n_ions=n, period=1.0, radius=1.0, ion_mass=1.0,
                          ion_charge=1.0, v_min=0.9 * TWO_PI, v_max=1.1 * TWO_PI,
-                         gamma1=0.3, gamma2=0.3, theta_h=1.0)
+                         gamma1=0.3, gamma2=0.3, theta_h=1.0, hbar=1.0, k_boltzmann=1.0)
     d = derive(cfg)
     assert abs(d.delta * n - TWO_PI) <= 4 * math.ulp(TWO_PI)
 
