@@ -257,8 +257,11 @@ def open_correction_er(k: float, t: float, lam: float, temperature: float,
 
       e_r = lam^2 |T0 [t/(2k^2) - sin(2kt)/(4k^3)] / (k coth(beta k/2) cos(2k X1)) - t|,
 
-    0 exactly at lam = 0.  A term beyond the float range (a power of k, or
-    lam^2) is refused with an OverflowError naming k, lam, t and the term.
+    0 exactly at lam = 0.  Where x = 2kt < 1 the two terms of the noise
+    bracket cancel, so it is taken as 2t^3 (x - sin x)/x^3 through that
+    ratio's series, whose k -> 0 limit is t^3/3.  A term beyond the float
+    range (a power of k, or lam^2) is refused with an OverflowError naming
+    k, lam, t and the term.
     """
     if k <= 0:
         raise ValueError("k must be positive (left-sector modes, small k)")
@@ -288,8 +291,13 @@ def open_correction_er(k: float, t: float, lam: float, temperature: float,
 
     x1_peak = abs(matched_x0(x1, t, profile).x0)
     beta = math.inf if temperature == 0.0 else 1.0 / temperature
-    noise = in_float_range(
-        "the noise term T0 (t/(2k^2) - sin(2kt)/(4k^3))",
-        lambda: temperature * (t / (2.0 * k ** 2) - math.sin(2.0 * k * t) / (4.0 * k ** 3)))
+    x = 2.0 * k * t
+    if x < 1.0:
+        # T0 2t^3 (x - sin x) / x^3 by its series: no power of k, no cancellation
+        shape = math.fsum((-x * x) ** n / math.factorial(2 * n + 3) for n in range(9))
+        noise_term = lambda: temperature * 2.0 * t ** 3 * shape
+    else:
+        noise_term = lambda: temperature * (t / (2.0 * k ** 2) - math.sin(x) / (4.0 * k ** 3))
+    noise = in_float_range("the noise term T0 (t/(2k^2) - sin(2kt)/(4k^3))", noise_term)
     ratio = abs(noise / (thermal_weight(k, beta) * math.cos(2.0 * k * x1_peak)) - t)
     return in_float_range("lam^2 |noise / P_C - t|", lambda: lam ** 2 * ratio)

@@ -4,9 +4,12 @@
 zero coupling.  The left component rides d(x)/dt = v - 1 and its momentum
 transports as Pi_L(x,t) = phi0'(x0(x)) dx0/dx, so one thermal sample of the
 initial field evaluated on the (precomputed) characteristic map gives one
-realization; the ensemble averages Pi_L(x1) Pi_L(x2).  Samples are drawn
-from a Philox counter-based generator keyed by the seed, so a run is
-bit-reproducible.
+realization; the ensemble averages Pi_L(x1) Pi_L(x2).  The estimator reads
+that field only at the probes, so each realization is drawn there directly:
+d = min(2 * N_MODES, points + 1) standard normals times a QR factor of the
+field's covariance at the probes, which has exactly the law of the sampled
+mode amplitudes.  The normals come from a Philox counter-based generator
+keyed by the seed, so a run is bit-reproducible.
 """
 
 from __future__ import annotations
@@ -105,13 +108,18 @@ def estimate_correlation(n_realizations: int, x1: float, x2_values, t: float,
     bars ride along.  The estimator is closed-system only; the open-system
     correction is a per-mode analytic object (``open_correction_er``).
 
-    Realizations are drawn in batches of 4e7 // (modes * max(points + 1, 49)),
-    points being the number of x2 values, into one real buffer of
-    2 * batch * modes standard normals (at most ~13 MB, whatever the number
-    of points): within a batch, the real parts of every amplitude first, then
-    the imaginary parts.  The batch rule and that order decide which normal
-    feeds which realization, so both are part of the seeded stream: changing
-    either re-deals the output of every seed.
+    The estimator reads the field only at its points + 1 probes (x1 and the
+    points x2 values), where it is Gaussian: Pi_L = z A for the 2 * N_MODES
+    real amplitudes z and the (2 * N_MODES, points + 1) matrix A, so its
+    covariance is A^T A.  A is factored once, A = Q R, with R of shape
+    (d, points + 1) and d = min(2 * N_MODES, points + 1); since R^T R = A^T A,
+    each realization g R, g holding d standard normals, has exactly the law
+    of z A.  QR, not a Cholesky factor of A^T A, which is singular for
+    coincident probes or points + 1 > 2 * N_MODES and would square the
+    condition number.  Realization i takes normals i d, ..., (i + 1) d - 1 of
+    the seed's stream.  They are drawn in batches of
+    4e7 // (N_MODES * max(points + 1, 49)) realizations into one (batch, d)
+    buffer, so no batch-by-probes array exceeds ~1.3 MB.
     """
     if n_realizations < 2:
         raise ValueError("need at least 2 realizations")
@@ -130,25 +138,24 @@ def estimate_correlation(n_realizations: int, x1: float, x2_values, t: float,
     beta = math.inf if temperature == 0.0 else 1.0 / temperature
 
     # with c_k = sd_k (a_k + i b_k), a_k and b_k standard normals,
-    # Pi_L = 2 Re(sum_k c_k i k e^{ik(x0 - lo)}) w = a . to_re + b . to_im
+    # Pi_L = 2 Re(sum_k c_k i k e^{ik(x0 - lo)}) w = [a, b] . A
     phase = np.outer(k, x0 - lo)                             # (modes, points)
     scale = (2.0 * k * _thermal_sd(k, beta, length, uv_epsilon))[:, None] * w[None, :]
-    to_re = -scale * np.sin(phase)
-    to_im = -scale * np.cos(phase)
+    a_matrix = np.concatenate([-scale * np.sin(phase), -scale * np.cos(phase)])
+    r = np.linalg.qr(a_matrix, mode="r")                     # (d, points), R^T R = A^T A
+    d = r.shape[0]
 
     rng = np.random.Generator(np.random.Philox(key=[np.uint64(seed), np.uint64(0)]))
     mean = np.zeros(len(x2_values))
     second = np.zeros(len(x2_values))
     done = 0
     batch = max(1, min(n_realizations, int(4e7 // (N_MODES * max(len(pts), 49)))))
-    buf = np.empty(2 * batch * N_MODES)
+    buf = np.empty(batch * d)
     while done < n_realizations:
         b = min(batch, n_realizations - done)
-        # flat slice: z[:, :b] of a (2, batch, modes) buffer is not contiguous
-        z = buf[:2 * b * N_MODES].reshape(2, b, N_MODES)
-        rng.standard_normal(out=z)                           # all a_k, then all b_k
-        pi_l = z[0] @ to_re
-        pi_l += z[1] @ to_im                                 # (b, points)
+        g = buf[:b * d].reshape(b, d)
+        rng.standard_normal(out=g)
+        pi_l = g @ r                                         # (b, points)
         prod = pi_l[:, 0:1] * pi_l[:, 1:]
         mean += prod.sum(axis=0)
         second += (prod ** 2).sum(axis=0)

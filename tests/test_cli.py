@@ -252,6 +252,19 @@ def test_er_command_at_late_times(tmp_path):
         assert float(e_r) == pytest.approx(expected, rel=1e-11)
 
 
+def test_er_command_at_vanishing_k(tmp_path):
+    """At k = 1e-160, k^2 and k^3 underflow, yet the noise term is at its
+    k -> 0 limit T0 t^3 / 3 and k coth(beta k/2) at 2 T0: e_r = lam^2 |t^3/6 - t|
+    at the default lam = 1e-7, whatever T0."""
+    code, out = _run(tmp_path, "er", "--k", "1e-160", "--t-min", "40", "--t-max", "100",
+                     "--points", "4")
+    assert code == 0
+    _, _, rows = _rows(out)
+    for _, t, e_r in rows:
+        t = float(t)
+        assert float(e_r) == pytest.approx(1e-14 * (t ** 3 / 6.0 - t), rel=1e-11)
+
+
 def test_langevin_command_manifest_records_seed(tmp_path):
     code, out = _run(tmp_path, "langevin", "--t", "30", "--x1", "-1.2",
                      "--realizations", "400", "--seed", "7", "--points", "24")
@@ -337,7 +350,6 @@ def test_every_exported_name_exists():
 _REFUSAL_MESSAGES = {
     "langevin-sites-0": "unrecognized arguments: --sites",
     "langevin-sites-513": "unrecognized arguments: --sites",
-    "er-k-cubed-underflows": r"^e_r at k = 1e-160, lam = 1e-07, t = 40: the noise term ",
     "er-k-squared-overflows": r"^e_r at k = 1e\+300, lam = 1e-07, t = 40: the noise term ",
     "er-lam-squared-overflows": r"^e_r at k = 0\.05, lam = 1e\+200, t = 40: lam\^2 ",
 }
@@ -399,7 +411,6 @@ _REFUSAL_MESSAGES = {
     (["hawking"], {"ion_charge": "30.0"}, 4),
     (["tdec-sweep", "--axis", "temperature", "--from", "0.1", "--to", "1", "--points", "2"],
      {"ion_charge": "30.0"}, 4),
-    (["er", "--k", "1e-160", "--t-min", "40", "--t-max", "100"], None, 3),
     (["er", "--k", "1e300", "--t-min", "40", "--t-max", "100"], None, 3),
     (["er", "--k", "0.05", "--t-min", "40", "--t-max", "100", "--lam", "1e200"], None, 3),
 ], ids=["missing-config", "radius-inf", "line-kappa-nan", "omega-0", "omega-minus-0",
@@ -416,7 +427,7 @@ _REFUSAL_MESSAGES = {
         "langevin-moments-overflow", "diffusion-omega-t-overflows", "correlation-t-0", "tdec-sweep-log-from-0",
         "tdec-sweep-log-from-negative", "correlation-x2-min-inside",
         "correlation-x2-max-inside", "cutoff-shape-exponential", "hawking-no-horizon",
-        "tdec-sweep-no-horizon", "er-k-cubed-underflows", "er-k-squared-overflows",
+        "tdec-sweep-no-horizon", "er-k-squared-overflows",
         "er-lam-squared-overflows"])
 def test_malformed_input_refused(request, tmp_path, capsys, argv, config, code):
     """Refused with the documented exit code and one JSON record, no traceback;

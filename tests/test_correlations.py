@@ -389,11 +389,13 @@ def test_er_probe_outside_wedge_rejected(line):
 @pytest.mark.filterwarnings("ignore::sonicbh.errors.RegimeWarning")
 @pytest.mark.parametrize("temperature", [0.0, T_HOT, 2.0])
 @pytest.mark.parametrize("x1", [None, -1.0000001])
-@pytest.mark.parametrize("k", [0.05, 0.2])
+@pytest.mark.parametrize("k", [0.05, 0.2, 1e-6, 1e-8, 1e-10])
 def test_er_against_mpmath(line, k, x1, temperature):
     # the mode weights w1 w2 = (X1/a)^2 underflow to 0 past t ~ 3740 (inner-
     # interface probe) and t ~ 7480 (default mid-wedge probe), X1 itself past
-    # t ~ 7460 and 14930; e_r, in which they cancel, holds to 1e-12 throughout
+    # t ~ 7460 and 14930; e_r, in which they cancel, holds to 1e-12 throughout.
+    # At small 2kt both terms of t/(2k^2) - sin(2kt)/(4k^3) are ~t/(2k^2) and
+    # their difference ~t^3/3: at k = 1e-10 the difference form kept no digit
     for t in (100.0, 1000.0, 5000.0, 7100.0, 7400.0, 8000.0, 20000.0):
         probe = x1 if x1 is not None else -0.5 * (line.a + entanglement_boundary(t, line)[1])
         got = open_correction_er(k, t, 1e-7, temperature, line, x1=x1)

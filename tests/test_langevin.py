@@ -5,8 +5,8 @@ import numpy as np
 import pytest
 from scipy.special import dawsn
 
-from sonicbh.correlations import CorrelationGrid, detect_peak
-from sonicbh.langevin import estimate_correlation, expected_correlation_curve
+from sonicbh.langevin import (N_MODES, estimate_correlation, expected_correlation_curve,
+                              left_sector_map)
 
 from conftest import LINE_T_HAWKING
 from flow_oracle import rk45_dx0_dx, rk45_trace
@@ -34,40 +34,41 @@ def test_estimator_seed_reproducible(line):
     assert np.array_equal(a.values, b.values)
 
 
-# Seed 11, 6000 realizations on REDUCED_X2: three batches of
-# 4e7 // (255 modes * 65 points) = 2413.  Values and stderr at x2 indices
+# Seed 11, 6000 realizations on REDUCED_X2: 65 probes, so each realization
+# takes 65 normals of the seed's stream.  Values and stderr at x2 indices
 # 0, 9, ..., 63, keyed by (temperature / LINE_T_HAWKING, transport).
 PINNED_STREAM = {
     (0.0, "matched"): (
-        [0.05581903095735795, 0.053220983154670665, 0.04136904013150153,
-         0.05204714430453102, 0.011905198006861805, 0.0421548707015999,
-         0.012867076455272896, 0.012685574071709315],
-        [0.003623378434723452, 0.007042265337131875, 0.014669051755020581,
-         0.02902784562318926, 0.06082046834601374, 0.030408702987811564,
-         0.030552674406536116, 0.03145951010595581]),
+        [0.05963579096326103, 0.054045894100202135, 0.036190144516209714,
+         0.04743237945832916, 0.06243622046263971, 0.010368341580054351,
+         0.0776322250166116, 0.0354703277014629],
+        [0.003709617685297065, 0.007467997602389933, 0.015003769809640093,
+         0.02954167555918963, 0.06001479291812304, 0.030676362059776502,
+         0.03131238850117668, 0.032029407195466354]),
     (60.0, "matched"): (
-        [0.046560734015463644, 0.037210337716473106, 0.017061562904798728,
-         0.037832555155062515, 0.013177139087722575, 0.04424663761848794,
-         0.021370881215086332, 0.022295125262397988],
-        [0.003747404747143269, 0.00732812837033392, 0.015318329299883795,
-         0.0301323006851321, 0.06302870985485766, 0.031826889888773593,
-         0.03191024870216828, 0.03275216398950038]),
+        [0.0493057091722528, 0.03610464637057533, 0.015283451808056592,
+         0.0160442687840469, 0.06282517325813602, 0.037142706879633794,
+         0.010113319389954177, 0.031431326822118286],
+        [0.0038482848308825143, 0.007778653626732393, 0.01567263651586542,
+         0.0307699812318879, 0.062388827821018275, 0.031834861909380494,
+         0.03221322295869527, 0.03367861974858157]),
     (0.0, "exact"): (
-        [0.07256583270199335, 0.05568084329391748, 0.024974738467567443,
-         0.0025944097797672492, 0.18201161239309108, 0.03242171833262838,
-         0.03356819982622694, 0.11307261147360606],
-        [0.003965363168639296, 0.007998431556548894, 0.01597033296153312,
-         0.032644455737683965, 0.06781229317795566, 0.06652897171275592,
-         0.06630956238538349, 0.06774533575662019]),
+        [0.06716270053983524, 0.05208430664642424, 0.03966896409099986,
+         0.059835386594939144, 0.07759456318018253, 0.15529045646463602,
+         0.0453647153715866, 0.13699388774891966],
+        [0.004007373252055797, 0.008063746369420652, 0.016074366600817513,
+         0.0329936630191333, 0.06685006426127307, 0.06616812116963693,
+         0.06799527871081136, 0.06517774245994533]),
 }
 
 
 @pytest.mark.parametrize("t_over_th, transport", list(PINNED_STREAM),
                          ids=["matched-cold", "matched-hot", "exact-cold"])
 def test_estimator_seeded_stream_pinned(line, t_over_th, transport):
-    """The batch rule and the draw order within a batch (all real parts, then
-    all imaginary parts) decide which normal feeds which realization; a seed
-    keeps its output to 1e-12 of each column's largest value."""
+    """Realization i reads normals i d, ..., (i + 1) d - 1 of the seed's
+    stream, d = min(2 N_MODES, probes), through the QR factor of the field's
+    covariance at the probes; a seed keeps its output to 1e-12 of each
+    column's largest value."""
     mc = estimate_correlation(6000, REDUCED_X1, REDUCED_X2, REDUCED_T,
                               t_over_th * LINE_T_HAWKING, line, seed=11,
                               transport=transport)
@@ -78,13 +79,14 @@ def test_estimator_seeded_stream_pinned(line, t_over_th, transport):
 
 
 def test_estimator_peak_memory_near_its_draw_buffer(line):
-    """The sampler holds one real buffer of 2 * batch * modes normals and
-    batch-by-points temporaries: its traced peak stays under twice the buffer,
-    which the default 48-point scan's batch bounds at every number of points."""
-    n_modes = 255
-    batch = int(4e7 // (n_modes * 49))
-    draw_buffer = 2 * batch * n_modes * 8
-    assert draw_buffer < 13.1e6
+    """The sampler holds one (batch, d) buffer of normals, d = min(2 modes,
+    points + 1), and batch-by-points temporaries (the field at the probes,
+    the products and their squares).  The batch rule caps each at
+    batch * max(points + 1, 49) <= 4e7 / modes doubles, ~1.25 MB, and the
+    traced peak stays under six of them at every number of points up to the
+    default 48-point scan."""
+    slab = 8 * 4e7 / N_MODES
+    assert 6 * slab < 2 * 13.1e6          # twice a 510-normal-per-realization buffer
     for points in (48, 1, 2):
         x2 = np.linspace(1.1, 6.0, points)
         tracemalloc.start()
@@ -93,7 +95,60 @@ def test_estimator_peak_memory_near_its_draw_buffer(line):
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 2 * draw_buffer, points
+        assert peak < 6 * slab, points
+
+
+def test_estimator_draws_one_normal_per_probe(line, monkeypatch):
+    """Each realization draws min(2 N_MODES, points + 1) normals: the field at
+    the probes, not the 2 N_MODES mode amplitudes behind it."""
+    drawn = []
+
+    class Counting:
+        def __init__(self, bit_generator):
+            self.rng = np.random.default_rng(3)
+
+        def standard_normal(self, out):
+            drawn.append(out.size)
+            out[...] = self.rng.standard_normal(out.shape)
+
+    monkeypatch.setattr(np.random, "Generator", Counting)
+    for points in (1, 48, 600):
+        drawn.clear()
+        estimate_correlation(3, REDUCED_X1, np.linspace(1.1, 6.0, points), REDUCED_T,
+                             0.0, line)
+        assert sum(drawn) == 3 * min(2 * N_MODES, points + 1), points
+
+
+@pytest.mark.parametrize("t_over_th", [0.0, 60.0], ids=["cold", "hot"])
+def test_estimator_exact_in_law(line, monkeypatch, t_over_th):
+    """Dealt the d unit vectors as its d realizations, the sampler's mean
+    product is the field's covariance at the probes over d: the finite-mode
+    sum sum_k (2 k sd_k)^2 w1 w2 cos(k (x0_2 - x0_1)), formed here from the
+    per-mode variance coth(beta k/2) / (2 k L) e^{-(eps k)^2} on the padded
+    domain L.  A draw of all 2 N_MODES mode amplitudes has the same covariance."""
+    pts = np.concatenate([[REDUCED_X1], REDUCED_X2])
+    d = min(2 * N_MODES, len(pts))
+
+    class UnitVectors:
+        def __init__(self, bit_generator):
+            pass
+
+        def standard_normal(self, out):
+            assert out.shape == (d, d)
+            out[...] = np.eye(d)
+
+    monkeypatch.setattr(np.random, "Generator", UnitVectors)
+    eps, temperature = 0.12, t_over_th * LINE_T_HAWKING
+    mc = estimate_correlation(d, REDUCED_X1, REDUCED_X2, REDUCED_T, temperature, line,
+                              uv_epsilon=eps)
+    x0, w = left_sector_map(pts, REDUCED_T, line)
+    span = x0.max() - x0.min()
+    length = span + 8.0 * max(span, line.a)
+    k = 2.0 * math.pi * np.arange(1, N_MODES + 1) / length
+    weight = k if temperature == 0.0 else k / np.tanh(k / (2.0 * temperature))
+    per_mode = weight / length * np.exp(-(eps * k) ** 2)      # (2 k sd_k)^2
+    covariance = w[0] * w[1:] * (per_mode @ np.cos(np.outer(k, x0[1:] - x0[0])))
+    assert d * mc.values == pytest.approx(np.abs(covariance), rel=1e-12)
 
 
 def test_estimator_variance_halves(line):
@@ -104,13 +159,22 @@ def test_estimator_variance_halves(line):
 
 
 def test_estimator_thermal_dilution(line):
+    """Heating lowers the pair peak: at 60 T_H its expected height falls from
+    0.064 to 0.041 (the contrast rises instead, as the hot background
+    collapses).  The peak is read where the lower confidence envelope
+    value - 2 stderr is highest."""
+    eps, hot_t0 = 0.15, 60.0 * LINE_T_HAWKING
     cold = estimate_correlation(8000, REDUCED_X1, REDUCED_X2, REDUCED_T, 0.0,
-                                line, seed=42, uv_epsilon=0.15)
-    hot = estimate_correlation(8000, REDUCED_X1, REDUCED_X2, REDUCED_T,
-                               60.0 * LINE_T_HAWKING, line, seed=42, uv_epsilon=0.15)
-    contrast = lambda mc: detect_peak(CorrelationGrid(REDUCED_X2, mc.values,
-                                                      ["mc"] * len(REDUCED_X2))).contrast
-    assert contrast(cold) > contrast(hot)
+                                line, seed=42, uv_epsilon=eps)
+    hot = estimate_correlation(8000, REDUCED_X1, REDUCED_X2, REDUCED_T, hot_t0,
+                               line, seed=42, uv_epsilon=eps)
+    i, j = (int(np.argmax(mc.values - 2.0 * mc.stderr)) for mc in (cold, hot))
+    drop = cold.values[i] - hot.values[j]
+    assert drop > 3.0 * math.hypot(cold.stderr[i], hot.stderr[j])
+    expect_cold, expect_hot = (
+        expected_correlation_curve(REDUCED_X1, REDUCED_X2, REDUCED_T, t0, line, eps)
+        for t0 in (0.0, hot_t0))
+    assert expect_hot.max() < expect_cold.max()
 
 
 def test_exact_transport_self_consistent(line):
@@ -160,9 +224,9 @@ def test_ensemble_stderr_definition(line, monkeypatch):
         def __init__(self, bit_generator):
             self.rng = np.random.default_rng(3)
 
-        def standard_normal(self, out):          # out: (2, realizations, modes)
+        def standard_normal(self, out):          # out: (realizations, probes)
             out[...] = self.rng.standard_normal(out.shape)
-            out[:, 0] = 0.0
+            out[0] = 0.0
 
     monkeypatch.setattr(np.random, "Generator", FirstRealizationZero)
     mc = estimate_correlation(2, REDUCED_X1, REDUCED_X2, REDUCED_T, 0.0, line)
