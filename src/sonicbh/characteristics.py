@@ -287,6 +287,25 @@ def matched_pair(x1: float, x2: float, t: float, profile: LineProfile) -> bool:
     return xm < x1 < -profile.a and profile.a < x2 < xp
 
 
+def pair_partner(x1: float, t: float, profile: LineProfile) -> float:
+    """x2* where the two branches of ``matched_exponent`` are equal, so that
+    X2 = X1: the partner of x1, where the matched correlation peaks.
+
+    Equating them gives 2a - x1 - 2t + F(t)(v_max + v_min); with
+    v_max + v_min = 2 and F = tau ln cosh(t/tau) that is
+
+        x2* = 2a - x1 - 2 tau (ln 2 - log1p(e^{-2t/tau})),
+
+    free of the cancellation of 2t against 2F, which loses every digit of
+    the t-dependence at late t.
+    """
+    if t < 0:
+        raise ValueError("t must be >= 0")
+    tau = profile.tau
+    return 2.0 * profile.a - x1 - 2.0 * tau * (math.log(2.0)
+                                               - math.log1p(math.exp(-2.0 * t / tau)))
+
+
 def characteristic_fan_rows(profile: LineProfile, x0_values, t_max: float, n_t: int):
     """Rows (t, x, region) tracing a fan of left movers forward.
 

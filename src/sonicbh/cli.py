@@ -20,6 +20,7 @@ import hashlib
 import json
 import math
 import os
+import re
 import sys
 import tempfile
 import warnings
@@ -96,7 +97,16 @@ def write_table(path: str, columns, rows, manifest: dict, fmt: str):
 
 
 class _Parser(argparse.ArgumentParser):
-    """Argument errors are refused like config errors: exit 2, JSON on stderr."""
+    """Argument errors are refused like config errors: exit 2, JSON on stderr.
+
+    A negative number with an exponent (-4e0, -1e-3) is a value, not an
+    option string; argparse's own rule knows only -4 and -4.0.  The
+    subcommands' parsers are of this class too.
+    """
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?$")
 
     def error(self, message):
         raise ConfigError(message)
@@ -205,6 +215,28 @@ def build_parser() -> argparse.ArgumentParser:
     return p
 
 
+def _x2_window(args, line) -> tuple[float, float]:
+    """The x2 window of a pair command: --x2-min and --x2-max where given,
+    else [max(1.2a, x2* - 8a), min(x2* + 8a, 1.2 x_plus)] around the partner
+    x2* of x1, whose width does not grow with t; a missing bound of an empty
+    window is refused."""
+    lo, hi = args.x2_min, args.x2_max
+    if lo is None or hi is None:
+        from .characteristics import entanglement_boundary, pair_partner
+        a, partner = line.a, pair_partner(args.x1, args.t, line)
+        xp = entanglement_boundary(args.t, line)[1]
+        default_lo = max(1.2 * a, partner - 8.0 * a)
+        default_hi = min(partner + 8.0 * a, 1.2 * xp)
+        if not default_lo < default_hi:
+            raise RegimeError(
+                "the default x2 window [max(1.2a, x2* - 8a), min(x2* + 8a, 1.2 x_plus)] "
+                f"is empty at t = {args.t:g}: x2* = {partner:g} (x1 = {args.x1:g}), "
+                f"x_plus = {xp:g}; give --x2-min and --x2-max")
+        lo = default_lo if lo is None else lo
+        hi = default_hi if hi is None else hi
+    return lo, hi
+
+
 def _run(args) -> tuple[list, list, dict]:
     config, env, line, gamma, manifest = _load_all(args.config)
     manifest["command"] = args.command
@@ -268,14 +300,8 @@ def _run(args) -> tuple[list, list, dict]:
 
     if args.command == "correlation":
         import numpy as np
-        from .characteristics import entanglement_boundary
         from .correlations import build_correlation_grid, detect_peak
-        xm, xp = entanglement_boundary(args.t, line)
-        if args.x2_min is None and xp <= line.a:
-            raise RegimeError(f"the entanglement wedge is empty at t = {args.t:g} "
-                              "(x_plus = a); give --x2-min or a later --t")
-        lo = args.x2_min if args.x2_min is not None else line.a + 0.25 * (xp - line.a) / 10
-        hi = args.x2_max if args.x2_max is not None else xp + 0.3 * (xp - line.a)
+        lo, hi = _x2_window(args, line)
         if min(lo, hi) <= line.a:
             raise ConfigError(f"the x2 window [{lo:g}, {hi:g}] must lie beyond "
                               f"a = {line.a:g}")
@@ -308,12 +334,8 @@ def _run(args) -> tuple[list, list, dict]:
 
     if args.command == "langevin":
         import numpy as np
-        from .characteristics import entanglement_boundary
         from .langevin import estimate_correlation
-        xm, xp = entanglement_boundary(args.t, line)
-        lo = args.x2_min if args.x2_min is not None else line.a * 1.2
-        hi = args.x2_max if args.x2_max is not None else xp * 1.2
-        x2 = np.linspace(lo, hi, args.points)
+        x2 = np.linspace(*_x2_window(args, line), args.points)
         mc = estimate_correlation(args.realizations, args.x1, x2, args.t,
                                   args.temperature, line, seed=args.seed,
                                   transport=args.transport)

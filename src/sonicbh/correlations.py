@@ -249,8 +249,9 @@ def open_correction_er(k: float, t: float, lam: float, temperature: float,
               with the flat per-mode response sin(k s)/k.
 
     P_C(k) = k coth(beta k/2) cos(k A) w1 w2 is the closed-system per-mode
-    integrand at separation A = X1 + X2 = 2 X1 (the peak has X2 = X1, X1 =
-    |matched x0(x1)|).  Both cross-term readings (doubled second-leg vs
+    integrand at separation A = X1 + X2 = 2 X1, X1 = |matched x0(x1)|: the
+    pair peak is the partner x2* of ``characteristics.pair_partner``, where
+    X2 = X1 by definition.  Both cross-term readings (doubled second-leg vs
     symmetrized) coincide at this approximation order.  In e_r = |(noise +
     dissipation) / P_C| the mode weights w1 w2 = (X1/a)^2 cancel, and since
     they underflow at late t, e_r is evaluated without them:

@@ -83,10 +83,17 @@ def diffusion_exact(t: float, omega: float, spec: EnvironmentSpec) -> float:
     if omega_t == math.inf:
         raise OverflowError(f"omega*t = {omega_t!r} overflows (omega = {omega:.6g}, t = {t:.6g})")
     lam, g2 = spec.cutoff, spec.coupling_eff ** 2
+    try:
+        detuning = (omega / lam) ** 2
+    except OverflowError:
+        detuning = math.inf
+    if detuning == math.inf:
+        raise OverflowError(f"D(t) at omega = {omega:.6g}, cutoff = {lam:.6g}, t = {t:.6g}: "
+                            "(omega/cutoff)^2 leaves the float range")
     a = (lam / omega) * math.cos(omega_t)
     b = math.sin(omega_t)
     bracket = stable_shi_chi_combo(a, b, lam * t) + si(omega_t)
-    return 0.5 * g2 * omega / (1.0 + (omega / lam) ** 2) * bracket
+    return 0.5 * g2 * omega / (1.0 + detuning) * bracket
 
 
 def _inner_cos_cos(nu: float, omega: float, t: float) -> float:
@@ -151,14 +158,18 @@ def diffusion_quadrature_oracle(t: float, omega: float, spec: EnvironmentSpec) -
 # spatial mode weights
 # --------------------------------------------------------------------------
 
+def _exclusion(profile: RingProfile, branch: str) -> float:
+    """The half-width a branch's null map cuts out around each horizon: one
+    ion spacing on v, none on u."""
+    return derive(profile.config).delta if branch == "v" else 0.0
+
+
 def allowed_frequencies(profile: RingProfile, branch: str) -> np.ndarray:
     """Periodicity-allowed mode frequencies 2*pi*n / |null circumference| up
-    to the ceiling N/T; the v branch excludes one ion spacing around each
-    horizon."""
-    derived = derive(profile.config)
-    nmap = null_coordinate_map(profile, branch, derived.delta if branch == "v" else 0.0)
+    to the ceiling N/T, on the branch's null map with its ``_exclusion``."""
+    nmap = null_coordinate_map(profile, branch, _exclusion(profile, branch))
     base = TWO_PI / abs(nmap.total)
-    n_max = int(derived.omega_max / base)
+    n_max = int(derive(profile.config).omega_max / base)
     return base * np.arange(1, n_max + 1)
 
 
@@ -178,14 +189,15 @@ def v_coefficients(profile: RingProfile, omega: float,
     at omega > 0 (else ValueError), over the fixed quadrature nodes of the
     two cached null maps.
 
-    The v branch uses the epsilon-excluded null coordinate (default: one ion
-    spacing).
+    The v branch uses the epsilon-excluded null coordinate (default: its
+    ``_exclusion``, one ion spacing).
     """
     if not omega > 0:
         raise ValueError(f"omega must be positive, got {omega!r}")
     if epsilon is None:
-        epsilon = derive(profile.config).delta
-    return VCoefficients(*_branch_weights(null_coordinate_map(profile, "u", 0.0), omega),
+        epsilon = _exclusion(profile, "v")
+    u_map = null_coordinate_map(profile, "u", _exclusion(profile, "u"))
+    return VCoefficients(*_branch_weights(u_map, omega),
                          *_branch_weights(null_coordinate_map(profile, "v", epsilon), omega),
                          omega, epsilon)
 
@@ -265,16 +277,15 @@ def _mode_table(profile):
     allowed v mode.
 
     V1 is what t_D reads of a mode: it is taken on the mode's own null map
-    alone (epsilon = delta on v), one 1-D cosine integral per mode, with no
+    alone (with its ``_exclusion``), one 1-D cosine integral per mode, with no
     V2 and no weight of the other branch.  omega^3 is the power of each
     mode's scalar, as decoherence_time takes it.  The table depends on
     neither gamma nor T0, so one serves every point of a sweep that keeps the
     profile.
     """
-    delta = derive(profile.config).delta
     omega, v1 = [], []
-    for branch, epsilon in (("u", 0.0), ("v", delta)):
-        nmap = null_coordinate_map(profile, branch, epsilon)
+    for branch in ("u", "v"):
+        nmap = null_coordinate_map(profile, branch, _exclusion(profile, branch))
         for om in allowed_frequencies(profile, branch):
             omega.append(om)
             v1.append(_v1(nmap, om))

@@ -8,7 +8,7 @@ from scipy.integrate import cumulative_trapezoid, solve_ivp
 from sonicbh.characteristics import (_region_of, characteristic_fan_rows, core_integrals,
                                      core_left_x0, entanglement_boundary,
                                      forward_characteristic, matched_exponent,
-                                     matched_x0, trace_characteristic)
+                                     matched_x0, pair_partner, trace_characteristic)
 from sonicbh.profiles import LineProfile, sigma_accumulated
 
 from conftest import mode_function
@@ -287,6 +287,34 @@ def test_matched_map_regions(line):
             flat = matched_x0(x, t, line)
             assert flat.x0 == pytest.approx(x + t - f * v, rel=1e-14)
             assert flat.dx0_dx == 1.0
+
+
+_PARTNER_LINES = pytest.mark.parametrize(
+    "profile", [LineProfile(a=1.0, kappa=0.1, tau=1.0),
+                LineProfile(a=2.0, kappa=0.3, tau=2.0)], ids=["default", "a2-kappa0.3-tau2"])
+
+
+@_PARTNER_LINES
+@pytest.mark.parametrize("x1_over_a", [-1.05, -2.0, -4.0, -16.0])
+def test_pair_partner_equates_the_matched_exponents(profile, x1_over_a):
+    """x2* is where the outside branch of matched_exponent reaches its inside
+    value at x1 (X2 = X1), found here by bisection on x2 > a."""
+    a, x1 = profile.a, x1_over_a * profile.a
+    for t in (0.0, 0.1, 1.0, 5.0, 40.0, 300.0, 2000.0):
+        target = matched_exponent(x1, t, profile)
+        lo, hi = a, a + 100.0 * a
+        for _ in range(200):
+            mid = 0.5 * (lo + hi)
+            lo, hi = (lo, mid) if matched_exponent(mid, t, profile) > target else (mid, hi)
+        assert pair_partner(x1, t, profile) == pytest.approx(lo, rel=1e-13, abs=1e-11)
+
+
+@_PARTNER_LINES
+def test_pair_partner_keeps_its_offset_at_late_t(profile):
+    # 2a - x1 - 2t + F (v_max + v_min) would cancel to 2a - x1 here
+    a, tau = profile.a, profile.tau
+    late = pair_partner(-4.0 * a, 1e300, profile)
+    assert late == 2.0 * a + 4.0 * a - 2.0 * tau * math.log(2.0)
 
 
 # --------------------------------------------------------------------------

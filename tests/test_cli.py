@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import sonicbh
-from sonicbh.characteristics import entanglement_boundary
+from sonicbh.characteristics import entanglement_boundary, pair_partner
 from sonicbh.cli import build_parser, main
 from sonicbh.correlations import corr_closed_form
 from sonicbh.decoherence import (SweepRow, allowed_frequencies, decoherence_time,
@@ -74,10 +74,10 @@ def test_correlation_command_reproduces_long_time_curve(tmp_path):
     assert vals.max() == pytest.approx(0.25, rel=0.05)
 
 
-@pytest.mark.parametrize("t, beta, points, n_matched", [("60", "0.5", "24", 18),
-                                                        ("100", "inf", "64", 49)])
+@pytest.mark.parametrize("t, beta, points, n_matched", [("60", "0.5", "24", 19),
+                                                        ("100", "inf", "64", 54)])
 def test_mode_sum_oracle_scan_matches_closed_form(tmp_path, t, beta, points, n_matched):
-    # at t = 60 the matched separations X1 + X2 reach 3.7 beta, where the
+    # at t = 60 the matched separations X1 + X2 reach 3.8 beta, where the
     # thermal k integral cancels its vacuum part to ~1e-9 of it; at t = 100
     # they shrink to ~0.004
     code, out = _run(tmp_path, "correlation", "--t", t, "--x1", "-4", "--beta", beta,
@@ -90,6 +90,48 @@ def test_mode_sum_oracle_scan_matches_closed_form(tmp_path, t, beta, points, n_m
     for x2, v in matched:
         closed = corr_closed_form(-4.0, x2, float(t), float(beta), line)
         assert v == pytest.approx(abs(closed), rel=1e-4)
+
+
+def _x2_column(path):
+    return [float(r[0]) for r in _rows(path)[2]]
+
+
+@pytest.mark.parametrize("points", ["32", "64"])
+@pytest.mark.parametrize("t, beta", [(t, "inf") for t in ("40", "100", "300", "800", "2000")]
+                         + [(t, "5") for t in ("40", "100", "300", "800", "2000")])
+def test_default_window_finds_the_partner_at_every_t(tmp_path, t, beta, points):
+    """The default x2 window stays around the partner x2* however late t is:
+    the peak is found within one grid step of x2*.  At t = 40 and beta = 5
+    the thermal factor moves the maximum about 0.7 below x2*, and only the
+    peak itself is required."""
+    code, out = _run(tmp_path, "correlation", "--t", t, "--x1", "-4", "--beta", beta,
+                     "--points", points)
+    assert code == 0
+    manifest = dict(item.split("=") for item in _rows(out)[0].split()[2:])
+    assert manifest["peak_present"] == "true"
+    x2 = _x2_column(out)
+    partner = pair_partner(-4.0, float(t), LineProfile(a=1.0, kappa=0.1, tau=1.0))
+    if (t, beta) != ("40", "5"):
+        assert abs(float(manifest["peak_location"]) - partner) <= x2[1] - x2[0]
+
+
+@pytest.mark.parametrize("argv, lo, hi", [
+    # the README scan: [1.2a, x2* + 8a]
+    (["correlation", "--t", "100", "--x1", "-4", "--points", "16"],
+     1.2, 2.0 + 4.0 - 2.0 * math.log(2.0) + 8.0),
+    # langevin's mc-check inputs keep [1.2a, 1.2 x_plus]
+    (["langevin", "--t", "30", "--x1", "-1.2", "--realizations", "50", "--points", "4"],
+     1.2, 1.2 * entanglement_boundary(30.0, LineProfile(a=1.0, kappa=0.1, tau=1.0))[1]),
+    # a given bound is kept, the other defaults
+    (["correlation", "--t", "100", "--x1", "-4", "--x2-min", "2", "--points", "16"],
+     2.0, 2.0 + 4.0 - 2.0 * math.log(2.0) + 8.0),
+], ids=["correlation", "langevin", "correlation-x2-min"])
+def test_both_pair_commands_share_the_default_window(tmp_path, argv, lo, hi):
+    """[max(1.2a, x2* - 8a), min(x2* + 8a, 1.2 x_plus)] for both commands."""
+    code, out = _run(tmp_path, *argv)
+    assert code == 0
+    x2 = _x2_column(out)
+    assert x2[0] == pytest.approx(lo, rel=1e-11) and x2[-1] == pytest.approx(hi, rel=1e-11)
 
 
 def test_correlation_all_zero_scan_has_no_peak(tmp_path):
@@ -346,8 +388,17 @@ def test_every_exported_name_exists():
 
 
 # Messages pinned per test id: --sites is gone (the estimator's mode count is
-# fixed), and er names k, lam, t and the term that leaves the float range.
+# fixed); er and diffusion name their inputs and the term that leaves the
+# float range; an empty default x2 window names t and the partner x2*.
 _REFUSAL_MESSAGES = {
+    "correlation-t-0": r"^the default x2 window .* is empty at t = 0: x2\* = 6 ",
+    "langevin-t-0": r"^the default x2 window .* is empty at t = 0: x2\* = 3\.2 ",
+    "correlation-partner-beyond-wedge":
+        r"^the default x2 window .* is empty at t = 100: x2\* = 50\.6137 ",
+    "diffusion-omega-squared-overflows":
+        r"^D\(t\) at omega = 1e\+300, cutoff = 20, t = 1: \(omega/cutoff\)\^2 ",
+    "diffusion-omega-over-cutoff-overflows":
+        r"^D\(t\) at omega = 1e\+10, cutoff = 1e-310, t = 1: \(omega/cutoff\)\^2 ",
     "langevin-sites-0": "unrecognized arguments: --sites",
     "langevin-sites-513": "unrecognized arguments: --sites",
     "er-k-squared-overflows": r"^e_r at k = 1e\+300, lam = 1e-07, t = 40: the noise term ",
@@ -413,6 +464,12 @@ _REFUSAL_MESSAGES = {
      {"ion_charge": "30.0"}, 4),
     (["er", "--k", "1e300", "--t-min", "40", "--t-max", "100"], None, 3),
     (["er", "--k", "0.05", "--t-min", "40", "--t-max", "100", "--lam", "1e200"], None, 3),
+    (["langevin", "--t", "0", "--x1", "-1.2"], None, 4),
+    (["correlation", "--t", "100", "--x1", "-50"], None, 4),
+    (["diffusion", "--omega", "1e300", "--t-min", "1", "--t-max", "10", "--points", "3"],
+     None, 3),
+    (["diffusion", "--omega", "1e10", "--t-min", "1", "--t-max", "10", "--points", "2"],
+     {"cutoff": "1e-310"}, 3),
 ], ids=["missing-config", "radius-inf", "line-kappa-nan", "omega-0", "omega-minus-0",
         "langevin-temperature-nan", "temperature-beyond-100-th", "negative-gamma",
         "coupling-eff-key", "langevin-sites-0", "langevin-sites-513",
@@ -428,7 +485,8 @@ _REFUSAL_MESSAGES = {
         "tdec-sweep-log-from-negative", "correlation-x2-min-inside",
         "correlation-x2-max-inside", "cutoff-shape-exponential", "hawking-no-horizon",
         "tdec-sweep-no-horizon", "er-k-squared-overflows",
-        "er-lam-squared-overflows"])
+        "er-lam-squared-overflows", "langevin-t-0", "correlation-partner-beyond-wedge",
+        "diffusion-omega-squared-overflows", "diffusion-omega-over-cutoff-overflows"])
 def test_malformed_input_refused(request, tmp_path, capsys, argv, config, code):
     """Refused with the documented exit code and one JSON record, no traceback;
     where _REFUSAL_MESSAGES holds a pattern, the message matches it."""
@@ -497,6 +555,32 @@ def _fresh_interpreter(cwd, argv, script=("-c", _PROBE)):
     env.pop("SONICBH_CONFIG", None)
     return subprocess.run([sys.executable, *script, *argv], cwd=cwd, env=env,
                           capture_output=True, text=True, timeout=60)
+
+
+_MC = ["langevin", "--t", "30", "--realizations", "50", "--points", "4"]
+
+
+@pytest.mark.parametrize("argv, plain, exponent", [
+    (["correlation", "--t", "100", "--points", "16", "--x1"], "-4", "-4e0"),
+    (_MC + ["--x1"], "-1.2", "-12e-1"),
+    (_MC + ["--x1", "-1.2", "--x2-max", "5", "--x2-min"], "-1.5", "-15e-1"),
+    (_MC + ["--x1", "-1.2", "--x2-min", "-3", "--x2-max"], "-1.5", "-1.5E0"),
+    (["tdec-sweep", "--axis", "temperature", "--to", "0.3", "--points", "2", "--from"],
+     "-0.001", "-1e-3"),
+    (["tdec-sweep", "--axis", "temperature", "--from", "0.1", "--points", "2", "--to"],
+     "-0.001", "-1e-3"),
+    (["er", "--k", "0.05", "--t-min", "40", "--t-max", "100", "--points", "2", "--lam"],
+     "-0.0000001", "-1e-7"),
+], ids=["correlation-x1", "langevin-x1", "x2-min", "x2-max", "from", "to", "lam"])
+def test_negative_number_with_exponent_is_a_value(tmp_path, argv, plain, exponent):
+    """A negative value written with an exponent is read as the value, not as
+    an option string: the same output as its plain spelling."""
+    outputs = []
+    for name, value in (("plain.csv", plain), ("exponent.csv", exponent)):
+        code, out = _run(tmp_path, *argv, value, name=name)
+        assert code == 0
+        outputs.append(out.read_bytes())
+    assert outputs[0] == outputs[1]
 
 
 def _readme_examples() -> list[list[str]]:
@@ -645,8 +729,9 @@ def test_decoherence_sweep_script(tmp_path):
 _BAD_FLOATS = st.sampled_from(["nan", "inf", "-inf", "0", "-0", "-1", "-1e300"])
 
 
-def _float(ordinary, optional=False):
-    return st.sampled_from([None, ordinary] if optional else [ordinary]), _BAD_FLOATS
+def _float(*ordinary, optional=False):
+    """Ordinary values in every spelling given, or absent where optional."""
+    return st.sampled_from([None, *ordinary] if optional else list(ordinary)), _BAD_FLOATS
 
 
 def _count(ordinary, minimum):
@@ -668,7 +753,7 @@ _SUBCOMMANDS = {
     "tdec-sweep": {"--axis": _choice("gamma", "v_min", "temperature"),
                    "--from": _float("0.1"), "--to": _float("0.3"),
                    "--points": _count("2", 1), "--log": _FLAG},
-    "correlation": {"--t": _float("100"), "--x1": _float("-4"),
+    "correlation": {"--t": _float("100"), "--x1": _float("-4", "-4e0"),
                     "--beta": _float("inf", optional=True),
                     "--x2-min": _float("1.5", optional=True),
                     "--x2-max": _float("30", optional=True), "--points": _count("16", 16),
@@ -676,7 +761,7 @@ _SUBCOMMANDS = {
     "er": {"--k": _float("0.05"), "--t-min": _float("40"), "--t-max": _float("100"),
            "--points": _count("2", 1), "--lam": _float("1e-7", optional=True),
            "--temperature": _float("0.5", optional=True)},
-    "langevin": {"--t": _float("30"), "--x1": _float("-1.2"),
+    "langevin": {"--t": _float("30"), "--x1": _float("-1.2", "-12e-1"),
                  "--temperature": _float("0.5", optional=True),
                  "--realizations": _count("50", 2),
                  "--seed": _count("7", 0), "--x2-min": _float("1.2", optional=True),
