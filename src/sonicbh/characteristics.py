@@ -25,7 +25,9 @@ Two evaluation modes coexist and must not be conflated:
   collapse as instantaneous.  At late times the two differ by O(a)
   constants; see the region notes in ``matched_x0``.
 
-Both return a ``CharacteristicMap``: x0 and its Jacobian dx0/dx.
+Both return a ``CharacteristicMap``: x0 and its Jacobian dx0/dx.  numpy
+loads only where arrays are built: the early-time Gauss-Legendre rule and the
+forward traces.
 """
 
 from __future__ import annotations
@@ -34,11 +36,13 @@ import bisect
 import functools
 import math
 from dataclasses import dataclass
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .profiles import LineProfile
 from .specfun import betainc_regularized
+
+if TYPE_CHECKING:
+    import numpy as np
 
 REGION_LEFT, REGION_CORE, REGION_RIGHT = "x<-a", "|x|<=a", "x>a"
 
@@ -95,6 +99,7 @@ class _CoreIntegrals:
         return self._scale * math.exp(-self._p * u - self._log_beta) / self._p
 
     def _gauss(self, t: float) -> float:
+        import numpy as np
         u = (t / self.tau) * self._nodes
         return t * float(self._weights @ (np.cosh(u) ** -self.m * (1.0 - np.tanh(u))))
 
@@ -225,6 +230,7 @@ def trace_characteristic(x: float, t: float, profile: LineProfile) -> Characteri
 def forward_characteristic(x0: float, times, profile: LineProfile) -> np.ndarray:
     """Positions at the ascending times of the left mover launched from
     x(0) = x0; its interface crossings are found once, up to the last time."""
+    import numpy as np
     times = np.asarray(times, dtype=float)
     flow = _Flow(profile)
     legs = flow.legs(x0, 0.0, float(times[-1]))
@@ -312,6 +318,7 @@ def characteristic_fan_rows(profile: LineProfile, x0_values, t_max: float, n_t: 
     Plot-ready view of the collapse geometry: the wedge interfaces are the
     members launched from x0 = +-a.
     """
+    import numpy as np
     rows = []
     ts = np.linspace(0.0, t_max, n_t)
     for x0 in x0_values:

@@ -10,7 +10,9 @@ Only the standard library and the light modules (errors, params,
 environment) load at import.  The config is checked before numpy loads, and
 each command imports the numeric modules it calls, so a refused argument or
 config exits before numpy is imported and no command loads a module it does
-not call.
+not call.  Linear grids are built here without numpy, so the commands that
+compute on scalars (hawking, boundary, er and the closed-form correlation)
+load none.
 """
 
 from __future__ import annotations
@@ -55,6 +57,14 @@ def _load_all(path: str | None):
                        tau=values["line_tau"])
     manifest = {"config_sha256": hashlib.sha256(text.encode()).hexdigest()[:16]}
     return config, env, line, gamma, manifest
+
+
+def _linspace(start: float, stop: float, num: int) -> list[float]:
+    """np.linspace(start, stop, num) bit for bit: i * step + start, the last of
+    two or more points set to stop."""
+    step = (stop - start) / max(num - 1, 1)
+    points = [i * step + start for i in range(num)]
+    return points[:-1] + [stop] if num > 1 else points
 
 
 def _fmt(x) -> str:
@@ -249,13 +259,11 @@ def _run(args) -> tuple[list, list, dict]:
         return ["geometry", "t_hawking"], rows, manifest
 
     if args.command == "boundary":
-        import numpy as np
         from .characteristics import entanglement_boundary
-        ts = np.linspace(0.0, args.t_max, args.points)
         rows = []
-        for t in ts:
-            xm, xp = entanglement_boundary(float(t), line)
-            rows.append([float(t), xm, xp])
+        for t in _linspace(0.0, args.t_max, args.points):
+            xm, xp = entanglement_boundary(t, line)
+            rows.append([t, xm, xp])
         return ["t", "x_minus", "x_plus"], rows, manifest
 
     if args.command == "diffusion":
@@ -290,7 +298,7 @@ def _run(args) -> tuple[list, list, dict]:
                               f"--to {args.hi:g}")
         import numpy as np
         from .decoherence import SweepRow, sweep_decoherence
-        space = np.geomspace if args.log else np.linspace
+        space = np.geomspace if args.log else _linspace
         values = space(args.lo, args.hi, args.points)
         rows, errs = sweep_decoherence(args.axis, values, config, gamma,
                                        temperature=env.bath_temperature)
@@ -299,43 +307,37 @@ def _run(args) -> tuple[list, list, dict]:
         return SweepRow._fields, rows, manifest
 
     if args.command == "correlation":
-        import numpy as np
         from .correlations import build_correlation_grid, detect_peak
         lo, hi = _x2_window(args, line)
         if min(lo, hi) <= line.a:
             raise ConfigError(f"the x2 window [{lo:g}, {hi:g}] must lie beyond "
                               f"a = {line.a:g}")
-        x2 = np.linspace(lo, hi, args.points)
-        grid = build_correlation_grid(args.x1, x2, args.t, args.beta, line,
-                                      method=args.method)
+        grid = build_correlation_grid(args.x1, _linspace(lo, hi, args.points), args.t,
+                                      args.beta, line, method=args.method)
         peak = detect_peak(grid)
         manifest.update(peak_location=_fmt(peak.location),
                         peak_present=str(peak.present).lower(),
                         peak_contrast=_fmt(peak.contrast))
-        rows = [[float(x), float(v), r] for x, v, r in
-                zip(grid.x2, grid.values, grid.regions)]
+        rows = [list(row) for row in zip(grid.x2, grid.values, grid.regions)]
         return ["x2", "abs_corr", "region"], rows, manifest
 
     if args.command == "er":
-        import numpy as np
         from .correlations import open_correction_er
         from .profiles import hawking_temperature_line
         temp = (args.temperature if args.temperature is not None
                 else 100.0 * hawking_temperature_line(line))
-        ts = np.linspace(args.t_min, args.t_max, args.points)
+        ts = _linspace(args.t_min, args.t_max, args.points)
         rows = []
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
             for k in args.k:
                 for t in ts:
-                    rows.append([k, float(t),
-                                 open_correction_er(k, float(t), args.lam, temp, line)])
+                    rows.append([k, t, open_correction_er(k, t, args.lam, temp, line)])
         return ["k", "t", "e_r"], rows, manifest
 
     if args.command == "langevin":
-        import numpy as np
         from .langevin import estimate_correlation
-        x2 = np.linspace(*_x2_window(args, line), args.points)
+        x2 = _linspace(*_x2_window(args, line), args.points)
         mc = estimate_correlation(args.realizations, args.x1, x2, args.t,
                                   args.temperature, line, seed=args.seed,
                                   transport=args.transport)

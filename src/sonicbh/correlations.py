@@ -18,20 +18,26 @@ thermal weight coth(beta k / 2), momentum factors by finite differences of
 the traced-back initial position.  Both thermal k integrals split
 coth(beta k / 2) = 1 + 2/(e^{beta k} - 1): the divergent vacuum part at its
 regulated limit in closed form, the Bose part by one Fourier quadrature.
+
+A pair that is not matched shares one uniform region, where the correlation
+depends on dx = x1 - x2 alone: in closed form through the thermal image
+series (``corr_homogeneous_closed_form``), and by quadrature in the oracle
+(``corr_homogeneous``).  The grid's ``method`` picks one route for every row.
+
+Only the standard library loads with this module: its grids are lists.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 import warnings
 from dataclasses import dataclass
 
-import numpy as np
-
 from .characteristics import entanglement_boundary, matched_exponent, matched_pair, matched_x0
-from .errors import ExtrapolationError, RegimeWarning, RegionError
+from .errors import ExtrapolationError, RegimeError, RegimeWarning, RegionError
 from .profiles import LineProfile, hawking_temperature_line
-from .specfun import fourier_integral, thermal_excess, thermal_weight
+from .specfun import fourier_integral, image_sum, thermal_excess, thermal_weight
 
 
 # --------------------------------------------------------------------------
@@ -51,7 +57,7 @@ def _bose_integral(f, separation: float, kind: str, scale: float) -> float:
     one half period; what it misses is below 3e-7 of the result.
     """
     h = 0.5 / abs(separation)          # k = h u
-    tol = max(1e-11 * scale / h, np.finfo(float).tiny)
+    tol = max(1e-11 * scale / h, sys.float_info.min)
     return h * fourier_integral(lambda u: f(h * u), 0.0, 0.5, kind=kind, tol=tol).value
 
 
@@ -76,27 +82,61 @@ def thermal_momentum_integral(separation: float, beta: float) -> float:
                                    "cos", -vacuum)
 
 
-def corr_homogeneous(dx: float, t: float, beta: float) -> complex:
+def _uniform_correlation(dx: float, beta: float, bose) -> complex:
+    """The uniform-region correlation from its Bose part bose(|dx|) =
+    int_0^inf f(k) e^{-i k |dx|} dk, f = sqrt(k) thermal_excess / sqrt(2),
+    plus the regulated vacuum part Gamma(5/2) (i|dx|)^{-5/2} / sqrt(2), whose
+    cos and sin parts are both -Gamma(5/2)/(2|dx|^{5/2}); conjugated for
+    dx < 0.  A value beyond the float range is refused with a RegimeError
+    naming |dx| and beta."""
+    if dx == 0.0:
+        raise ValueError("coincident points are UV-singular; need dx != 0")
+    a = abs(dx)
+    try:
+        vacuum = -0.375 * math.sqrt(math.pi) * a ** -2.5     # Gamma(5/2) = 3 sqrt(pi)/4
+        part = bose(a)
+        re, im = vacuum + part.real, vacuum - part.imag
+    except OverflowError:
+        re = im = math.inf
+    if not (math.isfinite(re) and math.isfinite(im)):
+        raise RegimeError(f"the uniform-region correlation at |x1 - x2| = {a:.6g}, "
+                          f"beta = {beta:.6g} leaves the float range")
+    # e^{-i k dx} with dx of either sign; conjugate under dx -> -dx
+    return complex(re, -im if dx > 0 else im)
+
+
+def corr_homogeneous_closed_form(dx: float, beta: float) -> complex:
     """Two-point momentum correlation when both probes share one uniform region.
 
     Spectral form int_0^inf dk/sqrt(2k) k^2 e^{-i k dx} coth(beta k/2): in a
     uniform region (kappa = 0) the value depends on positions only through
     dx and not on t.  No pair peak: the result is translation invariant.
-    The UV-divergent vacuum part has the regulated limit
-    Gamma(5/2) (i dx)^{-5/2} / sqrt(2): cos and sin parts -Gamma(5/2)/(2|dx|^{5/2}).
-    The Bose part, sqrt(k) thermal_excess / sqrt(2), is one quadrature per
-    component on the result's scale |dx|^{-3/2} / min(|dx|, beta).
+    Expanding 2/(e^{beta k} - 1) = 2 sum_n e^{-n beta k} turns the Bose part
+    into the image series sqrt(2) Gamma(5/2) sum_{n>=1} (n beta + i|dx|)^{-5/2}
+    (``specfun.image_sum``, 0 at beta = inf), so no quadrature is needed.
+    ``corr_homogeneous`` computes the same value by quadrature, as its check.
     """
-    if dx == 0.0:
-        raise ValueError("coincident points are UV-singular; need dx != 0")
-    a = abs(dx)
-    vacuum = -0.375 * math.sqrt(math.pi) * a ** -2.5        # Gamma(5/2) = 3 sqrt(pi)/4
+    if not beta > 0:
+        raise ValueError("beta must be positive (inf for zero temperature)")
+    sqrt2_gamma = 0.75 * math.sqrt(2.0 * math.pi)            # sqrt(2) Gamma(5/2)
+    return _uniform_correlation(dx, beta, lambda a: sqrt2_gamma * image_sum(beta, a))
+
+
+def corr_homogeneous(dx: float, t: float, beta: float) -> complex:
+    """``corr_homogeneous_closed_form`` by quadrature, the independent check
+    of its image series and the uniform rows of the mode-sum oracle's grids.
+
+    The Bose part, sqrt(k) thermal_excess / sqrt(2), is one Fourier
+    quadrature per component on the result's scale |dx|^{-3/2} / min(|dx|,
+    beta).  ``t`` is not read: the uniform-region value does not depend on it.
+    """
     f = lambda k: math.sqrt(k) * thermal_excess(k, beta) / math.sqrt(2.0)
-    scale = a ** -1.5 / min(a, beta)
-    re = vacuum + _bose_integral(f, a, "cos", scale)
-    im = vacuum + _bose_integral(f, a, "sin", scale)
-    # e^{-i k dx} with dx of either sign; conjugate under dx -> -dx
-    return complex(re, -im if dx > 0 else im)
+
+    def bose(a):
+        scale = a ** -1.5 / min(a, beta)
+        return complex(_bose_integral(f, a, "cos", scale), -_bose_integral(f, a, "sin", scale))
+
+    return _uniform_correlation(dx, beta, bose)
 
 
 # --------------------------------------------------------------------------
@@ -111,6 +151,14 @@ def _log_z_csch(ln_z: float) -> float:
     if z < 1e-8:
         return -z * z / 6.0
     return math.log(2.0 * z) - z - math.log(-math.expm1(-2.0 * z))
+
+
+def _log_add_exp(x: float, y: float) -> float:
+    """ln(e^x + e^y) without overflow, evaluated as numpy's logaddexp is."""
+    if x == y:
+        return x + math.log(2.0)
+    big, small = (x, y) if x > y else (y, x)
+    return big + math.log1p(math.exp(small - big))
 
 
 def _require_matched_pair(x1: float, x2: float, t: float, profile: LineProfile):
@@ -130,13 +178,13 @@ def corr_closed_form(x1: float, x2: float, t: float, beta: float,
     taken in log space so that z = 0, a factor of 1, at beta = inf.
     """
     _require_matched_pair(x1, x2, t, profile)
-    if beta <= 0:
+    if not beta > 0:
         raise ValueError("beta must be positive (inf for zero temperature)")
     a = profile.a
     ln_x1 = matched_exponent(x1, t, profile) + math.log(a)
     ln_x2 = matched_exponent(x2, t, profile) + math.log(a)
     ln_pref = ln_x1 + ln_x2 - 2.0 * math.log(a)          # ln(X1 X2 / a^2)
-    ln_sum = np.logaddexp(ln_x1, ln_x2)                  # ln(X1 + X2)
+    ln_sum = _log_add_exp(ln_x1, ln_x2)                  # ln(X1 + X2)
     ln_z = math.log(math.pi) + ln_sum - math.log(beta)
     return -math.exp(ln_pref - 2.0 * ln_sum + 2.0 * _log_z_csch(ln_z))
 
@@ -165,8 +213,8 @@ def corr_mode_sum_oracle(x1: float, x2: float, t: float, beta: float,
 
 @dataclass
 class CorrelationGrid:
-    x2: np.ndarray
-    values: np.ndarray            # |correlation| per sample
+    x2: list[float]
+    values: list[float]           # |correlation| per sample
     regions: list[str]            # "matched" or "uniform" per sample
 
 
@@ -181,24 +229,36 @@ def build_correlation_grid(x1: float, x2_values, t: float, beta: float,
                            profile: LineProfile, method: str = "closed_form") -> CorrelationGrid:
     """Sample |<Pi_L(x1) Pi_L(x2)>| over outside probes x2 > a.
 
-    Region routing: the matched ``method`` (closed form or mode-sum oracle)
-    for a matched pair (``matched_pair``), homogeneous spectral form
-    otherwise (including every x2 when the inside probe itself lies beyond
-    x_minus).
+    Region routing: a matched pair (``matched_pair``) takes the matched form,
+    any other pair (including every x2 when the inside probe itself lies
+    beyond x_minus) the uniform-region form.  ``method`` picks both:
+    "closed_form" evaluates ``corr_closed_form`` and
+    ``corr_homogeneous_closed_form``, no quadrature; "mode_sum_oracle"
+    ``corr_mode_sum_oracle`` and ``corr_homogeneous``, quadrature for every row.
     """
-    x2_values = np.asarray(x2_values, dtype=float)
-    if np.any(x2_values <= profile.a):
+    x2_values = [float(x2) for x2 in x2_values]
+    if any(x2 <= profile.a for x2 in x2_values):
         raise ValueError("outside probes must satisfy x2 > a")
-    evaluate = corr_closed_form if method == "closed_form" else corr_mode_sum_oracle
+    closed = method == "closed_form"
     vals, regions = [], []
     for x2 in x2_values:
         if matched_pair(x1, x2, t, profile):
-            vals.append(abs(evaluate(x1, x2, t, beta, profile)))
+            matched = corr_closed_form if closed else corr_mode_sum_oracle
+            vals.append(abs(matched(x1, x2, t, beta, profile)))
             regions.append("matched")
         else:
-            vals.append(abs(corr_homogeneous(x1 - x2, t, beta)))
+            uniform = (corr_homogeneous_closed_form(x1 - x2, beta) if closed
+                       else corr_homogeneous(x1 - x2, t, beta))
+            vals.append(abs(uniform))
             regions.append("uniform")
-    return CorrelationGrid(x2=x2_values, values=np.array(vals), regions=regions)
+    return CorrelationGrid(x2=x2_values, values=vals, regions=regions)
+
+
+def _median(values) -> float:
+    """The median as numpy takes it: the middle value, or the mean of the two."""
+    ordered = sorted(values)
+    mid = len(ordered) // 2
+    return ordered[mid] if len(ordered) % 2 else (ordered[mid - 1] + ordered[mid]) / 2
 
 
 def detect_peak(grid: CorrelationGrid) -> PeakReport:
@@ -215,13 +275,13 @@ def detect_peak(grid: CorrelationGrid) -> PeakReport:
     n = len(grid.x2)
     if n < 16:
         raise ValueError(f"need at least 16 samples, got {n}")
-    vals = np.asarray(grid.values, dtype=float)
-    idx = int(np.argmax(vals))
+    vals = grid.values
+    idx = max(range(n), key=vals.__getitem__)          # the first of equal maxima
     location, height = float(grid.x2[idx]), float(vals[idx])
     span = abs(float(grid.x2[-1] - grid.x2[0]))
     window = 0.15 * span
-    off = np.abs(grid.x2 - location) > window
-    background = float(np.median(vals[off])) if off.sum() >= 4 else float(np.median(vals))
+    off = [v for x2, v in zip(grid.x2, vals) if abs(x2 - location) > window]
+    background = _median(off if len(off) >= 4 else vals)
     if background != 0.0:
         contrast = height / background
     else:

@@ -9,7 +9,8 @@ Two geometries appear throughout:
 
 Profiles are frozen dataclasses; every evaluation is pure.  A ring's null
 map holds only what the mode weights V1/V2 read of x_u or x_v: its total, the
-measure of its pieces and its cosine and sine integrals.
+measure of its pieces and its cosine and sine integrals.  It is the one
+array object here, and numpy loads only where it is built and read.
 """
 
 from __future__ import annotations
@@ -17,13 +18,14 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from typing import NamedTuple
-
-import numpy as np
+from typing import TYPE_CHECKING, NamedTuple
 
 from .errors import RegimeError, RegionError, SingularIntegrandError
 from .params import TWO_PI, PhysicalConfig, derive
 from .specfun import log_cosh
+
+if TYPE_CHECKING:
+    import numpy as np
 
 
 def sigma_accumulated(t: float, tau: float) -> float:
@@ -148,6 +150,7 @@ def _horizon_segments(segments) -> list[_Segment]:
 
 def _g(sign: float, d):
     """(K + sign v^(3/2))/K from d = (v - v_h)/v_h; no cancellation at the pole."""
+    import numpy as np
     return (1.0 + sign) + sign * np.expm1(1.5 * np.log1p(d))
 
 
@@ -163,6 +166,7 @@ _PANEL_PHASE = 32.0
 def _gauss_legendre() -> tuple[np.ndarray, np.ndarray]:
     # built on first use: its eigenvalue solve raises peak RSS by ~0.7 MB,
     # which commands that build no null map need not pay
+    import numpy as np
     return np.polynomial.legendre.leggauss(32)
 
 
@@ -189,17 +193,20 @@ class NullCoordinateMap:
     def cos_integral(self, k: float) -> float:
         """int cos(k x_b) dtheta over the pieces, k != 0: ramps by the fixed
         quadrature nodes, plateaus exactly."""
+        import numpy as np
         return float(np.sum(np.cos(k * self._nodes) * self._weights)
                      + np.sum(np.sin(k * self._ends) * self._end_weights) / k)
 
     def sin_integral(self, k: float) -> float:
         """int sin(k x_b) dtheta over the pieces, k != 0, as cos_integral."""
+        import numpy as np
         return float(np.sum(np.sin(k * self._nodes) * self._weights)
                      - np.sum(np.cos(k * self._ends) * self._end_weights) / k)
 
 
 @functools.lru_cache(maxsize=32)
 def _build_null_map(profile: RingProfile, branch: str, epsilon: float) -> NullCoordinateMap:
+    import numpy as np
     sign = +1.0 if branch == "u" else -1.0
     v_h, segments = _ring_segments(profile)
     # v branch: the angles where v = c, i.e. v^(3/2) = K

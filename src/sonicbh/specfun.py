@@ -3,10 +3,11 @@
 Scalar, pure, reentrant.  The trigonometric/hyperbolic integrals are the
 building blocks of the exact diffusion coefficient; the thermal weight is
 shared by the correlations, the open-system correction and the Monte-Carlo
-sampler; the quadrature helpers back every brute-force oracle in the package
-and are its only entry to QUADPACK.  Si, E1 and Ei are the package's own
-series and continued fractions, so this module needs only the standard
-library.  The quadrature helpers call QUADPACK's routines in scipy's compiled
+sampler; the thermal image sum is the Bose part of the uniform-region
+correlation; the quadrature helpers back every brute-force oracle in the
+package and are its only entry to QUADPACK.  Si, E1, Ei and the image sum are
+the package's own series, continued fractions and Euler-Maclaurin sums, so
+this module needs only the standard library.  The quadrature helpers call QUADPACK's routines in scipy's compiled
 extension directly, the ones ``scipy.integrate.quad`` dispatches to with the
 same arguments; the extension loads on the first quadrature (~15 ms) without
 the ``scipy.integrate`` package (~0.5 s), so a command that never integrates
@@ -152,6 +153,45 @@ def thermal_excess(k: float, beta: float) -> float:
     if not x >= sys.float_info.min:
         return 2.0 / beta - k
     return 2.0 * k * math.exp(-x) / -math.expm1(-x)
+
+
+# The thermal image sum: its first _IMAGE_TERMS terms directly, the rest by
+# Euler-Maclaurin with the Bernoulli weights B_2j / (2j)!, j = 1..7, each
+# times the rising factorial (5/2)(7/2)...(5/2 + 2j - 2).
+_IMAGE_TERMS = 24
+_EM_WEIGHTS = (1 / 12, -1 / 720, 1 / 30240, -1 / 1209600, 1 / 47900160,
+               -691 / 1307674368000, 1 / 74724249600)
+_EM_COEFFICIENTS = tuple(weight * math.prod(2.5 + m for m in range(2 * j + 1))
+                         for j, weight in enumerate(_EM_WEIGHTS))
+
+
+def image_sum(beta: float, y: float) -> complex:
+    """sum_{n>=1} (n beta + i y)^(-5/2) for beta > 0 and real y, exactly 0 at
+    beta = inf: beta^(-5/2) zeta(5/2, 1 + i y/beta) with the Hurwitz zeta
+    function, summed over the unscaled terms, so that no power of beta leaves
+    the float range before the sum itself does.
+
+    The first 24 terms directly, the rest by Euler-Maclaurin from
+    w = 25 beta + i y with 7 Bernoulli terms in u = beta/w, |u| <= 1/25:
+
+        w^(-3/2) / (3 beta / 2) + w^(-5/2) [1/2 + sum_j B_2j/(2j)! (5/2)_(2j-1) u^(2j-1)]
+
+    (the standard construction; F. Johansson, Numer. Algorithms 69, 2015).
+    The direct terms are summed smallest first and before the tail, whose
+    rounding would otherwise swamp them.  A term beyond the float range comes
+    out inf, or raises OverflowError.
+    """
+    if beta == math.inf:
+        return 0j
+    w = complex((_IMAGE_TERMS + 1) * beta, y)
+    u = beta / w
+    series = 0j
+    for c in reversed(_EM_COEFFICIENTS):
+        series = series * u * u + c
+    direct = 0j
+    for n in range(_IMAGE_TERMS, 0, -1):
+        direct += complex(n * beta, y) ** -2.5
+    return direct + (w ** -1.5 / (1.5 * beta) + w ** -2.5 * (0.5 + u * series))
 
 
 @dataclass(frozen=True)

@@ -13,7 +13,7 @@ from hypothesis import given, settings, strategies as st
 
 import sonicbh
 from sonicbh.characteristics import entanglement_boundary, pair_partner
-from sonicbh.cli import build_parser, main
+from sonicbh.cli import _linspace, build_parser, main
 from sonicbh.correlations import corr_closed_form
 from sonicbh.decoherence import (SweepRow, allowed_frequencies, decoherence_time,
                                  v_coefficients)
@@ -90,6 +90,26 @@ def test_mode_sum_oracle_scan_matches_closed_form(tmp_path, t, beta, points, n_m
     for x2, v in matched:
         closed = corr_closed_form(-4.0, x2, float(t), float(beta), line)
         assert v == pytest.approx(abs(closed), rel=1e-4)
+
+
+def test_tiny_beta_is_answered(tmp_path):
+    """At beta = 1e-300, beta^{-5/2} alone overflows; the image series sums
+    unscaled terms, and the uniform row at x2 = 11.8527919296 reads the
+    40-digit mpmath value 1.98564359528e+298 (5.8e-8 off by quadrature)."""
+    code, out = _run(tmp_path, "correlation", "--t", "100", "--x1", "-4", "--beta", "1e-300",
+                     "--points", "16")
+    assert code == 0
+    rows = {row[0]: row[1:] for row in _rows(out)[2]}
+    assert rows["11.8527919296"] == ["1.98564359528e+298", "uniform"]
+    assert all(math.isfinite(float(value)) for value, _region in rows.values())
+
+
+@given(start=st.floats(-1e150, 1e150), stop=st.floats(-1e150, 1e150),
+       num=st.integers(1, 300))
+def test_linspace_is_numpys_bit_for_bit(start, stop, num):
+    bits = lambda values: [float(v).hex() for v in values]
+    assert bits(_linspace(start, stop, num)) == bits(np.linspace(start, stop, num))
+    assert bits(_linspace(start, stop, 1)) == bits(np.linspace(start, stop, 1))
 
 
 def _x2_column(path):
@@ -403,6 +423,8 @@ _REFUSAL_MESSAGES = {
     "langevin-sites-513": "unrecognized arguments: --sites",
     "er-k-squared-overflows": r"^e_r at k = 1e\+300, lam = 1e-07, t = 40: the noise term ",
     "er-lam-squared-overflows": r"^e_r at k = 0\.05, lam = 1e\+200, t = 40: lam\^2 ",
+    "correlation-beta-subnormal": r"^the uniform-region correlation at \|x1 - x2\| = "
+                                  r"15\.0919, beta = 4\.94066e-324 leaves the float range$",
 }
 
 
@@ -470,6 +492,8 @@ _REFUSAL_MESSAGES = {
      None, 3),
     (["diffusion", "--omega", "1e10", "--t-min", "1", "--t-max", "10", "--points", "2"],
      {"cutoff": "1e-310"}, 3),
+    (["correlation", "--t", "100", "--x1", "-4", "--beta", "5e-324", "--points", "16"],
+     None, 4),
 ], ids=["missing-config", "radius-inf", "line-kappa-nan", "omega-0", "omega-minus-0",
         "langevin-temperature-nan", "temperature-beyond-100-th", "negative-gamma",
         "coupling-eff-key", "langevin-sites-0", "langevin-sites-513",
@@ -486,7 +510,8 @@ _REFUSAL_MESSAGES = {
         "correlation-x2-max-inside", "cutoff-shape-exponential", "hawking-no-horizon",
         "tdec-sweep-no-horizon", "er-k-squared-overflows",
         "er-lam-squared-overflows", "langevin-t-0", "correlation-partner-beyond-wedge",
-        "diffusion-omega-squared-overflows", "diffusion-omega-over-cutoff-overflows"])
+        "diffusion-omega-squared-overflows", "diffusion-omega-over-cutoff-overflows",
+        "correlation-beta-subnormal"])
 def test_malformed_input_refused(request, tmp_path, capsys, argv, config, code):
     """Refused with the documented exit code and one JSON record, no traceback;
     where _REFUSAL_MESSAGES holds a pattern, the message matches it."""
@@ -538,7 +563,7 @@ try:
 except SystemExit as exc:
     code = exc.code
 print(json.dumps({"scipy": %s, "modules": sorted(
-    m for m in sys.modules if m == "numpy" or m.startswith("sonicbh."))}))
+    m for m in sys.modules if m in ("numpy", "scipy") or m.startswith("sonicbh."))}))
 sys.exit(code)
 """ % _SCIPY_MODULES
 # Runs a study script as __main__, then reports its scipy modules likewise.
@@ -623,9 +648,11 @@ def test_langevin_coincident_probes(tmp_path, transport):
 _SWEEP = {"gamma": ("1e-7", "1e-6"), "v_min": ("0.1", "0.3"), "temperature": ("0.1", "1")}
 
 
-# What a command must not load: numpy before it has accepted its input, and
-# the package's numeric modules it does not call.
+# What a command must not load: numpy before it has accepted its input, numpy
+# and scipy where it computes on scalars, and the package's numeric modules it
+# does not call.
 _NO_NUMPY = ("numpy",)
+_NO_ARRAYS = ("numpy", "scipy")
 _LINE_MODULES = ("sonicbh.characteristics", "sonicbh.correlations", "sonicbh.langevin")
 _RING_AND_MC_MODULES = ("sonicbh.decoherence", "sonicbh.langevin")
 _RING_AND_CORRELATION_MODULES = ("sonicbh.decoherence", "sonicbh.correlations")
@@ -648,14 +675,14 @@ def _assert_scipy_footprint(scipy_modules, integrates):
 @pytest.mark.parametrize("argv, config, code, integrates, not_loaded", [
     ([], None, 0, False, _NO_NUMPY),
     (["--help"], None, 0, False, _NO_NUMPY),
-    (["hawking"], None, 0, False, _LINE_MODULES),
+    (["hawking"], None, 0, False, _LINE_MODULES + _NO_ARRAYS),
     (["vcoef", "--max-modes", "5"], None, 0, False, _LINE_MODULES),
     *[(["tdec-sweep", "--axis", axis, "--from", lo, "--to", hi, "--points", "3"],
        _RING200, 0, False, _LINE_MODULES) for axis, (lo, hi) in _SWEEP.items()],
     (["boundary", "--points", "8"], None, 0, False,
-     ("sonicbh.correlations", *_RING_AND_MC_MODULES)),
+     ("sonicbh.correlations", *_RING_AND_MC_MODULES, *_NO_ARRAYS)),
     (["er", "--k", "0.05", "--t-min", "40", "--t-max", "100", "--points", "2"],
-     None, 0, False, _RING_AND_MC_MODULES),
+     None, 0, False, _RING_AND_MC_MODULES + _NO_ARRAYS),
     (["langevin", "--t", "30", "--x1", "-1.2", "--realizations", "200", "--points", "8"],
      None, 0, False, _RING_AND_CORRELATION_MODULES),
     (["langevin", "--t", "30", "--x1", "-1.2", "--realizations", "200", "--points", "8",
@@ -670,20 +697,24 @@ def _assert_scipy_footprint(scipy_modules, integrates):
      None, 0, False, _LINE_MODULES),
     (["diffusion", "--omega", "2", "--t-min", "0.01", "--t-max", "10", "--points", "2",
       "--oracle"], None, 0, True, _LINE_MODULES),
-    (["correlation", "--t", "100", "--x1", "-4", "--points", "16"], None, 0, True,
-     _RING_AND_MC_MODULES),
+    (["correlation", "--t", "100", "--x1", "-4", "--points", "16", "--beta", "5"], None, 0,
+     False, _RING_AND_MC_MODULES + _NO_ARRAYS),
+    (["correlation", "--t", "60", "--x1", "-4", "--points", "16", "--beta", "5",
+      "--method", "mode_sum_oracle"], None, 0, True, _RING_AND_MC_MODULES),
 ], ids=["import", "help", "hawking", "vcoef", "tdec-sweep-gamma", "tdec-sweep-v-min",
         "tdec-sweep-temperature", "boundary", "er", "langevin-matched", "langevin-exact",
         "langevin-thermal",
         "argument-refusal", "config-refusal", "line-slope-refusal", "diffusion",
-        "diffusion-oracle", "correlation"])
+        "diffusion-oracle", "correlation", "correlation-mode-sum-oracle"])
 def test_scipy_loaded_only_where_a_command_integrates(tmp_path, argv, config, code,
                                                       integrates, not_loaded):
     """Commands that only evaluate closed forms never import scipy; one that
     integrates loads QUADPACK's compiled extension (~15 ms) and no other
     scipy module: neither the scipy.integrate package nor scipy.special.
     Importing the CLI loads no numpy, and neither does a refused argument or
-    config; a command that runs loads only the numeric modules it calls."""
+    config, nor a command that computes on scalars (hawking, boundary, er,
+    the closed-form correlation); a command that runs loads only the numeric
+    modules it calls."""
     prefix = []
     if argv:
         prefix = ["--output", str(tmp_path / "x.csv")]
@@ -698,14 +729,22 @@ def test_scipy_loaded_only_where_a_command_integrates(tmp_path, argv, config, co
     assert sorted(set(not_loaded) & set(loaded["modules"])) == []
 
 
-@pytest.mark.parametrize("script", ["run_correlation_scan.py", "run_langevin_check.py"])
+@pytest.mark.parametrize("script", ["run_langevin_check.py"])
 def test_study_scripts_load_only_quadpacks_extension(tmp_path, script):
-    """Both study scripts that integrate load QUADPACK's extension, and
+    """The study script that integrates loads QUADPACK's extension, and
     neither the scipy.integrate package nor scipy.special."""
     path = os.path.join(os.path.dirname(_SRC), "scripts", script)
     proc = _fresh_interpreter(tmp_path, [path], script=("-c", _SCRIPT_PROBE))
     assert proc.returncode == 0, proc.stderr
     _assert_scipy_footprint(json.loads(proc.stdout.splitlines()[-1]), True)
+
+
+def test_correlation_scan_script_loads_no_scipy(tmp_path):
+    """The scan's uniform rows come from the image series: no quadrature."""
+    path = os.path.join(os.path.dirname(_SRC), "scripts", "run_correlation_scan.py")
+    proc = _fresh_interpreter(tmp_path, [path], script=("-c", _SCRIPT_PROBE))
+    assert proc.returncode == 0, proc.stderr
+    _assert_scipy_footprint(json.loads(proc.stdout.splitlines()[-1]), False)
 
 
 def test_decoherence_sweep_script(tmp_path):

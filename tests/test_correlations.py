@@ -6,15 +6,18 @@ import sys
 import mpmath as mp
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 import sonicbh
 from sonicbh.characteristics import entanglement_boundary, matched_exponent
 from sonicbh.correlations import (CorrelationGrid, build_correlation_grid,
                                   corr_closed_form, corr_homogeneous,
+                                  corr_homogeneous_closed_form,
                                   corr_mode_sum_oracle, detect_peak,
                                   open_correction_er, thermal_momentum_integral)
 from sonicbh import correlations
-from sonicbh.errors import ExtrapolationError, RegimeWarning, RegionError
+from sonicbh.errors import ExtrapolationError, RegimeError, RegimeWarning, RegionError
 from sonicbh.specfun import thermal_weight
 
 from conftest import LINE_T_HAWKING, er_mpmath, mode_function, mode_function_pde_residual
@@ -135,22 +138,77 @@ def test_homogeneous_two_regulator_families_agree():
         assert v == pytest.approx(v_reg, rel=1e-6)
 
 
-def test_homogeneous_against_image_sum_oracle():
-    # extended precision through the thermal image sum, coth = 1 + 2 sum e^{-n beta k}:
-    # Gamma(5/2)/sqrt(2) [(i d)^{-5/2} + 2 beta^{-5/2} zeta(5/2, 1 + i d/beta)]
-    def exact(dx, beta):
+def _image_sum_exact(dx, beta):
+    """The uniform-region correlation in 40 digits through the thermal image sum,
+    coth = 1 + 2 sum e^{-n beta k}:
+    Gamma(5/2)/sqrt(2) [(i d)^{-5/2} + 2 beta^{-5/2} zeta(5/2, 1 + i d/beta)]."""
+    with mp.workdps(40):
         d = mp.mpf(abs(dx))
         s = (1j * d) ** mp.mpf("-2.5")
         if not math.isinf(beta):
             b = mp.mpf(beta)
             s += 2 * b ** mp.mpf("-2.5") * mp.zeta(mp.mpf("2.5"), 1 + 1j * d / b)
-        val = complex(mp.gamma(mp.mpf("2.5")) * s / mp.sqrt(2))
-        return val if dx > 0 else val.conjugate()
+        val = mp.gamma(mp.mpf("2.5")) * s / mp.sqrt(2)
+        return val if dx > 0 else mp.conj(val)
 
+
+def _rel_to_exact(value: complex, exact) -> float:
+    with mp.workdps(40):
+        return float(abs(mp.mpc(value) - exact) / abs(exact))
+
+
+def test_homogeneous_against_image_sum_oracle():
     # (-500, 1000): a Bose bump much narrower than the first quadrature cycle
     for dx, beta in [(-16.0, 5.0), (6.0, 2.0), (-30.0, 0.2), (-1.0, 1.05), (-25.0, 62.8),
                      (9.0, math.inf), (-500.0, 1000.0)]:
-        assert corr_homogeneous(dx, T_LONG, beta) == pytest.approx(exact(dx, beta), rel=1e-10)
+        exact = complex(_image_sum_exact(dx, beta))
+        assert corr_homogeneous(dx, T_LONG, beta) == pytest.approx(exact, rel=1e-10)
+        assert corr_homogeneous_closed_form(dx, beta) == pytest.approx(exact, rel=2e-15)
+
+
+@given(log_beta=st.floats(min_value=-300.0, max_value=300.0),
+       log_dx=st.floats(min_value=-3.0, max_value=4.0), sign=st.sampled_from([-1.0, 1.0]))
+def test_homogeneous_closed_form_against_image_sum(log_beta, log_dx, sign):
+    # beta from 1e-300, where beta^{-5/2} alone overflows, to 1e300
+    dx, beta = sign * 10.0 ** log_dx, 10.0 ** log_beta
+    value = corr_homogeneous_closed_form(dx, beta)
+    assert math.isfinite(value.real) and math.isfinite(value.imag)
+    assert _rel_to_exact(value, _image_sum_exact(dx, beta)) <= 2e-15
+
+
+def test_homogeneous_closed_form_zero_temperature_is_the_vacuum_part():
+    # at beta = inf the Bose part is exactly 0: the quadrature route's bits
+    for dx in (-30.0, -4.0, 9.0):
+        assert corr_homogeneous_closed_form(dx, math.inf) == corr_homogeneous(dx, T_LONG,
+                                                                               math.inf)
+
+
+@pytest.mark.parametrize("beta", [0.05, 1.05, 3.14, 62.8, 1e3, math.inf])
+def test_uniform_rows_of_both_methods_agree(line, beta):
+    # x1 beyond x_minus(60) = -6.93: every row is uniform, |dx| from 13.5 to 42,
+    # so beta < 1000 |dx|.  The quadrature is asked for 1e-11 of the result's
+    # scale and mostly does better (~1e-13), but at beta = 0.05, x2 = 6.4565 it
+    # misses the 40-digit image sum by 2.1e-12, where the series holds to 1e-16
+    x2 = np.linspace(1.5, 30.0, 24)
+    closed = build_correlation_grid(-12.0, x2, 60.0, beta, line)
+    oracle = build_correlation_grid(-12.0, x2, 60.0, beta, line, method="mode_sum_oracle")
+    assert set(closed.regions) == set(oracle.regions) == {"uniform"}
+    for x, c, o in zip(x2, closed.values, oracle.values):
+        assert abs(c - o) <= 1e-11 * c
+        if beta == 0.05 and x == x2[4]:
+            exact = abs(_image_sum_exact(-12.0 - x, beta))
+            assert abs(c - exact) <= 2e-15 * exact < abs(o - exact)
+
+
+@pytest.mark.parametrize("beta", [5e-324, 1e-310, math.nan, 0.0, -1.0])
+def test_homogeneous_closed_form_refuses_beta_out_of_range(beta):
+    # the value leaves the float range below beta ~ 1e-308 at |dx| = 1
+    if beta > 0:
+        with pytest.raises(RegimeError, match="beta = "):
+            corr_homogeneous_closed_form(-1.0, beta)
+    else:
+        with pytest.raises(ValueError, match="beta must be positive"):
+            corr_homogeneous_closed_form(-1.0, beta)
 
 
 def test_homogeneous_zero_temperature_power_law():
@@ -292,8 +350,8 @@ def test_long_time_peak_present_and_mirrored(line):
 
 def test_peak_height_weakly_dependent_on_probe_depth(line):
     # the matched pair peak saturates at 1/(4 a^2) regardless of the probe
-    h4 = _grid(line, -4.0).values.max()
-    h6 = _grid(line, -6.0).values.max()
+    h4 = max(_grid(line, -4.0).values)
+    h6 = max(_grid(line, -6.0).values)
     assert h4 == pytest.approx(0.25, rel=1e-2)
     assert h6 == pytest.approx(h4, rel=1e-2)
 
@@ -417,21 +475,25 @@ def test_mode_pde_residual_second_order(line):
 
 def test_nan_beta_refused_before_quadpack():
     # A NaN integrand can crash QUADPACK's Fourier routine outright, so the
-    # grid runs in a child process whose death fails the test, not the suite.
+    # grids run in a child process whose death fails the test, not the suite.
+    # The oracle's quadratures refuse it; the closed forms, which integrate
+    # nothing, refuse it as a beta that is not positive.
     script = (
         "import math\n"
         "from sonicbh.correlations import build_correlation_grid\n"
         "from sonicbh.errors import QuadratureError\n"
         "from sonicbh.profiles import LineProfile\n"
-        "try:\n"
-        "    build_correlation_grid(-4.0, [1.5, 30.0], 100.0, math.nan,\n"
-        "                           LineProfile(a=1.0, kappa=0.1, tau=1.0))\n"
-        "except QuadratureError:\n"
-        "    print('refused')\n")
+        "line = LineProfile(a=1.0, kappa=0.1, tau=1.0)\n"
+        "for method, refusal in (('mode_sum_oracle', QuadratureError),\n"
+        "                        ('closed_form', ValueError)):\n"
+        "    try:\n"
+        "        build_correlation_grid(-4.0, [1.5, 30.0], 100.0, math.nan, line, method)\n"
+        "    except refusal:\n"
+        "        print('refused')\n")
     src = os.path.dirname(os.path.dirname(os.path.abspath(sonicbh.__file__)))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         p for p in (src, os.environ.get("PYTHONPATH")) if p))
     proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
                           text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "refused"
+    assert proc.stdout.split() == ["refused", "refused"]

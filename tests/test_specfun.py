@@ -12,8 +12,8 @@ from scipy.special import shichi
 from sonicbh import specfun
 from sonicbh.errors import QuadratureError
 from sonicbh.specfun import (_e1_scaled, _ei_scaled, betainc_regularized, fourier_integral,
-                             integrate_adaptive, log_cosh, si, stable_shi_chi_combo,
-                             thermal_excess, thermal_weight)
+                             image_sum, integrate_adaptive, log_cosh, si,
+                             stable_shi_chi_combo, thermal_excess, thermal_weight)
 
 mp.mp.dps = 40
 
@@ -354,6 +354,24 @@ def test_thermal_excess_limits():
 def test_thermal_excess_against_mpmath(k, beta):
     exact = 2 * mp.mpf(k) / mp.expm1(mp.mpf(beta) * k)
     assert thermal_excess(k, beta) == pytest.approx(float(exact), rel=1e-15)
+
+
+# beta from 1e-300, where beta^{-5/2} alone overflows, to 1e100, where the
+# sum nears underflow; y from 1e-3 to 1e4, below, near and far above beta
+IMAGE_BETAS = [1e-300, 1e-100, 1e-8, 1e-3, 0.05, 1.0, 5.0, 62.8, 1e3, 1e8, 1e100]
+IMAGE_YS = [1e-3, 0.1, 1.0, 16.0, 500.0, 1e4]
+
+
+@pytest.mark.parametrize("beta", IMAGE_BETAS)
+def test_image_sum_against_mpmath(beta):
+    for y in IMAGE_YS:
+        b, d = mp.mpf(beta), mp.mpf(y)
+        exact = b ** mp.mpf("-2.5") * mp.zeta(mp.mpf("2.5"), 1 + 1j * d / b)
+        assert abs(mp.mpc(image_sum(beta, y)) - exact) <= 2e-15 * abs(exact), y
+
+
+def test_image_sum_zero_temperature():
+    assert image_sum(math.inf, 3.0) == 0j
 
 
 def test_log_cosh_overflow_safe():
