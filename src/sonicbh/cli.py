@@ -12,7 +12,8 @@ each command imports the numeric modules it calls, so a refused argument or
 config exits before numpy is imported and no command loads a module it does
 not call.  Linear grids are built here without numpy, so the commands that
 compute on scalars (hawking, boundary, er and the closed-form correlation)
-load none.
+load none, and a linear tdec-sweep refused for its regime exits before numpy
+loads.
 """
 
 from __future__ import annotations
@@ -296,10 +297,12 @@ def _run(args) -> tuple[list, list, dict]:
         if args.log and min(args.lo, args.hi) <= 0:
             raise ConfigError(f"--log needs a positive range, got --from {args.lo:g} "
                               f"--to {args.hi:g}")
-        import numpy as np
         from .decoherence import SweepRow, sweep_decoherence
-        space = np.geomspace if args.log else _linspace
-        values = space(args.lo, args.hi, args.points)
+        if args.log:
+            import numpy as np
+            values = np.geomspace(args.lo, args.hi, args.points)
+        else:
+            values = _linspace(args.lo, args.hi, args.points)
         rows, errs = sweep_decoherence(args.axis, values, config, gamma,
                                        temperature=env.bath_temperature)
         if errs:

@@ -46,6 +46,14 @@ from .specfun import fourier_integral, image_sum, thermal_excess, thermal_weight
 
 _MAX_SEPARATION = 4.0     # in units of beta
 
+# Smallest beta the uniform-region quadrature (corr_homogeneous) takes: its
+# u-space integral grows as |dx|^{-1/2}/beta toward the float range, and its
+# error with it.  Scanned over |dx| from 1e-6 to 1e6, it holds 1e-11 against
+# the image series down to beta = 4e-293 (3.7e-12 at this floor, worst at
+# |dx| = 1e-6), misses by 8e-8 at 1e-300 and by 130% at 1e-307, and fails
+# at 1e-308.
+_HOMOGENEOUS_ORACLE_MIN_BETA = 1e-292
+
 
 def _bose_integral(f, separation: float, kind: str, scale: float) -> float:
     """int_0^inf f(k) trig(k |separation|) dk for a decaying f, trig = ``kind``,
@@ -129,7 +137,13 @@ def corr_homogeneous(dx: float, t: float, beta: float) -> complex:
     The Bose part, sqrt(k) thermal_excess / sqrt(2), is one Fourier
     quadrature per component on the result's scale |dx|^{-3/2} / min(|dx|,
     beta).  ``t`` is not read: the uniform-region value does not depend on it.
+    A beta below _HOMOGENEOUS_ORACLE_MIN_BETA is refused with a RegimeError.
     """
+    if not beta >= _HOMOGENEOUS_ORACLE_MIN_BETA:
+        raise RegimeError(
+            f"the uniform-region quadrature is refused at beta = {beta:.6g}: it holds "
+            f"the image series only down to beta = {_HOMOGENEOUS_ORACLE_MIN_BETA:g} "
+            "(the closed-form method answers)")
     f = lambda k: math.sqrt(k) * thermal_excess(k, beta) / math.sqrt(2.0)
 
     def bose(a):

@@ -13,8 +13,11 @@ accumulated diffusion reaching order unity on the smallest trajectory
 separation rho*delta^2.
 
 A sweep reads one weight per mode, V1 of the mode's own branch: its mode
-table takes that alone, from the cosine integral of the mode's own null map,
-and each point's band is one array expression over the whole table.
+table takes that alone, every mode of a branch in one pass over that branch's
+null map (the allowed modes are harmonics, so the cosine integrals come by
+angle addition), and each point's band is one array expression over the
+whole table.  numpy loads inside the functions that build arrays, so a sweep
+refused before its table loads none.
 """
 
 from __future__ import annotations
@@ -22,15 +25,16 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass, replace
-from typing import NamedTuple
-
-import numpy as np
+from typing import TYPE_CHECKING, NamedTuple
 
 from .environment import EnvironmentSpec, cutoff_factor
 from .errors import QuadratureError, RegimeError, SonicBHError
 from .params import TWO_PI, DerivedParams, PhysicalConfig, derive
 from .profiles import RingProfile, hawking_temperature_ring, null_coordinate_map
 from .specfun import fourier_integral, integrate_adaptive, si, stable_shi_chi_combo
+
+if TYPE_CHECKING:
+    import numpy as np
 
 # Criterion constant in (rho delta^2 / hbar) * accumulated diffusion == const,
 # an order-unity convention; t_D scales linearly with it.
@@ -164,23 +168,32 @@ def _exclusion(profile: RingProfile, branch: str) -> float:
     return derive(profile.config).delta if branch == "v" else 0.0
 
 
+def _harmonics(profile: RingProfile, branch: str):
+    """(null map, fundamental 2*pi / |null circumference|, number of allowed
+    modes up to the ceiling N/T) of a branch, on its map with its
+    ``_exclusion``."""
+    nmap = null_coordinate_map(profile, branch, _exclusion(profile, branch))
+    base = TWO_PI / abs(nmap.total)
+    return nmap, base, int(derive(profile.config).omega_max / base)
+
+
 def allowed_frequencies(profile: RingProfile, branch: str) -> np.ndarray:
     """Periodicity-allowed mode frequencies 2*pi*n / |null circumference| up
     to the ceiling N/T, on the branch's null map with its ``_exclusion``."""
-    nmap = null_coordinate_map(profile, branch, _exclusion(profile, branch))
-    base = TWO_PI / abs(nmap.total)
-    n_max = int(derive(profile.config).omega_max / base)
+    import numpy as np
+    _, base, n_max = _harmonics(profile, branch)
     return base * np.arange(1, n_max + 1)
 
 
-def _v1(nmap, omega: float) -> float:
-    """V1 = (L + int cos 2 omega x dtheta)/2, L the measure of the kept pieces."""
-    return 0.5 * (nmap.length + nmap.cos_integral(2.0 * omega))
+def _v1(nmap, cos_integral):
+    """V1 = (L + int cos 2 omega x dtheta)/2 from the cosine integral, L the
+    measure of the kept pieces."""
+    return 0.5 * (nmap.length + cos_integral)
 
 
 def _branch_weights(nmap, omega: float) -> tuple[float, float]:
     """(V1, V2), V2 = int sin 2 omega x dtheta / 2."""
-    return _v1(nmap, omega), 0.5 * nmap.sin_integral(2.0 * omega)
+    return _v1(nmap, nmap.cos_integral(2.0 * omega)), 0.5 * nmap.sin_integral(2.0 * omega)
 
 
 def v_coefficients(profile: RingProfile, omega: float,
@@ -213,6 +226,7 @@ def _t_d(config, derived, gamma, temperature, omega, omega_cubed, v):
     The first offending mode in table order raises, its checks in the order
     V <= 0, t_D(0) overflow, t_D <= 0.
     """
+    import numpy as np
     if gamma <= 0 or np.any(omega <= 0):
         raise ValueError("gamma and omega must be positive")
     if temperature < 0:
@@ -254,8 +268,11 @@ def decoherence_time(config: PhysicalConfig, derived: DerivedParams, gamma: floa
     of the full weight stays under 10% of V1 at the allowed modes of the
     bench ring (acceptance check C05).  The thermal correction is quadratic
     and independent of the mode weight.  This is the one-mode case of the
-    sweep's band, through the same expression, so the two agree bit for bit.
+    sweep's band, through the same expression: given the same V1 the two agree
+    bit for bit, and the band's V1 (from the table's harmonic pass) is within
+    1e-13 relative of v_coefficients'.
     """
+    import numpy as np
     v = vcoef.v1_u if branch == "u" else vcoef.v1_v
     t_d = _t_d(config, derived, gamma, temperature, np.array([omega], dtype=float),
                np.array([omega ** 3], dtype=float), np.array([v], dtype=float))
@@ -277,23 +294,27 @@ def _mode_table(profile):
     allowed v mode.
 
     V1 is what t_D reads of a mode: it is taken on the mode's own null map
-    alone (with its ``_exclusion``), one 1-D cosine integral per mode, with no
-    V2 and no weight of the other branch.  omega^3 is the power of each
-    mode's scalar, as decoherence_time takes it.  The table depends on
-    neither gamma nor T0, so one serves every point of a sweep that keeps the
-    profile.
+    alone (with its ``_exclusion``), with no V2 and no weight of the other
+    branch.  The allowed modes of a branch are the harmonics j omega_1, so
+    one harmonic pass over its map gives every cosine integral, within 1e-13
+    relative of v_coefficients' one-omega path in V1.  omega^3 is the power
+    of each mode's scalar, as decoherence_time takes it.  The table depends
+    on neither gamma nor T0, so one serves every point of a sweep that keeps
+    the profile.
     """
+    import numpy as np
     omega, v1 = [], []
     for branch in ("u", "v"):
-        nmap = null_coordinate_map(profile, branch, _exclusion(profile, branch))
-        for om in allowed_frequencies(profile, branch):
-            omega.append(om)
-            v1.append(_v1(nmap, om))
-    return np.array(omega), np.array([om ** 3 for om in omega]), np.array(v1)
+        nmap, base, n = _harmonics(profile, branch)
+        omega.append(base * np.arange(1, n + 1))
+        v1.append(_v1(nmap, nmap.harmonic_cos_integrals(2.0 * base, n)))
+    omega = np.concatenate(omega)
+    return omega, np.array([om ** 3 for om in omega]), np.concatenate(v1)
 
 
 def _band(config, derived, gamma, temperature, modes):
     """(t_d_min, t_d_max, omega_of_min, omega_of_max) over a mode table."""
+    import numpy as np
     omega = modes[0]
     t_d = _t_d(config, derived, gamma, temperature, *modes)
     lo, hi = int(np.argmin(t_d)), int(np.argmax(t_d))   # first of equal values

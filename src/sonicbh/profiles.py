@@ -161,6 +161,11 @@ def _g(sign: float, d):
 # agree with adaptive quadrature in theta to ~1e-14 on the bench ring.
 _PANEL_PHASE = 32.0
 
+# Ramp nodes per block of NullCoordinateMap.harmonic_cos_integrals: each of
+# its temporaries holds n/B or B rows of _HARMONIC_CHUNK doubles, however many
+# nodes the ring has.
+_HARMONIC_CHUNK = 256
+
 
 @functools.cache
 def _gauss_legendre() -> tuple[np.ndarray, np.ndarray]:
@@ -174,7 +179,10 @@ def _gauss_legendre() -> tuple[np.ndarray, np.ndarray]:
 class NullCoordinateMap:
     """What the mode weights read of x_u or x_v over [0, 2*pi]: its total, the
     measure of its pieces and its cosine and sine integrals, taken apart so
-    that V1, which reads only the cosine one, pays for no sine.
+    that V1, which reads only the cosine one, pays for no sine.  The cosine
+    integral comes at one k (cos_integral, what v_coefficients reads) or at
+    every harmonic j k1, j = 1..n, in one pass (harmonic_cos_integrals, what
+    a sweep's mode table reads).
 
     With dx_b/dtheta = 1/(c +- v) = v^(1/2)/(K +- v^(3/2)), x_b is linear in
     theta on a plateau and (+-2/(3 s)) ln|K +- v^(3/2)| + const on a ramp of
@@ -202,6 +210,34 @@ class NullCoordinateMap:
         import numpy as np
         return float(np.sum(np.sin(k * self._nodes) * self._weights)
                      - np.sum(np.cos(k * self._ends) * self._end_weights) / k)
+
+    def harmonic_cos_integrals(self, k1: float, n: int) -> np.ndarray:
+        """cos_integral(j k1) for j = 1..n in one pass, k1 != 0.
+
+        On the ramps j = q B + m (B = isqrt(n), m = 1..B) and
+        cos(j phi) = cos(q B phi) cos(m phi) - sin(q B phi) sin(m phi), so
+        cos and sin are taken at n/B + B multiples per node and the rest is
+        contracted, _HARMONIC_CHUNK nodes at a time and without BLAS (the
+        sums do not depend on its threads).  Plateaus are exact as in
+        cos_integral.  The values agree with cos_integral's to ~1e-14 of the
+        sum of |weights|, not bit for bit.
+        """
+        import numpy as np
+        if n == 0:
+            return np.empty(0)
+        b = math.isqrt(n)
+        k_m = k1 * np.arange(1, b + 1)
+        k_q = k1 * (b * np.arange(-(-n // b)))
+        table = np.zeros((k_q.size, b))
+        for i in range(0, self._nodes.size, _HARMONIC_CHUNK):
+            x = self._nodes[i:i + _HARMONIC_CHUNK]
+            w = self._weights[i:i + _HARMONIC_CHUNK]
+            phase_q, phase_m = np.multiply.outer(k_q, x), np.multiply.outer(k_m, x)
+            table += np.einsum("qi,mi->qm", np.cos(phase_q) * w, np.cos(phase_m))
+            table -= np.einsum("qi,mi->qm", np.sin(phase_q) * w, np.sin(phase_m))
+        k = k1 * np.arange(1, n + 1)
+        ends = np.sin(np.multiply.outer(k, self._ends)) * self._end_weights
+        return table.ravel()[:n] + np.sum(ends, axis=1) / k
 
 
 @functools.lru_cache(maxsize=32)

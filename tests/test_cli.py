@@ -104,6 +104,20 @@ def test_tiny_beta_is_answered(tmp_path):
     assert all(math.isfinite(float(value)) for value, _region in rows.values())
 
 
+def test_tiny_beta_is_refused_by_the_oracle_method(tmp_path, capsys):
+    """Below beta = 1e-292 the uniform rows' quadrature drifts off the image
+    series (8e-8 at 1e-300, 130% at 1e-307): the oracle method refuses such a
+    beta by name, exit 4, where the closed-form method answers."""
+    argv = ["correlation", "--t", "60", "--x1", "-12", "--points", "16", "--beta"]
+    for beta in ("1e-300", "1e-308"):
+        assert _run(tmp_path, *argv, beta)[0] == 0
+        code, _ = _run(tmp_path, *argv, beta, "--method", "mode_sum_oracle")
+        assert code == 4
+        record = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert record["error"] == "RegimeError" and f"beta = {beta}:" in record["message"]
+    assert _run(tmp_path, *argv, "1e-292", "--method", "mode_sum_oracle")[0] == 0
+
+
 @given(start=st.floats(-1e150, 1e150), stop=st.floats(-1e150, 1e150),
        num=st.integers(1, 300))
 def test_linspace_is_numpys_bit_for_bit(start, stop, num):
@@ -369,7 +383,9 @@ def test_regime_error_exit_code(tmp_path, capsys):
                  "temperature", "--from", "0.1", "--to", "1000.0", "--points", "4"])
     assert code == 4
     record = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
-    assert record["error"] == "RegimeError"
+    assert record == {"error": "RegimeError", "message": (
+        "temperature sweep beyond 100 T_H = 50 refused (low-temperature expansion "
+        "invalid); offending values start at 333.4")}
 
 
 def test_config_env_var_respected(tmp_path, monkeypatch):
@@ -693,6 +709,8 @@ def _assert_scipy_footprint(scipy_modules, integrates):
      _NO_NUMPY),
     (["hawking"], "missing", 2, False, _NO_NUMPY),
     (["hawking"], {"line_kappa": "5.0"}, 2, False, _NO_NUMPY),
+    (["tdec-sweep", "--axis", "temperature", "--from", "0.1", "--to", "200", "--points", "2"],
+     None, 4, False, _NO_NUMPY),
     (["diffusion", "--omega", "2", "--t-min", "0.01", "--t-max", "10", "--points", "2"],
      None, 0, False, _LINE_MODULES),
     (["diffusion", "--omega", "2", "--t-min", "0.01", "--t-max", "10", "--points", "2",
@@ -704,15 +722,17 @@ def _assert_scipy_footprint(scipy_modules, integrates):
 ], ids=["import", "help", "hawking", "vcoef", "tdec-sweep-gamma", "tdec-sweep-v-min",
         "tdec-sweep-temperature", "boundary", "er", "langevin-matched", "langevin-exact",
         "langevin-thermal",
-        "argument-refusal", "config-refusal", "line-slope-refusal", "diffusion",
+        "argument-refusal", "config-refusal", "line-slope-refusal", "too-hot-sweep-refusal",
+        "diffusion",
         "diffusion-oracle", "correlation", "correlation-mode-sum-oracle"])
 def test_scipy_loaded_only_where_a_command_integrates(tmp_path, argv, config, code,
                                                       integrates, not_loaded):
     """Commands that only evaluate closed forms never import scipy; one that
     integrates loads QUADPACK's compiled extension (~15 ms) and no other
     scipy module: neither the scipy.integrate package nor scipy.special.
-    Importing the CLI loads no numpy, and neither does a refused argument or
-    config, nor a command that computes on scalars (hawking, boundary, er,
+    Importing the CLI loads no numpy, and neither does a refused argument,
+    config or regime (a linear temperature sweep past 100 T_H), nor a command
+    that computes on scalars (hawking, boundary, er,
     the closed-form correlation); a command that runs loads only the numeric
     modules it calls."""
     prefix = []

@@ -166,6 +166,18 @@ def test_homogeneous_against_image_sum_oracle():
         assert corr_homogeneous_closed_form(dx, beta) == pytest.approx(exact, rel=2e-15)
 
 
+def test_homogeneous_quadrature_refuses_below_its_beta_floor():
+    # at the floor it holds 1e-11 of the image series over |dx| from 1e-6 to
+    # 1e6; below it the quadrature is refused by name, not answered off
+    floor = correlations._HOMOGENEOUS_ORACLE_MIN_BETA
+    for dx in (-1e-6, -16.6, 1e6):
+        exact = complex(_image_sum_exact(dx, floor))
+        assert corr_homogeneous(dx, T_LONG, floor) == pytest.approx(exact, rel=1e-11)
+    for beta in (0.99 * floor, 1e-300, 1e-308):
+        with pytest.raises(RegimeError, match=f"beta = {beta:.6g}:"):
+            corr_homogeneous(-16.6, T_LONG, beta)
+
+
 @given(log_beta=st.floats(min_value=-300.0, max_value=300.0),
        log_dx=st.floats(min_value=-3.0, max_value=4.0), sign=st.sampled_from([-1.0, 1.0]))
 def test_homogeneous_closed_form_against_image_sum(log_beta, log_dx, sign):

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -13,7 +14,8 @@ from sonicbh.decoherence import (DECOHERENCE_CRITERION, _mode_table, _t_d,
 from sonicbh.environment import EnvironmentSpec
 from sonicbh.errors import QuadratureError, RegimeError
 from sonicbh.params import TWO_PI, derive
-from sonicbh.profiles import NullCoordinateMap, RingProfile, null_coordinate_map
+from sonicbh.profiles import (_HARMONIC_CHUNK, NullCoordinateMap, RingProfile,
+                              null_coordinate_map)
 from sonicbh.specfun import integrate_adaptive
 
 from ring_oracle import ring_null_coordinate
@@ -178,16 +180,45 @@ def test_v2_vanishes_by_mirror_symmetry(config, ring):
         assert abs(vc.v2_u if branch == "u" else vc.v2_v) <= 1e-12
 
 
+# The mode table's V1 comes from one harmonic pass per branch (angle
+# addition), v_coefficients' from one cosine integral per omega: the two sum
+# in different orders and agree to this bound, not bit for bit.
+TABLE_V1_RTOL = 1e-13
+
+
 def test_v_coefficients_equal_mode_table_rows(ring):
-    # the table takes V1 of each mode's own branch alone; it must be that
-    # branch's V1 of v_coefficients bit for bit
+    # the table takes V1 of each mode's own branch alone: its frequencies are
+    # allowed_frequencies' bit for bit, its V1 that branch's V1 of
+    # v_coefficients to TABLE_V1_RTOL
     omega, omega_cubed, v1 = _mode_table(ring)
     modes = _reference_modes(ring)
     assert len(omega) == len(omega_cubed) == len(v1) == len(modes)
     for (branch, om), t_om, t_cube, t_v1 in zip(modes, omega, omega_cubed, v1):
         vc = v_coefficients(ring, om)
         assert t_om == om and t_cube == om ** 3
-        assert t_v1 == (vc.v1_u if branch == "u" else vc.v1_v)
+        assert t_v1 == pytest.approx(vc.v1_u if branch == "u" else vc.v1_v,
+                                     rel=TABLE_V1_RTOL, abs=0.0)
+
+
+def test_mode_table_peak_memory_near_its_chunk(ring):
+    """The harmonic pass holds a few (rows, chunk) temporaries at a time, rows
+    n/B or B (B = isqrt(n)): on the bench v branch (411 modes, 9920 ramp
+    nodes) a slab of (21 + 20) rows is ~84 KB, and the traced peak of the
+    whole table stays under four of them, where a phase matrix of every mode
+    at every node would hold 411 x 9920 doubles."""
+    nmap = null_coordinate_map(ring, "v", derive(ring.config).delta)
+    n = len(allowed_frequencies(ring, "v"))
+    b = math.isqrt(n)
+    slab = 8 * (b + -(-n // b)) * _HARMONIC_CHUNK
+    assert 50 * 4 * slab < 8 * n * nmap._nodes.size    # under 2% of that matrix
+    _mode_table(ring)                   # the null maps are built and cached
+    tracemalloc.start()
+    try:
+        _mode_table(ring)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * slab
 
 
 # --------------------------------------------------------------------------
@@ -324,24 +355,30 @@ def test_sweep_band_equals_per_mode_reference(config, n_ions, axis, values):
             t0 = row.axis
         else:
             point_cfg = replace(cfg, v_min=row.axis)
-        assert tuple(row[1:]) == _reference_band(point_cfg, g, t0)
+        t_min, t_max, omega_min, omega_max = _reference_band(point_cfg, g, t0)
+        assert (row.omega_min, row.omega_max) == (omega_min, omega_max)
+        assert row.t_d_min == pytest.approx(t_min, rel=TABLE_V1_RTOL, abs=0.0)
+        assert row.t_d_max == pytest.approx(t_max, rel=TABLE_V1_RTOL, abs=0.0)
 
 
 @pytest.mark.parametrize("temperature", [0.0, 5.5])
 def test_band_t_d_equals_scalar_formula_per_mode(config, derived, ring, temperature):
     # every mode of the band, not only its edges; at T0 = 5.5 (11 T_H) and
     # gamma = 1e-5 the thermal term takes up to 98% of t_D(0), which magnifies
-    # any change in the order of operations of either term
+    # any change in the order of operations of either term.  The band and
+    # decoherence_time are each the scalar formula bit for bit at their own
+    # V1, and the two V1 differ within TABLE_V1_RTOL
     gamma = 1e-5
     modes = _mode_table(ring)
     t_d = _t_d(config, derived, gamma, temperature, *modes)
-    for (branch, om), band_t_d in zip(_reference_modes(ring), t_d):
+    for (branch, om), band_t_d, table_v1 in zip(_reference_modes(ring), t_d, modes[2]):
+        assert band_t_d == _scalar_t_d(config, derived, gamma, om, temperature, table_v1)
         vc = v_coefficients(ring, om)
         scalar = _scalar_t_d(config, derived, gamma, om, temperature,
                              vc.v1_u if branch == "u" else vc.v1_v)
-        assert band_t_d == scalar
-        assert decoherence_time(config, derived, gamma, om, temperature, vc,
-                                branch).t_d == scalar
+        one_mode = decoherence_time(config, derived, gamma, om, temperature, vc, branch).t_d
+        assert one_mode == scalar
+        assert one_mode == pytest.approx(band_t_d, rel=TABLE_V1_RTOL, abs=0.0)
 
 
 def test_sweep_records_partial_thermal_breakdown(config, ring, derived):
@@ -365,31 +402,29 @@ def test_sweep_records_partial_thermal_breakdown(config, ring, derived):
 
 def test_gamma_sweep_reads_only_each_modes_own_cosine_integral(config, ring, derived,
                                                                monkeypatch):
-    # the band reads V1 of each mode's own branch: one cosine integral per
-    # allowed mode on that branch's map, no sine integral, nothing on the
-    # other branch's map
-    calls = {"cos": [], "sin": []}
-    cos_integral, sin_integral = NullCoordinateMap.cos_integral, NullCoordinateMap.sin_integral
+    # the band reads V1 of each mode's own branch: one harmonic pass per
+    # branch on that branch's own map, at k1 = 2 omega_1 over all its modes,
+    # and no one-omega cosine or sine integral
+    calls = {name: [] for name in ("harmonic_cos_integrals", "cos_integral", "sin_integral")}
 
-    def counted_cos(nmap, k):
-        calls["cos"].append((nmap, k))
-        return cos_integral(nmap, k)
+    def counted(name, original):
+        def method(nmap, *args):
+            calls[name].append((nmap, *args))
+            return original(nmap, *args)
+        return method
 
-    def counted_sin(nmap, k):
-        calls["sin"].append((nmap, k))
-        return sin_integral(nmap, k)
-
-    monkeypatch.setattr(NullCoordinateMap, "cos_integral", counted_cos)
-    monkeypatch.setattr(NullCoordinateMap, "sin_integral", counted_sin)
+    for name in calls:
+        monkeypatch.setattr(NullCoordinateMap, name,
+                            counted(name, getattr(NullCoordinateMap, name)))
     rows, errors = sweep_decoherence("gamma", [1e-8, 1e-7, 1e-6, 1e-5], config, 1.0)
     assert len(rows) == 4 and not errors
-    assert calls["sin"] == []
-    maps = {"u": null_coordinate_map(ring, "u", 0.0),
-            "v": null_coordinate_map(ring, "v", derived.delta)}
-    expected = [(maps[branch], 2.0 * om) for branch, om in _reference_modes(ring)]
-    assert len(calls["cos"]) == len(expected)
-    for (nmap, k), (own_map, own_k) in zip(calls["cos"], expected):
-        assert nmap is own_map and k == own_k
+    assert calls["cos_integral"] == [] and calls["sin_integral"] == []
+    expected = []
+    for branch, epsilon in (("u", 0.0), ("v", derived.delta)):
+        omegas = allowed_frequencies(ring, branch)
+        expected.append((null_coordinate_map(ring, branch, epsilon), 2.0 * omegas[0],
+                         len(omegas)))
+    assert calls["harmonic_cos_integrals"] == expected     # maps compare by identity
 
 
 def test_sweep_v_min_smooth(config):

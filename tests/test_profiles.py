@@ -1,13 +1,16 @@
 import math
+from dataclasses import replace
 
 import mpmath as mp
 import numpy as np
 import pytest
 
+from sonicbh.decoherence import _harmonics
 from sonicbh.errors import RegionError, SingularIntegrandError
 from sonicbh.params import TWO_PI
-from sonicbh.profiles import (LineProfile, RingProfile, hawking_temperature_line,
-                              hawking_temperature_ring, null_coordinate_map, sigma_accumulated)
+from sonicbh.profiles import (_HARMONIC_CHUNK, LineProfile, NullCoordinateMap, RingProfile,
+                              hawking_temperature_line, hawking_temperature_ring,
+                              null_coordinate_map, sigma_accumulated)
 
 from flow_oracle import line_velocity
 from ring_oracle import ring_flow, ring_null_coordinate
@@ -196,6 +199,62 @@ def test_null_total_against_mpmath(ring, config, branch, epsilon):
         epsilon = TWO_PI / config.n_ions   # the default exclusion: one ion spacing
     total = null_coordinate_map(ring, branch, epsilon).total
     assert total == pytest.approx(_mp_null_coordinate(config, branch, epsilon), rel=1e-9)
+
+
+# --------------------------------------------------------------------------
+# harmonic cosine integrals
+# --------------------------------------------------------------------------
+
+def _mp_cos_integral(nmap, k1, j):
+    """(int cos(j k1 x_b) dtheta, the sum of |weights| it is taken over) on the
+    map's own nodes and plateau ends, in 40-digit arithmetic with j k1 exact."""
+    with mp.workdps(40):
+        k = j * mp.mpf(float(k1))
+        ramps = mp.fsum(mp.mpf(float(w)) * mp.cos(k * mp.mpf(float(x)))
+                        for x, w in zip(nmap._nodes, nmap._weights))
+        plateaus = mp.fsum(mp.mpf(float(w)) * mp.sin(k * mp.mpf(float(x)))
+                           for x, w in zip(nmap._ends, nmap._end_weights)) / k
+        scale = (mp.fsum(abs(mp.mpf(float(w))) for w in nmap._weights)
+                 + mp.fsum(abs(mp.mpf(float(w))) for w in nmap._end_weights) / k)
+        return ramps + plateaus, float(scale)
+
+
+@pytest.mark.parametrize("branch", ["u", "v"])
+@pytest.mark.parametrize("n_ions", [1000, 200])
+def test_harmonic_cos_integrals_against_mpmath(config, n_ions, branch):
+    # every harmonic the sweep reads, at the block edges j = B - 1, B, B + 1
+    # (B = isqrt(n)) and the ends of the range, within 1e-14 of sum |w|
+    cfg = replace(config, n_ions=n_ions,
+                  ion_charge=config.ion_charge * math.sqrt(config.n_ions / n_ions))
+    nmap, base, n = _harmonics(RingProfile.from_config(cfg), branch)
+    k1, b = 2.0 * base, math.isqrt(n)
+    values = nmap.harmonic_cos_integrals(k1, n)
+    assert values.shape == (n,) and b >= 3
+    for j in sorted({1, 2, b - 1, b, b + 1, n}):
+        exact, scale = _mp_cos_integral(nmap, k1, j)
+        assert abs(values[j - 1] - exact) <= 1e-14 * scale, j
+
+
+def _synthetic_map(nodes):
+    rng = np.random.default_rng(nodes)
+    ends = np.sort(rng.uniform(0.0, 9.0, 4))
+    rate = rng.uniform(0.5, 2.0, 2)
+    return NullCoordinateMap(total=9.0, length=5.0, _nodes=rng.uniform(0.0, 9.0, nodes),
+                             _weights=rng.uniform(0.0, 0.01, nodes), _ends=ends,
+                             _end_weights=np.concatenate([-1.0 / rate, 1.0 / rate]))
+
+
+@pytest.mark.parametrize("nodes", [2 * _HARMONIC_CHUNK, 2 * _HARMONIC_CHUNK + 7, 5])
+@pytest.mark.parametrize("n", [0, 1, 2, 3, 16, 17])
+def test_harmonic_cos_integrals_edge_sizes(n, nodes):
+    # the one-k integral at each harmonic: mode counts with one, partial and
+    # whole blocks, and node counts on, off and under the chunk
+    nmap, k1 = _synthetic_map(nodes), 0.7
+    values = nmap.harmonic_cos_integrals(k1, n)
+    assert values.shape == (n,)
+    scale = np.sum(nmap._weights) + np.sum(np.abs(nmap._end_weights)) / k1
+    for j, value in enumerate(values, start=1):
+        assert abs(value - nmap.cos_integral(j * k1)) <= 1e-14 * scale, j
 
 
 # --------------------------------------------------------------------------
