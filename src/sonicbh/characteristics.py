@@ -25,9 +25,9 @@ Two evaluation modes coexist and must not be conflated:
   collapse as instantaneous.  At late times the two differ by O(a)
   constants; see the region notes in ``matched_x0``.
 
-Both return a ``CharacteristicMap``: x0 and its Jacobian dx0/dx.  numpy
-loads only where arrays are built: the early-time Gauss-Legendre rule and the
-forward traces.
+Both return a ``CharacteristicMap``: x0 and its Jacobian dx0/dx.  Every
+evaluation is scalar, on the standard library alone: the module loads no
+numpy.
 """
 
 from __future__ import annotations
@@ -35,19 +35,26 @@ from __future__ import annotations
 import bisect
 import functools
 import math
-from dataclasses import dataclass
-from typing import TYPE_CHECKING
+from typing import NamedTuple
 
 from .profiles import LineProfile
 from .specfun import betainc_regularized
 
-if TYPE_CHECKING:
-    import numpy as np
-
 REGION_LEFT, REGION_CORE, REGION_RIGHT = "x<-a", "|x|<=a", "x>a"
 
-# Gauss-Legendre nodes of the early-time core integrals
-_GAUSS_NODES = 24
+# The 24-point Gauss-Legendre rule on [-1, 1] of the early-time core
+# integrals, numpy's leggauss(24) written out (its positive half, in
+# ascending order; the rule is symmetric).
+_GAUSS_HALF_NODES = (
+    0.06405689286260563, 0.1911188674736163, 0.3150426796961634, 0.4337935076260451,
+    0.5454214713888396, 0.6480936519369755, 0.7401241915785544, 0.820001985973903,
+    0.8864155270044011, 0.9382745520027328, 0.9747285559713095, 0.9951872199970213)
+_GAUSS_HALF_WEIGHTS = (
+    0.12793819534675202, 0.12583745634682825, 0.1216704729278033, 0.11550566805372552,
+    0.10744427011596556, 0.09761865210411393, 0.0861901615319532, 0.07334648141108016,
+    0.05929858491543636, 0.04427743881741941, 0.02853138862893356, 0.01234122979998869)
+_GAUSS_LEGENDRE_24 = ([-x for x in reversed(_GAUSS_HALF_NODES)] + list(_GAUSS_HALF_NODES),
+                      list(reversed(_GAUSS_HALF_WEIGHTS)) + list(_GAUSS_HALF_WEIGHTS))
 
 
 def _region_of(x: float, a: float) -> str:
@@ -71,17 +78,17 @@ class _CoreIntegrals:
         I(t) = tau 2^m B(m/2 + 1, m/2) [I_{1/2} - I_y](m/2 + 1, m/2).
 
     Below t = tau / max(1, sqrt(m)) the difference cancels, and a fixed
-    Gauss-Legendre rule in s on [0, t] takes over: there the integrand is
-    analytic and varies on the scale of the interval at most.
+    24-point Gauss-Legendre rule in s on [0, t], summed exactly rounded
+    (``math.fsum``), takes over: there the integrand is analytic and varies on
+    the scale of the interval at most.
     """
 
     def __init__(self, profile: LineProfile):
-        from numpy.polynomial.legendre import leggauss
         tau, m = profile.tau, profile.kappa * profile.tau
         self.tau, self.m = tau, m
         self.t_gauss = tau / max(1.0, math.sqrt(m))
-        nodes, weights = leggauss(_GAUSS_NODES)
-        self._nodes, self._weights = 0.5 * (nodes + 1.0), 0.5 * weights
+        nodes, weights = _GAUSS_LEGENDRE_24
+        self._rule = [(0.5 * (x + 1.0), 0.5 * w) for x, w in zip(nodes, weights)]
         p, q = 0.5 * m + 1.0, 0.5 * m
         self._p, self._q = p, q
         self._log_beta = math.lgamma(p) + math.lgamma(q) - math.lgamma(p + q)
@@ -99,9 +106,9 @@ class _CoreIntegrals:
         return self._scale * math.exp(-self._p * u - self._log_beta) / self._p
 
     def _gauss(self, t: float) -> float:
-        import numpy as np
-        u = (t / self.tau) * self._nodes
-        return t * float(self._weights @ (np.cosh(u) ** -self.m * (1.0 - np.tanh(u))))
+        s, m = t / self.tau, self.m
+        return t * math.fsum([w * (math.cosh(s * x) ** -m * (1.0 - math.tanh(s * x)))
+                              for x, w in self._rule])
 
     def i(self, t: float) -> float:
         return self._gauss(t) if t < self.t_gauss else self.i_inf - self._i_tail(t)
@@ -127,8 +134,7 @@ def core_left_x0(x: float, t: float, profile: LineProfile) -> float:
 # exact backward/forward transport, leg by leg
 # --------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class CharacteristicMap:
+class CharacteristicMap(NamedTuple):
     """Where the left mover through (x, t) started, and dx0/dx there; what
     both ``trace_characteristic`` and ``matched_x0`` return."""
 
@@ -227,16 +233,14 @@ def trace_characteristic(x: float, t: float, profile: LineProfile) -> Characteri
     return CharacteristicMap(flow.position(legs[-1], 0.0), math.exp(-profile.kappa * inside))
 
 
-def forward_characteristic(x0: float, times, profile: LineProfile) -> np.ndarray:
+def forward_characteristic(x0: float, times: list[float],
+                           profile: LineProfile) -> list[float]:
     """Positions at the ascending times of the left mover launched from
     x(0) = x0; its interface crossings are found once, up to the last time."""
-    import numpy as np
-    times = np.asarray(times, dtype=float)
     flow = _Flow(profile)
-    legs = flow.legs(x0, 0.0, float(times[-1]))
+    legs = flow.legs(x0, 0.0, times[-1])
     starts = [leg[0] for leg in legs]
-    return np.array([flow.position(legs[bisect.bisect_right(starts, t) - 1], t)
-                     for t in times.tolist()])
+    return [flow.position(legs[bisect.bisect_right(starts, t) - 1], t) for t in times]
 
 
 # --------------------------------------------------------------------------
@@ -312,16 +316,15 @@ def pair_partner(x1: float, t: float, profile: LineProfile) -> float:
                                                - math.log1p(math.exp(-2.0 * t / tau)))
 
 
-def characteristic_fan_rows(profile: LineProfile, x0_values, t_max: float, n_t: int):
-    """Rows (t, x, region) tracing a fan of left movers forward.
+def characteristic_fan_rows(profile: LineProfile, x0_values, times: list[float]):
+    """Rows (t, x, region) tracing a fan of left movers forward over the
+    ascending times.
 
     Plot-ready view of the collapse geometry: the wedge interfaces are the
     members launched from x0 = +-a.
     """
-    import numpy as np
     rows = []
-    ts = np.linspace(0.0, t_max, n_t)
     for x0 in x0_values:
-        xs = forward_characteristic(float(x0), ts, profile)
-        rows += [(float(t), float(x), _region_of(x, profile.a)) for t, x in zip(ts, xs)]
+        xs = forward_characteristic(float(x0), times, profile)
+        rows += [(t, x, _region_of(x, profile.a)) for t, x in zip(times, xs)]
     return rows

@@ -7,20 +7,20 @@ config file and a bad argument), 3 numeric failure, 4 regime violation;
 every failure prints one JSON record on stderr.
 
 Only the standard library and the light modules (errors, params,
-environment) load at import.  The config is checked before numpy loads, and
-each command imports the numeric modules it calls, so a refused argument or
-config exits before numpy is imported and no command loads a module it does
-not call.  Linear grids are built here without numpy, so the commands that
-compute on scalars (hawking, boundary, er and the closed-form correlation)
-load none, and a linear tdec-sweep refused for its regime exits before numpy
-loads.
+environment) load at import; json loads only to write JSON or an error
+record, and hashlib only once a config is read.  The config is checked
+before numpy loads, and each command imports the numeric modules it calls,
+so a refused argument or config exits before numpy is imported and no
+command loads a module it does not call.  Linear grids are built here
+without numpy (``linspace``, which the scan script uses too), so the
+commands that compute on scalars (hawking, boundary, er and the closed-form
+correlation) load none, and a linear tdec-sweep refused for its regime exits
+before numpy loads.
 """
 
 from __future__ import annotations
 
 import argparse
-import hashlib
-import json
 import math
 import os
 import re
@@ -53,6 +53,7 @@ def _load_all(path: str | None):
     cutoff = values["cutoff"] if values["cutoff"] is not None else 1.0 / derived.tau
     env = EnvironmentSpec(coupling_eff=effective_coupling(gamma, config, derived),
                           cutoff=cutoff, bath_temperature=values["bath_temperature"])
+    import hashlib
     from .profiles import LineProfile
     line = LineProfile(a=values["line_a"], kappa=values["line_kappa"],
                        tau=values["line_tau"])
@@ -60,7 +61,7 @@ def _load_all(path: str | None):
     return config, env, line, gamma, manifest
 
 
-def _linspace(start: float, stop: float, num: int) -> list[float]:
+def linspace(start: float, stop: float, num: int) -> list[float]:
     """np.linspace(start, stop, num) bit for bit: i * step + start, the last of
     two or more points set to stop."""
     step = (stop - start) / max(num - 1, 1)
@@ -99,6 +100,7 @@ def write_table(path: str, columns, rows, manifest: dict, fmt: str):
         lines += [",".join(_fmt(v) for v in row) for row in rows]
         _write_atomic(path, "\n".join(lines) + "\n")
     elif fmt == "json":
+        import json
         doc = {"manifest": manifest, "columns": list(columns),
                "rows": [[v if not isinstance(v, float) else float(_fmt(v))
                          for v in row] for row in rows]}
@@ -262,7 +264,7 @@ def _run(args) -> tuple[list, list, dict]:
     if args.command == "boundary":
         from .characteristics import entanglement_boundary
         rows = []
-        for t in _linspace(0.0, args.t_max, args.points):
+        for t in linspace(0.0, args.t_max, args.points):
             xm, xp = entanglement_boundary(t, line)
             rows.append([t, xm, xp])
         return ["t", "x_minus", "x_plus"], rows, manifest
@@ -302,7 +304,7 @@ def _run(args) -> tuple[list, list, dict]:
             import numpy as np
             values = np.geomspace(args.lo, args.hi, args.points)
         else:
-            values = _linspace(args.lo, args.hi, args.points)
+            values = linspace(args.lo, args.hi, args.points)
         rows, errs = sweep_decoherence(args.axis, values, config, gamma,
                                        temperature=env.bath_temperature)
         if errs:
@@ -315,7 +317,7 @@ def _run(args) -> tuple[list, list, dict]:
         if min(lo, hi) <= line.a:
             raise ConfigError(f"the x2 window [{lo:g}, {hi:g}] must lie beyond "
                               f"a = {line.a:g}")
-        grid = build_correlation_grid(args.x1, _linspace(lo, hi, args.points), args.t,
+        grid = build_correlation_grid(args.x1, linspace(lo, hi, args.points), args.t,
                                       args.beta, line, method=args.method)
         peak = detect_peak(grid)
         manifest.update(peak_location=_fmt(peak.location),
@@ -329,7 +331,7 @@ def _run(args) -> tuple[list, list, dict]:
         from .profiles import hawking_temperature_line
         temp = (args.temperature if args.temperature is not None
                 else 100.0 * hawking_temperature_line(line))
-        ts = _linspace(args.t_min, args.t_max, args.points)
+        ts = linspace(args.t_min, args.t_max, args.points)
         rows = []
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
@@ -340,7 +342,7 @@ def _run(args) -> tuple[list, list, dict]:
 
     if args.command == "langevin":
         from .langevin import estimate_correlation
-        x2 = _linspace(*_x2_window(args, line), args.points)
+        x2 = linspace(*_x2_window(args, line), args.points)
         mc = estimate_correlation(args.realizations, args.x1, x2, args.t,
                                   args.temperature, line, seed=args.seed,
                                   transport=args.transport)
@@ -373,6 +375,7 @@ def main(argv=None) -> int:
 
 
 def _emit_error(exc: Exception):
+    import json
     record = {"error": type(exc).__name__, "message": str(exc)}
     print(json.dumps(record, sort_keys=True), file=sys.stderr)
 

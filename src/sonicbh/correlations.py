@@ -32,7 +32,7 @@ from __future__ import annotations
 import math
 import sys
 import warnings
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .characteristics import entanglement_boundary, matched_exponent, matched_pair, matched_x0
 from .errors import ExtrapolationError, RegimeError, RegimeWarning, RegionError
@@ -54,19 +54,30 @@ _MAX_SEPARATION = 4.0     # in units of beta
 # at 1e-308.
 _HOMOGENEOUS_ORACLE_MIN_BETA = 1e-292
 
+# The Bose bump of the thermal k-integrands, k^p / (e^{beta k} - 1) with p = 1
+# or 3/2, lies on [0, _BOSE_STRETCH / beta]: past it e^{-beta k} is below
+# 5e-18, and where the stretch is shorter than QAWF's first cycle, what lies
+# past it is below 1e-17 of _bose_integral's scale.
+_BOSE_STRETCH = 40.0
 
-def _bose_integral(f, separation: float, kind: str, scale: float) -> float:
-    """int_0^inf f(k) trig(k |separation|) dk for a decaying f, trig = ``kind``,
-    to the absolute tolerance 1e-11 * scale (``scale``: the result's size).
 
-    QUADPACK's Fourier routine cycles are (2 floor(w) + 1) pi / w long, and a
-    feature under ~1% of the first is missed (the Bose bump, width ~1/beta,
-    once beta > ~100 at w >= 1).  In u = 2 k |separation| the first cycle is
-    one half period; what it misses is below 3e-7 of the result.
+def _bose_integral(f, separation: float, beta: float, kind: str, scale: float) -> float:
+    """int_0^inf f(k) trig(k |separation|) dk for f a Bose bump (0 at beta =
+    inf), trig = ``kind``, to the absolute tolerance 1e-11 * scale
+    (``scale``: the result's size).
+
+    In u = 2 k |separation| QUADPACK's Fourier routine QAWF integrates cycle
+    by cycle, the first on [0, 2 pi], and it misses a bump far narrower than
+    that cycle: below |separation| = 7e-4 beta, all of the cosine part.  So
+    where the bump's stretch [0, u_b], u_b = 2 _BOSE_STRETCH |separation| /
+    beta, is shorter than the first cycle, the one quadrature is QAWO on
+    [0, u_b] instead.  At beta = inf u_b = 0: QAWF, on an f that is 0.
     """
     h = 0.5 / abs(separation)          # k = h u
     tol = max(1e-11 * scale / h, sys.float_info.min)
-    return h * fourier_integral(lambda u: f(h * u), 0.0, 0.5, kind=kind, tol=tol).value
+    u_b = 2.0 * _BOSE_STRETCH * abs(separation) / beta
+    end = u_b if 0.0 < u_b < 2.0 * math.pi else math.inf
+    return h * fourier_integral(lambda u: f(h * u), 0.0, 0.5, kind=kind, tol=tol, b=end).value
 
 
 def thermal_momentum_integral(separation: float, beta: float) -> float:
@@ -75,8 +86,9 @@ def thermal_momentum_integral(separation: float, beta: float) -> float:
     Distributional value -(pi/beta)^2 csch^2(pi*separation/beta), and
     -1/separation^2 at beta = inf; used by the mode-sum oracle.  Vacuum part
     -1/separation^2 plus the Bose part (``thermal_excess``), which the
-    quadrature resolves to ~4e-15 of the vacuum part.  Past |separation| =
-    4 beta they cancel to under 1e-8 of it: ExtrapolationError.
+    quadrature resolves to 1.3e-13 of the vacuum part over |separation| from
+    1e-6 to 4 beta.  Past |separation| = 4 beta they cancel to under 1e-8 of
+    it: ExtrapolationError.
     """
     if separation == 0.0:
         raise ValueError("separation must be nonzero")
@@ -86,7 +98,7 @@ def thermal_momentum_integral(separation: float, beta: float) -> float:
             "the Bose part cancels the vacuum part -1/separation^2 below the "
             "quadrature's accuracy", partial=None)
     vacuum = -separation ** -2
-    return vacuum + _bose_integral(lambda k: thermal_excess(k, beta), separation,
+    return vacuum + _bose_integral(lambda k: thermal_excess(k, beta), separation, beta,
                                    "cos", -vacuum)
 
 
@@ -148,7 +160,8 @@ def corr_homogeneous(dx: float, t: float, beta: float) -> complex:
 
     def bose(a):
         scale = a ** -1.5 / min(a, beta)
-        return complex(_bose_integral(f, a, "cos", scale), -_bose_integral(f, a, "sin", scale))
+        return complex(_bose_integral(f, a, beta, "cos", scale),
+                       -_bose_integral(f, a, beta, "sin", scale))
 
     return _uniform_correlation(dx, beta, bose)
 
@@ -225,15 +238,13 @@ def corr_mode_sum_oracle(x1: float, x2: float, t: float, beta: float,
 # grids and peak detection
 # --------------------------------------------------------------------------
 
-@dataclass
-class CorrelationGrid:
+class CorrelationGrid(NamedTuple):
     x2: list[float]
     values: list[float]           # |correlation| per sample
     regions: list[str]            # "matched" or "uniform" per sample
 
 
-@dataclass(frozen=True)
-class PeakReport:
+class PeakReport(NamedTuple):
     location: float
     contrast: float
     present: bool

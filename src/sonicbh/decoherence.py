@@ -24,7 +24,6 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass, replace
 from typing import TYPE_CHECKING, NamedTuple
 
 from .environment import EnvironmentSpec, cutoff_factor
@@ -51,8 +50,7 @@ _D_ORACLE_MAX_SPAN = 3e6
 _D_ORACLE_MIN_OMEGA = 0.03
 
 
-@dataclass(frozen=True)
-class VCoefficients:
+class VCoefficients(NamedTuple):
     v1_u: float
     v2_u: float
     v1_v: float
@@ -61,8 +59,7 @@ class VCoefficients:
     epsilon: float
 
 
-@dataclass(frozen=True)
-class DecoherenceEstimate:
+class DecoherenceEstimate(NamedTuple):
     t_d: float
 
 
@@ -353,7 +350,7 @@ def sweep_decoherence(axis: str, values, config: PhysicalConfig, gamma: float,
             elif axis == "temperature":
                 b = _band(config, base_derived, gamma, val, modes)
             else:
-                cfg = replace(config, v_min=val)
+                cfg = PhysicalConfig(**dict(vars(config), v_min=val))
                 b = _band(cfg, derive(cfg), gamma, temperature,
                           _mode_table(RingProfile.from_config(cfg)))
             rows.append(SweepRow(val, *b))

@@ -9,11 +9,10 @@ spatial delta is implicit and never materialized.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 
-@dataclass(frozen=True)
-class EnvironmentSpec:
+class EnvironmentSpec(NamedTuple):
     """The bath.  Its config keys are checked in ``params.read_config``, and
     coupling_eff = gamma times a positive factor is >= 0 with gamma.  The
     cutoff is Lorentzian, the one shape the ``cutoff_shape`` key accepts."""

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, fields
+from typing import NamedTuple
 
 from .errors import ConfigError
 
@@ -85,8 +86,7 @@ class PhysicalConfig:
         return TWO_PI / self.period
 
 
-@dataclass(frozen=True)
-class DerivedParams:
+class DerivedParams(NamedTuple):
     """Scales derived from a PhysicalConfig; the one definition of each."""
 
     delta: float        # mean ion separation 2*pi/N

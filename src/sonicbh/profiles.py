@@ -7,17 +7,17 @@ Two geometries appear throughout:
 * the straight channel ("line") flow v(x,t) = sigma(t) * {v_min, 1+kappa*x,
   v_max} with sigma(t) = tanh(t/tau) and unit sound speed.
 
-Profiles are frozen dataclasses; every evaluation is pure.  A ring's null
-map holds only what the mode weights V1/V2 read of x_u or x_v: its total, the
-measure of its pieces and its cosine and sine integrals.  It is the one
-array object here, and numpy loads only where it is built and read.
+Profiles and null maps are immutable NamedTuples; every evaluation is pure.
+A ring's null map holds only what the mode weights V1/V2 read of x_u or x_v:
+its total, the measure of its pieces and its cosine and sine integrals.  It
+is the one array object here, and numpy loads only where it is built and
+read.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
 from typing import TYPE_CHECKING, NamedTuple
 
 from .errors import RegimeError, RegionError, SingularIntegrandError
@@ -39,8 +39,7 @@ def sigma_accumulated(t: float, tau: float) -> float:
 # straight channel
 # --------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class LineProfile:
+class LineProfile(NamedTuple):
     """v(x,t) = sigma(t) * (v_min | 1 + kappa x | v_max), continuous at x = +-a.
 
     Continuity pins v_min = 1 - kappa*a and v_max = 1 + kappa*a; the sound
@@ -68,8 +67,7 @@ class LineProfile:
 # ring
 # --------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class RingProfile:
+class RingProfile(NamedTuple):
     """The ring flow after its collapse: piecewise linear in angle.
 
     The five segments (plateau at v_min, up-ramp at theta_h, plateau at
@@ -175,8 +173,7 @@ def _gauss_legendre() -> tuple[np.ndarray, np.ndarray]:
     return np.polynomial.legendre.leggauss(32)
 
 
-@dataclass(frozen=True, eq=False)
-class NullCoordinateMap:
+class NullCoordinateMap(NamedTuple):
     """What the mode weights read of x_u or x_v over [0, 2*pi]: its total, the
     measure of its pieces and its cosine and sine integrals, taken apart so
     that V1, which reads only the cosine one, pays for no sine.  The cosine
@@ -191,25 +188,25 @@ class NullCoordinateMap:
     contribute nothing (the cumulative value is carried across flat).
     """
 
-    total: float      # x_b(2*pi)
-    length: float     # measure of the pieces: 2*pi less the slivers
-    _nodes: np.ndarray         # x_b at the ramp quadrature nodes
-    _weights: np.ndarray       # quadrature weight times dtheta/dx_b there
-    _ends: np.ndarray          # x_b at the plateau ends
-    _end_weights: np.ndarray   # -+ dtheta/dx_b at the start / end of a plateau
+    total: float             # x_b(2*pi)
+    length: float            # measure of the pieces: 2*pi less the slivers
+    nodes: np.ndarray        # x_b at the ramp quadrature nodes
+    weights: np.ndarray      # quadrature weight times dtheta/dx_b there
+    ends: np.ndarray         # x_b at the plateau ends
+    end_weights: np.ndarray  # -+ dtheta/dx_b at the start / end of a plateau
 
     def cos_integral(self, k: float) -> float:
         """int cos(k x_b) dtheta over the pieces, k != 0: ramps by the fixed
         quadrature nodes, plateaus exactly."""
         import numpy as np
-        return float(np.sum(np.cos(k * self._nodes) * self._weights)
-                     + np.sum(np.sin(k * self._ends) * self._end_weights) / k)
+        return float(np.sum(np.cos(k * self.nodes) * self.weights)
+                     + np.sum(np.sin(k * self.ends) * self.end_weights) / k)
 
     def sin_integral(self, k: float) -> float:
         """int sin(k x_b) dtheta over the pieces, k != 0, as cos_integral."""
         import numpy as np
-        return float(np.sum(np.sin(k * self._nodes) * self._weights)
-                     - np.sum(np.cos(k * self._ends) * self._end_weights) / k)
+        return float(np.sum(np.sin(k * self.nodes) * self.weights)
+                     - np.sum(np.cos(k * self.ends) * self.end_weights) / k)
 
     def harmonic_cos_integrals(self, k1: float, n: int) -> np.ndarray:
         """cos_integral(j k1) for j = 1..n in one pass, k1 != 0.
@@ -229,15 +226,15 @@ class NullCoordinateMap:
         k_m = k1 * np.arange(1, b + 1)
         k_q = k1 * (b * np.arange(-(-n // b)))
         table = np.zeros((k_q.size, b))
-        for i in range(0, self._nodes.size, _HARMONIC_CHUNK):
-            x = self._nodes[i:i + _HARMONIC_CHUNK]
-            w = self._weights[i:i + _HARMONIC_CHUNK]
+        for i in range(0, self.nodes.size, _HARMONIC_CHUNK):
+            x = self.nodes[i:i + _HARMONIC_CHUNK]
+            w = self.weights[i:i + _HARMONIC_CHUNK]
             phase_q, phase_m = np.multiply.outer(k_q, x), np.multiply.outer(k_m, x)
             table += np.einsum("qi,mi->qm", np.cos(phase_q) * w, np.cos(phase_m))
             table -= np.einsum("qi,mi->qm", np.sin(phase_q) * w, np.sin(phase_m))
         k = k1 * np.arange(1, n + 1)
-        ends = np.sin(np.multiply.outer(k, self._ends)) * self._end_weights
-        return table.ravel()[:n] + np.sum(ends, axis=1) / k
+        plateaus = np.sin(np.multiply.outer(k, self.ends)) * self.end_weights
+        return table.ravel()[:n] + np.sum(plateaus, axis=1) / k
 
 
 @functools.lru_cache(maxsize=32)
@@ -290,11 +287,11 @@ def _build_null_map(profile: RingProfile, branch: str, epsilon: float) -> NullCo
     x_start = x_lo[flat]
     nmap = NullCoordinateMap(
         total=float(x_lo[-1] + span[-1]), length=float(np.sum(hi - lo)),
-        _nodes=np.concatenate(nodes), _weights=np.concatenate(weights),
-        _ends=np.concatenate([x_start, x_start + span[flat]]),
-        _end_weights=np.concatenate([-1.0 / rate[flat], 1.0 / rate[flat]]))
+        nodes=np.concatenate(nodes), weights=np.concatenate(weights),
+        ends=np.concatenate([x_start, x_start + span[flat]]),
+        end_weights=np.concatenate([-1.0 / rate[flat], 1.0 / rate[flat]]))
     # one map serves every caller through the cache
-    for a in (nmap._nodes, nmap._weights, nmap._ends, nmap._end_weights):
+    for a in (nmap.nodes, nmap.weights, nmap.ends, nmap.end_weights):
         a.flags.writeable = False
     return nmap
 

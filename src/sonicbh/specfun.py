@@ -7,11 +7,13 @@ sampler; the thermal image sum is the Bose part of the uniform-region
 correlation; the quadrature helpers back every brute-force oracle in the
 package and are its only entry to QUADPACK.  Si, E1, Ei and the image sum are
 the package's own series, continued fractions and Euler-Maclaurin sums, so
-this module needs only the standard library.  The quadrature helpers call QUADPACK's routines in scipy's compiled
-extension directly, the ones ``scipy.integrate.quad`` dispatches to with the
-same arguments; the extension loads on the first quadrature (~15 ms) without
-the ``scipy.integrate`` package (~0.5 s), so a command that never integrates
-loads no scipy at all.
+this module needs only the standard library.  The quadrature helpers call
+QUADPACK's routines in scipy's compiled extension directly, the ones
+``scipy.integrate.quad`` dispatches to with the same arguments; the extension
+loads on the first quadrature without the ``scipy.integrate`` package
+(~0.5 s), so a command that never integrates loads no scipy at all.  With
+numpy loaded the extension takes 0.2 ms and its first call ~5 ms (the scipy
+top level and its callback helper); numpy itself is the cost.
 """
 
 from __future__ import annotations
@@ -22,8 +24,7 @@ import importlib.util
 import math
 import os
 import sys
-from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, NamedTuple
 
 from .errors import QuadratureError
 
@@ -194,8 +195,7 @@ def image_sum(beta: float, y: float) -> complex:
     return direct + (w ** -1.5 / (1.5 * beta) + w ** -2.5 * (0.5 + u * series))
 
 
-@dataclass(frozen=True)
-class QuadratureResult:
+class QuadratureResult(NamedTuple):
     value: float
     evaluations: int
 

@@ -5,8 +5,8 @@ import numpy as np
 import pytest
 from scipy.integrate import cumulative_trapezoid, solve_ivp
 
-from sonicbh.characteristics import (_region_of, characteristic_fan_rows, core_integrals,
-                                     core_left_x0, entanglement_boundary,
+from sonicbh.characteristics import (_GAUSS_LEGENDRE_24, _region_of, characteristic_fan_rows,
+                                     core_integrals, core_left_x0, entanglement_boundary,
                                      forward_characteristic, matched_exponent,
                                      matched_x0, pair_partner, trace_characteristic)
 from sonicbh.profiles import LineProfile, sigma_accumulated
@@ -115,6 +115,15 @@ def test_left_jacobian_matches_central_differences(line):
         assert abs(w - fd) <= 1e-7 * fd, (x, t, w, fd)
 
 
+def _mp_i(m, tau, t):
+    """I(t) as the 40-digit difference of incomplete betas, an mpf."""
+    with mp.workdps(40):
+        p, y = mp.mpf(m) / 2, 1 / (1 + mp.exp(2 * mp.mpf(t) / tau))
+        return tau * 2 ** mp.mpf(m) * mp.beta(p + 1, p) * (
+            mp.betainc(p + 1, p, 0, mp.mpf(1) / 2, regularized=True)
+            - mp.betainc(p + 1, p, 0, y, regularized=True))
+
+
 def _mp_i_tail(m, tau, t):
     """I(inf) - I(t) as the 40-digit incomplete beta
     tau 2^m B(m/2 + 1, m/2) I_y(m/2 + 1, m/2), y = 1/(1 + e^{2t/tau})."""
@@ -122,6 +131,45 @@ def _mp_i_tail(m, tau, t):
         p, y = mp.mpf(m) / 2, 1 / (1 + mp.exp(2 * mp.mpf(t) / tau))
         return float(tau * 2 ** mp.mpf(m) * mp.beta(p + 1, p)
                      * mp.betainc(p + 1, p, 0, y, regularized=True))
+
+
+def test_gauss_legendre_table_is_numpys_bit_for_bit():
+    nodes, weights = np.polynomial.legendre.leggauss(24)
+    assert [x.hex() for x in _GAUSS_LEGENDRE_24[0]] == [x.hex() for x in nodes.tolist()]
+    assert [w.hex() for w in _GAUSS_LEGENDRE_24[1]] == [w.hex() for w in weights.tolist()]
+
+
+def _numpy_rule(t, tau, m):
+    """The early-time rule as it was summed over numpy arrays: cosh, tanh and
+    a dot product."""
+    nodes, weights = np.polynomial.legendre.leggauss(24)
+    u = (t / tau) * (0.5 * (nodes + 1.0))
+    return t * float((0.5 * weights) @ (np.cosh(u) ** -m * (1.0 - np.tanh(u))))
+
+
+@pytest.mark.parametrize("kappa, tau", [(0.1, 1.0), (0.5, 3.0), (0.02, 0.5), (4.0, 1.0),
+                                        (1.0, 0.7)])
+def test_early_core_integrals_no_farther_than_numpys_rule(kappa, tau):
+    # below t_gauss, I(t) is the 24-point rule summed exactly rounded, and
+    # I(inf) - I(t) subtracts it from the incomplete-beta I(inf); against 40
+    # digits neither misses by more than the same rule summed over numpy
+    # arrays did (the tail's reference takes I(inf) as computed, whose own
+    # error the two rules share)
+    ci = core_integrals(LineProfile(a=1.0, kappa=kappa, tau=tau))
+    m = kappa * tau
+    ts = [1e-8, 1e-4, *(ci.t_gauss * k / 60 for k in range(1, 60)), ci.t_gauss * (1 - 1e-12)]
+    errors = {"i": [], "numpy i": [], "tail": [], "numpy tail": []}
+    for t in ts:
+        with mp.workdps(40):
+            exact_i = _mp_i(m, tau, t)
+            tail = mp.mpf(ci.i_inf) - exact_i
+            rule = _numpy_rule(t, tau, m)
+            errors["i"].append(float(abs(ci.i(t) - exact_i) / exact_i))
+            errors["numpy i"].append(float(abs(rule - exact_i) / exact_i))
+            errors["tail"].append(float(abs(ci.i_tail(t) - tail) / tail))
+            errors["numpy tail"].append(float(abs((ci.i_inf - rule) - tail) / tail))
+    worst = {key: max(values) for key, values in errors.items()}
+    assert worst["i"] <= worst["numpy i"] and worst["tail"] <= worst["numpy tail"], worst
 
 
 @pytest.mark.parametrize("kappa, tau", [(0.1, 1.0), (0.5, 3.0), (0.02, 0.5)])
@@ -176,9 +224,9 @@ def test_characteristics_do_not_cross(line):
 def test_fan_rows_trace_back_to_their_rays(line):
     # the fan of scripts/run_correlation_scan.py: same profile, rays and times
     rays, t_max, n_t = [-1.5, -1.0, -0.5, 0.72, 0.9, 1.0, 1.5], 40.0, 60
-    rows = characteristic_fan_rows(line, rays, t_max=t_max, n_t=n_t)
+    ts = np.linspace(0.0, t_max, n_t).tolist()
+    rows = characteristic_fan_rows(line, rays, ts)
     assert len(rows) == len(rays) * n_t
-    ts = np.linspace(0.0, t_max, n_t)
     for i, (t, x, region) in enumerate(rows):
         x0 = rays[i // n_t]
         assert t == ts[i % n_t]

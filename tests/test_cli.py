@@ -13,7 +13,7 @@ from hypothesis import given, settings, strategies as st
 
 import sonicbh
 from sonicbh.characteristics import entanglement_boundary, pair_partner
-from sonicbh.cli import _linspace, build_parser, main
+from sonicbh.cli import build_parser, linspace, main
 from sonicbh.correlations import corr_closed_form
 from sonicbh.decoherence import (SweepRow, allowed_frequencies, decoherence_time,
                                  v_coefficients)
@@ -122,8 +122,8 @@ def test_tiny_beta_is_refused_by_the_oracle_method(tmp_path, capsys):
        num=st.integers(1, 300))
 def test_linspace_is_numpys_bit_for_bit(start, stop, num):
     bits = lambda values: [float(v).hex() for v in values]
-    assert bits(_linspace(start, stop, num)) == bits(np.linspace(start, stop, num))
-    assert bits(_linspace(start, stop, 1)) == bits(np.linspace(start, stop, 1))
+    assert bits(linspace(start, stop, num)) == bits(np.linspace(start, stop, num))
+    assert bits(linspace(start, stop, 1)) == bits(np.linspace(start, stop, 1))
 
 
 def _x2_column(path):
@@ -570,23 +570,29 @@ _SRC = os.path.dirname(os.path.dirname(os.path.abspath(sonicbh.__file__)))
 
 # Runs cli.main on its arguments (none: import only), then reports on the
 # last line of stdout, as JSON, which scipy modules were loaded and which of
-# numpy and the package's modules were.
-_SCIPY_MODULES = 'sorted(m for m in sys.modules if m.split(".")[0] == "scipy")'
-_PROBE = """import json, sys
+# numpy, json, hashlib and the package's modules were; the probe imports json
+# only after it has looked.
+_LOADED = """{"scipy": sorted(m for m in sys.modules if m.split(".")[0] == "scipy"),
+          "modules": sorted(m for m in sys.modules if m in ("numpy", "scipy", "json", "hashlib")
+                            or m.startswith("sonicbh."))}"""
+_PROBE = """import sys
 from sonicbh.cli import main
 try:
     code = main(sys.argv[1:]) if len(sys.argv) > 1 else 0
 except SystemExit as exc:
     code = exc.code
-print(json.dumps({"scipy": %s, "modules": sorted(
-    m for m in sys.modules if m in ("numpy", "scipy") or m.startswith("sonicbh."))}))
+loaded = %s
+import json
+print(json.dumps(loaded))
 sys.exit(code)
-""" % _SCIPY_MODULES
-# Runs a study script as __main__, then reports its scipy modules likewise.
-_SCRIPT_PROBE = """import json, runpy, sys
+""" % _LOADED
+# Runs a study script as __main__, then reports likewise.
+_SCRIPT_PROBE = """import runpy, sys
 runpy.run_path(sys.argv[1], run_name="__main__")
-print(json.dumps(%s))
-""" % _SCIPY_MODULES
+loaded = %s
+import json
+print(json.dumps(loaded))
+""" % _LOADED
 
 
 def _fresh_interpreter(cwd, argv, script=("-c", _PROBE)):
@@ -691,7 +697,7 @@ def _assert_scipy_footprint(scipy_modules, integrates):
 @pytest.mark.parametrize("argv, config, code, integrates, not_loaded", [
     ([], None, 0, False, _NO_NUMPY),
     (["--help"], None, 0, False, _NO_NUMPY),
-    (["hawking"], None, 0, False, _LINE_MODULES + _NO_ARRAYS),
+    (["hawking"], None, 0, False, _LINE_MODULES + _NO_ARRAYS + ("json",)),
     (["vcoef", "--max-modes", "5"], None, 0, False, _LINE_MODULES),
     *[(["tdec-sweep", "--axis", axis, "--from", lo, "--to", hi, "--points", "3"],
        _RING200, 0, False, _LINE_MODULES) for axis, (lo, hi) in _SWEEP.items()],
@@ -706,9 +712,9 @@ def _assert_scipy_footprint(scipy_modules, integrates):
     (["langevin", "--t", "30", "--x1", "-1.2", "--realizations", "200", "--points", "8",
       "--temperature", "0.15"], None, 0, False, _RING_AND_CORRELATION_MODULES),
     (["correlation", "--t", "100", "--x1", "-4", "--beta", "nan"], None, 2, False,
-     _NO_NUMPY),
-    (["hawking"], "missing", 2, False, _NO_NUMPY),
-    (["hawking"], {"line_kappa": "5.0"}, 2, False, _NO_NUMPY),
+     _NO_NUMPY + ("hashlib",)),
+    (["hawking"], "missing", 2, False, _NO_NUMPY + ("hashlib",)),
+    (["hawking"], {"line_kappa": "5.0"}, 2, False, _NO_NUMPY + ("hashlib",)),
     (["tdec-sweep", "--axis", "temperature", "--from", "0.1", "--to", "200", "--points", "2"],
      None, 4, False, _NO_NUMPY),
     (["diffusion", "--omega", "2", "--t-min", "0.01", "--t-max", "10", "--points", "2"],
@@ -728,13 +734,13 @@ def _assert_scipy_footprint(scipy_modules, integrates):
 def test_scipy_loaded_only_where_a_command_integrates(tmp_path, argv, config, code,
                                                       integrates, not_loaded):
     """Commands that only evaluate closed forms never import scipy; one that
-    integrates loads QUADPACK's compiled extension (~15 ms) and no other
-    scipy module: neither the scipy.integrate package nor scipy.special.
-    Importing the CLI loads no numpy, and neither does a refused argument,
-    config or regime (a linear temperature sweep past 100 T_H), nor a command
-    that computes on scalars (hawking, boundary, er,
-    the closed-form correlation); a command that runs loads only the numeric
-    modules it calls."""
+    integrates loads QUADPACK's compiled extension and no other scipy module:
+    neither the scipy.integrate package nor scipy.special.  Importing the CLI
+    loads no numpy, and neither does a refused argument, config or regime (a
+    linear temperature sweep past 100 T_H), nor a command that computes on
+    scalars (hawking, boundary, er, the closed-form correlation); a command
+    that runs loads only the numeric modules it calls.  A CSV output loads no
+    json, and a refused argument or config no hashlib."""
     prefix = []
     if argv:
         prefix = ["--output", str(tmp_path / "x.csv")]
@@ -756,15 +762,19 @@ def test_study_scripts_load_only_quadpacks_extension(tmp_path, script):
     path = os.path.join(os.path.dirname(_SRC), "scripts", script)
     proc = _fresh_interpreter(tmp_path, [path], script=("-c", _SCRIPT_PROBE))
     assert proc.returncode == 0, proc.stderr
-    _assert_scipy_footprint(json.loads(proc.stdout.splitlines()[-1]), True)
+    _assert_scipy_footprint(json.loads(proc.stdout.splitlines()[-1])["scipy"], True)
 
 
-def test_correlation_scan_script_loads_no_scipy(tmp_path):
-    """The scan's uniform rows come from the image series: no quadrature."""
+def test_correlation_scan_script_loads_neither_numpy_nor_scipy(tmp_path):
+    """The scan computes on scalars: its uniform rows come from the image
+    series (no quadrature), its grids from the CLI's linspace, and its early
+    core integrals and forward traces from the standard library."""
     path = os.path.join(os.path.dirname(_SRC), "scripts", "run_correlation_scan.py")
     proc = _fresh_interpreter(tmp_path, [path], script=("-c", _SCRIPT_PROBE))
     assert proc.returncode == 0, proc.stderr
-    _assert_scipy_footprint(json.loads(proc.stdout.splitlines()[-1]), False)
+    loaded = json.loads(proc.stdout.splitlines()[-1])
+    _assert_scipy_footprint(loaded["scipy"], False)
+    assert "numpy" not in loaded["modules"]
 
 
 def test_decoherence_sweep_script(tmp_path):
@@ -773,7 +783,7 @@ def test_decoherence_sweep_script(tmp_path):
     path = os.path.join(os.path.dirname(_SRC), "scripts", "run_decoherence_sweep.py")
     proc = _fresh_interpreter(tmp_path, [path], script=("-c", _SCRIPT_PROBE))
     assert proc.returncode == 0, proc.stderr
-    _assert_scipy_footprint(json.loads(proc.stdout.splitlines()[-1]), False)
+    _assert_scipy_footprint(json.loads(proc.stdout.splitlines()[-1])["scipy"], False)
     for name, n_rows in (("gamma_sweep.csv", 40), ("vmin_sweep.csv", 13)):
         manifest, header, rows = _rows(tmp_path / name)
         assert "errors=0" in manifest.split()

@@ -195,15 +195,21 @@ def test_homogeneous_closed_form_zero_temperature_is_the_vacuum_part():
                                                                                math.inf)
 
 
-@pytest.mark.parametrize("beta", [0.05, 1.05, 3.14, 62.8, 1e3, math.inf])
-def test_uniform_rows_of_both_methods_agree(line, beta):
-    # x1 beyond x_minus(60) = -6.93: every row is uniform, |dx| from 13.5 to 42,
-    # so beta < 1000 |dx|.  The quadrature is asked for 1e-11 of the result's
-    # scale and mostly does better (~1e-13), but at beta = 0.05, x2 = 6.4565 it
-    # misses the 40-digit image sum by 2.1e-12, where the series holds to 1e-16
-    x2 = np.linspace(1.5, 30.0, 24)
-    closed = build_correlation_grid(-12.0, x2, 60.0, beta, line)
-    oracle = build_correlation_grid(-12.0, x2, 60.0, beta, line, method="mode_sum_oracle")
+@pytest.mark.parametrize("beta, x1, x2", [
+    *(pytest.param(beta, -12.0, np.linspace(1.5, 30.0, 24), id=str(beta))
+      for beta in [0.05, 1.05, 3.14, 62.8, 1e3, math.inf]),
+    *(pytest.param(beta, 1.5, 1.5 + beta * np.geomspace(1e-5, 1e-2, 24), id=f"narrow-{beta:g}")
+      for beta in [5.0, 1e3]),
+])
+def test_uniform_rows_of_both_methods_agree(line, beta, x1, x2):
+    # x1 = -12 lies beyond x_minus(60) = -6.93: every row is uniform, |dx| from
+    # 13.5 to 42, so beta < 1000 |dx|.  The quadrature is asked for 1e-11 of
+    # the result's scale and mostly does better (~1e-13), but at beta = 0.05,
+    # x2 = 6.4565 it misses the 40-digit image sum by 2.1e-12, where the series
+    # holds to 1e-16.  x1 = 1.5 > a pairs with x2 at |dx| from 1e-5 to 1e-2 of
+    # beta, where the Bose bump is far narrower than QAWF's first cycle
+    closed = build_correlation_grid(x1, x2, 60.0, beta, line)
+    oracle = build_correlation_grid(x1, x2, 60.0, beta, line, method="mode_sum_oracle")
     assert set(closed.regions) == set(oracle.regions) == {"uniform"}
     for x, c, o in zip(x2, closed.values, oracle.values):
         assert abs(c - o) <= 1e-11 * c

@@ -210,7 +210,7 @@ def test_mode_table_peak_memory_near_its_chunk(ring):
     n = len(allowed_frequencies(ring, "v"))
     b = math.isqrt(n)
     slab = 8 * (b + -(-n // b)) * _HARMONIC_CHUNK
-    assert 50 * 4 * slab < 8 * n * nmap._nodes.size    # under 2% of that matrix
+    assert 50 * 4 * slab < 8 * n * nmap.nodes.size    # under 2% of that matrix
     _mode_table(ring)                   # the null maps are built and cached
     tracemalloc.start()
     try:
@@ -263,7 +263,7 @@ def test_t_d_homogeneity(config, derived, ring):
     cfg2 = replace(config, hbar=2.0 * config.hbar)
     assert decoherence_time(cfg2, derived, 1e-7, om, 0.0, vc).t_d == pytest.approx(
         4.0 * base, rel=1e-12)
-    der2 = replace(derived, rho=3.0 * derived.rho)
+    der2 = derived._replace(rho=3.0 * derived.rho)
     assert decoherence_time(config, der2, 1e-7, om, 0.0, vc).t_d == pytest.approx(
         base / 9.0, rel=1e-12)
 

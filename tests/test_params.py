@@ -185,8 +185,9 @@ def _call_sites(root):
 
 def _parameters(root):
     """(called name, parameter, position or None if keyword-only, defaulted,
-    where) for every parameter in src/sonicbh.  A dataclass field is a
-    parameter of the generated __init__, which the class name calls."""
+    where) for every parameter in src/sonicbh.  A dataclass or NamedTuple
+    field is a parameter of the generated constructor, which the class name
+    calls."""
     src = root / "src" / "sonicbh"
     out = []
 
@@ -194,7 +195,9 @@ def _parameters(root):
         for child in ast.iter_child_nodes(node):
             if isinstance(child, ast.ClassDef):
                 decorators = [ast.unparse(d) for d in child.decorator_list]
-                if any(d.startswith(("dataclass", "dataclasses.dataclass")) for d in decorators):
+                named_tuple = any(ast.unparse(b).endswith("NamedTuple") for b in child.bases)
+                if named_tuple or any(d.startswith(("dataclass", "dataclasses.dataclass"))
+                                      for d in decorators):
                     fields = [s for s in child.body if isinstance(s, ast.AnnAssign)]
                     for i, f in enumerate(fields):
                         out.append((child.name, f.target.id, i, f.value is not None,
@@ -371,6 +374,26 @@ def test_observables_import_only_lower_layers():
     """The Monte-Carlo estimator checks the analytic correlations without
     borrowing from them, and no observable imports another."""
     assert _layer_violations(ROOT) == []
+
+
+def _dataclass_importers(root):
+    """The modules of src/sonicbh that import dataclasses."""
+    found = set()
+    for path in sorted((root / "src" / "sonicbh").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            names = ([a.name for a in node.names] if isinstance(node, ast.Import)
+                     else [node.module] if isinstance(node, ast.ImportFrom) else [])
+            if any((name or "").split(".")[0] == "dataclasses" for name in names):
+                found.add(path.stem)
+    return sorted(found)
+
+
+def test_only_params_imports_dataclasses():
+    """The package's value types are NamedTuples, which cost about an eighth
+    of a frozen dataclass to create at import.  PhysicalConfig, which the
+    benchmark's sweep check copies with dataclasses.replace, is the one
+    dataclass, and params the one module that imports dataclasses."""
+    assert _dataclass_importers(ROOT) == ["params"]
 
 
 # Definitions that no command, script or benchmark file reaches through the

@@ -211,11 +211,11 @@ def _mp_cos_integral(nmap, k1, j):
     with mp.workdps(40):
         k = j * mp.mpf(float(k1))
         ramps = mp.fsum(mp.mpf(float(w)) * mp.cos(k * mp.mpf(float(x)))
-                        for x, w in zip(nmap._nodes, nmap._weights))
+                        for x, w in zip(nmap.nodes, nmap.weights))
         plateaus = mp.fsum(mp.mpf(float(w)) * mp.sin(k * mp.mpf(float(x)))
-                           for x, w in zip(nmap._ends, nmap._end_weights)) / k
-        scale = (mp.fsum(abs(mp.mpf(float(w))) for w in nmap._weights)
-                 + mp.fsum(abs(mp.mpf(float(w))) for w in nmap._end_weights) / k)
+                           for x, w in zip(nmap.ends, nmap.end_weights)) / k
+        scale = (mp.fsum(abs(mp.mpf(float(w))) for w in nmap.weights)
+                 + mp.fsum(abs(mp.mpf(float(w))) for w in nmap.end_weights) / k)
         return ramps + plateaus, float(scale)
 
 
@@ -239,9 +239,9 @@ def _synthetic_map(nodes):
     rng = np.random.default_rng(nodes)
     ends = np.sort(rng.uniform(0.0, 9.0, 4))
     rate = rng.uniform(0.5, 2.0, 2)
-    return NullCoordinateMap(total=9.0, length=5.0, _nodes=rng.uniform(0.0, 9.0, nodes),
-                             _weights=rng.uniform(0.0, 0.01, nodes), _ends=ends,
-                             _end_weights=np.concatenate([-1.0 / rate, 1.0 / rate]))
+    return NullCoordinateMap(total=9.0, length=5.0, nodes=rng.uniform(0.0, 9.0, nodes),
+                             weights=rng.uniform(0.0, 0.01, nodes), ends=ends,
+                             end_weights=np.concatenate([-1.0 / rate, 1.0 / rate]))
 
 
 @pytest.mark.parametrize("nodes", [2 * _HARMONIC_CHUNK, 2 * _HARMONIC_CHUNK + 7, 5])
@@ -252,7 +252,7 @@ def test_harmonic_cos_integrals_edge_sizes(n, nodes):
     nmap, k1 = _synthetic_map(nodes), 0.7
     values = nmap.harmonic_cos_integrals(k1, n)
     assert values.shape == (n,)
-    scale = np.sum(nmap._weights) + np.sum(np.abs(nmap._end_weights)) / k1
+    scale = np.sum(nmap.weights) + np.sum(np.abs(nmap.end_weights)) / k1
     for j, value in enumerate(values, start=1):
         assert abs(value - nmap.cos_integral(j * k1)) <= 1e-14 * scale, j
 
