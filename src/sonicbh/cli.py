@@ -33,12 +33,7 @@ from .environment import EnvironmentSpec, effective_coupling
 from .errors import ConfigError, RegimeError, SonicBHError
 from .params import DEFAULT_CONFIG_TEXT, check_number, derive, read_config
 
-CONFIG_ENV_VAR = "SONICBH_CONFIG"
-
-
 def _read_config_text(path: str | None) -> str:
-    if path is None:
-        path = os.environ.get(CONFIG_ENV_VAR)
     if path is None:
         return DEFAULT_CONFIG_TEXT
     with open(path, "r", encoding="utf-8") as fh:
@@ -158,7 +153,7 @@ def _beta_arg(raw: str) -> float:
 def build_parser() -> argparse.ArgumentParser:
     p = _Parser(prog="sonicbh",
                 description="sonic-horizon open-system toolkit")
-    p.add_argument("--config", help=f"config path (default: ${CONFIG_ENV_VAR} or built-in)")
+    p.add_argument("--config", help="config path (default: built-in)")
     p.add_argument("--output", default=None, help="output file (default: <command>.csv/json)")
     p.add_argument("--format", choices=("csv", "json"), default="csv")
     # accept the common options after the subcommand too
@@ -185,7 +180,6 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--oracle", action="store_true", help="include the nested-quadrature column")
 
     s = add_parser("vcoef", help="mode weights V1/V2 over allowed frequencies")
-    s.add_argument("--epsilon", type=_number("positive"), default=None)
     s.add_argument("--max-modes", type=_count(1), default=40)
 
     s = add_parser("tdec-sweep", help="decoherence-time band sweep")
@@ -289,7 +283,7 @@ def _run(args) -> tuple[list, list, dict]:
         omegas = allowed_frequencies(ring, "u")[: args.max_modes]
         rows = []
         for om in omegas:
-            vc = v_coefficients(ring, float(om), args.epsilon)
+            vc = v_coefficients(ring, float(om))
             rows.append([vc.omega, vc.v1_u, vc.v2_u, vc.v1_v, vc.v2_v, vc.epsilon])
         return ["omega", "v1_u", "v2_u", "v1_v", "v2_v", "epsilon"], rows, manifest
 

@@ -321,6 +321,12 @@ def detect_peak(grid: CorrelationGrid) -> PeakReport:
 # open-system correction
 # --------------------------------------------------------------------------
 
+# Smallest |cos(2 k X1)| e_r answers at: it divides by the closed-system
+# integrand, which vanishes with that cosine, so nearer its zeros the ratio
+# reads the pole (e_r = 4.2e12 where |cos| = 6e-17), not the environment.
+_ER_MIN_ABS_COS = 0.1
+
+
 def open_correction_er(k: float, t: float, lam: float, temperature: float,
                        profile: LineProfile, x1: float | None = None) -> float:
     """Per-mode relative environment correction e_r at the pair-peak position.
@@ -347,7 +353,9 @@ def open_correction_er(k: float, t: float, lam: float, temperature: float,
     bracket cancel, so it is taken as 2t^3 (x - sin x)/x^3 through that
     ratio's series, whose k -> 0 limit is t^3/3.  A term beyond the float
     range (a power of k, or lam^2) is refused with an OverflowError naming
-    k, lam, t and the term.
+    k, lam, t and the term.  Outside the derivation's domain, k a > 1 (past
+    the small-k window) or |cos(2k X1)| < _ER_MIN_ABS_COS (at a zero of P_C),
+    it is refused with a RegimeError naming k, t, a and X1.
     """
     if k <= 0:
         raise ValueError("k must be positive (left-sector modes, small k)")
@@ -361,9 +369,15 @@ def open_correction_er(k: float, t: float, lam: float, temperature: float,
     if lam > 1e-3:
         warnings.warn("coupling not weak (lam > 1e-3)", RegimeWarning)
     if temperature < 10.0 * hawking_temperature_line(profile):
-        warnings.warn("temperature below the high-T kernel regime (~100 T_H)", RegimeWarning)
+        warnings.warn("temperature below the high-T kernel regime (T0 < 10 T_H)", RegimeWarning)
+    x1_peak = abs(matched_x0(x1, t, profile).x0)
+    where = f"e_r at k = {k:.6g}, t = {t:.6g}, a = {profile.a:.6g}, X1 = {x1_peak:.6g}"
     if k * profile.a > 1.0:
-        warnings.warn("k outside the small-k window (k*a > 1)", RegimeWarning)
+        raise RegimeError(f"{where}: k a > 1, outside the small-k window")
+    cos_peak = math.cos(2.0 * k * x1_peak)
+    if abs(cos_peak) < _ER_MIN_ABS_COS:
+        raise RegimeError(f"{where}: |cos(2 k X1)| = {abs(cos_peak):.3g} is below "
+                          f"{_ER_MIN_ABS_COS:g}, near a zero of the integrand e_r divides by")
 
     def in_float_range(term: str, compute) -> float:
         try:
@@ -375,7 +389,6 @@ def open_correction_er(k: float, t: float, lam: float, temperature: float,
                                 f"{term} leaves the float range")
         return value
 
-    x1_peak = abs(matched_x0(x1, t, profile).x0)
     beta = math.inf if temperature == 0.0 else 1.0 / temperature
     x = 2.0 * k * t
     if x < 1.0:
@@ -385,5 +398,5 @@ def open_correction_er(k: float, t: float, lam: float, temperature: float,
     else:
         noise_term = lambda: temperature * (t / (2.0 * k ** 2) - math.sin(x) / (4.0 * k ** 3))
     noise = in_float_range("the noise term T0 (t/(2k^2) - sin(2kt)/(4k^3))", noise_term)
-    ratio = abs(noise / (thermal_weight(k, beta) * math.cos(2.0 * k * x1_peak)) - t)
+    ratio = abs(noise / (thermal_weight(k, beta) * cos_peak) - t)
     return in_float_range("lam^2 |noise / P_C - t|", lambda: lam ** 2 * ratio)

@@ -159,26 +159,24 @@ def diffusion_quadrature_oracle(t: float, omega: float, spec: EnvironmentSpec) -
 # spatial mode weights
 # --------------------------------------------------------------------------
 
-def _exclusion(profile: RingProfile, branch: str) -> float:
-    """The half-width a branch's null map cuts out around each horizon: one
-    ion spacing on v, none on u."""
-    return derive(profile.config).delta if branch == "v" else 0.0
-
-
 def _harmonics(profile: RingProfile, branch: str):
     """(null map, fundamental 2*pi / |null circumference|, number of allowed
-    modes up to the ceiling N/T) of a branch, on its map with its
-    ``_exclusion``."""
-    nmap = null_coordinate_map(profile, branch, _exclusion(profile, branch))
+    modes up to the ceiling N/T) of a branch."""
+    nmap = null_coordinate_map(profile, branch)
     base = TWO_PI / abs(nmap.total)
     return nmap, base, int(derive(profile.config).omega_max / base)
 
 
 def allowed_frequencies(profile: RingProfile, branch: str) -> np.ndarray:
     """Periodicity-allowed mode frequencies 2*pi*n / |null circumference| up
-    to the ceiling N/T, on the branch's null map with its ``_exclusion``."""
+    to the ceiling N/T, on the branch's null map.  Where the fundamental lies
+    above the ceiling no mode is allowed: RegimeError."""
     import numpy as np
     _, base, n_max = _harmonics(profile, branch)
+    if n_max == 0:
+        raise RegimeError(
+            f"no allowed {branch} mode: the {branch} fundamental {base:.6g} lies above "
+            f"the frequency ceiling N/T = {derive(profile.config).omega_max:.6g}")
     return base * np.arange(1, n_max + 1)
 
 
@@ -193,23 +191,16 @@ def _branch_weights(nmap, omega: float) -> tuple[float, float]:
     return _v1(nmap, nmap.cos_integral(2.0 * omega)), 0.5 * nmap.sin_integral(2.0 * omega)
 
 
-def v_coefficients(profile: RingProfile, omega: float,
-                   epsilon: float | None = None) -> VCoefficients:
+def v_coefficients(profile: RingProfile, omega: float) -> VCoefficients:
     """V1 = int cos^2(omega x_b), V2 = int cos sin over the ring, b = u, v,
     at omega > 0 (else ValueError), over the fixed quadrature nodes of the
-    two cached null maps.
-
-    The v branch uses the epsilon-excluded null coordinate (default: its
-    ``_exclusion``, one ion spacing).
+    two cached null maps; epsilon is the v map's horizon exclusion.
     """
     if not omega > 0:
         raise ValueError(f"omega must be positive, got {omega!r}")
-    if epsilon is None:
-        epsilon = _exclusion(profile, "v")
-    u_map = null_coordinate_map(profile, "u", _exclusion(profile, "u"))
-    return VCoefficients(*_branch_weights(u_map, omega),
-                         *_branch_weights(null_coordinate_map(profile, "v", epsilon), omega),
-                         omega, epsilon)
+    u_map, v_map = null_coordinate_map(profile, "u"), null_coordinate_map(profile, "v")
+    return VCoefficients(*_branch_weights(u_map, omega), *_branch_weights(v_map, omega),
+                         omega, v_map.exclusion)
 
 
 # --------------------------------------------------------------------------
@@ -291,7 +282,7 @@ def _mode_table(profile):
     allowed v mode.
 
     V1 is what t_D reads of a mode: it is taken on the mode's own null map
-    alone (with its ``_exclusion``), with no V2 and no weight of the other
+    alone, with no V2 and no weight of the other
     branch.  The allowed modes of a branch are the harmonics j omega_1, so
     one harmonic pass over its map gives every cosine integral, within 1e-13
     relative of v_coefficients' one-omega path in V1.  omega^3 is the power

@@ -8,10 +8,10 @@ Two geometries appear throughout:
   v_max} with sigma(t) = tanh(t/tau) and unit sound speed.
 
 Profiles and null maps are immutable NamedTuples; every evaluation is pure.
-A ring's null map holds only what the mode weights V1/V2 read of x_u or x_v:
-its total, the measure of its pieces and its cosine and sine integrals.  It
-is the one array object here, and numpy loads only where it is built and
-read.
+A ring's null map holds what V1/V2 read of x_u or x_v (its total, the measure
+of its pieces, its cosine and sine integrals) and the exclusion it was cut
+with.  It is the one array object here, and numpy loads only where it is
+built and read.
 """
 
 from __future__ import annotations
@@ -26,13 +26,6 @@ from .specfun import log_cosh
 
 if TYPE_CHECKING:
     import numpy as np
-
-
-def sigma_accumulated(t: float, tau: float) -> float:
-    """int_0^t tanh(s/tau) ds = tau * ln cosh(t/tau), overflow-safe."""
-    if t < 0:
-        raise ValueError("sigma_accumulated is defined for t >= 0")
-    return tau * log_cosh(t / tau)
 
 
 # --------------------------------------------------------------------------
@@ -60,7 +53,10 @@ class LineProfile(NamedTuple):
         return 1.0 + self.kappa * self.a
 
     def sigma_accumulated(self, t: float) -> float:
-        return sigma_accumulated(t, self.tau)
+        """int_0^t tanh(s/tau) ds = tau * ln cosh(t/tau), overflow-safe."""
+        if t < 0:
+            raise ValueError("sigma_accumulated is defined for t >= 0")
+        return self.tau * log_cosh(t / self.tau)
 
 
 # --------------------------------------------------------------------------
@@ -184,12 +180,13 @@ class NullCoordinateMap(NamedTuple):
     With dx_b/dtheta = 1/(c +- v) = v^(1/2)/(K +- v^(3/2)), x_b is linear in
     theta on a plateau and (+-2/(3 s)) ln|K +- v^(3/2)| + const on a ramp of
     slope s.  For the v branch the integrand has simple poles at the
-    horizons; slivers of half-width epsilon around each are excluded and
-    contribute nothing (the cumulative value is carried across flat).
+    horizons; slivers of half-width ``exclusion`` around each are excluded
+    and contribute nothing (the cumulative value is carried across flat).
     """
 
     total: float             # x_b(2*pi)
     length: float            # measure of the pieces: 2*pi less the slivers
+    exclusion: float         # half-width of each sliver: 2*pi/N on v, 0 on u
     nodes: np.ndarray        # x_b at the ramp quadrature nodes
     weights: np.ndarray      # quadrature weight times dtheta/dx_b there
     ends: np.ndarray         # x_b at the plateau ends
@@ -238,23 +235,23 @@ class NullCoordinateMap(NamedTuple):
 
 
 @functools.lru_cache(maxsize=32)
-def _build_null_map(profile: RingProfile, branch: str, epsilon: float) -> NullCoordinateMap:
+def _build_null_map(profile: RingProfile, branch: str, exclusion: float) -> NullCoordinateMap:
     import numpy as np
     sign = +1.0 if branch == "u" else -1.0
     v_h, segments = _ring_segments(profile)
     # v branch: the angles where v = c, i.e. v^(3/2) = K
     horizons = [s.ref for s in _horizon_segments(segments)] if branch == "v" else []
-    if horizons and epsilon <= HORIZON_XTOL:
+    if horizons and exclusion <= HORIZON_XTOL:
         raise SingularIntegrandError(
             "x_v integrand is singular at horizon(s) "
             f"{[round(h, 6) for h in horizons]}; the exclusion half-width "
-            f"{epsilon!r} must exceed the horizon tolerance {HORIZON_XTOL!r}")
-    # kept intervals exclude (h - eps, h + eps); out of order when a sliver
-    # leaves (0, 2*pi) or overlaps the next
-    cuts = [0.0, *(c for h in horizons for c in (h - epsilon, h + epsilon)), TWO_PI]
+            f"{exclusion!r} must exceed the horizon tolerance {HORIZON_XTOL!r}")
+    # kept intervals exclude (h - exclusion, h + exclusion); out of order when
+    # a sliver leaves (0, 2*pi) or overlaps the next
+    cuts = [0.0, *(c for h in horizons for c in (h - exclusion, h + exclusion)), TWO_PI]
     if any(hi < lo for lo, hi in zip(cuts, cuts[1:])):
         raise RegimeError(
-            f"exclusion half-width {epsilon!r}: the horizon slivers around "
+            f"exclusion half-width {exclusion!r}: the horizon slivers around "
             f"{[round(h, 6) for h in horizons]} leave (0, 2*pi) or overlap")
     lo, hi, slope, ref, v_ref = map(np.array, zip(*(
         (max(lo, s.lo), min(hi, s.hi), s.slope, s.ref, s.v_ref)
@@ -286,7 +283,7 @@ def _build_null_map(profile: RingProfile, branch: str, epsilon: float) -> NullCo
     # plateaus: int cos(k x) dtheta = [sin(k x)/k] / rate between the ends
     x_start = x_lo[flat]
     nmap = NullCoordinateMap(
-        total=float(x_lo[-1] + span[-1]), length=float(np.sum(hi - lo)),
+        total=float(x_lo[-1] + span[-1]), length=float(np.sum(hi - lo)), exclusion=exclusion,
         nodes=np.concatenate(nodes), weights=np.concatenate(weights),
         ends=np.concatenate([x_start, x_start + span[flat]]),
         end_weights=np.concatenate([-1.0 / rate[flat], 1.0 / rate[flat]]))
@@ -296,17 +293,17 @@ def _build_null_map(profile: RingProfile, branch: str, epsilon: float) -> NullCo
     return nmap
 
 
-def null_coordinate_map(profile: RingProfile, branch: str,
-                        epsilon: float = 0.0) -> NullCoordinateMap:
+def null_coordinate_map(profile: RingProfile, branch: str) -> NullCoordinateMap:
     """Build (cached) the null map of x_u or x_v for a ring profile.
 
-    On the v branch epsilon must exceed HORIZON_XTOL (else
-    SingularIntegrandError) and the slivers (h - epsilon, h + epsilon) must
-    fit inside (0, 2*pi) without overlap (else RegimeError).
+    The one definition of its exclusion: one ion spacing 2*pi/N on either
+    side of each horizon of the v branch (the slivers must fit inside
+    (0, 2*pi) without overlap, else RegimeError), none on the poleless u.
     """
     if branch not in ("u", "v"):
         raise ValueError(f"branch must be 'u' or 'v', got {branch!r}")
-    return _build_null_map(profile, branch, float(epsilon))
+    exclusion = derive(profile.config).delta if branch == "v" else 0.0
+    return _build_null_map(profile, branch, exclusion)
 
 
 # --------------------------------------------------------------------------
@@ -327,5 +324,7 @@ def hawking_temperature_ring(profile: RingProfile) -> float:
 
 
 def hawking_temperature_line(profile: LineProfile) -> float:
-    """T_H = |v_max - v_min| / (4 pi a) for the channel profile (c = hbar = k_B = 1)."""
-    return abs(profile.v_max - profile.v_min) / (4.0 * math.pi * profile.a)
+    """T_H = kappa / (2 pi) for the channel profile (c = hbar = k_B = 1),
+    kappa the core's velocity gradient; |v_max - v_min| / (4 pi a), equal to
+    it, cancels at small kappa a."""
+    return profile.kappa / (2.0 * math.pi)

@@ -72,7 +72,6 @@ def record(spec: dict) -> dict:
     """Run one spec in a fresh interpreter inside a new directory."""
     env = dict(os.environ, PYTHONPATH=os.path.join(ROOT, "src"),
                OPENBLAS_NUM_THREADS=BLAS_THREADS)
-    env.pop("SONICBH_CONFIG", None)
     with tempfile.TemporaryDirectory(prefix="sonicbh-golden-") as cwd:
         argv = list(spec["argv"])
         if spec["config"] is not None:

@@ -9,7 +9,7 @@ from sonicbh.characteristics import (_GAUSS_LEGENDRE_24, _region_of, characteris
                                      core_integrals, core_left_x0, entanglement_boundary,
                                      forward_characteristic, matched_exponent,
                                      matched_x0, pair_partner, trace_characteristic)
-from sonicbh.profiles import LineProfile, sigma_accumulated
+from sonicbh.profiles import LineProfile
 
 from conftest import mode_function
 from flow_oracle import (RegionExit, core_g, left_characteristic, line_velocity, rk45_dx0_dx,
@@ -320,7 +320,7 @@ def test_matched_map_regions(line):
     # beyond; x = +-a and x = +-x_plus belong to the region inside them
     t = 40.0
     a, xp = line.a, entanglement_boundary(t, line)[1]
-    f = sigma_accumulated(t, line.tau)
+    f = line.sigma_accumulated(t)
     for side, v in ((1.0, line.v_max), (-1.0, line.v_min)):
         for x in (0.0, side * 0.5 * a, side * a):
             core = matched_x0(x, t, line)
@@ -413,7 +413,7 @@ def direction_content_integral(k: float, t: float, profile: LineProfile) -> comp
     """1 - 2i|k| int_0^t e^{-2ik g(s) - kappa F(s)} ds by direct quadrature, with
     g the cumulative trapezoid of the sampled e^{-kappa F}."""
     s = np.linspace(0.0, t, 20000)
-    decay = np.exp(-profile.kappa * np.array([sigma_accumulated(v, profile.tau) for v in s]))
+    decay = np.exp(-profile.kappa * np.array([profile.sigma_accumulated(v) for v in s]))
     g_s = cumulative_trapezoid(decay, s, initial=0.0)
     integrand = np.exp(-2j * k * g_s) * decay
     val = np.trapezoid(integrand, s)

@@ -20,6 +20,7 @@ from sonicbh.decoherence import (SweepRow, allowed_frequencies, decoherence_time
 from sonicbh.params import DEFAULT_CONFIG_TEXT, derive, load_config, parse_kv_text
 from sonicbh.profiles import LineProfile, RingProfile, hawking_temperature_line
 
+import golden_outputs
 from conftest import er_mpmath
 
 
@@ -388,13 +389,17 @@ def test_regime_error_exit_code(tmp_path, capsys):
         "invalid); offending values start at 333.4")}
 
 
-def test_config_env_var_respected(tmp_path, monkeypatch):
-    cfg = tmp_path / "env.cfg"
-    cfg.write_text(DEFAULT_CONFIG_TEXT)
-    monkeypatch.setenv("SONICBH_CONFIG", str(cfg))
-    code, out = _run(tmp_path, "hawking", name="envvar.csv")
-    assert code == 0
-    assert out.exists()
+def test_package_reads_no_environment_variable():
+    """A config reaches the CLI through --config or the built-in defaults
+    alone: no module of the package looks up an environment variable."""
+    package = os.path.dirname(os.path.abspath(sonicbh.__file__))
+    readers = []
+    for name in sorted(os.listdir(package)):
+        if name.endswith(".py"):
+            with open(os.path.join(package, name), encoding="utf-8") as fh:
+                if re.search(r"\b(environ|getenv|environb)\b", fh.read()):
+                    readers.append(name)
+    assert readers == []
 
 
 def test_output_written_atomically(tmp_path):
@@ -423,6 +428,11 @@ def test_every_exported_name_exists():
     assert [name for name in sonicbh.__all__ if not hasattr(sonicbh, name)] == []
 
 
+# A 2-ion ring with the charge scaled as the benchmark's rings are: the same
+# flow, its u fundamental above the ceiling N/T, and its exclusion of one ion
+# spacing, pi, wider than the gaps between its horizons.
+_TWO_IONS = {"n_ions": 2, "ion_charge": 37.6246 * math.sqrt(500.0)}
+
 # Messages pinned per test id: --sites is gone (the estimator's mode count is
 # fixed); er and diffusion name their inputs and the term that leaves the
 # float range; an empty default x2 window names t and the partner x2*.
@@ -437,7 +447,14 @@ _REFUSAL_MESSAGES = {
         r"^D\(t\) at omega = 1e\+10, cutoff = 1e-310, t = 1: \(omega/cutoff\)\^2 ",
     "langevin-sites-0": "unrecognized arguments: --sites",
     "langevin-sites-513": "unrecognized arguments: --sites",
-    "er-k-squared-overflows": r"^e_r at k = 1e\+300, lam = 1e-07, t = 40: the noise term ",
+    "er-k-beyond-small-k-window": r"^e_r at k = 1e\+300, t = 40, a = 1, X1 = 0\.517632: k a > 1, ",
+    "er-k-at-zero-of-integrand":
+        r"^e_r at k = 0\.55818, t = 20, a = 1, X1 = 1\.40707: \|cos\(2 k X1\)\| ",
+    "er-noise-term-overflows": r"^e_r at k = 1e-110, lam = 1e-07, t = 1e\+110: the noise term ",
+    "vcoef-epsilon-unknown": "unrecognized arguments: --epsilon",
+    "vcoef-no-allowed-mode": r"^no allowed u mode: the u fundamental 12\.6947 lies above the "
+                             r"frequency ceiling N/T = 2$",
+    "tdec-sweep-two-ion-slivers": r"^exclusion half-width 3\.14159\d*: the horizon slivers ",
     "er-lam-squared-overflows": r"^e_r at k = 0\.05, lam = 1e\+200, t = 40: lam\^2 ",
     "correlation-beta-subnormal": r"^the uniform-region correlation at \|x1 - x2\| = "
                                   r"15\.0919, beta = 4\.94066e-324 leaves the float range$",
@@ -474,12 +491,11 @@ _REFUSAL_MESSAGES = {
     (["er", "--k", "0.05", "--t-min", "40", "--t-max", "100", "--points", "-2"], None, 2),
     (["correlation", "--t", "100", "--x1", "-4", "--points", "0"], None, 2),
     (["correlation", "--t", "100", "--x1", "-4", "--points", "15"], None, 2),
-    (["vcoef", "--epsilon", "0", "--max-modes", "5"], None, 2),
-    (["vcoef", "--epsilon", "-0.01", "--max-modes", "5"], None, 2),
     (["correlation", "--t", "-5", "--x1", "-4"], None, 2),
     (["langevin", "--t", "-5", "--x1", "-1.2", "--realizations", "50"], None, 2),
-    (["vcoef", "--epsilon", "10", "--max-modes", "5"], None, 4),
-    (["vcoef", "--epsilon", "1.5", "--max-modes", "5"], None, 4),
+    (["tdec-sweep", "--axis", "gamma", "--from", "1e-8", "--to", "1e-6", "--points", "2"],
+     _TWO_IONS, 4),
+    (["vcoef", "--epsilon", "0.01", "--max-modes", "5"], None, 2),
     (["er", "--k", "0", "--t-min", "40", "--t-max", "100"], None, 2),
     (["er", "--k", "-0.05", "--t-min", "40", "--t-max", "100"], None, 2),
     (["hawking"], {"v_min": "-1.0"}, 4),
@@ -500,7 +516,12 @@ _REFUSAL_MESSAGES = {
     (["hawking"], {"ion_charge": "30.0"}, 4),
     (["tdec-sweep", "--axis", "temperature", "--from", "0.1", "--to", "1", "--points", "2"],
      {"ion_charge": "30.0"}, 4),
-    (["er", "--k", "1e300", "--t-min", "40", "--t-max", "100"], None, 3),
+    (["er", "--k", "1e300", "--t-min", "40", "--t-max", "100"], None, 4),
+    (["er", "--k", "0.5581795167475397", "--t-min", "20", "--t-max", "21", "--points", "2",
+      "--temperature", "0.5"], None, 4),
+    (["er", "--k", "1e-110", "--t-min", "1e110", "--t-max", "1e110", "--points", "1"],
+     None, 3),
+    (["vcoef"], _TWO_IONS, 4),
     (["er", "--k", "0.05", "--t-min", "40", "--t-max", "100", "--lam", "1e200"], None, 3),
     (["langevin", "--t", "0", "--x1", "-1.2"], None, 4),
     (["correlation", "--t", "100", "--x1", "-50"], None, 4),
@@ -517,14 +538,14 @@ _REFUSAL_MESSAGES = {
         "langevin-seed-negative", "langevin-seed-2-64", "vcoef-max-modes-negative",
         "tdec-sweep-points-0", "boundary-points-0", "boundary-points-negative",
         "diffusion-points-0", "er-points-negative", "correlation-points-0",
-        "correlation-points-15", "vcoef-epsilon-0",
-        "vcoef-epsilon-negative", "correlation-t-negative", "langevin-t-negative",
-        "vcoef-epsilon-wider-than-ring", "vcoef-epsilon-slivers-leave-ring", "er-k-0",
+        "correlation-points-15", "correlation-t-negative", "langevin-t-negative",
+        "tdec-sweep-two-ion-slivers", "vcoef-epsilon-unknown", "er-k-0",
         "er-k-negative", "hawking-ring-flow-negative", "vcoef-ring-flow-negative",
         "langevin-moments-overflow", "diffusion-omega-t-overflows", "correlation-t-0", "tdec-sweep-log-from-0",
         "tdec-sweep-log-from-negative", "correlation-x2-min-inside",
         "correlation-x2-max-inside", "cutoff-shape-exponential", "hawking-no-horizon",
-        "tdec-sweep-no-horizon", "er-k-squared-overflows",
+        "tdec-sweep-no-horizon", "er-k-beyond-small-k-window", "er-k-at-zero-of-integrand",
+        "er-noise-term-overflows", "vcoef-no-allowed-mode",
         "er-lam-squared-overflows", "langevin-t-0", "correlation-partner-beyond-wedge",
         "diffusion-omega-squared-overflows", "diffusion-omega-over-cutoff-overflows",
         "correlation-beta-subnormal"])
@@ -544,21 +565,6 @@ def test_malformed_input_refused(request, tmp_path, capsys, argv, config, code):
     record = json.loads(lines[0])
     assert set(record) == {"error", "message"}
     assert re.search(_REFUSAL_MESSAGES.get(request.node.callspec.id, ""), record["message"])
-    assert not (tmp_path / "x.csv").exists()
-
-
-@pytest.mark.filterwarnings("error")
-@pytest.mark.parametrize("epsilon", ["1e-300", "1e-14"])
-def test_vcoef_epsilon_below_horizon_tolerance_refused(tmp_path, capsys, epsilon):
-    """An exclusion half-width below what double precision resolves at the
-    horizon is refused before the integrand 1/(c - v) is evaluated: exit 3,
-    no warning."""
-    argv = ["--output", str(tmp_path / "x.csv"), "vcoef", "--epsilon", epsilon,
-            "--max-modes", "5"]
-    assert main(argv) == 3
-    lines = capsys.readouterr().err.strip().splitlines()
-    assert len(lines) == 1
-    assert json.loads(lines[0])["error"] == "SingularIntegrandError"
     assert not (tmp_path / "x.csv").exists()
 
 
@@ -599,7 +605,6 @@ def _fresh_interpreter(cwd, argv, script=("-c", _PROBE)):
     """Run argv in a new interpreter, one at a time, with the package on its path."""
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         p for p in (_SRC, os.environ.get("PYTHONPATH")) if p))
-    env.pop("SONICBH_CONFIG", None)
     return subprocess.run([sys.executable, *script, *argv], cwd=cwd, env=env,
                           capture_output=True, text=True, timeout=60)
 
@@ -645,6 +650,35 @@ def test_readme_shows_every_subcommand():
     commands = next(action.choices for action in build_parser()._actions
                     if isinstance(action, argparse._SubParsersAction))
     assert sorted(argv[0] for argv in _README_EXAMPLES) == sorted(commands)
+
+
+# The common input and output options: every subcommand takes them, and a
+# run needs no workload, README line or script to justify them.
+_COMMON_OPTIONS = ("--config", "--output", "--format")
+
+
+def test_every_option_is_used_outside_tests():
+    """Every option of a subcommand is passed to it by some benchmark workload
+    op (seeds 1 and 2, as the golden runs take them), or named by the README
+    or a study script: an option that only tests pass is a second path."""
+    root = os.path.dirname(_SRC)
+    passed = {(run["argv"][0], token) for run in golden_outputs.runs().values()
+              if run["argv"] for token in run["argv"]}
+    texts = []
+    scripts = os.path.join(root, "scripts")
+    for path in [os.path.join(root, "README.md")] + sorted(
+            os.path.join(scripts, name) for name in os.listdir(scripts) if name.endswith(".py")):
+        with open(path, encoding="utf-8") as fh:
+            texts.append(fh.read())
+    named = lambda option: any(re.search(rf"(?<![\w-]){re.escape(option)}(?![\w-])", text)
+                               for text in texts)
+    commands = next(action.choices for action in build_parser()._actions
+                    if isinstance(action, argparse._SubParsersAction))
+    unused = [f"{command} {option}" for command, parser in commands.items()
+              for action in parser._actions for option in action.option_strings
+              if option.startswith("--") and option not in ("--help", *_COMMON_OPTIONS)
+              and (command, option) not in passed and not named(option)]
+    assert unused == []
 
 
 @pytest.mark.parametrize("argv", _README_EXAMPLES, ids=lambda argv: argv[0])
@@ -818,7 +852,7 @@ _SUBCOMMANDS = {
     "boundary": {"--t-max": _float("200"), "--points": _count("8", 1)},
     "diffusion": {"--omega": _float("2"), "--t-min": _float("0.01"),
                   "--t-max": _float("10"), "--points": _count("2", 1), "--oracle": _FLAG},
-    "vcoef": {"--epsilon": _float("0.01", optional=True), "--max-modes": _count("3", 1)},
+    "vcoef": {"--max-modes": _count("3", 1)},
     "tdec-sweep": {"--axis": _choice("gamma", "v_min", "temperature"),
                    "--from": _float("0.1"), "--to": _float("0.3"),
                    "--points": _count("2", 1), "--log": _FLAG},

@@ -416,7 +416,7 @@ def test_er_vanishes_at_zero_coupling(line):
 
 
 def test_er_monotone_growth_after_transient(line):
-    with pytest.warns(RegimeWarning):
+    with pytest.warns(RegimeWarning, match=r"T0 < 10 T_H"):
         open_correction_er(0.05, 60.0, 1e-7, 0.5 * LINE_T_HAWKING, line)
     ts = np.linspace(35.0, 100.0, 27)
     import warnings
@@ -455,6 +455,18 @@ def test_er_regression_baseline(line):
         warnings.simplefilter("ignore", RegimeWarning)
         e = open_correction_er(0.05, 80.0, 1e-7, T_HOT, line, x1=-4.0)
     assert e == pytest.approx(6.93009e-11, rel=1e-3)
+
+
+@pytest.mark.filterwarnings("ignore::sonicbh.errors.RegimeWarning")   # lam = 0.01 is not weak
+@pytest.mark.parametrize("k, t, lam, why", [
+    (1.5172892373928883, 40.0, 0.01, r": k a > 1, "),
+    (0.5581795167475397, 20.0, 1e-7, r": \|cos\(2 k X1\)\| = 1\.61e-16 is below 0\.1, "),
+])
+def test_er_refused_outside_its_derivation(line, k, t, lam, why):
+    # both read the pole of 1/cos(2 k X1) as e_r (4.2e12 and 919), and only
+    # the first lies past the small-k window
+    with pytest.raises(RegimeError, match=rf"^e_r at k = {k:.6g}, t = {t:g}, a = 1, X1 = .*{why}"):
+        open_correction_er(k, t, lam, 0.5, line)
 
 
 def test_er_probe_outside_wedge_rejected(line):

@@ -7,7 +7,7 @@ import pytest
 
 from scipy.integrate import quad
 
-from sonicbh.decoherence import (DECOHERENCE_CRITERION, _mode_table, _t_d,
+from sonicbh.decoherence import (DECOHERENCE_CRITERION, _branch_weights, _mode_table, _t_d,
                                  allowed_frequencies, decoherence_time, diffusion_exact,
                                  diffusion_quadrature_oracle,
                                  sweep_decoherence, v_coefficients)
@@ -15,7 +15,7 @@ from sonicbh.environment import EnvironmentSpec
 from sonicbh.errors import QuadratureError, RegimeError
 from sonicbh.params import TWO_PI, derive
 from sonicbh.profiles import (_HARMONIC_CHUNK, NullCoordinateMap, RingProfile,
-                              null_coordinate_map)
+                              _build_null_map, null_coordinate_map)
 from sonicbh.specfun import integrate_adaptive
 
 from ring_oracle import ring_null_coordinate
@@ -125,13 +125,14 @@ def test_allowed_frequencies_structure(ring, config):
 
 
 def test_v_epsilon_sensitivity_documented(ring, config):
+    # v_coefficients reports the v map's exclusion, one ion spacing, and its
+    # V1 moves only gently when the private builder cuts twice that
     eps = TWO_PI / config.n_ions
     om = float(allowed_frequencies(ring, "v")[4])
-    a = v_coefficients(ring, om, eps)
-    b = v_coefficients(ring, om, 2 * eps)
-    # the u branch is epsilon-free; the v branch moves only gently
-    assert a.v1_u == b.v1_u
-    assert a.v1_v == pytest.approx(b.v1_v, rel=0.05)
+    vc = v_coefficients(ring, om)
+    assert vc.epsilon == eps
+    v1_wider, _ = _branch_weights(_build_null_map(ring, "v", 2 * eps), om)
+    assert vc.v1_v == pytest.approx(v1_wider, rel=0.05)
 
 
 def _theta_quad(config, branch, f):
@@ -206,7 +207,7 @@ def test_mode_table_peak_memory_near_its_chunk(ring):
     nodes) a slab of (21 + 20) rows is ~84 KB, and the traced peak of the
     whole table stays under four of them, where a phase matrix of every mode
     at every node would hold 411 x 9920 doubles."""
-    nmap = null_coordinate_map(ring, "v", derive(ring.config).delta)
+    nmap = null_coordinate_map(ring, "v")
     n = len(allowed_frequencies(ring, "v"))
     b = math.isqrt(n)
     slab = 8 * (b + -(-n // b)) * _HARMONIC_CHUNK
@@ -400,8 +401,7 @@ def test_sweep_records_partial_thermal_breakdown(config, ring, derived):
     assert "thermal correction dominates" in errors[0][1]
 
 
-def test_gamma_sweep_reads_only_each_modes_own_cosine_integral(config, ring, derived,
-                                                               monkeypatch):
+def test_gamma_sweep_reads_only_each_modes_own_cosine_integral(config, ring, monkeypatch):
     # the band reads V1 of each mode's own branch: one harmonic pass per
     # branch on that branch's own map, at k1 = 2 omega_1 over all its modes,
     # and no one-omega cosine or sine integral
@@ -420,9 +420,9 @@ def test_gamma_sweep_reads_only_each_modes_own_cosine_integral(config, ring, der
     assert len(rows) == 4 and not errors
     assert calls["cos_integral"] == [] and calls["sin_integral"] == []
     expected = []
-    for branch, epsilon in (("u", 0.0), ("v", derived.delta)):
+    for branch in ("u", "v"):
         omegas = allowed_frequencies(ring, branch)
-        expected.append((null_coordinate_map(ring, branch, epsilon), 2.0 * omegas[0],
+        expected.append((null_coordinate_map(ring, branch), 2.0 * omegas[0],
                          len(omegas)))
     assert calls["harmonic_cos_integrals"] == expected     # maps compare by identity
 

@@ -8,9 +8,9 @@ import pytest
 from sonicbh.decoherence import _harmonics
 from sonicbh.errors import RegionError, SingularIntegrandError
 from sonicbh.params import TWO_PI
-from sonicbh.profiles import (_HARMONIC_CHUNK, LineProfile, NullCoordinateMap, RingProfile,
-                              hawking_temperature_line, hawking_temperature_ring,
-                              null_coordinate_map, sigma_accumulated)
+from sonicbh.profiles import (_HARMONIC_CHUNK, HORIZON_XTOL, LineProfile, NullCoordinateMap,
+                              RingProfile, _build_null_map, hawking_temperature_line,
+                              hawking_temperature_ring, null_coordinate_map)
 
 from flow_oracle import line_velocity
 from ring_oracle import ring_flow, ring_null_coordinate
@@ -20,26 +20,31 @@ from ring_oracle import ring_flow, ring_null_coordinate
 # collapse schedule
 # --------------------------------------------------------------------------
 
+def _sigma(t, tau):
+    """int_0^t tanh(s/tau) ds through the channel profile's method."""
+    return LineProfile(a=1.0, kappa=0.1, tau=tau).sigma_accumulated(t)
+
+
 def test_sigma_accumulated_zero():
-    assert sigma_accumulated(0.0, 2.0) == 0.0
+    assert _sigma(0.0, 2.0) == 0.0
 
 
 def test_sigma_accumulated_long_time_value():
     # ln cosh(100) = 100 - ln 2 + log1p(e^{-200}); the correction is ~1e-87,
     # far below double resolution, so the values must coincide bit-for-bit.
-    assert sigma_accumulated(100.0, 1.0) == pytest.approx(100.0 - math.log(2.0), abs=1e-13)
+    assert _sigma(100.0, 1.0) == pytest.approx(100.0 - math.log(2.0), abs=1e-13)
 
 
 def test_sigma_accumulated_asymptote():
     t, tau = 30.0, 1.3
-    assert sigma_accumulated(t, tau) == pytest.approx(t - tau * math.log(2.0), abs=1e-6)
+    assert _sigma(t, tau) == pytest.approx(t - tau * math.log(2.0), abs=1e-6)
 
 
 def test_sigma_accumulated_matches_quadrature():
     from sonicbh.specfun import integrate_adaptive
     t, tau = 3.7, 0.8
     num = integrate_adaptive(lambda s: math.tanh(s / tau), 0.0, t, tol=1e-12).value
-    assert sigma_accumulated(t, tau) == pytest.approx(num, rel=1e-10)
+    assert _sigma(t, tau) == pytest.approx(num, rel=1e-10)
 
 
 def test_sigma_accumulated_derivative_is_sigma():
@@ -48,7 +53,7 @@ def test_sigma_accumulated_derivative_is_sigma():
     ts = np.linspace(0.05, 8.0, 100)
     h = 1e-6
     for t in ts:
-        d = (sigma_accumulated(t + h, tau) - sigma_accumulated(t - h, tau)) / (2 * h)
+        d = (_sigma(t + h, tau) - _sigma(t - h, tau)) / (2 * h)
         assert d == pytest.approx(math.tanh(t / tau), rel=1e-6)
 
 
@@ -91,9 +96,12 @@ def test_ring_continuity_and_periodicity(ring, config):
 
 
 def test_ring_two_sonic_crossings(ring, derived):
-    # the v map keeps the ring less one sliver of 2 delta around each horizon
-    length = null_coordinate_map(ring, "v", derived.delta).length
-    assert length == pytest.approx(TWO_PI - 4 * derived.delta, rel=1e-14)
+    # the v map keeps the ring less one sliver of 2 delta around each horizon,
+    # delta = 2 pi/N the one ion spacing; the u map keeps all of it
+    v_map, u_map = null_coordinate_map(ring, "v"), null_coordinate_map(ring, "u")
+    assert (v_map.exclusion, u_map.exclusion) == (derived.delta, 0.0)
+    assert v_map.length == pytest.approx(TWO_PI - 4 * derived.delta, rel=1e-14)
+    assert u_map.length == TWO_PI
 
 
 # --------------------------------------------------------------------------
@@ -126,13 +134,23 @@ def test_null_u_additivity(config):
 
 def test_null_v_requires_exclusion(ring):
     with pytest.raises(SingularIntegrandError, match="horizon"):
-        null_coordinate_map(ring, "v", 0.0)
+        _build_null_map(ring, "v", 0.0)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("exclusion", [1e-300, 1e-14, HORIZON_XTOL])
+def test_exclusion_at_horizon_tolerance_refused(ring, exclusion):
+    """An exclusion half-width that double precision does not resolve at the
+    horizon is refused before the integrand 1/(c - v) is evaluated: no
+    warning."""
+    with pytest.raises(SingularIntegrandError, match="horizon tolerance"):
+        _build_null_map(ring, "v", exclusion)
 
 
 def test_null_v_finite_with_exclusion_and_sensitivity(ring, config):
     eps = TWO_PI / config.n_ions
-    v1 = null_coordinate_map(ring, "v", eps).total
-    v2 = null_coordinate_map(ring, "v", 2 * eps).total
+    v1 = null_coordinate_map(ring, "v").total
+    v2 = _build_null_map(ring, "v", 2 * eps).total
     assert math.isfinite(v1) and math.isfinite(v2)
     # the two sides of each simple pole cancel at leading order, so the total
     # moves by O(eps) with the exclusion width (6.7e-4 from eps to 2 eps)
@@ -195,9 +213,10 @@ def test_oracle_null_coordinate_against_mpmath(config, branch, offset):
 
 @pytest.mark.parametrize("branch, epsilon", [("u", 0.0), ("v", None), ("v", 1e-6)])
 def test_null_total_against_mpmath(ring, config, branch, epsilon):
-    if epsilon is None:
-        epsilon = TWO_PI / config.n_ions   # the default exclusion: one ion spacing
-    total = null_coordinate_map(ring, branch, epsilon).total
+    if epsilon is None:   # the map's own exclusion: one ion spacing
+        epsilon, total = TWO_PI / config.n_ions, null_coordinate_map(ring, branch).total
+    else:
+        total = _build_null_map(ring, branch, epsilon).total
     assert total == pytest.approx(_mp_null_coordinate(config, branch, epsilon), rel=1e-9)
 
 
@@ -239,7 +258,8 @@ def _synthetic_map(nodes):
     rng = np.random.default_rng(nodes)
     ends = np.sort(rng.uniform(0.0, 9.0, 4))
     rate = rng.uniform(0.5, 2.0, 2)
-    return NullCoordinateMap(total=9.0, length=5.0, nodes=rng.uniform(0.0, 9.0, nodes),
+    return NullCoordinateMap(total=9.0, length=5.0, exclusion=0.0,
+                             nodes=rng.uniform(0.0, 9.0, nodes),
                              weights=rng.uniform(0.0, 0.01, nodes), ends=ends,
                              end_weights=np.concatenate([-1.0 / rate, 1.0 / rate]))
 
@@ -315,7 +335,7 @@ def test_no_horizon_is_an_error(config):
                   v_max=1.005 * config.mean_velocity, ion_charge=100.0)
     prof = RingProfile.from_config(cfg)
     # no pole to cut out: the v map needs no exclusion and keeps the whole ring
-    assert null_coordinate_map(prof, "v", 0.0).length == pytest.approx(TWO_PI, rel=1e-15)
+    assert _build_null_map(prof, "v", 0.0).length == pytest.approx(TWO_PI, rel=1e-15)
     with pytest.raises(RegionError):
         hawking_temperature_ring(prof)
 
@@ -323,6 +343,17 @@ def test_no_horizon_is_an_error(config):
 def test_line_temperature_value():
     line = LineProfile(a=1.0, kappa=0.1, tau=1.0)  # v_max, v_min = 1.1, 0.9
     assert hawking_temperature_line(line) == pytest.approx(0.2 / (4 * math.pi), rel=1e-15)
+
+
+@pytest.mark.parametrize("kappa_a", [1e-6, 1e-10, 1e-14, 1e-17])
+def test_line_temperature_is_kappa_over_two_pi_at_small_kappa_a(kappa_a):
+    # T_H = kappa/(2 pi) in 40 digits, with no cancellation of v_max - v_min
+    # = 2 kappa a to lose digits to: at kappa a = 1e-17 that difference is 0
+    kappa = kappa_a / 3.0
+    with mp.workdps(40):
+        expected = mp.mpf(kappa) / (2 * mp.pi)
+    got = hawking_temperature_line(LineProfile(a=3.0, kappa=kappa, tau=1.0))
+    assert got == pytest.approx(float(expected), rel=2e-16, abs=0.0)
 
 
 def test_line_temperature_degenerate_and_scaling():
