@@ -26,7 +26,6 @@ import os
 import re
 import sys
 import tempfile
-import warnings
 
 from . import __version__
 from .environment import EnvironmentSpec, effective_coupling
@@ -153,14 +152,11 @@ def _beta_arg(raw: str) -> float:
 def build_parser() -> argparse.ArgumentParser:
     p = _Parser(prog="sonicbh",
                 description="sonic-horizon open-system toolkit")
-    p.add_argument("--config", help="config path (default: built-in)")
-    p.add_argument("--output", default=None, help="output file (default: <command>.csv/json)")
-    p.add_argument("--format", choices=("csv", "json"), default="csv")
-    # accept the common options after the subcommand too
+    # the common options, which follow the subcommand
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--config", default=argparse.SUPPRESS)
-    common.add_argument("--output", default=argparse.SUPPRESS)
-    common.add_argument("--format", choices=("csv", "json"), default=argparse.SUPPRESS)
+    common.add_argument("--config", help="config path (default: built-in)")
+    common.add_argument("--output", help="output file (default: <command>.csv/json)")
+    common.add_argument("--format", choices=("csv", "json"), default="csv")
     sub = p.add_subparsers(dest="command", required=True)
 
     def add_parser(name, **kw):
@@ -326,12 +322,8 @@ def _run(args) -> tuple[list, list, dict]:
         temp = (args.temperature if args.temperature is not None
                 else 100.0 * hawking_temperature_line(line))
         ts = linspace(args.t_min, args.t_max, args.points)
-        rows = []
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            for k in args.k:
-                for t in ts:
-                    rows.append([k, t, open_correction_er(k, t, args.lam, temp, line)])
+        rows = [[k, t, open_correction_er(k, t, args.lam, temp, line)]
+                for k in args.k for t in ts]
         return ["k", "t", "e_r"], rows, manifest
 
     if args.command == "langevin":

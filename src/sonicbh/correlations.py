@@ -31,11 +31,10 @@ from __future__ import annotations
 
 import math
 import sys
-import warnings
 from typing import NamedTuple
 
 from .characteristics import entanglement_boundary, matched_exponent, matched_pair, matched_x0
-from .errors import ExtrapolationError, RegimeError, RegimeWarning, RegionError
+from .errors import ExtrapolationError, RegimeError, RegionError
 from .profiles import LineProfile, hawking_temperature_line
 from .specfun import fourier_integral, image_sum, thermal_excess, thermal_weight
 
@@ -326,6 +325,11 @@ def detect_peak(grid: CorrelationGrid) -> PeakReport:
 # reads the pole (e_r = 4.2e12 where |cos| = 6e-17), not the environment.
 _ER_MIN_ABS_COS = 0.1
 
+# The kernels' limits: weak coupling (|lam| at most this) and a hot bath (T0
+# at least this many line Hawking temperatures, the local ohmic noise).
+_ER_MAX_ABS_LAM = 1e-3
+_ER_MIN_T_OVER_TH = 10.0
+
 
 def open_correction_er(k: float, t: float, lam: float, temperature: float,
                        profile: LineProfile, x1: float | None = None) -> float:
@@ -352,10 +356,12 @@ def open_correction_er(k: float, t: float, lam: float, temperature: float,
     0 exactly at lam = 0.  Where x = 2kt < 1 the two terms of the noise
     bracket cancel, so it is taken as 2t^3 (x - sin x)/x^3 through that
     ratio's series, whose k -> 0 limit is t^3/3.  A term beyond the float
-    range (a power of k, or lam^2) is refused with an OverflowError naming
-    k, lam, t and the term.  Outside the derivation's domain, k a > 1 (past
-    the small-k window) or |cos(2k X1)| < _ER_MIN_ABS_COS (at a zero of P_C),
-    it is refused with a RegimeError naming k, t, a and X1.
+    range (a power of k, or noise / P_C) is refused with an OverflowError
+    naming k, lam, t and the term.  A RegimeError refuses |lam| above
+    _ER_MAX_ABS_LAM or T0 below _ER_MIN_T_OVER_TH T_H (the kernels' limits),
+    naming lam or T0 and the threshold, and k a > 1 or |cos(2k X1)| below
+    _ER_MIN_ABS_COS (past the small-k window, or at a zero of P_C), naming
+    k, t, a and X1.
     """
     if k <= 0:
         raise ValueError("k must be positive (left-sector modes, small k)")
@@ -366,10 +372,13 @@ def open_correction_er(k: float, t: float, lam: float, temperature: float,
         raise RegionError(f"x1 = {x1:.6g} outside the wedge at t = {t:.6g}")
     if lam == 0.0:
         return 0.0
-    if lam > 1e-3:
-        warnings.warn("coupling not weak (lam > 1e-3)", RegimeWarning)
-    if temperature < 10.0 * hawking_temperature_line(profile):
-        warnings.warn("temperature below the high-T kernel regime (T0 < 10 T_H)", RegimeWarning)
+    if abs(lam) > _ER_MAX_ABS_LAM:
+        raise RegimeError(f"e_r at lam = {lam:.6g}: |lam| > {_ER_MAX_ABS_LAM:g}, "
+                          "outside the weak-coupling limit")
+    min_temperature = _ER_MIN_T_OVER_TH * hawking_temperature_line(profile)
+    if temperature < min_temperature:
+        raise RegimeError(f"e_r at T0 = {temperature:.6g}: T0 < {_ER_MIN_T_OVER_TH:g} T_H = "
+                          f"{min_temperature:.6g}, outside the high-temperature limit")
     x1_peak = abs(matched_x0(x1, t, profile).x0)
     where = f"e_r at k = {k:.6g}, t = {t:.6g}, a = {profile.a:.6g}, X1 = {x1_peak:.6g}"
     if k * profile.a > 1.0:
@@ -382,14 +391,14 @@ def open_correction_er(k: float, t: float, lam: float, temperature: float,
     def in_float_range(term: str, compute) -> float:
         try:
             value = compute()
-        except (OverflowError, ZeroDivisionError):   # a power of k or lam left the range
+        except (OverflowError, ZeroDivisionError):   # a power of k left the range
             value = math.inf
         if not math.isfinite(value):
             raise OverflowError(f"e_r at k = {k:.6g}, lam = {lam:.6g}, t = {t:.6g}: "
                                 f"{term} leaves the float range")
         return value
 
-    beta = math.inf if temperature == 0.0 else 1.0 / temperature
+    beta = 1.0 / temperature
     x = 2.0 * k * t
     if x < 1.0:
         # T0 2t^3 (x - sin x) / x^3 by its series: no power of k, no cancellation

@@ -4,6 +4,7 @@ The CLI maps these onto process exit codes: ConfigError -> 2,
 numeric failures (QuadratureError and friends) -> 3, RegimeError -> 4
 (RegionError too: a point outside a formula's region, or a ring with no
 sonic horizon, is a regime violation).
+Nothing warns: each limit ends in one refusal, raised where it is owned.
 """
 
 
@@ -35,9 +36,6 @@ class ExtrapolationError(QuadratureError):
     """A thermal k integral's Bose part cancels its vacuum part below accuracy."""
 
 
-class SingularIntegrandError(SonicBHError):
-    """Integration path crosses a horizon without an exclusion width."""
-
-
+# Raised by nothing: kept only because the fixed acceptance tests import it.
 class RegimeWarning(UserWarning):
     """Result produced outside its nominal validity regime."""

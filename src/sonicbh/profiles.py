@@ -20,7 +20,7 @@ import functools
 import math
 from typing import TYPE_CHECKING, NamedTuple
 
-from .errors import RegimeError, RegionError, SingularIntegrandError
+from .errors import RegimeError, RegionError
 from .params import TWO_PI, PhysicalConfig, derive
 from .specfun import log_cosh
 
@@ -89,11 +89,7 @@ class RingProfile(NamedTuple):
 # --------------------------------------------------------------------------
 
 # With c = K v^(-1/2) the sonic speed is v_h = K^(2/3), reached where a ramp's
-# line crosses it.  An exclusion half-width at or below HORIZON_XTOL cuts
-# closer to the pole 1/(c - v) than its angle is resolved in double precision.
-HORIZON_XTOL = 1e-12
-
-
+# line crosses it.
 class _Segment(NamedTuple):
     """A linear piece of v: v = v_ref + slope * (theta - ref) on [lo, hi]."""
 
@@ -241,11 +237,6 @@ def _build_null_map(profile: RingProfile, branch: str, exclusion: float) -> Null
     v_h, segments = _ring_segments(profile)
     # v branch: the angles where v = c, i.e. v^(3/2) = K
     horizons = [s.ref for s in _horizon_segments(segments)] if branch == "v" else []
-    if horizons and exclusion <= HORIZON_XTOL:
-        raise SingularIntegrandError(
-            "x_v integrand is singular at horizon(s) "
-            f"{[round(h, 6) for h in horizons]}; the exclusion half-width "
-            f"{exclusion!r} must exceed the horizon tolerance {HORIZON_XTOL!r}")
     # kept intervals exclude (h - exclusion, h + exclusion); out of order when
     # a sliver leaves (0, 2*pi) or overlaps the next
     cuts = [0.0, *(c for h in horizons for c in (h - exclusion, h + exclusion)), TWO_PI]
@@ -299,6 +290,8 @@ def null_coordinate_map(profile: RingProfile, branch: str) -> NullCoordinateMap:
     The one definition of its exclusion: one ion spacing 2*pi/N on either
     side of each horizon of the v branch (the slivers must fit inside
     (0, 2*pi) without overlap, else RegimeError), none on the poleless u.
+    The cap on N (params.MAX_N_IONS) keeps each sliver at least 2e-4 wide,
+    far above the angle double precision resolves at the pole.
     """
     if branch not in ("u", "v"):
         raise ValueError(f"branch must be 'u' or 'v', got {branch!r}")

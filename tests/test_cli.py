@@ -1,4 +1,6 @@
 import argparse
+import contextlib
+import io
 import json
 import math
 import os
@@ -12,12 +14,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import sonicbh
-from sonicbh.characteristics import entanglement_boundary, pair_partner
+from sonicbh.characteristics import entanglement_boundary, matched_x0, pair_partner
 from sonicbh.cli import build_parser, linspace, main
 from sonicbh.correlations import corr_closed_form
 from sonicbh.decoherence import (SweepRow, allowed_frequencies, decoherence_time,
                                  v_coefficients)
-from sonicbh.params import DEFAULT_CONFIG_TEXT, derive, load_config, parse_kv_text
+from sonicbh.params import DEFAULT_CONFIG_TEXT, MAX_N_IONS, derive, load_config, parse_kv_text
 from sonicbh.profiles import LineProfile, RingProfile, hawking_temperature_line
 
 import golden_outputs
@@ -25,11 +27,11 @@ from conftest import er_mpmath
 
 
 def _run(tmp_path, *args, name="out.csv", fmt=None):
+    """main on args (a subcommand and its options), the output options after them."""
     out = tmp_path / name
-    argv = ["--output", str(out)]
+    argv = list(args) + ["--output", str(out)]
     if fmt:
         argv += ["--format", fmt]
-    argv += list(args)
     code = main(argv)
     return code, out
 
@@ -242,13 +244,13 @@ def test_tdec_sweep_gamma_axis_needs_no_config_gamma(tmp_path, capsys):
     cfg_path.write_text("".join(f"{k} = {v}\n" for k, v in kv.items()))
     sweep = ["tdec-sweep", "--axis", "gamma", "--from", "1e-7", "--to", "1e-6",
              "--points", "3", "--log"]
-    code, out = _run(tmp_path, "--config", str(cfg_path), *sweep, name="no_gamma.csv")
+    code, out = _run(tmp_path, *sweep, "--config", str(cfg_path), name="no_gamma.csv")
     assert code == 0
     code_default, out_default = _run(tmp_path, *sweep, name="default.csv")
     assert code_default == 0
     _, header, rows = _rows(out)
     assert (header, rows) == _rows(out_default)[1:] and len(rows) == 3
-    assert main(["--output", str(tmp_path / "x.csv"), *sweep, "--gamma", "1"]) == 2
+    assert main([*sweep, "--gamma", "1", "--output", str(tmp_path / "x.csv")]) == 2
     assert json.loads(capsys.readouterr().err)["error"] == "ConfigError"
 
 
@@ -257,8 +259,8 @@ def test_tdec_sweep_gamma_keeps_bath_temperature(tmp_path):
     # default flow and sound speed at a fifth of the modes
     cfg_path = _config_file(tmp_path, n_ions=200, ion_charge=37.6246 * math.sqrt(5.0),
                             bath_temperature=1.0)
-    code, out = _run(tmp_path, "--config", str(cfg_path), "tdec-sweep", "--axis", "gamma",
-                     "--from", "1e-7", "--to", "1e-6", "--points", "3", "--log")
+    code, out = _run(tmp_path, "tdec-sweep", "--axis", "gamma", "--from", "1e-7",
+                     "--to", "1e-6", "--points", "3", "--log", "--config", str(cfg_path))
     assert code == 0
     manifest, _, rows = _rows(out)
     assert "point_errors" not in manifest
@@ -293,8 +295,8 @@ def test_diffusion_oracle_refuses_past_its_range(tmp_path, capsys, omega, t):
     misses it sporadically (3.7e-6 at omega = 0.001, t = 144558.77, cutoff 2):
     a numeric refusal, exit 3, naming t and omega; no output is written."""
     out = tmp_path / "x.csv"
-    argv = ["--output", str(out), "diffusion", "--omega", omega, "--t-min", t,
-            "--t-max", t, "--points", "1", "--oracle"]
+    argv = ["diffusion", "--omega", omega, "--t-min", t, "--t-max", t, "--points", "1",
+            "--oracle", "--output", str(out)]
     assert main(argv) == 3
     record = json.loads(capsys.readouterr().err)
     assert record["error"] == "QuadratureError"
@@ -342,6 +344,69 @@ def test_er_command_at_vanishing_k(tmp_path):
         assert float(e_r) == pytest.approx(1e-14 * (t ** 3 / 6.0 - t), rel=1e-11)
 
 
+_LINE = LineProfile(a=1.0, kappa=0.1, tau=1.0)
+_LINE_T_H = hawking_temperature_line(_LINE)
+
+
+@st.composite
+def _er_points(draw):
+    """(k, t, lam, T0) around e_r's four limits: |lam| = 1e-3, T0 = 10 T_H,
+    k a = 1 and |cos(2 k X1)| = 0.1, X1 at the default mid-wedge probe."""
+    t = draw(st.floats(5.0, 200.0))
+    if draw(st.booleans()):
+        k = draw(st.floats(0.01, 1.5))
+    else:   # near a zero of cos(2 k X1)
+        x1 = -0.5 * (_LINE.a + entanglement_boundary(t, _LINE)[1])
+        x1_peak = abs(matched_x0(x1, t, _LINE).x0)
+        zero = (0.5 + draw(st.integers(0, 2))) * math.pi / (2.0 * x1_peak)
+        k = zero * (1.0 + draw(st.floats(-0.15, 0.15)))
+    # special 8 and 9 draw 0 and the limit itself; the rest spread across the limit
+    special = draw(st.integers(0, 9))
+    lam = ((0.0, 1e-3)[special - 8] if special >= 8
+           else 10.0 ** (draw(st.integers(-90, -20)) / 10))
+    lam *= draw(st.sampled_from([1.0, -1.0]))
+    special = draw(st.integers(0, 9))
+    temperature = ((0.0, 10.0 * _LINE_T_H)[special - 8] if special >= 8
+                   else 10.0 ** (draw(st.integers(5, 30)) / 10) * _LINE_T_H)
+    return k, t, lam, temperature
+
+
+@settings(max_examples=200, deadline=None)
+@given(point=_er_points())
+def test_er_answers_inside_its_regime_and_refuses_outside(tmp_path_factory, point):
+    """Inside the regime (|lam| <= 1e-3, T0 >= 10 T_H, k a <= 1 and
+    |cos(2 k X1)| >= 0.1, or lam = 0) er exits 0 with a finite e_r; outside,
+    exit 4 and one JSON record naming the first input past its limit."""
+    k, t, lam, temperature = point
+    out = tmp_path_factory.mktemp("er") / "er.csv"
+    argv = ["er", "--k", repr(k), "--t-min", repr(t), "--t-max", repr(t), "--points", "1",
+            "--lam", repr(lam), "--temperature", repr(temperature), "--output", str(out)]
+    stderr = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(stderr):
+        code = main(argv)
+    x1 = -0.5 * (_LINE.a + entanglement_boundary(t, _LINE)[1])
+    x1_peak = abs(matched_x0(x1, t, _LINE).x0)
+    where = f"e_r at k = {k:.6g}, t = {t:.6g}, a = 1, X1 = {x1_peak:.6g}: "
+    refusal = (None if lam == 0.0
+               else f"e_r at lam = {lam:.6g}: |lam| > 0.001" if abs(lam) > 1e-3
+               else f"e_r at T0 = {temperature:.6g}: T0 < 10 T_H" if temperature < 10 * _LINE_T_H
+               else where + "k a > 1" if k > 1.0
+               else where + "|cos(2 k X1)|" if abs(math.cos(2.0 * k * x1_peak)) < 0.1
+               else None)
+    if refusal is None:
+        assert (code, stderr.getvalue()) == (0, "")
+        e_r = float(_rows(out)[2][0][2])
+        assert math.isfinite(e_r) and e_r >= 0.0
+    else:
+        assert code == 4
+        lines = stderr.getvalue().strip().splitlines()
+        assert len(lines) == 1
+        record = json.loads(lines[0])
+        assert record["error"] == "RegimeError"
+        assert record["message"].startswith(refusal), record["message"]
+        assert not out.exists()
+
+
 def test_langevin_command_manifest_records_seed(tmp_path):
     code, out = _run(tmp_path, "langevin", "--t", "30", "--x1", "-1.2",
                      "--realizations", "400", "--seed", "7", "--points", "24")
@@ -371,7 +436,7 @@ def test_json_format_mirrors_csv(tmp_path):
 def test_config_error_exit_code(tmp_path, capsys):
     bad = tmp_path / "bad.cfg"
     bad.write_text("n_ions = banana\n")
-    code = main(["--config", str(bad), "--output", str(tmp_path / "x.csv"), "hawking"])
+    code = main(["hawking", "--config", str(bad), "--output", str(tmp_path / "x.csv")])
     assert code == 2
     err = capsys.readouterr().err
     record = json.loads(err.strip().splitlines()[-1])
@@ -380,8 +445,8 @@ def test_config_error_exit_code(tmp_path, capsys):
 
 def test_regime_error_exit_code(tmp_path, capsys):
     # temperature sweep beyond 100 T_H is refused with exit code 4
-    code = main(["--output", str(tmp_path / "x.csv"), "tdec-sweep", "--axis",
-                 "temperature", "--from", "0.1", "--to", "1000.0", "--points", "4"])
+    code = main(["tdec-sweep", "--axis", "temperature", "--from", "0.1", "--to", "1000.0",
+                 "--points", "4", "--output", str(tmp_path / "x.csv")])
     assert code == 4
     record = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
     assert record == {"error": "RegimeError", "message": (
@@ -415,7 +480,7 @@ def test_unwritable_output_refusal_names_the_requested_path(tmp_path, capsys, wh
     """The refusal names the --output path, not the temporary file beside it,
     and leaves no temporary file behind."""
     out = tmp_path / "missing" / "x.json" if where == "missing-directory" else tmp_path
-    assert main(["--output", str(out), "--format", "json", "hawking"]) == 2
+    assert main(["hawking", "--output", str(out), "--format", "json"]) == 2
     lines = capsys.readouterr().err.strip().splitlines()
     assert len(lines) == 1
     record = json.loads(lines[0])
@@ -455,7 +520,14 @@ _REFUSAL_MESSAGES = {
     "vcoef-no-allowed-mode": r"^no allowed u mode: the u fundamental 12\.6947 lies above the "
                              r"frequency ceiling N/T = 2$",
     "tdec-sweep-two-ion-slivers": r"^exclusion half-width 3\.14159\d*: the horizon slivers ",
-    "er-lam-squared-overflows": r"^e_r at k = 0\.05, lam = 1e\+200, t = 40: lam\^2 ",
+    "er-lam-squared-overflows": r"^e_r at k = 0\.24, lam = 1e-07, t = 1\.5e\+307: lam\^2 ",
+    "er-lam-1e200-not-weak": r"^e_r at lam = 1e\+200: \|lam\| > 0\.001, outside the weak-",
+    "er-lam-0.5-not-weak": r"^e_r at lam = 0\.5: \|lam\| > 0\.001, outside the weak-",
+    "er-lam-negative-not-weak": r"^e_r at lam = -0\.5: \|lam\| > 0\.001, outside the weak-",
+    "er-temperature-0-below-10-th":
+        r"^e_r at T0 = 0: T0 < 10 T_H = 0\.159155, outside the high-temperature limit$",
+    "n-ions-above-cap": rf"^n_ions must lie in \[2, {MAX_N_IONS}\], got {MAX_N_IONS + 1}$",
+    "n-ions-below-2": rf"^n_ions must lie in \[2, {MAX_N_IONS}\], got 1$",
     "correlation-beta-subnormal": r"^the uniform-region correlation at \|x1 - x2\| = "
                                   r"15\.0919, beta = 4\.94066e-324 leaves the float range$",
 }
@@ -522,7 +594,21 @@ _REFUSAL_MESSAGES = {
     (["er", "--k", "1e-110", "--t-min", "1e110", "--t-max", "1e110", "--points", "1"],
      None, 3),
     (["vcoef"], _TWO_IONS, 4),
-    (["er", "--k", "0.05", "--t-min", "40", "--t-max", "100", "--lam", "1e200"], None, 3),
+    (["er", "--k", "0.05", "--t-min", "40", "--t-max", "100", "--lam", "1e200"], None, 4),
+    # a line this flat keeps X1 = e at t = 1.5e307, where |cos(2 k X1)| = 0.26 and
+    # T0 = 1 put noise / P_C past the float range while the noise term stays in it
+    (["er", "--k", "0.24", "--t-min", "1.5e307", "--t-max", "1.5e307", "--points", "1",
+      "--temperature", "1"], {"line_kappa": "1e-50"}, 3),
+    (["er", "--k", "0.05", "--t-min", "40", "--t-max", "100", "--points", "3", "--lam", "0.5"],
+     None, 4),
+    (["er", "--k", "0.05", "--t-min", "40", "--t-max", "100", "--points", "3", "--lam", "-0.5"],
+     None, 4),
+    (["er", "--k", "0.05", "--t-min", "40", "--t-max", "100", "--points", "3",
+      "--temperature", "0"], None, 4),
+    (["tdec-sweep", "--axis", "gamma", "--from", "1e-7", "--to", "1e-7", "--points", "1"],
+     {"n_ions": MAX_N_IONS + 1}, 2),
+    (["tdec-sweep", "--axis", "gamma", "--from", "1e-7", "--to", "1e-7", "--points", "1"],
+     {"n_ions": 1}, 2),
     (["langevin", "--t", "0", "--x1", "-1.2"], None, 4),
     (["correlation", "--t", "100", "--x1", "-50"], None, 4),
     (["diffusion", "--omega", "1e300", "--t-min", "1", "--t-max", "10", "--points", "3"],
@@ -546,18 +632,21 @@ _REFUSAL_MESSAGES = {
         "correlation-x2-max-inside", "cutoff-shape-exponential", "hawking-no-horizon",
         "tdec-sweep-no-horizon", "er-k-beyond-small-k-window", "er-k-at-zero-of-integrand",
         "er-noise-term-overflows", "vcoef-no-allowed-mode",
-        "er-lam-squared-overflows", "langevin-t-0", "correlation-partner-beyond-wedge",
+        "er-lam-1e200-not-weak", "er-lam-squared-overflows", "er-lam-0.5-not-weak",
+        "er-lam-negative-not-weak", "er-temperature-0-below-10-th", "n-ions-above-cap",
+        "n-ions-below-2",
+        "langevin-t-0", "correlation-partner-beyond-wedge",
         "diffusion-omega-squared-overflows", "diffusion-omega-over-cutoff-overflows",
         "correlation-beta-subnormal"])
 def test_malformed_input_refused(request, tmp_path, capsys, argv, config, code):
     """Refused with the documented exit code and one JSON record, no traceback;
     where _REFUSAL_MESSAGES holds a pattern, the message matches it."""
-    prefix = ["--output", str(tmp_path / "x.csv")]
+    common = ["--output", str(tmp_path / "x.csv")]
     if config == "missing":
-        prefix += ["--config", str(tmp_path / "missing.cfg")]
+        common += ["--config", str(tmp_path / "missing.cfg")]
     elif config is not None:
-        prefix += ["--config", str(_config_file(tmp_path, **config))]
-    assert main(prefix + argv) == code
+        common += ["--config", str(_config_file(tmp_path, **config))]
+    assert main(argv + common) == code
     err = capsys.readouterr().err
     assert "Traceback" not in err
     lines = err.strip().splitlines()
@@ -692,9 +781,9 @@ def test_readme_example_runs(tmp_path, argv):
 @pytest.mark.parametrize("transport", ["matched", "exact"])
 def test_langevin_coincident_probes(tmp_path, transport):
     # two probes at one point: each carries its own Jacobian, no secant between them
-    argv = ["--output", str(tmp_path / "x.csv"), "langevin", "--t", "30", "--x1", "-1.2",
-            "--x2-min", "5", "--x2-max", "5", "--points", "2", "--realizations", "200",
-            "--transport", transport]
+    argv = ["langevin", "--t", "30", "--x1", "-1.2", "--x2-min", "5", "--x2-max", "5",
+            "--points", "2", "--realizations", "200", "--transport", transport,
+            "--output", str(tmp_path / "x.csv")]
     proc = _fresh_interpreter(tmp_path, argv, script=("-m", "sonicbh"))
     assert (proc.returncode, proc.stderr) == (0, "")
     _, header, rows = _rows(tmp_path / "x.csv")
@@ -749,6 +838,8 @@ def _assert_scipy_footprint(scipy_modules, integrates):
      _NO_NUMPY + ("hashlib",)),
     (["hawking"], "missing", 2, False, _NO_NUMPY + ("hashlib",)),
     (["hawking"], {"line_kappa": "5.0"}, 2, False, _NO_NUMPY + ("hashlib",)),
+    (["tdec-sweep", "--axis", "gamma", "--from", "1e-7", "--to", "1e-7", "--points", "1"],
+     {"n_ions": MAX_N_IONS + 1}, 2, False, _NO_NUMPY + ("hashlib",)),
     (["tdec-sweep", "--axis", "temperature", "--from", "0.1", "--to", "200", "--points", "2"],
      None, 4, False, _NO_NUMPY),
     (["diffusion", "--omega", "2", "--t-min", "0.01", "--t-max", "10", "--points", "2"],
@@ -762,7 +853,8 @@ def _assert_scipy_footprint(scipy_modules, integrates):
 ], ids=["import", "help", "hawking", "vcoef", "tdec-sweep-gamma", "tdec-sweep-v-min",
         "tdec-sweep-temperature", "boundary", "er", "langevin-matched", "langevin-exact",
         "langevin-thermal",
-        "argument-refusal", "config-refusal", "line-slope-refusal", "too-hot-sweep-refusal",
+        "argument-refusal", "config-refusal", "line-slope-refusal", "ion-cap-refusal",
+        "too-hot-sweep-refusal",
         "diffusion",
         "diffusion-oracle", "correlation", "correlation-mode-sum-oracle"])
 def test_scipy_loaded_only_where_a_command_integrates(tmp_path, argv, config, code,
@@ -775,14 +867,14 @@ def test_scipy_loaded_only_where_a_command_integrates(tmp_path, argv, config, co
     scalars (hawking, boundary, er, the closed-form correlation); a command
     that runs loads only the numeric modules it calls.  A CSV output loads no
     json, and a refused argument or config no hashlib."""
-    prefix = []
+    common = []
     if argv:
-        prefix = ["--output", str(tmp_path / "x.csv")]
+        common = ["--output", str(tmp_path / "x.csv")]
         if config == "missing":
-            prefix += ["--config", str(tmp_path / "missing.cfg")]
+            common += ["--config", str(tmp_path / "missing.cfg")]
         elif config is not None:
-            prefix += ["--config", str(_config_file(tmp_path, **config))]
-    proc = _fresh_interpreter(tmp_path, prefix + argv)
+            common += ["--config", str(_config_file(tmp_path, **config))]
+    proc = _fresh_interpreter(tmp_path, argv + common)
     assert proc.returncode == code, proc.stderr
     loaded = json.loads(proc.stdout.splitlines()[-1])
     _assert_scipy_footprint(loaded["scipy"], integrates)
@@ -894,10 +986,10 @@ def test_every_subcommand_exits_cleanly(tmp_path_factory, invocation):
     a success no warning."""
     missing_config, argv = invocation
     work = tmp_path_factory.mktemp("fuzz")
-    prefix = ["--output", str(work / "x.csv")]
+    common = ["--output", str(work / "x.csv")]
     if missing_config:
-        prefix += ["--config", str(work / "missing.cfg")]
-    proc = _fresh_interpreter(work, prefix + argv, script=("-m", "sonicbh"))
+        common += ["--config", str(work / "missing.cfg")]
+    proc = _fresh_interpreter(work, argv + common, script=("-m", "sonicbh"))
     assert "Traceback" not in proc.stderr
     assert proc.returncode in (0, 2, 3, 4), proc.stderr
     if proc.returncode == 0:

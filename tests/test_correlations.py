@@ -17,7 +17,7 @@ from sonicbh.correlations import (CorrelationGrid, build_correlation_grid,
                                   corr_mode_sum_oracle, detect_peak,
                                   open_correction_er, thermal_momentum_integral)
 from sonicbh import correlations
-from sonicbh.errors import ExtrapolationError, RegimeError, RegimeWarning, RegionError
+from sonicbh.errors import ExtrapolationError, RegimeError, RegionError
 from sonicbh.specfun import thermal_weight
 
 from conftest import LINE_T_HAWKING, er_mpmath, mode_function, mode_function_pde_residual
@@ -416,14 +416,11 @@ def test_er_vanishes_at_zero_coupling(line):
 
 
 def test_er_monotone_growth_after_transient(line):
-    with pytest.warns(RegimeWarning, match=r"T0 < 10 T_H"):
+    with pytest.raises(RegimeError, match=r"^e_r at T0 = 0\.00795775: T0 < 10 T_H = 0\.159155, "):
         open_correction_er(0.05, 60.0, 1e-7, 0.5 * LINE_T_HAWKING, line)
     ts = np.linspace(35.0, 100.0, 27)
-    import warnings
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", RegimeWarning)
-        ers = np.array([open_correction_er(0.05, float(t), 1e-7, T_HOT, line, x1=-4.0)
-                        for t in ts])
+    ers = np.array([open_correction_er(0.05, float(t), 1e-7, T_HOT, line, x1=-4.0)
+                    for t in ts])
     # growth with flat spots at 2kt = 2 pi n; allow only sub-1e-3 dips there
     rel_drops = np.diff(ers) / ers[:-1]
     assert rel_drops.min() > -1e-3
@@ -431,40 +428,30 @@ def test_er_monotone_growth_after_transient(line):
 
 
 def test_er_nonincreasing_in_k(line):
-    import warnings
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", RegimeWarning)
-        ers = [open_correction_er(k, 80.0, 1e-7, T_HOT, line, x1=-4.0)
-               for k in (0.02, 0.05, 0.1, 0.2)]
+    ers = [open_correction_er(k, 80.0, 1e-7, T_HOT, line, x1=-4.0)
+           for k in (0.02, 0.05, 0.1, 0.2)]
     assert all(a >= b for a, b in zip(ers, ers[1:]))
 
 
 def test_er_quadratic_in_coupling(line):
-    import warnings
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", RegimeWarning)
-        e1 = open_correction_er(0.05, 80.0, 1e-7, T_HOT, line, x1=-4.0)
-        e2 = open_correction_er(0.05, 80.0, 2e-7, T_HOT, line, x1=-4.0)
+    e1 = open_correction_er(0.05, 80.0, 1e-7, T_HOT, line, x1=-4.0)
+    e2 = open_correction_er(0.05, 80.0, 2e-7, T_HOT, line, x1=-4.0)
     assert e2 == pytest.approx(4.0 * e1, rel=1e-12)
 
 
 def test_er_regression_baseline(line):
     # no external numbers exist for this curve; freeze the artifact's own values
-    import warnings
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", RegimeWarning)
-        e = open_correction_er(0.05, 80.0, 1e-7, T_HOT, line, x1=-4.0)
+    e = open_correction_er(0.05, 80.0, 1e-7, T_HOT, line, x1=-4.0)
     assert e == pytest.approx(6.93009e-11, rel=1e-3)
 
 
-@pytest.mark.filterwarnings("ignore::sonicbh.errors.RegimeWarning")   # lam = 0.01 is not weak
 @pytest.mark.parametrize("k, t, lam, why", [
-    (1.5172892373928883, 40.0, 0.01, r": k a > 1, "),
+    (1.5172892373928883, 40.0, 1e-4, r": k a > 1, "),
     (0.5581795167475397, 20.0, 1e-7, r": \|cos\(2 k X1\)\| = 1\.61e-16 is below 0\.1, "),
 ])
 def test_er_refused_outside_its_derivation(line, k, t, lam, why):
-    # both read the pole of 1/cos(2 k X1) as e_r (4.2e12 and 919), and only
-    # the first lies past the small-k window
+    # both sit at a pole of 1/cos(2 k X1), once read as e_r (4.2e12 at
+    # lam = 0.01, and 919), and only the first lies past the small-k window
     with pytest.raises(RegimeError, match=rf"^e_r at k = {k:.6g}, t = {t:g}, a = 1, X1 = .*{why}"):
         open_correction_er(k, t, lam, 0.5, line)
 
@@ -474,8 +461,7 @@ def test_er_probe_outside_wedge_rejected(line):
         open_correction_er(0.05, 10.0, 1e-7, T_HOT, line, x1=-8.0)
 
 
-@pytest.mark.filterwarnings("ignore::sonicbh.errors.RegimeWarning")
-@pytest.mark.parametrize("temperature", [0.0, T_HOT, 2.0])
+@pytest.mark.parametrize("temperature", [T_HOT, 2.0])
 @pytest.mark.parametrize("x1", [None, -1.0000001])
 @pytest.mark.parametrize("k", [0.05, 0.2, 1e-6, 1e-8, 1e-10])
 def test_er_against_mpmath(line, k, x1, temperature):

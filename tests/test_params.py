@@ -7,7 +7,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from sonicbh.errors import ConfigError
-from sonicbh.params import (CONFIG_KEYS, DEFAULT_CONFIG_TEXT, PhysicalConfig,
+from sonicbh.params import (CONFIG_KEYS, DEFAULT_CONFIG_TEXT, MAX_N_IONS, PhysicalConfig,
                             default_config, derive, load_config, parse_kv_text,
                             read_config)
 
@@ -146,7 +146,7 @@ def test_derive_is_deterministic():
     assert a == b
 
 
-@given(st.integers(min_value=2, max_value=10 ** 6))
+@given(st.integers(min_value=2, max_value=MAX_N_IONS))
 def test_delta_times_n_recovers_two_pi(n):
     cfg = PhysicalConfig(n_ions=n, period=1.0, radius=1.0, ion_mass=1.0,
                          ion_charge=1.0, v_min=0.9 * TWO_PI, v_max=1.1 * TWO_PI,
@@ -376,14 +376,14 @@ def test_observables_import_only_lower_layers():
     assert _layer_violations(ROOT) == []
 
 
-def _dataclass_importers(root):
-    """The modules of src/sonicbh that import dataclasses."""
+def _importers(root, module):
+    """The modules of src/sonicbh that import module."""
     found = set()
     for path in sorted((root / "src" / "sonicbh").glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
             names = ([a.name for a in node.names] if isinstance(node, ast.Import)
                      else [node.module] if isinstance(node, ast.ImportFrom) else [])
-            if any((name or "").split(".")[0] == "dataclasses" for name in names):
+            if any((name or "").split(".")[0] == module for name in names):
                 found.add(path.stem)
     return sorted(found)
 
@@ -393,7 +393,13 @@ def test_only_params_imports_dataclasses():
     of a frozen dataclass to create at import.  PhysicalConfig, which the
     benchmark's sweep check copies with dataclasses.replace, is the one
     dataclass, and params the one module that imports dataclasses."""
-    assert _dataclass_importers(ROOT) == ["params"]
+    assert _importers(ROOT, "dataclasses") == ["params"]
+
+
+def test_no_module_imports_warnings():
+    """Each limit ends in a refusal raised where it is owned: no module of
+    the package warns, so no warning can be filtered away before the CLI."""
+    assert _importers(ROOT, "warnings") == []
 
 
 # Definitions that no command, script or benchmark file reaches through the
@@ -401,6 +407,8 @@ def test_only_params_imports_dataclasses():
 REACH_ALLOWLIST = {
     # argparse calls the parser's error hook on a bad command line
     "cli._Parser.error",
+    # nothing raises it; tests/test_acceptance.py imports it
+    "errors.RegimeWarning",
 }
 
 

@@ -6,10 +6,10 @@ import numpy as np
 import pytest
 
 from sonicbh.decoherence import _harmonics
-from sonicbh.errors import RegionError, SingularIntegrandError
+from sonicbh.errors import RegionError
 from sonicbh.params import TWO_PI
-from sonicbh.profiles import (_HARMONIC_CHUNK, HORIZON_XTOL, LineProfile, NullCoordinateMap,
-                              RingProfile, _build_null_map, hawking_temperature_line,
+from sonicbh.profiles import (_HARMONIC_CHUNK, LineProfile, NullCoordinateMap, RingProfile,
+                              _build_null_map, hawking_temperature_line,
                               hawking_temperature_ring, null_coordinate_map)
 
 from flow_oracle import line_velocity
@@ -130,21 +130,6 @@ def test_null_u_additivity(config):
     x_u, _, _ = ring_null_coordinate(config, "u")
     seg = integrate_adaptive(lambda x: 1.0 / (c(x) + v(x)), 1.5, 4.0, tol=1e-12).value
     assert x_u(4.0) == pytest.approx(x_u(1.5) + seg, rel=1e-8)
-
-
-def test_null_v_requires_exclusion(ring):
-    with pytest.raises(SingularIntegrandError, match="horizon"):
-        _build_null_map(ring, "v", 0.0)
-
-
-@pytest.mark.filterwarnings("error")
-@pytest.mark.parametrize("exclusion", [1e-300, 1e-14, HORIZON_XTOL])
-def test_exclusion_at_horizon_tolerance_refused(ring, exclusion):
-    """An exclusion half-width that double precision does not resolve at the
-    horizon is refused before the integrand 1/(c - v) is evaluated: no
-    warning."""
-    with pytest.raises(SingularIntegrandError, match="horizon tolerance"):
-        _build_null_map(ring, "v", exclusion)
 
 
 def test_null_v_finite_with_exclusion_and_sensitivity(ring, config):
