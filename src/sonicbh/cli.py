@@ -119,6 +119,14 @@ class _Parser(argparse.ArgumentParser):
         raise ConfigError(message)
 
 
+def _follows_command(flag: str):
+    """Argument type of a common option given before the subcommand, where
+    argparse would read its value as the subcommand: refused by name."""
+    def refuse(raw: str):
+        raise ConfigError(f"{flag} follows the subcommand: sonicbh <command> {flag} <value>")
+    return refuse
+
+
 def _number(domain: str):
     """Argument type: a finite number inside domain, as for config values."""
     def parse(raw: str) -> float:
@@ -157,6 +165,9 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--config", help="config path (default: built-in)")
     common.add_argument("--output", help="output file (default: <command>.csv/json)")
     common.add_argument("--format", choices=("csv", "json"), default="csv")
+    for flag in ("--config", "--output", "--format"):
+        p.add_argument(flag, type=_follows_command(flag), default=argparse.SUPPRESS,
+                       help=argparse.SUPPRESS)
     sub = p.add_subparsers(dest="command", required=True)
 
     def add_parser(name, **kw):

@@ -26,6 +26,10 @@ from .specfun import fourier_integral, thermal_weight
 # Fourier modes of the sampled initial field
 N_MODES = 255
 
+# Doubles in each of estimate_correlation's three reused buffers (normals,
+# field at the probes, products): 256 KiB unless one realization needs more.
+_DRAW_BLOCK = 2 ** 15
+
 
 class Ensemble(NamedTuple):
     """The estimator's result, one entry per x2: |<Pi_L(x1) Pi_L(x2)>| and
@@ -117,9 +121,13 @@ def estimate_correlation(n_realizations: int, x1: float, x2_values, t: float,
     of z A.  QR, not a Cholesky factor of A^T A, which is singular for
     coincident probes or points + 1 > 2 * N_MODES and would square the
     condition number.  Realization i takes normals i d, ..., (i + 1) d - 1 of
-    the seed's stream.  They are drawn in batches of
-    4e7 // (N_MODES * max(points + 1, 49)) realizations into one (batch, d)
-    buffer, so no batch-by-probes array exceeds ~1.3 MB.
+    the seed's stream.  They are drawn in blocks of
+    _DRAW_BLOCK // (points + 1) realizations (at least one), through three
+    buffers allocated once and filled in place: the (block, d) normals, the
+    (block, points + 1) field at the probes and the (block, points) products,
+    squared in place once summed.  Each holds at most _DRAW_BLOCK doubles
+    (256 KiB) unless one realization needs more; the block regroups only the
+    moment sums.
     """
     if n_realizations < 2:
         raise ValueError("need at least 2 realizations")
@@ -148,18 +156,18 @@ def estimate_correlation(n_realizations: int, x1: float, x2_values, t: float,
     rng = np.random.Generator(np.random.Philox(key=[np.uint64(seed), np.uint64(0)]))
     mean = np.zeros(len(x2_values))
     second = np.zeros(len(x2_values))
-    done = 0
-    batch = max(1, min(n_realizations, int(4e7 // (N_MODES * max(len(pts), 49)))))
-    buf = np.empty(batch * d)
-    while done < n_realizations:
-        b = min(batch, n_realizations - done)
-        g = buf[:b * d].reshape(b, d)
+    rows = max(1, min(n_realizations, _DRAW_BLOCK // len(pts)))   # d <= len(pts)
+    normals = np.empty((rows, d))
+    field = np.empty((rows, len(pts)))
+    prod = np.empty((rows, len(x2_values)))
+    for done in range(0, n_realizations, rows):
+        b = min(rows, n_realizations - done)
+        g, pi_l, p = normals[:b], field[:b], prod[:b]
         rng.standard_normal(out=g)
-        pi_l = g @ r                                         # (b, points)
-        prod = pi_l[:, 0:1] * pi_l[:, 1:]
-        mean += prod.sum(axis=0)
-        second += (prod ** 2).sum(axis=0)
-        done += b
+        np.matmul(g, r, out=pi_l)
+        np.multiply(pi_l[:, :1], pi_l[:, 1:], out=p)
+        mean += p.sum(axis=0)
+        second += np.square(p, out=p).sum(axis=0)
     mean /= n_realizations
     second /= n_realizations
     var = np.maximum(second - mean ** 2, 0.0)

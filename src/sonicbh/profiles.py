@@ -157,12 +157,20 @@ _PANEL_PHASE = 32.0
 _HARMONIC_CHUNK = 256
 
 
-@functools.cache
-def _gauss_legendre() -> tuple[np.ndarray, np.ndarray]:
-    # built on first use: its eigenvalue solve raises peak RSS by ~0.7 MB,
-    # which commands that build no null map need not pay
-    import numpy as np
-    return np.polynomial.legendre.leggauss(32)
+# The ramps' 32-point Gauss-Legendre rule on [-1, 1], numpy's leggauss(32)
+# written out (its positive half, in ascending order; the rule is symmetric).
+_GAUSS_HALF_NODES = (
+    0.048307665687738324, 0.1444719615827965, 0.23928736225213706, 0.33186860228212767,
+    0.42135127613063533, 0.5068999089322294, 0.5877157572407623, 0.6630442669302152,
+    0.7321821187402897, 0.7944837959679424, 0.84936761373257, 0.8963211557660521,
+    0.9349060759377397, 0.9647622555875064, 0.9856115115452684, 0.9972638618494816)
+_GAUSS_HALF_WEIGHTS = (
+    0.09654008851472766, 0.09563872007927471, 0.09384439908080451, 0.09117387869576378,
+    0.08765209300440378, 0.08331192422694671, 0.07819389578707023, 0.07234579410884834,
+    0.06582222277636168, 0.058684093478535565, 0.05099805926237609, 0.042835898022226836,
+    0.034273862913021765, 0.025392065309262024, 0.016274394730905743, 0.007018610009470506)
+_GAUSS_LEGENDRE_32 = ([-x for x in reversed(_GAUSS_HALF_NODES)] + list(_GAUSS_HALF_NODES),
+                      list(reversed(_GAUSS_HALF_WEIGHTS)) + list(_GAUSS_HALF_WEIGHTS))
 
 
 class NullCoordinateMap(NamedTuple):
@@ -262,7 +270,7 @@ def _build_null_map(profile: RingProfile, branch: str, exclusion: float) -> Null
     # ramps: nodes in x, where g = g_lo exp(3 sign s (x - x_lo)/2) and
     # dtheta/dx = v_h g / (sign (g - 1))^(1/3)
     k_max = 2.0 * derive(profile.config).omega_max
-    gl_nodes, gl_weights = _gauss_legendre()
+    gl_nodes, gl_weights = map(np.array, _GAUSS_LEGENDRE_32)
     nodes, weights = [np.empty(0)], [np.empty(0)]
     for j in np.flatnonzero(~flat):
         n = max(1, math.ceil(abs(span[j]) * (k_max + 1.5 * abs(slope[j])) / _PANEL_PHASE))

@@ -9,7 +9,7 @@ from sonicbh.characteristics import (_GAUSS_LEGENDRE_24, _region_of, characteris
                                      core_integrals, core_left_x0, entanglement_boundary,
                                      forward_characteristic, matched_exponent,
                                      matched_x0, pair_partner, trace_characteristic)
-from sonicbh.profiles import LineProfile
+from sonicbh.profiles import _GAUSS_LEGENDRE_32, LineProfile
 
 from conftest import mode_function
 from flow_oracle import (RegionExit, core_g, left_characteristic, line_velocity, rk45_dx0_dx,
@@ -137,6 +137,13 @@ def test_gauss_legendre_table_is_numpys_bit_for_bit():
     nodes, weights = np.polynomial.legendre.leggauss(24)
     assert [x.hex() for x in _GAUSS_LEGENDRE_24[0]] == [x.hex() for x in nodes.tolist()]
     assert [w.hex() for w in _GAUSS_LEGENDRE_24[1]] == [w.hex() for w in weights.tolist()]
+
+
+def test_null_map_gauss_legendre_table_is_numpys_bit_for_bit():
+    # the ring's null map reads the 32-point rule written out in profiles
+    nodes, weights = np.polynomial.legendre.leggauss(32)
+    assert [x.hex() for x in _GAUSS_LEGENDRE_32[0]] == [x.hex() for x in nodes.tolist()]
+    assert [w.hex() for w in _GAUSS_LEGENDRE_32[1]] == [w.hex() for w in weights.tolist()]
 
 
 def _numpy_rule(t, tau, m):

@@ -530,6 +530,10 @@ _REFUSAL_MESSAGES = {
     "n-ions-below-2": rf"^n_ions must lie in \[2, {MAX_N_IONS}\], got 1$",
     "correlation-beta-subnormal": r"^the uniform-region correlation at \|x1 - x2\| = "
                                   r"15\.0919, beta = 4\.94066e-324 leaves the float range$",
+    "output-before-command": r"^--output follows the subcommand: ",
+    "output-equals-before-command": r"^--output follows the subcommand: ",
+    "config-before-command": r"^--config follows the subcommand: ",
+    "format-before-command": r"^--format follows the subcommand: ",
 }
 
 
@@ -617,6 +621,10 @@ _REFUSAL_MESSAGES = {
      {"cutoff": "1e-310"}, 3),
     (["correlation", "--t", "100", "--x1", "-4", "--beta", "5e-324", "--points", "16"],
      None, 4),
+    (["--output", "before.csv", "hawking"], None, 2),
+    (["--output=before.csv", "hawking"], None, 2),
+    (["--config", "before.cfg", "hawking"], None, 2),
+    (["--format", "json", "hawking"], None, 2),
 ], ids=["missing-config", "radius-inf", "line-kappa-nan", "omega-0", "omega-minus-0",
         "langevin-temperature-nan", "temperature-beyond-100-th", "negative-gamma",
         "coupling-eff-key", "langevin-sites-0", "langevin-sites-513",
@@ -637,7 +645,8 @@ _REFUSAL_MESSAGES = {
         "n-ions-below-2",
         "langevin-t-0", "correlation-partner-beyond-wedge",
         "diffusion-omega-squared-overflows", "diffusion-omega-over-cutoff-overflows",
-        "correlation-beta-subnormal"])
+        "correlation-beta-subnormal", "output-before-command", "output-equals-before-command",
+        "config-before-command", "format-before-command"])
 def test_malformed_input_refused(request, tmp_path, capsys, argv, config, code):
     """Refused with the documented exit code and one JSON record, no traceback;
     where _REFUSAL_MESSAGES holds a pattern, the message matches it."""
@@ -665,10 +674,11 @@ _SRC = os.path.dirname(os.path.dirname(os.path.abspath(sonicbh.__file__)))
 
 # Runs cli.main on its arguments (none: import only), then reports on the
 # last line of stdout, as JSON, which scipy modules were loaded and which of
-# numpy, json, hashlib and the package's modules were; the probe imports json
-# only after it has looked.
+# numpy, numpy.polynomial, json, hashlib and the package's modules were; the
+# probe imports json only after it has looked.
 _LOADED = """{"scipy": sorted(m for m in sys.modules if m.split(".")[0] == "scipy"),
-          "modules": sorted(m for m in sys.modules if m in ("numpy", "scipy", "json", "hashlib")
+          "modules": sorted(m for m in sys.modules if m in ("numpy", "numpy.polynomial",
+                                                            "scipy", "json", "hashlib")
                             or m.startswith("sonicbh."))}"""
 _PROBE = """import sys
 from sonicbh.cli import main
@@ -798,6 +808,8 @@ _SWEEP = {"gamma": ("1e-7", "1e-6"), "v_min": ("0.1", "0.3"), "temperature": ("0
 # does not call.
 _NO_NUMPY = ("numpy",)
 _NO_ARRAYS = ("numpy", "scipy")
+# the null map's Gauss-Legendre rule is written out, not solved for
+_NO_EIGEN_SOLVE = ("numpy.polynomial",)
 _LINE_MODULES = ("sonicbh.characteristics", "sonicbh.correlations", "sonicbh.langevin")
 _RING_AND_MC_MODULES = ("sonicbh.decoherence", "sonicbh.langevin")
 _RING_AND_CORRELATION_MODULES = ("sonicbh.decoherence", "sonicbh.correlations")
@@ -821,9 +833,10 @@ def _assert_scipy_footprint(scipy_modules, integrates):
     ([], None, 0, False, _NO_NUMPY),
     (["--help"], None, 0, False, _NO_NUMPY),
     (["hawking"], None, 0, False, _LINE_MODULES + _NO_ARRAYS + ("json",)),
-    (["vcoef", "--max-modes", "5"], None, 0, False, _LINE_MODULES),
+    (["vcoef", "--max-modes", "5"], None, 0, False, _LINE_MODULES + _NO_EIGEN_SOLVE),
     *[(["tdec-sweep", "--axis", axis, "--from", lo, "--to", hi, "--points", "3"],
-       _RING200, 0, False, _LINE_MODULES) for axis, (lo, hi) in _SWEEP.items()],
+       _RING200, 0, False, _LINE_MODULES + _NO_EIGEN_SOLVE)
+      for axis, (lo, hi) in _SWEEP.items()],
     (["boundary", "--points", "8"], None, 0, False,
      ("sonicbh.correlations", *_RING_AND_MC_MODULES, *_NO_ARRAYS)),
     (["er", "--k", "0.05", "--t-min", "40", "--t-max", "100", "--points", "2"],
@@ -865,7 +878,8 @@ def test_scipy_loaded_only_where_a_command_integrates(tmp_path, argv, config, co
     loads no numpy, and neither does a refused argument, config or regime (a
     linear temperature sweep past 100 T_H), nor a command that computes on
     scalars (hawking, boundary, er, the closed-form correlation); a command
-    that runs loads only the numeric modules it calls.  A CSV output loads no
+    that runs loads only the numeric modules it calls, and one that builds a
+    null map (vcoef, tdec-sweep) no numpy.polynomial.  A CSV output loads no
     json, and a refused argument or config no hashlib."""
     common = []
     if argv:

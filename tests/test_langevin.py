@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from scipy.special import dawsn
 
+from sonicbh import langevin
 from sonicbh.langevin import (N_MODES, estimate_correlation, expected_correlation_curve,
                               left_sector_map)
 
@@ -79,23 +80,56 @@ def test_estimator_seeded_stream_pinned(line, t_over_th, transport):
 
 
 def test_estimator_peak_memory_near_its_draw_buffer(line):
-    """The sampler holds one (batch, d) buffer of normals, d = min(2 modes,
-    points + 1), and batch-by-points temporaries (the field at the probes,
-    the products and their squares).  The batch rule caps each at
-    batch * max(points + 1, 49) <= 4e7 / modes doubles, ~1.25 MB, and the
-    traced peak stays under six of them at every number of points up to the
-    default 48-point scan."""
-    slab = 8 * 4e7 / N_MODES
-    assert 6 * slab < 2 * 13.1e6          # twice a 510-normal-per-realization buffer
+    """The sampler fills three buffers in place, the (block, d) normals, the
+    field at the probes and the products, d = min(2 modes, points + 1), each
+    of at most _DRAW_BLOCK doubles.  Before them it builds the
+    (2 modes, points + 1) matrix A, whose sines, cosines, phases and scales
+    hold at most four A-sized arrays at once.  The traced peak stays under
+    both together at every number of points up to the default 48-point scan."""
+    buffers = 3 * 8 * langevin._DRAW_BLOCK
     for points in (48, 1, 2):
         x2 = np.linspace(1.1, 6.0, points)
+        a_matrix = 8 * 2 * N_MODES * (points + 1)
         tracemalloc.start()
         try:
             estimate_correlation(10_000, REDUCED_X1, x2, REDUCED_T, 0.0, line, seed=5)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 6 * slab, points
+        assert peak < buffers + 4 * a_matrix, points
+
+
+def test_estimator_block_does_not_change_the_draws(line, monkeypatch):
+    """One realization per block and one block holding every realization draw
+    the default's normals in the default's order, and regroup only its moment
+    sums: values and stderr agree to 1e-12 of each column's largest value."""
+    n, x2 = 1001, np.linspace(1.1, 6.0, 48)
+    generator = np.random.Generator
+
+    def run(block):
+        drawn = []
+
+        class Recording:
+            def __init__(self, bit_generator):
+                self.rng = generator(bit_generator)
+
+            def standard_normal(self, out):
+                self.rng.standard_normal(out=out)
+                drawn.append(out.ravel().copy())
+
+        monkeypatch.setattr(np.random, "Generator", Recording)
+        monkeypatch.setattr(langevin, "_DRAW_BLOCK", block)
+        mc = estimate_correlation(n, REDUCED_X1, x2, REDUCED_T, 0.0, line, seed=9)
+        return mc, np.concatenate(drawn), len(drawn)
+
+    default, normals, blocks = run(langevin._DRAW_BLOCK)
+    assert blocks == 2
+    for block, expect_blocks in ((1, n), (n * len(x2) + n, 1)):
+        mc, drawn, count = run(block)
+        assert count == expect_blocks
+        assert np.array_equal(drawn, normals)
+        for got, ref in ((mc.values, default.values), (mc.stderr, default.stderr)):
+            assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
 
 
 def test_estimator_draws_one_normal_per_probe(line, monkeypatch):
