@@ -9,7 +9,7 @@ once gamma drops to 3e-8.
 
 import numpy as np
 
-from sonicbh import default_config
+from sonicbh.params import default_config
 from sonicbh.cli import write_table
 from sonicbh.decoherence import SweepRow, sweep_decoherence
 

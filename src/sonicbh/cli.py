@@ -291,7 +291,7 @@ def _run(args) -> tuple[list, list, dict]:
         rows = []
         for om in omegas:
             vc = v_coefficients(ring, float(om))
-            rows.append([vc.omega, vc.v1_u, vc.v2_u, vc.v1_v, vc.v2_v, vc.epsilon])
+            rows.append([float(om), vc.v1_u, vc.v2_u, vc.v1_v, vc.v2_v, vc.epsilon])
         return ["omega", "v1_u", "v2_u", "v1_v", "v2_v", "epsilon"], rows, manifest
 
     if args.command == "tdec-sweep":
@@ -375,7 +375,3 @@ def _emit_error(exc: Exception):
     import json
     record = {"error": type(exc).__name__, "message": str(exc)}
     print(json.dumps(record, sort_keys=True), file=sys.stderr)
-
-
-if __name__ == "__main__":
-    raise SystemExit(main())

@@ -55,7 +55,6 @@ class VCoefficients(NamedTuple):
     v2_u: float
     v1_v: float
     v2_v: float
-    omega: float
     epsilon: float
 
 
@@ -188,7 +187,8 @@ def _v1(nmap, cos_integral):
 
 def _branch_weights(nmap, omega: float) -> tuple[float, float]:
     """(V1, V2), V2 = int sin 2 omega x dtheta / 2."""
-    return _v1(nmap, nmap.cos_integral(2.0 * omega)), 0.5 * nmap.sin_integral(2.0 * omega)
+    cos_integral, sin_integral = nmap.trig_integrals(2.0 * omega)
+    return _v1(nmap, cos_integral), 0.5 * sin_integral
 
 
 def v_coefficients(profile: RingProfile, omega: float) -> VCoefficients:
@@ -200,7 +200,7 @@ def v_coefficients(profile: RingProfile, omega: float) -> VCoefficients:
         raise ValueError(f"omega must be positive, got {omega!r}")
     u_map, v_map = null_coordinate_map(profile, "u"), null_coordinate_map(profile, "v")
     return VCoefficients(*_branch_weights(u_map, omega), *_branch_weights(v_map, omega),
-                         omega, v_map.exclusion)
+                         v_map.exclusion)
 
 
 # --------------------------------------------------------------------------

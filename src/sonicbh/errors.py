@@ -34,8 +34,3 @@ class QuadratureError(SonicBHError):
 
 class ExtrapolationError(QuadratureError):
     """A thermal k integral's Bose part cancels its vacuum part below accuracy."""
-
-
-# Raised by nothing: kept only because the fixed acceptance tests import it.
-class RegimeWarning(UserWarning):
-    """Result produced outside its nominal validity regime."""

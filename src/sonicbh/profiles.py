@@ -22,7 +22,6 @@ from typing import TYPE_CHECKING, NamedTuple
 
 from .errors import RegimeError, RegionError
 from .params import TWO_PI, PhysicalConfig, derive
-from .specfun import log_cosh
 
 if TYPE_CHECKING:
     import numpy as np
@@ -31,6 +30,12 @@ if TYPE_CHECKING:
 # --------------------------------------------------------------------------
 # straight channel
 # --------------------------------------------------------------------------
+
+def log_cosh(u: float) -> float:
+    """ln cosh(u), overflow-safe for any magnitude."""
+    au = abs(u)
+    return au - math.log(2.0) + math.log1p(math.exp(-2.0 * au))
+
 
 class LineProfile(NamedTuple):
     """v(x,t) = sigma(t) * (v_min | 1 + kappa x | v_max), continuous at x = +-a.
@@ -175,11 +180,10 @@ _GAUSS_LEGENDRE_32 = ([-x for x in reversed(_GAUSS_HALF_NODES)] + list(_GAUSS_HA
 
 class NullCoordinateMap(NamedTuple):
     """What the mode weights read of x_u or x_v over [0, 2*pi]: its total, the
-    measure of its pieces and its cosine and sine integrals, taken apart so
-    that V1, which reads only the cosine one, pays for no sine.  The cosine
-    integral comes at one k (cos_integral, what v_coefficients reads) or at
-    every harmonic j k1, j = 1..n, in one pass (harmonic_cos_integrals, what
-    a sweep's mode table reads).
+    measure of its pieces and its cosine and sine integrals.  Both integrals
+    come at one k (trig_integrals, what v_coefficients reads), the cosine one
+    also at every harmonic j k1, j = 1..n, in one pass
+    (harmonic_cos_integrals, what a sweep's mode table reads).
 
     With dx_b/dtheta = 1/(c +- v) = v^(1/2)/(K +- v^(3/2)), x_b is linear in
     theta on a plateau and (+-2/(3 s)) ln|K +- v^(3/2)| + const on a ramp of
@@ -196,29 +200,27 @@ class NullCoordinateMap(NamedTuple):
     ends: np.ndarray         # x_b at the plateau ends
     end_weights: np.ndarray  # -+ dtheta/dx_b at the start / end of a plateau
 
-    def cos_integral(self, k: float) -> float:
-        """int cos(k x_b) dtheta over the pieces, k != 0: ramps by the fixed
-        quadrature nodes, plateaus exactly."""
+    def trig_integrals(self, k: float) -> tuple[float, float]:
+        """(int cos(k x_b) dtheta, int sin(k x_b) dtheta) over the pieces,
+        k != 0: ramps by the fixed quadrature nodes, plateaus exactly."""
         import numpy as np
-        return float(np.sum(np.cos(k * self.nodes) * self.weights)
-                     + np.sum(np.sin(k * self.ends) * self.end_weights) / k)
-
-    def sin_integral(self, k: float) -> float:
-        """int sin(k x_b) dtheta over the pieces, k != 0, as cos_integral."""
-        import numpy as np
-        return float(np.sum(np.sin(k * self.nodes) * self.weights)
-                     - np.sum(np.cos(k * self.ends) * self.end_weights) / k)
+        phase, end_phase = k * self.nodes, k * self.ends
+        return (float(np.sum(np.cos(phase) * self.weights)
+                      + np.sum(np.sin(end_phase) * self.end_weights) / k),
+                float(np.sum(np.sin(phase) * self.weights)
+                      - np.sum(np.cos(end_phase) * self.end_weights) / k))
 
     def harmonic_cos_integrals(self, k1: float, n: int) -> np.ndarray:
-        """cos_integral(j k1) for j = 1..n in one pass, k1 != 0.
+        """The cosine integral of trig_integrals(j k1) for j = 1..n in one
+        pass, k1 != 0.
 
         On the ramps j = q B + m (B = isqrt(n), m = 1..B) and
         cos(j phi) = cos(q B phi) cos(m phi) - sin(q B phi) sin(m phi), so
         cos and sin are taken at n/B + B multiples per node and the rest is
         contracted, _HARMONIC_CHUNK nodes at a time and without BLAS (the
         sums do not depend on its threads).  Plateaus are exact as in
-        cos_integral.  The values agree with cos_integral's to ~1e-14 of the
-        sum of |weights|, not bit for bit.
+        trig_integrals.  The values agree with trig_integrals' to ~1e-14 of
+        the sum of |weights|, not bit for bit.
         """
         import numpy as np
         if n == 0:
@@ -239,9 +241,11 @@ class NullCoordinateMap(NamedTuple):
 
 
 @functools.lru_cache(maxsize=32)
-def _build_null_map(profile: RingProfile, branch: str, exclusion: float) -> NullCoordinateMap:
+def _build_null_map(profile: RingProfile, branch: str) -> NullCoordinateMap:
     import numpy as np
     sign = +1.0 if branch == "u" else -1.0
+    derived = derive(profile.config)
+    exclusion = derived.delta if branch == "v" else 0.0
     v_h, segments = _ring_segments(profile)
     # v branch: the angles where v = c, i.e. v^(3/2) = K
     horizons = [s.ref for s in _horizon_segments(segments)] if branch == "v" else []
@@ -269,7 +273,7 @@ def _build_null_map(profile: RingProfile, branch: str, exclusion: float) -> Null
     x_lo = np.concatenate([[0.0], np.cumsum(span[:-1])])
     # ramps: nodes in x, where g = g_lo exp(3 sign s (x - x_lo)/2) and
     # dtheta/dx = v_h g / (sign (g - 1))^(1/3)
-    k_max = 2.0 * derive(profile.config).omega_max
+    k_max = 2.0 * derived.omega_max
     gl_nodes, gl_weights = map(np.array, _GAUSS_LEGENDRE_32)
     nodes, weights = [np.empty(0)], [np.empty(0)]
     for j in np.flatnonzero(~flat):
@@ -295,16 +299,16 @@ def _build_null_map(profile: RingProfile, branch: str, exclusion: float) -> Null
 def null_coordinate_map(profile: RingProfile, branch: str) -> NullCoordinateMap:
     """Build (cached) the null map of x_u or x_v for a ring profile.
 
-    The one definition of its exclusion: one ion spacing 2*pi/N on either
-    side of each horizon of the v branch (the slivers must fit inside
-    (0, 2*pi) without overlap, else RegimeError), none on the poleless u.
+    Its exclusion, set where the map is built and nowhere else: one ion
+    spacing 2*pi/N on either side of each horizon of the v branch (the
+    slivers must fit inside (0, 2*pi) without overlap, else RegimeError),
+    none on the poleless u.
     The cap on N (params.MAX_N_IONS) keeps each sliver at least 2e-4 wide,
     far above the angle double precision resolves at the pole.
     """
     if branch not in ("u", "v"):
         raise ValueError(f"branch must be 'u' or 'v', got {branch!r}")
-    exclusion = derive(profile.config).delta if branch == "v" else 0.0
-    return _build_null_map(profile, branch, exclusion)
+    return _build_null_map(profile, branch)
 
 
 # --------------------------------------------------------------------------

@@ -253,8 +253,6 @@ def integrate_adaptive(f: Callable[[float], float], a: float, b: float,
         raise ValueError(f"tol must be positive, got {tol!r}")
     if not (math.isfinite(a) and math.isfinite(b)):
         raise ValueError(f"integrate_adaptive needs a finite range, got [{a!r}, {b!r}]")
-    if a == b:
-        return QuadratureResult(value=0.0, evaluations=1)
     out = _quadpack()._qagse(_finite_integrand(f), min(a, b), max(a, b), (), 1, tol, 0.0, 400)
     result, abserr, ier = _result(a, b, out)
     # QUADPACK's roundoff flag (ier != 0) often rides on an acceptable error
@@ -284,8 +282,6 @@ def fourier_integral(f: Callable[[float], float], a: float, omega: float,
         raise ValueError(f"tol must be positive, got {tol!r}")
     if not math.isfinite(a):
         raise ValueError(f"fourier_integral needs a finite a, got {a!r}")
-    if a == b:
-        return QuadratureResult(value=0.0, evaluations=1)
     g, weight, qp = _finite_integrand(f), 1 if kind == "cos" else 2, _quadpack()
     if b == math.inf:     # limlst 300 cycles, limit 500, maxp1 50 (quad's default)
         out = qp._qawfe(g, a, omega, weight, (), 1, tol, 300, 500, 50)
@@ -331,9 +327,3 @@ def betainc_regularized(a: float, b: float, x: float) -> float:
     log_front = (a * math.log(x) + b * math.log1p(-x)
                  + math.lgamma(a + b) - math.lgamma(a) - math.lgamma(b))
     return math.exp(log_front) * frac / a
-
-
-def log_cosh(u: float) -> float:
-    """ln cosh(u), overflow-safe for any magnitude."""
-    au = abs(u)
-    return au - math.log(2.0) + math.log1p(math.exp(-2.0 * au))

@@ -9,7 +9,7 @@ settings.register_profile(
     suppress_health_check=[HealthCheck.too_slow, HealthCheck.filter_too_much])
 settings.load_profile("suite")
 
-from sonicbh import default_config, derive
+from sonicbh.params import default_config, derive
 from sonicbh.characteristics import core_left_x0
 from sonicbh.environment import EnvironmentSpec
 from sonicbh.profiles import LineProfile, RingProfile

@@ -7,12 +7,11 @@ lines.  Tolerances are pinned here, not configurable.
 import contextlib
 import math
 import time
-import warnings
 
 import numpy as np
 import pytest
 
-from sonicbh import default_config, derive
+from sonicbh.params import default_config, derive
 from sonicbh.characteristics import (entanglement_boundary,
                                      forward_characteristic,
                                      trace_characteristic)
@@ -23,7 +22,6 @@ from sonicbh.decoherence import (allowed_frequencies, decoherence_time,
                                  diffusion_exact, diffusion_quadrature_oracle,
                                  sweep_decoherence, v_coefficients)
 from sonicbh.environment import EnvironmentSpec
-from sonicbh.errors import RegimeWarning
 from sonicbh.langevin import estimate_correlation, expected_correlation_curve
 from sonicbh.profiles import LineProfile, RingProfile, hawking_temperature_ring
 
@@ -249,15 +247,13 @@ def test_c11_open_correction_behavior():
     with criterion(11, "e_r: zero at lam=0; growth after transient; non-increasing in k"):
         t_hot = 100.0 * LINE_T_H
         assert open_correction_er(0.05, 60.0, 0.0, t_hot, LINE) == 0.0
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", RegimeWarning)
-            ts = np.linspace(35.0, 100.0, 27)
-            ers = np.array([open_correction_er(0.05, float(u), 1e-7, t_hot, LINE,
-                                               x1=-4.0) for u in ts])
-            rel_drops = np.diff(ers) / ers[:-1]
-            assert rel_drops.min() > -1e-3       # flat spots at 2kt = 2 pi n only
-            assert ers[-1] > 2.0 * ers[0]        # net growth across the window
-            ks = (0.02, 0.05, 0.1, 0.2)
-            ervals = [open_correction_er(k, 80.0, 1e-7, t_hot, LINE, x1=-4.0)
-                      for k in ks]
-            assert all(a >= b for a, b in zip(ervals, ervals[1:]))
+        ts = np.linspace(35.0, 100.0, 27)
+        ers = np.array([open_correction_er(0.05, float(u), 1e-7, t_hot, LINE,
+                                           x1=-4.0) for u in ts])
+        rel_drops = np.diff(ers) / ers[:-1]
+        assert rel_drops.min() > -1e-3       # flat spots at 2kt = 2 pi n only
+        assert ers[-1] > 2.0 * ers[0]        # net growth across the window
+        ks = (0.02, 0.05, 0.1, 0.2)
+        ervals = [open_correction_er(k, 80.0, 1e-7, t_hot, LINE, x1=-4.0)
+                  for k in ks]
+        assert all(a >= b for a, b in zip(ervals, ervals[1:]))

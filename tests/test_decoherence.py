@@ -7,7 +7,7 @@ import pytest
 
 from scipy.integrate import quad
 
-from sonicbh.decoherence import (DECOHERENCE_CRITERION, _branch_weights, _mode_table, _t_d,
+from sonicbh.decoherence import (DECOHERENCE_CRITERION, _mode_table, _t_d,
                                  allowed_frequencies, decoherence_time, diffusion_exact,
                                  diffusion_quadrature_oracle,
                                  sweep_decoherence, v_coefficients)
@@ -15,7 +15,7 @@ from sonicbh.environment import EnvironmentSpec
 from sonicbh.errors import QuadratureError, RegimeError
 from sonicbh.params import TWO_PI, derive
 from sonicbh.profiles import (_HARMONIC_CHUNK, NullCoordinateMap, RingProfile,
-                              _build_null_map, null_coordinate_map)
+                              null_coordinate_map)
 from sonicbh.specfun import integrate_adaptive
 
 from ring_oracle import ring_null_coordinate
@@ -126,21 +126,20 @@ def test_allowed_frequencies_structure(ring, config):
 
 def test_v_epsilon_sensitivity_documented(ring, config):
     # v_coefficients reports the v map's exclusion, one ion spacing, and its
-    # V1 moves only gently when the private builder cuts twice that
+    # V1 moves only gently against the oracle's with twice that cut out
     eps = TWO_PI / config.n_ions
     om = float(allowed_frequencies(ring, "v")[4])
     vc = v_coefficients(ring, om)
     assert vc.epsilon == eps
-    v1_wider, _ = _branch_weights(_build_null_map(ring, "v", 2 * eps), om)
+    v1_wider = _theta_quad(config, "v", lambda x: math.cos(om * x) ** 2, 2 * eps)
     assert vc.v1_v == pytest.approx(v1_wider, rel=0.05)
 
 
-def _theta_quad(config, branch, f):
+def _theta_quad(config, branch, f, epsilon):
     """int f(x_b(theta)) dtheta by adaptive quadrature in theta of the oracle's
-    own null coordinate over its kept intervals, with the ramp ends as
-    breakpoints."""
-    eps = TWO_PI / config.n_ions
-    x_b, kept, _ = ring_null_coordinate(config, branch, eps if branch == "v" else 0.0)
+    own null coordinate over its kept intervals (slivers of half-width
+    epsilon cut out on v), with the ramp ends as breakpoints."""
+    x_b, kept, _ = ring_null_coordinate(config, branch, epsilon if branch == "v" else 0.0)
     t_h, g1, g2 = config.theta_h, config.gamma1, config.gamma2
     ends = (t_h - g1, t_h + g1, TWO_PI - t_h - g2, TWO_PI - t_h + g2)
     total = 0.0
@@ -157,11 +156,12 @@ def test_v_against_theta_quadrature(ring, config, branch, which):
     omegas = allowed_frequencies(ring, branch)
     om = float(omegas[{"first": 0, "middle": len(omegas) // 2, "top": -1}[which]])
     vc = v_coefficients(ring, om)
+    eps = TWO_PI / config.n_ions
     v1, v2 = (vc.v1_u, vc.v2_u) if branch == "u" else (vc.v1_v, vc.v2_v)
     assert v1 == pytest.approx(
-        _theta_quad(config, branch, lambda x: math.cos(om * x) ** 2), abs=1e-12)
+        _theta_quad(config, branch, lambda x: math.cos(om * x) ** 2, eps), abs=1e-12)
     assert v2 == pytest.approx(
-        _theta_quad(config, branch, lambda x: math.cos(om * x) * math.sin(om * x)),
+        _theta_quad(config, branch, lambda x: math.cos(om * x) * math.sin(om * x), eps),
         abs=1e-12)
 
 
@@ -405,7 +405,7 @@ def test_gamma_sweep_reads_only_each_modes_own_cosine_integral(config, ring, mon
     # the band reads V1 of each mode's own branch: one harmonic pass per
     # branch on that branch's own map, at k1 = 2 omega_1 over all its modes,
     # and no one-omega cosine or sine integral
-    calls = {name: [] for name in ("harmonic_cos_integrals", "cos_integral", "sin_integral")}
+    calls = {name: [] for name in ("harmonic_cos_integrals", "trig_integrals")}
 
     def counted(name, original):
         def method(nmap, *args):
@@ -418,7 +418,7 @@ def test_gamma_sweep_reads_only_each_modes_own_cosine_integral(config, ring, mon
                             counted(name, getattr(NullCoordinateMap, name)))
     rows, errors = sweep_decoherence("gamma", [1e-8, 1e-7, 1e-6, 1e-5], config, 1.0)
     assert len(rows) == 4 and not errors
-    assert calls["cos_integral"] == [] and calls["sin_integral"] == []
+    assert calls["trig_integrals"] == []
     expected = []
     for branch in ("u", "v"):
         omegas = allowed_frequencies(ring, branch)

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from sonicbh import default_config, derive
+from sonicbh.params import default_config, derive
 from sonicbh.environment import effective_coupling
 
 

@@ -407,8 +407,6 @@ def test_no_module_imports_warnings():
 REACH_ALLOWLIST = {
     # argparse calls the parser's error hook on a bad command line
     "cli._Parser.error",
-    # nothing raises it; tests/test_acceptance.py imports it
-    "errors.RegimeWarning",
 }
 
 
@@ -538,12 +536,9 @@ def test_every_public_name_is_reached():
 
 
 def test_no_unused_imports():
-    """Every name a module of src/sonicbh imports is used there; the package's
-    __init__ imports only to re-export."""
+    """Every name a module of src/sonicbh imports is used there."""
     unused = []
     for path in sorted((ROOT / "src" / "sonicbh").glob("*.py")):
-        if path.name == "__init__.py":
-            continue
         tree = ast.parse(path.read_text(), filename=str(path))
         used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
         for node in ast.walk(tree):
@@ -553,3 +548,20 @@ def test_no_unused_imports():
                            for alias in node.names
                            if (alias.asname or alias.name.split(".")[0]) not in used]
     assert unused == []
+
+
+def test_package_init_imports_nothing():
+    """Each name has one import path, its own module: the package's __init__
+    holds its docstring and __version__, and re-exports nothing."""
+    tree = ast.parse((ROOT / "src" / "sonicbh" / "__init__.py").read_text())
+    assert [node.lineno for node in ast.walk(tree)
+            if isinstance(node, (ast.Import, ast.ImportFrom))] == []
+
+
+def test_one_entry_point_module():
+    """`python -m sonicbh` and the console script are the entry points: no
+    module of src/sonicbh but __main__.py runs code as a script."""
+    found = [path.name for path in sorted((ROOT / "src" / "sonicbh").glob("*.py"))
+             if any(isinstance(node, ast.If) and "__name__" in ast.unparse(node.test)
+                    for node in ast.parse(path.read_text()).body)]
+    assert found == ["__main__.py"]

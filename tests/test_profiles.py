@@ -7,10 +7,10 @@ import pytest
 
 from sonicbh.decoherence import _harmonics
 from sonicbh.errors import RegionError
-from sonicbh.params import TWO_PI
+from sonicbh.params import MAX_N_IONS, TWO_PI
 from sonicbh.profiles import (_HARMONIC_CHUNK, LineProfile, NullCoordinateMap, RingProfile,
-                              _build_null_map, hawking_temperature_line,
-                              hawking_temperature_ring, null_coordinate_map)
+                              hawking_temperature_line, hawking_temperature_ring,
+                              null_coordinate_map)
 
 from flow_oracle import line_velocity
 from ring_oracle import ring_flow, ring_null_coordinate
@@ -133,9 +133,11 @@ def test_null_u_additivity(config):
 
 
 def test_null_v_finite_with_exclusion_and_sensitivity(ring, config):
+    # the map at its own exclusion, one ion spacing, against the oracle's
+    # x_v(2 pi) with twice that cut out
     eps = TWO_PI / config.n_ions
     v1 = null_coordinate_map(ring, "v").total
-    v2 = _build_null_map(ring, "v", 2 * eps).total
+    v2 = ring_null_coordinate(config, "v", 2 * eps)[0](TWO_PI)
     assert math.isfinite(v1) and math.isfinite(v2)
     # the two sides of each simple pole cancel at leading order, so the total
     # moves by O(eps) with the exclusion width (6.7e-4 from eps to 2 eps)
@@ -196,13 +198,23 @@ def test_oracle_null_coordinate_against_mpmath(config, branch, offset):
             _mp_null_coordinate(config, branch, eps, theta), rel=1e-12)
 
 
-@pytest.mark.parametrize("branch, epsilon", [("u", 0.0), ("v", None), ("v", 1e-6)])
+@pytest.mark.parametrize("branch, epsilon", [("u", 0.0), ("v", None)])
 def test_null_total_against_mpmath(ring, config, branch, epsilon):
-    if epsilon is None:   # the map's own exclusion: one ion spacing
-        epsilon, total = TWO_PI / config.n_ions, null_coordinate_map(ring, branch).total
-    else:
-        total = _build_null_map(ring, branch, epsilon).total
-    assert total == pytest.approx(_mp_null_coordinate(config, branch, epsilon), rel=1e-9)
+    # the map's own exclusion: none on u, one ion spacing (None) on v
+    nmap = null_coordinate_map(ring, branch)
+    assert nmap.exclusion == (TWO_PI / config.n_ions if epsilon is None else epsilon)
+    assert nmap.total == pytest.approx(
+        _mp_null_coordinate(config, branch, nmap.exclusion), rel=1e-9)
+
+
+def test_null_total_against_mpmath_at_the_ion_cap(config):
+    # the narrowest sliver a config reaches, 2 pi / MAX_N_IONS, on the bench
+    # flow (the charge scaled to keep Q^2 N)
+    cfg = replace(config, n_ions=MAX_N_IONS,
+                  ion_charge=config.ion_charge * math.sqrt(config.n_ions / MAX_N_IONS))
+    nmap = null_coordinate_map(RingProfile.from_config(cfg), "v")
+    assert nmap.exclusion == TWO_PI / MAX_N_IONS
+    assert nmap.total == pytest.approx(_mp_null_coordinate(cfg, "v", nmap.exclusion), rel=1e-9)
 
 
 # --------------------------------------------------------------------------
@@ -259,7 +271,7 @@ def test_harmonic_cos_integrals_edge_sizes(n, nodes):
     assert values.shape == (n,)
     scale = np.sum(nmap.weights) + np.sum(np.abs(nmap.end_weights)) / k1
     for j, value in enumerate(values, start=1):
-        assert abs(value - nmap.cos_integral(j * k1)) <= 1e-14 * scale, j
+        assert abs(value - nmap.trig_integrals(j * k1)[0]) <= 1e-14 * scale, j
 
 
 # --------------------------------------------------------------------------
@@ -319,8 +331,8 @@ def test_no_horizon_is_an_error(config):
     cfg = replace(config, v_min=0.995 * config.mean_velocity,
                   v_max=1.005 * config.mean_velocity, ion_charge=100.0)
     prof = RingProfile.from_config(cfg)
-    # no pole to cut out: the v map needs no exclusion and keeps the whole ring
-    assert _build_null_map(prof, "v", 0.0).length == pytest.approx(TWO_PI, rel=1e-15)
+    # no pole to cut out: the v map keeps the whole ring
+    assert null_coordinate_map(prof, "v").length == pytest.approx(TWO_PI, rel=1e-15)
     with pytest.raises(RegionError):
         hawking_temperature_ring(prof)
 
