@@ -31,8 +31,7 @@ def main():
               f"contrast {peak.contrast:.1f}")
         rows += [[mult, x, v, r] for x, v, r in zip(grid.x2, grid.values, grid.regions)]
     write_table("correlation_t100.csv", ["t0_over_th", "x2", "abs_corr", "region"],
-                rows, {"command": "script:correlation-scan", "t": T_LONG, "x1": -4.0},
-                "csv")
+                rows, {"command": "script:correlation-scan", "t": T_LONG, "x1": -4.0})
     print("correlation_t100.csv")
 
     rows = []
@@ -40,13 +39,13 @@ def main():
         xm, xp = entanglement_boundary(t, PROFILE)
         rows.append([t, xm, xp])
     write_table("wedge_boundary.csv", ["t", "x_minus", "x_plus"], rows,
-                {"command": "script:wedge-boundary"}, "csv")
+                {"command": "script:wedge-boundary"})
     print("wedge_boundary.csv")
 
     fan = characteristic_fan_rows(PROFILE, [-1.5, -1.0, -0.5, 0.72, 0.9, 1.0, 1.5],
                                   linspace(0.0, 40.0, 60))
     write_table("wedge_fan.csv", ["t", "x", "region"], fan,
-                {"command": "script:wedge-fan"}, "csv")
+                {"command": "script:wedge-fan"})
     print("wedge_fan.csv")
 
 

@@ -20,14 +20,14 @@ def main():
     gammas = np.geomspace(1e-8, 1e-5, 40)
     rows, errors = sweep_decoherence("gamma", gammas, config, 1.0)
     write_table("gamma_sweep.csv", SweepRow._fields, rows,
-                {"command": "script:gamma-sweep", "errors": len(errors)}, "csv")
+                {"command": "script:gamma-sweep", "errors": len(errors)})
     print(f"gamma_sweep.csv ({len(rows)} rows)")
 
     v_bar = config.mean_velocity
     vmins = np.linspace(0.78, 0.90, 13) * v_bar
     rows, errors = sweep_decoherence("v_min", vmins, config, 3e-8)
     write_table("vmin_sweep.csv", SweepRow._fields, rows,
-                {"command": "script:vmin-sweep", "errors": len(errors)}, "csv")
+                {"command": "script:vmin-sweep", "errors": len(errors)})
     print(f"vmin_sweep.csv ({len(rows)} rows)")
 
 

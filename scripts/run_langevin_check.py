@@ -30,7 +30,7 @@ def main():
             for a, b, c, d, e in zip(x2, closed, scheme, mc.values, mc.stderr)]
     write_table("langevin_check.csv", ["x2", "closed", "scheme", "mc", "mc_stderr"],
                 rows, {"command": "script:langevin-check", "seed": SEED,
-                       "realizations": 10_000, "uv_epsilon": EPS}, "csv")
+                       "realizations": 10_000, "uv_epsilon": EPS})
     resid = (mc.values - scheme) / np.maximum(mc.stderr, 1e-300)
     print(f"langevin_check.csv  (mean z-score vs scheme: {resid.mean():+.2f})")
 

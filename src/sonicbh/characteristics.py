@@ -27,7 +27,7 @@ Two evaluation modes coexist and must not be conflated:
 
 Both return a ``CharacteristicMap``: x0 and its Jacobian dx0/dx.  Every
 evaluation is scalar, on the standard library alone: the module loads no
-numpy.
+numpy and, with its own incomplete beta function, no ``specfun``.
 """
 
 from __future__ import annotations
@@ -38,7 +38,6 @@ import math
 from typing import NamedTuple
 
 from .profiles import LineProfile
-from .specfun import betainc_regularized
 
 REGION_LEFT, REGION_CORE, REGION_RIGHT = "x<-a", "|x|<=a", "x>a"
 
@@ -68,6 +67,41 @@ def _region_of(x: float, a: float) -> str:
 # --------------------------------------------------------------------------
 # transition-region integrals in closed form
 # --------------------------------------------------------------------------
+
+_LENTZ_TINY = 1e-300  # the modified Lentz method's stand-in for a zero denominator
+
+
+def betainc_regularized(a: float, b: float, x: float) -> float:
+    """Regularized incomplete beta I_x(a, b) for a, b > 0 and 0 <= x <= 1.
+
+    The continued fraction of I_x, evaluated by the modified Lentz method,
+    converges fast for x < (a + 1)/(a + b + 2); beyond that the symmetry
+    I_x(a, b) = 1 - I_{1-x}(b, a) applies.
+    """
+    if x <= 0.0:
+        return 0.0
+    if x >= 1.0:
+        return 1.0
+    if x > (a + 1.0) / (a + b + 2.0):
+        return 1.0 - betainc_regularized(b, a, 1.0 - x)
+    c, d = 1.0, 1.0 - (a + b) * x / (a + 1.0)
+    d = 1.0 / (d if abs(d) > _LENTZ_TINY else _LENTZ_TINY)
+    frac = d
+    for m in range(1, 10_000):
+        # the terms d_{2m} and d_{2m+1} of the fraction
+        for num in (m * (b - m) * x / ((a + 2 * m - 1) * (a + 2 * m)),
+                    -(a + m) * (a + b + m) * x / ((a + 2 * m) * (a + 2 * m + 1))):
+            d = 1.0 + num * d
+            d = 1.0 / (d if abs(d) > _LENTZ_TINY else _LENTZ_TINY)
+            c = 1.0 + num / c
+            c = c if abs(c) > _LENTZ_TINY else _LENTZ_TINY
+            frac *= c * d
+        if abs(c * d - 1.0) < 1e-16:
+            break
+    log_front = (a * math.log(x) + b * math.log1p(-x)
+                 + math.lgamma(a + b) - math.lgamma(a) - math.lgamma(b))
+    return math.exp(log_front) * frac / a
+
 
 class _CoreIntegrals:
     """I(t) of one profile.

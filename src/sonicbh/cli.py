@@ -1,14 +1,14 @@
 """Command-line front end: load a config, run a computation, emit a dataset.
 
-Outputs are CSV (default) or JSON, written atomically, each carrying a
-manifest line with the config hash, seed where stochastic, and the package
+Every output is one CSV table, written atomically, whose first line is a
+manifest with the config hash, seed where stochastic, and the package
 version.  Exit codes: 0 success, 2 config error (including an unreadable
 config file and a bad argument), 3 numeric failure, 4 regime violation;
 every failure prints one JSON record on stderr.
 
 Only the standard library and the light modules (errors, params,
-environment) load at import; json loads only to write JSON or an error
-record, and hashlib only once a config is read.  The config is checked
+environment) load at import; json loads only to write an error record,
+and hashlib only once a config is read.  The config is checked
 before numpy loads, and each command imports the numeric modules it calls,
 so a refused argument or config exits before numpy is imported and no
 command loads a module it does not call.  Linear grids are built here
@@ -86,21 +86,12 @@ def _write_atomic(path: str, payload: str):
         raise
 
 
-def write_table(path: str, columns, rows, manifest: dict, fmt: str):
+def write_table(path: str, columns, rows, manifest: dict):
     manifest = dict(manifest, version=__version__)
-    if fmt == "csv":
-        items = " ".join(f"{k}={manifest[k]}" for k in sorted(manifest))
-        lines = [f"# manifest: {items}", ",".join(columns)]
-        lines += [",".join(_fmt(v) for v in row) for row in rows]
-        _write_atomic(path, "\n".join(lines) + "\n")
-    elif fmt == "json":
-        import json
-        doc = {"manifest": manifest, "columns": list(columns),
-               "rows": [[v if not isinstance(v, float) else float(_fmt(v))
-                         for v in row] for row in rows]}
-        _write_atomic(path, json.dumps(doc, sort_keys=True, indent=1) + "\n")
-    else:
-        raise ConfigError(f"unknown output format {fmt!r}")
+    items = " ".join(f"{k}={manifest[k]}" for k in sorted(manifest))
+    lines = [f"# manifest: {items}", ",".join(columns)]
+    lines += [",".join(_fmt(v) for v in row) for row in rows]
+    _write_atomic(path, "\n".join(lines) + "\n")
 
 
 class _Parser(argparse.ArgumentParser):
@@ -163,9 +154,8 @@ def build_parser() -> argparse.ArgumentParser:
     # the common options, which follow the subcommand
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--config", help="config path (default: built-in)")
-    common.add_argument("--output", help="output file (default: <command>.csv/json)")
-    common.add_argument("--format", choices=("csv", "json"), default="csv")
-    for flag in ("--config", "--output", "--format"):
+    common.add_argument("--output", help="output file (default: <command>.csv)")
+    for flag in ("--config", "--output"):
         p.add_argument(flag, type=_follows_command(flag), default=argparse.SUPPRESS,
                        help=argparse.SUPPRESS)
     sub = p.add_subparsers(dest="command", required=True)
@@ -356,8 +346,8 @@ def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
         columns, rows, manifest = _run(args)
-        out = args.output or f"{args.command}.{args.format}"
-        write_table(out, columns, rows, manifest, args.format)
+        out = args.output or f"{args.command}.csv"
+        write_table(out, columns, rows, manifest)
         print(out)
         return 0
     except (ConfigError, OSError) as exc:

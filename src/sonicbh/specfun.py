@@ -9,20 +9,18 @@ package and are its only entry to QUADPACK.  Si, E1, Ei and the image sum are
 the package's own series, continued fractions and Euler-Maclaurin sums, so
 this module needs only the standard library.  The quadrature helpers call
 QUADPACK's routines in scipy's compiled extension directly, the ones
-``scipy.integrate.quad`` dispatches to with the same arguments; the extension
-loads on the first quadrature without the ``scipy.integrate`` package
-(~0.5 s), so a command that never integrates loads no scipy at all.  With
-numpy loaded the extension takes 0.2 ms and its first call ~5 ms (the scipy
-top level and its callback helper); numpy itself is the cost.
+``scipy.integrate.quad`` dispatches to with the same arguments.  The
+extension and the import machinery that finds it load on the first
+quadrature, without the ``scipy.integrate`` package (~0.5 s), so a command
+that never integrates loads no scipy at all.  With numpy loaded the
+extension takes 0.2 ms and its first call ~5 ms (the scipy top level and
+its callback helper); numpy itself is the cost.
 """
 
 from __future__ import annotations
 
 import functools
-import importlib.machinery
-import importlib.util
 import math
-import os
 import sys
 from typing import Callable, NamedTuple
 
@@ -218,6 +216,9 @@ def _quadpack():
     and special modules).  It is registered under its own name, so a
     scipy.integrate imported before it is reused here and one imported after
     it reuses it: there is one copy of the routines in a process."""
+    import importlib.machinery
+    import importlib.util
+    import os
     name = "scipy.integrate._quadpack"
     if name not in sys.modules:
         scipy_dir = importlib.util.find_spec("scipy").submodule_search_locations[0]
@@ -295,35 +296,3 @@ def fourier_integral(f: Callable[[float], float], a: float, omega: float,
         raise QuadratureError(f"Fourier quadrature failed (QUADPACK ier = {ier})",
                               partial=result)
     return result
-
-
-def betainc_regularized(a: float, b: float, x: float) -> float:
-    """Regularized incomplete beta I_x(a, b) for a, b > 0 and 0 <= x <= 1.
-
-    The continued fraction of I_x, evaluated by the modified Lentz method,
-    converges fast for x < (a + 1)/(a + b + 2); beyond that the symmetry
-    I_x(a, b) = 1 - I_{1-x}(b, a) applies.
-    """
-    if x <= 0.0:
-        return 0.0
-    if x >= 1.0:
-        return 1.0
-    if x > (a + 1.0) / (a + b + 2.0):
-        return 1.0 - betainc_regularized(b, a, 1.0 - x)
-    c, d = 1.0, 1.0 - (a + b) * x / (a + 1.0)
-    d = 1.0 / (d if abs(d) > _TINY else _TINY)
-    frac = d
-    for m in range(1, 10_000):
-        # the terms d_{2m} and d_{2m+1} of the fraction
-        for num in (m * (b - m) * x / ((a + 2 * m - 1) * (a + 2 * m)),
-                    -(a + m) * (a + b + m) * x / ((a + 2 * m) * (a + 2 * m + 1))):
-            d = 1.0 + num * d
-            d = 1.0 / (d if abs(d) > _TINY else _TINY)
-            c = 1.0 + num / c
-            c = c if abs(c) > _TINY else _TINY
-            frac *= c * d
-        if abs(c * d - 1.0) < 1e-16:
-            break
-    log_front = (a * math.log(x) + b * math.log1p(-x)
-                 + math.lgamma(a + b) - math.lgamma(a) - math.lgamma(b))
-    return math.exp(log_front) * frac / a

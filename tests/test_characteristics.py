@@ -5,10 +5,11 @@ import numpy as np
 import pytest
 from scipy.integrate import cumulative_trapezoid, solve_ivp
 
-from sonicbh.characteristics import (_GAUSS_LEGENDRE_24, _region_of, characteristic_fan_rows,
-                                     core_integrals, core_left_x0, entanglement_boundary,
-                                     forward_characteristic, matched_exponent,
-                                     matched_x0, pair_partner, trace_characteristic)
+from sonicbh.characteristics import (_GAUSS_LEGENDRE_24, _region_of, betainc_regularized,
+                                     characteristic_fan_rows, core_integrals, core_left_x0,
+                                     entanglement_boundary, forward_characteristic,
+                                     matched_exponent, matched_x0, pair_partner,
+                                     trace_characteristic)
 from sonicbh.profiles import _GAUSS_LEGENDRE_32, LineProfile
 
 from conftest import mode_function
@@ -131,6 +132,16 @@ def _mp_i_tail(m, tau, t):
         p, y = mp.mpf(m) / 2, 1 / (1 + mp.exp(2 * mp.mpf(t) / tau))
         return float(tau * 2 ** mp.mpf(m) * mp.beta(p + 1, p)
                      * mp.betainc(p + 1, p, 0, y, regularized=True))
+
+
+@pytest.mark.parametrize("a, b", [(0.05, 0.05), (0.05, 3.0), (0.025, 1.025), (1.05, 0.05),
+                                  (0.5, 0.5), (2.5, 1.5), (1.0, 1.0), (12.0, 40.0)])
+def test_betainc_against_mpmath(a, b):
+    # both sides of the continued fraction's switch (a + 1)/(a + b + 2)
+    for x in (0.0, 1e-300, 1e-12, 1e-3, 0.119, 0.3, 0.5, 0.7, 0.95, 1.0 - 1e-9, 1.0):
+        with mp.workdps(40):
+            exact = mp.betainc(a, b, 0, x, regularized=True)
+        assert betainc_regularized(a, b, x) == pytest.approx(float(exact), rel=1e-13, abs=1e-300)
 
 
 def test_gauss_legendre_table_is_numpys_bit_for_bit():

@@ -12,9 +12,9 @@ from scipy.special import shichi
 from sonicbh import specfun
 from sonicbh.errors import QuadratureError
 from sonicbh.profiles import log_cosh
-from sonicbh.specfun import (_e1_scaled, _ei_scaled, betainc_regularized, fourier_integral,
-                             image_sum, integrate_adaptive, si, stable_shi_chi_combo,
-                             thermal_excess, thermal_weight)
+from sonicbh.specfun import (_e1_scaled, _ei_scaled, fourier_integral, image_sum,
+                             integrate_adaptive, si, stable_shi_chi_combo, thermal_excess,
+                             thermal_weight)
 
 mp.mp.dps = 40
 
@@ -383,12 +383,3 @@ def test_log_cosh_overflow_safe():
     assert log_cosh(100.0) == pytest.approx(100.0 - math.log(2.0), abs=1e-13)
     assert log_cosh(0.0) == pytest.approx(0.0, abs=1e-15)
     assert log_cosh(-5.0) == log_cosh(5.0)
-
-
-@pytest.mark.parametrize("a, b", [(0.05, 0.05), (0.05, 3.0), (0.025, 1.025), (1.05, 0.05),
-                                  (0.5, 0.5), (2.5, 1.5), (1.0, 1.0), (12.0, 40.0)])
-def test_betainc_against_mpmath(a, b):
-    # both sides of the continued fraction's switch (a + 1)/(a + b + 2)
-    for x in (0.0, 1e-300, 1e-12, 1e-3, 0.119, 0.3, 0.5, 0.7, 0.95, 1.0 - 1e-9, 1.0):
-        exact = mp.betainc(a, b, 0, x, regularized=True)
-        assert betainc_regularized(a, b, x) == pytest.approx(float(exact), rel=1e-13, abs=1e-300)
