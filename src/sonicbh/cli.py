@@ -1,21 +1,23 @@
 """Command-line front end: load a config, run a computation, emit a dataset.
 
 Every output is one CSV table, written atomically, whose first line is a
-manifest with the config hash, seed where stochastic, and the package
-version.  Exit codes: 0 success, 2 config error (including an unreadable
-config file and a bad argument), 3 numeric failure, 4 regime violation;
-every failure prints one JSON record on stderr.
+manifest with the config hash (the first 16 hex digits of SHA-256 of the
+config text as UTF-8, read as text, so CRLF and CR line endings hash as LF),
+seed where stochastic, and the package version.  Exit
+codes: 0 success, 2 config error (including an unreadable config file and a
+bad argument), 3 numeric failure, 4 regime violation; every failure prints
+one JSON record on stderr.
 
 Only the standard library and the light modules (errors, params,
-environment) load at import; json loads only to write an error record,
-and hashlib only once a config is read.  The config is checked
-before numpy loads, and each command imports the numeric modules it calls,
-so a refused argument or config exits before numpy is imported and no
-command loads a module it does not call.  Linear grids are built here
-without numpy (``linspace``, which the scan script uses too), so the
-commands that compute on scalars (hawking, boundary, er and the closed-form
-correlation) load none, and a linear tdec-sweep refused for its regime exits
-before numpy loads.
+environment) load at import; json loads only to write an error record.  The
+config hash is SHA-256 written out here, so hashing a config maps no OpenSSL
+libcrypto.  The config is checked before numpy loads, and each command
+imports the numeric modules it calls, so a refused argument or config exits
+before numpy is imported and no command loads a module it does not call.
+Linear grids are built here without numpy (``linspace``, which the scan
+script uses too), so the commands that compute on scalars (hawking, boundary,
+er and the closed-form correlation) load none, and a linear tdec-sweep
+refused for its regime exits before numpy loads.
 """
 
 from __future__ import annotations
@@ -47,12 +49,53 @@ def _load_all(path: str | None):
     cutoff = values["cutoff"] if values["cutoff"] is not None else 1.0 / derived.tau
     env = EnvironmentSpec(coupling_eff=effective_coupling(gamma, config, derived),
                           cutoff=cutoff, bath_temperature=values["bath_temperature"])
-    import hashlib
     from .profiles import LineProfile
     line = LineProfile(a=values["line_a"], kappa=values["line_kappa"],
                        tau=values["line_tau"])
-    manifest = {"config_sha256": hashlib.sha256(text.encode()).hexdigest()[:16]}
+    manifest = {"config_sha256": _sha256_hex(text.encode())[:16]}
     return config, env, line, gamma, manifest
+
+
+# SHA-256 (FIPS 180-4, section 4.2.2 and 5.3.3): the first 32 bits of the
+# fractional parts of the cube roots of the first 64 primes, and of the square
+# roots of the first 8.
+_SHA256_K = (
+    0x428a2f98, 0x71374491, 0xb5c0fbcf, 0xe9b5dba5, 0x3956c25b, 0x59f111f1, 0x923f82a4, 0xab1c5ed5,
+    0xd807aa98, 0x12835b01, 0x243185be, 0x550c7dc3, 0x72be5d74, 0x80deb1fe, 0x9bdc06a7, 0xc19bf174,
+    0xe49b69c1, 0xefbe4786, 0x0fc19dc6, 0x240ca1cc, 0x2de92c6f, 0x4a7484aa, 0x5cb0a9dc, 0x76f988da,
+    0x983e5152, 0xa831c66d, 0xb00327c8, 0xbf597fc7, 0xc6e00bf3, 0xd5a79147, 0x06ca6351, 0x14292967,
+    0x27b70a85, 0x2e1b2138, 0x4d2c6dfc, 0x53380d13, 0x650a7354, 0x766a0abb, 0x81c2c92e, 0x92722c85,
+    0xa2bfe8a1, 0xa81a664b, 0xc24b8b70, 0xc76c51a3, 0xd192e819, 0xd6990624, 0xf40e3585, 0x106aa070,
+    0x19a4c116, 0x1e376c08, 0x2748774c, 0x34b0bcb5, 0x391c0cb3, 0x4ed8aa4a, 0x5b9cca4f, 0x682e6ff3,
+    0x748f82ee, 0x78a5636f, 0x84c87814, 0x8cc70208, 0x90befffa, 0xa4506ceb, 0xbef9a3f7, 0xc67178f2,
+)
+_SHA256_H0 = (0x6a09e667, 0xbb67ae85, 0x3c6ef372, 0xa54ff53a,
+              0x510e527f, 0x9b05688c, 0x1f83d9ab, 0x5be0cd19)
+
+
+def _sha256_hex(data: bytes) -> str:
+    """SHA-256 of data as 64 hex digits, in pure Python and importing nothing,
+    so that hashing a config maps no OpenSSL libcrypto."""
+    m = 0xFFFFFFFF
+    # pad with 0x80, zeros to 56 mod 64 bytes, and the bit length in 8 bytes
+    data += b"\x80" + bytes(-(len(data) + 9) % 64) + (8 * len(data)).to_bytes(8, "big")
+    h = _SHA256_H0
+    for start in range(0, len(data), 64):
+        w = [int.from_bytes(data[i:i + 4], "big") for i in range(start, start + 64, 4)]
+        for t in range(16, 64):
+            x, y = w[t - 15], w[t - 2]
+            s0 = (x >> 7 | x << 25) ^ (x >> 18 | x << 14) ^ x >> 3
+            s1 = (y >> 17 | y << 15) ^ (y >> 19 | y << 13) ^ y >> 10
+            w.append((w[t - 16] + s0 + w[t - 7] + s1) & m)
+        a, b, c, d, e, f, g, hh = h
+        for k, wt in zip(_SHA256_K, w):
+            s1 = ((e >> 6 | e << 26) ^ (e >> 11 | e << 21) ^ (e >> 25 | e << 7)) & m
+            t1 = hh + s1 + ((e & f) ^ (~e & g)) + k + wt
+            s0 = ((a >> 2 | a << 30) ^ (a >> 13 | a << 19) ^ (a >> 22 | a << 10)) & m
+            t2 = s0 + ((a & b) ^ (a & c) ^ (b & c))
+            a, b, c, d, e, f, g, hh = (t1 + t2) & m, a, b, c, (d + t1) & m, e, f, g
+        h = tuple((x + y) & m for x, y in zip(h, (a, b, c, d, e, f, g, hh)))
+    return b"".join(x.to_bytes(4, "big") for x in h).hex()
 
 
 def linspace(start: float, stop: float, num: int) -> list[float]:
@@ -98,24 +141,27 @@ class _Parser(argparse.ArgumentParser):
     """Argument errors are refused like config errors: exit 2, JSON on stderr.
 
     A negative number with an exponent (-4e0, -1e-3) is a value, not an
-    option string; argparse's own rule knows only -4 and -4.0.  The
-    subcommands' parsers are of this class too.
+    option string; argparse's own rule knows only -4 and -4.0.  The top level
+    takes no option but --help, so an option before the subcommand (sonicbh
+    --t 30 langevin, --output=x.csv hawking), where argparse would read its
+    value as the subcommand, is refused by name.  The subcommands' parsers are
+    of this class too.
     """
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
         self._negative_number_matcher = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?$")
 
+    def parse_args(self, args=None, namespace=None):
+        argv = sys.argv[1:] if args is None else args
+        flag = argv[0].split("=", 1)[0] if argv else ""
+        # "--help" abbreviated, and "--" (end of options), are argparse's own
+        if flag.startswith("--") and not "--help".startswith(flag):
+            raise ConfigError(f"{flag} follows the subcommand: sonicbh <command> {flag} <value>")
+        return super().parse_args(args, namespace)
+
     def error(self, message):
         raise ConfigError(message)
-
-
-def _follows_command(flag: str):
-    """Argument type of a common option given before the subcommand, where
-    argparse would read its value as the subcommand: refused by name."""
-    def refuse(raw: str):
-        raise ConfigError(f"{flag} follows the subcommand: sonicbh <command> {flag} <value>")
-    return refuse
 
 
 def _number(domain: str):
@@ -155,9 +201,6 @@ def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--config", help="config path (default: built-in)")
     common.add_argument("--output", help="output file (default: <command>.csv)")
-    for flag in ("--config", "--output"):
-        p.add_argument(flag, type=_follows_command(flag), default=argparse.SUPPRESS,
-                       help=argparse.SUPPRESS)
     sub = p.add_subparsers(dest="command", required=True)
 
     def add_parser(name, **kw):

@@ -516,8 +516,14 @@ _REFUSAL_MESSAGES = {
     "output-before-command": r"^--output follows the subcommand: ",
     "output-equals-before-command": r"^--output follows the subcommand: ",
     "config-before-command": r"^--config follows the subcommand: ",
-    # CSV is the one output format: --format is refused wherever it stands
-    "format-before-command": r"^argument command: invalid choice: 'json' ",
+    # CSV is the one output format: --format is refused wherever it stands;
+    # before the subcommand, the refusal names the option, not its value
+    "format-before-command": r"^--format follows the subcommand: sonicbh <command> --format ",
+    "t-before-command": r"^--t follows the subcommand: sonicbh <command> --t <value>$",
+    "t-equals-before-unknown-command":
+        r"^--t follows the subcommand: sonicbh <command> --t <value>$",
+    "flag-before-command": r"^--log follows the subcommand: ",
+    "unknown-command": r"^argument command: invalid choice: 'hawkng' ",
     "format-after-command": r"^unrecognized arguments: --format json$",
 }
 
@@ -611,6 +617,10 @@ _REFUSAL_MESSAGES = {
     (["--config", "before.cfg", "hawking"], None, 2),
     (["--format", "json", "hawking"], None, 2),
     (["hawking", "--format", "json"], None, 2),
+    (["--t", "30", "langevin", "--x1", "-1.2"], None, 2),
+    (["--t=30", "hawkng"], None, 2),
+    (["--log", "tdec-sweep", "--axis", "gamma", "--from", "1e-7", "--to", "1e-6"], None, 2),
+    (["hawkng"], None, 2),
 ], ids=["missing-config", "radius-inf", "line-kappa-nan", "omega-0", "omega-minus-0",
         "langevin-temperature-nan", "temperature-beyond-100-th", "negative-gamma",
         "coupling-eff-key", "langevin-sites-0", "langevin-sites-513",
@@ -632,7 +642,9 @@ _REFUSAL_MESSAGES = {
         "langevin-t-0", "correlation-partner-beyond-wedge",
         "diffusion-omega-squared-overflows", "diffusion-omega-over-cutoff-overflows",
         "correlation-beta-subnormal", "output-before-command", "output-equals-before-command",
-        "config-before-command", "format-before-command", "format-after-command"])
+        "config-before-command", "format-before-command", "format-after-command",
+        "t-before-command", "t-equals-before-unknown-command", "flag-before-command",
+        "unknown-command"])
 def test_malformed_input_refused(request, tmp_path, capsys, argv, config, code):
     """Refused with the documented exit code and one JSON record, no traceback;
     where _REFUSAL_MESSAGES holds a pattern, the message matches it."""
@@ -650,6 +662,15 @@ def test_malformed_input_refused(request, tmp_path, capsys, argv, config, code):
     assert set(record) == {"error", "message"}
     assert re.search(_REFUSAL_MESSAGES.get(request.node.callspec.id, ""), record["message"])
     assert not (tmp_path / "x.csv").exists()
+
+
+@pytest.mark.parametrize("flag", ["--help", "--he"])
+def test_help_before_the_subcommand_is_argparse_s_own(capsys, flag):
+    # the one top-level option, abbreviated or not, is not refused as following
+    with pytest.raises(SystemExit) as exc:
+        main([flag])
+    assert exc.value.code == 0
+    assert capsys.readouterr().out.startswith("usage: sonicbh ")
 
 
 # ---------------------------------------------------------------------------
@@ -801,6 +822,10 @@ _SWEEP = {"gamma": ("1e-7", "1e-6"), "v_min": ("0.1", "0.3"), "temperature": ("0
 # does not call.
 _NO_NUMPY = ("numpy",)
 _NO_ARRAYS = ("numpy", "scipy")
+# the manifest's config hash is SHA-256 written out in the CLI, so no run loads
+# hashlib (and with it OpenSSL's libcrypto) but langevin's, where numpy.random
+# imports it (through secrets and hmac)
+_NO_HASHLIB = ("hashlib",)
 # the null map's Gauss-Legendre rule is written out, not solved for
 _NO_EIGEN_SOLVE = ("numpy.polynomial",)
 _LINE_MODULES = ("sonicbh.characteristics", "sonicbh.correlations", "sonicbh.langevin")
@@ -823,17 +848,20 @@ def _assert_scipy_footprint(scipy_modules, integrates):
 
 
 @pytest.mark.parametrize("argv, config, code, integrates, not_loaded", [
-    ([], None, 0, False, _NO_NUMPY),
-    (["--help"], None, 0, False, _NO_NUMPY),
-    (["hawking"], None, 0, False, _LINE_MODULES + _NO_ARRAYS + ("json", "sonicbh.specfun")),
-    (["vcoef", "--max-modes", "5"], None, 0, False, _LINE_MODULES + _NO_EIGEN_SOLVE),
+    ([], None, 0, False, _NO_NUMPY + _NO_HASHLIB),
+    (["--help"], None, 0, False, _NO_NUMPY + _NO_HASHLIB),
+    (["hawking"], None, 0, False,
+     _LINE_MODULES + _NO_ARRAYS + _NO_HASHLIB + ("json", "sonicbh.specfun")),
+    (["vcoef", "--max-modes", "5"], None, 0, False,
+     _LINE_MODULES + _NO_EIGEN_SOLVE + _NO_HASHLIB),
     *[(["tdec-sweep", "--axis", axis, "--from", lo, "--to", hi, "--points", "3"],
-       _RING200, 0, False, _LINE_MODULES + _NO_EIGEN_SOLVE)
+       _RING200, 0, False, _LINE_MODULES + _NO_EIGEN_SOLVE + _NO_HASHLIB)
       for axis, (lo, hi) in _SWEEP.items()],
     (["boundary", "--points", "8"], None, 0, False,
-     ("sonicbh.correlations", "sonicbh.specfun", *_RING_AND_MC_MODULES, *_NO_ARRAYS)),
+     ("sonicbh.correlations", "sonicbh.specfun", *_RING_AND_MC_MODULES, *_NO_ARRAYS,
+      *_NO_HASHLIB)),
     (["er", "--k", "0.05", "--t-min", "40", "--t-max", "100", "--points", "2"],
-     None, 0, False, _RING_AND_MC_MODULES + _NO_ARRAYS),
+     None, 0, False, _RING_AND_MC_MODULES + _NO_ARRAYS + _NO_HASHLIB),
     (["langevin", "--t", "30", "--x1", "-1.2", "--realizations", "200", "--points", "8"],
      None, 0, False, _RING_AND_CORRELATION_MODULES),
     (["langevin", "--t", "30", "--x1", "-1.2", "--realizations", "200", "--points", "8",
@@ -841,21 +869,21 @@ def _assert_scipy_footprint(scipy_modules, integrates):
     (["langevin", "--t", "30", "--x1", "-1.2", "--realizations", "200", "--points", "8",
       "--temperature", "0.15"], None, 0, False, _RING_AND_CORRELATION_MODULES),
     (["correlation", "--t", "100", "--x1", "-4", "--beta", "nan"], None, 2, False,
-     _NO_NUMPY + ("hashlib",)),
-    (["hawking"], "missing", 2, False, _NO_NUMPY + ("hashlib",)),
-    (["hawking"], {"line_kappa": "5.0"}, 2, False, _NO_NUMPY + ("hashlib",)),
+     _NO_NUMPY + _NO_HASHLIB),
+    (["hawking"], "missing", 2, False, _NO_NUMPY + _NO_HASHLIB),
+    (["hawking"], {"line_kappa": "5.0"}, 2, False, _NO_NUMPY + _NO_HASHLIB),
     (["tdec-sweep", "--axis", "gamma", "--from", "1e-7", "--to", "1e-7", "--points", "1"],
-     {"n_ions": MAX_N_IONS + 1}, 2, False, _NO_NUMPY + ("hashlib",)),
+     {"n_ions": MAX_N_IONS + 1}, 2, False, _NO_NUMPY + _NO_HASHLIB),
     (["tdec-sweep", "--axis", "temperature", "--from", "0.1", "--to", "200", "--points", "2"],
-     None, 4, False, _NO_NUMPY),
+     None, 4, False, _NO_NUMPY + _NO_HASHLIB),
     (["diffusion", "--omega", "2", "--t-min", "0.01", "--t-max", "10", "--points", "2"],
-     None, 0, False, _LINE_MODULES),
+     None, 0, False, _LINE_MODULES + _NO_HASHLIB),
     (["diffusion", "--omega", "2", "--t-min", "0.01", "--t-max", "10", "--points", "2",
-      "--oracle"], None, 0, True, _LINE_MODULES),
+      "--oracle"], None, 0, True, _LINE_MODULES + _NO_HASHLIB),
     (["correlation", "--t", "100", "--x1", "-4", "--points", "16", "--beta", "5"], None, 0,
-     False, _RING_AND_MC_MODULES + _NO_ARRAYS),
+     False, _RING_AND_MC_MODULES + _NO_ARRAYS + _NO_HASHLIB),
     (["correlation", "--t", "60", "--x1", "-4", "--points", "16", "--beta", "5",
-      "--method", "mode_sum_oracle"], None, 0, True, _RING_AND_MC_MODULES),
+      "--method", "mode_sum_oracle"], None, 0, True, _RING_AND_MC_MODULES + _NO_HASHLIB),
 ], ids=["import", "help", "hawking", "vcoef", "tdec-sweep-gamma", "tdec-sweep-v-min",
         "tdec-sweep-temperature", "boundary", "er", "langevin-matched", "langevin-exact",
         "langevin-thermal",
@@ -873,7 +901,7 @@ def test_scipy_loaded_only_where_a_command_integrates(tmp_path, argv, config, co
     scalars (hawking, boundary, er, the closed-form correlation); a command
     that runs loads only the numeric modules it calls, and one that builds a
     null map (vcoef, tdec-sweep) no numpy.polynomial.  Writing the table loads
-    no json, and a refused argument or config no hashlib."""
+    no json, and nothing but langevin loads hashlib."""
     common = []
     if argv:
         common = ["--output", str(tmp_path / "x.csv")]
@@ -911,23 +939,24 @@ def test_correlation_scan_script_loads_neither_numpy_nor_scipy(tmp_path):
 
 
 # The standard library a scalar command may load, as measured when this guard
-# was written (Python 3.11, 73 modules beyond the bare interpreter's): argparse;
+# was written (Python 3.11, 70 modules beyond the bare interpreter's): argparse;
 # tempfile with random and shutil, and through shutil bz2 and lzma;
-# dataclasses with inspect; typing; hashlib for the manifest.  The scan script
-# reads no config and parses no arguments, so it loads no hashlib and no
-# locale (which argparse's messages load).  A module added here is a cost
-# added to every run.
+# dataclasses with inspect; typing.  The manifest's config hash is SHA-256
+# written out in the CLI, so no hashlib (random's _sha512 is its own builtin).
+# The scan script parses no arguments, so it loads no locale (which
+# argparse's messages load).  A module added here is a cost added to every
+# run.
 _CLI_STDLIB = frozenset("""
-    __future__ _ast _bisect _blake2 _bz2 _collections _collections_abc _compression
-    _functools _hashlib _locale _lzma _opcode _operator _random _sha512 _sre _stat _typing
+    __future__ _ast _bisect _bz2 _collections _collections_abc _compression
+    _functools _locale _lzma _opcode _operator _random _sha512 _sre _stat _typing
     _weakrefset argparse ast bisect bz2 collections collections.abc contextlib copy copyreg
-    dataclasses dis enum errno fnmatch functools genericpath gettext hashlib importlib
+    dataclasses dis enum errno fnmatch functools genericpath gettext importlib
     importlib._bootstrap importlib._bootstrap_external importlib.machinery inspect
     itertools keyword linecache locale lzma math opcode operator os os.path posixpath
     random re re._casefix re._compiler re._constants re._parser reprlib shutil stat
     tempfile token tokenize types typing typing.io typing.re warnings weakref zlib
 """.split())
-_SCAN_STDLIB = _CLI_STDLIB - {"_blake2", "_hashlib", "_locale", "hashlib", "locale"}
+_SCAN_STDLIB = _CLI_STDLIB - {"_locale", "locale"}
 
 
 @pytest.mark.parametrize("argv, allowed", [
