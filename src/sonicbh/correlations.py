@@ -71,6 +71,8 @@ def _bose_integral(f, separation: float, beta: float, kind: str, scale: float) -
     where the bump's stretch [0, u_b], u_b = 2 _BOSE_STRETCH |separation| /
     beta, is shorter than the first cycle, the one quadrature is QAWO on
     [0, u_b] instead.  At beta = inf u_b = 0: QAWF, on an f that is 0.
+    Wherever beta is finite its cosine part is ``specfun.bose_integral`` bit
+    for bit; that one answers beta = inf with 0 and no quadrature.
     """
     h = 0.5 / abs(separation)          # k = h u
     tol = max(1e-11 * scale / h, sys.float_info.min)

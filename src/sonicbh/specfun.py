@@ -4,15 +4,17 @@ Scalar, pure, reentrant.  The trigonometric/hyperbolic integrals are the
 building blocks of the exact diffusion coefficient; the thermal weight is
 shared by the correlations, the open-system correction and the Monte-Carlo
 sampler; the thermal image sum is the Bose part of the uniform-region
-correlation; the quadrature helpers back every brute-force oracle in the
-package and are its only entry to QUADPACK.  Si, E1, Ei and the image sum are
-the package's own series, continued fractions and Euler-Maclaurin sums, so
-this module needs only the standard library.  The quadrature helpers call
-QUADPACK's routines in scipy's compiled extension directly, the ones
-``scipy.integrate.quad`` dispatches to with the same arguments.  The
-extension and the import machinery that finds it load on the first
-quadrature, without the ``scipy.integrate`` package (~0.5 s), so a command
-that never integrates loads no scipy at all.  With numpy loaded the
+correlation; ``bose_integral`` is the home of the Bose-part quadrature, the
+one the Monte-Carlo expectation takes beside its closed vacuum part, exactly
+0 at beta = inf without quadrature; the quadrature helpers back it and every
+brute-force oracle in the package and are its only entry to QUADPACK.  Si,
+E1, Ei and the image sum are the package's own series, continued fractions
+and Euler-Maclaurin sums, so this module needs only the standard library.
+The quadrature helpers call QUADPACK's routines in scipy's compiled
+extension directly, the ones ``scipy.integrate.quad`` dispatches to with the
+same arguments.  The extension and the import machinery that finds it load
+on the first quadrature, without the ``scipy.integrate`` package (~0.5 s),
+so a command that never integrates loads no scipy at all.  With numpy loaded the
 extension takes 0.2 ms and its first call ~5 ms (the scipy top level and
 its callback helper); numpy itself is the cost.
 """
@@ -296,3 +298,36 @@ def fourier_integral(f: Callable[[float], float], a: float, omega: float,
         raise QuadratureError(f"Fourier quadrature failed (QUADPACK ier = {ier})",
                               partial=result)
     return result
+
+
+# The Bose bump of a thermal k-integrand, k^p / (e^{beta k} - 1) with p = 1 or
+# 3/2 (times a Gaussian envelope in the Monte-Carlo expectation), lies on
+# [0, _BOSE_STRETCH / beta]: past it e^{-beta k} is below 5e-18, and where the
+# stretch is shorter than QAWF's first cycle, what lies past it is below 1e-17
+# of bose_integral's scale.
+_BOSE_STRETCH = 40.0
+
+
+def bose_integral(f: Callable[[float], float], separation: float, beta: float,
+                  scale: float) -> float:
+    """int_0^inf f(k) cos(k separation) dk for f a Bose bump, to the absolute
+    tolerance 1e-11 * scale (``scale``: the result's size).  Exactly 0 at
+    beta = inf, where the bump vanishes, with no quadrature; elsewhere a zero
+    separation is refused (ValueError).
+
+    In u = 2 k |separation| QUADPACK's Fourier routine QAWF integrates cycle
+    by cycle, the first on [0, 2 pi], and it misses a bump far narrower than
+    that cycle: below |separation| = 7e-4 beta, all of the cosine part.  So
+    where the bump's stretch [0, u_b], u_b = 2 _BOSE_STRETCH |separation| /
+    beta, is shorter than the first cycle, the one quadrature is QAWO on
+    [0, u_b] instead.
+    """
+    if beta == math.inf:
+        return 0.0
+    if separation == 0.0:
+        raise ValueError("bose_integral needs a nonzero separation")
+    h = 0.5 / abs(separation)          # k = h u
+    tol = max(1e-11 * scale / h, sys.float_info.min)
+    u_b = 2.0 * _BOSE_STRETCH * abs(separation) / beta
+    end = u_b if 0.0 < u_b < 2.0 * math.pi else math.inf
+    return h * fourier_integral(lambda u: f(h * u), 0.0, 0.5, kind="cos", tol=tol, b=end).value

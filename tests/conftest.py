@@ -9,12 +9,28 @@ settings.register_profile(
     suppress_health_check=[HealthCheck.too_slow, HealthCheck.filter_too_much])
 settings.load_profile("suite")
 
+from sonicbh import specfun
 from sonicbh.params import default_config, derive
 from sonicbh.characteristics import core_left_x0
 from sonicbh.environment import EnvironmentSpec
 from sonicbh.profiles import LineProfile, RingProfile
 
 from flow_oracle import core_g, line_velocity
+
+
+@pytest.fixture
+def quadpack_calls(monkeypatch):
+    """Every call into QUADPACK's extension, whichever route makes it: the
+    routine, its arguments after the integrand, and its raw value, error
+    bound, evaluation count and ier."""
+    module, calls = specfun._quadpack(), []
+    for name in ("_qagse", "_qagie", "_qawoe", "_qawfe"):
+        def spy(f, *args, routine=getattr(module, name), name=name):
+            out = routine(f, *args)
+            calls.append((name, args, out[0], out[1], out[2]["neval"], out[3]))
+            return out
+        monkeypatch.setattr(module, name, spy)
+    return calls
 
 
 @pytest.fixture(scope="session")

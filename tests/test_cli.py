@@ -916,14 +916,14 @@ def test_scipy_loaded_only_where_a_command_integrates(tmp_path, argv, config, co
     assert sorted(set(not_loaded) & set(loaded["modules"])) == []
 
 
-@pytest.mark.parametrize("script", ["run_langevin_check.py"])
-def test_study_scripts_load_only_quadpacks_extension(tmp_path, script):
-    """The study script that integrates loads QUADPACK's extension, and
-    neither the scipy.integrate package nor scipy.special."""
-    path = os.path.join(os.path.dirname(_SRC), "scripts", script)
+def test_langevin_check_script_loads_no_scipy(tmp_path):
+    """The check script's expectation is at T0 = 0, where its k integral is
+    the closed vacuum part alone, so it integrates nothing and loads no
+    scipy."""
+    path = os.path.join(os.path.dirname(_SRC), "scripts", "run_langevin_check.py")
     proc = _fresh_interpreter(tmp_path, [path], script=("-c", _SCRIPT_PROBE))
     assert proc.returncode == 0, proc.stderr
-    _assert_scipy_footprint(json.loads(proc.stdout.splitlines()[-1])["scipy"], True)
+    _assert_scipy_footprint(json.loads(proc.stdout.splitlines()[-1])["scipy"], False)
 
 
 def test_correlation_scan_script_loads_neither_numpy_nor_scipy(tmp_path):

@@ -18,7 +18,7 @@ from sonicbh.correlations import (CorrelationGrid, build_correlation_grid,
                                   open_correction_er, thermal_momentum_integral)
 from sonicbh import correlations
 from sonicbh.errors import ExtrapolationError, RegimeError, RegionError
-from sonicbh.specfun import thermal_weight
+from sonicbh.specfun import bose_integral, thermal_excess, thermal_weight
 
 from conftest import LINE_T_HAWKING, er_mpmath, mode_function, mode_function_pde_residual
 from flow_oracle import line_velocity
@@ -79,6 +79,16 @@ def test_one_quadrature_per_component(monkeypatch, beta):
     calls.clear()
     thermal_momentum_integral(0.3, beta)
     assert len(calls) == 1
+
+
+@pytest.mark.parametrize("sep,beta", [(0.0072, math.pi / 2), (0.3, 5.0), (40.0, 0.5)])
+def test_bose_quadrature_is_specfuns_at_finite_beta(sep, beta):
+    """The correlations' own Bose quadrature, which still integrates at beta =
+    inf, has ``specfun.bose_integral`` for its cosine part, bit for bit,
+    wherever beta is finite."""
+    f = lambda k: math.sqrt(k) * thermal_excess(k, beta)
+    assert (correlations._bose_integral(f, sep, beta, "cos", 1.0)
+            == bose_integral(f, sep, beta, 1.0))
 
 
 @pytest.mark.parametrize("sep,beta", [(0.0072, math.pi / 2), (0.11, math.pi / 2),

@@ -1,13 +1,16 @@
 import math
 import tracemalloc
 
+import mpmath as mp
 import numpy as np
 import pytest
 from scipy.special import dawsn
 
 from sonicbh import langevin
-from sonicbh.langevin import (N_MODES, estimate_correlation, expected_correlation_curve,
-                              left_sector_map)
+from sonicbh.errors import QuadratureError
+from sonicbh.langevin import (N_MODES, _dawson_slope, estimate_correlation,
+                              expected_correlation_curve, left_sector_map)
+from sonicbh.specfun import fourier_integral, thermal_weight
 
 from conftest import LINE_T_HAWKING
 from flow_oracle import rk45_dx0_dx, rk45_trace
@@ -266,3 +269,108 @@ def test_ensemble_stderr_definition(line, monkeypatch):
     mc = estimate_correlation(2, REDUCED_X1, REDUCED_X2, REDUCED_T, 0.0, line)
     assert np.all(mc.values > 0)
     assert mc.stderr == pytest.approx(mc.values / math.sqrt(2.0), rel=1e-12)
+
+
+def qawf_expectation(x1, x2_values, t, temperature, profile, uv_epsilon,
+                     transport="matched"):
+    """The estimator's expectation by one QUADPACK QAWF per probe over the
+    whole spectrum, k coth(beta k/2) e^{-(eps k)^2} cos(k s), to 1e-11
+    absolute: the reference for the closed vacuum part plus the Bose
+    quadrature."""
+    pts = np.concatenate([[x1], np.asarray(x2_values, dtype=float)])
+    x0, w = left_sector_map(pts, t, profile, transport)
+    beta = math.inf if temperature == 0.0 else 1.0 / temperature
+    spectral = lambda k: thermal_weight(k, beta) * math.exp(-(uv_epsilon * k) ** 2)
+    return np.array([abs(w[0] * w2 * fourier_integral(spectral, 0.0, abs(x0_2 - x0[0]),
+                                                      kind="cos").value) / (2.0 * math.pi)
+                     for x0_2, w2 in zip(x0[1:], w[1:])])
+
+
+def mpmath_vacuum_expectation(x1, x2_values, t, profile, uv_epsilon, transport="matched"):
+    """The T0 = 0 expectation on the package's map, its k integral
+    [1 - 2x F(x)] / (2 eps^2), x = s / (2 eps), at 40 digits."""
+    pts = np.concatenate([[x1], np.asarray(x2_values, dtype=float)])
+    x0, w = left_sector_map(pts, t, profile, transport)
+    with mp.workdps(40):
+        eps = mp.mpf(uv_epsilon)
+        out = []
+        for x0_2, w2 in zip(x0[1:], w[1:]):
+            x = abs(mp.mpf(float(x0_2)) - mp.mpf(float(x0[0]))) / (2 * eps)
+            slope = 1 - x * mp.sqrt(mp.pi) * mp.exp(-x * x) * mp.erfi(x)
+            out.append(float(abs(mp.mpf(float(w[0])) * mp.mpf(float(w2)) * slope)
+                             / (4 * mp.pi * eps ** 2)))
+    return np.array(out)
+
+
+@pytest.mark.parametrize("transport", ["matched", "exact"])
+@pytest.mark.parametrize("t_over_th", [0.0, 5.0, 20.0, 60.0])
+def test_expectation_matches_full_spectrum_quadrature(line, t_over_th, transport):
+    """The closed vacuum part plus the Bose quadrature agree with the
+    whole-spectrum QAWF to 1e-10 of the curve's maximum, over regulators
+    from 0.005 to 0.5 and times from 25 to 40, on 12 probes: the two routes
+    differ by the QAWF's own error (worst 1.2e-11, at 60 T_H, eps = 0.005,
+    t = 25)."""
+    x2 = np.linspace(1.1, 6.0, 12)
+    temperature = t_over_th * LINE_T_HAWKING
+    for eps in (0.005, 0.02, 0.12, 0.5):
+        for t in (25.0, 32.0, 40.0):
+            got = expected_correlation_curve(REDUCED_X1, x2, t, temperature, line, eps,
+                                             transport)
+            ref = qawf_expectation(REDUCED_X1, x2, t, temperature, line, eps, transport)
+            assert np.abs(got - ref).max() <= 1e-10 * ref.max(), (eps, t)
+
+
+def test_zero_temperature_expectation_against_mpmath(line):
+    """At the check script's inputs the T0 = 0 expectation is within 1e-13 of
+    the 40-digit value at every probe (the whole-spectrum QAWF: 1.35e-12)."""
+    eps = 0.12
+    got = expected_correlation_curve(REDUCED_X1, REDUCED_X2, REDUCED_T, 0.0, line, eps)
+    ref = mpmath_vacuum_expectation(REDUCED_X1, REDUCED_X2, REDUCED_T, line, eps)
+    assert np.abs(got / ref - 1.0).max() <= 1e-13
+
+
+def test_expectation_answers_where_the_full_spectrum_quadrature_fails(line):
+    """At eps = 0.05, t = 40 the nearest exact-transport probe sits at
+    s = 0.91 eps: the whole Gaussian envelope lies inside QAWF's first cycle
+    2 pi / s, and the 1e-11 absolute tolerance on an integral of size
+    ~1/(2 eps^2) = 200 is out of reach, so QAWF stops with its overflow
+    constant.  The closed form answers there, within 1e-13 of the 40-digit
+    value at every probe."""
+    x2 = np.linspace(1.1, 6.0, 12)
+    with pytest.raises(QuadratureError):
+        qawf_expectation(REDUCED_X1, x2, 40.0, 0.0, line, 0.05, "exact")
+    got = expected_correlation_curve(REDUCED_X1, x2, 40.0, 0.0, line, 0.05, "exact")
+    ref = mpmath_vacuum_expectation(REDUCED_X1, x2, 40.0, line, 0.05, "exact")
+    assert np.abs(got / ref - 1.0).max() <= 1e-13
+
+
+@pytest.mark.parametrize("x", [0.0, 1e-300, 1e-8, 0.1, 0.5, 0.92413887, 0.9241389,
+                               1.0, 2.5, 5.0, 7.9999999, 8.0, 8.0000001, 12.0, 100.0,
+                               1e3, 1e6])
+def test_dawson_slope_against_mpmath(x):
+    """F'(x) = 1 - 2x F(x) within 1e-15 absolute of its 40-digit value, and
+    within 1e-13 relative wherever |F'| > 1e-3: through its zero near
+    x = 0.924 and on both sides of the switch to the asymptotic series at 8."""
+    with mp.workdps(40):
+        xm = mp.mpf(x)
+        exact = float(1 - xm * mp.sqrt(mp.pi) * mp.exp(-xm * xm) * mp.erfi(xm))
+    got = _dawson_slope(x)
+    assert abs(got - exact) <= 1e-15
+    if abs(exact) > 1e-3:
+        assert abs(got - exact) <= 1e-13 * abs(exact)
+
+
+def test_dawson_slope_limits():
+    assert _dawson_slope(0.0) == 1.0
+    assert _dawson_slope(math.inf) == 0.0
+
+
+def test_zero_temperature_expectation_takes_no_quadrature(line, quadpack_calls):
+    """At T0 = 0 the Bose part is exactly 0, so the expectation makes no
+    QUADPACK call; a finite T0 makes one per probe."""
+    expected_correlation_curve(REDUCED_X1, REDUCED_X2, REDUCED_T, 0.0, line, 0.12)
+    assert quadpack_calls == []
+    expected_correlation_curve(REDUCED_X1, REDUCED_X2[:4], REDUCED_T, 5.0 * LINE_T_HAWKING,
+                               line, 0.12)
+    assert len(quadpack_calls) == 4
+

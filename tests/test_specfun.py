@@ -9,12 +9,11 @@ from hypothesis import given
 from hypothesis import strategies as st
 from scipy.special import shichi
 
-from sonicbh import specfun
 from sonicbh.errors import QuadratureError
 from sonicbh.profiles import log_cosh
-from sonicbh.specfun import (_e1_scaled, _ei_scaled, fourier_integral, image_sum,
-                             integrate_adaptive, si, stable_shi_chi_combo, thermal_excess,
-                             thermal_weight)
+from sonicbh.specfun import (_e1_scaled, _ei_scaled, bose_integral, fourier_integral,
+                             image_sum, integrate_adaptive, si, stable_shi_chi_combo,
+                             thermal_excess, thermal_weight)
 
 mp.mp.dps = 40
 
@@ -198,27 +197,34 @@ def test_fourier_overflow_constant_refused():
         fourier_integral(lambda k: thermal_excess(k, 0.1), 0.0, 0.002, kind="cos")
 
 
+@pytest.mark.parametrize("separation, beta", [(0.3, 2.0), (1e-4, 2.0), (40.0, 0.5)],
+                         ids=["qawf", "qawo-stretch", "far"])
+def test_bose_integral_against_closed_form(separation, beta):
+    """int_0^inf 2k/(e^{beta k} - 1) cos(k s) dk = 1/s^2 - (pi/beta)^2
+    csch^2(pi s/beta), to 1e-11 of 1/s^2: QAWF past the first cycle, QAWO on
+    the bump's stretch below it (s = 5e-5 beta)."""
+    f = lambda k: thermal_excess(k, beta)
+    z = math.pi * separation / beta
+    exact = separation ** -2 - (math.pi / beta) ** 2 / math.sinh(z) ** 2
+    got = bose_integral(f, separation, beta, separation ** -2)
+    assert got == pytest.approx(exact, abs=1e-11 * separation ** -2)
+
+
+def test_bose_integral_zero_at_zero_temperature(quadpack_calls):
+    """The Bose bump vanishes at beta = inf, and so does its integral,
+    exactly and without quadrature; elsewhere a zero separation is refused."""
+    assert bose_integral(lambda k: 1.0, 0.7, math.inf, 1.0) == 0.0
+    assert quadpack_calls == []
+    with pytest.raises(ValueError, match="nonzero separation"):
+        bose_integral(lambda k: thermal_excess(k, 2.0), 0.0, 2.0, 1.0)
+
+
 # The integrands the direct QUADPACK route is pinned on beyond KNOWN_INTEGRALS:
 # a (-inf, b] range (refused) and a reversed range.
 _MORE_INTEGRALS = [
     (lambda x: math.exp(x), -np.inf, 0.0, 1.0),
     (lambda x: x * x, 2.0, 0.0, -8.0 / 3.0),
 ]
-
-
-@pytest.fixture
-def quadpack_calls(monkeypatch):
-    """Every call into QUADPACK's extension, whichever route makes it: the
-    routine, its arguments after the integrand, and its raw value, error
-    bound, evaluation count and ier."""
-    module, calls = specfun._quadpack(), []
-    for name in ("_qagse", "_qagie", "_qawoe", "_qawfe"):
-        def spy(f, *args, routine=getattr(module, name), name=name):
-            out = routine(f, *args)
-            calls.append((name, args, out[0], out[1], out[2]["neval"], out[3]))
-            return out
-        monkeypatch.setattr(module, name, spy)
-    return calls
 
 
 def _both_routes(calls, direct, *quad_args, **quad_kwargs):
