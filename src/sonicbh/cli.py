@@ -235,8 +235,7 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--beta", type=_beta_arg, default=math.inf)
     s.add_argument("--x2-min", type=_number("finite"), default=None)
     s.add_argument("--x2-max", type=_number("finite"), default=None)
-    # detect_peak needs 16 samples
-    s.add_argument("--points", type=_count(16), default=64)
+    s.add_argument("--points", type=_count(1), default=64)
     s.add_argument("--method", choices=("closed_form", "mode_sum_oracle"),
                    default="closed_form")
 

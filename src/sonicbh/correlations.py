@@ -22,7 +22,8 @@ regulated limit in closed form, the Bose part by one Fourier quadrature.
 A pair that is not matched shares one uniform region, where the correlation
 depends on dx = x1 - x2 alone: in closed form through the thermal image
 series (``corr_homogeneous_closed_form``), and by quadrature in the oracle
-(``corr_homogeneous``).  The grid's ``method`` picks one route for every row.
+(``corr_homogeneous``).  The grid's ``method`` picks one route for every row;
+``detect_peak`` measures a grid's maximum against the closed form at its pair.
 
 Only the standard library loads with this module: its grids are lists.
 """
@@ -243,6 +244,8 @@ class CorrelationGrid(NamedTuple):
     x2: list[float]
     values: list[float]           # |correlation| per sample
     regions: list[str]            # "matched" or "uniform" per sample
+    x1: float                     # the inside probe
+    beta: float                   # the initial inverse temperature
 
 
 class PeakReport(NamedTuple):
@@ -277,42 +280,35 @@ def build_correlation_grid(x1: float, x2_values, t: float, beta: float,
                        else corr_homogeneous(x1 - x2, t, beta))
             vals.append(abs(uniform))
             regions.append("uniform")
-    return CorrelationGrid(x2=x2_values, values=vals, regions=regions)
-
-
-def _median(values) -> float:
-    """The median as numpy takes it: the middle value, or the mean of the two."""
-    ordered = sorted(values)
-    mid = len(ordered) // 2
-    return ordered[mid] if len(ordered) % 2 else (ordered[mid - 1] + ordered[mid]) / 2
+    return CorrelationGrid(x2=x2_values, values=vals, regions=regions, x1=x1, beta=beta)
 
 
 def detect_peak(grid: CorrelationGrid) -> PeakReport:
     """Locate and qualify the pair peak on a correlation grid.
 
-    location = argmax |value|; contrast = its height over the background,
-    the median of samples farther than 15% of the x2 span from it, or over a
-    zero background inf for a positive height and 0 for an all-zero scan.
-    A pair peak is ``present`` when the maximum is a strict interior maximum
-    at a matched row (both probes inside the wedge) and the contrast exceeds
-    3: monotone tails have edge maxima, and the jump to the uniform rows
-    past x_plus is no pair peak, however steep.
+    location = the first argmax; contrast = its height over the background
+    |``corr_homogeneous_closed_form``(x1 - location, beta)|, the fluid
+    without a horizon at the same pair: 0 for a zero height, 1 at a
+    closed-form uniform row (its own background).  Both methods divide by
+    the closed form, the verdict's reference level and no row the oracle
+    re-derives: no quadrature and no beta floor of ``corr_homogeneous``.  A
+    contrast past the float range is refused with a RegimeError.  A pair
+    peak is ``present`` at an interior maximum (neither end sample reaches
+    it, so equal samples may share it) at a matched row (both probes inside
+    the wedge) with contrast above 3: monotone tails have edge maxima, and
+    the jump to the uniform rows past x_plus is no pair peak.
     """
-    n = len(grid.x2)
-    if n < 16:
-        raise ValueError(f"need at least 16 samples, got {n}")
     vals = grid.values
-    idx = max(range(n), key=vals.__getitem__)          # the first of equal maxima
+    idx = max(range(len(vals)), key=vals.__getitem__)
     location, height = float(grid.x2[idx]), float(vals[idx])
-    span = abs(float(grid.x2[-1] - grid.x2[0]))
-    window = 0.15 * span
-    off = [v for x2, v in zip(grid.x2, vals) if abs(x2 - location) > window]
-    background = _median(off if len(off) >= 4 else vals)
-    if background != 0.0:
-        contrast = height / background
-    else:
-        contrast = math.inf if height > 0.0 else 0.0
-    interior = 0 < idx < n - 1 and vals[idx] > vals[idx - 1] and vals[idx] > vals[idx + 1]
+    # a zero height reads 0 without its background, which can underflow too
+    dx = grid.x1 - location
+    background = abs(corr_homogeneous_closed_form(dx, grid.beta)) if height else 1.0
+    contrast = height / background if background else math.inf
+    if math.isinf(contrast):
+        raise RegimeError(f"the peak contrast at x1 = {grid.x1:.6g}, x2 = {location:.6g}, beta = "
+                          f"{grid.beta:.6g} leaves the float range: its background underflows")
+    interior = vals[0] < height and vals[-1] < height
     matched = grid.regions[idx] == "matched"
     return PeakReport(location=location, contrast=contrast,
                       present=bool(interior and matched and contrast > 3.0))

@@ -169,12 +169,47 @@ def test_both_pair_commands_share_the_default_window(tmp_path, argv, lo, hi):
 
 
 def test_correlation_all_zero_scan_has_no_peak(tmp_path):
-    # at t = 1e300 the matched exponentials underflow: every sample is 0
-    code, out = _run(tmp_path, "correlation", "--t", "1e300", "--x1", "-4", "--points", "16")
+    # the matched exponentials underflow: every sample is 0; at x2 ~ 1e199 the
+    # background underflows too, and the zero height answers without it
+    for argv in (["--t", "1e300", "--x1", "-4", "--points", "16"],
+                 ["--t", "1e201", "--x1", "-4", "--x2-min", "1e199", "--x2-max", "2e199",
+                  "--points", "16"]):
+        code, out = _run(tmp_path, "correlation", *argv)
+        assert code == 0
+        manifest, _, rows = _rows(out)
+        assert all(float(r[1]) == 0.0 for r in rows)
+        assert "peak_contrast=0 " in manifest and "peak_present=false" in manifest
+
+
+@pytest.mark.parametrize("argv, contrast, present", [
+    # at t = 40 the wedge fills the window; the peak lies 0.009 from x2* = 2.6137
+    (["--t", "40", "--x1", "-2", "--beta", "inf", "--points", "64"], 12.2182938326, "true"),
+    # every matched row underflows: the maximum, a uniform row, is its own background
+    (["--t", "100", "--x1", "-4", "--beta", "1e-200"], 1.0, "false"),
+    # 64 samples on the symmetric default window: the two central ones, either
+    # side of x2*, tie bit for bit at the maximum
+    (["--t", "300", "--x1", "-10"], 503.211311874, "true"),
+], ids=["t40", "beta-1e-200", "tie"])
+def test_peak_is_measured_against_the_fluid_without_a_horizon(tmp_path, argv, contrast,
+                                                              present):
+    """The contrast is the height over |corr_homogeneous_closed_form| at the
+    peak's own pair; the peak is present at an interior, matched maximum
+    with contrast above 3."""
+    code, out = _run(tmp_path, "correlation", *argv)
     assert code == 0
-    manifest, _, rows = _rows(out)
-    assert all(float(r[1]) == 0.0 for r in rows)
-    assert "peak_contrast=0 " in manifest and "peak_present=false" in manifest
+    manifest = dict(item.split("=") for item in _rows(out)[0].split()[2:])
+    assert float(manifest["peak_contrast"]) == pytest.approx(contrast, rel=1e-10)
+    assert manifest["peak_present"] == present
+
+
+def test_underflowing_background_under_a_peak_is_refused(tmp_path, capsys):
+    # at x1 = -1e168 the pair's background underflows to 0 while the matched
+    # row at x2 = 1e168 does not: no contrast in the float range
+    code, _ = _run(tmp_path, "correlation", "--t", "1e170", "--x1", "-1e168",
+                   "--x2-min", "1e168", "--x2-max", "1.1e168", "--points", "16")
+    assert code == 4
+    record = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert record["error"] == "RegimeError" and "leaves the float range" in record["message"]
 
 
 @pytest.mark.parametrize("beta", ["0.05", "1e-300"])
@@ -557,7 +592,6 @@ _REFUSAL_MESSAGES = {
      None, 2),
     (["er", "--k", "0.05", "--t-min", "40", "--t-max", "100", "--points", "-2"], None, 2),
     (["correlation", "--t", "100", "--x1", "-4", "--points", "0"], None, 2),
-    (["correlation", "--t", "100", "--x1", "-4", "--points", "15"], None, 2),
     (["correlation", "--t", "-5", "--x1", "-4"], None, 2),
     (["langevin", "--t", "-5", "--x1", "-1.2", "--realizations", "50"], None, 2),
     (["tdec-sweep", "--axis", "gamma", "--from", "1e-8", "--to", "1e-6", "--points", "2"],
@@ -628,7 +662,7 @@ _REFUSAL_MESSAGES = {
         "langevin-seed-negative", "langevin-seed-2-64", "vcoef-max-modes-negative",
         "tdec-sweep-points-0", "boundary-points-0", "boundary-points-negative",
         "diffusion-points-0", "er-points-negative", "correlation-points-0",
-        "correlation-points-15", "correlation-t-negative", "langevin-t-negative",
+        "correlation-t-negative", "langevin-t-negative",
         "tdec-sweep-two-ion-slivers", "vcoef-epsilon-unknown", "er-k-0",
         "er-k-negative", "hawking-ring-flow-negative", "vcoef-ring-flow-negative",
         "langevin-moments-overflow", "diffusion-omega-t-overflows", "correlation-t-0", "tdec-sweep-log-from-0",
@@ -1029,9 +1063,9 @@ _SUBCOMMANDS = {
                    "--from": _float("0.1"), "--to": _float("0.3"),
                    "--points": _count("2", 1), "--log": _FLAG},
     "correlation": {"--t": _float("100"), "--x1": _float("-4", "-4e0"),
-                    "--beta": _float("inf", optional=True),
+                    "--beta": _float("inf", "1e-200", optional=True),
                     "--x2-min": _float("1.5", optional=True),
-                    "--x2-max": _float("30", optional=True), "--points": _count("16", 16),
+                    "--x2-max": _float("30", optional=True), "--points": _count("16", 1),
                     "--method": _choice("closed_form", "mode_sum_oracle")},
     "er": {"--k": _float("0.05"), "--t-min": _float("40"), "--t-max": _float("100"),
            "--points": _count("2", 1), "--lam": _float("1e-7", optional=True),
@@ -1063,7 +1097,7 @@ def _invocations(draw):
 @given(invocation=_invocations())
 def test_every_subcommand_exits_cleanly(tmp_path_factory, invocation):
     """Each run ends in exit 0, 2, 3 or 4; a refusal prints one JSON record,
-    a success no warning."""
+    a success no warning and no manifest number outside the float range."""
     missing_config, argv = invocation
     work = tmp_path_factory.mktemp("fuzz")
     common = ["--output", str(work / "x.csv")]
@@ -1074,6 +1108,10 @@ def test_every_subcommand_exits_cleanly(tmp_path_factory, invocation):
     assert proc.returncode in (0, 2, 3, 4), proc.stderr
     if proc.returncode == 0:
         assert "Warning" not in proc.stderr, proc.stderr
+        manifest = _rows(work / "x.csv")[0].split()[2:]
+        for item in manifest:
+            with contextlib.suppress(ValueError):
+                assert math.isfinite(float(item.split("=", 1)[1])), manifest
     else:
         lines = proc.stderr.strip().splitlines()
         assert len(lines) == 1, proc.stderr

@@ -10,7 +10,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import sonicbh
-from sonicbh.characteristics import entanglement_boundary, matched_exponent
+from sonicbh.characteristics import entanglement_boundary, matched_exponent, pair_partner
 from sonicbh.correlations import (CorrelationGrid, build_correlation_grid,
                                   corr_closed_form, corr_homogeneous,
                                   corr_homogeneous_closed_form,
@@ -355,16 +355,57 @@ def test_grid_all_uniform_when_probe_outside_wedge(line):
     assert set(g.regions) == {"uniform"}
 
 
-def test_detect_peak_needs_samples(line):
-    g = _grid(line, -4.0, n=8)
-    with pytest.raises(ValueError, match="16"):
-        detect_peak(g)
+@pytest.mark.parametrize("n", [1, 2])
+def test_one_or_two_samples_have_no_interior_peak(line, n):
+    # the partner of x1 = -4 lies inside [4, 5]: each sample is a matched edge
+    grid = _grid(line, -4.0, lo=4.0, hi=5.0, n=n)
+    assert set(grid.regions) == {"matched"}
+    assert not detect_peak(grid).present
 
 
 def test_flat_grid_has_no_peak():
-    grid = CorrelationGrid(x2=np.linspace(0, 1, 32), values=np.ones(32),
-                           regions=["matched"] * 32)
+    grid = CorrelationGrid(x2=np.linspace(2, 3, 32), values=np.ones(32),
+                           regions=["matched"] * 32, x1=-4.0, beta=math.inf)
     assert not detect_peak(grid).present
+
+
+def test_peak_shared_by_two_equal_samples_is_interior():
+    values = [0.1, 0.2, 0.3, 0.3, 0.2, 0.1]
+    grid = CorrelationGrid(x2=[2.0, 3.0, 4.0, 5.0, 6.0, 7.0], values=values,
+                           regions=["matched"] * 6, x1=-4.0, beta=math.inf)
+    pk = detect_peak(grid)
+    assert pk.present and pk.location == 4.0
+    edge = grid._replace(values=[0.3, 0.3, 0.2, 0.1, 0.1, 0.1])
+    assert not detect_peak(edge).present
+
+
+def _wedge_partner_cases(line):
+    """(t, x1, lo, hi, points) over the wedge, wherever the partner x2* lies inside
+    both the wedge and the default window [max(1.2a, x2* - 8a), min(x2* + 8a,
+    1.2 x_plus)] of ``correlation``."""
+    for t in (2.0, 5.0, 10.0, 20.0, 40.0, 70.0, 100.0, 300.0, 1000.0, 3000.0):
+        xp = entanglement_boundary(t, line)[1]
+        for f in (0.05, 0.2, 0.4, 0.6, 0.8, 0.95):
+            x1 = -line.a - f * (xp - line.a)
+            partner = pair_partner(x1, t, line)
+            lo = max(1.2 * line.a, partner - 8.0 * line.a)
+            hi = min(partner + 8.0 * line.a, 1.2 * xp)
+            if lo < partner < hi and partner < xp:
+                for points in (16, 63, 64):
+                    yield t, x1, lo, hi, points
+
+
+def test_peak_found_at_the_pair_partner(line):
+    """Across the wedge, the verdict finds the peak present within one sample
+    of the analytic partner x2* (``pair_partner``), at zero temperature."""
+    cases = list(_wedge_partner_cases(line))
+    assert len(cases) >= 100
+    for t, x1, lo, hi, points in cases:
+        grid = _grid(line, x1, lo=lo, hi=hi, n=points, t=t)
+        pk = detect_peak(grid)
+        step = (hi - lo) / (points - 1)
+        assert pk.present, (t, x1, points, pk)
+        assert abs(pk.location - pair_partner(x1, t, line)) <= step, (t, x1, points, pk)
 
 
 def test_long_time_peak_present_and_mirrored(line):
@@ -385,7 +426,8 @@ def test_peak_height_weakly_dependent_on_probe_depth(line):
 
 
 def test_reversed_grid_gives_same_peak(line):
-    # the off-peak window is 15% of |span|: the sample order must not matter
+    # the verdict reads the maximum and the background at its own pair, not
+    # where the samples sit in the list: the sample order must not matter
     x2 = np.linspace(1.5, 30.0, 64)
     ascending = detect_peak(build_correlation_grid(-4.0, x2, T_LONG, math.inf, line))
     reversed_ = detect_peak(build_correlation_grid(-4.0, x2[::-1], T_LONG, math.inf, line))
@@ -404,14 +446,6 @@ def test_peak_presence_flips_at_wedge_boundary(line):
     assert len(flips) == 1
     lo, hi = x1s[flips[0]], x1s[flips[0] + 1]
     assert lo < -xp < hi + 1e-12
-
-
-def test_thermal_peak_dilution_ordering(line):
-    contrasts = []
-    for mult in (0.0, 20.0, 60.0):
-        beta = math.inf if mult == 0.0 else 1.0 / (mult * LINE_T_HAWKING)
-        contrasts.append(detect_peak(_grid(line, -4.0, beta=beta)).contrast)
-    assert contrasts[0] > contrasts[1] > contrasts[2]
 
 
 # --------------------------------------------------------------------------
