@@ -26,9 +26,12 @@ from .specfun import bose_integral, thermal_excess, thermal_weight
 # Fourier modes of the sampled initial field
 N_MODES = 255
 
-# Doubles in each of estimate_correlation's three reused buffers (normals,
-# field at the probes, products): 256 KiB unless one realization needs more.
-_DRAW_BLOCK = 2 ** 15
+# Doubles in each of estimate_correlation's two reused buffers (the normals,
+# then the products; the field at the probes): 64 KiB unless _MIN_GEMM_ROWS
+# realizations need more
+_DRAW_BLOCK = 2 ** 13
+# Fewest realizations per block: a thinner GEMM runs below BLAS speed
+_MIN_GEMM_ROWS = 128
 
 
 class Ensemble(NamedTuple):
@@ -147,6 +150,61 @@ def expected_correlation_curve(x1: float, x2_values, t: float, temperature: floa
     return out
 
 
+def _probe_factor(k: np.ndarray, offsets: np.ndarray, mode_scale: np.ndarray,
+                  w: np.ndarray) -> np.ndarray:
+    """R of A = Q R, A = [-s sin(k x); -s cos(k x)] the (2 modes, probes)
+    matrix, x the probes' offsets and s = mode_scale (x) w.
+
+    A is built in one array, its phases, sines, cosines and scale written in
+    place, and goes before R is copied out of LAPACK's factor: at most A and
+    one A-sized array are alive at once.
+    """
+    modes = len(k)
+    a_matrix = np.empty((2 * modes, len(offsets)))
+    sin, cos = a_matrix[:modes], a_matrix[modes:]
+    np.multiply.outer(k, offsets, out=sin)                   # the phases
+    np.cos(sin, out=cos)
+    np.sin(sin, out=sin)
+    scale = np.multiply.outer(mode_scale, w)
+    np.negative(scale, out=scale)
+    sin *= scale
+    cos *= scale
+    del scale
+    h, _ = np.linalg.qr(a_matrix, mode="raw")               # h.T holds R over its diagonal
+    del a_matrix, sin, cos
+    return np.triu(h.T[:min(h.shape)])
+
+
+def _block_rows(n_realizations: int, probes: int) -> int:
+    """Realizations per draw block: _DRAW_BLOCK doubles of field, but at least
+    _MIN_GEMM_ROWS rows per GEMM, and never more than the run draws."""
+    return min(n_realizations, max(_MIN_GEMM_ROWS, _DRAW_BLOCK // probes))
+
+
+def _moments(n_realizations: int, r: np.ndarray, seed: int) -> tuple[np.ndarray, np.ndarray]:
+    """<p> and <p^2> of the products p = Pi_L(x1) Pi_L(x2) over the
+    realizations g R, g drawn block by block from the seed's Philox stream."""
+    d, probes = r.shape                                     # R^T R = A^T A
+    rng = np.random.Generator(np.random.Philox(key=[np.uint64(seed), np.uint64(0)]))
+    mean = np.zeros(probes - 1)
+    second = np.zeros(probes - 1)
+    rows = _block_rows(n_realizations, probes)
+    work = np.empty(rows * max(d, probes - 1))              # the normals, then the products
+    field = np.empty((rows, probes))
+    for done in range(0, n_realizations, rows):
+        b = min(rows, n_realizations - done)
+        g, pi_l = work[:b * d].reshape(b, d), field[:b]
+        rng.standard_normal(out=g)
+        np.matmul(g, r, out=pi_l)
+        p = work[:b * (probes - 1)].reshape(b, probes - 1)
+        np.multiply(pi_l[:, :1], pi_l[:, 1:], out=p)
+        mean += p.sum(axis=0)
+        second += np.square(p, out=p).sum(axis=0)
+    mean /= n_realizations
+    second /= n_realizations
+    return mean, second
+
+
 @np.errstate(over="raise", invalid="raise")   # moments beyond the float range are refused
 def estimate_correlation(n_realizations: int, x1: float, x2_values, t: float,
                          temperature: float, profile: LineProfile,
@@ -169,14 +227,16 @@ def estimate_correlation(n_realizations: int, x1: float, x2_values, t: float,
     each realization g R, g holding d standard normals, has exactly the law
     of z A.  QR, not a Cholesky factor of A^T A, which is singular for
     coincident probes or points + 1 > 2 * N_MODES and would square the
-    condition number.  Realization i takes normals i d, ..., (i + 1) d - 1 of
-    the seed's stream.  They are drawn in blocks of
-    _DRAW_BLOCK // (points + 1) realizations (at least one), through three
-    buffers allocated once and filled in place: the (block, d) normals, the
-    (block, points + 1) field at the probes and the (block, points) products,
-    squared in place once summed.  Each holds at most _DRAW_BLOCK doubles
-    (256 KiB) unless one realization needs more; the block regroups only the
-    moment sums.
+    condition number.  A is gone before the draws (``_probe_factor``).
+    Realization i takes normals i d, ..., (i + 1) d - 1 of the seed's
+    stream.  They are drawn in blocks of max(128, _DRAW_BLOCK // (points + 1))
+    realizations, at most all of them (``_block_rows``), through two buffers
+    allocated once and filled in place: one holds the (block, d) normals and,
+    once the GEMM has read them, the (block, points) products, squared in
+    place once summed; the other the (block, points + 1) field at the probes.
+    Each holds at most _DRAW_BLOCK doubles (64 KiB) up to 63 points, and 128
+    realizations above; the block regroups only the moment sums.  Moments
+    beyond the float range are refused with t, x1 and T0 named.
     """
     if n_realizations < 2:
         raise ValueError("need at least 2 realizations")
@@ -193,31 +253,14 @@ def estimate_correlation(n_realizations: int, x1: float, x2_values, t: float,
         uv_epsilon = 0.25 * sep_scale
     k = 2.0 * math.pi * np.arange(1, N_MODES + 1) / length
     beta = math.inf if temperature == 0.0 else 1.0 / temperature
-
-    # with c_k = sd_k (a_k + i b_k), a_k and b_k standard normals,
-    # Pi_L = 2 Re(sum_k c_k i k e^{ik(x0 - lo)}) w = [a, b] . A
-    phase = np.outer(k, x0 - lo)                             # (modes, points)
-    scale = (2.0 * k * _thermal_sd(k, beta, length, uv_epsilon))[:, None] * w[None, :]
-    a_matrix = np.concatenate([-scale * np.sin(phase), -scale * np.cos(phase)])
-    r = np.linalg.qr(a_matrix, mode="r")                     # (d, points), R^T R = A^T A
-    d = r.shape[0]
-
-    rng = np.random.Generator(np.random.Philox(key=[np.uint64(seed), np.uint64(0)]))
-    mean = np.zeros(len(x2_values))
-    second = np.zeros(len(x2_values))
-    rows = max(1, min(n_realizations, _DRAW_BLOCK // len(pts)))   # d <= len(pts)
-    normals = np.empty((rows, d))
-    field = np.empty((rows, len(pts)))
-    prod = np.empty((rows, len(x2_values)))
-    for done in range(0, n_realizations, rows):
-        b = min(rows, n_realizations - done)
-        g, pi_l, p = normals[:b], field[:b], prod[:b]
-        rng.standard_normal(out=g)
-        np.matmul(g, r, out=pi_l)
-        np.multiply(pi_l[:, :1], pi_l[:, 1:], out=p)
-        mean += p.sum(axis=0)
-        second += np.square(p, out=p).sum(axis=0)
-    mean /= n_realizations
-    second /= n_realizations
-    var = np.maximum(second - mean ** 2, 0.0)
+    try:
+        # with c_k = sd_k (a_k + i b_k), a_k and b_k standard normals,
+        # Pi_L = 2 Re(sum_k c_k i k e^{ik(x0 - lo)}) w = [a, b] . A
+        r = _probe_factor(k, x0 - lo, 2.0 * k * _thermal_sd(k, beta, length, uv_epsilon), w)
+        mean, second = _moments(n_realizations, r, seed)
+        var = np.maximum(second - mean ** 2, 0.0)
+    except FloatingPointError as exc:
+        raise FloatingPointError(
+            f"the Monte-Carlo moments at t = {t:.6g}, x1 = {x1:.6g}, T0 = {temperature:.6g} "
+            f"leave the float range: {exc}") from None
     return Ensemble(values=np.abs(mean), stderr=np.sqrt(var / n_realizations))

@@ -560,6 +560,11 @@ _REFUSAL_MESSAGES = {
     "flag-before-command": r"^--log follows the subcommand: ",
     "unknown-command": r"^argument command: invalid choice: 'hawkng' ",
     "format-after-command": r"^unrecognized arguments: --format json$",
+    # moments beyond the float range name the run's t, x1 and T0
+    "langevin-moments-overflow": r"^the Monte-Carlo moments at t = 30, x1 = -1\.2, "
+                                 r"T0 = 1e\+200 leave the float range: overflow ",
+    "langevin-moments-overflow-1e300": r"^the Monte-Carlo moments at t = 30, x1 = -1\.2, "
+                                       r"T0 = 1e\+300 leave the float range: overflow ",
 }
 
 
@@ -655,6 +660,7 @@ _REFUSAL_MESSAGES = {
     (["--t=30", "hawkng"], None, 2),
     (["--log", "tdec-sweep", "--axis", "gamma", "--from", "1e-7", "--to", "1e-6"], None, 2),
     (["hawkng"], None, 2),
+    (["langevin", "--t", "30", "--x1", "-1.2", "--temperature", "1e300"], None, 3),
 ], ids=["missing-config", "radius-inf", "line-kappa-nan", "omega-0", "omega-minus-0",
         "langevin-temperature-nan", "temperature-beyond-100-th", "negative-gamma",
         "coupling-eff-key", "langevin-sites-0", "langevin-sites-513",
@@ -678,7 +684,7 @@ _REFUSAL_MESSAGES = {
         "correlation-beta-subnormal", "output-before-command", "output-equals-before-command",
         "config-before-command", "format-before-command", "format-after-command",
         "t-before-command", "t-equals-before-unknown-command", "flag-before-command",
-        "unknown-command"])
+        "unknown-command", "langevin-moments-overflow-1e300"])
 def test_malformed_input_refused(request, tmp_path, capsys, argv, config, code):
     """Refused with the documented exit code and one JSON record, no traceback;
     where _REFUSAL_MESSAGES holds a pattern, the message matches it."""
@@ -748,10 +754,11 @@ print(json.dumps(loaded))
 """ % _LOADED
 
 
-def _fresh_interpreter(cwd, argv, script=("-c", _PROBE)):
-    """Run argv in a new interpreter, one at a time, with the package on its path."""
+def _fresh_interpreter(cwd, argv, script=("-c", _PROBE), **environ):
+    """Run argv in a new interpreter, one at a time, with the package on its
+    path and any further environment variables given."""
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        p for p in (_SRC, os.environ.get("PYTHONPATH")) if p))
+        p for p in (_SRC, os.environ.get("PYTHONPATH")) if p), **environ)
     return subprocess.run([sys.executable, *script, *argv], cwd=cwd, env=env,
                           capture_output=True, text=True, timeout=60)
 
@@ -958,6 +965,28 @@ def test_langevin_check_script_loads_no_scipy(tmp_path):
     proc = _fresh_interpreter(tmp_path, [path], script=("-c", _SCRIPT_PROBE))
     assert proc.returncode == 0, proc.stderr
     _assert_scipy_footprint(json.loads(proc.stdout.splitlines()[-1])["scipy"], False)
+
+
+@pytest.mark.parametrize("argv", [
+    next(argv for argv in _README_EXAMPLES if argv[0] == "langevin"),
+    ["langevin", "--t", "30", "--x1", "-1.2", "--seed", "11", "--transport", "exact"],
+    [os.path.join(os.path.dirname(_SRC), "scripts", "run_langevin_check.py")],
+], ids=["readme", "exact-transport", "check-script"])
+def test_langevin_output_does_not_depend_on_blas_threads(tmp_path, argv):
+    """The QR factor and the draw blocks' GEMMs give the same bytes on one
+    BLAS thread and on two: the CSV body below the manifest is identical."""
+    script = argv[0].endswith(".py")
+    bodies = []
+    for threads in ("1", "2"):
+        cwd = tmp_path / threads
+        cwd.mkdir()
+        proc = _fresh_interpreter(cwd, argv if script else argv + ["--output", "out.csv"],
+                                  script=() if script else ("-m", "sonicbh"),
+                                  OPENBLAS_NUM_THREADS=threads)
+        assert proc.returncode == 0, proc.stderr
+        out = cwd / ("langevin_check.csv" if script else "out.csv")
+        bodies.append(out.read_text().split("\n", 1)[1])
+    assert bodies[0] == bodies[1]
 
 
 def test_correlation_scan_script_loads_neither_numpy_nor_scipy(tmp_path):

@@ -83,23 +83,42 @@ def test_estimator_seeded_stream_pinned(line, t_over_th, transport):
 
 
 def test_estimator_peak_memory_near_its_draw_buffer(line):
-    """The sampler fills three buffers in place, the (block, d) normals, the
-    field at the probes and the products, d = min(2 modes, points + 1), each
-    of at most _DRAW_BLOCK doubles.  Before them it builds the
-    (2 modes, points + 1) matrix A, whose sines, cosines, phases and scales
-    hold at most four A-sized arrays at once.  The traced peak stays under
-    both together at every number of points up to the default 48-point scan."""
-    buffers = 3 * 8 * langevin._DRAW_BLOCK
-    for points in (48, 1, 2):
+    """The sampler builds the (2 modes, points + 1) matrix A in place and lets
+    it go once factored: at most A and one A-sized copy are alive.  Then it
+    draws through two buffers of block x (points + 1) doubles, block =
+    max(128, 2^13 // (points + 1)) realizations at most: the normals, which
+    then take the products, and the field at the probes.  numpy's iterator
+    copies the products' two strided inputs through buffers of at most
+    getbufsize() doubles each.  The traced peak stays under all of that."""
+    n, iterator = 10_000, 2 * 8 * np.getbufsize()
+    for points in (1, 2, 48, 512, 1024):
         x2 = np.linspace(1.1, 6.0, points)
         a_matrix = 8 * 2 * N_MODES * (points + 1)
+        buffers = 2 * 8 * min(n, max(128, 2 ** 13 // (points + 1))) * (points + 1)
         tracemalloc.start()
         try:
-            estimate_correlation(10_000, REDUCED_X1, x2, REDUCED_T, 0.0, line, seed=5)
+            estimate_correlation(n, REDUCED_X1, x2, REDUCED_T, 0.0, line, seed=5)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < buffers + 4 * a_matrix, points
+        assert peak < buffers + 2 * a_matrix + iterator, points
+
+
+class _Recording:
+    """A Philox generator that keeps a copy of every block of normals it draws."""
+
+    generator = np.random.Generator
+
+    def __init__(self, drawn):
+        self.drawn = drawn
+
+    def __call__(self, bit_generator):
+        self.rng = self.generator(bit_generator)
+        return self
+
+    def standard_normal(self, out):
+        self.rng.standard_normal(out=out)
+        self.drawn.append(out.copy())
 
 
 def test_estimator_block_does_not_change_the_draws(line, monkeypatch):
@@ -107,32 +126,39 @@ def test_estimator_block_does_not_change_the_draws(line, monkeypatch):
     the default's normals in the default's order, and regroup only its moment
     sums: values and stderr agree to 1e-12 of each column's largest value."""
     n, x2 = 1001, np.linspace(1.1, 6.0, 48)
-    generator = np.random.Generator
 
-    def run(block):
+    def run(rows):
         drawn = []
-
-        class Recording:
-            def __init__(self, bit_generator):
-                self.rng = generator(bit_generator)
-
-            def standard_normal(self, out):
-                self.rng.standard_normal(out=out)
-                drawn.append(out.ravel().copy())
-
-        monkeypatch.setattr(np.random, "Generator", Recording)
-        monkeypatch.setattr(langevin, "_DRAW_BLOCK", block)
+        monkeypatch.setattr(np.random, "Generator", _Recording(drawn))
+        if rows is not None:
+            monkeypatch.setattr(langevin, "_block_rows", lambda n_realizations, probes: rows)
         mc = estimate_correlation(n, REDUCED_X1, x2, REDUCED_T, 0.0, line, seed=9)
-        return mc, np.concatenate(drawn), len(drawn)
+        return mc, np.concatenate([g.ravel() for g in drawn]), len(drawn)
 
-    default, normals, blocks = run(langevin._DRAW_BLOCK)
-    assert blocks == 2
-    for block, expect_blocks in ((1, n), (n * len(x2) + n, 1)):
-        mc, drawn, count = run(block)
+    default, normals, blocks = run(None)
+    assert blocks == 6                                        # 167 rows a block
+    for rows, expect_blocks in ((1, n), (n, 1)):
+        mc, drawn, count = run(rows)
         assert count == expect_blocks
         assert np.array_equal(drawn, normals)
         for got, ref in ((mc.values, default.values), (mc.stderr, default.stderr)):
             assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
+
+
+def test_estimator_gemm_blocks_hold_at_least_64_rows(line, monkeypatch):
+    """Every block's GEMM, one row per realization, has at least 64 rows
+    unless fewer realizations remain, at every number of points; the blocks
+    draw every realization once."""
+    for points in (1, 48, 128, 512, 1024):
+        x2 = np.linspace(1.1, 6.0, points)
+        for n in (2, 127, 129, 1001):
+            drawn = []
+            monkeypatch.setattr(np.random, "Generator", _Recording(drawn))
+            estimate_correlation(n, REDUCED_X1, x2, REDUCED_T, 0.0, line, seed=3)
+            rows = [len(g) for g in drawn]
+            assert sum(rows) == n, (points, n)
+            remaining = n - np.cumsum([0] + rows[:-1])
+            assert all(r >= min(64, left) for r, left in zip(rows, remaining)), (points, n)
 
 
 def test_estimator_draws_one_normal_per_probe(line, monkeypatch):
