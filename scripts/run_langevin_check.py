@@ -11,7 +11,7 @@ import math
 
 import numpy as np
 
-from sonicbh.cli import write_table
+from sonicbh.cli import linspace, write_table
 from sonicbh.correlations import build_correlation_grid
 from sonicbh.langevin import estimate_correlation, expected_correlation_curve
 from sonicbh.profiles import LineProfile
@@ -21,7 +21,7 @@ T, X1, EPS, SEED = 30.0, -1.2, 0.12, 7000
 
 
 def main():
-    x2 = np.linspace(1.1, 6.0, 64)
+    x2 = linspace(1.1, 6.0, 64)
     closed = build_correlation_grid(X1, x2, T, math.inf, PROFILE).values
     scheme = expected_correlation_curve(X1, x2, T, 0.0, PROFILE, EPS)
     mc = estimate_correlation(10_000, X1, x2, T, 0.0, PROFILE, seed=SEED,

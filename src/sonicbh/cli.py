@@ -14,10 +14,10 @@ config hash is SHA-256 written out here, so hashing a config maps no OpenSSL
 libcrypto.  The config is checked before numpy loads, and each command
 imports the numeric modules it calls, so a refused argument or config exits
 before numpy is imported and no command loads a module it does not call.
-Linear grids are built here without numpy (``linspace``, which the scan
-script uses too), so the commands that compute on scalars (hawking, boundary,
-er and the closed-form correlation) load none, and a linear tdec-sweep
-refused for its regime exits before numpy loads.
+Linear and log grids are built here without numpy (``linspace`` and
+``geomspace``, which the study scripts use too), so the commands that compute
+on scalars (hawking, boundary, diffusion, er and the closed-form correlation)
+load none, and a tdec-sweep refused for its regime exits before numpy loads.
 """
 
 from __future__ import annotations
@@ -104,6 +104,19 @@ def linspace(start: float, stop: float, num: int) -> list[float]:
     step = (stop - start) / max(num - 1, 1)
     points = [i * step + start for i in range(num)]
     return points[:-1] + [stop] if num > 1 else points
+
+
+_LOG10_FLOAT_MAX = math.log10(sys.float_info.max)
+
+
+def geomspace(start: float, stop: float, num: int) -> list[float]:
+    """np.geomspace(start, stop, num) for positive ends, within rounding: 10 ** y
+    over linspace(log10(start), log10(stop), num), the ends start and stop
+    themselves, and a point whose 10 ** y would overflow the larger end."""
+    top = max(start, stop)
+    logs = linspace(math.log10(start), math.log10(stop), num)[1:-1]
+    inner = [10.0 ** y if y < _LOG10_FLOAT_MAX else top for y in logs]
+    return [start] + inner + [stop] if num > 1 else [start]
 
 
 def _fmt(x) -> str:
@@ -303,15 +316,13 @@ def _run(args) -> tuple[list, list, dict]:
         return ["t", "x_minus", "x_plus"], rows, manifest
 
     if args.command == "diffusion":
-        import numpy as np
         from .decoherence import diffusion_exact, diffusion_quadrature_oracle
-        ts = np.geomspace(args.t_min, args.t_max, args.points)
         cols = ["t", "d_exact"] + (["d_oracle"] if args.oracle else [])
         rows = []
-        for t in ts:
-            row = [float(t), diffusion_exact(float(t), args.omega, env)]
+        for t in geomspace(args.t_min, args.t_max, args.points):
+            row = [t, diffusion_exact(t, args.omega, env)]
             if args.oracle:
-                row.append(diffusion_quadrature_oracle(float(t), args.omega, env))
+                row.append(diffusion_quadrature_oracle(t, args.omega, env))
             rows.append(row)
         return cols, rows, manifest
 
@@ -333,11 +344,7 @@ def _run(args) -> tuple[list, list, dict]:
             raise ConfigError(f"--log needs a positive range, got --from {args.lo:g} "
                               f"--to {args.hi:g}")
         from .decoherence import SweepRow, sweep_decoherence
-        if args.log:
-            import numpy as np
-            values = np.geomspace(args.lo, args.hi, args.points)
-        else:
-            values = linspace(args.lo, args.hi, args.points)
+        values = (geomspace if args.log else linspace)(args.lo, args.hi, args.points)
         rows, errs = sweep_decoherence(args.axis, values, config, gamma,
                                        temperature=env.bath_temperature)
         if errs:

@@ -205,7 +205,8 @@ def _moments(n_realizations: int, r: np.ndarray, seed: int) -> tuple[np.ndarray,
     return mean, second
 
 
-@np.errstate(over="raise", invalid="raise")   # moments beyond the float range are refused
+# moments beyond the float range, and a domain too long for it, are refused
+@np.errstate(over="raise", invalid="raise", divide="raise")
 def estimate_correlation(n_realizations: int, x1: float, x2_values, t: float,
                          temperature: float, profile: LineProfile,
                          seed: int = 1234, uv_epsilon: float | None = None,

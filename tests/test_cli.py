@@ -15,7 +15,7 @@ from hypothesis import given, settings, strategies as st
 
 import sonicbh
 from sonicbh.characteristics import entanglement_boundary, matched_x0, pair_partner
-from sonicbh.cli import build_parser, linspace, main
+from sonicbh.cli import build_parser, geomspace, linspace, main
 from sonicbh.correlations import corr_closed_form
 from sonicbh.decoherence import (SweepRow, allowed_frequencies, decoherence_time,
                                  v_coefficients)
@@ -124,6 +124,37 @@ def test_linspace_is_numpys_bit_for_bit(start, stop, num):
     bits = lambda values: [float(v).hex() for v in values]
     assert bits(linspace(start, stop, num)) == bits(np.linspace(start, stop, num))
     assert bits(linspace(start, stop, 1)) == bits(np.linspace(start, stop, 1))
+
+
+@given(start=st.floats(1e-300, 1e300), stop=st.floats(1e-300, 1e300),
+       num=st.integers(1, 300))
+def test_geomspace_is_numpys_within_rounding(start, stop, num):
+    """Up and down the range, and at one point: the ends are start and stop
+    themselves, and every point is numpy's within 2e-15 relative, libm's pow
+    rounding apart from numpy's in the last bit.  Where libm's log10 of an end
+    rounds apart from numpy's too, the two grids' exponents y differ by up to
+    three ulps of the larger |log10| (one from log10, two from linspace's
+    arithmetic), which 10 ** y scales by ln 10."""
+    for lo, hi, n in ((start, stop, num), (stop, start, num), (start, stop, 1)):
+        ours = geomspace(lo, hi, n)
+        assert len(ours) == n and ours[0] == lo and ours[-1] == (hi if n > 1 else lo)
+        logs = [math.log10(lo), math.log10(hi)]
+        tol = 2e-15
+        if logs != [np.log10(lo), np.log10(hi)]:
+            tol += 3 * math.log(10) * math.ulp(max(map(abs, logs)))
+        assert all(abs(x - y) <= tol * y for x, y in zip(ours, np.geomspace(lo, hi, n)))
+
+
+@pytest.mark.parametrize("lo, num", [
+    (0.1, 2), (0.1, 300), (math.nextafter(sys.float_info.max, 0), 4)])
+def test_geomspace_stays_in_the_float_range(lo, num):
+    """A grid that ends at the largest float overflows nowhere: its ends are
+    the inputs, and a point whose 10 ** y would leave the float range is the
+    larger end."""
+    top = sys.float_info.max
+    for points in (geomspace(lo, top, num), geomspace(top, lo, num)[::-1]):
+        assert points[0] == lo and points[-1] == top
+        assert all(lo <= x <= top for x in points)
 
 
 def _x2_column(path):
@@ -515,6 +546,8 @@ def test_unwritable_output_refusal_names_the_requested_path(tmp_path, capsys, wh
 # flow, its u fundamental above the ceiling N/T, and its exclusion of one ion
 # spacing, pi, wider than the gaps between its horizons.
 _TWO_IONS = {"n_ions": 2, "ion_charge": 37.6246 * math.sqrt(500.0)}
+# the largest float, as an argument
+_FLOAT_MAX = "1.7976931348623157e308"
 
 # Messages pinned per test id: --sites is gone (the estimator's mode count is
 # fixed); er and diffusion name their inputs and the term that leaves the
@@ -565,6 +598,10 @@ _REFUSAL_MESSAGES = {
                                  r"T0 = 1e\+200 leave the float range: overflow ",
     "langevin-moments-overflow-1e300": r"^the Monte-Carlo moments at t = 30, x1 = -1\.2, "
                                        r"T0 = 1e\+300 leave the float range: overflow ",
+    # a probe at the float range's edge pads the domain to an infinite length
+    "langevin-domain-beyond-the-float-range":
+        r"^the Monte-Carlo moments at t = 30, x1 = -1\.2, T0 = 0\.5 leave the float range: "
+        r"divide by zero ",
 }
 
 
@@ -661,6 +698,8 @@ _REFUSAL_MESSAGES = {
     (["--log", "tdec-sweep", "--axis", "gamma", "--from", "1e-7", "--to", "1e-6"], None, 2),
     (["hawkng"], None, 2),
     (["langevin", "--t", "30", "--x1", "-1.2", "--temperature", "1e300"], None, 3),
+    (["langevin", "--t", "30", "--x1", "-1.2", "--temperature", "0.5", "--realizations", "50",
+      "--x2-min", "1.2", "--x2-max", _FLOAT_MAX, "--points", "4"], None, 3),
 ], ids=["missing-config", "radius-inf", "line-kappa-nan", "omega-0", "omega-minus-0",
         "langevin-temperature-nan", "temperature-beyond-100-th", "negative-gamma",
         "coupling-eff-key", "langevin-sites-0", "langevin-sites-513",
@@ -684,7 +723,8 @@ _REFUSAL_MESSAGES = {
         "correlation-beta-subnormal", "output-before-command", "output-equals-before-command",
         "config-before-command", "format-before-command", "format-after-command",
         "t-before-command", "t-equals-before-unknown-command", "flag-before-command",
-        "unknown-command", "langevin-moments-overflow-1e300"])
+        "unknown-command", "langevin-moments-overflow-1e300",
+        "langevin-domain-beyond-the-float-range"])
 def test_malformed_input_refused(request, tmp_path, capsys, argv, config, code):
     """Refused with the documented exit code and one JSON record, no traceback;
     where _REFUSAL_MESSAGES holds a pattern, the message matches it."""
@@ -917,8 +957,10 @@ def _assert_scipy_footprint(scipy_modules, integrates):
      {"n_ions": MAX_N_IONS + 1}, 2, False, _NO_NUMPY + _NO_HASHLIB),
     (["tdec-sweep", "--axis", "temperature", "--from", "0.1", "--to", "200", "--points", "2"],
      None, 4, False, _NO_NUMPY + _NO_HASHLIB),
+    (["tdec-sweep", "--axis", "temperature", "--from", "0.1", "--to", "200", "--points", "2",
+      "--log"], None, 4, False, _NO_NUMPY + _NO_HASHLIB),
     (["diffusion", "--omega", "2", "--t-min", "0.01", "--t-max", "10", "--points", "2"],
-     None, 0, False, _LINE_MODULES + _NO_HASHLIB),
+     None, 0, False, _LINE_MODULES + _NO_ARRAYS + _NO_HASHLIB),
     (["diffusion", "--omega", "2", "--t-min", "0.01", "--t-max", "10", "--points", "2",
       "--oracle"], None, 0, True, _LINE_MODULES + _NO_HASHLIB),
     (["correlation", "--t", "100", "--x1", "-4", "--points", "16", "--beta", "5"], None, 0,
@@ -929,7 +971,7 @@ def _assert_scipy_footprint(scipy_modules, integrates):
         "tdec-sweep-temperature", "boundary", "er", "langevin-matched", "langevin-exact",
         "langevin-thermal",
         "argument-refusal", "config-refusal", "line-slope-refusal", "ion-cap-refusal",
-        "too-hot-sweep-refusal",
+        "too-hot-sweep-refusal", "too-hot-log-sweep-refusal",
         "diffusion",
         "diffusion-oracle", "correlation", "correlation-mode-sum-oracle"])
 def test_scipy_loaded_only_where_a_command_integrates(tmp_path, argv, config, code,
@@ -938,11 +980,11 @@ def test_scipy_loaded_only_where_a_command_integrates(tmp_path, argv, config, co
     integrates loads QUADPACK's compiled extension and no other scipy module:
     neither the scipy.integrate package nor scipy.special.  Importing the CLI
     loads no numpy, and neither does a refused argument, config or regime (a
-    linear temperature sweep past 100 T_H), nor a command that computes on
-    scalars (hawking, boundary, er, the closed-form correlation); a command
-    that runs loads only the numeric modules it calls, and one that builds a
-    null map (vcoef, tdec-sweep) no numpy.polynomial.  Writing the table loads
-    no json, and nothing but langevin loads hashlib."""
+    linear or log temperature sweep past 100 T_H), nor a command that computes
+    on scalars (hawking, boundary, diffusion, er, the closed-form correlation);
+    a command that runs loads only the numeric modules it calls, and one that
+    builds a null map (vcoef, tdec-sweep) no numpy.polynomial.  Writing the
+    table loads no json, and nothing but langevin loads hashlib."""
     common = []
     if argv:
         common = ["--output", str(tmp_path / "x.csv")]
@@ -1025,11 +1067,13 @@ _SCAN_STDLIB = _CLI_STDLIB - {"_locale", "locale"}
 @pytest.mark.parametrize("argv, allowed", [
     (["hawking"], _CLI_STDLIB),
     (["boundary", "--points", "8"], _CLI_STDLIB),
+    (["diffusion", "--omega", "2", "--t-min", "0.01", "--t-max", "10", "--points", "2"],
+     _CLI_STDLIB),
     (["er", "--k", "0.05", "--t-min", "40", "--t-max", "100", "--points", "2"], _CLI_STDLIB),
     (["correlation", "--t", "100", "--x1", "-4", "--points", "16", "--beta", "5"],
      _CLI_STDLIB),
     (["scripts/run_correlation_scan.py"], _SCAN_STDLIB),
-], ids=["hawking", "boundary", "er", "correlation", "run_correlation_scan"])
+], ids=["hawking", "boundary", "diffusion", "er", "correlation", "run_correlation_scan"])
 def test_scalar_path_loads_only_its_stdlib_allowlist(tmp_path, argv, allowed):
     """The commands that compute on scalars, and the scan script, load no
     module outside sonicbh but the standard library they were measured to
@@ -1064,7 +1108,7 @@ def test_decoherence_sweep_script(tmp_path):
 # values.  A run corrupts at most two options (or the config path), so most
 # runs get past argument parsing.  Counts stay small and go below each
 # option's minimum: no upper bound refuses a huge count, so it would run.
-_BAD_FLOATS = st.sampled_from(["nan", "inf", "-inf", "0", "-0", "-1", "-1e300"])
+_BAD_FLOATS = st.sampled_from(["nan", "inf", "-inf", "0", "-0", "-1", "-1e300", _FLOAT_MAX])
 
 
 def _float(*ordinary, optional=False):
@@ -1145,3 +1189,29 @@ def test_every_subcommand_exits_cleanly(tmp_path_factory, invocation):
         lines = proc.stderr.strip().splitlines()
         assert len(lines) == 1, proc.stderr
         assert set(json.loads(lines[0])) == {"error", "message"}
+
+
+@pytest.mark.parametrize("argv, code", [
+    (["diffusion", "--omega", "2", "--t-min", "0.01", "--t-max", _FLOAT_MAX, "--points", "2"], 3),
+    (["diffusion", "--omega", "2", "--t-min", "0.01", "--t-max", _FLOAT_MAX, "--points", "2",
+      "--oracle"], 3),
+    (["diffusion", "--omega", "2", "--t-min", "1.7976931348623155e308", "--t-max", _FLOAT_MAX,
+      "--points", "4"], 3),
+    *[(["tdec-sweep", "--axis", axis, "--log", "--from", "0.1", "--to", _FLOAT_MAX,
+        "--points", "2"], code)
+      for axis, code in (("gamma", 0), ("v_min", 0), ("temperature", 4))],
+], ids=["diffusion", "diffusion-oracle", "diffusion-inner-points-at-the-top",
+        "tdec-sweep-gamma", "tdec-sweep-v-min", "tdec-sweep-temperature"])
+def test_log_grid_ending_at_the_float_range_warns_nowhere(tmp_path, argv, code):
+    """A log grid whose end is the largest float takes its ends from the
+    inputs, so no point overflows: the run exits 0 with nothing on stderr, or
+    refuses with one JSON record, where D(t) names the t it overflows at."""
+    proc = _fresh_interpreter(tmp_path, argv + ["--output", str(tmp_path / "x.csv")],
+                              script=("-m", "sonicbh"))
+    assert proc.returncode == code, proc.stderr
+    if code == 0:
+        assert proc.stderr == ""
+    else:
+        [line] = proc.stderr.splitlines()
+        if argv[0] == "diffusion":
+            assert "t = 1.79769e+308" in json.loads(line)["message"]

@@ -315,6 +315,33 @@ def test_every_constant_is_read():
     assert _unread_constants(ROOT) == []
 
 
+_NUMPY_GRIDS = ("linspace", "geomspace", "logspace")
+
+
+def _numpy_grids(root):
+    """path:line of every numpy linspace, geomspace or logspace that src/ or
+    scripts/ calls as an attribute of numpy or imports from it."""
+    found = []
+    for folder in ("src", "scripts"):
+        for path in sorted((root / folder).rglob("*.py")):
+            for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+                if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute):
+                    owner, names = ast.unparse(node.func.value), [node.func.attr]
+                elif isinstance(node, ast.ImportFrom):
+                    owner, names = node.module, [alias.name for alias in node.names]
+                else:
+                    continue
+                if owner in ("np", "numpy") and set(names) & set(_NUMPY_GRIDS):
+                    found.append(f"{path.relative_to(root)}:{node.lineno}")
+    return found
+
+
+def test_grids_are_the_clis():
+    """The package and the scripts build their grids with cli.linspace and
+    cli.geomspace, which load no numpy: a numpy grid is refused."""
+    assert _numpy_grids(ROOT) == []
+
+
 def _unread_fields(root):
     """module.Class.field of every dataclass or NamedTuple field of
     src/sonicbh that no program file reads as an attribute.  A NamedTuple
