@@ -90,10 +90,8 @@ def thermal_momentum_integral(separation: float, beta: float) -> float:
     -1/separation^2 plus the Bose part (``thermal_excess``), which the
     quadrature resolves to 1.3e-13 of the vacuum part over |separation| from
     1e-6 to 4 beta.  Past |separation| = 4 beta they cancel to under 1e-8 of
-    it: ExtrapolationError.
+    it: ExtrapolationError.  The separation is nonzero (``corr_mode_sum_oracle``).
     """
-    if separation == 0.0:
-        raise ValueError("separation must be nonzero")
     if abs(separation) > _MAX_SEPARATION * beta:
         raise ExtrapolationError(
             f"|separation| = {abs(separation):.6g} is beyond {_MAX_SEPARATION:g} beta: "
@@ -226,13 +224,17 @@ def corr_mode_sum_oracle(x1: float, x2: float, t: float, beta: float,
     left movers, evaluated here by central finite differences (step 1e-6) of
     the matched map's x0, not read from its Jacobian; thermal weight
     coth(beta k/2); k integral by ``thermal_momentum_integral``.  Like
-    ``corr_closed_form`` it takes matched pairs only.
+    ``corr_closed_form`` it takes matched pairs only, and refuses a pair
+    whose matched x0 coincide, naming t, x1 and x2.
     """
     _require_matched_pair(x1, x2, t, profile)
     h = 1e-6
     x0 = lambda x: matched_x0(x, t, profile).x0
     w = lambda x: (x0(x + h) - x0(x - h)) / (2.0 * h)
     sep = x0(x2) - x0(x1)
+    if sep == 0.0:
+        raise ValueError(f"the mode sum at t = {t:.6g}, x1 = {x1:.6g}, x2 = {x2:.6g}: the "
+                         "matched x0 of x1 and x2 coincide, so their separation is 0")
     return w(x1) * w(x2) * thermal_momentum_integral(sep, beta)
 
 

@@ -8,8 +8,10 @@ realization; the ensemble averages Pi_L(x1) Pi_L(x2).  The estimator reads
 that field only at the probes, so each realization is drawn there directly:
 d = min(2 * N_MODES, points + 1) standard normals times a QR factor of the
 field's covariance at the probes, which has exactly the law of the sampled
-mode amplitudes.  The normals come from a Philox counter-based generator
-keyed by the seed, so a run is bit-reproducible.
+mode amplitudes.  The normals are the package's own: Philox4x32-10 blocks
+keyed by the seed (``_philox4x32``), two Box-Muller normals a block
+(``_standard_normals``), in numpy alone, so a run is bit-reproducible and
+loads no numpy.random.
 """
 
 from __future__ import annotations
@@ -175,6 +177,95 @@ def _probe_factor(k: np.ndarray, offsets: np.ndarray, mode_scale: np.ndarray,
     return np.triu(h.T[:min(h.shape)])
 
 
+# Philox4x32-10 (J. K. Salmon, M. A. Moraes, R. O. Dror and D. E. Shaw,
+# "Parallel random numbers: as easy as 1, 2, 3", SC'11): the round
+# multipliers, the key's Weyl increments and the 32-bit word mask
+_PHILOX_M = (0xD2511F53, 0xCD9E8D57)
+_PHILOX_W = (0x9E3779B9, 0xBB67AE85)
+_WORD = 0xFFFFFFFF
+# Philox blocks per pass of _standard_normals, two normals each: one draw
+# buffer's worth.  Its scratch is five uint64 arrays of that many words,
+# 160 KiB at most.
+_PHILOX_BLOCKS = _DRAW_BLOCK // 2
+
+
+def _philox4x32(counters, key: tuple[int, int]) -> tuple[np.ndarray, ...]:
+    """The four output words of Philox4x32-10 for each counter, under the
+    key (k0, k1): counters is four uint64 arrays holding the counter's
+    32-bit words 0-3, overwritten.
+
+    A round maps (c0, c1, c2, c3) to (hi(M1 c2) ^ c1 ^ k0, lo(M1 c2),
+    hi(M0 c0) ^ c3 ^ k1, lo(M0 c0)); a 32 x 32-bit product fits in uint64,
+    so hi is ``>> 32`` and lo ``& _WORD``.  The key gains (W0, W1) mod 2^32
+    after each round.  Each round writes its four words into four of five
+    arrays and renames them, copying nothing.
+    """
+    c0, c1, c2, c3 = counters
+    spare = np.empty_like(c0)
+    k0, k1 = key
+    for _ in range(10):
+        np.multiply(c0, _PHILOX_M[0], out=c0)
+        np.multiply(c2, _PHILOX_M[1], out=c2)
+        np.right_shift(c2, 32, out=spare)
+        spare ^= c1
+        spare ^= k0
+        np.right_shift(c0, 32, out=c1)
+        c1 ^= c3
+        c1 ^= k1
+        c2 &= _WORD
+        c0 &= _WORD
+        c0, c1, c2, c3, spare = spare, c2, c1, c0, c3
+        k0, k1 = (k0 + _PHILOX_W[0]) & _WORD, (k1 + _PHILOX_W[1]) & _WORD
+    return c0, c1, c2, c3
+
+
+def _standard_normals(seed: int, first: int, out: np.ndarray) -> None:
+    """Fill the C-contiguous float array out with normals first, first + 1,
+    ... of the seed's stream.
+
+    The key is (seed & _WORD, seed >> 32), so a seed in [0, 2^64) is the
+    whole 64-bit key.  Block j, counter (j & _WORD, j >> 32, 0, 0), gives two
+    53-bit uniforms, from words 0-1 and from words 2-3: of each pair, read as
+    the 64-bit integer word_lo + 2^32 word_hi, the top 53 bits m.  The first
+    is u = 1 - m 2^-53, in (0, 1] so that log never sees 0, the second
+    v = m 2^-53, in [0, 1).  By Box-Muller they give normals
+    2j = r cos(2 pi v) and 2j + 1 = r sin(2 pi v), r = sqrt(-2 ln u).  The
+    range may start at an odd index, so how a caller splits it never changes
+    a normal.  At most _PHILOX_BLOCKS blocks are generated at a time.
+    """
+    key = (seed & _WORD, seed >> 32)
+    flat = out.reshape(-1)
+    done = 0
+    while done < flat.size:
+        block, skip = divmod(first + done, 2)
+        take = min(flat.size - done, 2 * _PHILOX_BLOCKS - skip)
+        low = np.arange(block, block + (skip + take + 1) // 2, dtype=np.uint64)
+        high = low >> 32
+        low &= _WORD
+        w0, w1, w2, w3 = _philox4x32((low, high, np.zeros_like(low), np.zeros_like(low)), key)
+        np.left_shift(w1, 32, out=w1)
+        w1 |= w0
+        w1 >>= 11
+        radius = w0.view(np.float64)                          # word 0 is spent
+        np.multiply(w1, -2.0 ** -53, out=radius)
+        radius += 1.0                                         # u
+        np.log(radius, out=radius)
+        radius *= -2.0
+        np.sqrt(radius, out=radius)
+        np.left_shift(w3, 32, out=w3)
+        w3 |= w2
+        w3 >>= 11
+        angle = w2.view(np.float64)                           # and so is word 2
+        np.multiply(w3, 2.0 * math.pi * 2.0 ** -53, out=angle)   # 2 pi v
+        dst = flat[done:done + take]
+        cos, sin = dst[skip::2], dst[1 - skip::2]               # an odd start skips a cosine
+        np.cos(angle[skip:skip + cos.size], out=cos)
+        cos *= radius[skip:skip + cos.size]
+        np.sin(angle[:sin.size], out=sin)
+        sin *= radius[:sin.size]
+        done += take
+
+
 def _block_rows(n_realizations: int, probes: int) -> int:
     """Realizations per draw block: _DRAW_BLOCK doubles of field, but at least
     _MIN_GEMM_ROWS rows per GEMM, and never more than the run draws."""
@@ -183,9 +274,8 @@ def _block_rows(n_realizations: int, probes: int) -> int:
 
 def _moments(n_realizations: int, r: np.ndarray, seed: int) -> tuple[np.ndarray, np.ndarray]:
     """<p> and <p^2> of the products p = Pi_L(x1) Pi_L(x2) over the
-    realizations g R, g drawn block by block from the seed's Philox stream."""
+    realizations g R, g drawn block by block from the seed's stream."""
     d, probes = r.shape                                     # R^T R = A^T A
-    rng = np.random.Generator(np.random.Philox(key=[np.uint64(seed), np.uint64(0)]))
     mean = np.zeros(probes - 1)
     second = np.zeros(probes - 1)
     rows = _block_rows(n_realizations, probes)
@@ -194,7 +284,7 @@ def _moments(n_realizations: int, r: np.ndarray, seed: int) -> tuple[np.ndarray,
     for done in range(0, n_realizations, rows):
         b = min(rows, n_realizations - done)
         g, pi_l = work[:b * d].reshape(b, d), field[:b]
-        rng.standard_normal(out=g)
+        _standard_normals(seed, done * d, g)
         np.matmul(g, r, out=pi_l)
         p = work[:b * (probes - 1)].reshape(b, probes - 1)
         np.multiply(pi_l[:, :1], pi_l[:, 1:], out=p)
@@ -237,7 +327,8 @@ def estimate_correlation(n_realizations: int, x1: float, x2_values, t: float,
     place once summed; the other the (block, points + 1) field at the probes.
     Each holds at most _DRAW_BLOCK doubles (64 KiB) up to 63 points, and 128
     realizations above; the block regroups only the moment sums.  Moments
-    beyond the float range are refused with t, x1 and T0 named.
+    beyond the float range are refused with t, x1 and T0 named, and the x2
+    window too where it pads the domain to an infinite length.
     """
     if n_realizations < 2:
         raise ValueError("need at least 2 realizations")
@@ -248,6 +339,11 @@ def estimate_correlation(n_realizations: int, x1: float, x2_values, t: float,
     pad = 4.0 * max(hi - lo, profile.a)
     lo, hi = lo - pad, hi + pad
     length = hi - lo
+    where = f"the Monte-Carlo moments at t = {t:.6g}, x1 = {x1:.6g}, T0 = {temperature:.6g}"
+    if math.isinf(length):
+        raise FloatingPointError(
+            f"{where} leave the float range: the x2 window [{x2_values.min():.6g}, "
+            f"{x2_values.max():.6g}] pads the sampled domain to an infinite length")
     if uv_epsilon is None:
         # small against the traced separations, wide enough to kill ringing
         sep_scale = max(np.abs(x0[1:] - x0[0]).min(), 1e-3 * profile.a)
@@ -261,7 +357,5 @@ def estimate_correlation(n_realizations: int, x1: float, x2_values, t: float,
         mean, second = _moments(n_realizations, r, seed)
         var = np.maximum(second - mean ** 2, 0.0)
     except FloatingPointError as exc:
-        raise FloatingPointError(
-            f"the Monte-Carlo moments at t = {t:.6g}, x1 = {x1:.6g}, T0 = {temperature:.6g} "
-            f"leave the float range: {exc}") from None
+        raise FloatingPointError(f"{where} leave the float range: {exc}") from None
     return Ensemble(values=np.abs(mean), stderr=np.sqrt(var / n_realizations))

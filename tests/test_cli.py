@@ -601,7 +601,14 @@ _REFUSAL_MESSAGES = {
     # a probe at the float range's edge pads the domain to an infinite length
     "langevin-domain-beyond-the-float-range":
         r"^the Monte-Carlo moments at t = 30, x1 = -1\.2, T0 = 0\.5 leave the float range: "
-        r"divide by zero ",
+        r"the x2 window \[1\.2, 1\.79769e\+308\] pads the sampled domain to an infinite length$",
+    "langevin-domain-beyond-the-float-range-cold":
+        r"^the Monte-Carlo moments at t = 30, x1 = -1\.2, T0 = 0 leave the float range: "
+        r"the x2 window \[1\.2, 1\.79769e\+308\] pads the sampled domain to an infinite length$",
+    # at late t both matched x0 of a pair underflow to 0
+    "correlation-mode-sum-separation-underflows":
+        r"^the mode sum at t = 1e\+08, x1 = -1e\+06, x2 = [0-9.e+]+: the matched x0 of x1 and "
+        r"x2 coincide",
 }
 
 
@@ -700,6 +707,10 @@ _REFUSAL_MESSAGES = {
     (["langevin", "--t", "30", "--x1", "-1.2", "--temperature", "1e300"], None, 3),
     (["langevin", "--t", "30", "--x1", "-1.2", "--temperature", "0.5", "--realizations", "50",
       "--x2-min", "1.2", "--x2-max", _FLOAT_MAX, "--points", "4"], None, 3),
+    (["langevin", "--t", "30", "--x1", "-1.2", "--realizations", "50", "--points", "4",
+      "--x2-min", "1.2", "--x2-max", _FLOAT_MAX], None, 3),
+    (["correlation", "--method", "mode_sum_oracle", "--t", "1e8", "--x1", "-1e6",
+      "--points", "4"], None, 3),
 ], ids=["missing-config", "radius-inf", "line-kappa-nan", "omega-0", "omega-minus-0",
         "langevin-temperature-nan", "temperature-beyond-100-th", "negative-gamma",
         "coupling-eff-key", "langevin-sites-0", "langevin-sites-513",
@@ -724,7 +735,8 @@ _REFUSAL_MESSAGES = {
         "config-before-command", "format-before-command", "format-after-command",
         "t-before-command", "t-equals-before-unknown-command", "flag-before-command",
         "unknown-command", "langevin-moments-overflow-1e300",
-        "langevin-domain-beyond-the-float-range"])
+        "langevin-domain-beyond-the-float-range", "langevin-domain-beyond-the-float-range-cold",
+        "correlation-mode-sum-separation-underflows"])
 def test_malformed_input_refused(request, tmp_path, capsys, argv, config, code):
     """Refused with the documented exit code and one JSON record, no traceback;
     where _REFUSAL_MESSAGES holds a pattern, the message matches it."""
@@ -761,12 +773,14 @@ _SRC = os.path.dirname(os.path.dirname(os.path.abspath(sonicbh.__file__)))
 
 # Runs cli.main on its arguments (none: import only), then reports on the
 # last line of stdout, as JSON, which scipy modules were loaded, which of
-# numpy, numpy.polynomial, json, hashlib and the package's modules were, and
+# numpy, numpy.polynomial, numpy.random, json, hashlib and the package's
+# modules were, and
 # every module outside sonicbh that the run added to the interpreter's own;
 # the probe imports json only after it has looked.
 _LOADED = """{"scipy": sorted(m for m in sys.modules if m.split(".")[0] == "scipy"),
           "modules": sorted(m for m in sys.modules if m in ("numpy", "numpy.polynomial",
-                                                            "scipy", "json", "hashlib")
+                                                            "numpy.random", "scipy", "json",
+                                                            "hashlib")
                             or m.startswith("sonicbh.")),
           "added": sorted(m for m in set(sys.modules) - before
                           if m.split(".")[0] != "sonicbh")}"""
@@ -903,10 +917,12 @@ _SWEEP = {"gamma": ("1e-7", "1e-6"), "v_min": ("0.1", "0.3"), "temperature": ("0
 # does not call.
 _NO_NUMPY = ("numpy",)
 _NO_ARRAYS = ("numpy", "scipy")
-# the manifest's config hash is SHA-256 written out in the CLI, so no run loads
-# hashlib (and with it OpenSSL's libcrypto) but langevin's, where numpy.random
-# imports it (through secrets and hmac)
+# the manifest's config hash is SHA-256 written out in the CLI and the
+# Monte-Carlo normals are langevin's own Philox stream, so no run loads
+# hashlib (and with it OpenSSL's libcrypto), nor numpy.random, which would
+# import it through secrets and hmac
 _NO_HASHLIB = ("hashlib",)
+_NO_NUMPY_RANDOM = _NO_HASHLIB + ("numpy.random",)
 # the null map's Gauss-Legendre rule is written out, not solved for
 _NO_EIGEN_SOLVE = ("numpy.polynomial",)
 _LINE_MODULES = ("sonicbh.characteristics", "sonicbh.correlations", "sonicbh.langevin")
@@ -944,11 +960,11 @@ def _assert_scipy_footprint(scipy_modules, integrates):
     (["er", "--k", "0.05", "--t-min", "40", "--t-max", "100", "--points", "2"],
      None, 0, False, _RING_AND_MC_MODULES + _NO_ARRAYS + _NO_HASHLIB),
     (["langevin", "--t", "30", "--x1", "-1.2", "--realizations", "200", "--points", "8"],
-     None, 0, False, _RING_AND_CORRELATION_MODULES),
+     None, 0, False, _RING_AND_CORRELATION_MODULES + _NO_NUMPY_RANDOM),
     (["langevin", "--t", "30", "--x1", "-1.2", "--realizations", "200", "--points", "8",
-      "--transport", "exact"], None, 0, False, _RING_AND_CORRELATION_MODULES),
+      "--transport", "exact"], None, 0, False, _RING_AND_CORRELATION_MODULES + _NO_NUMPY_RANDOM),
     (["langevin", "--t", "30", "--x1", "-1.2", "--realizations", "200", "--points", "8",
-      "--temperature", "0.15"], None, 0, False, _RING_AND_CORRELATION_MODULES),
+      "--temperature", "0.15"], None, 0, False, _RING_AND_CORRELATION_MODULES + _NO_NUMPY_RANDOM),
     (["correlation", "--t", "100", "--x1", "-4", "--beta", "nan"], None, 2, False,
      _NO_NUMPY + _NO_HASHLIB),
     (["hawking"], "missing", 2, False, _NO_NUMPY + _NO_HASHLIB),
@@ -984,7 +1000,7 @@ def test_scipy_loaded_only_where_a_command_integrates(tmp_path, argv, config, co
     on scalars (hawking, boundary, diffusion, er, the closed-form correlation);
     a command that runs loads only the numeric modules it calls, and one that
     builds a null map (vcoef, tdec-sweep) no numpy.polynomial.  Writing the
-    table loads no json, and nothing but langevin loads hashlib."""
+    table loads no json, and no command loads hashlib or numpy.random."""
     common = []
     if argv:
         common = ["--output", str(tmp_path / "x.csv")]
@@ -1002,11 +1018,14 @@ def test_scipy_loaded_only_where_a_command_integrates(tmp_path, argv, config, co
 def test_langevin_check_script_loads_no_scipy(tmp_path):
     """The check script's expectation is at T0 = 0, where its k integral is
     the closed vacuum part alone, so it integrates nothing and loads no
-    scipy."""
+    scipy; its normals are langevin's own, so it loads neither numpy.random
+    nor hashlib."""
     path = os.path.join(os.path.dirname(_SRC), "scripts", "run_langevin_check.py")
     proc = _fresh_interpreter(tmp_path, [path], script=("-c", _SCRIPT_PROBE))
     assert proc.returncode == 0, proc.stderr
-    _assert_scipy_footprint(json.loads(proc.stdout.splitlines()[-1])["scipy"], False)
+    loaded = json.loads(proc.stdout.splitlines()[-1])
+    _assert_scipy_footprint(loaded["scipy"], False)
+    assert sorted(set(_NO_NUMPY_RANDOM) & set(loaded["modules"])) == []
 
 
 @pytest.mark.parametrize("argv", [

@@ -4,7 +4,7 @@ import tracemalloc
 import mpmath as mp
 import numpy as np
 import pytest
-from scipy.special import dawsn
+from scipy.special import dawsn, ndtr
 
 from sonicbh import langevin
 from sonicbh.errors import QuadratureError
@@ -43,26 +43,26 @@ def test_estimator_seed_reproducible(line):
 # 0, 9, ..., 63, keyed by (temperature / LINE_T_HAWKING, transport).
 PINNED_STREAM = {
     (0.0, "matched"): (
-        [0.05963579096326103, 0.054045894100202135, 0.036190144516209714,
-         0.04743237945832916, 0.06243622046263971, 0.010368341580054351,
-         0.0776322250166116, 0.0354703277014629],
-        [0.003709617685297065, 0.007467997602389933, 0.015003769809640093,
-         0.02954167555918963, 0.06001479291812304, 0.030676362059776502,
-         0.03131238850117668, 0.032029407195466354]),
+        [0.058398384978701055, 0.05849983846654652, 0.0277128483149605,
+         0.03497892494942301, 0.02549663835723294, 0.030852268791564247,
+         0.017939904555699313, 0.01569601272225153],
+        [0.0037544773151428064, 0.007383575096905819, 0.014304119806062514,
+         0.029963511743017493, 0.05948942711021591, 0.03066646746655472,
+         0.03048967163083387, 0.03048457134115857]),
     (60.0, "matched"): (
-        [0.0493057091722528, 0.03610464637057533, 0.015283451808056592,
-         0.0160442687840469, 0.06282517325813602, 0.037142706879633794,
-         0.010113319389954177, 0.031431326822118286],
-        [0.0038482848308825143, 0.007778653626732393, 0.01567263651586542,
-         0.0307699812318879, 0.062388827821018275, 0.031834861909380494,
-         0.03221322295869527, 0.03367861974858157]),
+        [0.04842188629476034, 0.041486762230885876, 0.009003366085069124,
+         0.048919883283282395, 0.025338952970353303, 0.024198188687037925,
+         0.002159912084246411, 0.00934563439685709],
+        [0.0038949085137686733, 0.007686756525983862, 0.014923879001914405,
+         0.031335407680096905, 0.06221160953553015, 0.032313178710639136,
+         0.031812067402140175, 0.031739301538356336]),
     (0.0, "exact"): (
-        [0.06716270053983524, 0.05208430664642424, 0.03966896409099986,
-         0.059835386594939144, 0.07759456318018253, 0.15529045646463602,
-         0.0453647153715866, 0.13699388774891966],
-        [0.004007373252055797, 0.008063746369420652, 0.016074366600817513,
-         0.0329936630191333, 0.06685006426127307, 0.06616812116963693,
-         0.06799527871081136, 0.06517774245994533]),
+        [0.0657383888065432, 0.0550147372005626, 0.05781969341816816,
+         0.01802782367019514, 0.033055789237166296, 0.06487472767631074,
+         0.09131818227118843, 0.04723718164984528],
+        [0.004055551699051178, 0.007835476308438418, 0.015604832161303348,
+         0.0314582308963552, 0.06696599352389154, 0.06756711097625026,
+         0.06548663282436051, 0.06605506266183005]),
 }
 
 
@@ -82,6 +82,79 @@ def test_estimator_seeded_stream_pinned(line, t_over_th, transport):
         assert np.abs(got[::9] - pinned).max() <= 1e-12 * scale
 
 
+# Random123's known-answer vectors for Philox4x32-10: counter, key -> output
+PHILOX_KAT = [
+    ((0, 0, 0, 0), (0, 0), (0x6627e8d5, 0xe169c58d, 0xbc57ac4c, 0x9b00dbd8)),
+    ((0xffffffff,) * 4, (0xffffffff,) * 2, (0x408f276d, 0x41c83b0e, 0xa20bc7c6, 0x6d5451fd)),
+    ((0x243f6a88, 0x85a308d3, 0x13198a2e, 0x03707344), (0xa4093822, 0x299f31d0),
+     (0xd16cfe09, 0x94fdcceb, 0x5001e420, 0x24126ea1)),
+]
+
+
+@pytest.mark.parametrize("counter, key, expect", PHILOX_KAT, ids=["zeros", "ones", "pi"])
+def test_philox_known_answers(counter, key, expect):
+    words = langevin._philox4x32([np.array([c], dtype=np.uint64) for c in counter], key)
+    assert tuple(int(w[0]) for w in words) == expect
+
+
+def _box_muller(words):
+    """Normals 2j and 2j + 1 from block j's four output words, one at a time:
+    m and m' the top 53 bits of words 0-1 and 2-3 read as 64-bit integers,
+    u = 1 - m 2^-53, v = m' 2^-53."""
+    m_u, m_v = ((words[0] | words[1] << 32) >> 11, (words[2] | words[3] << 32) >> 11)
+    r = math.sqrt(-2.0 * math.log(1.0 - m_u * 2.0 ** -53))
+    angle = 2.0 * math.pi * 2.0 ** -53 * m_v
+    return [r * math.cos(angle), r * math.sin(angle)]
+
+
+@pytest.mark.parametrize("seed, block", [(0, 0), (2 ** 64 - 1, 0), (2 ** 64 - 1, 2 ** 32 + 5),
+                                         (0x299f31d0a4093822, 3)])
+def test_seed_is_the_philox_key(seed, block):
+    """Seed s keys the stream with (s & 0xffffffff, s >> 32), so seeds 0 and
+    2^64 - 1 are the all-zero and all-one keys, and block j's counter is
+    (j & 0xffffffff, j >> 32, 0, 0).  Seed 0's block 0 is the all-zero known
+    answer."""
+    if (seed, block) == (0, 0):
+        words = PHILOX_KAT[0][2]
+    else:
+        counter = (block & 0xffffffff, block >> 32, 0, 0)
+        words = [int(w[0]) for w in langevin._philox4x32(
+            [np.array([c], dtype=np.uint64) for c in counter],
+            (seed & 0xffffffff, seed >> 32))]
+    got = np.empty(2)
+    langevin._standard_normals(seed, 2 * block, got)
+    assert got == pytest.approx(_box_muller(words), rel=1e-14, abs=1e-15)
+
+
+def test_normals_do_not_depend_on_the_split():
+    """Any split of a range of normals gives one call's normals: odd starts,
+    single normals, and parts across a pass of 2^12 Philox blocks."""
+    first, n = 5, 3 * 2 ** 13 + 7
+    whole = np.empty(n)
+    langevin._standard_normals(17, first, whole)
+    for cuts in ([1, 2, 3, 8192, 8193, 16000], list(range(1, 40)), [4095, 4096, 4097, 12289]):
+        parts = np.empty(n)
+        for lo, hi in zip([0, *cuts], [*cuts, n]):
+            langevin._standard_normals(17, first + lo, parts[lo:hi])
+        assert np.array_equal(parts, whole), cuts
+
+
+def test_normals_follow_the_standard_normal_law():
+    """2^20 normals of seed 1: the mean, variance and fourth moment within 4
+    standard errors of 0, 1 and 3 (sqrt(1 / N), sqrt(2 / N), sqrt(96 / N)),
+    and the Kolmogorov-Smirnov distance to Phi below 1.95 / sqrt(N), its
+    0.1% point."""
+    n = 2 ** 20
+    z = np.empty(n)
+    langevin._standard_normals(1, 0, z)
+    assert abs(z.mean()) < 4.0 * math.sqrt(1.0 / n)
+    assert abs(z.var() - 1.0) < 4.0 * math.sqrt(2.0 / n)
+    assert abs(np.mean(z ** 4) - 3.0) < 4.0 * math.sqrt(96.0 / n)
+    cdf = ndtr(np.sort(z))
+    ks = max((np.arange(1, n + 1) / n - cdf).max(), (cdf - np.arange(n) / n).max())
+    assert ks < 1.95 / math.sqrt(n)
+
+
 def test_estimator_peak_memory_near_its_draw_buffer(line):
     """The sampler builds the (2 modes, points + 1) matrix A in place and lets
     it go once factored: at most A and one A-sized copy are alive.  Then it
@@ -89,8 +162,9 @@ def test_estimator_peak_memory_near_its_draw_buffer(line):
     max(128, 2^13 // (points + 1)) realizations at most: the normals, which
     then take the products, and the field at the probes.  numpy's iterator
     copies the products' two strided inputs through buffers of at most
-    getbufsize() doubles each.  The traced peak stays under all of that."""
-    n, iterator = 10_000, 2 * 8 * np.getbufsize()
+    getbufsize() doubles each.  The generator's scratch is five uint64 arrays
+    of at most 2^12 Philox blocks.  The traced peak stays under all of that."""
+    n, iterator, scratch = 10_000, 2 * 8 * np.getbufsize(), 5 * 8 * 2 ** 12
     for points in (1, 2, 48, 512, 1024):
         x2 = np.linspace(1.1, 6.0, points)
         a_matrix = 8 * 2 * N_MODES * (points + 1)
@@ -101,23 +175,19 @@ def test_estimator_peak_memory_near_its_draw_buffer(line):
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < buffers + 2 * a_matrix + iterator, points
+        assert peak < buffers + 2 * a_matrix + iterator + scratch, points
 
 
 class _Recording:
-    """A Philox generator that keeps a copy of every block of normals it draws."""
+    """The package's normals, keeping a copy of every block it draws."""
 
-    generator = np.random.Generator
+    normals = staticmethod(langevin._standard_normals)
 
     def __init__(self, drawn):
         self.drawn = drawn
 
-    def __call__(self, bit_generator):
-        self.rng = self.generator(bit_generator)
-        return self
-
-    def standard_normal(self, out):
-        self.rng.standard_normal(out=out)
+    def __call__(self, seed, first, out):
+        self.normals(seed, first, out)
         self.drawn.append(out.copy())
 
 
@@ -129,7 +199,7 @@ def test_estimator_block_does_not_change_the_draws(line, monkeypatch):
 
     def run(rows):
         drawn = []
-        monkeypatch.setattr(np.random, "Generator", _Recording(drawn))
+        monkeypatch.setattr(langevin, "_standard_normals", _Recording(drawn))
         if rows is not None:
             monkeypatch.setattr(langevin, "_block_rows", lambda n_realizations, probes: rows)
         mc = estimate_correlation(n, REDUCED_X1, x2, REDUCED_T, 0.0, line, seed=9)
@@ -153,7 +223,7 @@ def test_estimator_gemm_blocks_hold_at_least_64_rows(line, monkeypatch):
         x2 = np.linspace(1.1, 6.0, points)
         for n in (2, 127, 129, 1001):
             drawn = []
-            monkeypatch.setattr(np.random, "Generator", _Recording(drawn))
+            monkeypatch.setattr(langevin, "_standard_normals", _Recording(drawn))
             estimate_correlation(n, REDUCED_X1, x2, REDUCED_T, 0.0, line, seed=3)
             rows = [len(g) for g in drawn]
             assert sum(rows) == n, (points, n)
@@ -164,17 +234,13 @@ def test_estimator_gemm_blocks_hold_at_least_64_rows(line, monkeypatch):
 def test_estimator_draws_one_normal_per_probe(line, monkeypatch):
     """Each realization draws min(2 N_MODES, points + 1) normals: the field at
     the probes, not the 2 N_MODES mode amplitudes behind it."""
-    drawn = []
+    drawn, rng = [], np.random.default_rng(3)
 
-    class Counting:
-        def __init__(self, bit_generator):
-            self.rng = np.random.default_rng(3)
+    def counting(seed, first, out):
+        drawn.append(out.size)
+        out[...] = rng.standard_normal(out.shape)
 
-        def standard_normal(self, out):
-            drawn.append(out.size)
-            out[...] = self.rng.standard_normal(out.shape)
-
-    monkeypatch.setattr(np.random, "Generator", Counting)
+    monkeypatch.setattr(langevin, "_standard_normals", counting)
     for points in (1, 48, 600):
         drawn.clear()
         estimate_correlation(3, REDUCED_X1, np.linspace(1.1, 6.0, points), REDUCED_T,
@@ -192,15 +258,11 @@ def test_estimator_exact_in_law(line, monkeypatch, t_over_th):
     pts = np.concatenate([[REDUCED_X1], REDUCED_X2])
     d = min(2 * N_MODES, len(pts))
 
-    class UnitVectors:
-        def __init__(self, bit_generator):
-            pass
+    def unit_vectors(seed, first, out):
+        assert out.shape == (d, d)
+        out[...] = np.eye(d)
 
-        def standard_normal(self, out):
-            assert out.shape == (d, d)
-            out[...] = np.eye(d)
-
-    monkeypatch.setattr(np.random, "Generator", UnitVectors)
+    monkeypatch.setattr(langevin, "_standard_normals", unit_vectors)
     eps, temperature = 0.12, t_over_th * LINE_T_HAWKING
     mc = estimate_correlation(d, REDUCED_X1, REDUCED_X2, REDUCED_T, temperature, line,
                               uv_epsilon=eps)
@@ -283,15 +345,13 @@ def test_ensemble_stderr_definition(line, monkeypatch):
     """stderr is sqrt((<p^2> - <p>^2) / N) over the N products p: with two
     realizations, the first drawn all zero, it is the value over sqrt(2)
     (a 1/(N - 1) variance would give the value itself)."""
-    class FirstRealizationZero:
-        def __init__(self, bit_generator):
-            self.rng = np.random.default_rng(3)
+    rng = np.random.default_rng(3)
 
-        def standard_normal(self, out):          # out: (realizations, probes)
-            out[...] = self.rng.standard_normal(out.shape)
-            out[0] = 0.0
+    def first_realization_zero(seed, first, out):   # out: (realizations, probes)
+        out[...] = rng.standard_normal(out.shape)
+        out[0] = 0.0
 
-    monkeypatch.setattr(np.random, "Generator", FirstRealizationZero)
+    monkeypatch.setattr(langevin, "_standard_normals", first_realization_zero)
     mc = estimate_correlation(2, REDUCED_X1, REDUCED_X2, REDUCED_T, 0.0, line)
     assert np.all(mc.values > 0)
     assert mc.stderr == pytest.approx(mc.values / math.sqrt(2.0), rel=1e-12)

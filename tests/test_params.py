@@ -342,6 +342,34 @@ def test_grids_are_the_clis():
     assert _numpy_grids(ROOT) == []
 
 
+def _numpy_random_uses(root):
+    """path:line of every use of numpy.random in src/ or scripts/: the
+    attribute np.random or numpy.random, or an import of it or from it."""
+    found = []
+    for folder in ("src", "scripts"):
+        for path in sorted((root / folder).rglob("*.py")):
+            for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+                if isinstance(node, ast.Attribute):
+                    uses = node.attr == "random" and ast.unparse(node.value) in ("np", "numpy")
+                elif isinstance(node, ast.Import):
+                    uses = any(alias.name.startswith("numpy.random") for alias in node.names)
+                elif isinstance(node, ast.ImportFrom):
+                    uses = (node.module or "").startswith("numpy.random") or (
+                        node.module == "numpy" and "random" in {a.name for a in node.names})
+                else:
+                    continue
+                if uses:
+                    found.append(f"{path.relative_to(root)}:{node.lineno}")
+    return found
+
+
+def test_no_numpy_random():
+    """The Monte-Carlo normals are langevin's own Philox4x32-10 stream:
+    numpy.random, whose import loads hashlib and OpenSSL's libcrypto, is
+    refused in the package and the scripts (tests may use it as an oracle)."""
+    assert _numpy_random_uses(ROOT) == []
+
+
 def _unread_fields(root):
     """module.Class.field of every dataclass or NamedTuple field of
     src/sonicbh that no program file reads as an attribute.  A NamedTuple
