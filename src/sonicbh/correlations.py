@@ -11,8 +11,9 @@ Closed form (matched long-time scheme, initial temperature 1/beta):
 
 with X1 = |matched x0(x1)|, X2 = matched x0(x2).  It is evaluated as one
 expression for every beta: the beta -> inf value -(X1 X2 / a^2) / (X1 + X2)^2
-times the thermal factor (z csch z)^2, z = pi (X1 + X2) / beta, which is 1 at
-beta = inf.  Every exponential is assembled in log space.
+= -sech^2(d/2) / (4 a^2), d = ln(X2/X1) = (x2 - x2*)/a the offset from the
+partner x2* of x1, times the thermal factor (z csch z)^2, z = pi (X1 + X2) /
+beta, which is 1 at beta = inf.  Only z needs X1, and it is taken in log space.
 The mode-sum oracle rebuilds the same object from matched mode functions:
 thermal weight coth(beta k / 2), momentum factors by finite differences of
 the traced-back initial position.  Both thermal k integrals split
@@ -34,7 +35,8 @@ import math
 import sys
 from typing import NamedTuple
 
-from .characteristics import entanglement_boundary, matched_exponent, matched_pair, matched_x0
+from .characteristics import (entanglement_boundary, matched_exponent, matched_pair, matched_x0,
+                              pair_partner)
 from .errors import ExtrapolationError, RegimeError, RegionError
 from .profiles import LineProfile, hawking_temperature_line
 from .specfun import fourier_integral, image_sum, thermal_excess, thermal_weight
@@ -180,40 +182,37 @@ def _log_z_csch(ln_z: float) -> float:
     return math.log(2.0 * z) - z - math.log(-math.expm1(-2.0 * z))
 
 
-def _log_add_exp(x: float, y: float) -> float:
-    """ln(e^x + e^y) without overflow, evaluated as numpy's logaddexp is."""
-    if x == y:
-        return x + math.log(2.0)
-    big, small = (x, y) if x > y else (y, x)
-    return big + math.log1p(math.exp(small - big))
-
-
 def _require_matched_pair(x1: float, x2: float, t: float, profile: LineProfile):
     if not matched_pair(x1, x2, t, profile):
         raise RegionError(f"({x1:.6g}, {x2:.6g}) is not a matched inside/outside pair "
                           f"within the wedge at t = {t:.6g}; use corr_homogeneous")
+    # the probes round by their ulp, and the partner offset d = (x2 - x2*)/a with them
+    ratio = math.ulp(max(abs(x1), abs(x2))) / profile.a
+    if ratio > 1e-6:
+        raise RegimeError(f"the pair at t = {t:.6g}, x1 = {x1:.6g}, x2 = {x2:.6g} is not "
+                          "resolved: its offset from x2* rounds by ulp(max(|x1|, |x2|))/a = "
+                          f"{ratio:.3g} > 1e-6")
 
 
 def corr_closed_form(x1: float, x2: float, t: float, beta: float,
                      profile: LineProfile) -> float:
     """Matched-scheme <Pi_L(x1,t) Pi_L(x2,t)>, x1 inside, x2 outside.
 
-    Requires a matched pair (``matched_pair``); outside the wedge the
-    matched exponentials do not apply (use corr_homogeneous).  One expression
-    for every beta > 0: the zero-temperature value -(X1 X2/a^2)/(X1+X2)^2
-    times the thermal factor (z csch z)^2, z = pi (X1+X2)/beta, with ln z
-    taken in log space so that z = 0, a factor of 1, at beta = inf.
+    Requires a matched pair (``matched_pair``) whose offset the floats
+    resolve.  One expression for every beta > 0: the zero-temperature value
+    -e^{-|d| - 2s}/a^2 = -sech^2(d/2)/(4a^2), s = log1p(e^{-|d|}), from the
+    partner offset d = (x2 - x2*)/a alone, times the thermal factor (z csch
+    z)^2, ln z = ln(pi a/beta) + ln(X1/a) + max(d, 0) + s: z = 0 at beta = inf.
     """
     _require_matched_pair(x1, x2, t, profile)
     if not beta > 0:
         raise ValueError("beta must be positive (inf for zero temperature)")
     a = profile.a
-    ln_x1 = matched_exponent(x1, t, profile) + math.log(a)
-    ln_x2 = matched_exponent(x2, t, profile) + math.log(a)
-    ln_pref = ln_x1 + ln_x2 - 2.0 * math.log(a)          # ln(X1 X2 / a^2)
-    ln_sum = _log_add_exp(ln_x1, ln_x2)                  # ln(X1 + X2)
-    ln_z = math.log(math.pi) + ln_sum - math.log(beta)
-    return -math.exp(ln_pref - 2.0 * ln_sum + 2.0 * _log_z_csch(ln_z))
+    d = (x2 - pair_partner(x1, t, profile)) / a          # ln(X2/X1)
+    s = math.log1p(math.exp(-abs(d)))
+    ln_z = (math.log(math.pi * a) - math.log(beta) + matched_exponent(x1, t, profile)
+            + max(d, 0.0) + s)                           # ln(pi (X1 + X2)/beta)
+    return -math.exp(-abs(d) - 2.0 * s + 2.0 * _log_z_csch(ln_z)) / (a * a)
 
 
 def corr_mode_sum_oracle(x1: float, x2: float, t: float, beta: float,

@@ -200,16 +200,30 @@ def test_both_pair_commands_share_the_default_window(tmp_path, argv, lo, hi):
 
 
 def test_correlation_all_zero_scan_has_no_peak(tmp_path):
-    # the matched exponentials underflow: every sample is 0; at x2 ~ 1e199 the
-    # background underflows too, and the zero height answers without it
-    for argv in (["--t", "1e300", "--x1", "-4", "--points", "16"],
-                 ["--t", "1e201", "--x1", "-4", "--x2-min", "1e199", "--x2-max", "2e199",
-                  "--points", "16"]):
-        code, out = _run(tmp_path, "correlation", *argv)
+    # every sample is a uniform row whose value underflows to 0, as does the
+    # background at x2 ~ 1e130: the zero height answers without it
+    code, out = _run(tmp_path, "correlation", "--t", "0", "--x1", "-4", "--x2-min", "1e130",
+                     "--x2-max", "2e130", "--points", "4")
+    assert code == 0
+    manifest, _, rows = _rows(out)
+    assert all(float(r[1]) == 0.0 and r[2] == "uniform" for r in rows)
+    assert "peak_contrast=0 " in manifest and "peak_present=false" in manifest
+
+
+def test_late_correlation_scan_keeps_the_pair(tmp_path):
+    # the matched form reads t only through the partner x2*, whose lag
+    # t - F(t) saturates: at t = 1e300 the default scan writes the matched
+    # rows and the peak of t = 100, where its last rows lie past x_plus
+    scans = {}
+    for t in ("100", "1e300"):
+        code, out = _run(tmp_path, "correlation", "--t", t, "--x1", "-4", "--points", "16",
+                         name=f"t{t}.csv")
         assert code == 0
         manifest, _, rows = _rows(out)
-        assert all(float(r[1]) == 0.0 for r in rows)
-        assert "peak_contrast=0 " in manifest and "peak_present=false" in manifest
+        peak = next(item for item in manifest.split() if item.startswith("peak_location="))
+        scans[t] = peak, [r for r in rows if r[2] == "matched"]
+    assert len(scans["1e300"][1]) == 16 and scans["1e300"][0] == scans["100"][0]
+    assert scans["100"][1] == scans["1e300"][1][:len(scans["100"][1])]
 
 
 @pytest.mark.parametrize("argv, contrast, present", [
@@ -234,10 +248,12 @@ def test_peak_is_measured_against_the_fluid_without_a_horizon(tmp_path, argv, co
 
 
 def test_underflowing_background_under_a_peak_is_refused(tmp_path, capsys):
-    # at x1 = -1e168 the pair's background underflows to 0 while the matched
-    # row at x2 = 1e168 does not: no contrast in the float range
-    code, _ = _run(tmp_path, "correlation", "--t", "1e170", "--x1", "-1e168",
-                   "--x2-min", "1e168", "--x2-max", "1.1e168", "--points", "16")
+    # on a line with a = 1e125 the pair at x1 = -1e130, x2 = 1e130 is resolved
+    # and its matched row does not underflow, while its background does: no
+    # contrast in the float range
+    config = _config_file(tmp_path, line_a="1e125", line_kappa="1e-126")
+    code, _ = _run(tmp_path, "correlation", "--config", str(config), "--t", "1e132",
+                   "--x1", "-1e130", "--x2-min", "1e130", "--x2-max", "1.1e130", "--points", "16")
     assert code == 4
     record = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
     assert record["error"] == "RegimeError" and "leaves the float range" in record["message"]
@@ -549,6 +565,13 @@ _TWO_IONS = {"n_ions": 2, "ion_charge": 37.6246 * math.sqrt(500.0)}
 # the largest float, as an argument
 _FLOAT_MAX = "1.7976931348623157e308"
 
+# ulp(3e205)/a: the offset d = (x2 - x2*)/a is known to 4e189, not to 1e-6
+_UNRESOLVED_MESSAGE = (r"^the pair at t = 3e\+207, x1 = -3e\+205, x2 = 3e\+205 is not "
+                       r"resolved: its offset from x2\* rounds by "
+                       r"ulp\(max\(\|x1\|, \|x2\|\)\)/a = 4\.46e\+189 > 1e-6$")
+_UNRESOLVED_PAIR = ["--t", "3e207", "--x1", "-3e205", "--beta", "1e-300",
+                    "--x2-min", "3e205", "--x2-max", "3.1e205", "--points", "2"]
+
 # Messages pinned per test id: --sites is gone (the estimator's mode count is
 # fixed); er and diffusion name their inputs and the term that leaves the
 # float range; an empty default x2 window names t and the partner x2*.
@@ -605,6 +628,11 @@ _REFUSAL_MESSAGES = {
     "langevin-domain-beyond-the-float-range-cold":
         r"^the Monte-Carlo moments at t = 30, x1 = -1\.2, T0 = 0 leave the float range: "
         r"the x2 window \[1\.2, 1\.79769e\+308\] pads the sampled domain to an infinite length$",
+    # a pair whose offset from x2* the floats cannot resolve, under both methods
+    "correlation-pair-offset-unresolved": _UNRESOLVED_MESSAGE,
+    "correlation-mode-sum-pair-offset-unresolved": _UNRESOLVED_MESSAGE,
+    "correlation-x2-1e199-offset-unresolved":
+        r"^the pair at t = 1e\+201, x1 = -4, x2 = 1e\+199 is not resolved: ",
     # at late t both matched x0 of a pair underflow to 0
     "correlation-mode-sum-separation-underflows":
         r"^the mode sum at t = 1e\+08, x1 = -1e\+06, x2 = [0-9.e+]+: the matched x0 of x1 and "
@@ -711,6 +739,10 @@ _REFUSAL_MESSAGES = {
       "--x2-min", "1.2", "--x2-max", _FLOAT_MAX], None, 3),
     (["correlation", "--method", "mode_sum_oracle", "--t", "1e8", "--x1", "-1e6",
       "--points", "4"], None, 3),
+    (["correlation", *_UNRESOLVED_PAIR], None, 4),
+    (["correlation", "--method", "mode_sum_oracle", *_UNRESOLVED_PAIR], None, 4),
+    (["correlation", "--t", "1e201", "--x1", "-4", "--x2-min", "1e199", "--x2-max", "2e199",
+      "--points", "16"], None, 4),
 ], ids=["missing-config", "radius-inf", "line-kappa-nan", "omega-0", "omega-minus-0",
         "langevin-temperature-nan", "temperature-beyond-100-th", "negative-gamma",
         "coupling-eff-key", "langevin-sites-0", "langevin-sites-513",
@@ -736,7 +768,8 @@ _REFUSAL_MESSAGES = {
         "t-before-command", "t-equals-before-unknown-command", "flag-before-command",
         "unknown-command", "langevin-moments-overflow-1e300",
         "langevin-domain-beyond-the-float-range", "langevin-domain-beyond-the-float-range-cold",
-        "correlation-mode-sum-separation-underflows"])
+        "correlation-mode-sum-separation-underflows", "correlation-pair-offset-unresolved",
+        "correlation-mode-sum-pair-offset-unresolved", "correlation-x2-1e199-offset-unresolved"])
 def test_malformed_input_refused(request, tmp_path, capsys, argv, config, code):
     """Refused with the documented exit code and one JSON record, no traceback;
     where _REFUSAL_MESSAGES holds a pattern, the message matches it."""

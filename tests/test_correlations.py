@@ -272,7 +272,7 @@ def test_closed_form_region_errors(line):
 
 
 def test_closed_form_is_overflow_safe(line):
-    # t = 100 tau drives exponents ~ 200; log-space assembly must survive
+    # t = 100 tau drives exponents ~ 200, which the partner-offset form never exponentiates
     val = corr_closed_form(-4.0, 6.0, T_LONG, math.inf, line)
     assert math.isfinite(val) and val < 0
 
@@ -302,6 +302,36 @@ def test_closed_form_against_mpmath_csch(line, t):
                         exact = cold * (z * mp.csch(z)) ** 2
                     val = corr_closed_form(x1, x2, t, beta, line)
                     assert val == pytest.approx(float(exact), rel=1e-12), (x1, x2, beta)
+
+
+@pytest.mark.parametrize("t", [40.0, 100.0, 300.0, 800.0, 2000.0, 1e5])
+def test_cold_closed_form_against_mpmath_exponents(line, t):
+    # the beta = inf value -(X1 X2/a^2)/(X1 + X2)^2 from exponents taken in
+    # 50 digits from x1, x2 and t, not from matched_exponent, whose t - F(t)
+    # loses digits as t grows; values below the normal range are compared
+    # to the subnormal's own spacing
+    xm, xp = entanglement_boundary(t, line)
+    a = line.a
+    x1s = [-a + f * (xm + a) for f in (0.05, 0.25, 0.5, 0.75, 0.95)]
+    x2s = [a + f * (xp - a) for f in (0.02, 0.1, 0.3, 0.5, 0.7, 0.9, 0.98)]
+    with mp.workdps(50):
+        big_a, big_t, kappa_a = mp.mpf(a), mp.mpf(t), mp.mpf(line.kappa) * a
+        f = line.tau * mp.log(mp.cosh(big_t / line.tau))
+        for x1 in x1s:
+            ln_x1 = -(mp.mpf(x1) + big_t - f * (1 - kappa_a) - big_a) / big_a
+            for x2 in x2s:
+                ln_x2 = (mp.mpf(x2) + big_t - f * (1 + kappa_a) - big_a) / big_a
+                exact = -mp.exp(ln_x1 + ln_x2) / (mp.exp(ln_x1) + mp.exp(ln_x2)) ** 2 / big_a ** 2
+                val = corr_closed_form(x1, x2, t, math.inf, line)
+                assert val == pytest.approx(float(exact), rel=1e-12, abs=5e-324), (x1, x2)
+
+
+@pytest.mark.parametrize("t", [40.0, 100.0, 1e5, 1e17, 1e100, 1e300])
+@pytest.mark.parametrize("x1", [-4.0, -2.5])
+def test_cold_closed_form_at_the_partner_is_exact(line, t, x1):
+    # X2 = X1 at x2 = x2*: the ceiling -1/(4a^2) at every t
+    x2 = pair_partner(x1, t, line)
+    assert corr_closed_form(x1, x2, t, math.inf, line) == -1.0 / (4.0 * line.a ** 2)
 
 
 @pytest.mark.parametrize("t, beta", [(300.0, 1000.0), (800.0, 5.0)])
